@@ -158,7 +158,7 @@ mod tests {
         let report = full_matrix_campaign(&configs, &[], 4, 1).run(4);
         // 5 configs × 1 implicit world × (1 benign + 3 attacks).
         assert_eq!(report.cells.len(), 20);
-        assert_eq!(report.judged_cells(), 15);
+        assert_eq!(report.fold_aggregator().judged_cells(), 15);
         assert!(
             report.verdict_mismatches().is_empty(),
             "{:?}",
@@ -170,14 +170,17 @@ mod tests {
         );
         // The benign scenario serves pages everywhere.
         assert!(report
-            .cells_for_scenario("benign-4")
+            .cells
             .iter()
+            .filter(|c| c.spec.scenario_label == "benign-4")
             .all(|c| c.outcome.exited_normally() && c.tally().ok > 0));
         // Configuration 4 detects the UID overflow.
-        let uid_cells = report.cells_for_config("2-Variant UID");
-        let overflow = uid_cells
+        let overflow = report
+            .cells
             .iter()
-            .find(|c| c.spec.scenario_label == "uid-overflow")
+            .find(|c| {
+                c.spec.config_label == "2-Variant UID" && c.spec.scenario_label == "uid-overflow"
+            })
             .unwrap();
         assert!(overflow.outcome.detected_attack());
         assert!(overflow.verdict.as_ref().is_some_and(CellVerdict::matches));
@@ -196,7 +199,7 @@ mod tests {
         let worlds = security_sweep_worlds();
         let report = full_matrix_campaign(&configs, &worlds, 4, 1).run(4);
         assert_eq!(report.cells.len(), 2 * 4 * 4);
-        assert_eq!(report.world_labels().len(), 4);
+        assert_eq!(report.fold_aggregator().world_labels().len(), 4);
         assert!(
             report.verdict_mismatches().is_empty(),
             "{:?}",
@@ -209,7 +212,11 @@ mod tests {
         // The faulty-fs world degrades benign service (news.html is on a
         // bad sector) without ever causing a spurious alarm: the fault is
         // shared kernel state, identical across variants.
-        let faulty = report.cells_for_world("faulty-fs");
+        let faulty: Vec<_> = report
+            .cells
+            .iter()
+            .filter(|c| c.spec.world_label == "faulty-fs")
+            .collect();
         assert_eq!(faulty.len(), 2 * 4);
         assert!(faulty
             .iter()

@@ -54,11 +54,11 @@ fn main() {
         )
     );
 
-    let mismatches = report.verdict_mismatches().len();
+    let aggregate = report.fold_aggregator();
     println!(
         "{} of {} attack/configuration pairs behave as the paper's arguments predict.",
-        report.judged_cells() - mismatches,
-        report.judged_cells()
+        aggregate.judged_cells() - aggregate.verdict_mismatches(),
+        aggregate.judged_cells()
     );
-    println!("\n{}", report.render_summary());
+    println!("\n{}", aggregate.render_summary());
 }

@@ -13,12 +13,13 @@
 //!   format.
 //! * `campaign_report [--quick] --merge FILE...` — merge shard files
 //!   written by `--shard`. Merging is **validation-only**: every shard must
-//!   carry this plan's canonical hash, and the merged cell set must cover
-//!   the plan's full matrix (missing or duplicated cells are named
-//!   exactly) — no cell is ever re-run. The merge is *streamed*: a k-way
-//!   merge over one [`ShardCursor`] per file folds every cell straight
-//!   into a [`StreamingAggregator`], so peak memory holds one decoded cell
-//!   per shard regardless of shard size. Pass `--verify-rerun` to
+//!   carry this plan's canonical hash, keep its cells in canonical order,
+//!   and the merged cell set must cover the plan's full matrix (missing,
+//!   duplicated or out-of-order cells are named exactly) — no cell is ever
+//!   re-run. The merge is the crate's one [`ShardMerger`], *streamed*: a
+//!   k-way merge over one [`ShardCursor`] per file folds every cell
+//!   straight into a [`StreamingAggregator`], so peak memory holds one
+//!   decoded cell per shard regardless of shard size. Pass `--verify-rerun` to
 //!   additionally re-run the whole plan unsharded in-process and assert
 //!   the merged canonical cell stream is **byte-identical** (compared via
 //!   a running digest, so the merged cells are still never materialized).
@@ -29,13 +30,10 @@
 //!   the full-matrix run, `--merge`, and `--synthetic`; it is a usage
 //!   error with `--shard` (a single shard's surface would be misleading —
 //!   merge first). `--surface-out FILE` writes the same bytes to `FILE`.
-//! * `campaign_report --synthetic [--replicate-factor N] [--materialized]`
-//!   — run the in-process synthetic sweep (5 configs × 4 worlds × 3
-//!   attack classes × N replicates, no VM, every cell judged) through the
-//!   constant-memory streaming fold, or through the legacy
-//!   materialize-then-aggregate path with `--materialized` (the control
-//!   arm of the CI memory experiment: at 10^6 cells it exceeds an
-//!   address-space cap the streamed fold runs comfortably under).
+//! * `campaign_report --synthetic [--replicate-factor N]` — run the
+//!   in-process synthetic sweep (5 configs × 4 worlds × 3 attack classes ×
+//!   N replicates, no VM, every cell judged) through the constant-memory
+//!   streaming fold: at 10^6 cells it runs under the CI address-space cap.
 //!   `--synthetic --shard I/N --out FILE` writes one round-robin shard of
 //!   the sweep as an interchange file through the streaming
 //!   [`ShardWriter`] (one cell in memory at a time), and `--synthetic
@@ -96,7 +94,6 @@ struct Args {
     surface: bool,
     surface_out: Option<PathBuf>,
     synthetic: bool,
-    materialized: bool,
     replicate_factor: usize,
 }
 
@@ -106,7 +103,7 @@ fn usage_exit() -> ! {
          [--cache-dir DIR | --no-cache] [--canonical-out FILE] \
          [--replicate-factor N] [--surface [--surface-out FILE]] \
          [--shard I/N --out FILE] [--merge FILE... [--verify-rerun]] \
-         [--synthetic [--materialized | --shard I/N --out FILE | --merge FILE...]]"
+         [--synthetic [--shard I/N --out FILE | --merge FILE...]]"
     );
     std::process::exit(2);
 }
@@ -209,7 +206,6 @@ fn parse_args() -> Args {
                 parsed.surface_out = Some(PathBuf::from(file));
             }
             "--synthetic" => parsed.synthetic = true,
-            "--materialized" => parsed.materialized = true,
             "--replicate-factor" => {
                 let value = args.next().and_then(|v| v.parse::<usize>().ok());
                 match value {
@@ -253,14 +249,6 @@ fn parse_args() -> Args {
         );
         usage_exit();
     }
-    if parsed.materialized && !parsed.synthetic {
-        eprintln!("--materialized only applies to --synthetic");
-        usage_exit();
-    }
-    if parsed.materialized && (parsed.shard.is_some() || !parsed.merge.is_empty()) {
-        eprintln!("--materialized only applies to the whole in-process sweep, not --shard/--merge");
-        usage_exit();
-    }
     if parsed.synthetic
         && (parsed.analyze
             || parsed.cache_dir.is_some()
@@ -269,7 +257,7 @@ fn parse_args() -> Args {
     {
         eprintln!(
             "--synthetic runs the in-process synthetic sweep; it combines only with \
-             --workers, --replicate-factor, --surface[-out], --materialized, \
+             --workers, --replicate-factor, --surface[-out], \
              --shard I/N --out FILE and --merge FILE... (the synthetic merge \
              always cross-checks against a regenerated stream, so --verify-rerun \
              is implied, not accepted)"
@@ -304,7 +292,7 @@ fn emit_surface(aggregator: &StreamingAggregator, surface_out: Option<&Path>) {
 /// `--synthetic`: the in-process synthetic sweep — the workload that
 /// scales the streaming pipeline to millions of cells (no VM, no HTTP,
 /// every cell judged). The streamed fold's memory is O(workers ×
-/// aggregator); `--materialized` is the legacy per-cell-`Vec` control arm.
+/// aggregator), whatever the cell count.
 fn run_synthetic_mode(args: &Args) {
     let sweep = SyntheticSweep::new(args.replicate_factor);
     if let Some((index, count)) = args.shard {
@@ -323,7 +311,7 @@ fn run_synthetic_mode(args: &Args) {
     let shape = sweep.shape;
     println!(
         "Synthetic sweep: {} cells ({} configs x {} worlds x {} attacks x {} replicates), \
-         plan hash {:#018x}, {} worker(s), {} path",
+         plan hash {:#018x}, {} worker(s), streamed",
         sweep.cell_count(),
         shape.configs,
         shape.worlds,
@@ -331,18 +319,8 @@ fn run_synthetic_mode(args: &Args) {
         shape.replicates,
         sweep.plan_hash(),
         args.workers,
-        if args.materialized {
-            "materialized"
-        } else {
-            "streamed"
-        }
     );
-    let aggregator = if args.materialized {
-        let report = sweep.run_materialized(args.workers);
-        report.fold_aggregator()
-    } else {
-        sweep.run_streamed(args.workers)
-    };
+    let aggregator = sweep.run_streamed(args.workers);
     println!("{}", aggregator.render_summary());
     if args.surface {
         emit_surface(&aggregator, args.surface_out.as_deref());
@@ -352,7 +330,11 @@ fn run_synthetic_mode(args: &Args) {
 fn per_cell_table(report: &CampaignReport, configs: &[DeploymentConfig]) -> String {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (config_index, config) in configs.iter().enumerate() {
-        let config_cells = report.cells_for_config_index(config_index);
+        let config_cells: Vec<_> = report
+            .cells
+            .iter()
+            .filter(|c| c.spec.config_index == config_index)
+            .collect();
         let mut world_labels: Vec<&str> = Vec::new();
         for cell in &config_cells {
             if !world_labels.contains(&cell.spec.world_label.as_str()) {

@@ -69,7 +69,7 @@ fn main() {
     let report = httpd_campaign("table2", &[DeploymentConfig::TwoVariantUid])
         .scenario(Scenario::fixed_requests("benign-24", requests))
         .run(1);
-    let metrics = report.total_metrics();
+    let metrics = report.fold_aggregator().metrics();
     println!("\nObserved while serving {request_count} benign requests under Configuration 4:");
     println!(
         "    detection calls ............ {}",

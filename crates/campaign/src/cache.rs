@@ -13,9 +13,10 @@
 //! scanning.
 //!
 //! Entries are serialized with the shard interchange codec (a one-cell
-//! [`CampaignReport`] in the v2 format): the codec that already proves
-//! byte-identical reassembly of sharded runs is the cell serialization, so
-//! a cache hit is bit-for-bit the cell a cold run would produce.
+//! shard file, written by [`ShardWriter`](crate::ShardWriter) and read by
+//! [`ShardCursor`]): the codec that already proves byte-identical
+//! reassembly of sharded runs is the cell serialization, so a cache hit is
+//! bit-for-bit the cell a cold run would produce.
 //!
 //! Robustness contract, mirroring the artifact store's: a corrupted,
 //! truncated or foreign entry is counted as an invalidation and recomputed
@@ -24,8 +25,8 @@
 //! never produce a torn entry; both write complete, identical bytes.
 
 use crate::cell::{CellResult, CellSpec};
-use crate::report::{CampaignReport, PlanShape};
-use crate::shardio::ShardCursor;
+use crate::report::PlanShape;
+use crate::shardio::{shard_text, ShardCursor, ShardHeader};
 use nvariant::store::{atomic_write_text, CacheCounters, CacheStats};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -35,10 +36,9 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct CellCache {
     dir: PathBuf,
-    name: String,
-    base_seed: u64,
-    plan_hash: u64,
-    shape: PlanShape,
+    /// The header every entry is written under: the plan identity, one
+    /// worker, zero total wall.
+    header: ShardHeader,
     counters: CacheCounters,
 }
 
@@ -55,10 +55,14 @@ impl CellCache {
     ) -> Self {
         CellCache {
             dir: root.join("cells").join(format!("{plan_hash:016x}")),
-            name: name.into(),
-            base_seed,
-            plan_hash,
-            shape,
+            header: ShardHeader {
+                name: name.into(),
+                base_seed,
+                plan_hash,
+                shape,
+                workers: 1,
+                total_wall: Duration::ZERO,
+            },
             counters: CacheCounters::default(),
         }
     }
@@ -99,7 +103,7 @@ impl CellCache {
             self.counters.invalidation();
             return None;
         };
-        if cursor.header().plan_hash != self.plan_hash {
+        if cursor.header().plan_hash != self.header.plan_hash {
             self.counters.invalidation();
             return None;
         }
@@ -127,16 +131,7 @@ impl CellCache {
     /// the run.
     pub fn insert(&self, cell: &CellResult) {
         let path = self.entry_path(&cell.spec);
-        let entry = CampaignReport::new(
-            self.name.clone(),
-            self.base_seed,
-            self.plan_hash,
-            self.shape,
-            1,
-            vec![cell.clone()],
-            Duration::ZERO,
-        );
-        let _ = atomic_write_text(&path, &entry.to_shard_text());
+        let _ = atomic_write_text(&path, &shard_text(&self.header, [cell]));
     }
 }
 
@@ -217,6 +212,29 @@ mod tests {
                 streamed_hits: 1
             }
         );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn entries_keep_the_one_cell_report_bytes() {
+        // Entries written by earlier builds, which serialized a one-cell
+        // report (1 worker, zero wall), must stay byte-identical so their
+        // caches stay warm.
+        let root = scratch("entry-bytes");
+        let cache = CellCache::open(&root, "t", 7, 0xABCD, shape());
+        let stored = cell(1, 0);
+        cache.insert(&stored);
+        let written = std::fs::read_to_string(cache.entry_path(&stored.spec)).unwrap();
+        let one_cell_report = crate::CampaignReport::new(
+            "t".to_string(),
+            7,
+            0xABCD,
+            shape(),
+            1,
+            vec![stored],
+            Duration::ZERO,
+        );
+        assert_eq!(written, one_cell_report.to_shard_text());
         let _ = std::fs::remove_dir_all(&root);
     }
 

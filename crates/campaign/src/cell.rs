@@ -36,11 +36,11 @@ pub struct CellSpec {
 
 impl CellSpec {
     /// The canonical ordering key: cells sort config-major, then world,
-    /// scenario, replicate — the order [`CampaignPlan::cells`] emits and the
-    /// order [`CampaignReport::merge`] restores.
+    /// scenario, replicate — the order [`CampaignPlan::cells`] emits, every
+    /// shard must keep, and [`ShardMerger`] merges shards back into.
     ///
     /// [`CampaignPlan::cells`]: crate::CampaignPlan::cells
-    /// [`CampaignReport::merge`]: crate::CampaignReport::merge
+    /// [`ShardMerger`]: crate::ShardMerger
     #[must_use]
     pub fn coordinates(&self) -> (usize, usize, usize, usize) {
         (

@@ -21,11 +21,17 @@
 //!   processes that never communicate;
 //! * every report carries the plan's canonical hash
 //!   ([`CampaignPlan::plan_hash`]: name + seed + full axes) and matrix
-//!   shape, so [`CampaignReport::merge`] is *validation-only*: it rejects
-//!   shards from differently-shaped plans and incomplete shard sets
-//!   (naming the exact missing cells) without re-running anything — and
+//!   shape, so merging is *validation-only*: the one merge, [`ShardMerger`]
+//!   (driven over shard files, or over in-memory reports by
+//!   [`CampaignReport::merge`]), rejects shards from differently-shaped
+//!   plans, out-of-order shards and incomplete shard sets (naming the exact
+//!   missing cells) without re-running anything — and
 //!   [`CampaignReport::canonical_text`] of a merged report is
 //!   byte-identical to an unsharded run at any worker count.
+//!
+//! Aggregates come from one fold, [`StreamingAggregator`]: a
+//! [`CampaignReport`] renders its summary through
+//! [`CampaignReport::fold_aggregator`], exactly as a streamed merge does.
 //!
 //! # Example
 //!
@@ -67,7 +73,9 @@
 //! // 1 config x 2 worlds x 1 scenario x 3 replicates.
 //! assert_eq!(plan.cells().len(), 6);
 //! let whole = plan.run(2);
-//! assert!((whole.survival_rate() - 1.0).abs() < 1e-9);
+//! let aggregate = whole.fold_aggregator();
+//! assert!(aggregate.render_summary().contains("survival rate 100.0%"));
+//! assert_eq!(aggregate.verdict_mismatches(), 0);
 //!
 //! // Shard the same plan across two "processes" and merge: byte-identical.
 //! let merged = CampaignReport::merge([
@@ -96,11 +104,11 @@ pub use engine::{cell_seed, run_parallel};
 pub use exchange::ServedRequest;
 pub use nvariant::CacheStats;
 pub use plan::{serve_requests, CampaignPlan, CellRun, Scenario};
-pub use report::{CampaignReport, MergeError, PlanShape, WallPercentiles};
+pub use report::{CampaignReport, MergeError, PlanShape};
 pub use shardio::{ShardCursor, ShardHeader, ShardParseError, ShardWriter};
 pub use streaming::{
-    CoordinateWalk, GroupTally, LatencyHistogram, ShardMerger, StreamMergeError,
-    StreamingAggregator, SyntheticSweep, QUANTILE_RELATIVE_ERROR,
+    CoordinateWalk, GroupTally, LatencyHistogram, ShardMerger, StreamingAggregator, SyntheticSweep,
+    WallPercentiles, QUANTILE_RELATIVE_ERROR,
 };
 
 #[cfg(test)]

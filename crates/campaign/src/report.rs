@@ -1,9 +1,16 @@
-//! Aggregated campaign results: per-cell observations, summary statistics,
-//! and the merge operation that reassembles sharded runs.
+//! The in-process result container: a run's cells plus its plan identity
+//! and run metadata, with the canonical rendering that the determinism
+//! contracts compare.
+//!
+//! The container holds no aggregation or merge logic of its own. Summaries
+//! fold through [`StreamingAggregator`], the shard codec is
+//! [`ShardWriter`](crate::ShardWriter)/[`ShardCursor`], and
+//! [`CampaignReport::merge`] drives the one merge, [`ShardMerger`].
 
-use crate::cell::{CellResult, RequestTally};
-use nvariant::{CacheStats, ExecutionMetrics};
-use nvariant_transform::TransformStats;
+use crate::cell::CellResult;
+use crate::shardio::{ShardCursor, ShardParseError};
+use crate::streaming::{ShardMerger, StreamingAggregator};
+use nvariant::CacheStats;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
@@ -12,10 +19,10 @@ use std::time::Duration;
 /// has.
 ///
 /// Every [`CampaignReport`] records the shape of the plan it came from, so
-/// [`CampaignReport::merge`] can enumerate the plan's expected coordinate
-/// set and detect missing or foreign cells *without re-running the plan* —
-/// the shape, together with the plan hash, is what turns merging from
-/// "trust the shards" into validation.
+/// a merge can walk the plan's expected coordinate set and detect missing
+/// or foreign cells *without re-running the plan* — the shape, together
+/// with the plan hash, is what turns merging from "trust the shards" into
+/// validation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanShape {
     /// Number of configurations on the deployment axis.
@@ -38,8 +45,8 @@ impl PlanShape {
 
     /// Total number of cells, or `None` when the product overflows `usize`
     /// — possible only for hand-crafted or corrupted shapes, which is
-    /// exactly when a parser-fed [`CampaignReport::merge`] must reject the
-    /// shape instead of trusting it with arithmetic or allocations.
+    /// exactly when a parser-fed [`ShardMerger`] must reject the shape
+    /// instead of trusting it with arithmetic or allocations.
     #[must_use]
     pub fn checked_cell_count(&self) -> Option<usize> {
         self.configs
@@ -90,7 +97,8 @@ impl fmt::Display for PlanShape {
     }
 }
 
-/// Why [`CampaignReport::merge`] refused to combine shard reports.
+/// Why the shard merge ([`ShardMerger`], or its in-memory adapter
+/// [`CampaignReport::merge`]) refused to combine shards.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MergeError {
@@ -116,6 +124,14 @@ pub enum MergeError {
     /// Two shards both contain the cell at these canonical coordinates
     /// (config, world, scenario, replicate) — they do not partition a plan.
     DuplicateCell(usize, usize, usize, usize),
+    /// A shard lists a cell at or behind one the merge already emitted:
+    /// the shard repeats a cell, or its cells are not in canonical order.
+    OutOfOrderCell {
+        /// Index of the offending shard in the merge's input order.
+        shard: usize,
+        /// The offending cell's (config, world, scenario, replicate).
+        coordinates: (usize, usize, usize, usize),
+    },
     /// A shard contains a cell whose coordinates fall outside the plan's
     /// matrix shape.
     UnexpectedCell(usize, usize, usize, usize),
@@ -135,6 +151,13 @@ pub enum MergeError {
     /// impossible for a real plan (its cell list exists in memory), so the
     /// shape can only come from a corrupted or adversarial shard file.
     ImplausibleShape(PlanShape),
+    /// A shard hit malformed input or an I/O failure.
+    Shard {
+        /// Index of the failing shard in the merge's input order.
+        shard: usize,
+        /// The underlying parse error.
+        error: ShardParseError,
+    },
 }
 
 impl fmt::Display for MergeError {
@@ -159,6 +182,14 @@ impl fmt::Display for MergeError {
                 f,
                 "cell (config {c}, world {w}, scenario {s}, replicate {r}) appears in more \
                  than one shard"
+            ),
+            MergeError::OutOfOrderCell {
+                shard,
+                coordinates: (c, w, s, r),
+            } => write!(
+                f,
+                "shard {shard} is out of canonical order: cell (config {c}, world {w}, \
+                 scenario {s}, replicate {r}) repeats or precedes a cell already merged"
             ),
             MergeError::UnexpectedCell(c, w, s, r) => write!(
                 f,
@@ -191,32 +222,12 @@ impl fmt::Display for MergeError {
             MergeError::ImplausibleShape(shape) => {
                 write!(f, "shards declare an implausible matrix shape {shape}")
             }
+            MergeError::Shard { shard, error } => write!(f, "shard {shard}: {error}"),
         }
     }
 }
 
 impl std::error::Error for MergeError {}
-
-/// Nearest-rank latency percentiles over per-cell wall-clock times.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WallPercentiles {
-    /// Median per-cell wall time.
-    pub p50: Duration,
-    /// 95th-percentile per-cell wall time.
-    pub p95: Duration,
-    /// 99th-percentile per-cell wall time.
-    pub p99: Duration,
-}
-
-impl fmt::Display for WallPercentiles {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "p50 {:.1?}, p95 {:.1?}, p99 {:.1?}",
-            self.p50, self.p95, self.p99
-        )
-    }
-}
 
 /// Everything a campaign run produced: per-cell results plus run metadata.
 ///
@@ -244,9 +255,9 @@ pub struct CampaignReport {
     pub shape: PlanShape,
     /// Worker threads the run used.
     pub workers: usize,
-    /// Per-cell results, in canonical (config-major) order for whole runs,
-    /// or in shard order for [`run_shard`](crate::CampaignPlan::run_shard)
-    /// reports (merging restores canonical order).
+    /// Per-cell results, in canonical (config-major) order. A
+    /// [`run_shard`](crate::CampaignPlan::run_shard) report holds its
+    /// subset of the matrix in that order too, which the merge requires.
     pub cells: Vec<CellResult>,
     /// Wall-clock time of the whole run (the sum of shard walls after a
     /// merge).
@@ -293,184 +304,45 @@ impl CampaignReport {
     }
 
     /// Reassembles shard reports into the report an unsharded run produces:
-    /// cells are restored to canonical coordinate order, so the merged
+    /// cells come back in canonical coordinate order, so the merged
     /// [`canonical_text`](Self::canonical_text) is byte-identical to the
     /// whole run's. Shard walls sum into `total_wall` (total compute spent),
-    /// and `workers` records the widest shard.
+    /// `workers` records the widest shard, and cache counters sum.
     ///
-    /// Merging is **validation-only** — it never re-runs cells. The shards'
-    /// plan hashes gate the merge (shards from differently-shaped plans are
-    /// rejected even when they agree on name and seed), and the merged cell
-    /// set is checked against the plan's expected coordinate matrix, so an
-    /// incomplete shard set (a lost or truncated worker report) fails with
-    /// the exact missing coordinates instead of producing a
-    /// wrong-but-plausible report.
+    /// This is an adapter over the one merge: each report is written with
+    /// the shard codec and the texts are merged by a [`ShardMerger`] over
+    /// in-memory cursors, so in-process and on-disk shards are accepted and
+    /// rejected identically. Merging is **validation-only** — it never
+    /// re-runs cells.
     ///
     /// # Errors
     ///
-    /// Returns a [`MergeError`] if no reports are supplied, the reports
-    /// disagree on plan name, base seed, plan hash or shape, two reports
-    /// contain the same cell, a cell falls outside the plan's matrix, or
-    /// the merged cells do not cover the full matrix.
+    /// Returns the [`MergeError`] the [`ShardMerger`] raises: no reports,
+    /// disagreeing plan identity or shape, duplicate, out-of-order or
+    /// out-of-matrix cells, or incomplete coverage of the plan's matrix.
     pub fn merge(shards: impl IntoIterator<Item = CampaignReport>) -> Result<Self, MergeError> {
-        let mut shards = shards.into_iter();
-        let mut merged = shards.next().ok_or(MergeError::Empty)?;
-        for shard in shards {
-            if shard.name != merged.name {
-                return Err(MergeError::NameMismatch(merged.name, shard.name));
-            }
-            if shard.base_seed != merged.base_seed {
-                return Err(MergeError::SeedMismatch(merged.base_seed, shard.base_seed));
-            }
-            if shard.plan_hash != merged.plan_hash {
-                return Err(MergeError::PlanMismatch {
-                    merged: merged.plan_hash,
-                    shard: shard.plan_hash,
-                });
-            }
-            if shard.shape != merged.shape {
-                return Err(MergeError::ShapeMismatch(merged.shape, shard.shape));
-            }
-            merged.workers = merged.workers.max(shard.workers);
-            merged.total_wall += shard.total_wall;
-            merged.cache = match (merged.cache, shard.cache) {
-                (None, None) => None,
-                (a, b) => Some(a.unwrap_or_default().merged(b.unwrap_or_default())),
-            };
-            merged.cells.extend(shard.cells);
-        }
-        merged.cells.sort_by_key(|cell| cell.spec.coordinates());
-        for pair in merged.cells.windows(2) {
-            if pair[0].spec.coordinates() == pair[1].spec.coordinates() {
-                let (c, w, s, r) = pair[0].spec.coordinates();
-                return Err(MergeError::DuplicateCell(c, w, s, r));
-            }
-        }
-        for cell in &merged.cells {
-            if !merged.shape.contains(cell.spec.coordinates()) {
-                let (c, w, s, r) = cell.spec.coordinates();
-                return Err(MergeError::UnexpectedCell(c, w, s, r));
-            }
-        }
-        // The shape reaches this point straight from shard files, so treat
-        // it as untrusted: a cell count that overflows cannot belong to any
-        // plan that ever enumerated its cells in memory.
-        let expected = merged
-            .shape
-            .checked_cell_count()
-            .ok_or(MergeError::ImplausibleShape(merged.shape))?;
-        // Cells are deduplicated and verified in-shape, so coverage reduces
-        // to a count: the matrix is covered iff every expected coordinate
-        // has a cell. On failure, walk the canonical coordinate order in
-        // lockstep with the sorted cells to name the gaps — lazily and
-        // capped, so even an absurd declared shape costs at most
-        // cells + cap iterations and a tiny allocation.
-        if merged.cells.len() != expected {
-            const CAP: usize = 64;
-            let mut cells = merged.cells.iter().map(|cell| cell.spec.coordinates());
-            let mut next = cells.next();
-            let mut missing = Vec::new();
-            'matrix: for config in 0..merged.shape.configs {
-                for world in 0..merged.shape.worlds {
-                    for scenario in 0..merged.shape.scenarios {
-                        for replicate in 0..merged.shape.replicates {
-                            let coordinate = (config, world, scenario, replicate);
-                            if next == Some(coordinate) {
-                                next = cells.next();
-                            } else {
-                                missing.push(coordinate);
-                                if missing.len() == CAP {
-                                    break 'matrix;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            return Err(MergeError::MissingCells {
-                missing,
-                covered: merged.cells.len(),
-                expected,
-            });
-        }
-        Ok(merged)
-    }
-
-    /// Fraction of cells in which the monitor raised an alarm.
-    #[must_use]
-    pub fn detection_rate(&self) -> f64 {
-        self.rate(|cell| cell.outcome.detected_attack())
-    }
-
-    /// Fraction of cells that ran to a normal, agreed exit.
-    #[must_use]
-    pub fn survival_rate(&self) -> f64 {
-        self.rate(|cell| cell.outcome.exited_normally())
-    }
-
-    fn rate(&self, predicate: impl Fn(&CellResult) -> bool) -> f64 {
-        if self.cells.is_empty() {
-            return 0.0;
-        }
-        self.cells.iter().filter(|c| predicate(c)).count() as f64 / self.cells.len() as f64
-    }
-
-    /// Response status counts over every cell.
-    #[must_use]
-    pub fn request_tally(&self) -> RequestTally {
-        let mut tally = RequestTally::default();
-        for cell in &self.cells {
-            tally.absorb(&cell.tally());
-        }
-        tally
-    }
-
-    /// Execution counters summed over every cell.
-    #[must_use]
-    pub fn total_metrics(&self) -> ExecutionMetrics {
-        let mut total = ExecutionMetrics::default();
-        for cell in &self.cells {
-            total.absorb(&cell.outcome.metrics);
-        }
-        total
-    }
-
-    /// Nearest-rank p50/p95/p99 of per-cell wall-clock times, or `None` for
-    /// an empty report. Wall times are measurement metadata (they vary run
-    /// to run), so the percentiles appear in
-    /// [`render_summary`](Self::render_summary) but never in the canonical
-    /// serialization.
-    ///
-    /// Quantiles come from the streaming
-    /// [`LatencyHistogram`](crate::streaming::LatencyHistogram) sketch
-    /// rather than a full sort, so each reported value is its bucket's
-    /// lower bound — within
-    /// [`QUANTILE_RELATIVE_ERROR`](crate::streaming::QUANTILE_RELATIVE_ERROR)
-    /// (≤ 2%) of the exact order statistic — and sharded or streamed runs
-    /// report identical percentiles to materialized ones.
-    #[must_use]
-    pub fn wall_percentiles(&self) -> Option<WallPercentiles> {
-        let mut histogram = crate::streaming::LatencyHistogram::new();
-        for cell in &self.cells {
-            histogram.record(cell.wall);
-        }
-        histogram.percentiles()
-    }
-
-    /// The transformation change counts per configuration (one row per
-    /// `config_index`, in matrix order; labels are already position-unique
-    /// because the plan disambiguates duplicates).
-    #[must_use]
-    pub fn transform_stats_by_config(&self) -> Vec<(String, TransformStats)> {
-        let mut seen: Vec<usize> = Vec::new();
-        let mut rows: Vec<(String, TransformStats)> = Vec::new();
-        for cell in &self.cells {
-            if !seen.contains(&cell.spec.config_index) {
-                seen.push(cell.spec.config_index);
-                rows.push((cell.spec.config_label.clone(), cell.transform_stats));
-            }
-        }
-        rows
+        let mut cache: Option<CacheStats> = None;
+        let texts: Vec<String> = shards
+            .into_iter()
+            .map(|shard| {
+                cache = match (cache, shard.cache) {
+                    (None, None) => None,
+                    (a, b) => Some(a.unwrap_or_default().merged(b.unwrap_or_default())),
+                };
+                shard.to_shard_text()
+            })
+            .collect();
+        let merged = texts
+            .iter()
+            .enumerate()
+            .map(|(shard, text)| {
+                ShardCursor::new(text.as_bytes())
+                    .map_err(|error| MergeError::Shard { shard, error })
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .and_then(ShardMerger::new)
+            .and_then(ShardMerger::into_report)?;
+        Ok(CampaignReport { cache, ..merged })
     }
 
     /// The judged cells whose observation disagreed with the prediction.
@@ -480,67 +352,6 @@ impl CampaignReport {
             .iter()
             .filter(|cell| cell.verdict.as_ref().is_some_and(|v| !v.matches()))
             .collect()
-    }
-
-    /// Number of judged cells.
-    #[must_use]
-    pub fn judged_cells(&self) -> usize {
-        self.cells.iter().filter(|c| c.verdict.is_some()).count()
-    }
-
-    /// The cells belonging to one configuration label, in canonical order.
-    /// Plan-produced labels are position-unique (duplicate configuration
-    /// labels are disambiguated with a `#<n>` suffix when the cell list is
-    /// built), so a label names exactly one matrix position; use
-    /// [`cells_for_config_index`](Self::cells_for_config_index) when the
-    /// position itself is known.
-    #[must_use]
-    pub fn cells_for_config<'a>(&'a self, label: &str) -> Vec<&'a CellResult> {
-        self.cells
-            .iter()
-            .filter(|c| c.spec.config_label == label)
-            .collect()
-    }
-
-    /// The cells belonging to the configuration at `config_index` in the
-    /// plan's matrix, in canonical order.
-    #[must_use]
-    pub fn cells_for_config_index(&self, config_index: usize) -> Vec<&CellResult> {
-        self.cells
-            .iter()
-            .filter(|c| c.spec.config_index == config_index)
-            .collect()
-    }
-
-    /// The cells belonging to one world label, in canonical order.
-    #[must_use]
-    pub fn cells_for_world<'a>(&'a self, label: &str) -> Vec<&'a CellResult> {
-        self.cells
-            .iter()
-            .filter(|c| c.spec.world_label == label)
-            .collect()
-    }
-
-    /// The cells belonging to one scenario label, in canonical order.
-    #[must_use]
-    pub fn cells_for_scenario<'a>(&'a self, label: &str) -> Vec<&'a CellResult> {
-        self.cells
-            .iter()
-            .filter(|c| c.spec.scenario_label == label)
-            .collect()
-    }
-
-    /// The distinct world labels appearing in the report, in first-seen
-    /// (canonical) order.
-    #[must_use]
-    pub fn world_labels(&self) -> Vec<&str> {
-        let mut labels: Vec<&str> = Vec::new();
-        for cell in &self.cells {
-            if !labels.contains(&cell.spec.world_label.as_str()) {
-                labels.push(&cell.spec.world_label);
-            }
-        }
-        labels
     }
 
     /// The deterministic serialization of the run: plan identity plus one
@@ -579,12 +390,30 @@ impl CampaignReport {
             .map(|cell| (cell.spec.coordinates(), cell.canonical_line()))
     }
 
+    /// Folds this report's cells into a fresh aggregator carrying the
+    /// report's identity and metadata. Every aggregate of a report — rates,
+    /// tallies, totals, latency percentiles, the attack-success surface —
+    /// comes from this fold, so a report and a streamed run of the same
+    /// cells render identical bytes.
+    #[must_use]
+    pub fn fold_aggregator(&self) -> StreamingAggregator {
+        let mut aggregator = StreamingAggregator::new(
+            self.name.clone(),
+            self.base_seed,
+            self.plan_hash,
+            self.shape,
+        );
+        aggregator.set_workers(self.workers);
+        aggregator.set_total_wall(self.total_wall);
+        aggregator.set_cache(self.cache);
+        for cell in &self.cells {
+            aggregator.absorb(cell);
+        }
+        aggregator
+    }
+
     /// A human-oriented summary: rates, totals, latency percentiles and
-    /// timing. Rendered through
-    /// [`StreamingAggregator`](crate::streaming::StreamingAggregator)
-    /// (see [`fold_aggregator`](Self::fold_aggregator)), so the streaming
-    /// result path produces this text byte-for-byte without ever
-    /// materializing the cells.
+    /// timing, rendered through [`fold_aggregator`](Self::fold_aggregator).
     #[must_use]
     pub fn render_summary(&self) -> String {
         self.fold_aggregator().render_summary()
@@ -596,6 +425,8 @@ mod tests {
     use super::*;
     use crate::cell::{CellOutcome, CellSpec, CellVerdict};
     use crate::exchange::ServedRequest;
+    use nvariant::ExecutionMetrics;
+    use nvariant_transform::TransformStats;
 
     fn cell(config: &str, ok: bool, verdict: Option<CellVerdict>) -> CellResult {
         CellResult {
@@ -664,16 +495,18 @@ mod tests {
             cell("A", false, None),
             cell("B", true, None),
         ]);
-        assert!((report.survival_rate() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(report.detection_rate(), 0.0);
-        assert_eq!(report.request_tally().ok, 3);
-        assert_eq!(report.total_metrics().total_instructions, 300);
-        assert_eq!(report.transform_stats_by_config().len(), 2);
-        assert_eq!(report.cells_for_config("A").len(), 2);
-        assert_eq!(report.cells_for_scenario("s").len(), 3);
-        assert_eq!(report.cells_for_world("template").len(), 3);
-        assert_eq!(report.world_labels(), vec!["template"]);
-        assert!(report.render_summary().contains("3 cells"));
+        let summary = report.render_summary();
+        assert!(summary.contains("3 cells"), "{summary}");
+        assert!(
+            summary.contains("survival rate 66.7%, detection rate 0.0%"),
+            "{summary}"
+        );
+        assert!(summary.contains("(3 ok,"), "{summary}");
+        assert!(summary.contains("300 instructions"), "{summary}");
+        assert!(
+            !summary.contains("worlds on the environment axis"),
+            "{summary}"
+        );
     }
 
     #[test]
@@ -684,25 +517,21 @@ mod tests {
         let mut b = cell("A", true, None);
         b.spec.config_index = 25;
         b.spec.config_label = "A#1".to_string();
-        b.transform_stats.uid_constants_reexpressed = 5;
-        let report = report(vec![a, b]);
-        let stats = report.transform_stats_by_config();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].0, "A");
-        assert_eq!(stats[1].0, "A#1");
-        assert_eq!(stats[1].1.uid_constants_reexpressed, 5);
-        // Disambiguated labels resolve to exactly one matrix position each.
-        assert_eq!(report.cells_for_config("A").len(), 1);
-        assert_eq!(report.cells_for_config("A#1").len(), 1);
-        assert_eq!(report.cells_for_config_index(25).len(), 1);
+        let aggregator = report(vec![a, b]).fold_aggregator();
+        let groups: Vec<_> = aggregator
+            .groups()
+            .map(|(key, group)| (key.0, group.config_label.as_str(), group.cells))
+            .collect();
+        assert_eq!(groups, vec![(0, "A", 1), (25, "A#1", 1)]);
     }
 
     #[test]
     fn empty_report_rates_are_zero() {
         let report = report(vec![]);
-        assert_eq!(report.survival_rate(), 0.0);
-        assert_eq!(report.detection_rate(), 0.0);
-        assert_eq!(report.wall_percentiles(), None);
+        assert!(report
+            .render_summary()
+            .contains("survival rate 0.0%, detection rate 0.0%"));
+        assert_eq!(report.fold_aggregator().wall_percentiles(), None);
     }
 
     #[test]
@@ -720,7 +549,7 @@ mod tests {
             cell("A", true, Some(miss)),
             cell("A", true, None),
         ]);
-        assert_eq!(report.judged_cells(), 2);
+        assert_eq!(report.fold_aggregator().judged_cells(), 2);
         assert_eq!(report.verdict_mismatches().len(), 1);
         assert!(report.render_summary().contains("1 of 2 judged"));
     }
@@ -770,7 +599,7 @@ mod tests {
         // Shuffle-ish: percentiles must not depend on cell order.
         cells.reverse();
         let report = report(cells);
-        let p = report.wall_percentiles().unwrap();
+        let p = report.fold_aggregator().wall_percentiles().unwrap();
         // Sketch quantiles: each value is the nearest-rank order
         // statistic's bucket lower bound, within the documented ≤2%
         // relative error of the exact value.
@@ -792,7 +621,7 @@ mod tests {
             vec![cell("A", true, None)],
             Duration::ZERO,
         );
-        let p = single.wall_percentiles().unwrap();
+        let p = single.fold_aggregator().wall_percentiles().unwrap();
         assert_eq!(p.p50, p.p99);
     }
 
@@ -951,6 +780,25 @@ mod tests {
             CampaignReport::merge([a]),
             Err(MergeError::UnexpectedCell(0, 0, 0, 1))
         ));
+    }
+
+    #[test]
+    fn merge_rejects_out_of_order_shards_naming_the_shard() {
+        // Every cell is present exactly once, but shard 1 lists its cells
+        // backwards: the merge must not restore order on the shard's behalf.
+        let a = shard(vec![replicate_cell(0)], 3);
+        let b = shard(vec![replicate_cell(2), replicate_cell(1)], 3);
+        let err = CampaignReport::merge([a, b]).unwrap_err();
+        assert_eq!(
+            err,
+            MergeError::OutOfOrderCell {
+                shard: 1,
+                coordinates: (0, 0, 0, 1)
+            }
+        );
+        assert!(err
+            .to_string()
+            .starts_with("shard 1 is out of canonical order"));
     }
 
     #[test]

@@ -224,6 +224,20 @@ impl<W: std::io::Write> ShardWriter<W> {
     }
 }
 
+/// Renders `cells` under `header` as the text of one shard file, through
+/// [`ShardWriter`].
+pub(crate) fn shard_text<'a>(
+    header: &ShardHeader,
+    cells: impl IntoIterator<Item = &'a CellResult>,
+) -> String {
+    let mut writer = ShardWriter::new(Vec::new(), header).expect("writing to a Vec cannot fail");
+    for cell in cells {
+        writer.push(cell).expect("writing to a Vec cannot fail");
+    }
+    let bytes = writer.finish().expect("writing to a Vec cannot fail");
+    String::from_utf8(bytes).expect("shard text is UTF-8 by construction")
+}
+
 impl CampaignReport {
     /// Serializes the report to the shard interchange text format.
     #[must_use]
@@ -236,13 +250,7 @@ impl CampaignReport {
             workers: self.workers,
             total_wall: self.total_wall,
         };
-        let mut writer =
-            ShardWriter::new(Vec::new(), &header).expect("writing to a Vec cannot fail");
-        for cell in &self.cells {
-            writer.push(cell).expect("writing to a Vec cannot fail");
-        }
-        let bytes = writer.finish().expect("writing to a Vec cannot fail");
-        String::from_utf8(bytes).expect("shard text is UTF-8 by construction")
+        shard_text(&header, &self.cells)
     }
 
     /// Parses a report from the shard interchange text format.

@@ -1,8 +1,7 @@
 //! Constant-memory campaign aggregation: the stream-and-fold result path.
 //!
-//! The materialized result path ([`CampaignReport`]) holds every cell in
-//! memory, which caps a sweep at the coordinator's address space. This
-//! module is the streaming alternative:
+//! Every aggregate and every merge in the crate runs through this module,
+//! holding state bounded by the matrix shape rather than the cell count:
 //!
 //! * [`LatencyHistogram`] — a deterministic fixed-boundary log-bucket
 //!   sketch of per-cell wall times. Buckets have 64 sub-buckets per octave
@@ -13,25 +12,26 @@
 //! * [`StreamingAggregator`] — folds cells one at a time into
 //!   O(configs × worlds × scenarios) state: counts, verdict tallies, the
 //!   latency sketch, and per-(config, world, scenario) group tallies. Its
-//!   [`render_summary`](StreamingAggregator::render_summary) is
-//!   byte-identical to [`CampaignReport::render_summary`] (which is
-//!   implemented over it), and its
+//!   [`render_summary`](StreamingAggregator::render_summary) is what
+//!   [`CampaignReport::render_summary`](crate::CampaignReport::render_summary)
+//!   prints, and its
 //!   [`render_surface`](StreamingAggregator::render_surface) emits the
 //!   attack-success-probability surface: per config × world × attack,
 //!   success and detection rates with Wilson 95% intervals.
-//! * [`ShardMerger`] — a k-way merge over coordinate-sorted
-//!   [`ShardCursor`]s with the same plan-hash gate and
-//!   duplicate/missing/unexpected-cell validation as
-//!   [`CampaignReport::merge`], holding at most one cell per shard in
-//!   memory.
+//! * [`ShardMerger`] — the crate's one merge: a k-way merge over
+//!   coordinate-sorted [`ShardCursor`]s with the plan-hash gate and
+//!   duplicate/out-of-order/missing/unexpected-cell validation, holding
+//!   at most one cell per shard in memory.
+//!   [`CampaignReport::merge`](crate::CampaignReport::merge) is an adapter
+//!   over it.
 //! * [`SyntheticSweep`] — a judged synthetic cell generator (no VM, no
 //!   HTTP) that scales the *pipeline* to millions of cells, so CI can pin
 //!   the constant-memory property under an address-space cap.
 
 use crate::cell::{CellOutcome, CellResult, CellSpec, CellVerdict, RequestTally};
 use crate::engine::cell_seed;
-use crate::report::{CampaignReport, MergeError, PlanShape, WallPercentiles};
-use crate::shardio::{ShardCursor, ShardHeader, ShardParseError};
+use crate::report::{CampaignReport, MergeError, PlanShape};
+use crate::shardio::{ShardCursor, ShardHeader};
 use nvariant::{CacheStats, ExecutionMetrics};
 use nvariant_types::fnv1a_64;
 use std::collections::BTreeMap;
@@ -53,6 +53,27 @@ const BUCKET_COUNT: usize = SUB_BUCKETS * 59;
 /// quantile is reported as its bucket's lower bound, and buckets are at
 /// most 1/64 ≈ 1.57% wide relative to their value.
 pub const QUANTILE_RELATIVE_ERROR: f64 = 1.0 / SUB_BUCKETS as f64;
+
+/// Nearest-rank latency percentiles over per-cell wall-clock times.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WallPercentiles {
+    /// Median per-cell wall time.
+    pub p50: Duration,
+    /// 95th-percentile per-cell wall time.
+    pub p95: Duration,
+    /// 99th-percentile per-cell wall time.
+    pub p99: Duration,
+}
+
+impl fmt::Display for WallPercentiles {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "p50 {:.1?}, p95 {:.1?}, p99 {:.1?}",
+            self.p50, self.p95, self.p99
+        )
+    }
+}
 
 /// A deterministic fixed-boundary log-bucket histogram of durations.
 ///
@@ -222,8 +243,8 @@ pub fn wilson_95(successes: usize, n: usize) -> (f64, f64) {
 }
 
 /// Folds campaign cells one at a time into O(configs × worlds × scenarios)
-/// state, producing the same summary text as the materialized report path
-/// and the attack-success-probability surface.
+/// state, producing the run summary and the attack-success-probability
+/// surface.
 ///
 /// Every piece of state is order-independent (counters, maxima, exact
 /// histogram merges, index-keyed maps), so folding any permutation of a
@@ -323,6 +344,12 @@ impl StreamingAggregator {
     #[must_use]
     pub fn judged_cells(&self) -> usize {
         self.judged
+    }
+
+    /// Execution counters summed over the folded cells.
+    #[must_use]
+    pub fn metrics(&self) -> ExecutionMetrics {
+        self.metrics
     }
 
     /// Judged cells whose observation disagreed with the prediction.
@@ -471,8 +498,8 @@ impl StreamingAggregator {
         labels
     }
 
-    /// The summary text — byte-identical to
-    /// [`CampaignReport::render_summary`] over the same cells.
+    /// The summary text: cells, rates, request tally, execution totals,
+    /// latency percentiles, cache counters, worlds and verdicts.
     #[must_use]
     pub fn render_summary(&self) -> String {
         let mut out = format!(
@@ -549,70 +576,6 @@ impl StreamingAggregator {
     }
 }
 
-impl CampaignReport {
-    /// Folds this report's cells into a fresh aggregator carrying the
-    /// report's identity and metadata — the bridge that keeps the
-    /// materialized and streaming paths byte-identical, because the
-    /// materialized summary and surface are rendered *through* it.
-    #[must_use]
-    pub fn fold_aggregator(&self) -> StreamingAggregator {
-        let mut aggregator = StreamingAggregator::new(
-            self.name.clone(),
-            self.base_seed,
-            self.plan_hash,
-            self.shape,
-        );
-        aggregator.set_workers(self.workers);
-        aggregator.set_total_wall(self.total_wall);
-        aggregator.set_cache(self.cache);
-        for cell in &self.cells {
-            aggregator.absorb(cell);
-        }
-        aggregator
-    }
-
-    /// The attack-success-probability surface of this report (see
-    /// [`StreamingAggregator::render_surface`]).
-    #[must_use]
-    pub fn render_surface(&self) -> String {
-        self.fold_aggregator().render_surface()
-    }
-}
-
-/// Why a streaming merge failed: a shard failed to parse, or the shard set
-/// failed the same validation [`CampaignReport::merge`] performs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StreamMergeError {
-    /// A shard's cursor hit malformed input or an I/O failure.
-    Shard {
-        /// Index of the failing shard in the cursor list.
-        shard: usize,
-        /// The underlying parse error.
-        error: ShardParseError,
-    },
-    /// The shard set failed merge validation.
-    Merge(MergeError),
-}
-
-impl fmt::Display for StreamMergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StreamMergeError::Shard { shard, error } => {
-                write!(f, "shard {shard}: {error}")
-            }
-            StreamMergeError::Merge(error) => error.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for StreamMergeError {}
-
-impl From<MergeError> for StreamMergeError {
-    fn from(error: MergeError) -> Self {
-        StreamMergeError::Merge(error)
-    }
-}
-
 /// A lazy enumerator of a matrix shape's canonical coordinate order —
 /// [`PlanShape::coordinates`] without the allocation, so validating
 /// coverage of an absurdly declared shape costs iteration, not memory.
@@ -661,19 +624,18 @@ impl Iterator for CoordinateWalk {
     }
 }
 
-/// Cap on the missing-coordinate listing, matching
-/// [`CampaignReport::merge`].
+/// Cap on the missing-coordinate listing.
 const MISSING_CAP: usize = 64;
 
 /// An incremental, plan-hash-gated k-way merge over coordinate-sorted
 /// shard cursors.
 ///
-/// Construction gates the headers exactly like [`CampaignReport::merge`]
-/// (name, base seed, plan hash, shape, shape plausibility); each
+/// Construction gates the headers against each other (name, base seed,
+/// plan hash, shape, shape plausibility); each
 /// [`next_cell`](ShardMerger::next_cell) yields the next cell in canonical
-/// order while detecting duplicate, unexpected and missing cells on the
-/// fly. Peak memory is one buffered cell per shard, independent of shard
-/// size.
+/// order while detecting duplicate, out-of-order, unexpected and missing
+/// cells on the fly. Peak memory is one buffered cell per shard,
+/// independent of shard size.
 pub struct ShardMerger<R> {
     cursors: Vec<ShardCursor<R>>,
     heads: Vec<Option<CellResult>>,
@@ -691,29 +653,28 @@ impl<R: BufRead> ShardMerger<R> {
     ///
     /// # Errors
     ///
-    /// Returns a [`StreamMergeError`] if no cursors are supplied, the
-    /// headers disagree on plan identity, the declared shape's cell count
+    /// Returns a [`MergeError`] if no cursors are supplied, the headers
+    /// disagree on plan identity, the declared shape's cell count
     /// overflows, or a first cell fails to parse.
-    pub fn new(cursors: Vec<ShardCursor<R>>) -> Result<Self, StreamMergeError> {
+    pub fn new(cursors: Vec<ShardCursor<R>>) -> Result<Self, MergeError> {
         let first = cursors.first().ok_or(MergeError::Empty)?;
         let mut header = first.header().clone();
         for cursor in &cursors[1..] {
             let shard = cursor.header();
             if shard.name != header.name {
-                return Err(MergeError::NameMismatch(header.name, shard.name.clone()).into());
+                return Err(MergeError::NameMismatch(header.name, shard.name.clone()));
             }
             if shard.base_seed != header.base_seed {
-                return Err(MergeError::SeedMismatch(header.base_seed, shard.base_seed).into());
+                return Err(MergeError::SeedMismatch(header.base_seed, shard.base_seed));
             }
             if shard.plan_hash != header.plan_hash {
                 return Err(MergeError::PlanMismatch {
                     merged: header.plan_hash,
                     shard: shard.plan_hash,
-                }
-                .into());
+                });
             }
             if shard.shape != header.shape {
-                return Err(MergeError::ShapeMismatch(header.shape, shard.shape).into());
+                return Err(MergeError::ShapeMismatch(header.shape, shard.shape));
             }
             header.workers = header.workers.max(shard.workers);
             header.total_wall += shard.total_wall;
@@ -752,10 +713,34 @@ impl<R: BufRead> ShardMerger<R> {
         self.covered
     }
 
-    fn advance_shard(&mut self, index: usize) -> Result<Option<CellResult>, StreamMergeError> {
+    /// Drains the merge into a report under the merged header, holding
+    /// every cell — for callers that want the cells in memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`MergeError`] [`next_cell`](Self::next_cell)
+    /// raises.
+    pub fn into_report(mut self) -> Result<CampaignReport, MergeError> {
+        let mut cells = Vec::new();
+        while let Some(cell) = self.next_cell()? {
+            cells.push(cell);
+        }
+        let header = self.header;
+        Ok(CampaignReport::new(
+            header.name,
+            header.base_seed,
+            header.plan_hash,
+            header.shape,
+            header.workers,
+            cells,
+            header.total_wall,
+        ))
+    }
+
+    fn advance_shard(&mut self, index: usize) -> Result<Option<CellResult>, MergeError> {
         self.cursors[index]
             .next_cell()
-            .map_err(|error| StreamMergeError::Shard {
+            .map_err(|error| MergeError::Shard {
                 shard: index,
                 error,
             })
@@ -765,14 +750,15 @@ impl<R: BufRead> ShardMerger<R> {
     /// every shard is drained and the plan's matrix is fully covered.
     ///
     /// Gap detection is deferred to exhaustion (so the error can report the
-    /// exact covered/expected counts, like the materialized merge), but
-    /// duplicates and out-of-matrix cells fail as soon as they surface.
+    /// exact covered/expected counts), but duplicate, out-of-order and
+    /// out-of-matrix cells fail as soon as they surface.
     ///
     /// # Errors
     ///
-    /// Returns a [`StreamMergeError`] on parse failure, duplicate cells,
-    /// cells outside the matrix, or (at exhaustion) incomplete coverage.
-    pub fn next_cell(&mut self) -> Result<Option<CellResult>, StreamMergeError> {
+    /// Returns a [`MergeError`] on parse failure, a cell present in two
+    /// shards, a shard out of canonical order, a cell outside the matrix,
+    /// or (at exhaustion) incomplete coverage.
+    pub fn next_cell(&mut self) -> Result<Option<CellResult>, MergeError> {
         if self.finished {
             return Ok(None);
         }
@@ -792,7 +778,7 @@ impl<R: BufRead> ShardMerger<R> {
                     let coords = cell.spec.coordinates();
                     if coords == best_coords {
                         let (c, w, s, r) = coords;
-                        return Err(MergeError::DuplicateCell(c, w, s, r).into());
+                        return Err(MergeError::DuplicateCell(c, w, s, r));
                     }
                     if coords < best_coords {
                         least = Some(index);
@@ -817,8 +803,7 @@ impl<R: BufRead> ShardMerger<R> {
                 missing: std::mem::take(&mut self.missing),
                 covered: self.covered,
                 expected: self.expected_count,
-            }
-            .into());
+            });
         };
         let coordinates = self.heads[index]
             .as_ref()
@@ -827,12 +812,12 @@ impl<R: BufRead> ShardMerger<R> {
             .coordinates();
         if !self.header.shape.contains(coordinates) {
             let (c, w, s, r) = coordinates;
-            return Err(MergeError::UnexpectedCell(c, w, s, r).into());
+            return Err(MergeError::UnexpectedCell(c, w, s, r));
         }
         // Walk the expected enumerator up to this coordinate, recording
         // gaps (reported at exhaustion). A head *behind* the enumerator is
-        // a cell the merge already emitted: a within-shard duplicate, or an
-        // out-of-order shard file.
+        // at or before a cell the merge already emitted: this shard repeats
+        // a cell or lists its cells out of canonical order.
         loop {
             match self.expected.peek() {
                 Some(expected) if expected < coordinates => {
@@ -846,8 +831,10 @@ impl<R: BufRead> ShardMerger<R> {
                     break;
                 }
                 _ => {
-                    let (c, w, s, r) = coordinates;
-                    return Err(MergeError::DuplicateCell(c, w, s, r).into());
+                    return Err(MergeError::OutOfOrderCell {
+                        shard: index,
+                        coordinates,
+                    });
                 }
             }
         }
@@ -1048,15 +1035,6 @@ impl SyntheticSweep {
                 self.shape,
             )
         };
-        if workers <= 1 {
-            let mut aggregator = make_aggregator();
-            for linear in 0..total {
-                let cell = self.cell(linear);
-                aggregator.add_wall(cell.wall);
-                aggregator.absorb(&cell);
-            }
-            return aggregator;
-        }
         let cursor = std::sync::atomic::AtomicUsize::new(0);
         let mut locals: Vec<StreamingAggregator> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
@@ -1091,28 +1069,6 @@ impl SyntheticSweep {
         }
         merged.set_workers(workers);
         merged
-    }
-
-    /// Runs the sweep the way the pre-streaming pipeline would have:
-    /// materializing every [`CellResult`] into one report. This exists as
-    /// the control arm of the CI memory experiment — at 10^6 cells its
-    /// allocation profile exceeds an address-space cap the streaming fold
-    /// runs comfortably under.
-    #[must_use]
-    pub fn run_materialized(&self, workers: usize) -> CampaignReport {
-        let total = self.cell_count();
-        let indices: Vec<usize> = (0..total).collect();
-        let cells = crate::engine::run_parallel(indices, workers, |_, linear| self.cell(linear));
-        let total_wall = cells.iter().map(|c| c.wall).sum();
-        CampaignReport::new(
-            self.name.clone(),
-            self.base_seed,
-            self.plan_hash(),
-            self.shape,
-            workers.max(1),
-            cells,
-            total_wall,
-        )
     }
 }
 
@@ -1232,6 +1188,79 @@ mod tests {
         assert_eq!(CoordinateWalk::new(empty).next(), None);
     }
 
+    /// Writes each list of linear synthetic-sweep indices as one shard file
+    /// and merges the files to completion, returning the cells covered.
+    fn merge_linear(sweep: &SyntheticSweep, shards: &[&[usize]]) -> Result<usize, MergeError> {
+        let header = ShardHeader {
+            name: sweep.name.clone(),
+            base_seed: sweep.base_seed,
+            plan_hash: sweep.plan_hash(),
+            shape: sweep.shape,
+            workers: 1,
+            total_wall: Duration::ZERO,
+        };
+        let texts: Vec<String> = shards
+            .iter()
+            .map(|linear| {
+                let cells: Vec<CellResult> = linear.iter().map(|&i| sweep.cell(i)).collect();
+                crate::shardio::shard_text(&header, &cells)
+            })
+            .collect();
+        let cursors = texts
+            .iter()
+            .map(|text| ShardCursor::new(text.as_bytes()).expect("own shard text parses"))
+            .collect();
+        let mut merger = ShardMerger::new(cursors)?;
+        while merger.next_cell()?.is_some() {}
+        Ok(merger.covered())
+    }
+
+    #[test]
+    fn merger_tells_duplicates_across_shards_from_unordered_shards() {
+        let sweep = SyntheticSweep::new(1);
+        let all: Vec<usize> = (0..sweep.cell_count()).collect();
+        assert_eq!(merge_linear(&sweep, &[&all]), Ok(sweep.cell_count()));
+        let (c, w, s, r) = sweep.coordinates(1);
+
+        // The same cell in two shards.
+        let across = merge_linear(&sweep, &[&[0, 1], &[1, 2]]).unwrap_err();
+        assert_eq!(across, MergeError::DuplicateCell(c, w, s, r));
+        assert!(
+            across.to_string().contains("more than one shard"),
+            "{across}"
+        );
+
+        // A cell repeated inside one shard.
+        let within = merge_linear(&sweep, &[&[0, 1, 1, 2]]).unwrap_err();
+        assert_eq!(
+            within,
+            MergeError::OutOfOrderCell {
+                shard: 0,
+                coordinates: (c, w, s, r)
+            }
+        );
+        assert!(
+            !within.to_string().contains("more than one shard"),
+            "{within}"
+        );
+
+        // A shard whose cells run backwards, merged beside a sorted one.
+        let unordered = merge_linear(&sweep, &[&[0, 2], &[3, 1]]).unwrap_err();
+        assert_eq!(
+            unordered,
+            MergeError::OutOfOrderCell {
+                shard: 1,
+                coordinates: (c, w, s, r)
+            }
+        );
+        assert!(
+            unordered
+                .to_string()
+                .starts_with("shard 1 is out of canonical order"),
+            "{unordered}"
+        );
+    }
+
     #[test]
     fn synthetic_cells_are_deterministic_and_linear_indexing_is_canonical() {
         let sweep = SyntheticSweep::new(2);
@@ -1269,9 +1298,22 @@ mod tests {
 
     #[test]
     fn synthetic_streamed_matches_materialized_byte_for_byte() {
+        // The same cells held in a report container render, through
+        // `fold_aggregator`, exactly what the streamed fold renders.
         let sweep = SyntheticSweep::new(3);
         let streamed = sweep.run_streamed(2);
-        let materialized = sweep.run_materialized(2);
+        let cells: Vec<CellResult> = (0..sweep.cell_count()).map(|i| sweep.cell(i)).collect();
+        let total_wall = cells.iter().map(|cell| cell.wall).sum();
+        let materialized = crate::CampaignReport::new(
+            sweep.name.clone(),
+            sweep.base_seed,
+            sweep.plan_hash(),
+            sweep.shape,
+            2,
+            cells,
+            total_wall,
+        )
+        .fold_aggregator();
         assert_eq!(streamed.render_summary(), materialized.render_summary());
         assert_eq!(streamed.render_surface(), materialized.render_surface());
         // Protected configurations detect, unprotected ones leak — the

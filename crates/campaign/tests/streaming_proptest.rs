@@ -1,6 +1,6 @@
 //! Property tests for the streaming result path: over arbitrary cell
-//! permutations and arbitrary shard splits, the streamed fold renders the
-//! same summary and surface bytes as the materialized path, the latency
+//! permutations and arbitrary shard splits, the fold renders the same
+//! summary and surface bytes as the canonical-order fold, the latency
 //! sketch's merge is associative and commutative, and its quantiles stay
 //! within the documented relative error of the exact nearest-rank values.
 
@@ -17,9 +17,9 @@ fn sweep(replicates: usize) -> SyntheticSweep {
     SyntheticSweep::new(replicates)
 }
 
-/// The materialized control arm at 1 worker.
-fn materialized(sweep: &SyntheticSweep) -> CampaignReport {
-    sweep.run_materialized(1)
+/// The reference: one worker folding every cell in canonical order.
+fn canonical_order_fold(sweep: &SyntheticSweep) -> StreamingAggregator {
+    sweep.run_streamed(1)
 }
 
 /// A seed-derived pseudo-random vector (the vendored proptest has no
@@ -41,10 +41,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Folding the cells in ANY order yields byte-identical summary and
-    /// surface output to the materialized in-memory path: the aggregator
-    /// state is order-independent by construction.
+    /// surface output to the canonical-order fold: the aggregator state is
+    /// order-independent by construction.
     #[test]
-    fn any_fold_order_matches_the_materialized_bytes(
+    fn any_fold_order_matches_the_canonical_order_fold(
         replicates in 1usize..4,
         seed in any::<u64>(),
     ) {
@@ -70,18 +70,19 @@ proptest! {
             aggregator.add_wall(cell.wall);
             aggregator.absorb(&cell);
         }
-        let report = materialized(&sweep);
-        prop_assert_eq!(aggregator.render_summary(), report.render_summary());
-        prop_assert_eq!(aggregator.render_surface(), report.render_surface());
+        let reference = canonical_order_fold(&sweep);
+        prop_assert_eq!(aggregator.render_summary(), reference.render_summary());
+        prop_assert_eq!(aggregator.render_surface(), reference.render_surface());
     }
 
     /// Splitting the cells across ANY shard assignment (each shard keeps
     /// canonical order internally; shards may be empty), serializing each
     /// shard through the interchange codec, and k-way stream-merging the
     /// cursors yields byte-identical summary and surface output to the
-    /// materialized path.
+    /// canonical-order fold — and so does the in-memory
+    /// `CampaignReport::merge` adapter over the same shards.
     #[test]
-    fn any_shard_split_streams_back_the_materialized_bytes(
+    fn any_shard_split_streams_back_the_canonical_order_fold(
         replicates in 1usize..3,
         assignment_seed in any::<u64>(),
     ) {
@@ -95,7 +96,7 @@ proptest! {
             let shard = (assigned - 1) as usize;
             shard_cells[shard].push(sweep.cell(linear));
         }
-        let shard_texts: Vec<String> = shard_cells
+        let shards: Vec<CampaignReport> = shard_cells
             .into_iter()
             .map(|cells| {
                 let wall = cells.iter().map(|c| c.wall).sum();
@@ -108,9 +109,9 @@ proptest! {
                     cells,
                     wall,
                 )
-                .to_shard_text()
             })
             .collect();
+        let shard_texts: Vec<String> = shards.iter().map(CampaignReport::to_shard_text).collect();
         let cursors: Vec<_> = shard_texts
             .iter()
             .map(|text| ShardCursor::new(text.as_bytes()).expect("own shard text parses"))
@@ -121,9 +122,11 @@ proptest! {
             aggregator.absorb(&cell);
         }
         prop_assert_eq!(aggregator.cells(), total);
-        let report = materialized(&sweep);
-        prop_assert_eq!(aggregator.render_summary(), report.render_summary());
-        prop_assert_eq!(aggregator.render_surface(), report.render_surface());
+        let reference = canonical_order_fold(&sweep);
+        prop_assert_eq!(aggregator.render_summary(), reference.render_summary());
+        prop_assert_eq!(aggregator.render_surface(), reference.render_surface());
+        let merged = CampaignReport::merge(shards).expect("own shards merge in memory");
+        prop_assert_eq!(merged.render_summary(), reference.render_summary());
     }
 
     /// Histogram merge is exact: associative, commutative, and equal to

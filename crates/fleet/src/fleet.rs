@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 
 use nvariant_campaign::{
     CacheStats, CampaignPlan, CampaignReport, CoordinateWalk, MergeError, ShardCursor, ShardMerger,
-    StreamMergeError,
 };
 
 use crate::divergence::{find_divergence, CellStream, Divergence};
@@ -524,41 +523,18 @@ impl<'plan> Fleet<'plan> {
         });
         // The final merge streams: a k-way merge over the validated spool
         // files holds one buffered cell per shard while re-validating
-        // coverage, duplicates and plan identity.
-        let mut cursors = Vec::with_capacity(collected.len());
-        for (index, shard) in collected.iter().enumerate() {
-            match ShardCursor::open(&shard.spool) {
-                Ok(cursor) => cursors.push(cursor),
-                Err(error) => {
-                    return Err(Self::merge_error(StreamMergeError::Shard {
-                        shard: index,
-                        error,
-                    }))
-                }
-            }
-        }
-        let mut merger = match ShardMerger::new(cursors) {
-            Ok(merger) => merger,
-            Err(error) => return Err(Self::merge_error(error)),
-        };
-        let mut cells = Vec::with_capacity(collected.iter().map(|s| s.cells).sum());
-        loop {
-            match merger.next_cell() {
-                Ok(Some(cell)) => cells.push(cell),
-                Ok(None) => break,
-                Err(error) => return Err(Self::merge_error(error)),
-            }
-        }
-        let header = merger.header();
-        let mut report = CampaignReport::new(
-            header.name.clone(),
-            header.base_seed,
-            header.plan_hash,
-            header.shape,
-            header.workers,
-            cells,
-            header.total_wall,
-        );
+        // coverage, duplicates, order and plan identity.
+        let mut report = collected
+            .iter()
+            .enumerate()
+            .map(|(shard, collected)| {
+                ShardCursor::open(&collected.spool)
+                    .map_err(|error| MergeError::Shard { shard, error })
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .and_then(ShardMerger::new)
+            .and_then(ShardMerger::into_report)
+            .map_err(Self::merge_error)?;
         report.cache = cache;
         Ok(FleetRun {
             report,
@@ -574,14 +550,14 @@ impl<'plan> Fleet<'plan> {
     /// stopped parsing (it validated at collection time, so this means
     /// on-disk corruption between collection and merge) is reported as that
     /// shard's failure.
-    fn merge_error(error: StreamMergeError) -> FleetError {
+    fn merge_error(error: MergeError) -> FleetError {
         match error {
-            StreamMergeError::Merge(error) => FleetError::Merge(error),
-            StreamMergeError::Shard { shard, error } => FleetError::Exhausted {
+            MergeError::Shard { shard, error } => FleetError::Exhausted {
                 shard,
                 attempts: 1,
                 failures: vec![format!("final merge: spooled shard file: {error}")],
             },
+            error => FleetError::Merge(error),
         }
     }
 

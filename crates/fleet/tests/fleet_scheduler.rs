@@ -11,6 +11,7 @@ use nvariant_fleet::{
 };
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -176,7 +177,9 @@ fn quick_config(shards: usize) -> FleetConfig {
     }
 }
 
-/// A fleet over mock hosts, collecting progress lines.
+/// A fleet over mock hosts, collecting progress lines. Every fleet gets a
+/// spool directory of its own: tests run in parallel, and a shared one
+/// would let one test's spooled shard files overwrite another's.
 fn fleet_over<'a>(
     plan: &'a CampaignPlan,
     transport: MockTransport,
@@ -184,11 +187,13 @@ fn fleet_over<'a>(
     config: FleetConfig,
     log: Arc<Mutex<Vec<String>>>,
 ) -> Fleet<'a> {
+    static FLEETS: AtomicUsize = AtomicUsize::new(0);
+    let spool = scratch(&format!("spool-{}", FLEETS.fetch_add(1, Ordering::Relaxed)));
     Fleet::new(
         plan,
         Box::new(transport),
         PathBuf::from("/unused/worker"),
-        scratch("unused"),
+        spool,
     )
     .hosts(hosts.iter().map(|h| (*h).to_string()).collect())
     .config(config)

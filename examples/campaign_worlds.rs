@@ -48,10 +48,13 @@ fn main() {
 
     // Run the whole matrix on a worker pool.
     let whole = plan.run(4);
-    for world in whole.world_labels() {
-        let cells = whole.cells_for_world(world);
+    for (world_index, world) in plan.world_labels().iter().enumerate() {
         let mut tally = nvariant_campaign::RequestTally::default();
-        for cell in &cells {
+        for cell in whole
+            .cells
+            .iter()
+            .filter(|c| c.spec.world_index == world_index)
+        {
             tally.absorb(&cell.tally());
         }
         println!("  {world:<14} {tally}");
