@@ -88,8 +88,7 @@ impl CellCache {
     ///
     /// The warm path streams the entry through a [`ShardCursor`] — header
     /// gate, one decoded cell, clean end marker — with no whole-shard
-    /// `String` round trip; such hits are additionally counted as
-    /// `streamed_hits` in [`CacheStats`].
+    /// `String` round trip.
     #[must_use]
     pub fn lookup(&self, spec: &CellSpec) -> Option<CellResult> {
         let path = self.entry_path(spec);
@@ -111,7 +110,7 @@ impl CellCache {
             // Exactly one cell followed by a clean end marker.
             Ok(Some(cell)) if cell.spec == *spec => {
                 if let Ok(None) = cursor.next_cell() {
-                    self.counters.streamed_hit();
+                    self.counters.hit();
                     Some(cell)
                 } else {
                     self.counters.invalidation();
@@ -209,7 +208,6 @@ mod tests {
                 hits: 1,
                 misses: 1,
                 invalidations: 0,
-                streamed_hits: 1
             }
         );
         let _ = std::fs::remove_dir_all(&root);

@@ -9,14 +9,15 @@
 //! shard codec: Rust-`Debug`-quoted strings, hex-encoded byte images, and
 //! explicit element counts so truncation is always detected.
 //!
-//! What is stored is exactly the *world-independent* half of a
-//! [`CompiledSystem`]: the compiled variant images, memory layouts, variant
-//! specifications, monitor configuration and transformation counters. The
-//! provisioned kernel template is deliberately **not** stored — it is
-//! re-derived at load time from the caller's base world through
-//! [`CompiledSystem::provision_world`], which is cheap and is what already
-//! makes one artifact deployable into every world of a campaign's
-//! environment axis.
+//! What is stored is exactly what compiling computes: each variant's
+//! compiled program, the transformation counters and the static verifier's
+//! verdict. The builder alone fixes everything else — the configuration,
+//! each variant's specification, memory layout and instruction tag, the
+//! monitor configuration and the provisioned kernel template — so a load
+//! hands the stored parts, with the caller's builder, to the same assembly
+//! function [`compile`](crate::NVariantSystemBuilder::compile) uses. A
+//! loaded artifact and a compiled one can differ only in their checksummed
+//! images.
 //!
 //! Robustness contract: a corrupted, truncated or foreign cache entry is
 //! *never* an error for the caller — [`ArtifactStore::get_or_compile`]
@@ -25,15 +26,10 @@
 //! write-then-rename so concurrent processes can never observe a torn
 //! entry.
 
-use crate::config::DeploymentConfig;
-use crate::system::{BuildError, CompiledPlan, CompiledSystem, CompiledVariant};
-use nvariant_diversity::{AddressTransform, UidTransform, VariantSet, VariantSpec, Variation};
-use nvariant_monitor::{DivergencePolicy, MonitorConfig};
-use nvariant_simos::{OsKernel, WorldBuilder};
+use crate::system::{BuildError, CompiledPlan, CompiledSystem, NVariantSystemBuilder};
 use nvariant_transform::TransformStats;
 use nvariant_types::hex::{hex_decode, hex_encode};
-use nvariant_types::Uid;
-use nvariant_vm::{CompiledProgram, FunctionSig, MemoryLayout, RunLimits, Type, TypeInfo};
+use nvariant_vm::{CompiledProgram, FunctionSig, Type, TypeInfo};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -41,11 +37,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Format version of the on-disk artifact files. v2 added the `analysis`
-/// line (the static diversity verifier's verdict); v1 entries fail the
-/// header check and are recompiled over, which is the codec's designed
-/// upgrade path.
-const HEADER: &str = "nvariant-artifact v2";
+/// Format version of the on-disk artifact files. v3 stores only what
+/// compiling computes; v2 and older entries fail the header check and are
+/// recompiled over, which is the codec's designed upgrade path.
+const HEADER: &str = "nvariant-artifact v3";
 
 /// FNV-1a 64: the workspace's one stable cross-process hash, re-exported
 /// from [`nvariant_types::fnv`] — the same construction the campaign plan
@@ -65,10 +60,6 @@ pub struct CacheStats {
     /// Entries that existed but were unusable — corrupt, truncated, or
     /// keyed to different content — and were recomputed and overwritten.
     pub invalidations: u64,
-    /// The subset of `hits` that were served through the streaming cursor
-    /// interface (folded cell-by-cell, never materialized as a whole-file
-    /// `String` round trip). Always `<= hits`.
-    pub streamed_hits: u64,
 }
 
 impl CacheStats {
@@ -79,7 +70,6 @@ impl CacheStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
             invalidations: self.invalidations + other.invalidations,
-            streamed_hits: self.streamed_hits + other.streamed_hits,
         }
     }
 }
@@ -90,11 +80,7 @@ impl fmt::Display for CacheStats {
             f,
             "{} hits, {} misses, {} invalidations",
             self.hits, self.misses, self.invalidations
-        )?;
-        if self.streamed_hits > 0 {
-            write!(f, " ({} hits streamed)", self.streamed_hits)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -104,20 +90,12 @@ pub struct CacheCounters {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
-    streamed_hits: AtomicU64,
 }
 
 impl CacheCounters {
     /// Records a cache hit.
     pub fn hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a cache hit served through the streaming cursor interface
-    /// (counts as a hit *and* bumps the distinct streamed counter).
-    pub fn streamed_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.streamed_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a cache miss.
@@ -137,7 +115,6 @@ impl CacheCounters {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            streamed_hits: self.streamed_hits.load(Ordering::Relaxed),
         }
     }
 }
@@ -199,27 +176,15 @@ impl std::error::Error for ArtifactParseError {}
 /// `<root>/artifacts/<fingerprint>.txt`.
 ///
 /// The store is keyed purely by content
-/// ([`NVariantSystemBuilder::fingerprint`](crate::NVariantSystemBuilder::fingerprint)),
-/// so entries never go stale: changing the source, the deployment
-/// configuration, the transformation options or any other builder knob
-/// changes the key, and the old entry is simply never looked up again.
+/// ([`NVariantSystemBuilder::fingerprint`]), so entries never go stale:
+/// changing the source, the deployment configuration, the transformation
+/// options or any other builder knob changes the key, and the old entry is
+/// simply never looked up again.
 #[derive(Debug)]
 pub struct ArtifactStore {
     root: Option<PathBuf>,
-    memory: Mutex<HashMap<u64, MemoryEntry>>,
+    memory: Mutex<HashMap<u64, Arc<CompiledSystem>>>,
     counters: CacheCounters,
-}
-
-/// A memory-layer entry: the cached artifact plus whether its kernel
-/// template was provisioned from the *default* (standard) world. The
-/// fingerprint deliberately excludes the world, so a hit may come from a
-/// caller with a different world — the flag is what lets
-/// [`ArtifactStore::get_or_compile`] decide whether the cached template can
-/// be shared as-is or must be re-provisioned for the current caller.
-#[derive(Clone, Debug)]
-struct MemoryEntry {
-    system: Arc<CompiledSystem>,
-    standard_world: bool,
 }
 
 impl ArtifactStore {
@@ -276,21 +241,13 @@ impl ArtifactStore {
         self.counters.snapshot()
     }
 
-    /// The artifact for `builder`, from cache or freshly compiled, always
-    /// with its kernel template provisioned from the **builder's** world.
+    /// The artifact for `builder`, from cache or freshly compiled. Every
+    /// caller of one fingerprint shares one `Arc`.
     ///
     /// Lookup order: the in-process memory map, then the disk layer, then
     /// [`compile`](crate::NVariantSystemBuilder::compile). A fresh compile
     /// is inserted into both layers. Corrupt or mismatched disk entries are
     /// recompiled over, never surfaced as errors.
-    ///
-    /// The fingerprint excludes the world (the stored half of an artifact
-    /// is world-independent), so a hit may have been cached by a caller
-    /// with a *different* world; whenever the worlds cannot be proven to
-    /// match — either side set an explicit world — the hit is returned as a
-    /// fresh `Arc` whose template is re-provisioned from this builder's
-    /// world ([`CompiledSystem::provision_world`], the cheap half of
-    /// deployment). Default-world callers share one `Arc`.
     ///
     /// # Errors
     ///
@@ -298,118 +255,57 @@ impl ArtifactStore {
     /// failures are absorbed (a broken cache degrades to compiling).
     pub fn get_or_compile(
         &self,
-        builder: crate::NVariantSystemBuilder,
+        builder: NVariantSystemBuilder,
     ) -> Result<Arc<CompiledSystem>, BuildError> {
         let fingerprint = builder.fingerprint();
-        let standard_world = builder.world.is_none();
-        let reprovisioned_for = |cached: &CompiledSystem, base: &OsKernel| {
-            let mut system = cached.clone();
-            system.kernel_template = system.provision_world(base);
-            Arc::new(system)
-        };
-        // Clone the entry out under a short-lived lock: the upgrade path
-        // below re-locks the map, and `if let` would otherwise keep the
-        // guard temporary alive across it.
-        let cached_entry = {
-            self.memory
-                .lock()
-                .expect("artifact store memory layer poisoned")
-                .get(&fingerprint)
-                .cloned()
-        };
-        if let Some(entry) = cached_entry {
+        let cached = self
+            .memory
+            .lock()
+            .expect("artifact store memory layer poisoned")
+            .get(&fingerprint)
+            .cloned();
+        if let Some(system) = cached {
             self.counters.hit();
-            if standard_world && entry.standard_world {
-                return Ok(entry.system);
-            }
-            let base = builder
-                .world
-                .clone()
-                .unwrap_or_else(|| WorldBuilder::standard().build());
-            let system = reprovisioned_for(&entry.system, &base);
-            if standard_world {
-                // Upgrade the slot to the shareable standard-world
-                // template, so later default-world callers share this Arc
-                // instead of re-provisioning every time.
-                self.memory
-                    .lock()
-                    .expect("artifact store memory layer poisoned")
-                    .insert(
-                        fingerprint,
-                        MemoryEntry {
-                            system: Arc::clone(&system),
-                            standard_world: true,
-                        },
-                    );
-            }
             return Ok(system);
         }
 
-        let base_world = builder
-            .world
-            .clone()
-            .unwrap_or_else(|| WorldBuilder::standard().build());
-        if let Some(path) = self.entry_path(fingerprint) {
-            match std::fs::read_to_string(&path) {
-                Ok(text) => match from_artifact_text(&text, &base_world) {
-                    Ok(loaded) if loaded.fingerprint == fingerprint => {
-                        self.counters.hit();
-                        return Ok(self.insert_memory(fingerprint, loaded, standard_world));
-                    }
-                    // A parse failure or a foreign fingerprint in the right
-                    // slot: unusable either way — recompile and overwrite.
-                    Ok(_) | Err(_) => self.counters.invalidation(),
-                },
-                Err(_) => self.counters.miss(),
-            }
-        } else {
-            self.counters.miss();
+        let path = self.entry_path(fingerprint);
+        match path.as_deref().map(std::fs::read_to_string) {
+            Some(Ok(text)) => match from_artifact_text(&text, &builder) {
+                Ok(loaded) => {
+                    self.counters.hit();
+                    return Ok(self.insert_memory(fingerprint, loaded));
+                }
+                // Corrupt, from another format version, or stored for
+                // another builder: unusable either way — recompile and
+                // overwrite.
+                Err(_) => self.counters.invalidation(),
+            },
+            Some(Err(_)) | None => self.counters.miss(),
         }
 
         let compiled = builder.compile()?;
-        debug_assert_eq!(compiled.fingerprint, fingerprint);
-        if let Some(path) = self.entry_path(fingerprint) {
-            if let Some(text) = to_artifact_text(&compiled) {
-                // A full disk or read-only cache dir degrades to
-                // memory-only caching; it must never fail the build.
-                let _ = atomic_write_text(&path, &text);
-            }
+        if let Some(path) = path {
+            // A full disk or read-only cache dir degrades to memory-only
+            // caching; it must never fail the build.
+            let _ = atomic_write_text(&path, &to_artifact_text(&compiled));
         }
-        Ok(self.insert_memory(fingerprint, compiled, standard_world))
+        Ok(self.insert_memory(fingerprint, compiled))
     }
 
     /// Inserts a freshly obtained artifact into the memory layer and
-    /// returns the caller's copy. A racing insert of the same fingerprint
-    /// keeps the first entry — both were provisioned for their respective
-    /// callers, and the returned `Arc` is always the caller's own.
-    fn insert_memory(
-        &self,
-        fingerprint: u64,
-        system: CompiledSystem,
-        standard_world: bool,
-    ) -> Arc<CompiledSystem> {
-        let system = Arc::new(system);
+    /// returns the shared copy. A racing insert of the same fingerprint
+    /// keeps the first entry: both hold the same artifact.
+    fn insert_memory(&self, fingerprint: u64, system: CompiledSystem) -> Arc<CompiledSystem> {
         let mut memory = self
             .memory
             .lock()
             .expect("artifact store memory layer poisoned");
-        match memory.get(&fingerprint) {
-            // Keep an existing standard-world entry (the shareable kind);
-            // otherwise this caller's copy becomes (or replaces) the entry,
-            // preferring a standard-world template in the slot so future
-            // default-world callers can share it.
-            Some(entry) if entry.standard_world && !standard_world => {}
-            _ => {
-                memory.insert(
-                    fingerprint,
-                    MemoryEntry {
-                        system: Arc::clone(&system),
-                        standard_world,
-                    },
-                );
-            }
-        }
-        system
+        Arc::clone(
+            memory
+                .entry(fingerprint)
+                .or_insert_with(|| Arc::new(system)),
+        )
     }
 }
 
@@ -430,58 +326,6 @@ fn type_token(ty: Type) -> String {
         Type::Void => "void".to_string(),
         Type::Buf(n) => format!("buf:{n}"),
     }
-}
-
-fn uid_transform_token(transform: UidTransform) -> String {
-    match transform {
-        UidTransform::Identity => "id".to_string(),
-        UidTransform::Xor(mask) => format!("xor:{mask:#010x}"),
-    }
-}
-
-fn addr_transform_token(transform: AddressTransform) -> String {
-    match transform {
-        AddressTransform::Identity => "id".to_string(),
-        AddressTransform::PartitionHigh => "part".to_string(),
-        AddressTransform::PartitionHighWithOffset(offset) => format!("part:{offset:#010x}"),
-    }
-}
-
-/// A variation as a single space-free token, so it embeds in one line:
-/// `addr`, `addrext:<offset>`, `tag`, `uid:<mask>`, or
-/// `composed(a,b,...)` (recursively). Returns `None` for variation kinds
-/// this codec version does not know (the enum is `#[non_exhaustive]`);
-/// callers skip disk caching for those instead of storing something lossy.
-fn variation_token(variation: &Variation) -> Option<String> {
-    Some(match variation {
-        Variation::AddressPartitioning => "addr".to_string(),
-        Variation::ExtendedAddressPartitioning { offset } => format!("addrext:{offset:#010x}"),
-        Variation::InstructionTagging => "tag".to_string(),
-        Variation::UidDiversity { mask } => format!("uid:{mask:#010x}"),
-        Variation::Composed(parts) => {
-            let tokens: Option<Vec<String>> = parts.iter().map(variation_token).collect();
-            format!("composed({})", tokens?.join(","))
-        }
-        _ => return None,
-    })
-}
-
-fn config_line(config: &DeploymentConfig) -> Option<String> {
-    Some(match config {
-        DeploymentConfig::Unmodified => "unmodified".to_string(),
-        DeploymentConfig::TransformedSingle => "transformed-single".to_string(),
-        DeploymentConfig::TwoVariantAddress => "two-variant-address".to_string(),
-        DeploymentConfig::TwoVariantUid => "two-variant-uid".to_string(),
-        DeploymentConfig::Custom {
-            variation,
-            variants,
-            transform_uids,
-        } => format!(
-            "custom {variants} {} {}",
-            u8::from(*transform_uids),
-            variation_token(variation)?
-        ),
-    })
 }
 
 fn render_program(out: &mut String, program: &CompiledProgram) {
@@ -521,11 +365,10 @@ fn render_program(out: &mut String, program: &CompiledProgram) {
     out.push_str("endprogram\n");
 }
 
-/// Serializes the world-independent half of a compiled system to the
-/// artifact text format. Returns `None` if the artifact uses an enum
-/// variant this codec version cannot represent (possible only for
-/// `#[non_exhaustive]` enums grown after this version shipped); such
-/// artifacts simply stay memory-cached.
+/// Serializes what compiling computed — each variant's compiled program,
+/// the transformation counters and the verifier's verdict — to the
+/// artifact text format. [`from_artifact_text`] assembles everything else
+/// from the caller's builder.
 ///
 /// The second line is a FNV-1a checksum of everything after it. The
 /// fingerprint cannot play that role — it is derived from the *builder's
@@ -534,10 +377,9 @@ fn render_program(out: &mut String, program: &CompiledProgram) {
 /// every consumer (including a `--verify-rerun` that compiles through the
 /// same store) would agree on the wrong artifact.
 #[must_use]
-pub fn to_artifact_text(system: &CompiledSystem) -> Option<String> {
+pub fn to_artifact_text(system: &CompiledSystem) -> String {
     let mut out = String::new();
     out.push_str(&format!("fingerprint {:#018x}\n", system.fingerprint));
-    out.push_str(&format!("config {}\n", config_line(&system.config)?));
     let s = &system.transform_stats;
     out.push_str(&format!(
         "stats {} {} {} {} {} {}\n",
@@ -548,79 +390,22 @@ pub fn to_artifact_text(system: &CompiledSystem) -> Option<String> {
         s.conditional_checks,
         s.log_sinks_sanitized
     ));
-    out.push_str(&format!("initial_uid {}\n", system.initial_uid.as_u32()));
-    out.push_str(&format!(
-        "run_limits {} {}\n",
-        system.run_limits.max_steps_per_slice, system.run_limits.max_syscalls
-    ));
-    out.push_str(&format!("xfiles {}\n", system.extra_unshared.len()));
-    for path in &system.extra_unshared {
-        out.push_str(&format!("xfile {}\n", quote(path)));
-    }
     match &system.analysis {
         Some(verdict) => out.push_str(&format!("analysis {}\n", quote(verdict))),
         None => out.push_str("analysis -\n"),
     }
-    match &system.plan {
-        CompiledPlan::Single { program, layout } => {
-            out.push_str("plan single\n");
-            out.push_str(&format!(
-                "layout {} {} {} {}\n",
-                layout.code_base, layout.globals_base, layout.stack_top, layout.stack_size
-            ));
-            render_program(&mut out, program);
-        }
-        CompiledPlan::Multi {
-            variants,
-            specs,
-            monitor_config,
-        } => {
-            out.push_str(&format!("plan multi {}\n", variants.len()));
-            for (index, variant) in variants.iter().enumerate() {
-                out.push_str(&format!(
-                    "variant {index} {} {} {} {} {}\n",
-                    variant.tag,
-                    variant.layout.code_base,
-                    variant.layout.globals_base,
-                    variant.layout.stack_top,
-                    variant.layout.stack_size
-                ));
-                render_program(&mut out, &variant.program);
-            }
-            out.push_str(&format!("specs {}\n", specs.len()));
-            for (_, spec) in specs.iter() {
-                out.push_str(&format!(
-                    "spec {} {} {}\n",
-                    uid_transform_token(spec.uid),
-                    addr_transform_token(spec.addr),
-                    spec.tag
-                ));
-            }
-            out.push_str(&format!(
-                "monitor {} {} {} {}\n",
-                monitor_config.max_steps_per_slice,
-                monitor_config.max_syscalls,
-                match monitor_config.policy {
-                    DivergencePolicy::KillAndReport => "kill",
-                    DivergencePolicy::ReportAndContinue => "continue",
-                },
-                if monitor_config.detection_checks {
-                    "checks"
-                } else {
-                    "nochecks"
-                }
-            ));
-            out.push_str(&format!("mfiles {}\n", monitor_config.unshared_files.len()));
-            for path in &monitor_config.unshared_files {
-                out.push_str(&format!("mfile {}\n", quote(path)));
-            }
-        }
+    let programs: Vec<&CompiledProgram> = match &system.plan {
+        CompiledPlan::Single { program, .. } => vec![program],
+        CompiledPlan::Multi { variants, .. } => variants.iter().map(|v| &v.program).collect(),
+    };
+    out.push_str(&format!("programs {}\n", programs.len()));
+    for program in programs {
+        render_program(&mut out, program);
     }
-    out.push_str("end\n");
-    Some(format!(
+    format!(
         "{HEADER}\nchecksum {:#018x}\n{out}",
         fnv1a_64(out.trim_end_matches('\n').as_bytes())
-    ))
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -683,98 +468,6 @@ fn parse_type(token: &str) -> Result<Type, String> {
                 .ok_or_else(|| format!("unknown type token {token:?}"))?;
             Type::Buf(n)
         }
-    })
-}
-
-fn parse_hex_u32(token: &str) -> Option<u32> {
-    let hex = token.strip_prefix("0x")?;
-    u32::from_str_radix(hex, 16).ok()
-}
-
-fn parse_uid_transform(token: &str) -> Result<UidTransform, String> {
-    match token {
-        "id" => Ok(UidTransform::Identity),
-        _ => token
-            .strip_prefix("xor:")
-            .and_then(parse_hex_u32)
-            .map(UidTransform::Xor)
-            .ok_or_else(|| format!("unknown UID transform token {token:?}")),
-    }
-}
-
-fn parse_addr_transform(token: &str) -> Result<AddressTransform, String> {
-    match token {
-        "id" => Ok(AddressTransform::Identity),
-        "part" => Ok(AddressTransform::PartitionHigh),
-        _ => token
-            .strip_prefix("part:")
-            .and_then(parse_hex_u32)
-            .map(AddressTransform::PartitionHighWithOffset)
-            .ok_or_else(|| format!("unknown address transform token {token:?}")),
-    }
-}
-
-/// Recursive-descent inverse of [`variation_token`].
-fn parse_variation(token: &str) -> Result<Variation, String> {
-    match token {
-        "addr" => return Ok(Variation::AddressPartitioning),
-        "tag" => return Ok(Variation::InstructionTagging),
-        _ => {}
-    }
-    if let Some(mask) = token.strip_prefix("uid:").and_then(parse_hex_u32) {
-        return Ok(Variation::UidDiversity { mask });
-    }
-    if let Some(offset) = token.strip_prefix("addrext:").and_then(parse_hex_u32) {
-        return Ok(Variation::ExtendedAddressPartitioning { offset });
-    }
-    let inner = token
-        .strip_prefix("composed(")
-        .and_then(|t| t.strip_suffix(')'))
-        .ok_or_else(|| format!("unknown variation token {token:?}"))?;
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (index, c) in inner.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                parts.push(parse_variation(&inner[start..index])?);
-                start = index + 1;
-            }
-            _ => {}
-        }
-    }
-    if !inner.is_empty() {
-        parts.push(parse_variation(&inner[start..])?);
-    }
-    Ok(Variation::Composed(parts))
-}
-
-fn parse_config(rest: &str) -> Result<DeploymentConfig, String> {
-    match rest {
-        "unmodified" => return Ok(DeploymentConfig::Unmodified),
-        "transformed-single" => return Ok(DeploymentConfig::TransformedSingle),
-        "two-variant-address" => return Ok(DeploymentConfig::TwoVariantAddress),
-        "two-variant-uid" => return Ok(DeploymentConfig::TwoVariantUid),
-        _ => {}
-    }
-    let tokens: Vec<&str> = rest.split(' ').collect();
-    if tokens.len() != 4 || tokens[0] != "custom" {
-        return Err(format!("unknown configuration {rest:?}"));
-    }
-    let variants: usize = tokens[1]
-        .parse()
-        .map_err(|_| format!("bad variant count {:?}", tokens[1]))?;
-    let transform_uids = match tokens[2] {
-        "0" => false,
-        "1" => true,
-        other => return Err(format!("bad transform_uids flag {other:?}")),
-    };
-    Ok(DeploymentConfig::Custom {
-        variation: parse_variation(tokens[3])?,
-        variants,
-        transform_uids,
     })
 }
 
@@ -841,6 +534,17 @@ impl<'a> Parser<'a> {
         self.parse_number(token)
     }
 
+    fn expect_hex(&mut self, key: &str) -> Result<u64, ArtifactParseError> {
+        let token = self.expect_field(key)?;
+        match token
+            .strip_prefix("0x")
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        {
+            Some(value) => Ok(value),
+            None => self.fail(format!("expected 0x-prefixed {key}, got {token:?}")),
+        }
+    }
+
     fn numbers<const N: usize>(&mut self, key: &str) -> Result<[u64; N], ArtifactParseError> {
         let rest = self.expect_field(key)?;
         let tokens: Vec<&str> = rest.split(' ').collect();
@@ -850,37 +554,6 @@ impl<'a> Parser<'a> {
         let mut out = [0u64; N];
         for (slot, token) in out.iter_mut().zip(tokens) {
             *slot = self.parse_number(token)?;
-        }
-        Ok(out)
-    }
-
-    fn parse_layout(&self, rest: &str) -> Result<MemoryLayout, ArtifactParseError> {
-        let tokens: Vec<&str> = rest.split(' ').collect();
-        if tokens.len() != 4 {
-            return self.fail(format!("layout needs 4 fields, got {}", tokens.len()));
-        }
-        Ok(MemoryLayout {
-            code_base: self.parse_number(tokens[0])?,
-            globals_base: self.parse_number(tokens[1])?,
-            stack_top: self.parse_number(tokens[2])?,
-            stack_size: self.parse_number(tokens[3])?,
-        })
-    }
-
-    fn quoted_list(
-        &mut self,
-        count_key: &str,
-        item_key: &str,
-    ) -> Result<Vec<String>, ArtifactParseError> {
-        let count: usize = self.expect_number(count_key)?;
-        let mut out = Vec::new();
-        for _ in 0..checked_count(count, self)? {
-            let rest = self.expect_field(item_key)?;
-            let (value, trailing) = self.lift(take_quoted(rest))?;
-            if !trailing.is_empty() {
-                return self.fail(format!("unexpected trailing content {trailing:?}"));
-            }
-            out.push(value);
         }
         Ok(out)
     }
@@ -969,7 +642,10 @@ impl<'a> Parser<'a> {
         ))
     }
 
-    fn parse(mut self, base_world: &OsKernel) -> Result<CompiledSystem, ArtifactParseError> {
+    fn parse(
+        mut self,
+        builder: &NVariantSystemBuilder,
+    ) -> Result<CompiledSystem, ArtifactParseError> {
         let header = self.next_line()?;
         if header != HEADER {
             return self.fail(format!("expected {HEADER:?}, got {header:?}"));
@@ -980,14 +656,7 @@ impl<'a> Parser<'a> {
         // still parses. Trailing newlines are excluded on both sides, so an
         // editor's or a text-mode transfer's extra blank lines stay
         // harmless (the structural parser tolerates them too).
-        let declared = {
-            let token = self.expect_field("checksum")?;
-            token
-                .strip_prefix("0x")
-                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-                .ok_or(())
-                .or_else(|()| self.fail(format!("expected 0x-prefixed checksum, got {token:?}")))?
-        };
+        let declared = self.expect_hex("checksum")?;
         let body = {
             let mut offset = 0;
             for _ in 0..2 {
@@ -1001,20 +670,13 @@ impl<'a> Parser<'a> {
         if fnv1a_64(body.as_bytes()) != declared {
             return self.fail("artifact checksum mismatch: the entry is corrupt".to_string());
         }
-        let fingerprint = {
-            let token = self.expect_field("fingerprint")?;
-            token
-                .strip_prefix("0x")
-                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-                .ok_or(())
-                .or_else(|()| {
-                    self.fail(format!("expected 0x-prefixed fingerprint, got {token:?}"))
-                })?
-        };
-        let config = {
-            let rest = self.expect_field("config")?;
-            self.lift(parse_config(rest))?
-        };
+        let fingerprint = self.expect_hex("fingerprint")?;
+        if fingerprint != builder.fingerprint() {
+            return self.fail(format!(
+                "artifact fingerprint {fingerprint:#018x} is not the builder's {:#018x}",
+                builder.fingerprint()
+            ));
+        }
         let [a, b, c, d, e, f] = self.numbers::<6>("stats")?;
         let transform_stats = TransformStats {
             uid_constants_reexpressed: a as usize,
@@ -1024,13 +686,6 @@ impl<'a> Parser<'a> {
             conditional_checks: e as usize,
             log_sinks_sanitized: f as usize,
         };
-        let initial_uid = Uid::new(self.expect_number::<u32>("initial_uid")?);
-        let [max_steps_per_slice, max_syscalls] = self.numbers::<2>("run_limits")?;
-        let run_limits = RunLimits {
-            max_steps_per_slice,
-            max_syscalls,
-        };
-        let extra_unshared = self.quoted_list("xfiles", "xfile")?;
         let analysis = {
             let rest = self.expect_field("analysis")?;
             if rest == "-" {
@@ -1043,116 +698,25 @@ impl<'a> Parser<'a> {
                 Some(verdict)
             }
         };
-
-        let plan = match self.expect_field("plan")? {
-            "single" => {
-                let layout = {
-                    let rest = self.expect_field("layout")?;
-                    self.parse_layout(rest)?
-                };
-                let program = self.parse_program()?;
-                CompiledPlan::Single { program, layout }
-            }
-            rest => {
-                let count: usize = match rest.strip_prefix("multi ") {
-                    Some(count) => self.parse_number(count)?,
-                    None => {
-                        return self
-                            .fail(format!("expected \"single\" or \"multi N\", got {rest:?}"))
-                    }
-                };
-                let count = checked_count(count, &self)?;
-                let mut variants = Vec::with_capacity(count);
-                for index in 0..count {
-                    let rest = self.expect_field("variant")?;
-                    let tokens: Vec<&str> = rest.split(' ').collect();
-                    if tokens.len() != 6 || tokens[0] != index.to_string() {
-                        return self.fail(format!("expected variant {index} header, got {rest:?}"));
-                    }
-                    let tag: u8 = self.parse_number(tokens[1])?;
-                    let layout = self.parse_layout(&tokens[2..].join(" "))?;
-                    let program = self.parse_program()?;
-                    variants.push(CompiledVariant::new(program, layout, tag));
-                }
-                let spec_count: usize = self.expect_number("specs")?;
-                if spec_count != count {
-                    return self.fail(format!(
-                        "artifact declares {count} variants but {spec_count} specs"
-                    ));
-                }
-                let mut specs = Vec::with_capacity(spec_count);
-                for _ in 0..spec_count {
-                    let rest = self.expect_field("spec")?;
-                    let tokens: Vec<&str> = rest.split(' ').collect();
-                    if tokens.len() != 3 {
-                        return self.fail(format!("spec needs 3 fields, got {}", tokens.len()));
-                    }
-                    specs.push(
-                        VariantSpec::identity()
-                            .with_uid(self.lift(parse_uid_transform(tokens[0]))?)
-                            .with_addr(self.lift(parse_addr_transform(tokens[1]))?)
-                            .with_tag(self.parse_number(tokens[2])?),
-                    );
-                }
-                let monitor_rest = self.expect_field("monitor")?;
-                let tokens: Vec<&str> = monitor_rest.split(' ').collect();
-                if tokens.len() != 4 {
-                    return self.fail(format!("monitor needs 4 fields, got {}", tokens.len()));
-                }
-                let policy = match tokens[2] {
-                    "kill" => DivergencePolicy::KillAndReport,
-                    "continue" => DivergencePolicy::ReportAndContinue,
-                    other => return self.fail(format!("unknown divergence policy {other:?}")),
-                };
-                let detection_checks = match tokens[3] {
-                    "checks" => true,
-                    "nochecks" => false,
-                    other => return self.fail(format!("unknown detection mode {other:?}")),
-                };
-                let unshared_files = self.quoted_list("mfiles", "mfile")?;
-                let monitor_config = MonitorConfig {
-                    unshared_files,
-                    max_steps_per_slice: self.parse_number(tokens[0])?,
-                    max_syscalls: self.parse_number(tokens[1])?,
-                    policy,
-                    detection_checks,
-                };
-                CompiledPlan::Multi {
-                    variants,
-                    specs: VariantSet::new(specs),
-                    monitor_config,
-                }
-            }
-        };
-
-        let line = self.next_line()?;
-        if line != "end" {
-            return self.fail(format!("expected \"end\", got {line:?}"));
-        }
+        let count = checked_count(self.expect_number("programs")?, &self)?;
+        let programs = (0..count)
+            .map(|_| self.parse_program())
+            .collect::<Result<Vec<_>, _>>()?;
         for (index, line) in self.lines.by_ref() {
             if line.is_empty() {
                 continue;
             }
             self.current = index + 1;
-            return self.fail(format!("unexpected content after \"end\": {line:?}"));
+            return self.fail(format!(
+                "unexpected content after the last program: {line:?}"
+            ));
         }
-
-        // The stored half is world-independent; re-derive the provisioned
-        // kernel template from the caller's base world, exactly as
-        // `compile()` does for the builder's world.
-        let mut system = CompiledSystem {
-            fingerprint,
-            config,
-            transform_stats,
-            kernel_template: base_world.clone(),
-            initial_uid,
-            run_limits,
-            extra_unshared,
-            analysis,
-            plan,
-        };
-        system.kernel_template = system.provision_world(base_world);
-        Ok(system)
+        builder
+            .assemble(programs, transform_stats, analysis)
+            .map_err(|error| ArtifactParseError {
+                line: 0,
+                message: format!("artifact does not fit the builder: {error}"),
+            })
     }
 }
 
@@ -1170,24 +734,28 @@ fn checked_count(count: usize, parser: &Parser<'_>) -> Result<usize, ArtifactPar
     Ok(count)
 }
 
-/// Parses an artifact file and re-provisions its kernel template from
-/// `base_world`.
+/// Parses an artifact file and assembles it for `builder`, through the
+/// same function [`compile`](NVariantSystemBuilder::compile) uses.
 ///
 /// # Errors
 ///
 /// Returns an [`ArtifactParseError`] naming the offending line if the text
-/// is not a well-formed artifact file.
+/// is not a well-formed artifact file, or if it was stored for another
+/// builder: its fingerprint differs from the builder's, or its program
+/// count from the builder's variant count.
 pub fn from_artifact_text(
     text: &str,
-    base_world: &OsKernel,
+    builder: &NVariantSystemBuilder,
 ) -> Result<CompiledSystem, ArtifactParseError> {
-    Parser::new(text).parse(base_world)
+    Parser::new(text).parse(builder)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NVariantSystemBuilder;
+    use crate::DeploymentConfig;
+    use nvariant_types::{Fnv1a, Uid};
+    use nvariant_vm::RunLimits;
 
     const SERVER: &str = r"
         var greeting: buf[16];
@@ -1212,32 +780,47 @@ mod tests {
         configs
     }
 
+    fn template_digest(system: &CompiledSystem) -> u64 {
+        let mut digest = Fnv1a::new();
+        system.kernel_template().digest_into(&mut digest);
+        digest.finish()
+    }
+
     #[test]
     fn artifact_text_round_trips_every_configuration() {
-        let world = WorldBuilder::standard().build();
-        for config in all_configs() {
-            let label = config.label();
-            let compiled = builder(config).compile().unwrap();
-            let text = to_artifact_text(&compiled).expect("codec covers built-in configs");
-            let loaded =
-                from_artifact_text(&text, &world).unwrap_or_else(|e| panic!("{label}: {e}"));
-            assert_eq!(loaded.fingerprint(), compiled.fingerprint(), "{label}");
-            assert_eq!(loaded.config(), compiled.config(), "{label}");
-            assert_eq!(
-                loaded.transform_stats(),
-                compiled.transform_stats(),
-                "{label}"
-            );
-            assert_eq!(loaded.variant_count(), compiled.variant_count(), "{label}");
-            // The re-provisioned template behaves identically: instantiate
-            // and run both artifacts and compare outcomes.
-            assert_eq!(
-                loaded.instantiate().run(),
-                compiled.instantiate().run(),
-                "{label}"
-            );
-            // And the serialization is a fixed point.
-            assert_eq!(to_artifact_text(&loaded).unwrap(), text, "{label}");
+        for verify in [false, true] {
+            for config in all_configs() {
+                let label = format!("{} (verify {verify})", config.label());
+                let source = builder(config).verify_diversity(verify);
+                let compiled = source.clone().compile().unwrap();
+                let text = to_artifact_text(&compiled);
+                let loaded =
+                    from_artifact_text(&text, &source).unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(loaded.fingerprint(), compiled.fingerprint(), "{label}");
+                assert_eq!(loaded.config(), compiled.config(), "{label}");
+                assert_eq!(
+                    loaded.transform_stats(),
+                    compiled.transform_stats(),
+                    "{label}"
+                );
+                assert_eq!(loaded.analysis(), compiled.analysis(), "{label}");
+                assert_eq!(loaded.analysis().is_some(), verify, "{label}");
+                assert_eq!(loaded.variant_count(), compiled.variant_count(), "{label}");
+                // The assembled template is the compiled one, byte for byte...
+                assert_eq!(
+                    template_digest(&loaded),
+                    template_digest(&compiled),
+                    "{label}"
+                );
+                // ...so both artifacts run identically.
+                assert_eq!(
+                    loaded.instantiate().run(),
+                    compiled.instantiate().run(),
+                    "{label}"
+                );
+                // And the serialization is a fixed point.
+                assert_eq!(to_artifact_text(&loaded), text, "{label}");
+            }
         }
     }
 
@@ -1245,10 +828,9 @@ mod tests {
     fn loaded_artifacts_expose_the_same_symbol_addresses() {
         // Attack payload generators read symbol addresses from the
         // instantiated system; the codec must preserve the globals map.
-        let compiled = builder(DeploymentConfig::TwoVariantUid).compile().unwrap();
-        let text = to_artifact_text(&compiled).unwrap();
-        let world = WorldBuilder::standard().build();
-        let loaded = from_artifact_text(&text, &world).unwrap();
+        let source = builder(DeploymentConfig::TwoVariantUid);
+        let compiled = source.clone().compile().unwrap();
+        let loaded = from_artifact_text(&to_artifact_text(&compiled), &source).unwrap();
         let a = compiled.instantiate().global_addr("greeting");
         let b = loaded.instantiate().global_addr("greeting");
         assert!(a.is_some());
@@ -1309,40 +891,6 @@ mod tests {
                 })
                 .fingerprint()
         );
-        // The world is *not* part of the fingerprint: artifacts are
-        // world-independent and re-provisioned at load.
-        assert_eq!(
-            base,
-            builder(DeploymentConfig::TwoVariantUid)
-                .world(WorldBuilder::standard().listen_port(8080).build())
-                .fingerprint()
-        );
-    }
-
-    #[test]
-    fn variation_tokens_round_trip() {
-        let variations = [
-            Variation::AddressPartitioning,
-            Variation::ExtendedAddressPartitioning { offset: 0x40 },
-            Variation::InstructionTagging,
-            Variation::uid_diversity(),
-            Variation::uid_diversity_full_mask(),
-            Variation::composed(vec![
-                Variation::uid_diversity(),
-                Variation::composed(vec![
-                    Variation::AddressPartitioning,
-                    Variation::InstructionTagging,
-                ]),
-            ]),
-            Variation::Composed(vec![]),
-        ];
-        for variation in variations {
-            let token = variation_token(&variation).unwrap();
-            assert!(!token.contains(' '), "{token}");
-            assert_eq!(parse_variation(&token).unwrap(), variation, "{token}");
-        }
-        assert!(parse_variation("nonsense").is_err());
-        assert!(parse_variation("composed(addr,nonsense)").is_err());
     }
 
     #[test]
@@ -1446,6 +994,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `body` (everything after the checksum line) under a valid header and
+    /// checksum, so a structurally bad body reaches the structural parser.
+    fn with_valid_checksum(body: &str) -> String {
+        format!(
+            "{HEADER}\nchecksum {:#018x}\n{body}",
+            fnv1a_64(body.trim_end_matches('\n').as_bytes())
+        )
+    }
+
     #[test]
     fn corrupt_disk_entries_fall_back_to_recompile_and_are_overwritten() {
         let dir =
@@ -1454,27 +1011,35 @@ mod tests {
         let seed_store = ArtifactStore::at(&dir);
         let compiled = store_loaded(&seed_store, DeploymentConfig::TwoVariantUid);
         let entry = seed_store.entry_path(compiled.fingerprint()).unwrap();
+        let good = std::fs::read_to_string(&entry).unwrap();
+        let body = good.splitn(3, '\n').nth(2).unwrap();
 
         for corruption in [
             "garbage".to_string(),
             String::new(),
             // Truncation at half the file.
-            {
-                let text = std::fs::read_to_string(&entry).unwrap();
-                text[..text.len() / 2].to_string()
-            },
-            // A valid file claiming a different fingerprint in the slot.
-            std::fs::read_to_string(&entry).unwrap().replacen(
-                "fingerprint 0x",
-                "fingerprint 0xf",
+            good[..good.len() / 2].to_string(),
+            // A valid file stored for another builder in the slot.
+            with_valid_checksum(&body.replacen(
+                &format!("fingerprint {:#018x}", compiled.fingerprint()),
+                &format!("fingerprint {:#018x}", compiled.fingerprint() ^ 1),
                 1,
-            ),
+            )),
+            // One program where the configuration runs two variants.
+            with_valid_checksum(&format!(
+                "{}endprogram\n",
+                body.replacen("programs 2", "programs 1", 1)
+                    .split("endprogram\n")
+                    .next()
+                    .unwrap()
+            )),
+            // An entry from the previous format version.
+            good.replacen(HEADER, "nvariant-artifact v2", 1),
             // One flipped hex digit inside a code image: structurally a
             // perfectly valid file — only the body checksum catches it.
             {
-                let text = std::fs::read_to_string(&entry).unwrap();
-                let at = text.find("\ncode ").unwrap() + "\ncode ".len() + 10;
-                let mut bytes = text.into_bytes();
+                let at = good.find("\ncode ").unwrap() + "\ncode ".len() + 10;
+                let mut bytes = good.clone().into_bytes();
                 bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
                 String::from_utf8(bytes).unwrap()
             },
@@ -1485,74 +1050,13 @@ mod tests {
             assert_eq!(fresh.stats().invalidations, 1, "{corruption:?}");
             assert_eq!(loaded.instantiate().run(), compiled.instantiate().run());
             // The bad entry was overwritten with a good one.
+            assert_eq!(std::fs::read_to_string(&entry).unwrap(), good);
             let reread = ArtifactStore::at(&dir);
             let again = store_loaded(&reread, DeploymentConfig::TwoVariantUid);
             assert_eq!(reread.stats().hits, 1);
             assert_eq!(again.instantiate().run(), compiled.instantiate().run());
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn hits_are_reprovisioned_for_the_callers_world() {
-        use nvariant_simos::WorldTemplate;
-        // The fingerprint excludes the world, so two builders differing
-        // only in their world share one cache key — but each caller must
-        // get a template provisioned from *its* world, not whoever filled
-        // the cache first.
-        let store = ArtifactStore::memory_only();
-        let with_world = |world: Option<OsKernel>| {
-            let mut b = builder(DeploymentConfig::TwoVariantUid);
-            if let Some(world) = world {
-                b = b.world(world);
-            }
-            b
-        };
-        let alt = || WorldTemplate::alternate_accounts().kernel().clone();
-
-        // Filled by an explicit-world caller first...
-        let first = store.get_or_compile(with_world(Some(alt()))).unwrap();
-        assert_eq!(
-            first
-                .kernel_template()
-                .passwd()
-                .lookup_user("httpd")
-                .unwrap()
-                .uid
-                .as_u32(),
-            61
-        );
-        // ...a default-world hit must NOT inherit the alternate accounts.
-        let standard = store.get_or_compile(with_world(None)).unwrap();
-        assert_eq!(
-            standard
-                .kernel_template()
-                .passwd()
-                .lookup_user("httpd")
-                .unwrap()
-                .uid
-                .as_u32(),
-            48
-        );
-        // And an explicit-world hit gets its own world back.
-        let again = store.get_or_compile(with_world(Some(alt()))).unwrap();
-        assert_eq!(
-            again
-                .kernel_template()
-                .passwd()
-                .lookup_user("httpd")
-                .unwrap()
-                .uid
-                .as_u32(),
-            61
-        );
-        assert_eq!(store.stats().hits, 2);
-        assert_eq!(store.stats().misses, 1);
-        // Default-world callers still share one Arc once a default-world
-        // entry occupies the slot.
-        let shared_a = store.get_or_compile(with_world(None)).unwrap();
-        let shared_b = store.get_or_compile(with_world(None)).unwrap();
-        assert!(Arc::ptr_eq(&shared_a, &shared_b));
     }
 
     #[test]
@@ -1588,13 +1092,12 @@ mod tests {
 
     #[test]
     fn parse_errors_name_the_offending_line() {
-        let world = WorldBuilder::standard().build();
-        let err = from_artifact_text("not an artifact", &world).unwrap_err();
+        let source = builder(DeploymentConfig::TwoVariantUid);
+        let err = from_artifact_text("not an artifact", &source).unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.to_string().contains("line 1"));
 
-        let compiled = builder(DeploymentConfig::TwoVariantUid).compile().unwrap();
-        let text = to_artifact_text(&compiled).unwrap();
+        let text = to_artifact_text(&source.clone().compile().unwrap());
         // Truncation at every line boundary is a clean error.
         let total = text.lines().count();
         for keep in 0..total {
@@ -1603,12 +1106,17 @@ mod tests {
                 acc.push('\n');
                 acc
             });
-            let err = from_artifact_text(&truncated, &world)
+            let err = from_artifact_text(&truncated, &source)
                 .expect_err("a proper prefix can never be a complete artifact");
             assert!(err.line <= keep + 1, "kept {keep}, error line {}", err.line);
         }
-        // Trailing content after `end` is rejected; blank lines tolerated.
-        assert!(from_artifact_text(&format!("{text}{text}"), &world).is_err());
-        assert!(from_artifact_text(&format!("{text}\n\n"), &world).is_ok());
+        // Trailing content after the last program is rejected; blank lines
+        // are tolerated.
+        assert!(from_artifact_text(&format!("{text}{text}"), &source).is_err());
+        let body = text.splitn(3, '\n').nth(2).unwrap();
+        let err = from_artifact_text(&with_valid_checksum(&format!("{body}end\n")), &source)
+            .expect_err("trailing content");
+        assert_eq!(err.line, text.lines().count() + 1, "{err}");
+        assert!(from_artifact_text(&format!("{text}\n\n"), &source).is_ok());
     }
 }

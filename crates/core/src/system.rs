@@ -69,7 +69,6 @@ impl From<TransformError> for BuildError {
 #[derive(Clone, Debug)]
 pub struct NVariantSystemBuilder {
     program: Program,
-    pub(crate) world: Option<OsKernel>,
     initial_uid: Uid,
     config: DeploymentConfig,
     monitor_config: MonitorConfig,
@@ -102,7 +101,6 @@ impl NVariantSystemBuilder {
     pub fn from_program(program: Program) -> Self {
         NVariantSystemBuilder {
             program,
-            world: None,
             initial_uid: Uid::ROOT,
             config: DeploymentConfig::TwoVariantUid,
             monitor_config: MonitorConfig::default(),
@@ -113,13 +111,6 @@ impl NVariantSystemBuilder {
             verify_diversity: false,
             fingerprint_cache: OnceLock::new(),
         }
-    }
-
-    /// Sets the simulated world (defaults to [`WorldBuilder::standard`]).
-    #[must_use]
-    pub fn world(mut self, kernel: OsKernel) -> Self {
-        self.world = Some(kernel);
-        self
     }
 
     /// Sets the UID the program starts with (defaults to root, as the
@@ -212,12 +203,10 @@ impl NVariantSystemBuilder {
     /// options, initial UID, monitor configuration, base memory layout,
     /// execution limits and the extra unshared files.
     ///
-    /// The builder's *world* is deliberately excluded: compiled artifacts
-    /// are world-independent (worlds are re-provisioned from any base via
-    /// [`CompiledSystem::provision_world`]), so the same fingerprint is
-    /// valid across every world an artifact deploys into. Two builders with
-    /// equal fingerprints compile byte-identical variant images, which is
-    /// what lets the [`ArtifactStore`](crate::ArtifactStore) reuse compiled
+    /// No world enters it: an artifact deploys into any world through
+    /// [`CompiledSystem::provision_world`]. Two builders with equal
+    /// fingerprints compile byte-identical variant images, which is what
+    /// lets the [`ArtifactStore`](crate::ArtifactStore) reuse compiled
     /// artifacts across processes.
     ///
     /// The value is computed once per builder state and cached; every
@@ -257,141 +246,130 @@ impl NVariantSystemBuilder {
     /// Returns a [`BuildError`] if the program fails to transform or
     /// compile, or the variation cannot be instantiated.
     pub fn compile(self) -> Result<CompiledSystem, BuildError> {
-        let fingerprint = self.fingerprint();
-        let kernel = self
-            .world
-            .clone()
-            .unwrap_or_else(|| WorldBuilder::standard().build());
-        let n = self.config.variant_count();
-        let transformer = UidTransformer::new(self.transform_options.clone());
-
-        if n == 1 {
-            let (program, stats) = if self.config.transforms_uids() {
-                let variant =
-                    transformer.transform_for_variant(&self.program, &UidTransform::Identity)?;
-                (variant.program, variant.stats)
-            } else {
-                (self.program.clone(), TransformStats::default())
-            };
-            let compiled = compile_program(&program)?;
-            return Ok(CompiledSystem {
-                fingerprint,
-                config: self.config,
-                transform_stats: stats,
-                kernel_template: kernel,
-                initial_uid: self.initial_uid,
-                run_limits: self.run_limits,
-                extra_unshared: self.extra_unshared,
-                // A single process has no pair to verify; the verdict of an
-                // empty pair set is vacuously clean.
-                analysis: self.verify_diversity.then(|| combined_verdict(&[])),
-                plan: CompiledPlan::Single {
-                    program: compiled,
-                    layout: self.base_layout,
-                },
-            });
-        }
-
-        let multi = self
-            .compile_multi_variants()?
-            .expect("variant_count > 1 implies a multi-variant plan");
-        let MultiVariants {
-            variants,
-            specs,
-            programs: variant_programs,
-            stats,
-        } = multi;
+        let (sources, programs, stats) = self.compile_programs()?;
         let analysis = if self.verify_diversity {
-            Some(combined_verdict(&Self::analysis_reports(
-                &variant_programs[0],
-                &variants,
-                &specs,
-            )?))
+            Some(combined_verdict(
+                &self.analysis_reports(&sources, &programs)?,
+            ))
         } else {
             None
         };
-
-        // Register the unshared paths with the monitor (the *set* of paths
-        // is a property of the configuration; the per-world file contents
-        // are provisioned below, and re-provisioned for every alternative
-        // world via `CompiledSystem::provision_world`).
-        let mut monitor_config = self.monitor_config.clone();
-        if self.config.uses_unshared_account_files() {
-            for path in ["/etc/passwd", "/etc/group"] {
-                if !monitor_config.is_unshared(path) {
-                    monitor_config = monitor_config.with_unshared_file(path);
-                }
-            }
-        }
-        for path in &self.extra_unshared {
-            if !monitor_config.is_unshared(path) {
-                monitor_config = monitor_config.with_unshared_file(path);
-            }
-        }
-
-        let mut system = CompiledSystem {
-            fingerprint,
-            config: self.config,
-            transform_stats: stats,
-            kernel_template: kernel,
-            initial_uid: self.initial_uid,
-            run_limits: self.run_limits,
-            extra_unshared: self.extra_unshared,
-            analysis,
-            plan: CompiledPlan::Multi {
-                variants,
-                specs: VariantSet::new(specs),
-                monitor_config,
-            },
-        };
-        system.kernel_template = system.provision_world(&system.kernel_template);
-        Ok(system)
+        self.assemble(programs, stats, analysis)
     }
 
-    /// Transforms and compiles the per-variant programs of a multi-variant
-    /// plan; `None` for single-process configurations.
-    fn compile_multi_variants(&self) -> Result<Option<MultiVariants>, BuildError> {
+    /// Each variant's specification: the configuration's variation split
+    /// across its variants, or one identity spec for a single process.
+    fn variant_specs(&self) -> Result<Vec<VariantSpec>, BuildError> {
         let n = self.config.variant_count();
         if n == 1 {
-            return Ok(None);
+            return Ok(vec![VariantSpec::identity()]);
         }
         let variation = self.config.variation().ok_or_else(|| {
             BuildError::Variation("a multi-variant deployment requires a variation".to_string())
         })?;
-        let specs = variation
+        variation
             .try_variant_specs(n)
-            .map_err(BuildError::Variation)?;
+            .map_err(BuildError::Variation)
+    }
 
-        // Per-variant program text.
-        let transformer = UidTransformer::new(self.transform_options.clone());
-        let (programs, stats) = if self.config.transforms_uids() {
+    /// The costly half of compiling: each variant's transformed source and
+    /// compiled program, plus the transformation counters.
+    fn compile_programs(
+        &self,
+    ) -> Result<(Vec<Program>, Vec<CompiledProgram>, TransformStats), BuildError> {
+        let specs = self.variant_specs()?;
+        let (sources, stats) = if self.config.transforms_uids() {
             let uid_transforms: Vec<UidTransform> = specs.iter().map(|s| s.uid).collect();
-            let variants = transformer.transform_for_variants(&self.program, &uid_transforms)?;
+            let variants = UidTransformer::new(self.transform_options.clone())
+                .transform_for_variants(&self.program, &uid_transforms)?;
             let stats = variants.last().map(|v| v.stats).unwrap_or_default();
-            (
-                variants.into_iter().map(|v| v.program).collect::<Vec<_>>(),
-                stats,
-            )
+            (variants.into_iter().map(|v| v.program).collect(), stats)
         } else {
-            (vec![self.program.clone(); n], TransformStats::default())
+            (
+                vec![self.program.clone(); specs.len()],
+                TransformStats::default(),
+            )
         };
+        let programs = sources
+            .iter()
+            .map(compile_program)
+            .collect::<Result<_, _>>()?;
+        Ok((sources, programs, stats))
+    }
 
-        // Compile each variant.
-        let mut variants = Vec::with_capacity(n);
-        for (spec, program) in specs.iter().zip(&programs) {
-            let compiled = compile_program(program)?;
-            variants.push(CompiledVariant::new(
-                compiled,
-                self.layout_for(spec.addr),
-                spec.tag,
-            ));
+    /// Assembles an artifact from what compiling computes — one compiled
+    /// program per variant, the transformation counters and the verifier's
+    /// verdict — and derives everything else from this builder: the
+    /// variant specifications, layouts and tags, the monitor configuration
+    /// and the provisioned kernel template. [`compile`](Self::compile) and
+    /// the [`ArtifactStore`](crate::ArtifactStore)'s disk load both build
+    /// their [`CompiledSystem`] here, so the two can differ only in the
+    /// products passed in.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::Variation`] if the variation cannot be
+    /// instantiated, or `programs` does not hold one program per variant.
+    pub(crate) fn assemble(
+        &self,
+        mut programs: Vec<CompiledProgram>,
+        transform_stats: TransformStats,
+        analysis: Option<String>,
+    ) -> Result<CompiledSystem, BuildError> {
+        let specs = self.variant_specs()?;
+        if programs.len() != specs.len() {
+            return Err(BuildError::Variation(format!(
+                "{} compiled programs for {} variants",
+                programs.len(),
+                specs.len()
+            )));
         }
-        Ok(Some(MultiVariants {
-            variants,
-            specs,
-            programs,
-            stats,
-        }))
+        let plan = if specs.len() == 1 {
+            CompiledPlan::Single {
+                program: programs.swap_remove(0),
+                layout: self.base_layout,
+            }
+        } else {
+            // Register the unshared paths with the monitor: the *set* of
+            // paths is a property of the configuration, while the file
+            // contents are provisioned per world by `provision_world`.
+            let mut monitor_config = self.monitor_config.clone();
+            let account_files: &[&str] = if self.config.uses_unshared_account_files() {
+                &["/etc/passwd", "/etc/group"]
+            } else {
+                &[]
+            };
+            let extra = self.extra_unshared.iter().map(String::as_str);
+            for path in account_files.iter().copied().chain(extra) {
+                if !monitor_config.is_unshared(path) {
+                    monitor_config = monitor_config.with_unshared_file(path);
+                }
+            }
+            CompiledPlan::Multi {
+                variants: programs
+                    .into_iter()
+                    .zip(&specs)
+                    .map(|(program, spec)| {
+                        CompiledVariant::new(program, self.layout_for(spec.addr), spec.tag)
+                    })
+                    .collect(),
+                specs: VariantSet::new(specs),
+                monitor_config,
+            }
+        };
+        let mut system = CompiledSystem {
+            fingerprint: self.fingerprint(),
+            config: self.config.clone(),
+            transform_stats,
+            kernel_template: WorldBuilder::standard().build(),
+            initial_uid: self.initial_uid,
+            run_limits: self.run_limits,
+            extra_unshared: self.extra_unshared.clone(),
+            analysis,
+            plan,
+        };
+        system.kernel_template = system.provision_world(&system.kernel_template);
+        Ok(system)
     }
 
     /// Runs the static diversity verifier over this builder's configuration
@@ -406,33 +384,36 @@ impl NVariantSystemBuilder {
     /// Returns a [`BuildError`] if the program fails to transform or
     /// compile.
     pub fn analyze_diversity(&self) -> Result<Vec<AnalysisReport>, BuildError> {
-        match self.compile_multi_variants()? {
-            None => Ok(Vec::new()),
-            Some(multi) => {
-                Self::analysis_reports(&multi.programs[0], &multi.variants, &multi.specs)
-            }
+        if self.config.variant_count() == 1 {
+            return Ok(Vec::new());
         }
+        let (sources, programs, _) = self.compile_programs()?;
+        self.analysis_reports(&sources, &programs)
     }
 
     /// Verifies variant 0 against each sibling. The UID context is derived
     /// from variant 0's transformed AST — available only here at compile
     /// time, which is why the artifact store persists the verdict rather
-    /// than recomputing it on warm hits.
+    /// than recomputing it on warm hits. A single process has no pair, and
+    /// the verdict of an empty pair set is vacuously clean.
     fn analysis_reports(
-        canonical: &Program,
-        variants: &[CompiledVariant],
-        specs: &[VariantSpec],
+        &self,
+        sources: &[Program],
+        programs: &[CompiledProgram],
     ) -> Result<Vec<AnalysisReport>, BuildError> {
-        let ctx = UidContext::analyze(canonical)
+        if programs.len() < 2 {
+            return Ok(Vec::new());
+        }
+        let ctx = UidContext::analyze(&sources[0])
             .map_err(|e| BuildError::Transform(TransformError::Type(e)))?;
-        let artifacts: Vec<VariantArtifact<'_>> = variants
+        let artifacts: Vec<VariantArtifact<'_>> = programs
             .iter()
-            .zip(specs)
-            .map(|(variant, spec)| VariantArtifact {
-                program: &variant.program,
-                image: Arc::clone(&variant.image),
-                layout: variant.layout,
-                spec: *spec,
+            .zip(self.variant_specs()?)
+            .map(|(program, spec)| VariantArtifact {
+                program,
+                image: program.retagged_image(spec.tag),
+                layout: self.layout_for(spec.addr),
+                spec,
             })
             .collect();
         Ok(artifacts[1..]
@@ -454,18 +435,6 @@ impl NVariantSystemBuilder {
     pub fn build(self) -> Result<RunnableSystem, BuildError> {
         Ok(self.compile()?.instantiate())
     }
-}
-
-/// The intermediate products of compiling a multi-variant plan, shared by
-/// [`NVariantSystemBuilder::compile`] and
-/// [`NVariantSystemBuilder::analyze_diversity`].
-struct MultiVariants {
-    variants: Vec<CompiledVariant>,
-    specs: Vec<VariantSpec>,
-    /// The transformed per-variant ASTs (index-aligned with `variants`);
-    /// variant 0's program seeds the verifier's UID context.
-    programs: Vec<Program>,
-    stats: TransformStats,
 }
 
 /// The per-variant output of compilation: bytecode plus the memory layout
@@ -593,8 +562,7 @@ impl CompiledSystem {
     /// The returned kernel is what [`instantiate_in`](Self::instantiate_in)
     /// expects: provision once per (artifact, world) pair, then instantiate
     /// per run. The artifact's own [`kernel_template`](Self::kernel_template)
-    /// is exactly `provision_world` applied to the builder's world at
-    /// compile time.
+    /// is exactly `provision_world` applied to [`WorldBuilder::standard`].
     #[must_use]
     pub fn provision_world(&self, base: &OsKernel) -> OsKernel {
         let mut kernel = base.clone();
@@ -1149,12 +1117,8 @@ mod tests {
         // A clone of an unchanged builder keeps the same fingerprint.
         assert_eq!(builder.clone().fingerprint(), base);
         // Every artifact-shaping setter re-keys it.
-        let changed = builder.clone().config(DeploymentConfig::Unmodified);
+        let changed = builder.config(DeploymentConfig::Unmodified);
         assert_ne!(changed.fingerprint(), base);
-        // The world is deliberately excluded from the fingerprint, so
-        // setting it changes nothing.
-        let worldly = builder.world(WorldBuilder::standard().build());
-        assert_eq!(worldly.fingerprint(), base);
     }
 
     #[test]

@@ -420,10 +420,14 @@ impl<'plan> Fleet<'plan> {
         self
     }
 
-    /// Replaces the run configuration.
+    /// Replaces the run configuration. A plan always runs as at least one
+    /// shard, so a shard count of 0 means 1.
     #[must_use]
     pub fn config(mut self, config: FleetConfig) -> Self {
-        self.config = config;
+        self.config = FleetConfig {
+            shards: config.shards.max(1),
+            ..config
+        };
         self
     }
 
@@ -453,11 +457,10 @@ impl<'plan> Fleet<'plan> {
     /// merge rejects the shard set, or a retrieved shard diverges from the
     /// shared cache.
     pub fn run(&self) -> Result<FleetRun, FleetError> {
-        let shards = self.config.shards.max(1);
         let mut pool = HostPool::new(&self.hosts, self.config.quarantine_after);
         let mut warm_shards = 0_usize;
         let mut warm_cells = 0_usize;
-        let mut jobs: Vec<ShardJob> = (0..shards)
+        let mut jobs: Vec<ShardJob> = (0..self.config.shards)
             .map(|index| ShardJob {
                 index,
                 attempts_used: 0,
@@ -820,7 +823,7 @@ impl<'plan> Fleet<'plan> {
         };
         let mut expected_walk = CoordinateWalk::new(self.plan.shape())
             .skip(shard)
-            .step_by(self.config.shards.max(1));
+            .step_by(self.config.shards);
         let cache = self.plan.cell_cache();
         let mut expected_stream = CellStream::new();
         let mut observed_stream = CellStream::new();

@@ -403,6 +403,22 @@ fn fully_cached_plan_is_served_warm_without_a_single_spawn() {
 }
 
 #[test]
+fn zero_shards_runs_the_plan_as_one_shard() {
+    let dir = scratch("zero-shards");
+    let plan = plan().with_cache_dir(&dir);
+    let whole = plan.run(1); // populates the cache
+    let transport = MockTransport::new(shard_texts(&plan, 1), vec![("alpha", HostBehavior::Ok)]);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let run = fleet_over(&plan, transport, &["alpha"], quick_config(0), log)
+        .run()
+        .expect("a zero shard count runs as one shard");
+
+    assert_eq!(run.warm_shards, 1);
+    assert_eq!(run.warm_cells, 4);
+    assert_eq!(run.report.canonical_text(), whole.canonical_text());
+}
+
+#[test]
 fn corrupt_injection_is_diagnosed_to_the_exact_first_coordinate() {
     let dir = scratch("divergence-cache");
     let plan = plan().with_cache_dir(&dir);

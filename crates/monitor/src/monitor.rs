@@ -471,15 +471,15 @@ impl NVariantMonitor {
         requests: &[SyscallRequest],
         canonical_args: &[Vec<Word>],
     ) -> ExecuteResult {
-        let canon0 = &canonical_args[0];
+        // Injected code can issue a call with fewer operands than its arity;
+        // a missing operand reads as zero, as in the single-process runner.
+        let arg = |index: usize| canonical_args[0].get(index).copied().unwrap_or(Word::ZERO);
         let n = self.variants.len();
         let errno_word = |e: Errno| Word::from_i32(e.as_syscall_ret());
         let all = |w: Word| vec![w; n];
 
         match sysno {
-            Sysno::Exit => {
-                ExecuteResult::Exited(canon0.first().copied().unwrap_or(Word::ZERO).as_i32())
-            }
+            Sysno::Exit => ExecuteResult::Exited(arg(0).as_i32()),
 
             // Identity queries: perform once, re-express per variant.
             Sysno::GetUid | Sysno::GetEuid | Sysno::GetGid => {
@@ -504,7 +504,7 @@ impl NVariantMonitor {
 
             // Credential changes: canonical value applied once.
             Sysno::SetUid | Sysno::SetEuid | Sysno::SetGid => {
-                let value = canon0[0];
+                let value = arg(0);
                 let result = match sysno {
                     Sysno::SetUid => self.kernel.setuid(self.group_pid, value.as_uid()),
                     Sysno::SetEuid => self.kernel.seteuid(self.group_pid, value.as_uid()),
@@ -523,9 +523,9 @@ impl NVariantMonitor {
                         Some(w.as_uid())
                     }
                 };
-                let result =
-                    self.kernel
-                        .setreuid(self.group_pid, decode(canon0[0]), decode(canon0[1]));
+                let result = self
+                    .kernel
+                    .setreuid(self.group_pid, decode(arg(0)), decode(arg(1)));
                 ExecuteResult::Deliver(all(match result {
                     Ok(()) => Word::ZERO,
                     Err(e) => errno_word(e),
@@ -541,8 +541,8 @@ impl NVariantMonitor {
             | Sysno::CcLeq
             | Sysno::CcGt
             | Sysno::CcGeq => {
-                let a = canon0[0].as_u32();
-                let b = canon0[1].as_u32();
+                let a = arg(0).as_u32();
+                let b = arg(1).as_u32();
                 let result = match sysno {
                     Sysno::CcEq => a == b,
                     Sysno::CcNeq => a != b,
@@ -558,7 +558,7 @@ impl NVariantMonitor {
             Sysno::Read | Sysno::Recv => self.execute_read(sysno, requests),
             Sysno::Write | Sysno::Send => self.execute_write(sysno, requests),
             Sysno::Close => {
-                let vfd = canon0[0].as_u32();
+                let vfd = arg(0).as_u32();
                 match self.vfds.close(vfd) {
                     Ok(fds) => {
                         for fd in fds {
@@ -578,9 +578,9 @@ impl NVariantMonitor {
                 Err(e) => ExecuteResult::Deliver(all(errno_word(e))),
             },
             Sysno::Bind => {
-                let result = self.vfds.shared_fd(canon0[0].as_u32()).and_then(|fd| {
+                let result = self.vfds.shared_fd(arg(0).as_u32()).and_then(|fd| {
                     self.kernel
-                        .bind(self.group_pid, fd, Port::new(canon0[1].as_u32() as u16))
+                        .bind(self.group_pid, fd, Port::new(arg(1).as_u32() as u16))
                 });
                 ExecuteResult::Deliver(all(match result {
                     Ok(()) => Word::ZERO,
@@ -590,7 +590,7 @@ impl NVariantMonitor {
             Sysno::Listen => {
                 let result = self
                     .vfds
-                    .shared_fd(canon0[0].as_u32())
+                    .shared_fd(arg(0).as_u32())
                     .and_then(|fd| self.kernel.listen(self.group_pid, fd));
                 ExecuteResult::Deliver(all(match result {
                     Ok(()) => Word::ZERO,
@@ -600,7 +600,7 @@ impl NVariantMonitor {
             Sysno::Accept => {
                 let result = self
                     .vfds
-                    .shared_fd(canon0[0].as_u32())
+                    .shared_fd(arg(0).as_u32())
                     .and_then(|fd| self.kernel.accept(self.group_pid, fd));
                 match result {
                     Ok(fd) => {
@@ -1226,33 +1226,8 @@ mod tests {
             Uid::ROOT,
             MonitorConfig::default(),
         );
-        // Place "injected code" (tag 0 instructions) into the scratch buffer
-        // of both variants and redirect both program counters there, exactly
-        // what a successful return-address smash would achieve.
-        for index in 0..2 {
-            let variant = VariantId::new(index);
-            let addr = monitor
-                .variant_process(variant)
-                .global_addr("scratch")
-                .unwrap();
-            let injected = nvariant_vm::bytecode::encode_all(&[
-                nvariant_vm::Instr::new(nvariant_vm::Op::Push, 0),
-                nvariant_vm::Instr::new(nvariant_vm::Op::Syscall, Sysno::Exit.as_u32() << 8 | 1),
-            ]);
-            let process = monitor.variant_process_mut(variant);
-            process.write_bytes(addr, &injected).unwrap();
-        }
-        // Redirect execution.
-        for index in 0..2 {
-            let variant = VariantId::new(index);
-            let addr = monitor
-                .variant_process(variant)
-                .global_addr("scratch")
-                .unwrap();
-            let process = monitor.variant_process_mut(variant);
-            redirect_pc(process, addr);
-        }
-        let outcome = monitor.run_to_completion();
+        // Inject tag 0 instructions.
+        let outcome = run_injected(&mut monitor, &[push(0), syscall(Sysno::Exit, 1)]);
         assert!(outcome.detected_attack());
         match outcome.alarm.unwrap().kind {
             DivergenceKind::VariantFault { fault, .. } => {
@@ -1260,6 +1235,60 @@ mod tests {
             }
             other => panic!("expected tag mismatch fault, got {other}"),
         }
+    }
+
+    #[test]
+    fn injected_syscalls_with_missing_operands_read_them_as_zero() {
+        // Compiled code always passes a call's full arity, but injected code
+        // chooses its operand count: a short call must end in an outcome,
+        // never a panic.
+        let source = r"
+            var scratch: buf[64];
+            fn main() -> int { return 0; }
+        ";
+        for call in [
+            // setuid with no operand: setuid(0), allowed for root.
+            vec![syscall(Sysno::SetUid, 0)],
+            // bind with one operand: port 0 on a descriptor that is not open.
+            vec![push(3), syscall(Sysno::Bind, 1)],
+        ] {
+            let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::ROOT);
+            let injected: Vec<_> = call
+                .into_iter()
+                .chain([push(0), syscall(Sysno::Exit, 1)])
+                .collect();
+            let outcome = run_injected(&mut monitor, &injected);
+            assert_eq!(outcome.exit_status, Some(0), "alarm: {:?}", outcome.alarm);
+        }
+    }
+
+    fn push(value: u32) -> nvariant_vm::Instr {
+        nvariant_vm::Instr::new(nvariant_vm::Op::Push, value)
+    }
+
+    fn syscall(sysno: Sysno, argc: u32) -> nvariant_vm::Instr {
+        nvariant_vm::Instr::new(nvariant_vm::Op::Syscall, (sysno.as_u32() << 8) | argc)
+    }
+
+    /// Test helper: places `injected` in every variant's `scratch` buffer
+    /// and redirects every program counter there, exactly what a successful
+    /// return-address smash would achieve, then runs the group.
+    fn run_injected(
+        monitor: &mut NVariantMonitor,
+        injected: &[nvariant_vm::Instr],
+    ) -> NVariantOutcome {
+        let bytes = nvariant_vm::bytecode::encode_all(injected);
+        for index in 0..monitor.variant_count() {
+            let variant = VariantId::new(index);
+            let addr = monitor
+                .variant_process(variant)
+                .global_addr("scratch")
+                .unwrap();
+            let process = monitor.variant_process_mut(variant);
+            process.write_bytes(addr, &bytes).unwrap();
+            redirect_pc(process, addr);
+        }
+        monitor.run_to_completion()
     }
 
     /// Test helper: forces a process to continue execution at `target` by

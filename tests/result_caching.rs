@@ -11,7 +11,6 @@ use nvariant::{ArtifactStore, DeploymentConfig, NVariantSystemBuilder};
 use nvariant_apps::campaigns::full_matrix_campaign;
 use nvariant_apps::httpd_source;
 use nvariant_campaign::{CampaignPlan, CampaignReport, Scenario};
-use nvariant_simos::WorldBuilder;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -278,17 +277,15 @@ fn artifact_codec_is_a_fixed_point_on_the_httpd() {
     // The full mini-Apache — the largest real program in the workspace —
     // survives the codec byte-for-byte stably under every configuration the
     // sweeps use.
-    let world = WorldBuilder::standard().build();
     for config in nvariant_apps::campaigns::security_sweep_configs() {
-        let compiled = NVariantSystemBuilder::from_source(httpd_source())
+        let builder = NVariantSystemBuilder::from_source(httpd_source())
             .unwrap()
             .config(config.clone())
-            .initial_uid(nvariant_types::Uid::ROOT)
-            .compile()
-            .unwrap();
-        let text = to_artifact_text(&compiled).expect("sweep configs serialize");
-        let loaded = from_artifact_text(&text, &world).expect("artifact parses");
-        assert_eq!(to_artifact_text(&loaded).unwrap(), text, "{config}");
+            .initial_uid(nvariant_types::Uid::ROOT);
+        let compiled = builder.clone().compile().unwrap();
+        let text = to_artifact_text(&compiled);
+        let loaded = from_artifact_text(&text, &builder).expect("artifact parses");
+        assert_eq!(to_artifact_text(&loaded), text, "{config}");
         assert_eq!(loaded.instantiate().run(), compiled.instantiate().run());
     }
 }
