@@ -871,6 +871,26 @@ mod tests {
     }
 
     #[test]
+    fn oversized_write_counts_return_efault_in_every_variant() {
+        // The monitor gathers each variant's payload before writing; a
+        // program-chosen count far past the buffer must fault the read,
+        // not reserve the count.
+        let source = r"
+            var line: buf[16];
+            fn main() -> int {
+                if (write(1, &line, 0x7fffffff) != 0 - 14) { return 1; }
+                if (send(1, &line, 0x7fffffff) != 0 - 14) { return 2; }
+                return 0;
+            }
+        ";
+        let mut monitor = monitor_for(source, &Variation::address_partitioning(), Uid::ROOT);
+        let outcome = monitor.run_to_completion();
+        assert_eq!(outcome.exit_status, Some(0));
+        assert!(outcome.exited_normally());
+        assert!(!outcome.detected_attack());
+    }
+
+    #[test]
     fn uid_returning_calls_are_reexpressed_per_variant() {
         // The program only passes the UID straight back to the kernel, so
         // each variant holds a different concrete value but the canonical
@@ -1297,7 +1317,7 @@ mod tests {
     fn redirect_pc(process: &mut Process, target: VirtAddr) {
         // Execute the start stub's `Call main` so the return-address slot
         // exists at the top of the stack.
-        assert!(matches!(process.step(), nvariant_vm::StepResult::Continue));
+        assert_eq!(process.step(), None);
         let stack_top = process.layout().stack_top;
         process
             .write_word(VirtAddr::new(stack_top - 8), Word::from_addr(target))
@@ -1306,13 +1326,11 @@ mod tests {
         // injected code. `main` makes no syscalls before returning, so this
         // stays inside this variant.
         loop {
-            match process.step() {
-                nvariant_vm::StepResult::Continue => {
-                    if process.pc() == target {
-                        break;
-                    }
-                }
-                other => panic!("unexpected trap while redirecting: {other:?}"),
+            if let Some(trap) = process.step() {
+                panic!("unexpected trap while redirecting: {trap:?}");
+            }
+            if process.pc() == target {
+                break;
             }
         }
     }

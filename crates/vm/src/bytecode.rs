@@ -339,6 +339,17 @@ pub fn decode_all(code: &[u8]) -> Option<Vec<Instr>> {
         .collect()
 }
 
+/// The tag every instruction slot of a code image carries, when they all
+/// carry one (`None` for an empty image).
+#[must_use]
+pub(crate) fn uniform_tag(code: &[u8]) -> Option<u8> {
+    let tag = *code.first()?;
+    code.iter()
+        .step_by(INSTR_SIZE as usize)
+        .all(|&found| found == tag)
+        .then_some(tag)
+}
+
 /// Re-stamps every instruction in a code image with `tag`, returning the new
 /// image. This is the code-transformation half of the instruction-set
 /// tagging variation.

@@ -1,7 +1,7 @@
 //! The SimC compiler: AST to byte-encoded bytecode.
 
 use crate::ast::{BinOp, Expr, Function, LValue, Program, Stmt, Type, UnOp};
-use crate::bytecode::{decode_all, encode_all, retag_code, Instr, Op, INSTR_SIZE};
+use crate::bytecode::{decode_all, encode_all, retag_code, uniform_tag, Instr, Op, INSTR_SIZE};
 use crate::typecheck::{typecheck_program, TypeError, TypeInfo};
 use nvariant_simos::Sysno;
 use serde::{Deserialize, Serialize};
@@ -60,6 +60,10 @@ pub struct CompiledProgram {
     /// hex still parses) — the interpreter then falls back to its
     /// byte-accurate fetch path.
     stream: Option<Arc<[Instr]>>,
+    /// The tag every instruction slot of `code` carries, when they all
+    /// carry one (always 0 for compiler output; a loaded artifact may hold
+    /// anything).
+    code_tag: Option<u8>,
     /// Initial contents of the globals + rodata segment.
     pub globals_image: Vec<u8>,
     /// Offset and declared type of each global within the globals segment.
@@ -86,6 +90,7 @@ impl CompiledProgram {
     ) -> Self {
         let stream = decode_all(&code).map(Arc::from);
         CompiledProgram {
+            code_tag: uniform_tag(&code),
             code: Arc::from(code),
             stream,
             globals_image,
@@ -123,6 +128,17 @@ impl CompiledProgram {
     /// instruction, never the opcode or operand.
     pub(crate) fn stream(&self) -> Option<Arc<[Instr]>> {
         self.stream.clone()
+    }
+
+    /// The tag every instruction slot of `image` carries, when they all
+    /// carry one: recorded at construction for the program's own image,
+    /// read off the slots for any other.
+    pub(crate) fn image_tag(&self, image: &Arc<[u8]>) -> Option<u8> {
+        if Arc::ptr_eq(image, &self.code) {
+            self.code_tag
+        } else {
+            uniform_tag(image)
+        }
     }
 
     /// Number of encoded instructions in the code image.

@@ -1,8 +1,31 @@
-//! The bytecode interpreter: fetch, tag check, decode, execute.
+//! The bytecode interpreter: one loop that fetches, checks the tag, decodes
+//! and executes until the process traps.
 //!
-//! Execution proceeds one instruction at a time and *traps* to the caller on
-//! every system call, exit or fault — the hook the single-process runner and
-//! the N-variant monitor both build on.
+//! Execution *traps* to the caller on every system call, exit or fault —
+//! the hook the single-process runner and the N-variant monitor both build
+//! on. [`Process::run_until_trap`] runs a slice of up to `max_steps`
+//! instructions; [`Process::step`] is a slice of one. Both are the same
+//! loop, which implements every opcode exactly once.
+//!
+//! What the loop checks once instead of per instruction:
+//!
+//! - the process state, once per slice: a running process stays running
+//!   until the loop itself traps;
+//! - the predecoded stream, borrowed once per slice;
+//! - the tag: [`Process::with_image`] records the tag every slot of its
+//!   write-protected image carries, so the live tag byte is read only when
+//!   that record differs from the expected tag (a restamped expected tag,
+//!   a mixed-tag image), and such images fault at exactly the slot a
+//!   per-step check would;
+//! - memory: when the layout's segments are disjoint (decided once per
+//!   process), an address in the stack or the globals is placed by one
+//!   comparison against that segment's bounds; any other address takes the
+//!   full segment lookup, and every access faults exactly where a byte walk
+//!   would.
+//!
+//! A pc outside the predecoded stream (misaligned, beyond the image, in a
+//! data segment, or in an image that did not predecode) always takes the
+//! byte-accurate fetch.
 
 use crate::bytecode::{Instr, Op, INSTR_SIZE};
 use crate::fault::Fault;
@@ -11,24 +34,13 @@ use nvariant_simos::{SyscallRequest, Sysno};
 use nvariant_types::{VirtAddr, Word};
 use serde::{Deserialize, Serialize};
 
-/// The result of executing a single instruction.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StepResult {
-    /// The instruction completed; execution may continue.
-    Continue,
-    /// The process issued a system call and is waiting for its result
-    /// (deliver it with [`Process::complete_syscall`]).
-    Syscall(SyscallRequest),
-    /// The process halted.
-    Exited(i32),
-    /// The process faulted.
-    Faulted(Fault),
-}
-
-/// Why [`Process::run_until_trap`] stopped.
+/// Why the interpreter stopped: the trap [`Process::run_until_trap`]
+/// returns, and the one [`Process::step`] returns unless the instruction
+/// simply completed.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TrapReason {
-    /// A system call was issued.
+    /// The process issued a system call and is waiting for its result
+    /// (deliver it with [`Process::complete_syscall`]).
     Syscall(SyscallRequest),
     /// The process exited.
     Exited(i32),
@@ -43,301 +55,285 @@ impl Process {
     ///
     /// Exceeding the step budget is reported as a
     /// [`Fault::StepLimitExceeded`] — the monitor treats a runaway variant
-    /// the same way it treats any other fault.
+    /// the same way it treats any other fault. A budget of zero does so
+    /// without looking at the process, even one that already exited.
     pub fn run_until_trap(&mut self, max_steps: u64) -> TrapReason {
-        for _ in 0..max_steps {
-            match self.step() {
-                StepResult::Continue => {}
-                StepResult::Syscall(req) => return TrapReason::Syscall(req),
-                StepResult::Exited(status) => return TrapReason::Exited(status),
-                StepResult::Faulted(fault) => return TrapReason::Faulted(fault),
-            }
-        }
-        self.set_faulted(Fault::StepLimitExceeded);
-        TrapReason::Faulted(Fault::StepLimitExceeded)
+        self.run_steps(max_steps).unwrap_or_else(|| {
+            self.set_faulted(Fault::StepLimitExceeded);
+            TrapReason::Faulted(Fault::StepLimitExceeded)
+        })
     }
 
-    /// Executes one instruction.
-    pub fn step(&mut self) -> StepResult {
+    /// Executes one instruction: `None` when it completed and execution
+    /// may continue, otherwise the trap it raised (an exited or faulted
+    /// process traps again without executing anything).
+    pub fn step(&mut self) -> Option<TrapReason> {
+        self.run_steps(1)
+    }
+
+    /// Runs at most `budget` instructions; `None` when the budget ran out
+    /// before a trap.
+    fn run_steps(&mut self, budget: u64) -> Option<TrapReason> {
+        if budget == 0 {
+            return None;
+        }
         match self.state {
             ProcessState::Running => {}
-            ProcessState::Exited(status) => return StepResult::Exited(status),
-            ProcessState::Faulted(fault) => return StepResult::Faulted(fault),
+            ProcessState::Exited(status) => return Some(TrapReason::Exited(status)),
+            ProcessState::Faulted(fault) => return Some(TrapReason::Faulted(fault)),
         }
-
-        // Fetch. Fast path: an aligned, in-range pc indexes the predecoded
-        // stream directly — no allocation, no re-decode. The tag check
-        // reads the live tag byte from the (possibly retagged) code image,
-        // not the stream, because the stream is shared across tags and
-        // tests may restamp `expected_tag` out from under the image.
-        let instr = {
-            let off = self.pc.wrapping_sub(self.layout.code_base);
-            let predecoded = match &self.instrs {
-                Some(instrs)
-                    if off.is_multiple_of(INSTR_SIZE) && (off as usize) < self.code.len() =>
-                {
-                    let found = self.code[off as usize];
-                    if found == self.expected_tag {
-                        Some(instrs[(off / INSTR_SIZE) as usize])
-                    } else {
-                        return self.fault(Fault::TagMismatch {
-                            pc: VirtAddr::new(self.pc),
-                            expected: self.expected_tag,
-                            found,
-                        });
-                    }
-                }
-                _ => None,
-            };
-            if let Some(instr) = predecoded {
-                instr
-            } else {
-                // Byte-accurate slow path: out-of-range or misaligned pc,
-                // execution redirected into a data segment (the monitor's
-                // code-injection scenarios), or an image that didn't
-                // predecode. Faults exactly as a byte walk would.
-                let pc = VirtAddr::new(self.pc);
-                let mut raw = [0u8; INSTR_SIZE as usize];
-                for (i, byte) in raw.iter_mut().enumerate() {
-                    *byte = match self.read_byte(pc + i as u32) {
-                        Ok(byte) => byte,
-                        Err(fault) => return self.fault(fault),
-                    };
-                }
-                let instr = match crate::bytecode::decode_slot(raw, pc.as_u32()) {
-                    Ok(instr) => instr,
-                    Err(failure) => {
-                        return self.fault(Fault::IllegalInstruction {
-                            pc,
-                            raw: failure.raw,
-                        });
-                    }
-                };
-                if instr.tag != self.expected_tag {
-                    return self.fault(Fault::TagMismatch {
-                        pc,
-                        expected: self.expected_tag,
-                        found: instr.tag,
-                    });
-                }
-                instr
-            }
-        };
-
-        self.pc = self.pc.wrapping_add(INSTR_SIZE);
-        self.instructions_executed += 1;
-        self.execute(instr)
+        // Moved out for the slice so the loop can borrow it while mutating
+        // the rest of the process; nothing else reads it meanwhile.
+        let stream = self.instrs.take();
+        let trap = self.interpret(stream.as_deref().unwrap_or_default(), budget);
+        self.instrs = stream;
+        trap
     }
 
-    fn fault(&mut self, fault: Fault) -> StepResult {
-        self.state = ProcessState::Faulted(fault);
-        StepResult::Faulted(fault)
-    }
-
-    fn pop(&mut self) -> Result<Word, Fault> {
-        self.ostack.pop().ok_or(Fault::OperandStackUnderflow)
-    }
-
-    fn execute(&mut self, instr: Instr) -> StepResult {
+    fn interpret(&mut self, stream: &[Instr], budget: u64) -> Option<TrapReason> {
         macro_rules! try_fault {
             ($e:expr) => {
                 match $e {
                     Ok(value) => value,
-                    Err(fault) => return self.fault(fault),
+                    Err(fault) => return Some(self.fault(fault)),
                 }
             };
         }
+        macro_rules! pop {
+            () => {
+                try_fault!(self.ostack.pop().ok_or(Fault::OperandStackUnderflow))
+            };
+        }
+        macro_rules! binary {
+            ($lhs:ident, $rhs:ident => $result:expr) => {{
+                let $rhs = pop!();
+                let $lhs = pop!();
+                self.ostack.push($result);
+            }};
+        }
 
-        let operand = instr.operand;
-        match instr.op {
-            Op::Nop => {}
-            Op::Push => self.ostack.push(Word::from_u32(operand)),
-            Op::Dup => {
-                let top = try_fault!(self.pop());
-                self.ostack.push(top);
-                self.ostack.push(top);
-            }
-            Op::Pop => {
-                try_fault!(self.pop());
-            }
-            Op::Swap => {
-                let a = try_fault!(self.pop());
-                let b = try_fault!(self.pop());
-                self.ostack.push(a);
-                self.ostack.push(b);
-            }
+        let check_tags = self.image_tag != Some(self.expected_tag);
+        for _ in 0..budget {
+            // Fetch: an aligned pc inside the stream indexes it directly
+            // (the stream spans exactly the image, see `with_image`).
+            let off = self.pc.wrapping_sub(self.layout.code_base);
+            let instr = match stream.get((off / INSTR_SIZE) as usize) {
+                Some(&instr) if off.is_multiple_of(INSTR_SIZE) => {
+                    if check_tags {
+                        let found = self.code[off as usize];
+                        if found != self.expected_tag {
+                            return Some(self.fault(self.tag_mismatch(found)));
+                        }
+                    }
+                    instr
+                }
+                _ => try_fault!(self.fetch_bytes()),
+            };
+            self.pc = self.pc.wrapping_add(INSTR_SIZE);
+            self.instructions_executed += 1;
 
-            Op::LoadG => {
-                let addr = VirtAddr::new(self.layout.globals_base.wrapping_add(operand));
-                let value = try_fault!(self.read_word(addr));
-                self.ostack.push(value);
-            }
-            Op::StoreG => {
-                let value = try_fault!(self.pop());
-                let addr = VirtAddr::new(self.layout.globals_base.wrapping_add(operand));
-                try_fault!(self.write_word(addr, value));
-            }
-            Op::LoadL => {
-                let addr = VirtAddr::new(self.fp.wrapping_sub(operand));
-                let value = try_fault!(self.read_word(addr));
-                self.ostack.push(value);
-            }
-            Op::StoreL => {
-                let value = try_fault!(self.pop());
-                let addr = VirtAddr::new(self.fp.wrapping_sub(operand));
-                try_fault!(self.write_word(addr, value));
-            }
-            Op::LeaG => {
-                self.ostack.push(Word::from_u32(
+            let operand = instr.operand;
+            match instr.op {
+                Op::Nop => {}
+                Op::Push => self.ostack.push(Word::from_u32(operand)),
+                Op::Dup => {
+                    let top = pop!();
+                    self.ostack.push(top);
+                    self.ostack.push(top);
+                }
+                Op::Pop => {
+                    pop!();
+                }
+                Op::Swap => {
+                    let a = pop!();
+                    let b = pop!();
+                    self.ostack.push(a);
+                    self.ostack.push(b);
+                }
+
+                Op::LoadG => {
+                    let addr = self.layout.globals_base.wrapping_add(operand);
+                    let value = try_fault!(self.read_word(VirtAddr::new(addr)));
+                    self.ostack.push(value);
+                }
+                Op::StoreG => {
+                    let value = pop!();
+                    let addr = self.layout.globals_base.wrapping_add(operand);
+                    try_fault!(self.write_word(VirtAddr::new(addr), value));
+                }
+                Op::LoadL => {
+                    let addr = self.fp.wrapping_sub(operand);
+                    let value = try_fault!(self.read_word(VirtAddr::new(addr)));
+                    self.ostack.push(value);
+                }
+                Op::StoreL => {
+                    let value = pop!();
+                    let addr = self.fp.wrapping_sub(operand);
+                    try_fault!(self.write_word(VirtAddr::new(addr), value));
+                }
+                Op::LeaG => self.ostack.push(Word::from_u32(
                     self.layout.globals_base.wrapping_add(operand),
-                ));
-            }
-            Op::LeaL => {
-                self.ostack
-                    .push(Word::from_u32(self.fp.wrapping_sub(operand)));
-            }
-            Op::LoadW => {
-                let addr = try_fault!(self.pop()).as_addr();
-                let value = try_fault!(self.read_word(addr));
-                self.ostack.push(value);
-            }
-            Op::StoreW => {
-                let addr = try_fault!(self.pop()).as_addr();
-                let value = try_fault!(self.pop());
-                try_fault!(self.write_word(addr, value));
-            }
-            Op::LoadB => {
-                let addr = try_fault!(self.pop()).as_addr();
-                let value = try_fault!(self.read_byte(addr));
-                self.ostack.push(Word::from_u32(u32::from(value)));
-            }
-            Op::StoreB => {
-                let addr = try_fault!(self.pop()).as_addr();
-                let value = try_fault!(self.pop());
-                try_fault!(self.write_byte(addr, (value.as_u32() & 0xFF) as u8));
-            }
+                )),
+                Op::LeaL => self
+                    .ostack
+                    .push(Word::from_u32(self.fp.wrapping_sub(operand))),
+                Op::LoadW => {
+                    let addr = pop!().as_addr();
+                    let value = try_fault!(self.read_word(addr));
+                    self.ostack.push(value);
+                }
+                Op::StoreW => {
+                    let addr = pop!().as_addr();
+                    let value = pop!();
+                    try_fault!(self.write_word(addr, value));
+                }
+                Op::LoadB => {
+                    let addr = pop!().as_addr();
+                    let value = try_fault!(self.read_byte(addr));
+                    self.ostack.push(Word::from_u32(u32::from(value)));
+                }
+                Op::StoreB => {
+                    let addr = pop!().as_addr();
+                    let value = pop!();
+                    try_fault!(self.write_byte(addr, (value.as_u32() & 0xFF) as u8));
+                }
 
-            Op::Add
-            | Op::Sub
-            | Op::Mul
-            | Op::Div
-            | Op::Mod
-            | Op::BitAnd
-            | Op::BitOr
-            | Op::BitXor
-            | Op::Shl
-            | Op::Shr
-            | Op::Eq
-            | Op::Ne
-            | Op::Lt
-            | Op::Le
-            | Op::Gt
-            | Op::Ge => {
-                let rhs = try_fault!(self.pop());
-                let lhs = try_fault!(self.pop());
-                let result = match instr.op {
-                    Op::Add => Word::from_u32(lhs.as_u32().wrapping_add(rhs.as_u32())),
-                    Op::Sub => Word::from_u32(lhs.as_u32().wrapping_sub(rhs.as_u32())),
-                    Op::Mul => Word::from_u32(lhs.as_u32().wrapping_mul(rhs.as_u32())),
-                    Op::Div => {
-                        if rhs.as_i32() == 0 {
-                            return self.fault(Fault::DivideByZero);
-                        }
-                        Word::from_i32(lhs.as_i32().wrapping_div(rhs.as_i32()))
+                Op::Add => binary!(l, r => Word::from_u32(l.as_u32().wrapping_add(r.as_u32()))),
+                Op::Sub => binary!(l, r => Word::from_u32(l.as_u32().wrapping_sub(r.as_u32()))),
+                Op::Mul => binary!(l, r => Word::from_u32(l.as_u32().wrapping_mul(r.as_u32()))),
+                Op::Div | Op::Mod => {
+                    let rhs = pop!();
+                    let lhs = pop!();
+                    if rhs.as_i32() == 0 {
+                        return Some(self.fault(Fault::DivideByZero));
                     }
-                    Op::Mod => {
-                        if rhs.as_i32() == 0 {
-                            return self.fault(Fault::DivideByZero);
-                        }
-                        Word::from_i32(lhs.as_i32().wrapping_rem(rhs.as_i32()))
+                    self.ostack.push(Word::from_i32(if instr.op == Op::Div {
+                        lhs.as_i32().wrapping_div(rhs.as_i32())
+                    } else {
+                        lhs.as_i32().wrapping_rem(rhs.as_i32())
+                    }));
+                }
+                Op::BitAnd => binary!(l, r => Word::from_u32(l.as_u32() & r.as_u32())),
+                Op::BitOr => binary!(l, r => Word::from_u32(l.as_u32() | r.as_u32())),
+                Op::BitXor => binary!(l, r => Word::from_u32(l.as_u32() ^ r.as_u32())),
+                Op::Shl => {
+                    binary!(l, r => Word::from_u32(l.as_u32().wrapping_shl(r.as_u32() & 31)));
+                }
+                Op::Shr => {
+                    binary!(l, r => Word::from_u32(l.as_u32().wrapping_shr(r.as_u32() & 31)));
+                }
+                Op::Eq => binary!(l, r => Word::from_bool(l == r)),
+                Op::Ne => binary!(l, r => Word::from_bool(l != r)),
+                Op::Lt => binary!(l, r => Word::from_bool(l.as_i32() < r.as_i32())),
+                Op::Le => binary!(l, r => Word::from_bool(l.as_i32() <= r.as_i32())),
+                Op::Gt => binary!(l, r => Word::from_bool(l.as_i32() > r.as_i32())),
+                Op::Ge => binary!(l, r => Word::from_bool(l.as_i32() >= r.as_i32())),
+                Op::Neg => {
+                    let value = pop!();
+                    self.ostack
+                        .push(Word::from_i32(value.as_i32().wrapping_neg()));
+                }
+                Op::Not => {
+                    let value = pop!();
+                    self.ostack.push(Word::from_bool(value.as_u32() == 0));
+                }
+                Op::BitNot => {
+                    let value = pop!();
+                    self.ostack.push(Word::from_u32(!value.as_u32()));
+                }
+
+                Op::Jmp => self.pc = self.layout.code_base.wrapping_add(operand),
+                Op::Jz => {
+                    if pop!().as_u32() == 0 {
+                        self.pc = self.layout.code_base.wrapping_add(operand);
                     }
-                    Op::BitAnd => Word::from_u32(lhs.as_u32() & rhs.as_u32()),
-                    Op::BitOr => Word::from_u32(lhs.as_u32() | rhs.as_u32()),
-                    Op::BitXor => Word::from_u32(lhs.as_u32() ^ rhs.as_u32()),
-                    Op::Shl => Word::from_u32(lhs.as_u32().wrapping_shl(rhs.as_u32() & 31)),
-                    Op::Shr => Word::from_u32(lhs.as_u32().wrapping_shr(rhs.as_u32() & 31)),
-                    Op::Eq => Word::from_bool(lhs == rhs),
-                    Op::Ne => Word::from_bool(lhs != rhs),
-                    Op::Lt => Word::from_bool(lhs.as_i32() < rhs.as_i32()),
-                    Op::Le => Word::from_bool(lhs.as_i32() <= rhs.as_i32()),
-                    Op::Gt => Word::from_bool(lhs.as_i32() > rhs.as_i32()),
-                    Op::Ge => Word::from_bool(lhs.as_i32() >= rhs.as_i32()),
-                    _ => unreachable!("covered by outer match arm"),
-                };
-                self.ostack.push(result);
-            }
-            Op::Neg => {
-                let value = try_fault!(self.pop());
-                self.ostack
-                    .push(Word::from_i32(value.as_i32().wrapping_neg()));
-            }
-            Op::Not => {
-                let value = try_fault!(self.pop());
-                self.ostack.push(Word::from_bool(value.as_u32() == 0));
-            }
-            Op::BitNot => {
-                let value = try_fault!(self.pop());
-                self.ostack.push(Word::from_u32(!value.as_u32()));
-            }
-
-            Op::Jmp => self.pc = self.layout.code_base.wrapping_add(operand),
-            Op::Jz => {
-                let value = try_fault!(self.pop());
-                if value.as_u32() == 0 {
-                    self.pc = self.layout.code_base.wrapping_add(operand);
                 }
-            }
-            Op::Jnz => {
-                let value = try_fault!(self.pop());
-                if value.as_u32() != 0 {
-                    self.pc = self.layout.code_base.wrapping_add(operand);
+                Op::Jnz => {
+                    if pop!().as_u32() != 0 {
+                        self.pc = self.layout.code_base.wrapping_add(operand);
+                    }
                 }
-            }
 
-            Op::Call => {
-                let target = self.layout.code_base.wrapping_add(operand);
-                try_fault!(self.push_frame(target));
-            }
-            Op::CallPtr => {
-                let target = try_fault!(self.pop()).as_u32();
-                try_fault!(self.push_frame(target));
-            }
-            Op::Enter => {
-                self.sp = self.sp.wrapping_sub(operand);
-                if self.sp < self.layout.stack_base() {
-                    return self.fault(Fault::StackOverflow);
+                Op::Call => {
+                    let target = self.layout.code_base.wrapping_add(operand);
+                    try_fault!(self.push_frame(target));
                 }
-            }
-            Op::Ret => {
-                let fp = VirtAddr::new(self.fp);
-                let return_addr = try_fault!(self.read_word(fp));
-                let saved_fp = try_fault!(self.read_word(fp + 4));
-                self.sp = self.fp.wrapping_add(8);
-                self.fp = saved_fp.as_u32();
-                self.pc = return_addr.as_u32();
-            }
-
-            Op::Syscall => {
-                let number = operand >> 8;
-                let argc = (operand & 0xFF) as usize;
-                let Some(sysno) = Sysno::from_u32(number) else {
-                    return self.fault(Fault::InvalidSyscall { number });
-                };
-                let mut args = Vec::with_capacity(argc);
-                for _ in 0..argc {
-                    args.push(try_fault!(self.pop()));
+                Op::CallPtr => {
+                    let target = pop!().as_u32();
+                    try_fault!(self.push_frame(target));
                 }
-                args.reverse();
-                self.syscalls_made += 1;
-                return StepResult::Syscall(SyscallRequest::new(sysno, args));
-            }
+                Op::Enter => {
+                    self.sp = self.sp.wrapping_sub(operand);
+                    if self.sp < self.layout.stack_base() {
+                        return Some(self.fault(Fault::StackOverflow));
+                    }
+                }
+                Op::Ret => {
+                    let fp = VirtAddr::new(self.fp);
+                    let return_addr = try_fault!(self.read_word(fp));
+                    let saved_fp = try_fault!(self.read_word(fp + 4));
+                    self.sp = self.fp.wrapping_add(8);
+                    self.fp = saved_fp.as_u32();
+                    self.pc = return_addr.as_u32();
+                }
 
-            Op::Halt => {
-                self.state = ProcessState::Exited(0);
-                return StepResult::Exited(0);
+                Op::Syscall => {
+                    let number = operand >> 8;
+                    let argc = (operand & 0xFF) as usize;
+                    let Some(sysno) = Sysno::from_u32(number) else {
+                        return Some(self.fault(Fault::InvalidSyscall { number }));
+                    };
+                    let mut args = Vec::with_capacity(argc);
+                    for _ in 0..argc {
+                        args.push(pop!());
+                    }
+                    args.reverse();
+                    self.syscalls_made += 1;
+                    return Some(TrapReason::Syscall(SyscallRequest::new(sysno, args)));
+                }
+
+                Op::Halt => {
+                    self.state = ProcessState::Exited(0);
+                    return Some(TrapReason::Exited(0));
+                }
             }
         }
-        StepResult::Continue
+        None
+    }
+
+    fn fault(&mut self, fault: Fault) -> TrapReason {
+        self.state = ProcessState::Faulted(fault);
+        TrapReason::Faulted(fault)
+    }
+
+    fn tag_mismatch(&self, found: u8) -> Fault {
+        Fault::TagMismatch {
+            pc: VirtAddr::new(self.pc),
+            expected: self.expected_tag,
+            found,
+        }
+    }
+
+    /// The byte-accurate fetch for a pc outside the predecoded stream:
+    /// misaligned or out of the image, redirected into a data segment (the
+    /// monitor's code-injection scenarios), or in an image that did not
+    /// predecode. Faults exactly as a byte walk would.
+    fn fetch_bytes(&self) -> Result<Instr, Fault> {
+        let pc = VirtAddr::new(self.pc);
+        let mut raw = [0u8; INSTR_SIZE as usize];
+        for (i, byte) in raw.iter_mut().enumerate() {
+            *byte = self.read_byte(pc + i as u32)?;
+        }
+        let instr = crate::bytecode::decode_slot(raw, pc.as_u32()).map_err(|failure| {
+            Fault::IllegalInstruction {
+                pc,
+                raw: failure.raw,
+            }
+        })?;
+        if instr.tag != self.expected_tag {
+            return Err(self.tag_mismatch(instr.tag));
+        }
+        Ok(instr)
     }
 
     /// Pushes a call frame (return address and saved frame pointer) onto the
@@ -350,7 +346,10 @@ impl Process {
         // Saved frame pointer at the higher address, return address below it:
         // a buffer overflow that writes upward reaches the return address
         // first, exactly like the classic stack-smash layout.
-        self.write_word(VirtAddr::new(new_sp + 4), Word::from_u32(self.fp))?;
+        self.write_word(
+            VirtAddr::new(new_sp.wrapping_add(4)),
+            Word::from_u32(self.fp),
+        )?;
         self.write_word(VirtAddr::new(new_sp), Word::from_u32(self.pc))?;
         self.fp = new_sp;
         self.sp = new_sp;
@@ -582,9 +581,9 @@ mod tests {
         let mut p = Process::new(&compiled, MemoryLayout::default());
         p.expected_tag = 1;
         match p.step() {
-            StepResult::Faulted(Fault::TagMismatch {
+            Some(TrapReason::Faulted(Fault::TagMismatch {
                 expected, found, ..
-            }) => {
+            })) => {
                 assert_eq!(expected, 1);
                 assert_eq!(found, 0);
             }
@@ -647,7 +646,13 @@ mod tests {
     fn exited_process_stays_exited() {
         let mut p = process_for("fn main() -> int { return 3; }");
         let _ = run_to_exit(&mut p);
-        assert_eq!(p.step(), StepResult::Exited(3));
+        assert_eq!(p.step(), Some(TrapReason::Exited(3)));
         assert_eq!(p.run_until_trap(10), TrapReason::Exited(3));
+        // A zero budget is exhausted before the state is looked at.
+        assert_eq!(
+            p.run_until_trap(0),
+            TrapReason::Faulted(Fault::StepLimitExceeded)
+        );
+        assert_eq!(p.state(), ProcessState::Faulted(Fault::StepLimitExceeded));
     }
 }

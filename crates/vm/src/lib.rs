@@ -71,7 +71,7 @@ pub use ast::{BinOp, Expr, Function, GlobalDecl, LValue, Param, Program, Stmt, T
 pub use bytecode::{decode_slot, decode_slot_at, DecodeFailure, Instr, Op, INSTR_SIZE};
 pub use compile::{compile_program, CompileError, CompiledProgram};
 pub use fault::Fault;
-pub use interp::{StepResult, TrapReason};
+pub use interp::TrapReason;
 pub use lexer::{LexError, Token};
 pub use parser::{parse_program, ParseError};
 pub use pretty::pretty_print;

@@ -22,7 +22,7 @@
 //! partition bit (`0x8000_0000`), so the same program runs at disjoint
 //! addresses in the two variants.
 
-use crate::bytecode::Instr;
+use crate::bytecode::{Instr, INSTR_SIZE};
 use crate::compile::CompiledProgram;
 use crate::fault::Fault;
 use nvariant_simos::ProcessMem;
@@ -135,9 +135,19 @@ pub struct Process {
     pub(crate) code: Arc<[u8]>,
     /// Predecoded view of `code`: instruction `i` covers bytes
     /// `i * INSTR_SIZE ..`. Opcode and operand are tag-independent, so the
-    /// tag-0 stream serves every retagged image; the fetch stage reads the
-    /// live tag byte from `code`. `None` falls back to byte decoding.
+    /// tag-0 stream serves every retagged image. `None` (an image that did
+    /// not predecode, or one whose length is not the stream's) falls back
+    /// to byte decoding.
     pub(crate) instrs: Option<Arc<[Instr]>>,
+    /// The tag every instruction slot of `code` carries, when they all
+    /// carry one. The code segment is write-protected, so this never goes
+    /// stale: the fetch stage reads live tag bytes only when it differs
+    /// from `expected_tag`.
+    pub(crate) image_tag: Option<u8>,
+    /// Whether no two segments overlap (as in every layout the paper's
+    /// variations build), so an address in the stack or the globals can be
+    /// placed without the full segment lookup.
+    disjoint: bool,
     pub(crate) globals: Vec<u8>,
     pub(crate) stack: Vec<u8>,
     pub(crate) pc: u32,
@@ -180,12 +190,19 @@ impl Process {
         tag: u8,
         image: Arc<[u8]>,
     ) -> Self {
-        debug_assert_eq!(image.len(), compiled.code().len());
+        let instrs = compiled
+            .stream()
+            .filter(|stream| stream.len() * INSTR_SIZE as usize == image.len());
+        let image_tag = compiled.image_tag(&image);
+        let globals = compiled.globals_image.clone();
+        let disjoint = segments_disjoint(layout, image.len(), globals.len());
         Process {
             layout,
             code: image,
-            instrs: compiled.stream(),
-            globals: compiled.globals_image.clone(),
+            instrs,
+            image_tag,
+            disjoint,
+            globals,
             stack: vec![0; layout.stack_size as usize],
             pc: layout.code_base + compiled.entry_offset,
             sp: layout.stack_top,
@@ -220,6 +237,18 @@ impl Process {
     #[must_use]
     pub fn pc(&self) -> VirtAddr {
         VirtAddr::new(self.pc)
+    }
+
+    /// The current stack pointer.
+    #[must_use]
+    pub fn sp(&self) -> VirtAddr {
+        VirtAddr::new(self.sp)
+    }
+
+    /// The current frame pointer.
+    #[must_use]
+    pub fn fp(&self) -> VirtAddr {
+        VirtAddr::new(self.fp)
     }
 
     /// The instruction tag this process' fetch stage requires.
@@ -306,7 +335,29 @@ impl Process {
 
     // ----- memory access ------------------------------------------------------
 
+    fn bytes_of(&self, segment: Segment) -> &[u8] {
+        match segment {
+            Segment::Code => &self.code,
+            Segment::Globals => &self.globals,
+            Segment::Stack => &self.stack,
+        }
+    }
+
+    /// The segment containing `addr` and its offset there. With disjoint
+    /// segments the stack and then the globals are tried first, against
+    /// their bounds alone — behind nearly every load and store.
+    #[inline]
     fn segment_for(&self, addr: u32) -> Option<(Segment, usize)> {
+        if self.disjoint {
+            let off = addr.wrapping_sub(self.layout.stack_base()) as usize;
+            if off < self.stack.len() {
+                return Some((Segment::Stack, off));
+            }
+            let off = addr.wrapping_sub(self.layout.globals_base) as usize;
+            if off < self.globals.len() {
+                return Some((Segment::Globals, off));
+            }
+        }
         let code_end = self.layout.code_base + self.code.len() as u32;
         let globals_end = self.layout.globals_base + self.globals.len() as u32;
         let stack_base = self.layout.stack_base();
@@ -328,9 +379,7 @@ impl Process {
     /// Returns [`Fault::Segfault`] if the address is unmapped.
     pub fn read_byte(&self, addr: VirtAddr) -> Result<u8, Fault> {
         match self.segment_for(addr.as_u32()) {
-            Some((Segment::Code, off)) => Ok(self.code[off]),
-            Some((Segment::Globals, off)) => Ok(self.globals[off]),
-            Some((Segment::Stack, off)) => Ok(self.stack[off]),
+            Some((segment, off)) => Ok(self.bytes_of(segment)[off]),
             None => Err(Fault::Segfault { addr }),
         }
     }
@@ -411,11 +460,7 @@ impl Process {
         let (segment, off) = self
             .segment_for(addr.as_u32())
             .ok_or(Fault::Segfault { addr })?;
-        let bytes = match segment {
-            Segment::Code => &self.code[..],
-            Segment::Globals => &self.globals,
-            Segment::Stack => &self.stack,
-        };
+        let bytes = self.bytes_of(segment);
         match bytes.get(off..off + len) {
             Some(slice) => Ok(slice),
             None => Err(Fault::Segfault {
@@ -447,7 +492,13 @@ impl Process {
         if let Ok(slice) = self.read_slice(addr, len) {
             return Ok(slice.to_vec());
         }
-        let mut out = Vec::with_capacity(len);
+        // `len` is the program's own choice (a `write` count), so reserve
+        // no more than the containing segment holds: the walk faults where
+        // the mapping ends, and grows past it only under adjacent layouts.
+        let room = self
+            .segment_for(addr.as_u32())
+            .map_or(0, |(segment, off)| self.bytes_of(segment).len() - off);
+        let mut out = Vec::with_capacity(len.min(room));
         for i in 0..len {
             out.push(self.read_byte(addr + i as u32)?);
         }
@@ -483,11 +534,7 @@ impl Process {
         // within it — otherwise the byte walk decides what lies beyond the
         // segment end.
         if let Some((segment, off)) = self.segment_for(addr.as_u32()) {
-            let bytes = match segment {
-                Segment::Code => &self.code[..],
-                Segment::Globals => &self.globals,
-                Segment::Stack => &self.stack,
-            };
+            let bytes = self.bytes_of(segment);
             let window = &bytes[off..bytes.len().min(off + max)];
             match window.iter().position(|&b| b == 0) {
                 Some(nul) => return Ok(window[..nul].to_vec()),
@@ -505,6 +552,19 @@ impl Process {
         }
         Ok(out)
     }
+}
+
+/// Whether the code, globals and stack segments of `layout` neither
+/// overlap nor wrap past the top of the address space.
+fn segments_disjoint(layout: MemoryLayout, code_len: usize, globals_len: usize) -> bool {
+    let span = |base: u32, len: u64| (u64::from(base), u64::from(base) + len);
+    let mut segments = [
+        span(layout.code_base, code_len as u64),
+        span(layout.globals_base, globals_len as u64),
+        span(layout.stack_base(), u64::from(layout.stack_size)),
+    ];
+    segments.sort_unstable();
+    segments[2].1 <= 1 << 32 && segments.windows(2).all(|pair| pair[0].1 <= pair[1].0)
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -374,6 +374,26 @@ mod tests {
     }
 
     #[test]
+    fn oversized_write_counts_return_efault() {
+        // The count is the program's own: the runner must not reserve it
+        // before finding that the buffer ends 16 bytes in.
+        let (outcome, _, _) = run_source(
+            r"
+            var line: buf[16];
+            fn main() -> int {
+                if (write(1, &line, 0x7fffffff) != 0 - 14) { return 1; }
+                if (send(1, &line, 0x7fffffff) != 0 - 14) { return 2; }
+                return 0;
+            }
+            ",
+            Uid::ROOT,
+        );
+        assert_eq!(outcome.exit_status, Some(0));
+        assert!(outcome.exited_normally());
+        assert_eq!(outcome.io_bytes, 0);
+    }
+
+    #[test]
     fn network_round_trip() {
         let program = parse_with_stdlib(
             r#"

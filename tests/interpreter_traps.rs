@@ -1,0 +1,692 @@
+//! Trap semantics of the bytecode interpreter, pinned on arbitrary
+//! bytecode.
+//!
+//! Compiled SimC only ever exercises the interpreter's well-formed paths.
+//! This test drives fixed-seed random code images over every opcode through
+//! the fault paths instead: operands biased to segment edges, misaligned
+//! and out-of-image jump targets, code planted in the globals segment, and
+//! `Enter`/`Call` near the stack base. Every image runs under the default,
+//! partition-bit and partition+offset layouts, with tags 0 and 1, a
+//! mismatched tag and a mixed-tag image. Each case probes three states at
+//! budgets 0, 1, 7 and 10,000: the fresh process, and the process after
+//! each of its first two traps under the full budget — resumed past a
+//! system call, or already exited or faulted.
+//!
+//! Each probe is one line of the committed golden fixture
+//! `tests/fixtures/interpreter_traps_golden.txt`: the trap, pc, sp, fp,
+//! `instructions_executed`, `syscalls_made` and the `digest_into` value.
+//! The same probe stepped one `step()` at a time must reach the same trap
+//! with the same values. Regenerate the fixture (only when a change
+//! *deliberately* alters interpreter semantics) with
+//! `NVARIANT_REGEN_GOLDEN=1 cargo test --test interpreter_traps`.
+
+use nvariant_simos::Sysno;
+use nvariant_types::{Fnv1a, Word};
+use nvariant_vm::bytecode::encode_all;
+use nvariant_vm::{
+    CompiledProgram, Fault, Instr, MemoryLayout, Op, Process, ProcessState, TrapReason, TypeInfo,
+    INSTR_SIZE,
+};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::sync::Arc;
+
+const SEED: u64 = 15;
+const IMAGES: u64 = 20;
+const BUDGETS: [u64; 4] = [0, 1, 7, FULL];
+/// The budget that advances a case from one probed state to the next.
+const FULL: u64 = 10_000;
+const STATES: usize = 3;
+const SLOT: usize = INSTR_SIZE as usize;
+
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("interpreter_traps_golden.txt")
+}
+
+fn layouts() -> [MemoryLayout; 3] {
+    let base = MemoryLayout::default();
+    [
+        base,
+        base.with_partition_bit(),
+        base.with_partition_bit().with_offset(0x40),
+    ]
+}
+
+/// SplitMix64: a dependency-free, fixed-seed generator.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u32) -> u32 {
+        (self.next() % u64::from(n)) as u32
+    }
+
+    fn pick(&mut self, values: &[u32]) -> u32 {
+        values[self.below(values.len() as u32) as usize]
+    }
+}
+
+/// One random image: the compiled program plus the shape facts the
+/// operand generator biases towards.
+struct Image {
+    compiled: CompiledProgram,
+    /// Slot indices whose tag byte the mixed-tag image restamps.
+    mixed_slots: Vec<usize>,
+}
+
+/// Operands aimed at the edges of every segment under every layout.
+struct Edges {
+    slots: u32,
+    globals_len: u32,
+    /// Globals offset of the code planted in the globals segment.
+    plant: u32,
+}
+
+impl Edges {
+    fn globals_relative(&self, rng: &mut Rng) -> u32 {
+        let g = self.globals_len;
+        let base = MemoryLayout::default();
+        let to_code = base.code_base.wrapping_sub(base.globals_base);
+        let to_stack = base.stack_base().wrapping_sub(base.globals_base);
+        if rng.below(3) != 0 {
+            return 4 * rng.below(g / 4 - 1);
+        }
+        let inside = rng.below(g);
+        rng.pick(&[
+            0,
+            4,
+            g - 4,
+            g - 3,
+            g - 1,
+            g,
+            g + 4,
+            inside,
+            0u32.wrapping_sub(4),
+            to_code,
+            to_code.wrapping_add(self.slots * INSTR_SIZE - 2),
+            to_stack,
+            to_stack.wrapping_sub(2),
+        ])
+    }
+
+    fn frame_relative(rng: &mut Rng) -> u32 {
+        if rng.below(3) != 0 {
+            return 4 + 4 * rng.below(15);
+        }
+        let size = MemoryLayout::default().stack_size;
+        let (local, wild) = (4 * rng.below(16), rng.next() as u32);
+        rng.pick(&[
+            0,
+            2,
+            4,
+            8,
+            12,
+            local,
+            0u32.wrapping_sub(4),
+            0u32.wrapping_sub(8),
+            size - 4,
+            size - 1,
+            size,
+            size + 4,
+            wild,
+        ])
+    }
+
+    fn code_target(&self, rng: &mut Rng) -> u32 {
+        let end = self.slots * INSTR_SIZE;
+        let base = MemoryLayout::default();
+        let to_globals = base.globals_base.wrapping_sub(base.code_base);
+        let in_image = rng.below(self.slots) * INSTR_SIZE;
+        if rng.below(3) != 0 {
+            return in_image;
+        }
+        let misaligned = in_image + 1 + rng.below(INSTR_SIZE - 1);
+        let wild = rng.next() as u32;
+        rng.pick(&[
+            in_image,
+            in_image,
+            misaligned,
+            end,
+            end + INSTR_SIZE,
+            end - 3,
+            0u32.wrapping_sub(INSTR_SIZE),
+            to_globals.wrapping_add(self.plant),
+            to_globals.wrapping_add(self.globals_len - 2),
+            wild,
+        ])
+    }
+
+    fn frame_size(rng: &mut Rng) -> u32 {
+        if rng.below(3) != 0 {
+            return 4 * rng.below(8);
+        }
+        let size = MemoryLayout::default().stack_size;
+        rng.pick(&[
+            0,
+            4,
+            16,
+            size - 12,
+            size - 8,
+            size - 4,
+            size,
+            size + 8,
+            0u32.wrapping_sub(16),
+            0x0090_0000,
+        ])
+    }
+
+    fn address(&self, rng: &mut Rng) -> u32 {
+        let layout = layouts()[rng.below(3) as usize];
+        let globals_end = layout.globals_base + self.globals_len;
+        let code_end = layout.code_base + self.slots * INSTR_SIZE;
+        let slot = layout.code_base + rng.below(self.slots) * INSTR_SIZE;
+        let (small, wild) = (rng.below(8), rng.next() as u32);
+        rng.pick(&[
+            layout.globals_base,
+            layout.globals_base + self.plant,
+            globals_end - 4,
+            globals_end - 3,
+            globals_end - 1,
+            globals_end,
+            layout.globals_base - 1,
+            layout.stack_base(),
+            layout.stack_base() - 1,
+            layout.stack_base() - 4,
+            layout.stack_top - 4,
+            layout.stack_top - 3,
+            layout.stack_top - 1,
+            layout.stack_top,
+            layout.code_base,
+            slot,
+            code_end - 1,
+            code_end,
+            0,
+            1,
+            small,
+            wild,
+        ])
+    }
+
+    fn syscall(rng: &mut Rng) -> u32 {
+        let number = if rng.below(8) == 0 {
+            0xABC
+        } else {
+            Sysno::ALL[rng.below(Sysno::ALL.len() as u32) as usize].as_u32()
+        };
+        let argc = if rng.below(16) == 0 {
+            0xFF
+        } else {
+            rng.below(4)
+        };
+        (number << 8) | argc
+    }
+
+    fn operand(&self, op: Op, rng: &mut Rng) -> u32 {
+        match op {
+            Op::LoadG | Op::StoreG | Op::LeaG => self.globals_relative(rng),
+            Op::LoadL | Op::StoreL | Op::LeaL => Self::frame_relative(rng),
+            Op::Jmp | Op::Jz | Op::Jnz | Op::Call => self.code_target(rng),
+            Op::Enter => Self::frame_size(rng),
+            Op::Syscall => Self::syscall(rng),
+            Op::Push => self.address(rng),
+            _ => rng.below(4),
+        }
+    }
+
+    /// A data word: small values (zero divides) or a segment edge.
+    fn value(&self, rng: &mut Rng) -> Instr {
+        let value = if rng.below(3) != 0 {
+            rng.below(4)
+        } else {
+            self.address(rng)
+        };
+        Instr::new(Op::Push, value)
+    }
+
+    /// An instruction leaving an address on the operand stack: computed
+    /// relative to the globals or the frame, as compiled code does, or
+    /// absolute.
+    fn address_of(&self, rng: &mut Rng) -> Instr {
+        match rng.below(3) {
+            0 => Instr::new(Op::LeaG, self.globals_relative(rng)),
+            1 => Instr::new(Op::LeaL, Self::frame_relative(rng)),
+            _ => Instr::new(Op::Push, self.address(rng)),
+        }
+    }
+
+    /// A fed sequence aimed at one edge: a call frame at or below the
+    /// stack base, a store into code, a word straddling the end of the
+    /// globals or the top of the stack, or a jump into planted code or off
+    /// the slot grid.
+    fn motif(&self, rng: &mut Rng, out: &mut Vec<Instr>) {
+        let base = MemoryLayout::default();
+        let to_code = base.code_base.wrapping_sub(base.globals_base);
+        let to_globals = base.globals_base.wrapping_sub(base.code_base);
+        let g = self.globals_len;
+        match rng.below(5) {
+            0 => {
+                out.push(Instr::new(Op::Enter, base.stack_size - 4 * rng.below(4)));
+                out.push(Instr::new(Op::Call, rng.below(self.slots) * INSTR_SIZE));
+            }
+            1 => {
+                let store = [Op::StoreW, Op::StoreB][rng.below(2) as usize];
+                out.push(self.value(rng));
+                out.push(Instr::new(Op::LeaG, to_code.wrapping_add(rng.below(8))));
+                out.push(Instr::new(store, 0));
+            }
+            2 => {
+                out.push(Instr::new(Op::LeaG, g - 1 - rng.below(3)));
+                out.push(Instr::new(Op::LoadW, 0));
+            }
+            3 => out.push(Instr::new(Op::LoadL, 0u32.wrapping_sub(1 + rng.below(3)))),
+            _ => {
+                let target = if rng.below(2) == 0 {
+                    to_globals.wrapping_add(self.plant)
+                } else {
+                    rng.below(self.slots) * INSTR_SIZE + 1 + rng.below(INSTR_SIZE - 1)
+                };
+                out.push(Instr::new(Op::Jmp, target));
+            }
+        }
+    }
+
+    /// One random opcode, usually preceded by the pushes that feed its
+    /// operands so execution reaches past it.
+    fn snippet(&self, rng: &mut Rng, out: &mut Vec<Instr>) {
+        if rng.below(5) == 0 {
+            self.motif(rng, out);
+            return;
+        }
+        let op = Op::ALL[rng.below(Op::ALL.len() as u32) as usize];
+        let instr = Instr::new(op, self.operand(op, rng));
+        if rng.below(8) != 0 {
+            match op {
+                Op::LoadW | Op::LoadB | Op::CallPtr => out.push(self.address_of(rng)),
+                Op::StoreW | Op::StoreB => {
+                    out.push(self.value(rng));
+                    out.push(self.address_of(rng));
+                }
+                Op::Jz | Op::Jnz => out.push(Instr::new(Op::Push, rng.below(2))),
+                Op::StoreG | Op::StoreL | Op::Pop | Op::Dup | Op::Neg | Op::Not | Op::BitNot => {
+                    out.push(self.value(rng));
+                }
+                Op::Syscall => {
+                    for _ in 0..(instr.operand & 0xFF).min(3) {
+                        out.push(self.value(rng));
+                    }
+                }
+                Op::Swap
+                | Op::Add
+                | Op::Sub
+                | Op::Mul
+                | Op::Div
+                | Op::Mod
+                | Op::BitAnd
+                | Op::BitOr
+                | Op::BitXor
+                | Op::Shl
+                | Op::Shr
+                | Op::Eq
+                | Op::Ne
+                | Op::Lt
+                | Op::Le
+                | Op::Gt
+                | Op::Ge => {
+                    out.push(self.value(rng));
+                    out.push(self.value(rng));
+                }
+                _ => {}
+            }
+        }
+        out.push(instr);
+        // A frame reserved near the stack base, then a call whose frame
+        // push lands on (or just below) it.
+        if op == Op::Enter && rng.below(2) == 0 {
+            out.push(Instr::new(Op::Call, self.code_target(rng)));
+        }
+    }
+}
+
+/// Image 0: a well-formed tour that executes every opcode once under the
+/// default layout — arithmetic, stack shuffles, globals and frame accesses,
+/// every branch, a direct and an indirect call, a system call and `Halt`.
+fn tour_image() -> Image {
+    use Op::{
+        Add, BitAnd, BitNot, BitOr, BitXor, Call, CallPtr, Div, Dup, Enter, Eq, Ge, Gt, Halt, Jmp,
+        Jnz, Jz, Le, LeaG, LeaL, LoadB, LoadG, LoadL, LoadW, Lt, Mod, Mul, Ne, Neg, Nop, Not, Pop,
+        Push, Ret, Shl, Shr, StoreB, StoreG, StoreL, StoreW, Sub, Swap, Syscall,
+    };
+    let mut body: Vec<(Op, u32)> = vec![(Nop, 0), (Push, 5), (Push, 3), (Add, 0)];
+    for (op, rhs) in [
+        (Sub, 2),
+        (Mul, 3),
+        (Div, 4),
+        (Mod, 3),
+        (BitAnd, 3),
+        (BitOr, 6),
+        (BitXor, 2),
+        (Shl, 2),
+        (Shr, 1),
+        (Eq, 1),
+        (Ne, 0),
+        (Lt, 1),
+        (Le, 1),
+        (Gt, 0),
+        (Ge, 2),
+    ] {
+        body.extend([(Push, rhs), (op, 0)]);
+    }
+    body.extend([
+        (Neg, 0),
+        (Not, 0),
+        (BitNot, 0),
+        (Dup, 0),
+        (Swap, 0),
+        (Pop, 0),
+    ]);
+    body.extend([
+        (StoreG, 0),
+        (LoadG, 0),
+        (Jz, 0),
+        (Push, 1),
+        (Jnz, 0),
+        (Jmp, 0),
+    ]);
+    body.extend([(LeaG, 4), (LoadW, 0), (Pop, 0)]);
+    body.extend([
+        (Push, 0x41),
+        (LeaG, 8),
+        (StoreW, 0),
+        (Push, 0x42),
+        (LeaG, 9),
+        (StoreB, 0),
+    ]);
+    body.extend([
+        (LeaG, 9),
+        (LoadB, 0),
+        (Pop, 0),
+        (Call, 0),
+        (Push, 0),
+        (CallPtr, 0),
+    ]);
+    // The whole stack reserved in one frame: the stack pointer lands
+    // exactly on the stack base, which is not an overflow.
+    let stack_size = MemoryLayout::default().stack_size;
+    body.extend([
+        (Syscall, Sysno::Time.as_u32() << 8),
+        (Pop, 0),
+        (Enter, stack_size),
+    ]);
+    body.push((Halt, 0));
+    let function = body.len() as u32 * INSTR_SIZE;
+    body.extend([
+        (Enter, 8),
+        (Push, 9),
+        (StoreL, 4),
+        (LoadL, 4),
+        (LeaL, 4),
+        (Pop, 0),
+    ]);
+    body.extend([(Pop, 0), (Ret, 0)]);
+
+    let instrs: Vec<Instr> = body
+        .iter()
+        .enumerate()
+        .map(|(slot, &(op, operand))| {
+            let operand = match op {
+                // Branches fall through to the next slot whether taken or not.
+                Jz | Jnz | Jmp => (slot as u32 + 1) * INSTR_SIZE,
+                Call => function,
+                _ if op == Push && body[slot + 1].0 == CallPtr => {
+                    MemoryLayout::default().code_base + function
+                }
+                _ => operand,
+            };
+            Instr::new(op, operand)
+        })
+        .collect();
+    let slots = instrs.len();
+    Image {
+        compiled: CompiledProgram::new(
+            encode_all(&instrs),
+            vec![0; 16],
+            BTreeMap::new(),
+            BTreeMap::new(),
+            0,
+            TypeInfo::default(),
+        ),
+        mixed_slots: vec![slots / 2],
+    }
+}
+
+fn random_image(index: u64) -> Image {
+    let mut rng = Rng(SEED ^ index.wrapping_mul(0xA24B_AED4_963E_E407));
+    let slots = 24 + rng.below(48);
+    let globals_len = 16 + 4 * rng.below(12) + rng.below(4);
+    let edges = Edges {
+        slots,
+        globals_len,
+        plant: rng.below(globals_len - 2 * INSTR_SIZE),
+    };
+
+    let mut instrs = Vec::new();
+    while instrs.len() < slots as usize {
+        edges.snippet(&mut rng, &mut instrs);
+    }
+    instrs.truncate(slots as usize);
+    let mut code = encode_all(&instrs);
+    // One image in six carries an undecodable slot, so it never predecodes
+    // and every fetch takes the byte-accurate path.
+    if rng.below(6) == 0 {
+        let slot = rng.below(8) as usize;
+        code[slot * SLOT + 1] = 0xEE;
+    }
+
+    let mut globals = vec![0u8; globals_len as usize];
+    for byte in &mut globals {
+        *byte = rng.below(256) as u8;
+    }
+    let mut planted = Vec::new();
+    while planted.len() < 2 {
+        edges.snippet(&mut rng, &mut planted);
+    }
+    for (k, instr) in planted.iter().take(2).enumerate() {
+        let tag = rng.below(3) as u8;
+        let at = edges.plant as usize + k * SLOT;
+        globals[at..at + SLOT].copy_from_slice(&instr.with_tag(tag).encode());
+    }
+
+    let mut mixed_slots: Vec<usize> = (0..slots as usize).filter(|_| rng.below(4) == 0).collect();
+    if mixed_slots.is_empty() {
+        mixed_slots.push(rng.below(slots) as usize);
+    }
+    let entry = if rng.below(4) == 0 {
+        rng.below(slots) * INSTR_SIZE
+    } else {
+        0
+    };
+    Image {
+        compiled: CompiledProgram::new(
+            code,
+            globals,
+            BTreeMap::new(),
+            BTreeMap::new(),
+            entry,
+            TypeInfo::default(),
+        ),
+        mixed_slots,
+    }
+}
+
+/// The four tag configurations: (label, expected tag, code image).
+fn tag_cases(image: &Image) -> [(&'static str, u8, Arc<[u8]>); 4] {
+    let compiled = &image.compiled;
+    let mut mixed = compiled.retagged_image(1).to_vec();
+    for slot in &image.mixed_slots {
+        mixed[slot * SLOT] = 0;
+    }
+    [
+        ("t0", 0, compiled.retagged_image(0)),
+        ("t1", 1, compiled.retagged_image(1)),
+        ("mismatch", 1, compiled.retagged_image(0)),
+        ("mixed", 1, Arc::from(mixed)),
+    ]
+}
+
+fn render_trap(trap: &TrapReason) -> String {
+    match trap {
+        TrapReason::Syscall(req) => {
+            let args: Vec<String> = req
+                .args
+                .iter()
+                .map(|w| format!("{:x}", w.as_u32()))
+                .collect();
+            format!("syscall {}({})", req.sysno.name(), args.join(","))
+        }
+        TrapReason::Exited(status) => format!("exited {status}"),
+        TrapReason::Faulted(fault) => format!("{fault:?}"),
+    }
+}
+
+/// The recorded values of a process after a slice.
+fn snapshot(process: &Process, trap: &TrapReason) -> String {
+    let mut digest = Fnv1a::new();
+    process.digest_into(&mut digest);
+    format!(
+        "{} pc={:x} sp={:x} fp={:x} n={} sc={} d={:016x}",
+        render_trap(trap),
+        process.pc().as_u32(),
+        process.sp().as_u32(),
+        process.fp().as_u32(),
+        process.instructions_executed(),
+        process.syscalls_made(),
+        digest.finish()
+    )
+}
+
+/// The opcode the next `step()` would execute, if the process is running
+/// and its pc decodes.
+fn next_op(process: &Process) -> Option<Op> {
+    if process.state() != ProcessState::Running {
+        return None;
+    }
+    let bytes = process.read_bytes(process.pc(), SLOT).ok()?;
+    Instr::decode(&bytes).map(|instr| instr.op)
+}
+
+/// Runs `budget` single steps, stopping at the first trap; an exhausted
+/// budget faults exactly as `run_until_trap` does.
+fn step_slice(process: &mut Process, budget: u64, executed: &mut BTreeSet<u8>) -> TrapReason {
+    for _ in 0..budget {
+        if let Some(op) = next_op(process) {
+            executed.insert(op.as_u8());
+        }
+        if let Some(trap) = process.step() {
+            return trap;
+        }
+    }
+    process.set_faulted(Fault::StepLimitExceeded);
+    TrapReason::Faulted(Fault::StepLimitExceeded)
+}
+
+/// Answers a system call the way a kernel would: `exit` ends the process,
+/// anything else returns a fixed value.
+fn resume(process: &mut Process, trap: &TrapReason, state: usize) {
+    if let TrapReason::Syscall(req) = trap {
+        if req.sysno == Sysno::Exit {
+            process.set_exited(req.arg(0).as_i32());
+        } else {
+            process.complete_syscall(Word::from_u32(state as u32 + 3));
+        }
+    }
+}
+
+fn golden_text(executed: &mut BTreeSet<u8>) -> String {
+    let mut text = String::new();
+    for index in 0..IMAGES {
+        let image = if index == 0 {
+            tour_image()
+        } else {
+            random_image(index)
+        };
+        for (l, layout) in layouts().into_iter().enumerate() {
+            for (label, tag, code) in tag_cases(&image) {
+                let mut process =
+                    Process::with_image(&image.compiled, layout, tag, Arc::clone(&code));
+                for state in 0..STATES {
+                    for budget in BUDGETS {
+                        let mut run = process.clone();
+                        let trap = run.run_until_trap(budget);
+                        let line = snapshot(&run, &trap);
+                        let mut stepped = process.clone();
+                        let stepped_trap = step_slice(&mut stepped, budget, executed);
+                        assert_eq!(
+                            snapshot(&stepped, &stepped_trap),
+                            line,
+                            "image {index} layout {l} {label} state {state} budget {budget}: \
+                             stepping diverged from run_until_trap"
+                        );
+                        writeln!(text, "i{index} l{l} {label} s{state} b{budget} {line}").unwrap();
+                    }
+                    let trap = process.run_until_trap(FULL);
+                    resume(&mut process, &trap, state);
+                }
+            }
+        }
+    }
+    text
+}
+
+#[test]
+fn random_bytecode_traps_match_the_committed_golden_fixture() {
+    let mut executed = BTreeSet::new();
+    let text = golden_text(&mut executed);
+    let missing: Vec<Op> = Op::ALL
+        .iter()
+        .copied()
+        .filter(|op| !executed.contains(&op.as_u8()))
+        .collect();
+    assert!(missing.is_empty(), "opcodes never executed: {missing:?}");
+
+    let path = golden_path();
+    if std::env::var_os("NVARIANT_REGEN_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &text).unwrap();
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); generate it on a known-good \
+             tree with NVARIANT_REGEN_GOLDEN=1 cargo test --test interpreter_traps",
+            path.display()
+        )
+    });
+    if let Some((n, (got, want))) = text
+        .lines()
+        .zip(golden.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!(
+            "line {} drifted from the golden fixture:\n got: {got}\nwant: {want}",
+            n + 1
+        );
+    }
+    assert_eq!(
+        text.lines().count(),
+        golden.lines().count(),
+        "line count drifted from the golden fixture"
+    );
+}
