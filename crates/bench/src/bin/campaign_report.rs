@@ -16,13 +16,15 @@
 //!   carry this plan's canonical hash, keep its cells in canonical order,
 //!   and the merged cell set must cover the plan's full matrix (missing,
 //!   duplicated or out-of-order cells are named exactly) — no cell is ever
-//!   re-run. The merge is the crate's one [`ShardMerger`], *streamed*: a
-//!   k-way merge over one [`ShardCursor`] per file folds every cell
+//!   re-run. The merge is [`stream_merge_shards`], the one `campaignd` runs
+//!   too: a k-way merge over one shard cursor per file folds every cell
 //!   straight into a [`StreamingAggregator`], so peak memory holds one
-//!   decoded cell per shard regardless of shard size. Pass `--verify-rerun` to
-//!   additionally re-run the whole plan unsharded in-process and assert
-//!   the merged canonical cell stream is **byte-identical** (compared via
-//!   a running digest, so the merged cells are still never materialized).
+//!   decoded cell per shard regardless of shard size. Pass `--verify-rerun`
+//!   to additionally re-run the whole plan unsharded in-process and assert
+//!   the merged canonical cell stream is **byte-identical**: each merged
+//!   cell is compared with the re-run's cell in lockstep, in the pass that
+//!   merges it, and a mismatch names the first differing cell with both
+//!   canonical lines.
 //! * `campaign_report --surface` — additionally print the
 //!   attack-success-probability surface: per (configuration, world,
 //!   attack class), the success and detection rates over judged cells
@@ -38,10 +40,10 @@
 //!   the sweep as an interchange file through the streaming
 //!   [`ShardWriter`] (one cell in memory at a time), and `--synthetic
 //!   --merge FILE...` stream-merges such files gated by the synthetic
-//!   plan's hash and shape, always cross-checking the merged canonical
-//!   cell stream digest against an in-process regeneration — so the
-//!   "merge peak memory is independent of shard size" experiment runs
-//!   end-to-end under the same cap.
+//!   plan's identity, always comparing the merged canonical cell stream
+//!   with an in-process regeneration in the same pass — so the "merge peak
+//!   memory is independent of shard size" experiment runs end-to-end under
+//!   the same cap.
 //!
 //! `--replicate-factor N` also applies to the real matrix: it multiplies
 //! the plan's replicate axis N-fold (changing the plan hash, like any
@@ -66,13 +68,13 @@ use nvariant_apps::campaigns::report_matrix_plan;
 use nvariant_apps::httpd_source;
 use nvariant_apps::scenarios::{artifact_store, init_artifact_store};
 use nvariant_bench::{
-    render_table, resolve_cache_dir, verify_diversity_gate, EXIT_ANALYSIS_FINDINGS,
+    render_table, resolve_cache_dir, stream_merge_shards, verify_diversity_gate, MergeOutputs,
+    EXIT_ANALYSIS_FINDINGS,
 };
 use nvariant_campaign::{
-    CampaignPlan, CampaignReport, PlanShape, ShardCursor, ShardHeader, ShardMerger, ShardWriter,
-    StreamingAggregator, SyntheticSweep,
+    CampaignPlan, CampaignReport, ShardHeader, ShardWriter, StreamingAggregator, SyntheticSweep,
 };
-use nvariant_types::fnv::Fnv1a;
+use nvariant_fleet::{Coordinates, Divergence};
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -435,94 +437,62 @@ fn run_shard_mode(plan: &CampaignPlan, index: usize, count: usize, workers: usiz
     println!("Wrote shard report to {out}");
 }
 
-/// The running digest of a canonical cell stream: FNV-1a over every cell's
-/// canonical line (newline-terminated), in canonical order. Two reports
-/// whose headers and cell counts match and whose stream digests agree are
-/// byte-identical in canonical serialization — without either side holding
-/// more than one cell at a time.
-#[derive(Debug, Default)]
-struct CanonicalDigest {
-    hasher: Fnv1a,
-    cells: usize,
-}
-
-impl CanonicalDigest {
-    fn push(&mut self, line: &str) {
-        self.hasher.write_str(line);
-        self.hasher.write_str("\n");
-        self.cells += 1;
-    }
-
-    fn finish(&self) -> (u64, usize) {
-        (self.hasher.finish(), self.cells)
-    }
-}
-
-/// Opens, gates, and k-way merges shard files into a fresh aggregator,
-/// returning it alongside the running digest of the merged canonical cell
-/// stream. Every validation or parse failure prints the offending file and
-/// exits. Peak memory holds one decoded cell per shard however large the
-/// shards are.
-fn stream_merge_shards(
+/// Merges shard files through [`stream_merge_shards`], comparing the
+/// merged cells with `reference` in the same pass, and prints the merged
+/// summary (and surface); a merge failure prints its cause and exits 1.
+fn merge_and_summarize(
     files: &[String],
-    expected_hash: u64,
-    expected_shape: PlanShape,
-) -> (StreamingAggregator, CanonicalDigest) {
-    let mut cursors = Vec::with_capacity(files.len());
-    for file in files {
-        let cursor = ShardCursor::open(Path::new(file)).unwrap_or_else(|error| {
-            eprintln!("{file}: {error}");
-            std::process::exit(1);
-        });
-        let header = cursor.header();
-        // Gate on this coordinator's own plan before any aggregation: a
-        // shard from a differently-shaped plan (or the wrong --quick
-        // setting) is rejected here even if every *shard file* agrees.
-        if header.plan_hash != expected_hash {
-            eprintln!(
-                "{file}: shard plan hash {:#018x} does not match this plan ({expected_hash:#018x}); \
-                 was the worker run with a different --quick setting or plan version?",
-                header.plan_hash
-            );
-            std::process::exit(1);
-        }
-        // The shape must be this plan's too: merge validates coverage
-        // against the *declared* shape, so a tampered shape line could
-        // otherwise shrink the expected matrix and pass a subset off as
-        // complete.
-        if header.shape != expected_shape {
-            eprintln!(
-                "{file}: shard declares matrix shape {} but this plan is {expected_shape}",
-                header.shape
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "Opened {file}: shard of plan {:#018x}, {:.1?} of shard wall",
-            header.plan_hash, header.total_wall
-        );
-        cursors.push(cursor);
-    }
-    let mut merger = ShardMerger::new(cursors).unwrap_or_else(|error| {
-        eprintln!("merge failed: {error}");
-        std::process::exit(1);
-    });
-    let mut aggregator = StreamingAggregator::from_header(merger.header());
-    let mut digest = CanonicalDigest::default();
-    loop {
-        match merger.next_cell() {
-            Ok(Some(cell)) => {
-                aggregator.absorb(&cell);
-                digest.push(&cell.canonical_line());
-            }
-            Ok(None) => break,
-            Err(error) => {
-                eprintln!("merge failed: {error}");
+    plan: &ShardHeader,
+    reference: Option<&mut dyn Iterator<Item = (Coordinates, String)>>,
+    surface: bool,
+    surface_out: Option<&Path>,
+) -> (StreamingAggregator, Option<Divergence>) {
+    let (aggregator, divergence) =
+        stream_merge_shards(files, plan, reference, MergeOutputs::default()).unwrap_or_else(
+            |error| {
+                eprintln!("{error}");
                 std::process::exit(1);
-            }
-        }
+            },
+        );
+    println!(
+        "\nMerged report (plan hash {:#018x}):",
+        aggregator.plan_hash()
+    );
+    println!("{}", aggregator.render_summary());
+    if surface {
+        emit_surface(&aggregator, surface_out);
     }
-    (aggregator, digest)
+    (aggregator, divergence)
+}
+
+/// Prints a determinism check's verdict line (`identical` when the merge
+/// matched its reference) and, on a mismatch, the first differing cell
+/// with both canonical lines, then exits 1.
+fn report_determinism(check: &str, identical: &str, divergence: Option<Divergence>) {
+    println!(
+        "{check}: {}",
+        if divergence.is_none() {
+            identical
+        } else {
+            "MISMATCH"
+        }
+    );
+    if let Some(divergence) = divergence {
+        eprintln!("{divergence}");
+        std::process::exit(1);
+    }
+}
+
+/// The synthetic sweep's plan identity as a shard header carrying `wall`.
+fn sweep_header(sweep: &SyntheticSweep, total_wall: Duration) -> ShardHeader {
+    ShardHeader {
+        name: sweep.name.clone(),
+        base_seed: sweep.base_seed,
+        plan_hash: sweep.plan_hash(),
+        shape: sweep.shape,
+        workers: 1,
+        total_wall,
+    }
 }
 
 /// `--synthetic --shard I/N --out FILE`: write one round-robin shard of
@@ -541,14 +511,7 @@ fn run_synthetic_shard(sweep: &SyntheticSweep, index: usize, count: usize, out: 
     // in the file — sum it in a first pass and regenerate the cells in the
     // second rather than holding them.
     let wall: Duration = indices().map(|linear| sweep.cell(linear).wall).sum();
-    let header = ShardHeader {
-        name: sweep.name.clone(),
-        base_seed: sweep.base_seed,
-        plan_hash: sweep.plan_hash(),
-        shape: sweep.shape,
-        workers: 1,
-        total_wall: wall,
-    };
+    let header = sweep_header(sweep, wall);
     let fail = |error: &dyn std::fmt::Display| -> ! {
         eprintln!("cannot write shard file {out}: {error}");
         std::process::exit(1);
@@ -566,56 +529,48 @@ fn run_synthetic_shard(sweep: &SyntheticSweep, index: usize, count: usize, out: 
 }
 
 /// `--synthetic --merge FILE...`: stream-merge synthetic shard files,
-/// gated by the synthetic plan's hash and shape. Because every synthetic
-/// cell is regenerable in-process for the cost of a fold, the canonical
+/// gated by the synthetic plan's identity. Because every synthetic cell is
+/// regenerable in-process for the cost of a fold, the canonical
 /// byte-identity cross-check that the real matrix gates behind
 /// `--verify-rerun` runs unconditionally here — still in constant memory,
-/// comparing running digests of the merged and regenerated cell streams.
+/// comparing each merged cell with its regeneration in the merge pass.
 fn run_synthetic_merge(
     sweep: &SyntheticSweep,
     files: &[String],
     surface: bool,
     surface_out: Option<&Path>,
 ) {
-    let (aggregator, digest) = stream_merge_shards(files, sweep.plan_hash(), sweep.shape);
-    println!(
-        "\nMerged report (plan hash {:#018x}):",
-        aggregator.plan_hash()
+    let mut regenerated = (0..sweep.cell_count()).map(|linear| {
+        let cell = sweep.cell(linear);
+        (cell.spec.coordinates(), cell.canonical_line())
+    });
+    let (_, divergence) = merge_and_summarize(
+        files,
+        &sweep_header(sweep, Duration::ZERO),
+        Some(&mut regenerated),
+        surface,
+        surface_out,
     );
-    println!("{}", aggregator.render_summary());
-    if surface {
-        emit_surface(&aggregator, surface_out);
-    }
     // Unlike the real matrix, verdict mismatches are *modeled data* in the
     // synthetic sweep (the surface reports them per group), not a failure.
-
-    let mut regenerated = CanonicalDigest::default();
-    for linear in 0..sweep.cell_count() {
-        regenerated.push(&sweep.cell(linear).canonical_line());
-    }
-    let identical = regenerated.finish() == digest.finish();
-    println!(
-        "Synthetic determinism check ({} shard file(s) vs regenerated stream): {}",
-        files.len(),
-        if identical {
-            "byte-identical canonical cell streams"
-        } else {
-            "MISMATCH"
-        }
+    report_determinism(
+        &format!(
+            "Synthetic determinism check ({} shard file(s) vs regenerated stream)",
+            files.len()
+        ),
+        "byte-identical canonical cell streams",
+        divergence,
     );
-    if !identical {
-        std::process::exit(1);
-    }
 }
 
 /// `--merge FILE...`: validate and merge shard files. Validation-only by
-/// default — the plan hash gates the merge and the plan's cell matrix is
-/// checked for coverage, so no cell is ever re-run. The merge itself
-/// streams: one [`ShardCursor`] per file feeds a k-way [`ShardMerger`],
-/// every merged cell folds into a [`StreamingAggregator`] and is dropped,
-/// so peak memory holds one decoded cell per shard however large the
-/// shards are. `--verify-rerun` additionally re-runs the plan unsharded
-/// and compares canonical cell streams by running digest.
+/// default — the plan identity gates the merge and the plan's cell matrix
+/// is checked for coverage, so no cell is ever re-run. The merge itself
+/// streams through [`stream_merge_shards`]: every merged cell folds into a
+/// [`StreamingAggregator`] and is dropped, so peak memory holds one
+/// decoded cell per shard however large the shards are. `--verify-rerun`
+/// additionally re-runs the plan unsharded first and compares each merged
+/// cell with the re-run's in the merge pass.
 fn run_merge_mode(
     plan: &CampaignPlan,
     files: &[String],
@@ -624,15 +579,17 @@ fn run_merge_mode(
     surface: bool,
     surface_out: Option<&Path>,
 ) {
-    let (aggregator, digest) = stream_merge_shards(files, plan.plan_hash(), plan.shape());
-    println!(
-        "\nMerged report (plan hash {:#018x}):",
-        aggregator.plan_hash()
+    // The belt-and-braces cross-check: the whole plan re-run unsharded
+    // in-process is the reference the merged cells are compared with.
+    let whole = verify_rerun.then(|| plan.run(workers));
+    let mut reference = whole.iter().flat_map(CampaignReport::canonical_cells);
+    let (aggregator, divergence) = merge_and_summarize(
+        files,
+        &plan.identity(),
+        verify_rerun.then_some(&mut reference),
+        surface,
+        surface_out,
     );
-    println!("{}", aggregator.render_summary());
-    if surface {
-        emit_surface(&aggregator, surface_out);
-    }
 
     let mismatches = aggregator.verdict_mismatches();
     if mismatches > 0 {
@@ -641,34 +598,17 @@ fn run_merge_mode(
     }
 
     if verify_rerun {
-        // The belt-and-braces cross-check: re-run the whole plan unsharded
-        // in-process and demand canonical byte identity — compared as a
-        // running digest over the canonical cell stream, so the merged
-        // cells still never materialize.
-        let whole = plan.run(workers);
-        let mut whole_digest = CanonicalDigest::default();
-        for cell in &whole.cells {
-            whole_digest.push(&cell.canonical_line());
-        }
-        let identical = whole.plan_hash == aggregator.plan_hash()
-            && whole.base_seed == aggregator.base_seed()
-            && whole.shape == aggregator.shape()
-            && whole_digest.finish() == digest.finish();
-        println!(
-            "Shard determinism check ({} shard file(s) vs unsharded re-run): {}",
-            files.len(),
-            if identical {
-                "byte-identical canonical reports"
-            } else {
-                "MISMATCH"
-            }
+        report_determinism(
+            &format!(
+                "Shard determinism check ({} shard file(s) vs unsharded re-run)",
+                files.len()
+            ),
+            "byte-identical canonical reports",
+            divergence,
         );
-        if !identical {
-            std::process::exit(1);
-        }
     } else {
         println!(
-            "Validated {} shard file(s) against plan hash and cell matrix (no re-run; \
+            "Validated {} shard file(s) against plan identity and cell matrix (no re-run; \
              pass --verify-rerun for the in-process byte-identity cross-check)",
             files.len()
         );

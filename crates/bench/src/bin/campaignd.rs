@@ -9,14 +9,18 @@
 //! to a per-shard attempt cap, hosts that fail repeatedly are quarantined
 //! (and re-admitted only when no healthy host remains), fully cached
 //! shards are served warm without spawning anything, and the collected
-//! shard reports are merged **validation-only** — the plan hash gates
-//! every shard and the merged cell set is checked against the plan's
-//! expected matrix, so a wrong-but-plausible report is structurally
-//! impossible and no cell is ever re-run by the coordinator. When a
-//! retrieved shard is valid but *disagrees* with the shared cache (or the
-//! `--verify-rerun` recomputation), the logarithmic divergence finder
-//! names the exact first differing cell coordinate instead of dumping a
-//! whole-report diff.
+//! shard files are merged **validation-only** through the same streamed
+//! merge `campaign_report --merge` runs ([`stream_merge_shards`]) — the
+//! plan identity gates every shard and the merged cell set is checked
+//! against the plan's expected matrix, so a wrong-but-plausible report is
+//! structurally impossible and no cell is ever re-run by the coordinator;
+//! the merge holds one decoded cell per shard, writing `--out` and
+//! `--canonical-out` cell by cell. When a retrieved shard is valid but
+//! *disagrees* with the shared cache (or the `--verify-rerun`
+//! recomputation), the two canonical cell streams are compared in
+//! lockstep as they are read, and the first unequal pair names the exact
+//! differing cell coordinate with both canonical lines instead of dumping
+//! a whole-report diff.
 //!
 //! Usage:
 //!
@@ -73,9 +77,10 @@
 //!   `--cache-dir`): corrupt shard `I`'s first retrieved file in transit
 //!   (one metrics counter bumped — still parseable, cell set intact), which
 //!   must be caught by the divergence cross-check, not the parser.
-//! * `--verify-rerun` — after the merge, re-run the plan unsharded
-//!   in-process (uncached) and diagnose any disagreement with the
-//!   divergence finder.
+//! * `--verify-rerun` — re-run the plan unsharded in-process (uncached)
+//!   and compare the merged cells with the re-run's in the merge pass; a
+//!   disagreement names the first differing cell with both canonical
+//!   lines.
 //! * `--surface` — after the merged summary, print the
 //!   attack-success-probability surface: per (configuration, world,
 //!   attack class), success and detection rates over judged cells with
@@ -95,10 +100,13 @@
 
 use nvariant_apps::campaigns::report_matrix_plan;
 use nvariant_apps::scenarios::{artifact_store, init_artifact_store};
-use nvariant_bench::{resolve_cache_dir, verify_diversity_gate, EXIT_ANALYSIS_FINDINGS};
+use nvariant_bench::{
+    resolve_cache_dir, stream_merge_shards, verify_diversity_gate, MergeOutputs, ShardMergeError,
+    EXIT_ANALYSIS_FINDINGS,
+};
+use nvariant_campaign::CampaignReport;
 use nvariant_fleet::{
-    verify_reports, CommandTransport, Fleet, FleetConfig, FleetError, LocalProcessTransport,
-    WorkerTransport,
+    CommandTransport, Fleet, FleetConfig, FleetError, LocalProcessTransport, WorkerTransport,
 };
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -312,8 +320,16 @@ fn default_worker_bin() -> PathBuf {
 fn exit_code(error: &FleetError) -> i32 {
     match error {
         FleetError::Exhausted { .. } => EXIT_EXHAUSTED,
-        FleetError::Merge(_) => EXIT_MERGE,
         FleetError::Divergence { .. } => EXIT_DIVERGENCE,
+    }
+}
+
+/// A final-merge failure's exit code: the merge rejecting the collected
+/// shard set, or an output that cannot be written.
+fn merge_exit_code(error: &ShardMergeError) -> i32 {
+    match error {
+        ShardMergeError::Rejected(_) => EXIT_MERGE,
+        ShardMergeError::Write(_) => 1,
     }
 }
 
@@ -452,17 +468,52 @@ fn main() {
             std::process::exit(exit_code(&error));
         }
     };
-    let merged = &run.report;
     let retries = run.retries;
+
+    // The independent cross-check must actually recompute: it runs on the
+    // *uncached* plan, so a poisoned cache cannot vouch for itself. It runs
+    // before the merge, which compares each merged cell with it.
+    let whole = args.verify_rerun.then(|| {
+        uncached_plan
+            .run(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+    });
+    let mut reference = whole.iter().flat_map(CampaignReport::canonical_cells);
+    // The merge writes --out and --canonical-out as it reads the cells; a
+    // failed merge leaves neither behind.
+    let create = |path: &PathBuf| {
+        let file = std::fs::File::create(path).unwrap_or_else(|error| {
+            eprintln!("cannot write {}: {error}", path.display());
+            std::process::exit(1);
+        });
+        std::io::BufWriter::new(file)
+    };
+    let mut shard_out = args.out.as_ref().map(create);
+    let mut canonical_out = args.canonical_out.as_ref().map(create);
+    let outputs = MergeOutputs {
+        shard: shard_out.as_mut().map(|out| out as _),
+        canonical: canonical_out.as_mut().map(|out| out as _),
+    };
+    let reference = whole.is_some().then_some(&mut reference as _);
+    let (mut aggregator, divergence) =
+        stream_merge_shards(&run.spools, &plan.identity(), reference, outputs).unwrap_or_else(
+            |error| {
+                eprintln!("{error}");
+                for path in args.out.iter().chain(&args.canonical_out) {
+                    let _ = std::fs::remove_file(path);
+                }
+                std::process::exit(merge_exit_code(&error));
+            },
+        );
+    aggregator.set_cache(run.cache);
 
     println!(
         "\nMerged report ({} shards, {retries} retr{}, plan hash {:#018x}, coordinator wall {:.1?}):",
         args.shards,
         if retries == 1 { "y" } else { "ies" },
-        merged.plan_hash,
+        aggregator.plan_hash(),
         started.elapsed()
     );
-    println!("{}", merged.render_summary());
+    println!("{}", aggregator.render_summary());
     print!("{}", run.render_host_summary());
     // Cache + retry effectiveness, for operators watching repeated or
     // retried campaigns turn into file reads.
@@ -488,7 +539,6 @@ fn main() {
     }
 
     if args.surface {
-        let aggregator = merged.fold_aggregator();
         if aggregator.judged_cells() == 0 {
             eprintln!(
                 "no judged cells: the attack-success surface is empty \
@@ -500,42 +550,34 @@ fn main() {
     }
 
     if let Some(out) = &args.out {
-        if let Err(error) = std::fs::write(out, merged.to_shard_text()) {
-            eprintln!("cannot write merged report {}: {error}", out.display());
-            std::process::exit(1);
-        }
         println!("Wrote merged report to {}", out.display());
     }
     if let Some(out) = &args.canonical_out {
-        if let Err(error) = std::fs::write(out, merged.canonical_text()) {
-            eprintln!("cannot write canonical report {}: {error}", out.display());
-            std::process::exit(1);
-        }
         println!("Wrote canonical report to {}", out.display());
     }
 
-    let mismatches = merged.verdict_mismatches().len();
+    let mismatches = aggregator.verdict_mismatches();
     if mismatches > 0 {
         println!("VERDICT MISMATCHES: {mismatches}");
         std::process::exit(1);
     }
 
     if args.verify_rerun {
-        // The independent cross-check must actually recompute: it runs on
-        // the *uncached* plan, so a poisoned cache cannot vouch for itself.
-        let whole = uncached_plan
-            .run(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-        let disagreement = verify_reports(&whole, merged, "verification re-run");
         println!(
             "Distributed determinism check ({} worker processes vs unsharded in-process run): {}",
             args.shards,
-            if disagreement.is_none() {
+            if divergence.is_none() {
                 "byte-identical canonical reports"
             } else {
                 "MISMATCH"
             }
         );
-        if let Some(error) = disagreement {
+        if let Some(divergence) = divergence {
+            let error = FleetError::Divergence {
+                shard: None,
+                against: "verification re-run".to_string(),
+                divergence: Box::new(divergence),
+            };
             eprintln!("{error}");
             std::process::exit(EXIT_DIVERGENCE);
         }

@@ -6,7 +6,11 @@
 
 use nvariant::DeploymentConfig;
 use nvariant_apps::workload::{BenchmarkResult, LoadLevel, WebBench};
-use std::path::PathBuf;
+use nvariant_campaign::{ShardCursor, ShardHeader, ShardMerger, ShardWriter, StreamingAggregator};
+use nvariant_fleet::{first_divergence, Coordinates, Divergence};
+use std::fmt;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 /// Resolves the result-cache directory for a report binary from its flags
 /// and the environment: an explicit `--cache-dir` wins, `--no-cache`
@@ -58,6 +62,122 @@ pub fn verify_diversity_gate(configs: &[DeploymentConfig]) -> usize {
         }
     }
     total_findings
+}
+
+/// Where a streamed merge writes the merged report as it reads the cells.
+#[derive(Default)]
+pub struct MergeOutputs<'a> {
+    /// The merged report in the shard interchange format.
+    pub shard: Option<&'a mut dyn Write>,
+    /// The merged report's canonical text.
+    pub canonical: Option<&'a mut dyn Write>,
+}
+
+/// Why a streamed merge failed.
+#[derive(Debug)]
+pub enum ShardMergeError {
+    /// The shard files do not merge into this plan's report: a file cannot
+    /// be read or is not a shard of the plan, or the [`ShardMerger`]
+    /// rejects the set.
+    Rejected(String),
+    /// An output could not be written.
+    Write(std::io::Error),
+}
+
+impl fmt::Display for ShardMergeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShardMergeError::Rejected(reason) => write!(f, "{reason}"),
+            ShardMergeError::Write(error) => write!(f, "cannot write the merged report: {error}"),
+        }
+    }
+}
+
+impl std::error::Error for ShardMergeError {}
+
+/// The one streamed merge of shard files, shared by `campaign_report
+/// --merge` and `campaignd`: gates every file's header against `plan`'s
+/// identity (name, base seed, plan hash and shape), k-way merges the files
+/// through one [`ShardMerger`] — which rejects missing, duplicated,
+/// out-of-order and out-of-matrix cells — and, in the same pass, folds each
+/// merged cell into one [`StreamingAggregator`], writes it to `outputs`,
+/// and compares its canonical line in lockstep with the next cell of
+/// `reference` (a verification re-run or a regenerated sweep). Returns the
+/// fold and the first divergence from `reference`, if any. Peak memory is
+/// one decoded cell per shard, however large the shards are.
+///
+/// # Errors
+///
+/// Returns a [`ShardMergeError`] when a file cannot be opened or is not a
+/// shard of `plan`, the shard set does not merge, or an output cannot be
+/// written.
+pub fn stream_merge_shards(
+    files: &[impl AsRef<Path>],
+    plan: &ShardHeader,
+    reference: Option<&mut dyn Iterator<Item = (Coordinates, String)>>,
+    outputs: MergeOutputs<'_>,
+) -> Result<(StreamingAggregator, Option<Divergence>), ShardMergeError> {
+    let mut cursors = Vec::with_capacity(files.len());
+    for file in files {
+        let file = file.as_ref();
+        let rejected = |reason: &dyn fmt::Display| {
+            ShardMergeError::Rejected(format!("{}: {reason}", file.display()))
+        };
+        let cursor = ShardCursor::open(file).map_err(|error| rejected(&error))?;
+        if let Some(reason) = cursor.header().identity_mismatch(plan) {
+            return Err(rejected(&reason));
+        }
+        cursors.push(cursor);
+    }
+    let merge_failed = |error| ShardMergeError::Rejected(format!("merge failed: {error}"));
+    let mut merger = ShardMerger::new(cursors).map_err(merge_failed)?;
+    let header = merger.header().clone();
+    let mut aggregator = StreamingAggregator::from_header(&header);
+    let mut shard_out = (outputs.shard.map(|out| ShardWriter::new(out, &header)))
+        .transpose()
+        .map_err(ShardMergeError::Write)?;
+    let mut canonical_out = outputs.canonical;
+    if let Some(out) = &mut canonical_out {
+        let first_line = header.canonical_header(header.shape.cell_count());
+        out.write_all(first_line.as_bytes())
+            .map_err(ShardMergeError::Write)?;
+    }
+    let mut failure = None;
+    let mut lines = std::iter::from_fn(|| {
+        let cell = match merger.next_cell() {
+            Ok(cell) => cell?,
+            Err(error) => {
+                failure = Some(merge_failed(error));
+                return None;
+            }
+        };
+        aggregator.absorb(&cell);
+        let line = cell.canonical_line();
+        let written = (|| {
+            if let Some(out) = &mut shard_out {
+                out.push(&cell)?;
+            }
+            if let Some(out) = &mut canonical_out {
+                writeln!(out, "{line}")?;
+            }
+            Ok(())
+        })();
+        if let Err(error) = written {
+            failure = Some(ShardMergeError::Write(error));
+            return None;
+        }
+        Some(line)
+    });
+    let divergence = reference.and_then(|reference| first_divergence(reference, &mut lines));
+    // The comparison stops at the first divergence; the merge runs on.
+    lines.for_each(drop);
+    if let Some(error) = failure {
+        return Err(error);
+    }
+    (shard_out.map(ShardWriter::finish).transpose())
+        .and_then(|_| canonical_out.map(Write::flush).transpose())
+        .map_err(ShardMergeError::Write)?;
+    Ok((aggregator, divergence))
 }
 
 /// Renders a list of rows as a fixed-width text table.

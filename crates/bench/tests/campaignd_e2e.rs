@@ -206,3 +206,51 @@ fn merge_mode_rejects_missing_shards_and_foreign_plan_hashes_without_running_cel
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("declares matrix shape"), "{stderr}");
 }
+
+#[test]
+fn merge_verify_rerun_names_the_first_differing_cell() {
+    let dir = scratch("merge-verify");
+    let (plan, _, _) = report_matrix_plan(true);
+    let shard0 = dir.join("shard0.txt");
+    let shard1 = dir.join("shard1.txt");
+    std::fs::write(&shard0, plan.run_shard(0, 2, 2).to_shard_text()).unwrap();
+    // Shard 1 altered the way `campaignd --corrupt-shard` alters a shard in
+    // transit: the last counter of its first `metrics` line is bumped, so
+    // the file still parses and covers its cells.
+    let text = plan.run_shard(1, 2, 2).to_shard_text();
+    let metrics = text.find("\nmetrics ").expect("metrics line") + 1;
+    let end = metrics + text[metrics..].find('\n').expect("line end");
+    let (head, last) = text[metrics..end].rsplit_once(' ').expect("counters");
+    let bumped = last.parse::<u64>().expect("counter") + 1;
+    let altered = format!("{}{head} {bumped}{}", &text[..metrics], &text[end..]);
+    std::fs::write(&shard1, altered).unwrap();
+
+    let output = Command::new(env!("CARGO_BIN_EXE_campaign_report"))
+        .args(["--quick", "--workers", "2", "--merge"])
+        .arg(&shard0)
+        .arg(&shard1)
+        .arg("--verify-rerun")
+        .output()
+        .expect("campaign_report runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stdout}\n{stderr}");
+    assert!(stdout.contains("MISMATCH"), "{stdout}");
+    // Shard 1's first cell is the plan's second: merged cell #1.
+    let (config, world, scenario, replicate) = plan.shard(1, 2)[0].coordinates();
+    let named = format!(
+        "first divergence at cell #1 (config {config}, world {world}, scenario {scenario}, \
+         replicate {replicate}):"
+    );
+    let mut lines = stderr.lines().skip_while(|line| *line != named).skip(1);
+    let expected = lines
+        .next()
+        .and_then(|line| line.strip_prefix("  expected: "));
+    let observed = lines
+        .next()
+        .and_then(|line| line.strip_prefix("  observed: "));
+    match (expected, observed) {
+        (Some(expected), Some(observed)) => assert_ne!(expected, observed, "{stderr}"),
+        _ => panic!("no expected/observed lines under {named:?}:\n{stderr}"),
+    }
+}

@@ -120,22 +120,36 @@ fn seeded_corruption_exits_with_the_divergence_code_naming_the_exact_coordinate(
         stderr.contains("diverges from shared cell cache"),
         "{stderr}"
     );
-    // The finder names the corrupted shard's exact first cell: shard 1 of
-    // 2 holds the plan's odd-indexed cells round-robin, so its first cell
-    // is the plan's second.
-    let (config, world, scenario, replicate) = cached_plan.shard(1, 2)[0].coordinates();
-    assert!(
-        stderr.contains(&format!(
-            "first divergence at cell #0 (config {config}, world {world}, scenario {scenario}, \
-             replicate {replicate})"
-        )),
-        "{stderr}"
+    // The check names the corrupted shard's exact first cell: shard 1 of 2
+    // holds the plan's odd-indexed cells round-robin, so its first cell is
+    // the plan's second.
+    let spec = &cached_plan.shard(1, 2)[0];
+    let (config, world, scenario, replicate) = spec.coordinates();
+    let named = format!(
+        "first divergence at cell #0 (config {config}, world {world}, scenario {scenario}, \
+         replicate {replicate}):"
     );
-    // Both rendered outcomes are shown.
-    assert!(stderr.contains("expected:"), "{stderr}");
-    assert!(stderr.contains("observed:"), "{stderr}");
-    // And the diagnosis was logarithmic, not a whole-report diff.
-    assert!(stderr.contains("prefix-digest probes"), "{stderr}");
+    let mut lines = stderr.lines().skip_while(|line| *line != named).skip(1);
+    // Under it, both canonical lines of that cell: the cached one and the
+    // one the transport delivered.
+    let cell = format!(
+        "config={:?} world={:?} scenario={:?} rep={replicate} ",
+        spec.config_label, spec.world_label, spec.scenario_label
+    );
+    let expected = lines
+        .next()
+        .and_then(|line| line.strip_prefix("  expected: "));
+    let observed = lines
+        .next()
+        .and_then(|line| line.strip_prefix("  observed: "));
+    match (expected, observed) {
+        (Some(expected), Some(observed)) => {
+            assert!(expected.starts_with(&cell), "{stderr}");
+            assert!(observed.starts_with(&cell), "{stderr}");
+            assert_ne!(expected, observed, "{stderr}");
+        }
+        _ => panic!("no expected/observed lines under {named:?}:\n{stderr}"),
+    }
 }
 
 #[test]

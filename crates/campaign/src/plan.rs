@@ -8,6 +8,7 @@ use crate::cell::{CellOutcome, CellResult, CellSpec, CellVerdict, CheckSummary};
 use crate::engine::{cell_seed, run_parallel};
 use crate::exchange::ServedRequest;
 use crate::report::{CampaignReport, PlanShape};
+use crate::shardio::ShardHeader;
 use nvariant::{CompiledSystem, DeploymentConfig, RunnableSystem, SystemOutcome};
 use nvariant_simos::{OsKernel, WorldTemplate};
 use nvariant_types::{fnv1a_64, Port};
@@ -292,13 +293,6 @@ impl CampaignPlan {
         &self.configs
     }
 
-    /// The explicit world templates in the matrix (empty when every cell
-    /// runs in its artifact's own compile-time template).
-    #[must_use]
-    pub fn world_templates(&self) -> &[WorldTemplate] {
-        &self.worlds
-    }
-
     /// Number of worlds on the environment axis (1 for the implicit
     /// template world).
     #[must_use]
@@ -450,6 +444,22 @@ impl CampaignPlan {
             }
         }
         cells
+    }
+
+    /// The plan identity every shard of this plan carries — name, base
+    /// seed, plan hash and shape — as a shard header with no run metadata
+    /// (zero workers and wall), for
+    /// [`ShardHeader::identity_mismatch`](crate::ShardHeader::identity_mismatch).
+    #[must_use]
+    pub fn identity(&self) -> ShardHeader {
+        ShardHeader {
+            name: self.name.clone(),
+            base_seed: self.base_seed,
+            plan_hash: self.plan_hash(),
+            shape: self.shape(),
+            workers: 0,
+            total_wall: Duration::ZERO,
+        }
     }
 
     /// Shard `index` of `count`: the cells whose canonical position is
@@ -645,15 +655,6 @@ impl CampaignPlan {
             )
             .with_cache_stats(cache.stats()),
         )
-    }
-
-    /// Executes a single cell in a freshly provisioned world (convenience
-    /// wrapper; sweeps should prefer [`run_cells`](Self::run_cells), which
-    /// provisions each (configuration, world) pair once).
-    #[must_use]
-    pub fn run_cell(&self, spec: CellSpec) -> CellResult {
-        let world = self.provisioned_kernel(spec.config_index, spec.world_index);
-        self.run_cell_in(spec, &world)
     }
 
     /// Executes a single cell: instantiate into the provisioned world,
@@ -941,7 +942,10 @@ mod tests {
         assert_eq!(shape.cell_count(), plan.cells().len());
         // The shape's coordinate enumeration is exactly the cell list's.
         let coords: Vec<_> = plan.cells().iter().map(CellSpec::coordinates).collect();
-        assert_eq!(shape.coordinates(), coords);
+        assert_eq!(
+            crate::CoordinateWalk::new(shape).collect::<Vec<_>>(),
+            coords
+        );
         // A world-less plan still has the implicit template world.
         assert_eq!(two_config_plan().shape().worlds, 1);
     }

@@ -66,25 +66,6 @@ impl PlanShape {
             && scenario < self.scenarios
             && replicate < self.replicates
     }
-
-    /// Every coordinate of the matrix, in canonical (config-major) order —
-    /// the exact cell set a complete merge must cover. Allocates
-    /// [`cell_count`](Self::cell_count) entries, so call it on shapes from
-    /// trusted plans, not on shapes parsed from untrusted shard files.
-    #[must_use]
-    pub fn coordinates(&self) -> Vec<(usize, usize, usize, usize)> {
-        let mut out = Vec::with_capacity(self.cell_count());
-        for config in 0..self.configs {
-            for world in 0..self.worlds {
-                for scenario in 0..self.scenarios {
-                    for replicate in 0..self.replicates {
-                        out.push((config, world, scenario, replicate));
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for PlanShape {
@@ -360,14 +341,7 @@ impl CampaignReport {
     /// the unsharded run.
     #[must_use]
     pub fn canonical_text(&self) -> String {
-        let mut out = format!(
-            "campaign={:?} seed={:#018x} plan={:#018x} shape={} cells={}\n",
-            self.name,
-            self.base_seed,
-            self.plan_hash,
-            self.shape,
-            self.cells.len()
-        );
+        let mut out = self.header().canonical_header(self.cells.len());
         for cell in &self.cells {
             out.push_str(&cell.canonical_line());
             out.push('\n');
@@ -378,10 +352,10 @@ impl CampaignReport {
     /// The canonical per-cell stream: each cell's matrix coordinates
     /// (config, world, scenario, replicate) paired with its rendered
     /// canonical line, in report order (canonical order for whole and
-    /// merged reports). This is the stream a fleet coordinator feeds to the
-    /// logarithmic divergence finder: two reports of the same plan are
-    /// byte-identical in [`canonical_text`](Self::canonical_text) iff their
-    /// canonical cell streams are equal element-wise.
+    /// merged reports). This is the expected side a verification re-run
+    /// hands the lockstep comparison of a merge: two reports of the same
+    /// plan are byte-identical in [`canonical_text`](Self::canonical_text)
+    /// iff their canonical cell streams are equal element-wise.
     pub fn canonical_cells(
         &self,
     ) -> impl Iterator<Item = ((usize, usize, usize, usize), String)> + '_ {
@@ -824,7 +798,7 @@ mod tests {
             replicates: 2,
         };
         assert_eq!(shape.cell_count(), 24);
-        let coords = shape.coordinates();
+        let coords: Vec<_> = crate::CoordinateWalk::new(shape).collect();
         assert_eq!(coords.len(), 24);
         assert_eq!(coords[0], (0, 0, 0, 0));
         assert_eq!(coords[23], (1, 2, 1, 1));

@@ -19,6 +19,7 @@ use nvariant::ExecutionMetrics;
 use nvariant_transform::TransformStats;
 use nvariant_types::hex::{hex_decode, hex_encode};
 use std::fmt;
+use std::io::{BufRead, Read};
 use std::time::Duration;
 
 /// Format version 3: v2 plus the optional per-cell `checked` line carrying
@@ -27,6 +28,12 @@ use std::time::Duration;
 /// into a checked campaign would silently drop the check column from the
 /// canonical text, so both must be regenerated rather than reinterpreted.
 const HEADER: &str = "nvariant-campaign-shard v3";
+
+/// The longest line, terminator included, a [`ShardCursor`] reads. The
+/// writer's longest lines are `exchange` lines of about 20 KiB in the
+/// security matrix; the cap stops a line that never ends from growing one
+/// allocation until the reader runs out of memory.
+pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Why a shard file failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -239,18 +246,23 @@ pub(crate) fn shard_text<'a>(
 }
 
 impl CampaignReport {
-    /// Serializes the report to the shard interchange text format.
+    /// The report's metadata as the shard header its shard file carries.
     #[must_use]
-    pub fn to_shard_text(&self) -> String {
-        let header = ShardHeader {
+    pub fn header(&self) -> ShardHeader {
+        ShardHeader {
             name: self.name.clone(),
             base_seed: self.base_seed,
             plan_hash: self.plan_hash,
             shape: self.shape,
             workers: self.workers,
             total_wall: self.total_wall,
-        };
-        shard_text(&header, &self.cells)
+        }
+    }
+
+    /// Serializes the report to the shard interchange text format.
+    #[must_use]
+    pub fn to_shard_text(&self) -> String {
+        shard_text(&self.header(), &self.cells)
     }
 
     /// Parses a report from the shard interchange text format.
@@ -302,6 +314,49 @@ pub struct ShardHeader {
     pub workers: usize,
     /// Wall-clock time of the producing run.
     pub total_wall: Duration,
+}
+
+impl ShardHeader {
+    /// Why this header is not one of `plan`'s shards, if it is not: the
+    /// plan identity — name, base seed, plan hash and shape — must all
+    /// match. Run metadata (`workers`, `total_wall`) is not compared.
+    #[must_use]
+    pub fn identity_mismatch(&self, plan: &ShardHeader) -> Option<String> {
+        let identity =
+            |header: &ShardHeader| (header.name.clone(), header.base_seed, header.plan_hash);
+        if identity(self) != identity(plan) {
+            Some(format!(
+                "shard of plan {:?} (seed {:#018x}, plan hash {:#018x}) does not match this \
+                 plan ({:?}, seed {:#018x}, plan hash {:#018x})",
+                self.name,
+                self.base_seed,
+                self.plan_hash,
+                plan.name,
+                plan.base_seed,
+                plan.plan_hash
+            ))
+        } else if self.shape != plan.shape {
+            // Coverage is validated against the *declared* shape, so a
+            // tampered shape line could otherwise shrink the expected
+            // matrix and pass a subset off as complete.
+            Some(format!(
+                "shard declares matrix shape {} but this plan is {}",
+                self.shape, plan.shape
+            ))
+        } else {
+            None
+        }
+    }
+
+    /// The first line of the canonical text of a report with this header
+    /// and `cells` cells (see [`CampaignReport::canonical_text`]).
+    #[must_use]
+    pub fn canonical_header(&self, cells: usize) -> String {
+        format!(
+            "campaign={:?} seed={:#018x} plan={:#018x} shape={} cells={cells}\n",
+            self.name, self.base_seed, self.plan_hash, self.shape
+        )
+    }
 }
 
 /// A streaming reader over the shard interchange format: parses the header
@@ -420,18 +475,25 @@ impl<R: std::io::BufRead> ShardCursor<R> {
     }
 
     /// Reads one line (without its terminator), or `None` at end of input.
+    /// A line of [`MAX_LINE_BYTES`] or more is an error, raised before
+    /// more than that much of it is read.
     fn read_raw_line(&mut self) -> Result<Option<String>, ShardParseError> {
         let mut buf = String::new();
-        match self.reader.read_line(&mut buf) {
+        match (&mut self.reader)
+            .take(MAX_LINE_BYTES as u64)
+            .read_line(&mut buf)
+        {
             Ok(0) => Ok(None),
             Ok(_) => {
+                self.current += 1;
                 if buf.ends_with('\n') {
                     buf.pop();
                     if buf.ends_with('\r') {
                         buf.pop();
                     }
+                } else if buf.len() == MAX_LINE_BYTES {
+                    return self.fail(format!("line exceeds {MAX_LINE_BYTES} bytes"));
                 }
-                self.current += 1;
                 Ok(Some(buf))
             }
             Err(e) => Err(ShardParseError {
@@ -881,6 +943,33 @@ mod tests {
         let padded = format!("{text}\n\n");
         let parsed = CampaignReport::from_shard_text(&padded).unwrap();
         assert_eq!(parsed.to_shard_text(), text);
+    }
+
+    #[test]
+    fn an_endless_line_fails_at_the_cap_without_reading_on() {
+        /// Counts the bytes its reader hands out.
+        struct Counted<R>(R, std::rc::Rc<std::cell::Cell<usize>>);
+        impl<R: Read> Read for Counted<R> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.0.read(buf)?;
+                self.1.set(self.1.get() + n);
+                Ok(n)
+            }
+        }
+        let consumed = std::rc::Rc::new(std::cell::Cell::new(0));
+        let endless = std::io::repeat(b'x').take(4 * MAX_LINE_BYTES as u64);
+        let reader = std::io::BufReader::new(Counted(endless, std::rc::Rc::clone(&consumed)));
+        let capacity = reader.capacity();
+        let Err(err) = ShardCursor::new(reader) else {
+            panic!("an endless header line must not parse");
+        };
+        assert_eq!(err.line, 1, "{err}");
+        assert!(err.message.contains("line exceeds"), "{err}");
+        assert!(
+            consumed.get() <= MAX_LINE_BYTES + capacity,
+            "read {} bytes for a cap of {MAX_LINE_BYTES}",
+            consumed.get()
+        );
     }
 
     #[test]

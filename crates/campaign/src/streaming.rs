@@ -576,9 +576,10 @@ impl StreamingAggregator {
     }
 }
 
-/// A lazy enumerator of a matrix shape's canonical coordinate order —
-/// [`PlanShape::coordinates`] without the allocation, so validating
-/// coverage of an absurdly declared shape costs iteration, not memory.
+/// A lazy enumerator of every coordinate of a [`PlanShape`]'s matrix, in
+/// canonical (config-major) order — the exact cell set a complete merge
+/// must cover — so validating coverage of an absurdly declared shape costs
+/// iteration, not memory.
 #[derive(Clone, Debug)]
 pub struct CoordinateWalk {
     shape: PlanShape,
@@ -705,12 +706,6 @@ impl<R: BufRead> ShardMerger<R> {
     #[must_use]
     pub fn header(&self) -> &ShardHeader {
         &self.header
-    }
-
-    /// Cells emitted so far.
-    #[must_use]
-    pub fn covered(&self) -> usize {
-        self.covered
     }
 
     /// Drains the merge into a report under the merged header, holding
@@ -1178,7 +1173,17 @@ mod tests {
             replicates: 2,
         };
         let walked: Vec<_> = CoordinateWalk::new(shape).collect();
-        assert_eq!(walked, shape.coordinates());
+        let mut materialized = Vec::new();
+        for c in 0..shape.configs {
+            for w in 0..shape.worlds {
+                for s in 0..shape.scenarios {
+                    for r in 0..shape.replicates {
+                        materialized.push((c, w, s, r));
+                    }
+                }
+            }
+        }
+        assert_eq!(walked, materialized);
         let empty = PlanShape {
             configs: 0,
             worlds: 1,
@@ -1211,8 +1216,11 @@ mod tests {
             .map(|text| ShardCursor::new(text.as_bytes()).expect("own shard text parses"))
             .collect();
         let mut merger = ShardMerger::new(cursors)?;
-        while merger.next_cell()?.is_some() {}
-        Ok(merger.covered())
+        let mut covered = 0;
+        while merger.next_cell()?.is_some() {
+            covered += 1;
+        }
+        Ok(covered)
     }
 
     #[test]

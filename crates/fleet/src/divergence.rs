@@ -1,106 +1,20 @@
-//! The logarithmic divergence finder: given two canonical per-cell streams
-//! that *should* be identical (a retrieved shard vs the shared cache, or a
-//! merged report vs a verification re-run), locate the **first differing
-//! cell coordinate** in O(log cells) stream comparisons instead of diffing
-//! whole reports byte-by-byte.
+//! The lockstep divergence check: two canonical per-cell streams that
+//! *should* be identical (a retrieved shard against the shared cache, or a
+//! merged report against a verification re-run) are walked together, once,
+//! in canonical order, and the first unequal pair of canonical lines is the
+//! divergence — the way the monitor alarms at the first system call where
+//! its variants disagree.
 //!
-//! The trick is the classic first-divergence search over a prefix-digest
-//! oracle: a [`CellStream`] extends one chained FNV-1a digest per prefix
-//! length while ingesting its cells (O(n) once, O(1) per probe), and
-//! [`find_divergence`] binary-searches for the longest common prefix. Two
-//! streams agree on a prefix iff their prefix digests match — the chaining
-//! makes prefix equality monotone, so "first differing index" is the
-//! boundary the binary search lands on. (A digest collision would need two
-//! different prefixes to collide in 64 bits; for campaign-sized streams the
-//! odds are astronomically small, and the final report comparison still
-//! catches it.)
-//!
-//! The stream is **digest-only**: it keeps 8 bytes per cell (the prefix
-//! digest chain), never the canonical lines themselves, so a coordinator
-//! can ingest a million-cell shard without holding its text. The located
-//! index is recovered to human-readable evidence through the `cell_at`
-//! callback of [`find_divergence`] — invoked at most once, so callers can
-//! afford to re-stream their source to materialize that single cell.
+//! The comparison runs in the pass that reads the cells, so it needs no
+//! state of its own beyond the current pair, and the evidence it reports is
+//! the pair it compared: the exact first differing coordinate
+//! (config × world × scenario × replicate) and both rendered lines.
 
 use std::fmt;
-
-use nvariant_types::fnv::Fnv1a;
 
 /// A cell's position in the campaign matrix:
 /// (config, world, scenario, replicate).
 pub type Coordinates = (usize, usize, usize, usize);
-
-/// An ordered stream of canonical cell lines reduced to O(1)-comparable
-/// prefix digests — 8 bytes of state per ingested cell, no buffered lines.
-///
-/// Build one per side (expected vs observed) over the *same* enumeration
-/// order — for campaign reports that is the plan's canonical cell order,
-/// via [`CampaignReport::canonical_cells`].
-///
-/// [`CampaignReport::canonical_cells`]:
-///     nvariant_campaign::CampaignReport::canonical_cells
-#[derive(Clone, Debug, Default)]
-pub struct CellStream {
-    /// `prefix_digests[k]` = chained digest of the first `k` lines;
-    /// `prefix_digests[0]` is the digest of the empty stream.
-    prefix_digests: Vec<u64>,
-    hasher: Fnv1a,
-}
-
-impl CellStream {
-    /// An empty stream.
-    #[must_use]
-    pub fn new() -> Self {
-        let hasher = Fnv1a::new();
-        CellStream {
-            prefix_digests: vec![hasher.finish()],
-            hasher,
-        }
-    }
-
-    /// Builds a stream from canonical lines, in order.
-    #[must_use]
-    pub fn from_lines<S: AsRef<str>>(lines: impl IntoIterator<Item = S>) -> Self {
-        let mut stream = CellStream::new();
-        for line in lines {
-            stream.push(line.as_ref());
-        }
-        stream
-    }
-
-    /// Builds the stream of a report's canonical cells, in report order.
-    /// Each line is rendered, digested and dropped — nothing is buffered.
-    #[must_use]
-    pub fn from_report(report: &nvariant_campaign::CampaignReport) -> Self {
-        Self::from_lines(report.canonical_cells().map(|(_, line)| line))
-    }
-
-    /// Appends one cell's canonical line; the prefix digest chain extends
-    /// in O(1) and the line is not retained.
-    pub fn push(&mut self, line: &str) {
-        // Length-prefixed write: "ab" + "c" cannot alias "a" + "bc".
-        self.hasher.write_str(line);
-        self.prefix_digests.push(self.hasher.finish());
-    }
-
-    /// Number of cells in the stream.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.prefix_digests.len() - 1
-    }
-
-    /// Whether the stream has no cells.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Digest of the first `len` cells (O(1)). Panics if `len > self.len()`.
-    #[must_use]
-    pub fn prefix_digest(&self, len: usize) -> u64 {
-        self.prefix_digests[len]
-    }
-}
 
 /// Where two streams first disagree.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -131,6 +45,25 @@ pub enum Divergence {
     },
 }
 
+impl Divergence {
+    /// The divergence at cell `index` when its two canonical lines differ,
+    /// `None` when they agree.
+    #[must_use]
+    pub fn at_cell(
+        index: usize,
+        coordinates: Coordinates,
+        expected: String,
+        observed: String,
+    ) -> Option<Self> {
+        (expected != observed).then_some(Divergence::Cell {
+            index,
+            coordinates,
+            expected,
+            observed,
+        })
+    }
+}
+
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -159,73 +92,39 @@ impl fmt::Display for Divergence {
     }
 }
 
-/// The outcome of a divergence scan: the first disagreement (if any) and
-/// how many prefix-digest probes the search spent finding it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DivergenceScan {
-    /// `None` when the streams are identical.
-    pub divergence: Option<Divergence>,
-    /// Prefix-digest comparisons performed — bounded by
-    /// ⌈log₂(cells)⌉ + 2, the "O(log cells)" the fleet summary reports.
-    pub probes: usize,
-}
-
-/// Locates the first cell where `observed` disagrees with `expected`, in
-/// O(log cells) prefix-digest probes.
+/// Walks two canonical cell streams in lockstep and returns where they
+/// first disagree: the first pair of unequal lines, or — when every shared
+/// line agrees but one stream ends first — the length mismatch. `None`
+/// means the streams are equal.
 ///
-/// The streams carry digests only, so the evidence for a located cell
-/// divergence is recovered through `cell_at`: given the first differing
-/// index, it returns that cell's matrix coordinates (from the expected
-/// side) plus the expected and observed canonical lines. It is invoked at
-/// most once per scan — only when a cell divergence exists — so callers may
-/// re-stream a spool file or re-query a cache to answer it.
-#[must_use]
-pub fn find_divergence(
-    expected: &CellStream,
-    observed: &CellStream,
-    cell_at: impl FnOnce(usize) -> (Coordinates, String, String),
-) -> DivergenceScan {
-    let shared = expected.len().min(observed.len());
-    let mut probes = 0;
-
-    // One probe settles the whole shared prefix.
-    probes += 1;
-    if expected.prefix_digest(shared) == observed.prefix_digest(shared) {
-        let divergence = if expected.len() == observed.len() {
-            None
-        } else {
-            Some(Divergence::Length {
-                common: shared,
-                expected: expected.len(),
-                observed: observed.len(),
-            })
-        };
-        return DivergenceScan { divergence, probes };
-    }
-
-    // Invariant: prefixes of length `lo` agree, prefixes of length `hi`
-    // disagree. Chained digests make prefix equality monotone, so binary
-    // search finds the boundary; the first differing cell is index `lo`.
-    let (mut lo, mut hi) = (0_usize, shared);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        probes += 1;
-        if expected.prefix_digest(mid) == observed.prefix_digest(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
+/// The expected side carries each cell's coordinates, for the evidence.
+/// Both streams are read only up to the first unequal pair, except that a
+/// length mismatch counts what is left of the longer one.
+pub fn first_divergence(
+    expected: impl IntoIterator<Item = (Coordinates, String)>,
+    observed: impl IntoIterator<Item = String>,
+) -> Option<Divergence> {
+    let mut expected = expected.into_iter();
+    let mut observed = observed.into_iter();
+    let mut index = 0;
+    loop {
+        match (expected.next(), observed.next()) {
+            (Some((coordinates, expected)), Some(observed)) => {
+                let divergence = Divergence::at_cell(index, coordinates, expected, observed);
+                if divergence.is_some() {
+                    return divergence;
+                }
+            }
+            (None, None) => return None,
+            (extra_expected, extra_observed) => {
+                return Some(Divergence::Length {
+                    common: index,
+                    expected: index + usize::from(extra_expected.is_some()) + expected.count(),
+                    observed: index + usize::from(extra_observed.is_some()) + observed.count(),
+                });
+            }
         }
-    }
-
-    let (coordinates, expected_line, observed_line) = cell_at(lo);
-    DivergenceScan {
-        divergence: Some(Divergence::Cell {
-            index: lo,
-            coordinates,
-            expected: expected_line,
-            observed: observed_line,
-        }),
-        probes,
+        index += 1;
     }
 }
 
@@ -245,83 +144,57 @@ mod tests {
         (i, i + 1, i + 2, i + 3)
     }
 
-    /// A synthetic stream of `n` cells with distinct lines.
-    fn synthetic(n: usize) -> CellStream {
-        CellStream::from_lines((0..n).map(|i| line(i, false)))
+    /// The expected side: `n` cells with distinct lines.
+    fn synthetic(n: usize) -> impl Iterator<Item = (Coordinates, String)> {
+        (0..n).map(|i| (coords(i), line(i, false)))
     }
 
-    /// `synthetic(n)` with the cell at `k` rewritten.
-    fn mutated(n: usize, k: usize) -> CellStream {
-        CellStream::from_lines((0..n).map(|i| line(i, i == k)))
+    /// The observed side of an honest transfer: `synthetic(n)`'s lines.
+    fn honest(n: usize) -> impl Iterator<Item = String> {
+        (0..n).map(|i| line(i, false))
     }
 
-    /// The recovery callback for a `synthetic` vs `mutated(_, k)` scan.
-    fn recover(k: usize) -> impl FnOnce(usize) -> (Coordinates, String, String) {
-        move |i| (coords(i), line(i, false), line(i, i == k))
-    }
-
-    /// A callback for scans that must settle without a cell divergence.
-    fn unreachable_recover(i: usize) -> (Coordinates, String, String) {
-        panic!("cell_at invoked at {i} for a scan with no cell divergence")
-    }
-
-    fn max_probes(n: usize) -> usize {
-        // One shared-prefix probe + a binary search over at most n states.
-        (usize::BITS - n.leading_zeros()) as usize + 2
+    /// The observed side: `n` cells with the cell at `k` rewritten.
+    fn mutated(n: usize, k: usize) -> impl Iterator<Item = String> {
+        (0..n).map(move |i| line(i, i == k))
     }
 
     #[test]
-    fn equal_streams_have_no_divergence_in_one_probe() {
-        let scan = find_divergence(&synthetic(100), &synthetic(100), unreachable_recover);
-        assert_eq!(scan.divergence, None);
-        assert_eq!(scan.probes, 1);
+    fn equal_streams_have_no_divergence() {
+        assert_eq!(first_divergence(synthetic(100), honest(100)), None);
     }
 
     #[test]
     fn empty_streams_are_equal() {
-        let scan = find_divergence(&CellStream::new(), &CellStream::new(), unreachable_recover);
-        assert_eq!(scan.divergence, None);
+        assert_eq!(first_divergence(synthetic(0), honest(0)), None);
     }
 
     #[test]
     fn first_cell_divergence_is_found() {
-        let scan = find_divergence(&synthetic(64), &mutated(64, 0), recover(0));
-        match scan.divergence.expect("diverges") {
-            Divergence::Cell {
-                index,
-                coordinates,
-                expected,
-                observed,
-            } => {
-                assert_eq!(index, 0);
-                assert_eq!(coordinates, (0, 1, 2, 3));
-                assert_eq!(expected, "cell line 0");
-                assert_eq!(observed, "cell line 0 CORRUPTED");
-            }
-            Divergence::Length { .. } => panic!("not a length mismatch"),
-        }
-        assert!(scan.probes <= max_probes(64), "{} probes", scan.probes);
+        assert_eq!(
+            first_divergence(synthetic(64), mutated(64, 0)),
+            Some(Divergence::Cell {
+                index: 0,
+                coordinates: (0, 1, 2, 3),
+                expected: "cell line 0".to_string(),
+                observed: "cell line 0 CORRUPTED".to_string(),
+            })
+        );
     }
 
     #[test]
     fn last_cell_divergence_is_found() {
-        let scan = find_divergence(&synthetic(64), &mutated(64, 63), recover(63));
-        match scan.divergence.expect("diverges") {
+        match first_divergence(synthetic(64), mutated(64, 63)).expect("diverges") {
             Divergence::Cell { index, .. } => assert_eq!(index, 63),
             Divergence::Length { .. } => panic!("not a length mismatch"),
         }
-        assert!(scan.probes <= max_probes(64), "{} probes", scan.probes);
     }
 
     #[test]
     fn middle_divergence_reports_the_first_of_two() {
-        // Cells 20 and 40 both differ; the finder must name 20.
-        let base = synthetic(64);
-        let observed = CellStream::from_lines((0..64).map(|i| line(i, i == 20 || i == 40)));
-        let scan = find_divergence(&base, &observed, |i| {
-            (coords(i), line(i, false), line(i, i == 20 || i == 40))
-        });
-        match scan.divergence.expect("diverges") {
+        // Cells 20 and 40 both differ; the check must name 20.
+        let observed = (0..64).map(|i| line(i, i == 20 || i == 40));
+        match first_divergence(synthetic(64), observed).expect("diverges") {
             Divergence::Cell {
                 index, coordinates, ..
             } => {
@@ -334,61 +207,45 @@ mod tests {
 
     #[test]
     fn length_mismatch_with_equal_shared_prefix() {
-        let scan = find_divergence(&synthetic(50), &synthetic(40), unreachable_recover);
+        let expected = Some(Divergence::Length {
+            common: 40,
+            expected: 50,
+            observed: 40,
+        });
+        assert_eq!(first_divergence(synthetic(50), honest(40)), expected);
+        // And the other way round: the observed stream runs on.
         assert_eq!(
-            scan.divergence,
+            first_divergence(synthetic(40), honest(50)),
             Some(Divergence::Length {
                 common: 40,
-                expected: 50,
-                observed: 40
+                expected: 40,
+                observed: 50,
             })
         );
-        assert_eq!(scan.probes, 1);
     }
 
     #[test]
     fn differing_cell_wins_over_length_mismatch() {
         // Shorter stream that also differs at cell 5: the cell divergence
         // is earlier, so it is what gets reported.
-        let tampered = |i: usize| {
+        let observed = (0..40).map(|i| {
             if i == 5 {
                 "tampered".to_string()
             } else {
                 line(i, false)
             }
-        };
-        let observed = CellStream::from_lines((0..40).map(tampered));
-        let scan = find_divergence(&synthetic(50), &observed, |i| {
-            (coords(i), line(i, false), tampered(i))
         });
-        match scan.divergence.expect("diverges") {
+        match first_divergence(synthetic(50), observed).expect("diverges") {
             Divergence::Cell { index, .. } => assert_eq!(index, 5),
             Divergence::Length { .. } => panic!("cell divergence precedes length mismatch"),
         }
     }
 
     #[test]
-    fn probe_count_is_logarithmic_not_linear() {
-        // 4096 cells: a linear scan would need thousands of comparisons;
-        // the finder stays within log2(4096) + 2 = 14.
-        for k in [0, 1, 2048, 4094, 4095] {
-            let scan = find_divergence(&synthetic(4096), &mutated(4096, k), recover(k));
-            match scan.divergence.expect("diverges") {
-                Divergence::Cell { index, .. } => assert_eq!(index, k),
-                Divergence::Length { .. } => panic!("not a length mismatch"),
-            }
-            assert!(
-                scan.probes <= 14,
-                "cell {k}: {} probes exceeds log bound",
-                scan.probes
-            );
-        }
-    }
-
-    #[test]
     fn display_names_the_exact_coordinate() {
-        let scan = find_divergence(&synthetic(8), &mutated(8, 3), recover(3));
-        let rendered = scan.divergence.expect("diverges").to_string();
+        let rendered = first_divergence(synthetic(8), mutated(8, 3))
+            .expect("diverges")
+            .to_string();
         assert!(
             rendered.contains("cell #3 (config 3, world 4, scenario 5, replicate 6)"),
             "{rendered}"
@@ -401,30 +258,16 @@ mod tests {
     }
 
     #[test]
-    fn prefix_digests_are_chained_not_positional() {
-        // Swapping two adjacent cells must change the digest at the first
-        // swapped position even though the *set* of lines is unchanged.
-        let a = CellStream::from_lines(["x", "y"]);
-        let b = CellStream::from_lines(["y", "x"]);
-        let scan = find_divergence(&a, &b, |i| {
-            (
-                (0, 0, 0, i),
-                ["x", "y"][i].to_string(),
-                ["y", "x"][i].to_string(),
-            )
-        });
-        match scan.divergence.expect("diverges") {
+    fn swapped_cells_diverge_at_the_first_swapped_position() {
+        // The same set of lines in another order is a different stream.
+        let expected = [
+            ((0, 0, 0, 0), "x".to_string()),
+            ((0, 0, 0, 1), "y".to_string()),
+        ];
+        let observed = ["y".to_string(), "x".to_string()];
+        match first_divergence(expected, observed).expect("diverges") {
             Divergence::Cell { index, .. } => assert_eq!(index, 0),
             Divergence::Length { .. } => panic!("not a length mismatch"),
         }
-    }
-
-    #[test]
-    fn streams_are_digest_only() {
-        // 100k cells cost 8 bytes of digest chain each, not their lines:
-        // the struct holds exactly len+1 u64 digests and a hasher.
-        let stream = synthetic(100_000);
-        assert_eq!(stream.len(), 100_000);
-        assert_eq!(std::mem::size_of_val(&stream.prefix_digest(0)), 8);
     }
 }

@@ -1,7 +1,8 @@
 //! The `Fleet` scheduler: shard assignment over a host pool, per-host
 //! attempt/health accounting with consecutive-failure quarantine and
 //! re-admission, warm serving from the shared cell cache, fault injection
-//! for tests, and divergence diagnosis of disagreeing shards.
+//! for tests, and the lockstep cross-check of retrieved shards against the
+//! cache.
 //!
 //! The scheduler is written entirely against
 //! [`WorkerTransport`](crate::WorkerTransport), so the same supervision
@@ -13,15 +14,13 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::io::Write;
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use nvariant_campaign::{
-    CacheStats, CampaignPlan, CampaignReport, CoordinateWalk, MergeError, ShardCursor, ShardMerger,
-};
+use nvariant_campaign::{CacheStats, CampaignPlan, ShardCursor};
 
-use crate::divergence::{find_divergence, CellStream, Divergence};
+use crate::divergence::Divergence;
 use crate::transport::{ShardAssignment, WorkerHandle, WorkerStatus, WorkerTransport};
 
 /// Tuning and fault-injection knobs for one fleet run.
@@ -103,7 +102,7 @@ impl fmt::Display for HostStats {
     }
 }
 
-/// Why a fleet run failed. The three variants map to `campaignd`'s three
+/// Why a fleet run failed. The two variants map to two of `campaignd`'s
 /// distinct failure exit codes.
 #[derive(Debug)]
 pub enum FleetError {
@@ -117,10 +116,6 @@ pub enum FleetError {
         /// Why each attempt failed, in order.
         failures: Vec<String>,
     },
-    /// Every shard was collected but the final merge rejected the set
-    /// (possible only for foreign or tampered inputs — the per-shard
-    /// validation makes it structurally unlikely).
-    Merge(MergeError),
     /// A retrieved shard is a *valid* report that disagrees with the
     /// authoritative result (shared cache or verification re-run): a data
     /// integrity failure, never retried.
@@ -134,10 +129,6 @@ pub enum FleetError {
         /// The first disagreement, with exact matrix coordinates (boxed to
         /// keep the `Err` variant small — the happy path returns `Ok`).
         divergence: Box<Divergence>,
-        /// Prefix-digest probes the finder spent — O(log cells).
-        probes: usize,
-        /// Cells in the compared streams.
-        cells: usize,
     },
 }
 
@@ -153,23 +144,16 @@ impl fmt::Display for FleetError {
                 "shard {shard}: exhausted {attempts} attempt(s): {}",
                 failures.join("; ")
             ),
-            FleetError::Merge(error) => write!(f, "merge failed: {error}"),
             FleetError::Divergence {
                 shard,
                 against,
                 divergence,
-                probes,
-                cells,
             } => {
                 match shard {
                     Some(index) => write!(f, "shard {index}: ")?,
                     None => write!(f, "merged report: ")?,
                 }
-                writeln!(
-                    f,
-                    "retrieved result diverges from {against} (located in {probes} \
-                     prefix-digest probes over {cells} cells):"
-                )?;
+                writeln!(f, "retrieved result diverges from {against}:")?;
                 write!(f, "{divergence}")
             }
         }
@@ -181,8 +165,12 @@ impl std::error::Error for FleetError {}
 /// What a successful fleet run produced.
 #[derive(Debug)]
 pub struct FleetRun {
-    /// The merged, validated campaign report.
-    pub report: CampaignReport,
+    /// The validated shard files, in shard order, ready for a streamed
+    /// merge.
+    pub spools: Vec<PathBuf>,
+    /// The cell-cache counters of the shards served warm, when any were
+    /// (the shard codec does not carry them).
+    pub cache: Option<CacheStats>,
     /// Per-host health accounting, in pool order.
     pub hosts: Vec<HostStats>,
     /// Shards the coordinator served warm from the cell cache (no worker
@@ -206,28 +194,27 @@ impl FleetRun {
     }
 }
 
-/// Deterministic in-transit corruption for fault injection: bumps the last
-/// counter of the first `metrics` line, leaving the file parseable and the
-/// cell coordinate set intact — so every structural validation passes and
-/// only the divergence cross-check can catch it.
-#[must_use]
-pub fn corrupt_shard_text(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 4);
+/// Deterministic in-transit corruption for fault injection: copies a shard
+/// stream line by line, bumping the last counter of the first `metrics`
+/// line, so the file stays parseable and its cell set intact — every
+/// structural validation passes and only the divergence cross-check can
+/// catch it.
+fn corrupt_in_transit(reader: impl BufRead, writer: &mut impl Write) -> std::io::Result<()> {
     let mut done = false;
-    for line in text.lines() {
+    for line in reader.lines() {
+        let line = line?;
         if !done && line.starts_with("metrics ") {
             if let Some((head, last)) = line.rsplit_once(' ') {
                 if let Ok(value) = last.parse::<u64>() {
-                    out.push_str(&format!("{head} {}\n", value + 1));
+                    writeln!(writer, "{head} {}", value + 1)?;
                     done = true;
                     continue;
                 }
             }
         }
-        out.push_str(line);
-        out.push('\n');
+        writeln!(writer, "{line}")?;
     }
-    out
+    Ok(())
 }
 
 /// Mutable health state for one host of the pool.
@@ -347,7 +334,7 @@ struct RunningAttempt {
     started: Instant,
 }
 
-/// A validated shard sitting on disk, ready for the streaming final merge.
+/// A validated shard sitting on disk, ready for the streamed merge.
 struct CollectedShard {
     /// The validated spool file (shard interchange format).
     spool: PathBuf,
@@ -448,14 +435,13 @@ impl<'plan> Fleet<'plan> {
     }
 
     /// Runs the campaign: assigns shards to hosts, supervises and retries
-    /// workers, serves cached shards warm, and merges the validated shard
-    /// reports.
+    /// workers, serves cached shards warm, and returns the validated shard
+    /// files for the caller to merge.
     ///
     /// # Errors
     ///
-    /// Returns a [`FleetError`] when a shard exhausts its attempts, the
-    /// merge rejects the shard set, or a retrieved shard diverges from the
-    /// shared cache.
+    /// Returns a [`FleetError`] when a shard exhausts its attempts or a
+    /// retrieved shard diverges from the shared cache.
     pub fn run(&self) -> Result<FleetRun, FleetError> {
         let mut pool = HostPool::new(&self.hosts, self.config.quarantine_after);
         let mut warm_shards = 0_usize;
@@ -524,44 +510,14 @@ impl<'plan> Fleet<'plan> {
                 (a, b) => Some(a.unwrap_or_default().merged(b.unwrap_or_default())),
             }
         });
-        // The final merge streams: a k-way merge over the validated spool
-        // files holds one buffered cell per shard while re-validating
-        // coverage, duplicates, order and plan identity.
-        let mut report = collected
-            .iter()
-            .enumerate()
-            .map(|(shard, collected)| {
-                ShardCursor::open(&collected.spool)
-                    .map_err(|error| MergeError::Shard { shard, error })
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .and_then(ShardMerger::new)
-            .and_then(ShardMerger::into_report)
-            .map_err(Self::merge_error)?;
-        report.cache = cache;
         Ok(FleetRun {
-            report,
+            spools: collected.into_iter().map(|shard| shard.spool).collect(),
+            cache,
             hosts: pool.into_stats(),
             warm_shards,
             warm_cells,
             retries,
         })
-    }
-
-    /// Maps a streaming-merge failure onto the fleet's error surface: merge
-    /// validation failures keep their [`MergeError`], and a spool file that
-    /// stopped parsing (it validated at collection time, so this means
-    /// on-disk corruption between collection and merge) is reported as that
-    /// shard's failure.
-    fn merge_error(error: MergeError) -> FleetError {
-        match error {
-            MergeError::Shard { shard, error } => FleetError::Exhausted {
-                shard,
-                attempts: 1,
-                failures: vec![format!("final merge: spooled shard file: {error}")],
-            },
-            error => FleetError::Merge(error),
-        }
     }
 
     /// Starts (or restarts) a shard: served warm from the cell cache when
@@ -588,9 +544,9 @@ impl<'plan> Fleet<'plan> {
                     report.cells.len(),
                     job.attempts_used
                 ));
-                // Warm shards join the streaming final merge like any other
-                // shard: spooled to disk and dropped. The cache counters
-                // ride alongside (the shard codec doesn't carry them).
+                // Warm shards join the streamed merge like any other shard:
+                // spooled to disk and dropped. The cache counters ride
+                // alongside (the shard codec doesn't carry them).
                 let spool = self.spool_path(job.index);
                 let cells = report.cells.len();
                 let cache = report.cache;
@@ -740,7 +696,7 @@ impl<'plan> Fleet<'plan> {
     }
 
     /// The spool file a shard's validated interchange text lives in between
-    /// collection and the streaming final merge.
+    /// collection and the streamed merge.
     fn spool_path(&self, shard: usize) -> PathBuf {
         self.scratch_dir
             .join(format!("spool-shard-{shard}-of-{}.txt", self.config.shards))
@@ -748,8 +704,8 @@ impl<'plan> Fleet<'plan> {
 
     /// Streams the worker's shard file to the shard's spool path —
     /// `io::copy` from the transport's reader, never the whole file in
-    /// memory. The in-transit corruption injection (test-only) takes the
-    /// buffered path, since it must rewrite a line.
+    /// memory. The in-transit corruption injection (test-only) rewrites the
+    /// stream line by line on its way to the spool.
     fn spool(
         &self,
         shard: usize,
@@ -757,184 +713,99 @@ impl<'plan> Fleet<'plan> {
         handle: &mut dyn WorkerHandle,
     ) -> Result<PathBuf, CollectFailure> {
         let spool = self.spool_path(shard);
-        let corrupt = self.config.corrupt_shards.contains(&shard) && attempts_used == 1;
         let retry = |message: String| CollectFailure::Retry(message);
-        if corrupt {
-            (self.progress)(&format!(
-                "shard {shard}: attempt 1 corrupted in transit by --corrupt-shard fault injection"
-            ));
-            let text = handle
-                .retrieve()
-                .map_err(|error| retry(format!("shard file retrieval failed: {error}")))?;
-            std::fs::write(&spool, corrupt_shard_text(&text))
-                .map_err(|error| retry(format!("cannot spool shard file: {error}")))?;
-            return Ok(spool);
-        }
         let mut reader = handle
-            .retrieve_stream()
+            .retrieve()
             .map_err(|error| retry(format!("shard file retrieval failed: {error}")))?;
         let file = std::fs::File::create(&spool)
             .map_err(|error| retry(format!("cannot spool shard file: {error}")))?;
         let mut writer = std::io::BufWriter::new(file);
-        std::io::copy(&mut reader, &mut writer)
-            .and_then(|_| writer.flush())
+        let copied = if self.config.corrupt_shards.contains(&shard) && attempts_used == 1 {
+            (self.progress)(&format!(
+                "shard {shard}: attempt 1 corrupted in transit by --corrupt-shard fault injection"
+            ));
+            corrupt_in_transit(reader, &mut writer)
+        } else {
+            std::io::copy(&mut reader, &mut writer).map(drop)
+        };
+        copied
+            .and_then(|()| writer.flush())
             .map_err(|error| retry(format!("shard file retrieval failed: {error}")))?;
         Ok(spool)
     }
 
-    /// Validates a spooled shard file by streaming it — header gates, then
-    /// a one-cell-at-a-time walk against the shard's expected round-robin
-    /// coordinate slice, with the shared-cache cross-check folded into the
-    /// same pass (digest-only streams; no cell is retained). Any retryable
-    /// failure (truncated/corrupt file, foreign plan hash, wrong cell set)
-    /// counts against the shard's attempt cap exactly like a crash; a
-    /// cache disagreement is a data integrity failure (a host computed —
+    /// Validates a spooled shard file by streaming it — the header against
+    /// the plan's identity, then one cell at a time against the plan's own
+    /// specs for the shard, with the shared-cache cross-check folded into
+    /// the same pass: each cell the cache holds is compared with the cached
+    /// cell by canonical line, in lockstep, and the first unequal pair is
+    /// the divergence. Any retryable failure (truncated/corrupt file,
+    /// foreign plan identity, a cell set or cell spec that is not the
+    /// plan's) counts against the shard's attempt cap exactly like a crash;
+    /// a cache disagreement is a data integrity failure (a host computed —
     /// or the transport delivered — a *different result for the same
-    /// deterministic cell*) that aborts the run, diagnosed by the
-    /// logarithmic divergence finder to its exact first coordinate.
+    /// deterministic cell*) that aborts the run.
     ///
     /// Returns the number of cells the shard covers.
     fn validate_streamed(&self, shard: usize, spool: &Path) -> Result<usize, CollectFailure> {
         let retry = |message: String| CollectFailure::Retry(message);
         let parse_failed = |error: &dyn fmt::Display| retry(format!("shard file: {error}"));
         let mut cursor = ShardCursor::open(spool).map_err(|e| parse_failed(&e))?;
-        if cursor.header().plan_hash != self.plan.plan_hash() {
-            return Err(retry(format!(
-                "shard plan hash {:#018x} does not match coordinator plan {:#018x}",
-                cursor.header().plan_hash,
-                self.plan.plan_hash()
-            )));
+        // A corrupt or tampered header is an unusable file like any other:
+        // count it against the attempt cap here instead of letting it abort
+        // the whole campaign at the final merge.
+        if let Some(reason) = cursor.header().identity_mismatch(&self.plan.identity()) {
+            return Err(retry(reason));
         }
-        // A corrupt or tampered shape header is an unusable file like any
-        // other: count it against the attempt cap here instead of letting
-        // it abort the whole campaign at the final merge.
-        if cursor.header().shape != self.plan.shape() {
-            return Err(retry(format!(
-                "shard declares matrix shape {} but the coordinator plan is {}",
-                cursor.header().shape,
-                self.plan.shape()
-            )));
-        }
-        let total = self.plan.shape().cell_count();
-        let expected_total = if shard < total {
-            (total - shard).div_ceil(self.config.shards)
-        } else {
-            0
-        };
-        let mut expected_walk = CoordinateWalk::new(self.plan.shape())
-            .skip(shard)
-            .step_by(self.config.shards);
+        let specs = self.plan.shard(shard, self.config.shards);
         let cache = self.plan.cell_cache();
-        let mut expected_stream = CellStream::new();
-        let mut observed_stream = CellStream::new();
+        let mut expected = specs.iter();
         let mut got = 0_usize;
-        let mut set_mismatch = false;
-        let mut first_diff = String::new();
+        let mut mismatch: Option<String> = None;
+        let mut divergence: Option<Divergence> = None;
         while let Some(cell) = cursor.next_cell().map_err(|e| parse_failed(&e))? {
+            let index = got;
             got += 1;
-            match expected_walk.next() {
-                Some(expected) if expected == cell.spec.coordinates() => {
-                    if let Some(cache) = &cache {
-                        if let Some(cached) = cache.lookup(&cell.spec) {
-                            expected_stream.push(&cached.canonical_line());
-                            observed_stream.push(&cell.canonical_line());
-                        }
+            match expected.next() {
+                Some(spec) if *spec == cell.spec => {
+                    // The cache is asked under the plan's spec, so a cell
+                    // whose seed or labels were altered is never skipped.
+                    let cached = || cache.as_ref().and_then(|cache| cache.lookup(spec));
+                    if divergence.is_none() {
+                        divergence = cached().and_then(|cached| {
+                            Divergence::at_cell(
+                                index,
+                                spec.coordinates(),
+                                cached.canonical_line(),
+                                cell.canonical_line(),
+                            )
+                        });
                     }
                 }
-                Some(expected) => {
-                    if !set_mismatch {
-                        first_diff = format!(
-                            "; first divergence: expected {expected:?}, got {:?}",
-                            cell.spec.coordinates()
-                        );
-                    }
-                    set_mismatch = true;
+                Some(spec) => {
+                    mismatch.get_or_insert_with(|| {
+                        format!("; cell #{index} is {:?}, the plan's is {spec:?}", cell.spec)
+                    });
                 }
-                None => set_mismatch = true,
+                None => {
+                    mismatch.get_or_insert_with(String::new);
+                }
             }
         }
-        if set_mismatch || got != expected_total {
+        if mismatch.is_some() || got != specs.len() {
             return Err(retry(format!(
-                "shard cell set mismatch: expected {expected_total} cells, got {got}{first_diff}"
+                "shard cell set mismatch: expected {} cells, got {got}{}",
+                specs.len(),
+                mismatch.unwrap_or_default()
             )));
         }
-        let cells_compared = expected_stream.len();
-        let scan = find_divergence(&expected_stream, &observed_stream, |index| {
-            self.recover_cache_pair(spool, index)
-        });
-        if let Some(divergence) = scan.divergence {
+        if let Some(divergence) = divergence {
             return Err(CollectFailure::Abort(FleetError::Divergence {
                 shard: Some(shard),
                 against: "shared cell cache".to_string(),
                 divergence: Box::new(divergence),
-                probes: scan.probes,
-                cells: cells_compared,
             }));
         }
         Ok(got)
     }
-
-    /// Recovers the evidence for the `target`-th cache-checked cell of a
-    /// spooled shard (the divergence finder's `cell_at` callback): a second
-    /// streaming pass over the spool, re-querying the cache, materializing
-    /// exactly the one disagreeing pair.
-    fn recover_cache_pair(
-        &self,
-        spool: &Path,
-        target: usize,
-    ) -> ((usize, usize, usize, usize), String, String) {
-        if let (Some(cache), Ok(mut cursor)) = (self.plan.cell_cache(), ShardCursor::open(spool)) {
-            let mut checked = 0_usize;
-            while let Ok(Some(cell)) = cursor.next_cell() {
-                if let Some(cached) = cache.lookup(&cell.spec) {
-                    if checked == target {
-                        return (
-                            cached.spec.coordinates(),
-                            cached.canonical_line(),
-                            cell.canonical_line(),
-                        );
-                    }
-                    checked += 1;
-                }
-            }
-        }
-        // The spool or cache changed between the scan and the recovery
-        // pass; the coordinate is still exact, the lines are best-effort.
-        (
-            (0, 0, 0, 0),
-            "<unrecoverable>".to_string(),
-            "<unrecoverable>".to_string(),
-        )
-    }
-}
-
-/// Compares two whole reports with the divergence finder (`campaignd`'s
-/// `--verify-rerun` path): `None` when canonical cell streams agree,
-/// otherwise the located first disagreement as a ready-made
-/// [`FleetError::Divergence`].
-#[must_use]
-pub fn verify_reports(
-    expected: &CampaignReport,
-    observed: &CampaignReport,
-    against: &str,
-) -> Option<FleetError> {
-    let expected_stream = CellStream::from_report(expected);
-    let observed_stream = CellStream::from_report(observed);
-    let cells = expected_stream.len();
-    let scan = find_divergence(&expected_stream, &observed_stream, |index| {
-        let expected_cell = &expected.cells[index];
-        let observed_cell = &observed.cells[index];
-        (
-            expected_cell.spec.coordinates(),
-            expected_cell.canonical_line(),
-            observed_cell.canonical_line(),
-        )
-    });
-    scan.divergence.map(|divergence| FleetError::Divergence {
-        shard: None,
-        against: against.to_string(),
-        divergence: Box::new(divergence),
-        probes: scan.probes,
-        cells,
-    })
 }

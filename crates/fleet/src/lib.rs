@@ -20,13 +20,14 @@
 //!   serves fully cached shards warm from the shared cell cache (hosts are
 //!   *elastic*: they only execute cells nobody has computed yet), and
 //!   retries crashed, hung, or unusable attempts up to a cap.
-//! * [`find_divergence`] — when a retrieved shard *is* valid but disagrees
-//!   with the authoritative result (shared cache, or a verification
-//!   re-run), a logarithmic divergence finder over the canonical per-cell
-//!   stream reports the exact first differing coordinate
-//!   (config × world × scenario × replicate) and both rendered cells, in
-//!   O(log cells) prefix-digest probes instead of a whole-report byte
-//!   diff.
+//! * [`Divergence`] — when a retrieved shard *is* valid but disagrees with
+//!   the authoritative result (shared cache, or a verification re-run), the
+//!   two canonical per-cell streams are compared in lockstep, in the pass
+//!   that reads the cells, and the first unequal pair of lines names the
+//!   exact differing coordinate (config × world × scenario × replicate)
+//!   with both rendered cells — the monitor's first-disagreeing-syscall
+//!   alarm, applied to shards. [`first_divergence`] is that comparison
+//!   over two whole streams.
 //!
 //! `campaignd` is a thin CLI over this crate.
 
@@ -37,11 +38,9 @@ pub mod divergence;
 pub mod fleet;
 pub mod transport;
 
-pub use divergence::{find_divergence, CellStream, Coordinates, Divergence, DivergenceScan};
-pub use fleet::{
-    corrupt_shard_text, verify_reports, Fleet, FleetConfig, FleetError, FleetRun, HostStats,
-};
+pub use divergence::{first_divergence, Coordinates, Divergence};
+pub use fleet::{Fleet, FleetConfig, FleetError, FleetRun, HostStats};
 pub use transport::{
-    local_shard_path, CommandTransport, LocalProcessTransport, ShardAssignment, TransportError,
-    WorkerHandle, WorkerStatus, WorkerTransport,
+    CommandTransport, LocalProcessTransport, ShardAssignment, TransportError, WorkerHandle,
+    WorkerStatus, WorkerTransport,
 };

@@ -20,7 +20,7 @@
 
 use std::fmt;
 use std::io::{BufRead, BufReader, Read};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -92,7 +92,7 @@ pub enum WorkerStatus {
 }
 
 /// A live worker attempt: poll it, kill it, and — after a successful exit —
-/// retrieve the shard interchange text it produced.
+/// retrieve the shard interchange stream it produced.
 pub trait WorkerHandle {
     /// Non-blocking status check.
     fn poll(&mut self) -> WorkerStatus;
@@ -114,21 +114,13 @@ pub trait WorkerHandle {
     /// that already exited cannot be killed again).
     fn kill(&mut self);
 
-    /// Retrieves the shard file the worker wrote, as text. Only meaningful
-    /// after a successful exit; a missing or unreadable file is an error
-    /// the scheduler counts against the attempt.
-    fn retrieve(&mut self) -> Result<String, TransportError>;
-
-    /// Retrieves the shard file as a buffered byte stream, so the
-    /// scheduler can spool and validate it without ever holding the whole
-    /// file in memory. The default implementation wraps
-    /// [`retrieve`](Self::retrieve) (fine for test doubles); real
-    /// transports override it to stream from disk or from the retrieval
-    /// command's pipe.
-    fn retrieve_stream(&mut self) -> Result<Box<dyn BufRead + Send>, TransportError> {
-        self.retrieve()
-            .map(|text| Box::new(std::io::Cursor::new(text.into_bytes())) as _)
-    }
+    /// Retrieves the shard file the worker wrote as a buffered byte
+    /// stream, so the scheduler can spool and validate it without ever
+    /// holding the whole file in memory. Only meaningful after a successful
+    /// exit; a missing or unreadable file — when opening it, or as a read
+    /// error later in the stream — is an error the scheduler counts against
+    /// the attempt.
+    fn retrieve(&mut self) -> Result<Box<dyn BufRead + Send>, TransportError>;
 }
 
 /// The streaming side of a command-prefix retrieval: the retrieval child's
@@ -224,29 +216,7 @@ impl WorkerHandle for ProcessHandle {
         let _ = self.child.wait();
     }
 
-    fn retrieve(&mut self) -> Result<String, TransportError> {
-        match &mut self.retrieval {
-            Retrieval::LocalFile(path) => std::fs::read_to_string(&*path).map_err(|error| {
-                TransportError::new(format!("cannot read {}: {error}", path.display()))
-            }),
-            Retrieval::Command(command) => {
-                let output = command.output().map_err(|error| {
-                    TransportError::new(format!("retrieval command failed to start: {error}"))
-                })?;
-                if !output.status.success() {
-                    return Err(TransportError::new(format!(
-                        "retrieval command exited with {}: {}",
-                        output.status,
-                        String::from_utf8_lossy(&output.stderr).trim()
-                    )));
-                }
-                String::from_utf8(output.stdout)
-                    .map_err(|_| TransportError::new("retrieved shard file is not UTF-8"))
-            }
-        }
-    }
-
-    fn retrieve_stream(&mut self) -> Result<Box<dyn BufRead + Send>, TransportError> {
+    fn retrieve(&mut self) -> Result<Box<dyn BufRead + Send>, TransportError> {
         match &mut self.retrieval {
             Retrieval::LocalFile(path) => {
                 let file = std::fs::File::open(&*path).map_err(|error| {
@@ -413,17 +383,10 @@ impl WorkerTransport for CommandTransport {
     }
 }
 
-/// Where a transport resolves a path that tests and callers may need to
-/// clean up: command transports keep shard files host-side, local ones in
-/// the scratch directory.
-#[must_use]
-pub fn local_shard_path(scratch_dir: &Path, index: usize, count: usize) -> PathBuf {
-    scratch_dir.join(format!("shard-{index}-of-{count}.txt"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -441,6 +404,17 @@ mod tests {
         perms.set_mode(0o755);
         std::fs::set_permissions(&path, perms).expect("chmod script");
         path
+    }
+
+    /// Retrieves a worker's shard file and reads the stream to its end.
+    fn read_back(handle: &mut dyn WorkerHandle) -> Result<String, String> {
+        let mut text = String::new();
+        handle
+            .retrieve()
+            .map_err(|error| error.to_string())?
+            .read_to_string(&mut text)
+            .map_err(|error| error.to_string())?;
+        Ok(text)
     }
 
     fn assignment(dir: &Path, worker: &Path) -> ShardAssignment {
@@ -482,9 +456,12 @@ printf 'marker %s\n' "$NVFLEET_TEST_TAG" > "$out"
                 detail: "exit status: 0".to_string()
             }
         );
-        assert_eq!(handle.retrieve().expect("retrieve"), "marker local\n");
+        assert_eq!(
+            read_back(handle.as_mut()).expect("retrieve"),
+            "marker local\n"
+        );
         // The local transport keeps the shard file in the scratch dir.
-        assert!(local_shard_path(&dir, 1, 4).is_file());
+        assert!(dir.join("shard-1-of-4.txt").is_file());
     }
 
     #[test]
@@ -533,10 +510,10 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
         // Retrieval went through the prefix: the file only exists in the
         // simulated host's scratch dir, not the coordinator's.
         assert_eq!(
-            handle.retrieve().expect("retrieve"),
+            read_back(handle.as_mut()).expect("retrieve"),
             "host alpha shard 1/4\n"
         );
-        assert!(!local_shard_path(&dir, 1, 4).exists());
+        assert!(!dir.join("shard-1-of-4.txt").exists());
         assert!(dir.join("remotes/alpha/shard-1-of-4.txt").is_file());
     }
 
@@ -577,9 +554,11 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
         let status = handle.wait_deadline(Instant::now() + Duration::from_secs(10));
         assert!(matches!(status, WorkerStatus::Exited { success: true, .. }));
         // `cat shard-3-of-4.txt` runs in this process's cwd where no such
-        // file exists — the retrieval error names the failure.
-        let error = handle.retrieve().expect_err("missing remote file");
-        assert!(error.message.contains("retrieval command"), "{error}");
+        // file exists. The stream opens (the command starts), and the
+        // failed `cat` surfaces as a read error at its end, naming the
+        // failure, instead of as a silently empty shard.
+        let error = read_back(handle.as_mut()).expect_err("missing remote file");
+        assert!(error.contains("retrieval command exited with"), "{error}");
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property tests for the logarithmic divergence finder: over randomly
-//! sized streams and mutation positions, the reported coordinate is always
-//! the *minimal* differing one, and the probe count stays logarithmic.
+//! Property tests for the lockstep divergence check: over randomly sized
+//! streams and mutation positions, the reported coordinate is always the
+//! *minimal* differing one, with both lines, equal streams never diverge,
+//! and a truncated stream is a length mismatch.
 
-use nvariant_fleet::{find_divergence, CellStream, Coordinates, Divergence};
+use nvariant_fleet::{first_divergence, Coordinates, Divergence};
 use proptest::prelude::*;
 
 /// One synthetic canonical cell line, salted by `salt` (so two streams with
@@ -19,18 +20,22 @@ fn coords(i: usize) -> Coordinates {
     (i, i / 2, i / 3, i / 5)
 }
 
-/// A digest-only stream of `n` distinct cells.
-fn stream(n: usize, salt: u64, mutate: Option<usize>) -> CellStream {
-    CellStream::from_lines((0..n).map(|i| line(i, salt, mutate)))
+/// The expected side: `n` distinct cells with their coordinates.
+fn expected(n: usize, salt: u64) -> impl Iterator<Item = (Coordinates, String)> {
+    (0..n).map(move |i| (coords(i), line(i, salt, None)))
+}
+
+/// The observed side: `n` cells, optionally mutated at one index.
+fn observed(n: usize, salt: u64, mutate: Option<usize>) -> impl Iterator<Item = String> {
+    (0..n).map(move |i| line(i, salt, mutate))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The reported divergence index is exactly the mutated position — the
-    /// minimal differing coordinate — wherever the mutation lands, and the
-    /// probe count respects the O(log cells) bound. The evidence callback
-    /// recovers the two canonical lines only at the pinpointed index.
+    /// minimal differing coordinate — wherever the mutation lands, with
+    /// that cell's coordinates and both canonical lines.
     #[test]
     fn reported_coordinate_is_the_minimal_differing_one(
         n in 1usize..300,
@@ -38,42 +43,25 @@ proptest! {
         salt in any::<u64>(),
     ) {
         let k = k_raw % n;
-        let expected = stream(n, salt, None);
-        let observed = stream(n, salt, Some(k));
-        let scan = find_divergence(&expected, &observed, |i| {
-            (coords(i), line(i, salt, None), line(i, salt, Some(k)))
-        });
-        match scan.divergence {
-            Some(Divergence::Cell { index, coordinates, expected, observed }) => {
-                prop_assert_eq!(index, k);
-                prop_assert_eq!(coordinates, coords(k));
-                prop_assert_eq!(expected, line(k, salt, None));
-                prop_assert_eq!(observed, line(k, salt, Some(k)));
-            }
-            other => prop_assert!(false, "expected a cell divergence, got {:?}", other),
-        }
-        // 1 shared-prefix probe + binary search over n+1 prefix lengths.
-        let log_bound = (usize::BITS - n.leading_zeros()) as usize + 2;
-        prop_assert!(
-            scan.probes <= log_bound,
-            "{} probes exceeds log bound {} for {} cells",
-            scan.probes, log_bound, n
+        prop_assert_eq!(
+            first_divergence(expected(n, salt), observed(n, salt, Some(k))),
+            Some(Divergence::Cell {
+                index: k,
+                coordinates: coords(k),
+                expected: line(k, salt, None),
+                observed: line(k, salt, Some(k)),
+            })
         );
     }
 
-    /// Identical streams never report a divergence, regardless of size —
-    /// and never ask for cell evidence.
+    /// Identical streams never report a divergence, regardless of size.
     #[test]
     fn equal_streams_never_diverge(n in 0usize..300, salt in any::<u64>()) {
-        let scan = find_divergence(&stream(n, salt, None), &stream(n, salt, None), |i| {
-            panic!("evidence requested for cell {i} of equal streams")
-        });
-        prop_assert_eq!(scan.divergence, None);
-        prop_assert_eq!(scan.probes, 1);
+        prop_assert_eq!(first_divergence(expected(n, salt), observed(n, salt, None)), None);
     }
 
     /// A truncated but otherwise honest stream is reported as a length
-    /// mismatch naming the exact shared prefix, without evidence recovery.
+    /// mismatch naming the exact shared prefix.
     #[test]
     fn truncation_is_a_length_mismatch(
         n in 2usize..300,
@@ -81,13 +69,8 @@ proptest! {
         salt in any::<u64>(),
     ) {
         let cut = 1 + cut_raw % (n - 1); // 1..n
-        let expected = stream(n, salt, None);
-        let observed = stream(cut, salt, None);
-        let scan = find_divergence(&expected, &observed, |i| {
-            panic!("evidence requested for cell {i} of a pure truncation")
-        });
         prop_assert_eq!(
-            scan.divergence,
+            first_divergence(expected(n, salt), observed(cut, salt, None)),
             Some(Divergence::Length { common: cut, expected: n, observed: cut })
         );
     }

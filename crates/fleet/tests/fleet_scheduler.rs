@@ -4,12 +4,13 @@
 //! fault injection and divergence diagnosis — no real worker processes.
 
 use nvariant::{DeploymentConfig, NVariantSystemBuilder};
-use nvariant_campaign::{CampaignPlan, Scenario};
+use nvariant_campaign::{CampaignPlan, CampaignReport, Scenario};
 use nvariant_fleet::{
-    Divergence, Fleet, FleetConfig, FleetError, ShardAssignment, TransportError, WorkerHandle,
-    WorkerStatus, WorkerTransport,
+    Divergence, Fleet, FleetConfig, FleetError, FleetRun, ShardAssignment, TransportError,
+    WorkerHandle, WorkerStatus, WorkerTransport,
 };
 use std::collections::BTreeSet;
+use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -120,8 +121,10 @@ impl WorkerHandle for MockHandle {
         self.killed = true;
     }
 
-    fn retrieve(&mut self) -> Result<String, TransportError> {
-        Ok(self.text.clone())
+    fn retrieve(&mut self) -> Result<Box<dyn BufRead + Send>, TransportError> {
+        Ok(Box::new(std::io::Cursor::new(
+            self.text.clone().into_bytes(),
+        )))
     }
 }
 
@@ -169,6 +172,18 @@ fn shard_texts(plan: &CampaignPlan, shards: usize) -> Vec<String> {
         .collect()
 }
 
+/// The canonical text of a run's validated shard files, merged by the one
+/// merge.
+fn merged_canonical(run: &FleetRun) -> String {
+    let shards = run.spools.iter().map(|spool| {
+        let text = std::fs::read_to_string(spool).expect("spool readable");
+        CampaignReport::from_shard_text(&text).expect("spool parses")
+    });
+    CampaignReport::merge(shards)
+        .expect("validated shards merge")
+        .canonical_text()
+}
+
 fn quick_config(shards: usize) -> FleetConfig {
     FleetConfig {
         shards,
@@ -214,7 +229,7 @@ fn healthy_pool_splits_shards_and_merges_byte_identically() {
         .run()
         .expect("healthy run succeeds");
 
-    assert_eq!(run.report.canonical_text(), whole.canonical_text());
+    assert_eq!(merged_canonical(&run), whole.canonical_text());
     assert_eq!(run.retries, 0);
     assert_eq!(run.warm_shards, 0);
     // Least-loaded assignment spreads 2 shards over 2 hosts: one attempt
@@ -257,7 +272,7 @@ fn crashing_host_is_quarantined_and_work_moves_to_the_healthy_one() {
     .run()
     .expect("the healthy host absorbs the work");
 
-    assert_eq!(run.report.canonical_text(), whole.canonical_text());
+    assert_eq!(merged_canonical(&run), whole.canonical_text());
     assert_eq!(run.retries, 1);
     let flaky = &run.hosts[0];
     assert_eq!(flaky.name, "flaky");
@@ -322,7 +337,7 @@ fn exhausted_shard_fails_the_run_with_every_attempt_reason() {
             assert_eq!(*attempts, 2);
             assert_eq!(failures.len(), 2);
         }
-        other => panic!("expected Exhausted, got {other:?}"),
+        other @ FleetError::Divergence { .. } => panic!("expected Exhausted, got {other:?}"),
     }
     let rendered = error.to_string();
     assert!(
@@ -366,7 +381,7 @@ fn kill_injection_fires_then_the_retry_collects() {
         .run()
         .expect("retry after the injected kill");
 
-    assert_eq!(run.report.canonical_text(), whole.canonical_text());
+    assert_eq!(merged_canonical(&run), whole.canonical_text());
     assert_eq!(run.retries, 1);
     assert_eq!(run.hosts[0].failures, 1);
     let lines = log.lock().unwrap().join("\n");
@@ -393,7 +408,7 @@ fn fully_cached_plan_is_served_warm_without_a_single_spawn() {
     .run()
     .expect("warm run succeeds");
 
-    assert_eq!(run.report.canonical_text(), whole.canonical_text());
+    assert_eq!(merged_canonical(&run), whole.canonical_text());
     assert_eq!(run.warm_shards, 2);
     assert_eq!(run.warm_cells, 4);
     assert_eq!(run.hosts[0].attempts, 0, "no worker ever spawned");
@@ -415,7 +430,7 @@ fn zero_shards_runs_the_plan_as_one_shard() {
 
     assert_eq!(run.warm_shards, 1);
     assert_eq!(run.warm_cells, 4);
-    assert_eq!(run.report.canonical_text(), whole.canonical_text());
+    assert_eq!(merged_canonical(&run), whole.canonical_text());
 }
 
 #[test]
@@ -438,8 +453,6 @@ fn corrupt_injection_is_diagnosed_to_the_exact_first_coordinate() {
             shard,
             against,
             divergence,
-            probes,
-            cells,
         } => {
             assert_eq!(*shard, Some(1));
             assert_eq!(against, "shared cell cache");
@@ -458,10 +471,8 @@ fn corrupt_injection_is_diagnosed_to_the_exact_first_coordinate() {
                 }
                 Divergence::Length { .. } => panic!("not a length mismatch"),
             }
-            assert_eq!(*cells, 2);
-            assert!(*probes <= 3, "{probes} probes for 2 cells");
         }
-        other => panic!("expected Divergence, got {other:?}"),
+        other @ FleetError::Exhausted { .. } => panic!("expected Divergence, got {other:?}"),
     }
     let rendered = error.to_string();
     assert!(
@@ -488,5 +499,68 @@ fn uncached_honest_hosts_pass_the_cross_check_trivially() {
     let run = fleet_over(&plan, transport, &["alpha"], quick_config(2), log)
         .run()
         .expect("honest hosts pass");
-    assert_eq!(run.report.canonical_text(), whole.canonical_text());
+    assert_eq!(merged_canonical(&run), whole.canonical_text());
+}
+
+/// Rewrites the seed of a shard text's first cell, the way a transport
+/// could alter it in transit without breaking the file's structure.
+fn with_first_seed_altered(text: &str) -> String {
+    let mut altered = false;
+    let mut out = String::new();
+    for line in text.lines() {
+        match line.strip_prefix("cell ") {
+            Some(fields) if !altered => {
+                let mut fields: Vec<&str> = fields.split(' ').collect();
+                fields[4] = "0x0000000000000001";
+                out.push_str(&format!("cell {}\n", fields.join(" ")));
+                altered = true;
+            }
+            _ => {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn a_cell_with_an_altered_seed_is_refused_with_and_without_a_cache() {
+    for cached in [false, true] {
+        let plan = if cached {
+            plan().with_cache_dir(scratch("altered-seed-cache"))
+        } else {
+            plan()
+        };
+        // With a cache, shard_texts fills it; dropping one entry of shard 1
+        // makes that shard spawn a worker while its first cell, the one the
+        // transport alters, stays cached.
+        let mut texts = shard_texts(&plan, 2);
+        if let Some(cache) = plan.cell_cache() {
+            std::fs::remove_file(cache.entry_path(&plan.shard(1, 2)[1])).expect("entry exists");
+        }
+        texts[1] = with_first_seed_altered(&texts[1]);
+        let transport = MockTransport::new(texts, vec![("alpha", HostBehavior::Ok)]);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let error = fleet_over(&plan, transport, &["alpha"], quick_config(2), log)
+            .run()
+            .expect_err("a shard whose cell the plan does not fix must not be collected");
+        match &error {
+            FleetError::Exhausted {
+                shard, failures, ..
+            } => {
+                assert_eq!(*shard, 1, "cached: {cached}");
+                assert_eq!(failures.len(), 3, "cached: {cached}");
+                for failure in failures {
+                    assert!(
+                        failure.contains("shard cell set mismatch") && failure.contains("cell #0"),
+                        "cached: {cached}: {failure}"
+                    );
+                }
+            }
+            other @ FleetError::Divergence { .. } => {
+                panic!("cached: {cached}: expected Exhausted, got {other:?}")
+            }
+        }
+    }
 }

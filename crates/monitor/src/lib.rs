@@ -63,6 +63,6 @@ pub mod provision;
 pub use alarm::{Alarm, DivergenceKind};
 pub use config::{DivergencePolicy, MonitorConfig};
 pub use fdtable::{VirtualFd, VirtualFdTable};
-pub use metrics::MonitorMetrics;
+pub use metrics::ExecutionMetrics;
 pub use monitor::{NVariantMonitor, NVariantOutcome, StepEvent, StepObservation};
 pub use provision::provision_unshared_copies;

@@ -8,73 +8,49 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Counters describing one monitored run.
+/// Execution counters in a shape shared by single-process and N-variant
+/// deployments, used by the performance model behind the Table 3
+/// reproduction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MonitorMetrics {
-    /// Number of variants in the group.
+pub struct ExecutionMetrics {
+    /// Number of variant processes that executed.
     pub variants: usize,
     /// Total bytecode instructions executed across all variants.
     pub total_instructions: u64,
-    /// Number of synchronization points (system calls issued by the group).
+    /// Synchronization points / system calls issued.
     pub syscalls: u64,
-    /// Number of argument/output equivalence comparisons performed.
-    pub equivalence_checks: u64,
-    /// Number of Table 2 detection calls (`uid_value`, `cond_chk`, `cc_*`)
-    /// observed.
+    /// Cross-variant equivalence checks performed by the monitor
+    /// (zero for single-process deployments).
+    pub monitor_checks: u64,
+    /// Table 2 detection calls observed.
     pub detection_calls: u64,
-    /// Bytes moved by input system calls (performed once).
-    pub input_bytes: u64,
-    /// Bytes moved by output system calls (performed once).
-    pub output_bytes: u64,
-    /// Bytes moved by per-variant unshared-file I/O (performed per variant).
-    pub unshared_bytes: u64,
-    /// Number of alarms raised.
-    pub alarms: u64,
+    /// I/O bytes moved by the kernel: input and output once regardless of
+    /// the number of variants, unshared-file I/O once per variant.
+    pub io_bytes: u64,
 }
 
-impl MonitorMetrics {
-    /// Creates metrics for a group of `variants` variants.
-    #[must_use]
-    pub fn new(variants: usize) -> Self {
-        MonitorMetrics {
-            variants,
-            ..MonitorMetrics::default()
-        }
-    }
-
-    /// Total I/O bytes moved by the kernel on behalf of the group.
-    #[must_use]
-    pub fn io_bytes(&self) -> u64 {
-        self.input_bytes + self.output_bytes + self.unshared_bytes
-    }
-
-    /// Merges the counters of another run into this one (used by workload
-    /// drivers that run one monitored request at a time).
-    pub fn absorb(&mut self, other: &MonitorMetrics) {
+impl ExecutionMetrics {
+    /// Merges another run's counters into this one.
+    pub fn absorb(&mut self, other: &ExecutionMetrics) {
         self.variants = self.variants.max(other.variants);
         self.total_instructions += other.total_instructions;
         self.syscalls += other.syscalls;
-        self.equivalence_checks += other.equivalence_checks;
+        self.monitor_checks += other.monitor_checks;
         self.detection_calls += other.detection_calls;
-        self.input_bytes += other.input_bytes;
-        self.output_bytes += other.output_bytes;
-        self.unshared_bytes += other.unshared_bytes;
-        self.alarms += other.alarms;
+        self.io_bytes += other.io_bytes;
     }
 }
 
-impl fmt::Display for MonitorMetrics {
+impl fmt::Display for ExecutionMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} variants, {} instructions, {} syscalls, {} checks, {} detection calls, {} I/O bytes, {} alarms",
+            "{} variants, {} instructions, {} syscalls, {} checks, {} I/O bytes",
             self.variants,
             self.total_instructions,
             self.syscalls,
-            self.equivalence_checks,
-            self.detection_calls,
-            self.io_bytes(),
-            self.alarms
+            self.monitor_checks,
+            self.io_bytes
         )
     }
 }
@@ -84,43 +60,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn io_bytes_sums_categories() {
-        let metrics = MonitorMetrics {
-            input_bytes: 10,
-            output_bytes: 20,
-            unshared_bytes: 5,
-            ..MonitorMetrics::new(2)
-        };
-        assert_eq!(metrics.io_bytes(), 35);
-        assert_eq!(metrics.variants, 2);
-    }
-
-    #[test]
     fn absorb_accumulates() {
-        let mut total = MonitorMetrics::new(2);
-        let per_request = MonitorMetrics {
+        let mut total = ExecutionMetrics {
+            variants: 2,
+            ..ExecutionMetrics::default()
+        };
+        let per_request = ExecutionMetrics {
+            variants: 3,
             total_instructions: 1000,
             syscalls: 5,
-            equivalence_checks: 9,
+            monitor_checks: 9,
             detection_calls: 2,
-            input_bytes: 100,
-            output_bytes: 300,
-            unshared_bytes: 0,
-            alarms: 0,
-            variants: 2,
+            io_bytes: 400,
         };
         total.absorb(&per_request);
         total.absorb(&per_request);
+        assert_eq!(total.variants, 3);
         assert_eq!(total.total_instructions, 2000);
         assert_eq!(total.syscalls, 10);
-        assert_eq!(total.equivalence_checks, 18);
-        assert_eq!(total.io_bytes(), 800);
+        assert_eq!(total.monitor_checks, 18);
+        assert_eq!(total.detection_calls, 4);
+        assert_eq!(total.io_bytes, 800);
     }
 
     #[test]
     fn display_mentions_key_counters() {
-        let text = MonitorMetrics::new(2).to_string();
-        assert!(text.contains("2 variants"));
-        assert!(text.contains("alarms"));
+        let text = ExecutionMetrics {
+            variants: 2,
+            monitor_checks: 7,
+            ..ExecutionMetrics::default()
+        }
+        .to_string();
+        assert!(text.contains("2 variants"), "{text}");
+        assert!(text.contains("7 checks"), "{text}");
     }
 }

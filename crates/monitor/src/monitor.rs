@@ -4,7 +4,7 @@
 use crate::alarm::{Alarm, DivergenceKind};
 use crate::config::{DivergencePolicy, MonitorConfig};
 use crate::fdtable::VirtualFdTable;
-use crate::metrics::MonitorMetrics;
+use crate::metrics::ExecutionMetrics;
 use nvariant_diversity::{Canonicalizer, DataClass, VariantSet};
 use nvariant_simos::{OpenFlags, OsKernel, SyscallRequest, Sysno};
 use nvariant_types::{Errno, Fd, Fnv1a, Gid, Pid, Port, Uid, VariantId, Word};
@@ -19,7 +19,7 @@ pub struct NVariantOutcome {
     /// The first alarm raised, if the run was terminated by divergence.
     pub alarm: Option<Alarm>,
     /// Execution counters.
-    pub metrics: MonitorMetrics,
+    pub metrics: ExecutionMetrics,
 }
 
 impl NVariantOutcome {
@@ -84,7 +84,10 @@ pub struct NVariantMonitor {
     variants: Vec<VariantRuntime>,
     vfds: VirtualFdTable,
     config: MonitorConfig,
-    metrics: MonitorMetrics,
+    metrics: ExecutionMetrics,
+    /// Bytes of shared (console or network) output, the source of
+    /// [`StepObservation::output_delta`].
+    output_bytes: u64,
     alarms: Vec<Alarm>,
     /// Syscall processed by the most recent synchronization point (reported
     /// through [`StepEvent::Progress`]).
@@ -137,7 +140,11 @@ impl NVariantMonitor {
             variants,
             vfds: VirtualFdTable::new(count),
             config,
-            metrics: MonitorMetrics::new(count),
+            metrics: ExecutionMetrics {
+                variants: count,
+                ..ExecutionMetrics::default()
+            },
+            output_bytes: 0,
             alarms: Vec::new(),
             last_sysno: None,
             last_divergent_args: false,
@@ -165,7 +172,7 @@ impl NVariantMonitor {
 
     /// The execution counters collected so far.
     #[must_use]
-    pub fn metrics(&self) -> &MonitorMetrics {
+    pub fn metrics(&self) -> &ExecutionMetrics {
         &self.metrics
     }
 
@@ -217,7 +224,7 @@ impl NVariantMonitor {
     /// output occurred, without running to completion.
     pub fn step(&mut self) -> StepEvent {
         let alarms_before = self.alarms.len();
-        let output_before = self.metrics.output_bytes;
+        let output_before = self.output_bytes;
         self.last_sysno = None;
         self.last_divergent_args = false;
         match self.step_group() {
@@ -225,7 +232,7 @@ impl NVariantMonitor {
             None => StepEvent::Progress(StepObservation {
                 sysno: self.last_sysno,
                 alarms_raised: self.alarms.len() - alarms_before,
-                output_delta: self.metrics.output_bytes - output_before,
+                output_delta: self.output_bytes - output_before,
                 divergent_args: self.last_divergent_args,
             }),
         }
@@ -234,9 +241,10 @@ impl NVariantMonitor {
     /// A canonical digest of the group's full semantic state: kernel (time,
     /// accounts, filesystem, network, processes), every variant's machine
     /// state, the virtual descriptor table and the alarm count. Monotone
-    /// execution counters ([`MonitorMetrics`]) are deliberately excluded so
-    /// the model checker's visited-state pruning identifies states that are
-    /// behaviourally identical but were reached by different paths.
+    /// execution counters ([`ExecutionMetrics`] and the output-byte count)
+    /// are deliberately excluded so the model checker's visited-state
+    /// pruning identifies states that are behaviourally identical but were
+    /// reached by different paths.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut digest = Fnv1a::new();
@@ -351,7 +359,6 @@ impl NVariantMonitor {
     }
 
     fn terminate_with_alarm(&mut self, alarm: Alarm) -> NVariantOutcome {
-        self.metrics.alarms += 1;
         self.alarms.push(alarm.clone());
         NVariantOutcome {
             exit_status: None,
@@ -365,7 +372,6 @@ impl NVariantMonitor {
         match self.config.policy {
             DivergencePolicy::KillAndReport => Some(self.terminate_with_alarm(alarm)),
             DivergencePolicy::ReportAndContinue => {
-                self.metrics.alarms += 1;
                 self.alarms.push(alarm);
                 None
             }
@@ -408,7 +414,7 @@ impl NVariantMonitor {
             canonical_args.push(canon);
         }
         for index in 0..arg_count {
-            self.metrics.equivalence_checks += 1;
+            self.metrics.monitor_checks += 1;
             let first = canonical_args[0][index];
             if canonical_args.iter().any(|args| args[index] != first) {
                 self.last_divergent_args = true;
@@ -629,7 +635,7 @@ impl NVariantMonitor {
                 Err(_) => return ExecuteResult::Deliver(vec![errno_word(Errno::Efault); n]),
             }
         }
-        self.metrics.equivalence_checks += 1;
+        self.metrics.monitor_checks += 1;
         if paths.iter().any(|p| p != &paths[0]) {
             return ExecuteResult::Abort(Alarm::new(
                 DivergenceKind::ArgumentMismatch {
@@ -691,7 +697,7 @@ impl NVariantMonitor {
                 };
                 match self.kernel.read(self.group_pid, fd, count) {
                     Ok(data) => {
-                        self.metrics.unshared_bytes += data.len() as u64;
+                        self.metrics.io_bytes += data.len() as u64;
                         let addr = request.arg(1).as_addr();
                         match self.variants[index].process.write_bytes(addr, &data) {
                             Ok(()) => returns.push(Word::from_u32(data.len() as u32)),
@@ -717,7 +723,7 @@ impl NVariantMonitor {
         };
         match result {
             Ok(data) => {
-                self.metrics.input_bytes += data.len() as u64;
+                self.metrics.io_bytes += data.len() as u64;
                 let mut returns = Vec::with_capacity(n);
                 for (variant, request) in self.variants.iter_mut().zip(requests) {
                     let addr = request.arg(1).as_addr();
@@ -757,7 +763,7 @@ impl NVariantMonitor {
                     .and_then(|fd| self.kernel.write(self.group_pid, fd, payload));
                 match result {
                     Ok(len) => {
-                        self.metrics.unshared_bytes += len as u64;
+                        self.metrics.io_bytes += len as u64;
                         returns.push(Word::from_u32(len as u32));
                     }
                     Err(e) => returns.push(errno_word(e)),
@@ -767,7 +773,7 @@ impl NVariantMonitor {
         }
 
         // Shared output must be byte-identical across variants.
-        self.metrics.equivalence_checks += 1;
+        self.metrics.monitor_checks += 1;
         if payloads.iter().any(|p| p != &payloads[0]) {
             return ExecuteResult::Abort(Alarm::new(
                 DivergenceKind::OutputMismatch { sysno },
@@ -794,7 +800,8 @@ impl NVariantMonitor {
         };
         match result {
             Ok(len) => {
-                self.metrics.output_bytes += len as u64;
+                self.metrics.io_bytes += len as u64;
+                self.output_bytes += len as u64;
                 ExecuteResult::Deliver(vec![Word::from_u32(len as u32); n])
             }
             Err(e) => ExecuteResult::Deliver(vec![errno_word(e); n]),
@@ -931,12 +938,19 @@ mod tests {
             }
         "#;
         let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48));
-        let outcome = monitor.run_to_completion();
+        let mut output = 0;
+        let outcome = loop {
+            match monitor.step() {
+                StepEvent::Progress(observation) => output += observation.output_delta,
+                StepEvent::Done(outcome) => break outcome,
+            }
+        };
         assert_eq!(outcome.exit_status, Some(0));
-        // The config file was read once, not once per variant.
+        // The config file was read once and the line written once, not once
+        // per variant.
         let conf_len = monitor.kernel().fs().get("/etc/httpd.conf").unwrap().len() as u64;
-        assert_eq!(outcome.metrics.input_bytes, conf_len);
-        assert_eq!(outcome.metrics.output_bytes, 9);
+        assert_eq!(output, 9);
+        assert_eq!(outcome.metrics.io_bytes, conf_len + 9);
         let console = monitor
             .kernel()
             .console_output(monitor.group_pid())
@@ -1092,7 +1106,7 @@ mod tests {
         let mut monitor = NVariantMonitor::new(kernel, processes, specs, Uid::ROOT, config);
         let outcome = monitor.run_to_completion();
         assert_eq!(outcome.exit_status, Some(0), "alarm: {:?}", outcome.alarm);
-        assert!(outcome.metrics.unshared_bytes > 0);
+        assert!(outcome.metrics.io_bytes > 0);
         assert_eq!(
             monitor
                 .kernel()
@@ -1213,8 +1227,8 @@ mod tests {
         let mut monitor = NVariantMonitor::new(kernel, processes, specs, Uid::new(48), config);
         let outcome = monitor.run_to_completion();
         assert_eq!(outcome.exit_status, Some(0));
-        assert!(outcome.metrics.alarms >= 1);
-        assert_eq!(monitor.alarms().len(), outcome.metrics.alarms as usize);
+        assert!(!monitor.alarms().is_empty());
+        assert_eq!(outcome.alarm.as_ref(), monitor.alarms().first());
     }
 
     #[test]
