@@ -1,5 +1,6 @@
-//! Shared helpers for the benchmark harness and the table-reproduction
-//! report binaries.
+//! Shared helpers for the report binaries: the table reproductions, the
+//! campaign sweep and its coordinator, and the checker and analyzer command
+//! lines. The repository benchmark (`perfbench/`) reuses the diversity gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

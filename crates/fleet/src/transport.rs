@@ -520,7 +520,9 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
     #[test]
     fn kill_terminates_a_running_worker() {
         let dir = scratch("kill");
-        let worker = script(&dir, "sleeper.sh", "sleep 60\n");
+        // `exec`, so the pid `kill` signals is the sleeping one: a shell that
+        // had already forked `sleep` would leave it running for a minute.
+        let worker = script(&dir, "sleeper.sh", "exec sleep 60\n");
         let transport = LocalProcessTransport;
         let mut handle = transport
             .spawn("anyhost", &assignment(&dir, &worker))

@@ -73,7 +73,7 @@ pub use compile::{compile_program, CompileError, CompiledProgram};
 pub use fault::Fault;
 pub use interp::TrapReason;
 pub use lexer::{LexError, Token};
-pub use parser::{parse_program, ParseError};
+pub use parser::{parse_program, ParseError, MAX_NESTING};
 pub use pretty::pretty_print;
 pub use process::{MemoryLayout, Process, ProcessState};
 pub use runner::{RunLimits, RunOutcome, Runner};

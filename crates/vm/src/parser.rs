@@ -59,14 +59,60 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
     Parser::new(tokens).parse_program()
 }
 
+/// How deep [`parse_program`] lets source nest before it returns a
+/// [`ParseError`]. One level is a block, an expression nested in another
+/// (in parentheses, an argument, an index, a condition), the operand of a
+/// prefix operator, an `else if`, or one operator of a left-associative
+/// chain (`a + b + c`, `a[i][j]`). The parser, the compiler and every other
+/// pass over the tree recurse per level, so this bound keeps them far from
+/// the end of a thread's stack. The bundled server and standard library
+/// nest at most 9 deep.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
+    /// The level of the construct at `pos`.
+    depth: usize,
+    /// The deepest level the current chain's elements reach. Each operator
+    /// of a chain becomes its root and sinks what the chain already holds
+    /// one level, so an element can end deeper than it was parsed.
+    deepest: usize,
 }
 
 impl Parser {
     fn new(tokens: Vec<SpannedToken>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            deepest: 0,
+        }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.error(format!("nested deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Opens one more level for a nested construct. The caller closes it
+    /// by restoring `depth` once the construct is parsed; an error ends
+    /// the parse, so it closes nothing.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        self.deepest = self.deepest.max(self.depth);
+        Ok(())
+    }
+
+    /// Sinks the current chain one level under a new operator.
+    fn sink(&mut self) -> Result<(), ParseError> {
+        if self.deepest == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.deepest += 1;
+        Ok(())
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -78,10 +124,6 @@ impl Parser {
 
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|t| &t.token)
-    }
-
-    fn peek_second(&self) -> Option<&Token> {
-        self.tokens.get(self.pos + 1).map(|t| &t.token)
     }
 
     fn advance(&mut self) -> Option<Token> {
@@ -203,6 +245,7 @@ impl Parser {
 
     fn parse_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
         self.expect(&Token::LBrace)?;
+        self.descend()?;
         let mut stmts = Vec::new();
         while self.peek() != Some(&Token::RBrace) {
             if self.peek().is_none() {
@@ -211,6 +254,7 @@ impl Parser {
             stmts.push(self.parse_stmt()?);
         }
         self.expect(&Token::RBrace)?;
+        self.depth -= 1;
         Ok(stmts)
     }
 
@@ -237,7 +281,10 @@ impl Parser {
                 let then_body = self.parse_block()?;
                 let else_body = if self.eat(&Token::KwElse) {
                     if self.peek() == Some(&Token::KwIf) {
-                        vec![self.parse_stmt()?]
+                        self.descend()?;
+                        let else_if = self.parse_stmt()?;
+                        self.depth -= 1;
+                        vec![else_if]
                     } else {
                         self.parse_block()?
                     }
@@ -302,140 +349,30 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_logical_or()
+        self.descend()?;
+        let expr = self.parse_binary(0)?;
+        self.depth -= 1;
+        Ok(expr)
     }
 
-    fn parse_logical_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_logical_and()?;
-        while self.eat(&Token::OrOr) {
-            let rhs = self.parse_logical_and()?;
-            lhs = Expr::binary(BinOp::LogOr, lhs, rhs);
+    /// Parses a chain of the operators at precedence `level` (see
+    /// [`binary_op`]) over operands of the next tighter level. The chain is
+    /// left-associative, so each operator nests the tree one level deeper.
+    fn parse_binary(&mut self, level: usize) -> Result<Expr, ParseError> {
+        if level == BINARY_LEVELS {
+            return self.parse_unary();
         }
-        Ok(lhs)
-    }
-
-    fn parse_logical_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_bit_or()?;
-        while self.eat(&Token::AndAnd) {
-            let rhs = self.parse_bit_or()?;
-            lhs = Expr::binary(BinOp::LogAnd, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_bit_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_bit_xor()?;
-        while self.eat(&Token::Pipe) {
-            let rhs = self.parse_bit_xor()?;
-            lhs = Expr::binary(BinOp::BitOr, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_bit_xor(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_bit_and()?;
-        while self.eat(&Token::Caret) {
-            let rhs = self.parse_bit_and()?;
-            lhs = Expr::binary(BinOp::BitXor, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_bit_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_equality()?;
-        while self.peek() == Some(&Token::Amp) && !self.amp_is_addr_of() {
+        let outer = std::mem::replace(&mut self.deepest, self.depth);
+        let mut lhs = self.parse_binary(level + 1)?;
+        while let Some(op) = self.peek().and_then(|token| binary_op(level, token)) {
             self.advance();
-            let rhs = self.parse_equality()?;
-            lhs = Expr::binary(BinOp::BitAnd, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    /// Disambiguates binary `a & b` from unary address-of in contexts like
-    /// `f(a, &b)`: after an operator or `(`/`,`, `&` is address-of and is
-    /// handled by `parse_unary`, so this is only reached when `&` follows a
-    /// complete operand and is therefore always binary. Kept as a hook for
-    /// clarity.
-    #[allow(clippy::unused_self)] // a method on purpose: the decision belongs to the parser
-    fn amp_is_addr_of(&self) -> bool {
-        false
-    }
-
-    fn parse_equality(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_relational()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::EqEq) => BinOp::Eq,
-                Some(Token::NotEq) => BinOp::Ne,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_relational()?;
+            self.sink()?;
+            self.descend()?;
+            let rhs = self.parse_binary(level + 1)?;
+            self.depth -= 1;
             lhs = Expr::binary(op, lhs, rhs);
         }
-        Ok(lhs)
-    }
-
-    fn parse_relational(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_shift()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Lt) => BinOp::Lt,
-                Some(Token::Le) => BinOp::Le,
-                Some(Token::Gt) => BinOp::Gt,
-                Some(Token::Ge) => BinOp::Ge,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_shift()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_shift(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_additive()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Shl) => BinOp::Shl,
-                Some(Token::Shr) => BinOp::Shr,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_additive()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinOp::Add,
-                Some(Token::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_multiplicative()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                Some(Token::Percent) => BinOp::Mod,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_unary()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
+        self.deepest = self.deepest.max(outer);
         Ok(lhs)
     }
 
@@ -443,19 +380,19 @@ impl Parser {
         match self.peek() {
             Some(Token::Minus) => {
                 self.advance();
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.parse_unary()?)))
+                Ok(Expr::Unary(UnOp::Neg, self.parse_operand()?))
             }
             Some(Token::Bang) => {
                 self.advance();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.parse_unary()?)))
+                Ok(Expr::Unary(UnOp::Not, self.parse_operand()?))
             }
             Some(Token::Tilde) => {
                 self.advance();
-                Ok(Expr::Unary(UnOp::BitNot, Box::new(self.parse_unary()?)))
+                Ok(Expr::Unary(UnOp::BitNot, self.parse_operand()?))
             }
             Some(Token::Star) => {
                 self.advance();
-                Ok(Expr::Deref(Box::new(self.parse_unary()?)))
+                Ok(Expr::Deref(self.parse_operand()?))
             }
             Some(Token::Amp) => {
                 self.advance();
@@ -466,14 +403,27 @@ impl Parser {
         }
     }
 
+    /// Parses the operand of a prefix operator, one nesting level down.
+    fn parse_operand(&mut self) -> Result<Box<Expr>, ParseError> {
+        self.descend()?;
+        let operand = self.parse_unary()?;
+        self.depth -= 1;
+        Ok(Box::new(operand))
+    }
+
+    /// Parses a primary expression and the indexing that follows it, a
+    /// left-associative chain like the binary operators'.
     fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
+        let outer = std::mem::replace(&mut self.deepest, self.depth);
         let mut expr = self.parse_primary()?;
         while let Some(Token::LBracket) = self.peek() {
             self.advance();
+            self.sink()?;
             let index = self.parse_expr()?;
             self.expect(&Token::RBracket)?;
             expr = Expr::Index(Box::new(expr), Box::new(index));
         }
+        self.deepest = self.deepest.max(outer);
         Ok(expr)
     }
 
@@ -513,14 +463,36 @@ impl Parser {
     }
 }
 
-// Suppress an unused-method lint path for `peek_second`, which exists for
-// future lookahead needs of the transformation tooling.
-impl Parser {
-    #[allow(dead_code)]
-    fn lookahead_is_assignment(&self) -> bool {
-        matches!(self.peek_second(), Some(Token::Assign))
-    }
+/// The binary operator `token` denotes at precedence `level`, if any.
+/// Level 0 binds loosest (`||`) and level `BINARY_LEVELS - 1` tightest
+/// (`*`, `/`, `%`). A `&` reaching level 4 always follows a complete
+/// operand, so it is bitwise and; `parse_unary` takes address-of.
+fn binary_op(level: usize, token: &Token) -> Option<BinOp> {
+    Some(match (level, token) {
+        (0, Token::OrOr) => BinOp::LogOr,
+        (1, Token::AndAnd) => BinOp::LogAnd,
+        (2, Token::Pipe) => BinOp::BitOr,
+        (3, Token::Caret) => BinOp::BitXor,
+        (4, Token::Amp) => BinOp::BitAnd,
+        (5, Token::EqEq) => BinOp::Eq,
+        (5, Token::NotEq) => BinOp::Ne,
+        (6, Token::Lt) => BinOp::Lt,
+        (6, Token::Le) => BinOp::Le,
+        (6, Token::Gt) => BinOp::Gt,
+        (6, Token::Ge) => BinOp::Ge,
+        (7, Token::Shl) => BinOp::Shl,
+        (7, Token::Shr) => BinOp::Shr,
+        (8, Token::Plus) => BinOp::Add,
+        (8, Token::Minus) => BinOp::Sub,
+        (9, Token::Star) => BinOp::Mul,
+        (9, Token::Slash) => BinOp::Div,
+        (9, Token::Percent) => BinOp::Mod,
+        _ => return None,
+    })
 }
+
+/// The number of binary precedence levels [`binary_op`] knows.
+const BINARY_LEVELS: usize = 10;
 
 #[cfg(test)]
 mod tests {
@@ -687,5 +659,74 @@ mod tests {
         let err = parse_program("var ok: int;\nfn broken( { }").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains("line 2"));
+    }
+
+    /// One `main` per shape that nests, each nesting exactly `levels` deep
+    /// as [`MAX_NESTING`] counts them. The function body is one level and
+    /// a `return` expression another.
+    fn nested(levels: usize) -> [(&'static str, String); 6] {
+        let n = levels - 2;
+        [
+            (
+                "parentheses",
+                format!(
+                    "fn main() -> int {{ return {}0{}; }}",
+                    "(".repeat(n),
+                    ")".repeat(n)
+                ),
+            ),
+            (
+                "prefix operators",
+                format!("fn main() -> int {{ return {}0; }}", "- ".repeat(n)),
+            ),
+            (
+                "operator chain",
+                format!("fn main() -> int {{ return 0{}; }}", " + 1".repeat(n)),
+            ),
+            (
+                "index chain",
+                format!(
+                    "var b: buf[4]; fn main() -> int {{ return b{}; }}",
+                    "[0]".repeat(n)
+                ),
+            ),
+            (
+                "blocks",
+                format!(
+                    "fn main() -> int {{ {}{} return 0; }}",
+                    "if (1) { ".repeat(n + 1),
+                    "}".repeat(n + 1)
+                ),
+            ),
+            // Each `else if` is a level, and its block one more.
+            (
+                "else if",
+                format!(
+                    "fn main() -> int {{ if (1) {{ }}{} return 0; }}",
+                    " else if (1) { }".repeat(n)
+                ),
+            ),
+        ]
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_in_every_shape() {
+        for (shape, source) in nested(MAX_NESTING) {
+            if let Err(error) = parse_program(&source) {
+                panic!("{shape} at the bound: {error}");
+            }
+        }
+        // 100,000 levels would overflow the stack of an unbounded parser.
+        for levels in [100_000, MAX_NESTING + 1] {
+            for (shape, source) in nested(levels) {
+                let error = parse_program(&source).expect_err(shape);
+                assert_eq!(error.line, 1, "{shape}");
+                assert_eq!(
+                    error.message,
+                    format!("nested deeper than {MAX_NESTING} levels"),
+                    "{shape}"
+                );
+            }
+        }
     }
 }

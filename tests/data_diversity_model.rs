@@ -2,7 +2,10 @@
 //! and detection, checked end to end through the public API.
 
 use nvariant::prelude::*;
+use nvariant_apps::httpd_source;
+use nvariant_apps::workload::benign_request;
 use nvariant_diversity::verify_variation;
+use nvariant_transform::TransformOptions;
 use proptest::prelude::*;
 
 /// The program used for the normal-equivalence checks: it exercises every
@@ -111,6 +114,74 @@ fn the_two_variants_really_operate_on_different_concrete_data() {
     // ... of the same canonical value.
     assert_eq!(raw0.as_u32(), 48);
     assert_eq!(raw1.as_u32(), 48 ^ 0x7FFF_FFFF);
+}
+
+/// Normal equivalence of the bundled server under the design alternatives:
+/// the Table 2 detection calls or the system-call boundary checks alone
+/// (§5), the full-bit-flip UID mask, and the UID and address variations
+/// composed. Each serves four benign requests to a clean exit.
+#[test]
+fn design_alternatives_serve_benign_requests_without_alarm() {
+    let boundary_only = TransformOptions {
+        insert_detection_calls: false,
+        ..TransformOptions::default()
+    };
+    let setups = [
+        (
+            "detection calls",
+            TransformOptions::default(),
+            Variation::uid_diversity(),
+        ),
+        (
+            "boundary checks only",
+            boundary_only,
+            Variation::uid_diversity(),
+        ),
+        (
+            "full-bit-flip mask",
+            TransformOptions::default(),
+            Variation::uid_diversity_full_mask(),
+        ),
+        (
+            "UID and address composed",
+            TransformOptions::default(),
+            Variation::composed(vec![
+                Variation::uid_diversity(),
+                Variation::address_partitioning(),
+            ]),
+        ),
+    ];
+    let mut instructions = Vec::new();
+    for (setup, options, variation) in setups {
+        let mut system = NVariantSystemBuilder::from_source(httpd_source())
+            .unwrap()
+            .config(DeploymentConfig::Custom {
+                variation,
+                variants: 2,
+                transform_uids: true,
+            })
+            .transform_options(options)
+            .initial_uid(Uid::ROOT)
+            .build()
+            .unwrap();
+        for _ in 0..4 {
+            system
+                .kernel_mut()
+                .net_mut()
+                .preload_request(Port::HTTP, benign_request("/index.html"));
+        }
+        let outcome = system.run();
+        assert!(outcome.exited_normally(), "{setup}: {outcome}");
+        assert_eq!(outcome.alarm, None, "{setup}");
+        instructions.push(outcome.metrics.total_instructions);
+    }
+    // Without detection calls the variants skip executing them.
+    assert!(
+        instructions[1] < instructions[0],
+        "boundary checks only {} vs detection calls {}",
+        instructions[1],
+        instructions[0]
+    );
 }
 
 #[test]
