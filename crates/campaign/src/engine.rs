@@ -85,7 +85,9 @@ pub fn cell_seed(base: u64, config: usize, world: usize, scenario: usize, replic
     state
 }
 
-fn splitmix64(mut z: u64) -> u64 {
+/// The splitmix64 finalizer: seed derivation here, and the synthetic
+/// sweep's per-cell outcome draws.
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

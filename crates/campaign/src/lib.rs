@@ -105,7 +105,7 @@ pub use exchange::ServedRequest;
 pub use nvariant::CacheStats;
 pub use plan::{serve_requests, CampaignPlan, CellRun, Scenario};
 pub use report::{CampaignReport, MergeError, PlanShape};
-pub use shardio::{ShardCursor, ShardHeader, ShardParseError, ShardWriter};
+pub use shardio::{ShardCursor, ShardHeader, ShardWriter};
 pub use streaming::{
     CoordinateWalk, GroupTally, LatencyHistogram, ShardMerger, StreamingAggregator, SyntheticSweep,
     WallPercentiles, QUANTILE_RELATIVE_ERROR,

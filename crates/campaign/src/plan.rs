@@ -14,7 +14,7 @@ use nvariant_simos::{OsKernel, WorldTemplate};
 use nvariant_types::{fnv1a_64, Port};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// What a scenario's judge sees: the terminated system plus the served
@@ -522,74 +522,27 @@ impl CampaignPlan {
     /// Executes an explicit cell list across `workers` threads.
     ///
     /// Each (configuration, world) pair appearing in `cells` is provisioned
-    /// exactly once up front; every cell then only pays
-    /// [`CompiledSystem::instantiate_in`]. Cell results come back in the
-    /// order of `cells`, and each cell's behaviour depends only on its spec,
-    /// so the report's deterministic content is identical at any worker
-    /// count.
+    /// at most once, by the first of its cells that misses the cell cache,
+    /// so a fully cached cell list provisions nothing; every executed cell
+    /// then only pays [`CompiledSystem::instantiate_in`]. Cell results come
+    /// back in the order of `cells`, and each cell's behaviour depends only
+    /// on its spec, so the report's deterministic content is identical at
+    /// any worker count.
     #[must_use]
     pub fn run_cells(&self, cells: Vec<CellSpec>, workers: usize) -> CampaignReport {
         let started = Instant::now();
         let cache = self.cell_cache();
-        // Provision only the (configuration, world) pairs that actually
-        // have to execute: a fully cached shard provisions nothing.
-        let pairs: BTreeSet<(usize, usize)> = cells
+        let worlds: BTreeMap<(usize, usize), OnceLock<OsKernel>> = cells
             .iter()
-            .filter(|spec| match &cache {
-                Some(cache) => !cache.entry_path(spec).is_file(),
-                None => true,
-            })
-            .map(|spec| (spec.config_index, spec.world_index))
+            .map(|spec| ((spec.config_index, spec.world_index), OnceLock::new()))
             .collect();
-        let provisioned: BTreeMap<(usize, usize), OsKernel> = pairs
-            .into_iter()
-            .map(|(config_index, world_index)| {
-                (
-                    (config_index, world_index),
-                    self.provisioned_kernel(config_index, world_index),
-                )
-            })
-            .collect();
-        // Cache entries can vanish or turn out corrupt between the
-        // provisioning probe above and the lookup below; pairs provisioned
-        // on demand for that case are memoized so a whole directory of
-        // damaged entries still provisions each pair only about once
-        // instead of once per cell.
-        let fallback: Mutex<BTreeMap<(usize, usize), Arc<OsKernel>>> = Mutex::new(BTreeMap::new());
         let results = run_parallel(cells, workers, |_, spec| {
-            if let Some(cache) = &cache {
-                if let Some(hit) = cache.lookup(&spec) {
-                    return hit;
-                }
+            if let Some(hit) = cache.as_ref().and_then(|cache| cache.lookup(&spec)) {
+                return hit;
             }
             let pair = (spec.config_index, spec.world_index);
-            let result = if let Some(world) = provisioned.get(&pair) {
-                self.run_cell_in(spec, world)
-            } else {
-                // Double-checked so the expensive provisioning happens
-                // outside the lock: racing workers may provision the
-                // same pair twice (identical deterministic kernels, the
-                // loser's is dropped), but no worker ever blocks behind
-                // another pair's provisioning.
-                let cached = fallback
-                    .lock()
-                    .expect("fallback provisioning map poisoned")
-                    .get(&pair)
-                    .cloned();
-                let world = if let Some(world) = cached {
-                    world
-                } else {
-                    let world = Arc::new(self.provisioned_kernel(pair.0, pair.1));
-                    Arc::clone(
-                        fallback
-                            .lock()
-                            .expect("fallback provisioning map poisoned")
-                            .entry(pair)
-                            .or_insert(world),
-                    )
-                };
-                self.run_cell_in(spec, &world)
-            };
+            let world = worlds[&pair].get_or_init(|| self.provisioned_kernel(pair.0, pair.1));
+            let result = self.run_cell_in(spec, world);
             if let Some(cache) = &cache {
                 cache.insert(&result);
             }

@@ -8,9 +8,10 @@
 //! [`CampaignReport::merge`] drives the one merge, [`ShardMerger`].
 
 use crate::cell::CellResult;
-use crate::shardio::{ShardCursor, ShardParseError};
+use crate::shardio::ShardCursor;
 use crate::streaming::{ShardMerger, StreamingAggregator};
 use nvariant::CacheStats;
+use nvariant_types::lines::ParseError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
@@ -137,7 +138,7 @@ pub enum MergeError {
         /// Index of the failing shard in the merge's input order.
         shard: usize,
         /// The underlying parse error.
-        error: ShardParseError,
+        error: ParseError,
     },
 }
 

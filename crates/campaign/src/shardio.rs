@@ -4,7 +4,8 @@
 //!
 //! The workspace's vendored `serde` is a no-op stand-in (the build
 //! environment has no registry access), so this module implements the
-//! round-trip directly: a line-oriented format with Rust-`Debug`-quoted
+//! round-trip directly, in the workspace's line codec
+//! ([`nvariant_types::lines`]): `key value` lines with Rust-`Debug`-quoted
 //! strings and hex-encoded request/response payloads. The format is
 //! loss-free for everything [`CampaignReport::canonical_text`] and
 //! [`CampaignReport::render_summary`] consume, which is what the
@@ -18,8 +19,8 @@ use crate::report::{CampaignReport, PlanShape};
 use nvariant::ExecutionMetrics;
 use nvariant_transform::TransformStats;
 use nvariant_types::hex::{hex_decode, hex_encode};
-use std::fmt;
-use std::io::{BufRead, Read};
+use nvariant_types::lines::{quote, LineReader, ParseError};
+use std::io::BufRead;
 use std::time::Duration;
 
 /// Format version 3: v2 plus the optional per-cell `checked` line carrying
@@ -28,74 +29,6 @@ use std::time::Duration;
 /// into a checked campaign would silently drop the check column from the
 /// canonical text, so both must be regenerated rather than reinterpreted.
 const HEADER: &str = "nvariant-campaign-shard v3";
-
-/// The longest line, terminator included, a [`ShardCursor`] reads. The
-/// writer's longest lines are `exchange` lines of about 20 KiB in the
-/// security matrix; the cap stops a line that never ends from growing one
-/// allocation until the reader runs out of memory.
-pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
-
-/// Why a shard file failed to parse.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardParseError {
-    /// 1-based line the error was detected on (0 for end-of-input errors).
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ShardParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "shard parse error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for ShardParseError {}
-
-fn quote(s: &str) -> String {
-    format!("{s:?}")
-}
-
-/// Inverse of [`quote`]: parses a Rust-`Debug`-quoted string literal.
-fn unquote(token: &str) -> Result<String, String> {
-    let inner = token
-        .strip_prefix('"')
-        .and_then(|t| t.strip_suffix('"'))
-        .ok_or_else(|| format!("expected a quoted string, got {token}"))?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\'') => out.push('\''),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('0') => out.push('\0'),
-            Some('u') => {
-                let hex: String = chars
-                    .by_ref()
-                    .skip_while(|&c| c == '{')
-                    .take_while(|&c| c != '}')
-                    .collect();
-                let code = u32::from_str_radix(&hex, 16)
-                    .map_err(|_| format!("bad \\u escape in {token}"))?;
-                out.push(char::from_u32(code).ok_or_else(|| format!("bad \\u escape in {token}"))?);
-            }
-            other => return Err(format!("bad escape \\{other:?} in {token}")),
-        }
-    }
-    Ok(out)
-}
 
 fn render_cell(out: &mut String, cell: &CellResult) {
     let spec = &cell.spec;
@@ -275,9 +208,9 @@ impl CampaignReport {
     ///
     /// # Errors
     ///
-    /// Returns a [`ShardParseError`] naming the offending line if the text
-    /// is not a well-formed shard file.
-    pub fn from_shard_text(text: &str) -> Result<Self, ShardParseError> {
+    /// Returns a [`ParseError`] naming the offending line if the text is
+    /// not a well-formed shard file.
+    pub fn from_shard_text(text: &str) -> Result<Self, ParseError> {
         let mut cursor = ShardCursor::new(text.as_bytes())?;
         let mut cells = Vec::new();
         while let Some(cell) = cursor.next_cell()? {
@@ -368,8 +301,7 @@ impl ShardHeader {
 /// those of [`CampaignReport::from_shard_text`], which is implemented over
 /// this cursor.
 pub struct ShardCursor<R> {
-    reader: R,
-    current: usize,
+    lines: LineReader<R>,
     header: ShardHeader,
     done: bool,
 }
@@ -380,10 +312,10 @@ impl ShardCursor<std::io::BufReader<std::fs::File>> {
     ///
     /// # Errors
     ///
-    /// Returns a [`ShardParseError`] if the file cannot be opened or its
-    /// header is malformed.
-    pub fn open(path: &std::path::Path) -> Result<Self, ShardParseError> {
-        let file = std::fs::File::open(path).map_err(|e| ShardParseError {
+    /// Returns a [`ParseError`] if the file cannot be opened or its header
+    /// is malformed.
+    pub fn open(path: &std::path::Path) -> Result<Self, ParseError> {
+        let file = std::fs::File::open(path).map_err(|e| ParseError {
             line: 0,
             message: format!("cannot open shard file {}: {e}", path.display()),
         })?;
@@ -391,34 +323,21 @@ impl ShardCursor<std::io::BufReader<std::fs::File>> {
     }
 }
 
-impl<R: std::io::BufRead> ShardCursor<R> {
+impl<R: BufRead> ShardCursor<R> {
     /// Wraps a reader and parses the shard header.
     ///
     /// # Errors
     ///
-    /// Returns a [`ShardParseError`] if the header is malformed or the
-    /// reader fails.
-    pub fn new(reader: R) -> Result<Self, ShardParseError> {
-        let mut cursor = ShardCursor {
-            reader,
-            current: 0,
-            header: ShardHeader {
-                name: String::new(),
-                base_seed: 0,
-                plan_hash: 0,
-                shape: PlanShape {
-                    configs: 0,
-                    worlds: 0,
-                    scenarios: 0,
-                    replicates: 0,
-                },
-                workers: 0,
-                total_wall: Duration::ZERO,
-            },
+    /// Returns a [`ParseError`] if the header is malformed or the reader
+    /// fails.
+    pub fn new(reader: R) -> Result<Self, ParseError> {
+        let mut lines = LineReader::new(reader);
+        let header = parse_header(&mut lines)?;
+        Ok(ShardCursor {
+            lines,
+            header,
             done: false,
-        };
-        cursor.header = cursor.parse_header()?;
-        Ok(cursor)
+        })
     }
 
     /// The shard's header (available before any cell is read).
@@ -440,320 +359,186 @@ impl<R: std::io::BufRead> ShardCursor<R> {
     ///
     /// # Errors
     ///
-    /// Returns a [`ShardParseError`] naming the offending line on malformed
+    /// Returns a [`ParseError`] naming the offending line on malformed
     /// input, truncation, or reader failure.
-    pub fn next_cell(&mut self) -> Result<Option<CellResult>, ShardParseError> {
+    pub fn next_cell(&mut self) -> Result<Option<CellResult>, ParseError> {
         if self.done {
             return Ok(None);
         }
-        let line = self.next_line()?;
-        if line == "end" {
+        let line = self.lines.next_line()?;
+        if line.text() == "end" {
             // "end" must really end the file: trailing content would mean a
             // concatenated or corrupted shard whose tail silently vanishes.
             // Blank lines are tolerated — an extra trailing newline from an
             // editor or a text-mode transfer doesn't change the report.
-            while let Some(line) = self.read_raw_line()? {
-                if line.is_empty() {
-                    continue;
+            while let Some(line) = self.lines.read_line()? {
+                if !line.text().is_empty() {
+                    return line.fail(format!(
+                        "unexpected content after \"end\": {:?}",
+                        line.text()
+                    ));
                 }
-                return self.fail(format!("unexpected content after \"end\": {line:?}"));
             }
             self.done = true;
             return Ok(None);
         }
-        let Some(rest) = line.strip_prefix("cell ") else {
-            return self.fail(format!("expected \"cell\" or \"end\", got {line:?}"));
-        };
-        self.parse_cell(rest).map(Some)
-    }
-
-    fn fail<T>(&self, message: impl Into<String>) -> Result<T, ShardParseError> {
-        Err(ShardParseError {
-            line: self.current,
-            message: message.into(),
-        })
-    }
-
-    /// Reads one line (without its terminator), or `None` at end of input.
-    /// A line of [`MAX_LINE_BYTES`] or more is an error, raised before
-    /// more than that much of it is read.
-    fn read_raw_line(&mut self) -> Result<Option<String>, ShardParseError> {
-        let mut buf = String::new();
-        match (&mut self.reader)
-            .take(MAX_LINE_BYTES as u64)
-            .read_line(&mut buf)
-        {
-            Ok(0) => Ok(None),
-            Ok(_) => {
-                self.current += 1;
-                if buf.ends_with('\n') {
-                    buf.pop();
-                    if buf.ends_with('\r') {
-                        buf.pop();
-                    }
-                } else if buf.len() == MAX_LINE_BYTES {
-                    return self.fail(format!("line exceeds {MAX_LINE_BYTES} bytes"));
-                }
-                Ok(Some(buf))
-            }
-            Err(e) => Err(ShardParseError {
-                line: self.current + 1,
-                message: format!("I/O error reading shard: {e}"),
-            }),
-        }
-    }
-
-    fn next_line(&mut self) -> Result<String, ShardParseError> {
-        if let Some(line) = self.read_raw_line()? {
-            Ok(line)
-        } else {
-            self.current = 0;
-            Err(ShardParseError {
-                line: 0,
-                message: "unexpected end of shard file".to_string(),
-            })
-        }
-    }
-
-    /// Consumes a `key value...` line, returning the value part.
-    fn expect_field(&mut self, key: &str) -> Result<String, ShardParseError> {
-        let line = self.next_line()?;
-        match line.strip_prefix(key).and_then(|r| r.strip_prefix(' ')) {
-            Some(rest) => Ok(rest.to_string()),
-            None => self.fail(format!("expected {key:?} field, got {line:?}")),
-        }
-    }
-
-    fn parse_number<T: std::str::FromStr>(&self, token: &str) -> Result<T, ShardParseError> {
-        token.parse::<T>().map_err(|_| ShardParseError {
-            line: self.current,
-            message: format!("expected a number, got {token:?}"),
-        })
-    }
-
-    fn parse_seed(&self, token: &str) -> Result<u64, ShardParseError> {
-        token
-            .strip_prefix("0x")
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-            .ok_or_else(|| ShardParseError {
-                line: self.current,
-                message: format!("expected 0x-prefixed seed, got {token:?}"),
-            })
-    }
-
-    fn parse_quoted(&self, token: &str) -> Result<String, ShardParseError> {
-        unquote(token).map_err(|message| ShardParseError {
-            line: self.current,
-            message,
-        })
-    }
-
-    fn parse_header(&mut self) -> Result<ShardHeader, ShardParseError> {
-        let header = self.next_line()?;
-        if header != HEADER {
-            return self.fail(format!("expected {HEADER:?}, got {header:?}"));
-        }
-        let name = {
-            let token = self.expect_field("name")?;
-            self.parse_quoted(&token)?
-        };
-        let base_seed = {
-            let token = self.expect_field("base_seed")?;
-            self.parse_seed(&token)?
-        };
-        let plan_hash = {
-            let token = self.expect_field("plan_hash")?;
-            self.parse_seed(&token)?
-        };
-        let shape = {
-            let field = self.expect_field("shape")?;
-            let tokens: Vec<&str> = field.split(' ').collect();
-            if tokens.len() != 4 {
-                return self.fail(format!(
-                    "shape needs 4 axis sizes (configs, worlds, scenarios, replicates), got {}",
-                    tokens.len()
-                ));
-            }
-            PlanShape {
-                configs: self.parse_number(tokens[0])?,
-                worlds: self.parse_number(tokens[1])?,
-                scenarios: self.parse_number(tokens[2])?,
-                replicates: self.parse_number(tokens[3])?,
-            }
-        };
-        let workers = {
-            let token = self.expect_field("workers")?;
-            self.parse_number::<usize>(&token)?
-        };
-        let total_wall = {
-            let token = self.expect_field("total_wall_nanos")?;
-            Duration::from_nanos(self.parse_number::<u64>(&token)?)
-        };
-        Ok(ShardHeader {
-            name,
-            base_seed,
-            plan_hash,
-            shape,
-            workers,
-            total_wall,
-        })
-    }
-
-    fn parse_cell(&mut self, coordinates: &str) -> Result<CellResult, ShardParseError> {
-        let tokens: Vec<&str> = coordinates.split(' ').collect();
-        if tokens.len() != 6 {
-            return self.fail(format!(
-                "cell line needs 6 fields (coordinates, seed, wall), got {}",
-                tokens.len()
+        let Some(coordinates) = line.strip("cell") else {
+            return line.fail(format!(
+                "expected \"cell\" or \"end\", got {:?}",
+                line.text()
             ));
-        }
-        let mut spec = CellSpec {
-            config_index: self.parse_number(tokens[0])?,
-            world_index: self.parse_number(tokens[1])?,
-            scenario_index: self.parse_number(tokens[2])?,
-            replicate: self.parse_number(tokens[3])?,
+        };
+        let [config, world, scenario, replicate, seed, wall] =
+            coordinates.tokens("cell line needs 6 fields (coordinates, seed, wall)")?;
+        let spec = CellSpec {
+            config_index: config.number()?,
+            world_index: world.number()?,
+            scenario_index: scenario.number()?,
+            replicate: replicate.number()?,
             config_label: String::new(),
             world_label: String::new(),
             scenario_label: String::new(),
-            seed: self.parse_seed(tokens[4])?,
+            seed: seed.hex_number()?,
         };
-        let wall = Duration::from_nanos(self.parse_number::<u64>(tokens[5])?);
-        spec.config_label = {
-            let token = self.expect_field("config_label")?;
-            self.parse_quoted(&token)?
-        };
-        spec.world_label = {
-            let token = self.expect_field("world_label")?;
-            self.parse_quoted(&token)?
-        };
-        spec.scenario_label = {
-            let token = self.expect_field("scenario_label")?;
-            self.parse_quoted(&token)?
-        };
-        let exit_status = {
-            let token = self.expect_field("exit")?;
-            if token == "-" {
-                None
-            } else {
-                Some(self.parse_number::<i32>(&token)?)
-            }
-        };
-
-        // The optional and repeated trailing fields, in fixed order:
-        // alarm? fault? metrics stats (observed expected)? checked?
-        // exchange* endcell.
-        let mut alarm = None;
-        let mut fault = None;
-        let mut line = self.next_line()?;
-        if let Some(token) = line.strip_prefix("alarm ") {
-            alarm = Some(self.parse_quoted(token)?);
-            line = self.next_line()?;
-        }
-        if let Some(token) = line.strip_prefix("fault ") {
-            fault = Some(self.parse_quoted(token)?);
-            line = self.next_line()?;
-        }
-        let Some(metrics_rest) = line.strip_prefix("metrics ") else {
-            return self.fail(format!("expected \"metrics\" field, got {line:?}"));
-        };
-        let m: Vec<&str> = metrics_rest.split(' ').collect();
-        if m.len() != 6 {
-            return self.fail(format!("metrics needs 6 counters, got {}", m.len()));
-        }
-        let metrics = ExecutionMetrics {
-            variants: self.parse_number(m[0])?,
-            total_instructions: self.parse_number(m[1])?,
-            syscalls: self.parse_number(m[2])?,
-            monitor_checks: self.parse_number(m[3])?,
-            detection_calls: self.parse_number(m[4])?,
-            io_bytes: self.parse_number(m[5])?,
-        };
-        let stats_field = self.expect_field("stats")?;
-        let s: Vec<&str> = stats_field.split(' ').collect();
-        if s.len() != 6 {
-            return self.fail(format!("stats needs 6 counters, got {}", s.len()));
-        }
-        let transform_stats = TransformStats {
-            uid_constants_reexpressed: self.parse_number(s[0])?,
-            implicit_constants_made_explicit: self.parse_number(s[1])?,
-            single_value_exposures: self.parse_number(s[2])?,
-            comparison_exposures: self.parse_number(s[3])?,
-            conditional_checks: self.parse_number(s[4])?,
-            log_sinks_sanitized: self.parse_number(s[5])?,
-        };
-
-        let mut verdict = None;
-        let mut exchanges = Vec::new();
-        let mut line = self.next_line()?;
-        if let Some(token) = line.strip_prefix("observed ") {
-            let observed = self.parse_quoted(token)?;
-            let expected_token = self.expect_field("expected")?;
-            let expected = self.parse_quoted(&expected_token)?;
-            verdict = Some(CellVerdict { observed, expected });
-            line = self.next_line()?;
-        }
-        let mut checked = None;
-        if let Some(rest) = line.strip_prefix("checked ") {
-            let c: Vec<&str> = rest.split(' ').collect();
-            if c.len() != 4 {
-                return self.fail(format!(
-                    "checked needs 4 fields (property, status, states, depth), got {}",
-                    c.len()
-                ));
-            }
-            checked = Some(CheckSummary {
-                property: c[0].to_string(),
-                status: c[1].to_string(),
-                states: self.parse_number(c[2])?,
-                depth: self.parse_number(c[3])?,
-            });
-            line = self.next_line()?;
-        }
-        loop {
-            if line == "endcell" {
-                break;
-            }
-            let Some(rest) = line.strip_prefix("exchange ") else {
-                return self.fail(format!(
-                    "expected \"exchange\" or \"endcell\", got {line:?}"
-                ));
-            };
-            let Some((request, response)) = rest.split_once(' ') else {
-                return self.fail("exchange needs request and response payloads");
-            };
-            let decode = |token: &str| {
-                hex_decode(token).map_err(|message| ShardParseError {
-                    line: self.current,
-                    message,
-                })
-            };
-            exchanges.push(ServedRequest {
-                request: decode(request)?,
-                response: decode(response)?,
-            });
-            line = self.next_line()?;
-        }
-
-        Ok(CellResult {
-            spec,
-            outcome: CellOutcome {
-                exit_status,
-                alarm,
-                fault,
-                metrics,
-            },
-            exchanges,
-            transform_stats,
-            verdict,
-            checked,
-            wall,
-        })
+        let wall = Duration::from_nanos(wall.number()?);
+        parse_cell_body(&mut self.lines, spec, wall).map(Some)
     }
+}
+
+fn parse_header<R: BufRead>(lines: &mut LineReader<R>) -> Result<ShardHeader, ParseError> {
+    let header = lines.next_line()?;
+    if header.text() != HEADER {
+        return header.fail(format!("expected {HEADER:?}, got {:?}", header.text()));
+    }
+    let name = lines.field("name")?.quoted()?;
+    let base_seed = lines.field("base_seed")?.hex_number()?;
+    let plan_hash = lines.field("plan_hash")?.hex_number()?;
+    let [configs, worlds, scenarios, replicates] = lines
+        .field("shape")?
+        .tokens("shape needs 4 axis sizes (configs, worlds, scenarios, replicates)")?;
+    let shape = PlanShape {
+        configs: configs.number()?,
+        worlds: worlds.number()?,
+        scenarios: scenarios.number()?,
+        replicates: replicates.number()?,
+    };
+    Ok(ShardHeader {
+        name,
+        base_seed,
+        plan_hash,
+        shape,
+        workers: lines.field("workers")?.number()?,
+        total_wall: Duration::from_nanos(lines.field("total_wall_nanos")?.number()?),
+    })
+}
+
+/// The lines of a cell block after its `cell` line, whose coordinates,
+/// seed and wall time are already in `spec` and `wall`.
+fn parse_cell_body<R: BufRead>(
+    lines: &mut LineReader<R>,
+    mut spec: CellSpec,
+    wall: Duration,
+) -> Result<CellResult, ParseError> {
+    spec.config_label = lines.field("config_label")?.quoted()?;
+    spec.world_label = lines.field("world_label")?.quoted()?;
+    spec.scenario_label = lines.field("scenario_label")?.quoted()?;
+    let exit = lines.field("exit")?;
+    let exit_status = match exit.text() {
+        "-" => None,
+        _ => Some(exit.number()?),
+    };
+
+    // The optional and repeated trailing fields, in fixed order:
+    // alarm? fault? metrics stats (observed expected)? checked?
+    // exchange* endcell.
+    let mut alarm = None;
+    let mut fault = None;
+    let mut line = lines.next_line()?;
+    if let Some(value) = line.strip("alarm") {
+        alarm = Some(value.quoted()?);
+        line = lines.next_line()?;
+    }
+    if let Some(value) = line.strip("fault") {
+        fault = Some(value.quoted()?);
+        line = lines.next_line()?;
+    }
+    let [variants, instructions, syscalls, checks, detection_calls, io_bytes] =
+        line.value("metrics")?.tokens("metrics needs 6 counters")?;
+    let metrics = ExecutionMetrics {
+        variants: variants.number()?,
+        total_instructions: instructions.number()?,
+        syscalls: syscalls.number()?,
+        monitor_checks: checks.number()?,
+        detection_calls: detection_calls.number()?,
+        io_bytes: io_bytes.number()?,
+    };
+    let [a, b, c, d, e, f] = lines.field("stats")?.tokens("stats needs 6 counters")?;
+    let transform_stats = TransformStats {
+        uid_constants_reexpressed: a.number()?,
+        implicit_constants_made_explicit: b.number()?,
+        single_value_exposures: c.number()?,
+        comparison_exposures: d.number()?,
+        conditional_checks: e.number()?,
+        log_sinks_sanitized: f.number()?,
+    };
+
+    let mut verdict = None;
+    let mut line = lines.next_line()?;
+    if let Some(value) = line.strip("observed") {
+        let observed = value.quoted()?;
+        let expected = lines.field("expected")?.quoted()?;
+        verdict = Some(CellVerdict { observed, expected });
+        line = lines.next_line()?;
+    }
+    let mut checked = None;
+    if let Some(value) = line.strip("checked") {
+        let [property, status, states, depth] =
+            value.tokens("checked needs 4 fields (property, status, states, depth)")?;
+        checked = Some(CheckSummary {
+            property: property.text().to_string(),
+            status: status.text().to_string(),
+            states: states.number()?,
+            depth: depth.number()?,
+        });
+        line = lines.next_line()?;
+    }
+    let mut exchanges = Vec::new();
+    while line.text() != "endcell" {
+        let Some(value) = line.strip("exchange") else {
+            return line.fail(format!(
+                "expected \"exchange\" or \"endcell\", got {:?}",
+                line.text()
+            ));
+        };
+        let [request, response] = value.tokens("exchange needs request and response payloads")?;
+        exchanges.push(ServedRequest {
+            request: request.lift(hex_decode(request.text()))?,
+            response: response.lift(hex_decode(response.text()))?,
+        });
+        line = lines.next_line()?;
+    }
+
+    Ok(CellResult {
+        spec,
+        outcome: CellOutcome {
+            exit_status,
+            alarm,
+            fault,
+            metrics,
+        },
+        exchanges,
+        transform_stats,
+        verdict,
+        checked,
+        wall,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvariant_types::lines::MAX_LINE_BYTES;
+    use std::io::Read;
 
     fn sample_report() -> CampaignReport {
         let cell = |replicate: usize, alarmed: bool| CellResult {
@@ -857,21 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn quoting_round_trips_awkward_strings() {
-        for s in [
-            "",
-            "plain",
-            "with \"quotes\" and \\backslashes\\",
-            "newline\nand\ttab and nul\0",
-            "unicode: héllo → 世界",
-        ] {
-            assert_eq!(unquote(&quote(s)).unwrap(), s, "{s:?}");
-        }
-        assert!(unquote("no quotes").is_err());
-        assert!(unquote("\"bad \\q escape\"").is_err());
-    }
-
-    #[test]
     fn hex_round_trips_payloads() {
         for payload in [vec![], vec![0u8], vec![0xff, 0x00, 0x7f], b"GET /".to_vec()] {
             assert_eq!(hex_decode(&hex_encode(&payload)).unwrap(), payload);
@@ -909,6 +679,18 @@ mod tests {
         let err = CampaignReport::from_shard_text(&lines.join("\n")).unwrap_err();
         assert_eq!(err.line, metrics_line + 2);
         assert!(err.message.contains("stats"), "{err}");
+
+        // A quoted field ends at its first unescaped quote: an inner one
+        // leaves content after the string, which the writer never emits.
+        let mut lines: Vec<String> = report.to_shard_text().lines().map(String::from).collect();
+        let label_line = lines
+            .iter()
+            .position(|l| l.starts_with("config_label"))
+            .unwrap();
+        lines[label_line] = "config_label \"a\"b\"".to_string();
+        let err = CampaignReport::from_shard_text(&lines.join("\n")).unwrap_err();
+        assert_eq!(err.line, label_line + 1, "{err}");
+        assert!(err.message.contains("after the quoted string"), "{err}");
 
         // Corrupted hex names the exchange line, and non-ASCII corruption
         // (which would split a UTF-8 char under byte slicing) reports

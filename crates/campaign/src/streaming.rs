@@ -29,7 +29,7 @@
 //!   the constant-memory property under an address-space cap.
 
 use crate::cell::{CellOutcome, CellResult, CellSpec, CellVerdict, RequestTally};
-use crate::engine::cell_seed;
+use crate::engine::{cell_seed, splitmix64};
 use crate::report::{CampaignReport, MergeError, PlanShape};
 use crate::shardio::{ShardCursor, ShardHeader};
 use nvariant::{CacheStats, ExecutionMetrics};
@@ -896,14 +896,6 @@ fn synthetic_detect_per_mille(config: usize, attack: usize) -> u64 {
     }
 }
 
-/// splitmix64 finalizer: the per-cell outcome draw.
-fn synthetic_mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl SyntheticSweep {
     /// A sweep over the full synthetic matrix with the given replicate
     /// count: `5 × 4 × 3 × replicates` cells.
@@ -959,11 +951,11 @@ impl SyntheticSweep {
     pub fn cell(&self, linear: usize) -> CellResult {
         let (config, world, scenario, replicate) = self.coordinates(linear);
         let seed = cell_seed(self.base_seed, config, world, scenario, replicate);
-        let draw = synthetic_mix(seed);
+        let draw = splitmix64(seed);
         let detected = draw % 1000 < synthetic_detect_per_mille(config, scenario);
         // Undetected attacks usually reach their goal; file permissions
         // stop the rest.
-        let succeeded = !detected && synthetic_mix(draw) % 1000 < 940;
+        let succeeded = !detected && splitmix64(draw) % 1000 < 940;
         let observed = if detected {
             "detected"
         } else if succeeded {
@@ -976,7 +968,7 @@ impl SyntheticSweep {
         } else {
             "SUCCEEDED"
         };
-        let wall_nanos = 200_000 + synthetic_mix(draw ^ 0xA5A5) % 1_800_000;
+        let wall_nanos = 200_000 + splitmix64(draw ^ 0xA5A5) % 1_800_000;
         CellResult {
             spec: CellSpec {
                 config_index: config,
@@ -1113,7 +1105,7 @@ mod tests {
 
     #[test]
     fn histogram_merge_is_exact_and_order_independent() {
-        let values: Vec<u64> = (0..500).map(|i| synthetic_mix(i) % 10_000_000).collect();
+        let values: Vec<u64> = (0..500).map(|i| splitmix64(i) % 10_000_000).collect();
         let mut whole = LatencyHistogram::new();
         for v in &values {
             whole.record(Duration::from_nanos(*v));

@@ -65,33 +65,29 @@ pub struct CheckTarget {
     pub attacker: AttackerModel,
 }
 
-/// Bounds and knobs for one check run.
+/// Receive caps the schedule enumerator applies at `recv` steps, after the
+/// uncapped delivery: the kernel's freedom to deliver network input in
+/// chunks.
+pub(crate) const RECV_CHUNKS: [usize; 1] = [4];
+
+/// Hard cap on visited states; exploration stops (and the report is marked
+/// truncated) when it is hit.
+pub(crate) const MAX_STATES: u64 = 200_000;
+
+/// What one check run checks, and how deep.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckRequest {
     /// The property to check.
     pub property: Property,
     /// Maximum synchronization points per explored trace.
     pub depth: usize,
-    /// Receive caps the schedule enumerator may apply at `recv` steps (the
-    /// kernel's freedom to deliver network input in chunks). Empty means
-    /// only the uncapped delivery is explored.
-    pub recv_chunks: Vec<usize>,
-    /// Hard cap on visited states; exploration stops (and the report is
-    /// marked truncated) when it is hit.
-    pub max_states: usize,
 }
 
 impl CheckRequest {
-    /// A request for `property` at `depth` with the default schedule
-    /// enumerator (one 4-byte chunk cap) and a generous state bound.
+    /// A request for `property` at `depth`.
     #[must_use]
     pub fn new(property: Property, depth: usize) -> Self {
-        CheckRequest {
-            property,
-            depth,
-            recv_chunks: vec![4],
-            max_states: 200_000,
-        }
+        CheckRequest { property, depth }
     }
 }
 
@@ -108,7 +104,7 @@ pub struct ExploreStats {
     pub terminal_runs: u64,
     /// Deepest synchronization point reached.
     pub deepest: usize,
-    /// `true` if the `max_states` bound stopped exploration before the
+    /// `true` if the state bound (200,000) stopped exploration before the
     /// bounded space was exhausted (a Pass is then only a bounded pass).
     pub truncated: bool,
 }
@@ -185,14 +181,6 @@ pub trait Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn request_defaults_are_sane() {
-        let request = CheckRequest::new(Property::BenignLockstep, 32);
-        assert_eq!(request.depth, 32);
-        assert!(!request.recv_chunks.is_empty());
-        assert!(request.max_states > 1000);
-    }
 
     #[test]
     fn passive_attacker_is_inactive() {

@@ -5,6 +5,7 @@
 
 use crate::check::{
     AttackerModel, CheckReport, CheckRequest, CheckStatus, CheckTarget, Checker, ExploreStats,
+    MAX_STATES, RECV_CHUNKS,
 };
 use crate::property::Property;
 use crate::trace::{Action, Counterexample, TraceStep};
@@ -188,17 +189,15 @@ impl Explorer<'_> {
         };
         for &corrupt in corrupt_options {
             // The uncapped schedule first, then each configured chunk cap.
-            for cap_index in 0..=self.request.recv_chunks.len() {
+            for cap_index in 0..=RECV_CHUNKS.len() {
                 if self.stats.truncated {
                     return None;
                 }
-                if self.stats.states_visited >= self.stats_limit() {
+                if self.stats.states_visited >= MAX_STATES {
                     self.stats.truncated = true;
                     return None;
                 }
-                let recv_cap = cap_index
-                    .checked_sub(1)
-                    .map(|i| self.request.recv_chunks[i]);
+                let recv_cap = cap_index.checked_sub(1).map(|i| RECV_CHUNKS[i]);
                 let action = Action { corrupt, recv_cap };
                 let mut child = monitor.clone();
                 let event = apply_step(&mut child, self.target, action);
@@ -237,10 +236,6 @@ impl Explorer<'_> {
             }
         }
         None
-    }
-
-    fn stats_limit(&self) -> u64 {
-        self.request.max_states as u64
     }
 }
 

@@ -9,7 +9,7 @@
 //! * **attacker moves** — a one-shot memory corruption from the target's
 //!   [`AttackerModel`], injectable before any synchronization point, and
 //! * **receive schedules** — the kernel's freedom to deliver network input
-//!   in chunks ([`CheckRequest::recv_chunks`]),
+//!   in chunks (uncapped, and capped at 4 bytes per `recv`),
 //!
 //! up to a depth bound, checking one of three [`Property`]s after every
 //! step:

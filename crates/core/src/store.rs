@@ -4,10 +4,10 @@
 //! across processes.
 //!
 //! The workspace's vendored `serde` is a no-op stand-in (the build
-//! environment has no registry access), so artifacts are serialized with a
-//! hand-rolled line-oriented text codec, the same style as the campaign
-//! shard codec: Rust-`Debug`-quoted strings, hex-encoded byte images, and
-//! explicit element counts so truncation is always detected.
+//! environment has no registry access), so artifacts are serialized in the
+//! workspace's line codec ([`nvariant_types::lines`]), the one the campaign
+//! shard codec uses: Rust-`Debug`-quoted strings, hex-encoded byte images,
+//! and explicit element counts so truncation is always detected.
 //!
 //! What is stored is exactly what compiling computes: each variant's
 //! compiled program, the transformation counters and the static verifier's
@@ -22,17 +22,22 @@
 //! Robustness contract: a corrupted, truncated or foreign cache entry is
 //! *never* an error for the caller — [`ArtifactStore::get_or_compile`]
 //! falls back to compiling (and atomically overwrites the bad entry), and
-//! counts the event in its [`CacheStats`]. Writes go through a
-//! write-then-rename so concurrent processes can never observe a torn
-//! entry.
+//! counts the event in its [`CacheStats`]. An entry is parsed straight from
+//! the open file, one line at a time, with its body checksum folded in as
+//! the lines go by: no entry is ever read whole, and a line that never ends
+//! is refused at [`MAX_LINE_BYTES`](nvariant_types::lines::MAX_LINE_BYTES).
+//! Writes go through a write-then-rename so concurrent processes can never
+//! observe a torn entry.
 
 use crate::system::{BuildError, CompiledPlan, CompiledSystem, NVariantSystemBuilder};
 use nvariant_transform::TransformStats;
 use nvariant_types::hex::{hex_decode, hex_encode};
+use nvariant_types::lines::{quote, Line, LineReader, ParseError};
 use nvariant_vm::{CompiledProgram, FunctionSig, Type, TypeInfo};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -150,27 +155,6 @@ pub fn atomic_write_text(path: &Path, text: &str) -> std::io::Result<()> {
         })
 }
 
-/// Why an artifact file failed to parse.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ArtifactParseError {
-    /// 1-based line the error was detected on (0 for end-of-input errors).
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ArtifactParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "artifact parse error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for ArtifactParseError {}
-
 /// The two-level compiled-artifact cache: an in-process memory map of
 /// `Arc<CompiledSystem>` plus an optional disk layer under
 /// `<root>/artifacts/<fingerprint>.txt`.
@@ -270,8 +254,8 @@ impl ArtifactStore {
         }
 
         let path = self.entry_path(fingerprint);
-        match path.as_deref().map(std::fs::read_to_string) {
-            Some(Ok(text)) => match from_artifact_text(&text, &builder) {
+        match path.as_deref().map(std::fs::File::open) {
+            Some(Ok(file)) => match read_artifact(std::io::BufReader::new(file), &builder) {
                 Ok(loaded) => {
                     self.counters.hit();
                     return Ok(self.insert_memory(fingerprint, loaded));
@@ -312,10 +296,6 @@ impl ArtifactStore {
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
-
-fn quote(s: &str) -> String {
-    format!("{s:?}")
-}
 
 fn type_token(ty: Type) -> String {
     match ty {
@@ -412,48 +392,6 @@ pub fn to_artifact_text(system: &CompiledSystem) -> String {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Inverse of [`quote`]: parses a Rust-`Debug`-quoted string literal at the
-/// *start* of `input`, returning the string and the remainder after the
-/// closing quote (with one separating space consumed, if present).
-fn take_quoted(input: &str) -> Result<(String, &str), String> {
-    let inner = input
-        .strip_prefix('"')
-        .ok_or_else(|| format!("expected a quoted string, got {input:?}"))?;
-    let mut out = String::new();
-    let mut chars = inner.char_indices();
-    while let Some((index, c)) = chars.next() {
-        match c {
-            '"' => {
-                let rest = &inner[index + 1..];
-                return Ok((out, rest.strip_prefix(' ').unwrap_or(rest)));
-            }
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\'')) => out.push('\''),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, '0')) => out.push('\0'),
-                Some((_, 'u')) => {
-                    let hex: String = chars
-                        .by_ref()
-                        .map(|(_, c)| c)
-                        .skip_while(|&c| c == '{')
-                        .take_while(|&c| c != '}')
-                        .collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| format!("bad \\u escape in {input:?}"))?;
-                    out.push(char::from_u32(code).ok_or_else(|| "bad \\u escape".to_string())?);
-                }
-                other => return Err(format!("bad escape \\{other:?} in {input:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err(format!("unterminated quoted string in {input:?}"))
-}
-
 fn parse_type(token: &str) -> Result<Type, String> {
     Ok(match token {
         "int" => Type::Int,
@@ -471,267 +409,158 @@ fn parse_type(token: &str) -> Result<Type, String> {
     })
 }
 
-/// A line-cursor over the artifact text, with error positions.
-struct Parser<'a> {
-    text: &'a str,
-    lines: std::iter::Enumerate<std::str::Lines<'a>>,
-    current: usize,
+/// Reads a `key count` line.
+fn count_field<R: BufRead>(lines: &mut LineReader<R>, key: &str) -> Result<usize, ParseError> {
+    checked_count(lines.field(key)?)
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            text,
-            lines: text.lines().enumerate(),
-            current: 0,
-        }
-    }
-
-    fn fail<T>(&self, message: impl Into<String>) -> Result<T, ArtifactParseError> {
-        Err(ArtifactParseError {
-            line: self.current,
-            message: message.into(),
-        })
-    }
-
-    fn lift<T>(&self, result: Result<T, String>) -> Result<T, ArtifactParseError> {
-        result.map_err(|message| ArtifactParseError {
-            line: self.current,
-            message,
-        })
-    }
-
-    fn next_line(&mut self) -> Result<&'a str, ArtifactParseError> {
-        if let Some((index, line)) = self.lines.next() {
-            self.current = index + 1;
-            Ok(line)
-        } else {
-            self.current = 0;
-            Err(ArtifactParseError {
-                line: 0,
-                message: "unexpected end of artifact file".to_string(),
-            })
-        }
-    }
-
-    fn expect_field(&mut self, key: &str) -> Result<&'a str, ArtifactParseError> {
-        let line = self.next_line()?;
-        match line.strip_prefix(key).and_then(|r| r.strip_prefix(' ')) {
-            Some(rest) => Ok(rest),
-            None => self.fail(format!("expected {key:?} field, got {line:?}")),
-        }
-    }
-
-    fn parse_number<T: std::str::FromStr>(&self, token: &str) -> Result<T, ArtifactParseError> {
-        token.parse::<T>().map_err(|_| ArtifactParseError {
-            line: self.current,
-            message: format!("expected a number, got {token:?}"),
-        })
-    }
-
-    fn expect_number<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, ArtifactParseError> {
-        let token = self.expect_field(key)?;
-        self.parse_number(token)
-    }
-
-    fn expect_hex(&mut self, key: &str) -> Result<u64, ArtifactParseError> {
-        let token = self.expect_field(key)?;
-        match token
-            .strip_prefix("0x")
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        {
-            Some(value) => Ok(value),
-            None => self.fail(format!("expected 0x-prefixed {key}, got {token:?}")),
-        }
-    }
-
-    fn numbers<const N: usize>(&mut self, key: &str) -> Result<[u64; N], ArtifactParseError> {
-        let rest = self.expect_field(key)?;
-        let tokens: Vec<&str> = rest.split(' ').collect();
-        if tokens.len() != N {
-            return self.fail(format!("{key} needs {N} fields, got {}", tokens.len()));
-        }
-        let mut out = [0u64; N];
-        for (slot, token) in out.iter_mut().zip(tokens) {
-            *slot = self.parse_number(token)?;
-        }
-        Ok(out)
-    }
-
-    fn parse_program(&mut self) -> Result<CompiledProgram, ArtifactParseError> {
-        let entry_offset: u32 = self.expect_number("program")?;
-        let code = {
-            let token = self.expect_field("code")?;
-            self.lift(hex_decode(token))?
-        };
-        let globals_image = {
-            let token = self.expect_field("data")?;
-            self.lift(hex_decode(token))?
-        };
-
-        let mut globals_map = std::collections::BTreeMap::new();
-        for _ in 0..checked_count(self.expect_number("globals")?, self)? {
-            let rest = self.expect_field("g")?;
-            let (name, rest) = self.lift(take_quoted(rest))?;
-            let Some((offset, ty)) = rest.split_once(' ') else {
-                return self.fail("global needs offset and type");
-            };
-            let offset: u32 = self.parse_number(offset)?;
-            let ty = self.lift(parse_type(ty))?;
-            globals_map.insert(name, (offset, ty));
-        }
-
-        let mut functions = std::collections::BTreeMap::new();
-        for _ in 0..checked_count(self.expect_number("funcs")?, self)? {
-            let rest = self.expect_field("f")?;
-            let (name, offset) = self.lift(take_quoted(rest))?;
-            functions.insert(name, self.parse_number(offset)?);
-        }
-
-        let mut type_info = TypeInfo::default();
-        for _ in 0..checked_count(self.expect_number("tglobals")?, self)? {
-            let rest = self.expect_field("tg")?;
-            let (name, ty) = self.lift(take_quoted(rest))?;
-            type_info.globals.insert(name, self.lift(parse_type(ty))?);
-        }
-        for _ in 0..checked_count(self.expect_number("tfns")?, self)? {
-            let rest = self.expect_field("tf")?;
-            let (name, rest) = self.lift(take_quoted(rest))?;
-            let mut tokens = rest.split(' ').filter(|t| !t.is_empty());
-            let ret = {
-                let token = tokens
-                    .next()
-                    .ok_or(())
-                    .or_else(|()| self.fail("function signature needs a return type"))?;
-                self.lift(parse_type(token))?
-            };
-            let params: Result<Vec<Type>, ArtifactParseError> =
-                tokens.map(|t| self.lift(parse_type(t))).collect();
-            type_info.functions.insert(
-                name,
-                FunctionSig {
-                    params: params?,
-                    ret,
-                },
-            );
-        }
-        for _ in 0..checked_count(self.expect_number("tlocals")?, self)? {
-            let rest = self.expect_field("tl")?;
-            let (function, count) = self.lift(take_quoted(rest))?;
-            let count: usize = self.parse_number(count)?;
-            let mut table = std::collections::BTreeMap::new();
-            for _ in 0..checked_count(count, self)? {
-                let rest = self.expect_field("tlv")?;
-                let (name, ty) = self.lift(take_quoted(rest))?;
-                table.insert(name, self.lift(parse_type(ty))?);
-            }
-            type_info.locals.insert(function, table);
-        }
-
-        let line = self.next_line()?;
-        if line != "endprogram" {
-            return self.fail(format!("expected \"endprogram\", got {line:?}"));
-        }
-        Ok(CompiledProgram::new(
-            code,
-            globals_image,
-            globals_map,
-            functions,
-            entry_offset,
-            type_info,
-        ))
-    }
-
-    fn parse(
-        mut self,
-        builder: &NVariantSystemBuilder,
-    ) -> Result<CompiledSystem, ArtifactParseError> {
-        let header = self.next_line()?;
-        if header != HEADER {
-            return self.fail(format!("expected {HEADER:?}, got {header:?}"));
-        }
-        // The whole-body checksum must hold before anything is trusted: the
-        // fingerprint is derived from the builder's inputs, not from these
-        // bytes, so it cannot detect a flipped bit inside a code image that
-        // still parses. Trailing newlines are excluded on both sides, so an
-        // editor's or a text-mode transfer's extra blank lines stay
-        // harmless (the structural parser tolerates them too).
-        let declared = self.expect_hex("checksum")?;
-        let body = {
-            let mut offset = 0;
-            for _ in 0..2 {
-                offset += match self.text[offset..].find('\n') {
-                    Some(position) => position + 1,
-                    None => return self.fail("artifact ends before its body"),
-                };
-            }
-            self.text[offset..].trim_end_matches('\n')
-        };
-        if fnv1a_64(body.as_bytes()) != declared {
-            return self.fail("artifact checksum mismatch: the entry is corrupt".to_string());
-        }
-        let fingerprint = self.expect_hex("fingerprint")?;
-        if fingerprint != builder.fingerprint() {
-            return self.fail(format!(
-                "artifact fingerprint {fingerprint:#018x} is not the builder's {:#018x}",
-                builder.fingerprint()
-            ));
-        }
-        let [a, b, c, d, e, f] = self.numbers::<6>("stats")?;
-        let transform_stats = TransformStats {
-            uid_constants_reexpressed: a as usize,
-            implicit_constants_made_explicit: b as usize,
-            single_value_exposures: c as usize,
-            comparison_exposures: d as usize,
-            conditional_checks: e as usize,
-            log_sinks_sanitized: f as usize,
-        };
-        let analysis = {
-            let rest = self.expect_field("analysis")?;
-            if rest == "-" {
-                None
-            } else {
-                let (verdict, trailing) = self.lift(take_quoted(rest))?;
-                if !trailing.is_empty() {
-                    return self.fail(format!("unexpected trailing content {trailing:?}"));
-                }
-                Some(verdict)
-            }
-        };
-        let count = checked_count(self.expect_number("programs")?, &self)?;
-        let programs = (0..count)
-            .map(|_| self.parse_program())
-            .collect::<Result<Vec<_>, _>>()?;
-        for (index, line) in self.lines.by_ref() {
-            if line.is_empty() {
-                continue;
-            }
-            self.current = index + 1;
-            return self.fail(format!(
-                "unexpected content after the last program: {line:?}"
-            ));
-        }
-        builder
-            .assemble(programs, transform_stats, analysis)
-            .map_err(|error| ArtifactParseError {
-                line: 0,
-                message: format!("artifact does not fit the builder: {error}"),
-            })
-    }
-}
-
-/// Caps parsed element counts: an artifact file is finite, so any declared
-/// count beyond a generous bound is corruption, not data — reject it before
-/// the loop allocates or starves on a truncated file.
-fn checked_count(count: usize, parser: &Parser<'_>) -> Result<usize, ArtifactParseError> {
+/// Parses an element count. An artifact file is finite, so a count beyond
+/// a generous bound is corruption, not data: it is rejected before the
+/// loop over the elements allocates or starves on a truncated file.
+fn checked_count(count: Line<'_>) -> Result<usize, ParseError> {
     const CAP: usize = 1 << 20;
-    if count > CAP {
-        return Err(ArtifactParseError {
-            line: parser.current,
-            message: format!("implausible element count {count}"),
+    match count.number()? {
+        n if n > CAP => count.fail(format!("implausible element count {n}")),
+        n => Ok(n),
+    }
+}
+
+fn read_type(token: Line<'_>) -> Result<Type, ParseError> {
+    token.lift(parse_type(token.text()))
+}
+
+fn read_program<R: BufRead>(lines: &mut LineReader<R>) -> Result<CompiledProgram, ParseError> {
+    let entry_offset: u32 = lines.field("program")?.number()?;
+    let code = lines.field("code")?;
+    let code = code.lift(hex_decode(code.text()))?;
+    let data = lines.field("data")?;
+    let globals_image = data.lift(hex_decode(data.text()))?;
+
+    let mut globals_map = std::collections::BTreeMap::new();
+    for _ in 0..count_field(lines, "globals")? {
+        let (name, rest) = lines.field("g")?.take_quoted()?;
+        let [offset, ty] = rest.tokens("global needs offset and type")?;
+        globals_map.insert(name, (offset.number()?, read_type(ty)?));
+    }
+
+    let mut functions = std::collections::BTreeMap::new();
+    for _ in 0..count_field(lines, "funcs")? {
+        let (name, offset) = lines.field("f")?.take_quoted()?;
+        functions.insert(name, offset.number()?);
+    }
+
+    let mut type_info = TypeInfo::default();
+    for _ in 0..count_field(lines, "tglobals")? {
+        let (name, ty) = lines.field("tg")?.take_quoted()?;
+        type_info.globals.insert(name, read_type(ty)?);
+    }
+    for _ in 0..count_field(lines, "tfns")? {
+        let (name, signature) = lines.field("tf")?.take_quoted()?;
+        let mut types = signature
+            .text()
+            .split(' ')
+            .filter(|t| !t.is_empty())
+            .map(parse_type);
+        let ret = match types.next() {
+            Some(ret) => signature.lift(ret)?,
+            None => return signature.fail("function signature needs a return type"),
+        };
+        let params = signature.lift(types.collect())?;
+        type_info
+            .functions
+            .insert(name, FunctionSig { params, ret });
+    }
+    for _ in 0..count_field(lines, "tlocals")? {
+        let (function, count) = lines.field("tl")?.take_quoted()?;
+        let count = checked_count(count)?;
+        let mut table = std::collections::BTreeMap::new();
+        for _ in 0..count {
+            let (name, ty) = lines.field("tlv")?.take_quoted()?;
+            table.insert(name, read_type(ty)?);
+        }
+        type_info.locals.insert(function, table);
+    }
+
+    let end = lines.next_line()?;
+    if end.text() != "endprogram" {
+        return end.fail(format!("expected \"endprogram\", got {:?}", end.text()));
+    }
+    Ok(CompiledProgram::new(
+        code,
+        globals_image,
+        globals_map,
+        functions,
+        entry_offset,
+        type_info,
+    ))
+}
+
+/// Parses an artifact entry from `reader` one line at a time and assembles
+/// it for `builder`.
+fn read_artifact<R: BufRead>(
+    reader: R,
+    builder: &NVariantSystemBuilder,
+) -> Result<CompiledSystem, ParseError> {
+    let mut lines = LineReader::new(reader);
+    let header = lines.next_line()?;
+    if header.text() != HEADER {
+        return header.fail(format!("expected {HEADER:?}, got {:?}", header.text()));
+    }
+    let declared = lines.field("checksum")?.hex_number()?;
+    let checksum_line = lines.line();
+    // The body checksum must hold before anything is assembled: the
+    // fingerprint is derived from the builder's inputs, not from these
+    // bytes, so it cannot detect a flipped bit inside a code image that
+    // still parses. The reader folds every body line into it as it goes.
+    lines.start_checksum();
+    let fingerprint = lines.field("fingerprint")?;
+    if fingerprint.hex_number()? != builder.fingerprint() {
+        return fingerprint.fail(format!(
+            "artifact fingerprint {} is not the builder's {:#018x}",
+            fingerprint.text(),
+            builder.fingerprint()
+        ));
+    }
+    let [a, b, c, d, e, f] = lines.field("stats")?.tokens("stats needs 6 counters")?;
+    let transform_stats = TransformStats {
+        uid_constants_reexpressed: a.number()?,
+        implicit_constants_made_explicit: b.number()?,
+        single_value_exposures: c.number()?,
+        comparison_exposures: d.number()?,
+        conditional_checks: e.number()?,
+        log_sinks_sanitized: f.number()?,
+    };
+    let analysis = lines.field("analysis")?;
+    let analysis = match analysis.text() {
+        "-" => None,
+        _ => Some(analysis.quoted()?),
+    };
+    let programs = (0..count_field(&mut lines, "programs")?)
+        .map(|_| read_program(&mut lines))
+        .collect::<Result<Vec<_>, _>>()?;
+    // Blank lines after the last program are tolerated, like the
+    // checksum's trimmed trailing newlines: an editor's or a text-mode
+    // transfer's extra line ends stay harmless.
+    while let Some(line) = lines.read_line()? {
+        if !line.text().is_empty() {
+            return line.fail(format!(
+                "unexpected content after the last program: {:?}",
+                line.text()
+            ));
+        }
+    }
+    if lines.checksum() != Some(declared) {
+        return Err(ParseError {
+            line: checksum_line,
+            message: "artifact checksum mismatch: the entry is corrupt".to_string(),
         });
     }
-    Ok(count)
+    builder
+        .assemble(programs, transform_stats, analysis)
+        .map_err(|error| ParseError {
+            line: 0,
+            message: format!("artifact does not fit the builder: {error}"),
+        })
 }
 
 /// Parses an artifact file and assembles it for `builder`, through the
@@ -739,15 +568,15 @@ fn checked_count(count: usize, parser: &Parser<'_>) -> Result<usize, ArtifactPar
 ///
 /// # Errors
 ///
-/// Returns an [`ArtifactParseError`] naming the offending line if the text
-/// is not a well-formed artifact file, or if it was stored for another
-/// builder: its fingerprint differs from the builder's, or its program
-/// count from the builder's variant count.
+/// Returns a [`ParseError`] naming the offending line if the text is not a
+/// well-formed artifact file, or if it was stored for another builder: its
+/// fingerprint differs from the builder's, or its program count from the
+/// builder's variant count.
 pub fn from_artifact_text(
     text: &str,
     builder: &NVariantSystemBuilder,
-) -> Result<CompiledSystem, ArtifactParseError> {
-    Parser::new(text).parse(builder)
+) -> Result<CompiledSystem, ParseError> {
+    read_artifact(text.as_bytes(), builder)
 }
 
 #[cfg(test)]
@@ -1118,5 +947,38 @@ mod tests {
             .expect_err("trailing content");
         assert_eq!(err.line, text.lines().count() + 1, "{err}");
         assert!(from_artifact_text(&format!("{text}\n\n"), &source).is_ok());
+        // So is a text-mode transfer's conversion of every line end.
+        assert!(from_artifact_text(&text.replace('\n', "\r\n"), &source).is_ok());
+    }
+
+    #[test]
+    fn an_oversized_entry_is_one_invalidation_read_a_line_at_a_time() {
+        let dir =
+            std::env::temp_dir().join(format!("nvariant-store-oversized-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let seed_store = ArtifactStore::at(&dir);
+        let compiled = store_loaded(&seed_store, DeploymentConfig::TwoVariantUid);
+        let entry = seed_store.entry_path(compiled.fingerprint()).unwrap();
+        let good = std::fs::read_to_string(&entry).unwrap();
+        // 512 MiB of zeros, sparse on disk: reading the entry whole would
+        // need that much memory, and fails under a smaller address-space
+        // cap, which used to count it as a miss.
+        std::fs::File::create(&entry)
+            .unwrap()
+            .set_len(512 << 20)
+            .unwrap();
+        let fresh = ArtifactStore::at(&dir);
+        let loaded = store_loaded(&fresh, DeploymentConfig::TwoVariantUid);
+        assert_eq!(
+            fresh.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 0,
+                invalidations: 1
+            }
+        );
+        assert_eq!(loaded.instantiate().run(), compiled.instantiate().run());
+        assert_eq!(std::fs::read_to_string(&entry).unwrap(), good);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,46 +19,6 @@ use std::collections::BTreeMap;
 /// Maximum number of open descriptors per process.
 pub const MAX_FDS: usize = 64;
 
-/// Access to a variant process' memory, implemented by the VM.
-///
-/// The kernel needs this to copy data to and from user space (`read`,
-/// `write`, path strings for `open`). Keeping it a trait lets `nvariant-simos`
-/// stay independent of the VM crate.
-pub trait ProcessMem {
-    /// Reads `len` bytes starting at virtual address `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Errno::Efault`] if any byte of the range is unmapped.
-    fn read_mem(&self, addr: u32, len: usize) -> Result<Vec<u8>, Errno>;
-
-    /// Writes `data` starting at virtual address `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Errno::Efault`] if any byte of the range is unmapped.
-    fn write_mem(&mut self, addr: u32, data: &[u8]) -> Result<(), Errno>;
-
-    /// Reads a NUL-terminated string of at most `max` bytes starting at
-    /// `addr` (the terminator is not included in the result).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Errno::Efault`] if the string runs off mapped memory before
-    /// a NUL terminator is found within `max` bytes.
-    fn read_cstr(&self, addr: u32, max: usize) -> Result<Vec<u8>, Errno> {
-        let mut out = Vec::new();
-        for i in 0..max {
-            let byte = self.read_mem(addr.wrapping_add(i as u32), 1)?;
-            if byte[0] == 0 {
-                return Ok(out);
-            }
-            out.push(byte[0]);
-        }
-        Err(Errno::Efault)
-    }
-}
-
 /// What a file descriptor refers to.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FdEntry {

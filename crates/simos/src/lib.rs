@@ -57,7 +57,7 @@ pub mod world;
 pub use costs::{CostModel, SimDuration, SimInstant};
 pub use cred::Credentials;
 pub use fs::{AccessMode, FileMode, FileSystem, Inode, OpenFlags};
-pub use kernel::{FdEntry, OsKernel, ProcessMem};
+pub use kernel::{FdEntry, OsKernel};
 pub use net::{Connection, Listener, SimNetwork};
 pub use passwd::{GroupEntry, PasswdDb, PasswdEntry};
 pub use syscall::{SyscallRequest, Sysno};

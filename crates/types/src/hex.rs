@@ -1,9 +1,10 @@
-//! Table-driven hexadecimal codec shared by the artifact store and shard
-//! interchange codecs.
+//! Table-driven hexadecimal codec for the binary payloads of the line codec
+//! ([`lines`](crate::lines)) that the artifact store and the shard
+//! interchange format share.
 //!
-//! Both codecs carry binary payloads (code images, request/response bytes)
+//! Both formats carry binary payloads (code images, request/response bytes)
 //! as lowercase hex tokens with a `-` sentinel for the empty payload, and
-//! both sit on warm-run hot paths — an artifact-store hit re-encodes every
+//! both sit on warm-run hot paths — an artifact-store hit decodes every
 //! compiled code image, a shard merge decodes every exchange. Encoding goes
 //! through a precomputed byte→digit-pair table and decoding through a
 //! 256-entry nibble table, so neither walks a match per nibble.

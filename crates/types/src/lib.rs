@@ -36,16 +36,15 @@
 
 mod addr;
 mod errno;
-mod error;
 pub mod fnv;
 pub mod hex;
 mod ids;
+pub mod lines;
 mod uid;
 mod word;
 
 pub use addr::VirtAddr;
 pub use errno::Errno;
-pub use error::{KernelError, KernelResult};
 pub use fnv::{fnv1a_64, Fnv1a};
 pub use ids::{ConnId, Fd, Pid, Port, VariantId};
 pub use uid::{Gid, Uid};

@@ -25,8 +25,7 @@
 use crate::bytecode::{Instr, INSTR_SIZE};
 use crate::compile::CompiledProgram;
 use crate::fault::Fault;
-use nvariant_simos::ProcessMem;
-use nvariant_types::{Errno, VirtAddr, Word};
+use nvariant_types::{VirtAddr, Word};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -574,18 +573,6 @@ enum Segment {
     Stack,
 }
 
-impl ProcessMem for Process {
-    fn read_mem(&self, addr: u32, len: usize) -> Result<Vec<u8>, Errno> {
-        self.read_bytes(VirtAddr::new(addr), len)
-            .map_err(|_| Errno::Efault)
-    }
-
-    fn write_mem(&mut self, addr: u32, data: &[u8]) -> Result<(), Errno> {
-        self.write_bytes(VirtAddr::new(addr), data)
-            .map_err(|_| Errno::Efault)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,17 +661,6 @@ mod tests {
         assert_eq!(p.read_cstring(addr, 64).unwrap(), b"GET /index.html");
         // A max that stops before the terminator returns the prefix.
         assert_eq!(p.read_cstring(addr, 3).unwrap(), b"GET");
-    }
-
-    #[test]
-    fn process_mem_trait_maps_faults_to_efault() {
-        let c = compiled();
-        let mut p = Process::new(&c, MemoryLayout::default());
-        assert_eq!(p.read_mem(0x4, 1), Err(Errno::Efault));
-        assert_eq!(p.write_mem(0x4, b"x"), Err(Errno::Efault));
-        let addr = p.global_addr("logbuf").unwrap().as_u32();
-        assert!(p.write_mem(addr, b"ok\0").is_ok());
-        assert_eq!(p.read_cstr(addr, 16).unwrap(), b"ok");
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The artifact store's reader against hostile input. A store entry is a
 //! file another process wrote; the header and checksum catch most damage,
-//! but an entry whose body was rewritten together with its checksum reaches
+//! but an entry whose body was rewritten together with its checksum, or
+//! whose damage the parser meets before the checksum can be checked, reaches
 //! the structural parser. That parser must return `Ok` or `Err` for any
-//! body, and never panic.
+//! input, never panic, and name a line the input has.
 
 use nvariant::store::{fnv1a_64, from_artifact_text, to_artifact_text};
 use nvariant::{DeploymentConfig, NVariantSystemBuilder};
+use nvariant_campaign::cell_seed;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -33,8 +35,50 @@ fn sample() -> &'static (NVariantSystemBuilder, String) {
     })
 }
 
+/// `len` bytes drawn from `seed` through the campaign's seed derivation.
+/// Half of them come from the codec's own alphabet — line ends, spaces,
+/// quotes, escapes, digits — so a draw sometimes gets past a line's first
+/// token; the rest are any byte at all.
+fn arbitrary_bytes(seed: u64, len: usize) -> Vec<u8> {
+    const ALPHABET: &[u8] = b"\n\r \"\\-0123456789abcdefx";
+    (0..len)
+        .map(|index| match cell_seed(seed, index, 0, 0, 0) {
+            draw if draw & 1 == 0 => ALPHABET[(draw >> 8) as usize % ALPHABET.len()],
+            draw => (draw >> 8) as u8,
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes, alone or after the first `kept` lines of a valid
+    /// entry (header, checksum, fingerprint, ...): the reader returns, and
+    /// any error names a line no later than the input's line count plus
+    /// one.
+    #[test]
+    fn arbitrary_bytes_after_a_valid_prefix_are_a_lined_error(
+        kept in 0usize..16,
+        seed in any::<u64>(),
+        len in 0usize..400,
+    ) {
+        let (builder, text) = sample();
+        let mut input: Vec<u8> = text
+            .lines()
+            .take(kept)
+            .flat_map(|line| [line.as_bytes(), b"\n"].concat())
+            .collect();
+        input.extend(arbitrary_bytes(seed, len));
+        let input = String::from_utf8_lossy(&input);
+        if let Err(err) = from_artifact_text(&input, builder) {
+            let line_count = input.lines().count();
+            prop_assert!(
+                err.line <= line_count + 1,
+                "{line_count} lines, error names line {} ({err})",
+                err.line
+            );
+        }
+    }
 
     /// Drops, duplicates or swaps body lines, overwrites a body byte, or
     /// truncates the body, then rewrites the checksum line to match. The

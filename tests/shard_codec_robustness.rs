@@ -1,11 +1,12 @@
 //! The shard interchange codec against hostile input: a coordinator parses
 //! shard files written by workers it does not trust to have survived —
-//! truncated writes, corrupted bytes, duplicated lines. `from_shard_text`
-//! must always return a precise line-numbered error, and must never panic.
+//! truncated writes, corrupted bytes, duplicated lines, or no shard at all.
+//! `from_shard_text` and a [`ShardCursor`] must always return a precise
+//! line-numbered error, and must never panic.
 
 use nvariant::DeploymentConfig;
 use nvariant_apps::campaigns::full_matrix_campaign;
-use nvariant_campaign::{CampaignReport, CheckSummary};
+use nvariant_campaign::{cell_seed, CampaignReport, CheckSummary, ShardCursor};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -101,8 +102,52 @@ fn duplicated_lines_are_rejected_with_the_offending_line() {
     }
 }
 
+/// `len` bytes drawn from `seed` through the campaign's seed derivation.
+/// Half of them come from the codec's own alphabet — line ends, spaces,
+/// quotes, escapes, digits — so a draw sometimes gets past a line's first
+/// token; the rest are any byte at all.
+fn arbitrary_bytes(seed: u64, len: usize) -> Vec<u8> {
+    const ALPHABET: &[u8] = b"\n\r \"\\-0123456789abcdefx";
+    (0..len)
+        .map(|index| match cell_seed(seed, index, 0, 0, 0) {
+            draw if draw & 1 == 0 => ALPHABET[(draw >> 8) as usize % ALPHABET.len()],
+            draw => (draw >> 8) as u8,
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes, alone or after the first `kept` lines of a valid
+    /// shard (its header is the first 7): a cursor drained to the end
+    /// returns, and any error names a line no later than the input's line
+    /// count plus one.
+    #[test]
+    fn arbitrary_bytes_after_a_valid_prefix_are_a_lined_error(
+        kept in 0usize..16,
+        seed in any::<u64>(),
+        len in 0usize..400,
+    ) {
+        let mut input: Vec<u8> = sample_text()
+            .lines()
+            .take(kept)
+            .flat_map(|line| [line.as_bytes(), b"\n"].concat())
+            .collect();
+        input.extend(arbitrary_bytes(seed, len));
+        let drained = ShardCursor::new(input.as_slice()).and_then(|mut cursor| {
+            while cursor.next_cell()?.is_some() {}
+            Ok(())
+        });
+        if let Err(err) = drained {
+            let line_count = String::from_utf8_lossy(&input).lines().count();
+            prop_assert!(
+                err.line <= line_count + 1,
+                "{line_count} lines, error names line {} ({err})",
+                err.line
+            );
+        }
+    }
 
     /// Byte-level fuzz over the shard text: overwrite, insert, delete,
     /// truncate or line-duplicate at a random position. The parser must
