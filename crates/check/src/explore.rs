@@ -2,6 +2,10 @@
 //! schedules at syscall granularity, with visited-state pruning over the
 //! monitor's canonical state digest, plus deterministic replay and greedy
 //! counterexample minimization.
+//!
+//! A receive cap is stepped only where the uncapped sibling step reached
+//! `recv`: anywhere else the capped step would reach the same syscall and
+//! the same state, so it is skipped before its clone and step.
 
 use crate::check::{
     AttackerModel, CheckReport, CheckRequest, CheckStatus, CheckTarget, Checker, ExploreStats,
@@ -159,6 +163,10 @@ struct Explorer<'a> {
     stats: ExploreStats,
     /// Canonical state digest → most remaining depth it was explored with.
     visited: HashMap<u64, usize>,
+    /// The actions from the root to the state being explored. The DFS is
+    /// recursive, so a violating trace is this path, copied once when the
+    /// violation is found.
+    path: Vec<Action>,
 }
 
 impl Explorer<'_> {
@@ -169,15 +177,16 @@ impl Explorer<'_> {
         digest.finish()
     }
 
-    /// DFS from `monitor` (reached via `trace`), returning the first
+    /// DFS from `monitor` (reached via `self.path`), returning the first
     /// violating trace in deterministic branch order.
-    fn dfs(
-        &mut self,
-        monitor: &NVariantMonitor,
-        trace: &[Action],
-        corrupted: bool,
-    ) -> Option<(Vec<Action>, String)> {
-        if trace.len() >= self.request.depth {
+    ///
+    /// Which syscall a step reaches is fixed before the kernel sees the
+    /// receive cap, so when the uncapped step did not reach `recv` its
+    /// capped siblings would duplicate it: they are skipped before they are
+    /// cloned and stepped, uncounted. The truncation checks come first, so
+    /// every count is what stepping and discarding them gave.
+    fn dfs(&mut self, monitor: &NVariantMonitor, corrupted: bool) -> Option<(Vec<Action>, String)> {
+        if self.path.len() >= self.request.depth {
             return None;
         }
         let try_corrupt =
@@ -188,6 +197,7 @@ impl Explorer<'_> {
             &[false]
         };
         for &corrupt in corrupt_options {
+            let mut reaches_recv = false;
             // The uncapped schedule first, then each configured chunk cap.
             for cap_index in 0..=RECV_CHUNKS.len() {
                 if self.stats.truncated {
@@ -198,44 +208,56 @@ impl Explorer<'_> {
                     return None;
                 }
                 let recv_cap = cap_index.checked_sub(1).map(|i| RECV_CHUNKS[i]);
+                if recv_cap.is_some() && !reaches_recv {
+                    continue;
+                }
                 let action = Action { corrupt, recv_cap };
                 let mut child = monitor.clone();
                 let event = apply_step(&mut child, self.target, action);
-                // A cap on a step that did not reach a `recv` duplicates the
-                // uncapped branch: skip it without counting it as a state.
-                if recv_cap.is_some() && child.last_sysno() != Some(Sysno::Recv) {
-                    continue;
+                if recv_cap.is_none() {
+                    reaches_recv = child.last_sysno() == Some(Sysno::Recv);
                 }
                 self.stats.states_visited += 1;
-                let depth_here = trace.len() + 1;
-                self.stats.deepest = self.stats.deepest.max(depth_here);
-                let now_corrupted = corrupted || corrupt;
-                let mut next_trace = trace.to_vec();
-                next_trace.push(action);
-                if let Some(why) = violation(self.request.property, now_corrupted, &event, &child) {
-                    return Some((next_trace, why));
-                }
-                if matches!(event, StepEvent::Done(_)) {
-                    self.stats.terminal_runs += 1;
-                    continue;
-                }
-                let remaining = self.request.depth - depth_here;
-                let key = Self::visit_key(&child, now_corrupted);
-                if self
-                    .visited
-                    .get(&key)
-                    .is_some_and(|&seen| seen >= remaining)
-                {
-                    self.stats.states_pruned += 1;
-                    continue;
-                }
-                self.visited.insert(key, remaining);
-                if let Some(found) = self.dfs(&child, &next_trace, now_corrupted) {
-                    return Some(found);
+                self.path.push(action);
+                let found = self.explore_child(&child, &event, corrupted || corrupt);
+                self.path.pop();
+                if found.is_some() {
+                    return found;
                 }
             }
         }
         None
+    }
+
+    /// Checks the state `child` reached at the end of `self.path`, then
+    /// explores it unless it is terminal or already explored as deep.
+    fn explore_child(
+        &mut self,
+        child: &NVariantMonitor,
+        event: &StepEvent,
+        corrupted: bool,
+    ) -> Option<(Vec<Action>, String)> {
+        let depth_here = self.path.len();
+        self.stats.deepest = self.stats.deepest.max(depth_here);
+        if let Some(why) = violation(self.request.property, corrupted, event, child) {
+            return Some((self.path.clone(), why));
+        }
+        if matches!(event, StepEvent::Done(_)) {
+            self.stats.terminal_runs += 1;
+            return None;
+        }
+        let remaining = self.request.depth - depth_here;
+        let key = Self::visit_key(child, corrupted);
+        if self
+            .visited
+            .get(&key)
+            .is_some_and(|&seen| seen >= remaining)
+        {
+            self.stats.states_pruned += 1;
+            return None;
+        }
+        self.visited.insert(key, remaining);
+        self.dfs(child, corrupted)
     }
 }
 
@@ -346,9 +368,10 @@ impl Checker for BoundedChecker {
             request,
             stats: ExploreStats::default(),
             visited: HashMap::new(),
+            path: Vec::with_capacity(request.depth),
         };
         let root = instantiate(target);
-        let found = explorer.dfs(&root, &[], false);
+        let found = explorer.dfs(&root, false);
         let stats = explorer.stats;
         let (status, counterexample) = match found {
             None => (CheckStatus::Pass, None),

@@ -313,11 +313,11 @@ fn render_program(out: &mut String, program: &CompiledProgram) {
     out.push_str(&format!("code {}\n", hex_encode(program.code())));
     out.push_str(&format!("data {}\n", hex_encode(&program.globals_image)));
     out.push_str(&format!("globals {}\n", program.globals_map.len()));
-    for (name, (offset, ty)) in &program.globals_map {
+    for (name, (offset, ty)) in program.globals_map.iter() {
         out.push_str(&format!("g {} {offset} {}\n", quote(name), type_token(*ty)));
     }
     out.push_str(&format!("funcs {}\n", program.functions.len()));
-    for (name, offset) in &program.functions {
+    for (name, offset) in program.functions.iter() {
         out.push_str(&format!("f {} {offset}\n", quote(name)));
     }
     let info = &program.type_info;

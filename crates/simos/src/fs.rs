@@ -4,14 +4,18 @@
 //! case study: whether an attacker who has corrupted the server's cached UID
 //! actually gains anything is decided here, when `open("/etc/shadow")` is
 //! checked against the effective UID of the calling process.
+//!
+//! File contents are copy-on-write and carry a memoised FNV-1a digest
+//! ([`FileData`]): a state digest folds each file as its length and that
+//! digest, so the model checker rehashes a file's bytes only after a write.
 
 use crate::cred::Credentials;
-use nvariant_types::{Errno, Fnv1a, Gid, Uid};
+use nvariant_types::{fnv1a_64, Errno, Fnv1a, Gid, Uid};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Unix-style permission bits (lower 9 bits of the classic mode word).
 ///
@@ -195,7 +199,7 @@ impl fmt::Debug for OpenFlags {
     }
 }
 
-/// Copy-on-write file contents.
+/// Copy-on-write file contents, with a memoised content digest.
 ///
 /// Campaign cells each clone a provisioned world template, and most cells
 /// never write most files. Backing the bytes with an [`Arc`] makes
@@ -203,36 +207,67 @@ impl fmt::Debug for OpenFlags {
 /// still-shared file copies its bytes once (via [`Arc::make_mut`]) and
 /// later writes mutate that private buffer in place.
 ///
+/// The FNV-1a digest of the bytes ([`FileData::content_digest`]) is
+/// computed on first use and kept inside the same [`Arc`], so every clone
+/// that has not written shares it: the model checker folds a file into a
+/// state digest at the cost of one `u64`, not of its bytes. [`FileData::clear`]
+/// and [`FileData::write_at`] reset it on the copy they write.
+///
 /// Equality, ordering into digests, and indexing all go through
 /// [`Deref`]`<Target = [u8]>`, so the type behaves like the `Vec<u8>` it
 /// replaced everywhere except mutation, which is funneled through
 /// [`FileData::clear`] and [`FileData::write_at`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FileData(Arc<Vec<u8>>);
+#[derive(Clone, Default)]
+pub struct FileData(Arc<FileBytes>);
+
+#[derive(Clone, Default)]
+struct FileBytes {
+    bytes: Vec<u8>,
+    /// `fnv1a_64(&bytes)`, once something has asked for it.
+    digest: OnceLock<u64>,
+}
 
 impl FileData {
     /// Wraps a byte buffer as file contents.
     #[must_use]
     pub fn new(bytes: Vec<u8>) -> Self {
-        FileData(Arc::new(bytes))
+        FileData(Arc::new(FileBytes {
+            bytes,
+            digest: OnceLock::new(),
+        }))
     }
 
     /// Copies the contents out into an owned buffer.
     #[must_use]
     pub fn to_vec(&self) -> Vec<u8> {
-        self.0.as_ref().clone()
+        self.0.bytes.clone()
+    }
+
+    /// The FNV-1a 64 digest of the contents, computed once per write
+    /// generation and shared by every clone that has not written since.
+    #[must_use]
+    pub fn content_digest(&self) -> u64 {
+        *self.0.digest.get_or_init(|| fnv1a_64(&self.0.bytes))
+    }
+
+    /// The contents for writing: detached from any sharing clones, with
+    /// the memoised digest reset.
+    fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        let data = Arc::make_mut(&mut self.0);
+        data.digest = OnceLock::new();
+        &mut data.bytes
     }
 
     /// Truncates the file to zero length (`O_TRUNC`), detaching from any
     /// sharing clones first.
     pub fn clear(&mut self) {
-        Arc::make_mut(&mut self.0).clear();
+        self.bytes_mut().clear();
     }
 
     /// Writes `bytes` at byte offset `pos`, zero-filling any gap and
     /// growing the file as needed. Detaches from sharing clones first.
     pub fn write_at(&mut self, pos: usize, bytes: &[u8]) {
-        let buf = Arc::make_mut(&mut self.0);
+        let buf = self.bytes_mut();
         if buf.len() < pos + bytes.len() {
             buf.resize(pos + bytes.len(), 0);
         }
@@ -251,9 +286,25 @@ impl Deref for FileData {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.0
+        &self.0.bytes
     }
 }
+
+// Debug output and equality see only the bytes: the memo is a cache, and
+// whether it has been filled yet is not part of a file's state.
+impl fmt::Debug for FileData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("FileData").field(&self.0.bytes).finish()
+    }
+}
+
+impl PartialEq for FileData {
+    fn eq(&self, other: &FileData) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for FileData {}
 
 impl From<Vec<u8>> for FileData {
     fn from(bytes: Vec<u8>) -> Self {
@@ -515,13 +566,16 @@ impl FileSystem {
     /// ownership and mode, plus the injected read faults — into `digest`.
     /// `BTreeMap`/`BTreeSet` iteration order makes the digest canonical:
     /// two equal filesystems always fold identically, which is what the
-    /// model checker's visited-state pruning relies on.
+    /// model checker's visited-state pruning relies on. Contents fold as
+    /// their length and memoised [`FileData::content_digest`], so equal
+    /// files still fold equally (up to FNV collisions, as for the whole
+    /// state) while a file nothing wrote costs no rehash.
     pub fn digest_into(&self, digest: &mut Fnv1a) {
         digest.write_usize(self.files.len());
         for (path, inode) in &self.files {
             digest.write_str(path);
             digest.write_usize(inode.data.len());
-            digest.write(&inode.data);
+            digest.write_u64(inode.data.content_digest());
             digest.write_u32(inode.owner.as_u32());
             digest.write_u32(inode.group.as_u32());
             digest.write_u32(u32::from(inode.mode.bits()));
@@ -739,6 +793,51 @@ mod tests {
             cell.get("/var/log/httpd.log").unwrap().data,
             b"seed\nGET /\n"
         );
+    }
+
+    fn fold(fs: &FileSystem) -> u64 {
+        let mut digest = Fnv1a::new();
+        fs.digest_into(&mut digest);
+        digest.finish()
+    }
+
+    #[test]
+    fn content_digests_are_memoised_per_write() {
+        const LOG: &str = "/var/log/httpd.log";
+        let mut template = FileSystem::new();
+        template.create("/etc/motd", b"hello\n".to_vec());
+        template.create(LOG, b"seed\n".to_vec());
+        let digest_of = |fs: &FileSystem| fs.get(LOG).unwrap().data.content_digest();
+        assert_eq!(
+            template.get("/etc/motd").unwrap().data.content_digest(),
+            fnv1a_64(b"hello\n")
+        );
+        assert_eq!(digest_of(&template), fnv1a_64(b"seed\n"));
+        let before = fold(&template);
+
+        // A write through a clone resets the clone's memo, shared until
+        // then, and leaves the template's alone.
+        let mut cell = template.clone();
+        assert_eq!(digest_of(&cell), fnv1a_64(b"seed\n"));
+        cell.get_mut(LOG).unwrap().data.write_at(5, b"GET /\n");
+        assert_eq!(digest_of(&cell), fnv1a_64(b"seed\nGET /\n"));
+        assert_eq!(digest_of(&template), fnv1a_64(b"seed\n"));
+        assert_ne!(fold(&cell), before);
+        assert_eq!(fold(&template), before);
+        // A second write to the now private copy resets it again.
+        cell.get_mut(LOG).unwrap().data.write_at(0, b"S");
+        assert_eq!(digest_of(&cell), fnv1a_64(b"Seed\nGET /\n"));
+
+        let mut cleared = template.clone();
+        cleared.get_mut(LOG).unwrap().data.clear();
+        assert_eq!(digest_of(&cleared), fnv1a_64(b""));
+        assert_ne!(fold(&cleared), before);
+        assert_eq!(digest_of(&template), fnv1a_64(b"seed\n"));
+
+        // Writing the original bytes back folds like the template again.
+        cleared.get_mut(LOG).unwrap().data.write_at(0, b"seed\n");
+        assert!(!cleared.get(LOG).unwrap().data.is_shared());
+        assert_eq!(fold(&cleared), before);
     }
 
     #[test]

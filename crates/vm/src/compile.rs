@@ -66,10 +66,12 @@ pub struct CompiledProgram {
     code_tag: Option<u8>,
     /// Initial contents of the globals + rodata segment.
     pub globals_image: Vec<u8>,
-    /// Offset and declared type of each global within the globals segment.
-    pub globals_map: BTreeMap<String, (u32, Type)>,
-    /// Code-segment offset of each function's first instruction.
-    pub functions: BTreeMap<String, u32>,
+    /// Offset and declared type of each global within the globals segment,
+    /// shared with every process instantiated from this program.
+    pub globals_map: Arc<BTreeMap<String, (u32, Type)>>,
+    /// Code-segment offset of each function's first instruction, shared
+    /// likewise.
+    pub functions: Arc<BTreeMap<String, u32>>,
     /// Code-segment offset where execution starts (the start stub).
     pub entry_offset: u32,
     /// The type information computed during compilation.
@@ -94,8 +96,8 @@ impl CompiledProgram {
             code: Arc::from(code),
             stream,
             globals_image,
-            globals_map,
-            functions,
+            globals_map: Arc::new(globals_map),
+            functions: Arc::new(functions),
             entry_offset,
             type_info,
         }

@@ -18,10 +18,13 @@
 //!   a mixed-tag image), and such images fault at exactly the slot a
 //!   per-step check would;
 //! - memory: when the layout's segments are disjoint (decided once per
-//!   process), an address in the stack or the globals is placed by one
-//!   comparison against that segment's bounds; any other address takes the
-//!   full segment lookup, and every access faults exactly where a byte walk
-//!   would.
+//!   process), an address in the stored part of the stack or in the globals
+//!   is placed by one comparison against that part's bounds; any other
+//!   address takes the full segment lookup, and every access faults exactly
+//!   where a byte walk would. `Enter` grows the stored part when `sp` first
+//!   moves below it (one comparison; the growth itself is out of line), so
+//!   a frame's locals are stored; a pushed call frame grows it through its
+//!   own stores.
 //!
 //! A pc outside the predecoded stream (misaligned, beyond the image, in a
 //! data segment, or in an image that did not predecode) always takes the
@@ -266,6 +269,9 @@ impl Process {
                     self.sp = self.sp.wrapping_sub(operand);
                     if self.sp < self.layout.stack_base() {
                         return Some(self.fault(Fault::StackOverflow));
+                    }
+                    if self.sp < self.stack_stored_base() {
+                        self.grow_stack(self.sp);
                     }
                 }
                 Op::Ret => {

@@ -21,7 +21,23 @@
 //! Address-space partitioning is realized by shifting every base by the
 //! partition bit (`0x8000_0000`), so the same program runs at disjoint
 //! addresses in the two variants.
+//!
+//! # The stored stack
+//!
+//! The whole stack segment `[stack_top - stack_size, stack_top)` is mapped,
+//! but a process stores only its *used* part: the bytes from the lowest
+//! address it has reached up to `stack_top`. Every byte below that is zero,
+//! because nothing has written there. The stored part grows down in 4 KiB
+//! steps that at least double: at `Enter` when `sp` moves below it, and at
+//! any store that lands below it, such as a pushed call frame. It never
+//! shrinks. So every read, write and fault is what a fully stored segment
+//! would give, while a clone copies only the used part and instantiating a
+//! process allocates no stack at all. [`Process::digest_into`] folds the
+//! unstored zeros with [`Fnv1a::write_zeros`](nvariant_types::Fnv1a::write_zeros)
+//! and so returns the value a fully stored segment would: two processes
+//! with equal bytes digest equally however deep each one reached.
 
+use crate::ast::Type;
 use crate::bytecode::{Instr, INSTR_SIZE};
 use crate::compile::CompiledProgram;
 use crate::fault::Fault;
@@ -148,7 +164,10 @@ pub struct Process {
     /// placed without the full segment lookup.
     disjoint: bool,
     pub(crate) globals: Vec<u8>,
-    pub(crate) stack: Vec<u8>,
+    /// The stored part of the stack segment: the bytes of
+    /// `[stack_top - stack.len(), stack_top)`. Every byte of the segment
+    /// below it is zero (see the module docs).
+    stack: Vec<u8>,
     pub(crate) pc: u32,
     pub(crate) sp: u32,
     pub(crate) fp: u32,
@@ -157,9 +176,13 @@ pub struct Process {
     pub(crate) expected_tag: u8,
     pub(crate) instructions_executed: u64,
     pub(crate) syscalls_made: u64,
-    symbols: BTreeMap<String, (u32, u32)>,
-    functions: BTreeMap<String, u32>,
+    /// The program's symbol tables, shared with it and with every clone.
+    symbols: Arc<BTreeMap<String, (u32, Type)>>,
+    functions: Arc<BTreeMap<String, u32>>,
 }
+
+/// The step the stored part of a stack grows by, at the least.
+const STACK_STEP: usize = 4096;
 
 impl Process {
     /// Instantiates a process from a compiled program with instruction tag 0.
@@ -202,7 +225,7 @@ impl Process {
             image_tag,
             disjoint,
             globals,
-            stack: vec![0; layout.stack_size as usize],
+            stack: Vec::new(),
             pc: layout.code_base + compiled.entry_offset,
             sp: layout.stack_top,
             fp: layout.stack_top,
@@ -211,12 +234,8 @@ impl Process {
             expected_tag: tag,
             instructions_executed: 0,
             syscalls_made: 0,
-            symbols: compiled
-                .globals_map
-                .iter()
-                .map(|(name, (offset, ty))| (name.clone(), (*offset, ty.size())))
-                .collect(),
-            functions: compiled.functions.clone(),
+            symbols: Arc::clone(&compiled.globals_map),
+            functions: Arc::clone(&compiled.functions),
         }
     }
 
@@ -290,7 +309,7 @@ impl Process {
     /// The size in bytes of a named global variable, if it exists.
     #[must_use]
     pub fn global_size(&self, name: &str) -> Option<u32> {
-        self.symbols.get(name).map(|(_, size)| *size)
+        self.symbols.get(name).map(|(_, ty)| ty.size())
     }
 
     /// The virtual address of a named function's first instruction.
@@ -316,6 +335,10 @@ impl Process {
     /// and the `instructions_executed` / `syscalls_made` counters (monotone
     /// bookkeeping whose inclusion would make every state look new and
     /// defeat the model checker's visited-state pruning).
+    ///
+    /// The stack folds as the whole segment: its length, then every byte.
+    /// The unstored zeros cost O(log n), so the digest costs what the
+    /// process used, and is the same however deep the stored part reaches.
     pub fn digest_into(&self, digest: &mut nvariant_types::Fnv1a) {
         digest.write_u32(self.pc);
         digest.write_u32(self.sp);
@@ -328,11 +351,36 @@ impl Process {
         }
         digest.write_usize(self.globals.len());
         digest.write(&self.globals);
-        digest.write_usize(self.stack.len());
+        let size = self.layout.stack_size as usize;
+        digest.write_usize(size);
+        digest.write_zeros(size - self.stack.len());
         digest.write(&self.stack);
     }
 
     // ----- memory access ------------------------------------------------------
+
+    /// The lowest stack address the stored part holds.
+    #[inline]
+    pub(crate) fn stack_stored_base(&self) -> u32 {
+        self.layout.stack_top - self.stack.len() as u32
+    }
+
+    /// Grows the stored part of the stack down to `addr`, which must lie in
+    /// the segment below it: to a multiple of [`STACK_STEP`] that at least
+    /// doubles it, within the segment. Out of line, since the interpreter
+    /// calls it only when `sp` or a store first goes deeper.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn grow_stack(&mut self, addr: u32) {
+        let reach = (self.layout.stack_top - addr) as usize;
+        let len = reach
+            .next_multiple_of(STACK_STEP)
+            .max(2 * self.stack.len())
+            .min(self.layout.stack_size as usize);
+        let mut grown = vec![0; len];
+        grown[len - self.stack.len()..].copy_from_slice(&self.stack);
+        self.stack = grown;
+    }
 
     fn bytes_of(&self, segment: Segment) -> &[u8] {
         match segment {
@@ -342,13 +390,15 @@ impl Process {
         }
     }
 
-    /// The segment containing `addr` and its offset there. With disjoint
-    /// segments the stack and then the globals are tried first, against
-    /// their bounds alone — behind nearly every load and store.
+    /// The segment whose stored bytes hold `addr`, and its offset there;
+    /// `None` for an unmapped address and for the unstored part of the
+    /// stack, which the byte-level accessors tell apart. With disjoint
+    /// segments the stored stack and then the globals are tried first,
+    /// against their bounds alone — behind nearly every load and store.
     #[inline]
     fn segment_for(&self, addr: u32) -> Option<(Segment, usize)> {
         if self.disjoint {
-            let off = addr.wrapping_sub(self.layout.stack_base()) as usize;
+            let off = addr.wrapping_sub(self.stack_stored_base()) as usize;
             if off < self.stack.len() {
                 return Some((Segment::Stack, off));
             }
@@ -359,13 +409,13 @@ impl Process {
         }
         let code_end = self.layout.code_base + self.code.len() as u32;
         let globals_end = self.layout.globals_base + self.globals.len() as u32;
-        let stack_base = self.layout.stack_base();
+        let stored_base = self.stack_stored_base();
         if addr >= self.layout.code_base && addr < code_end {
             Some((Segment::Code, (addr - self.layout.code_base) as usize))
         } else if addr >= self.layout.globals_base && addr < globals_end {
             Some((Segment::Globals, (addr - self.layout.globals_base) as usize))
-        } else if addr >= stack_base && addr < self.layout.stack_top {
-            Some((Segment::Stack, (addr - stack_base) as usize))
+        } else if addr >= stored_base && addr < self.layout.stack_top {
+            Some((Segment::Stack, (addr - stored_base) as usize))
         } else {
             None
         }
@@ -376,10 +426,42 @@ impl Process {
     /// # Errors
     ///
     /// Returns [`Fault::Segfault`] if the address is unmapped.
+    #[inline]
     pub fn read_byte(&self, addr: VirtAddr) -> Result<u8, Fault> {
         match self.segment_for(addr.as_u32()) {
             Some((segment, off)) => Ok(self.bytes_of(segment)[off]),
-            None => Err(Fault::Segfault { addr }),
+            None => self.read_unstored(addr),
+        }
+    }
+
+    /// Whether `addr` lies in the stack segment below its stored part.
+    fn is_unstored(&self, addr: VirtAddr) -> bool {
+        let addr = addr.as_u32();
+        addr >= self.layout.stack_base() && addr < self.stack_stored_base()
+    }
+
+    /// [`Process::read_byte`] where no segment stores `addr`: zero in the
+    /// unstored part of the stack, a fault anywhere else. Out of line, so
+    /// the interpreter's inlined byte loads stay as small as they were.
+    #[cold]
+    fn read_unstored(&self, addr: VirtAddr) -> Result<u8, Fault> {
+        if self.is_unstored(addr) {
+            Ok(0)
+        } else {
+            Err(Fault::Segfault { addr })
+        }
+    }
+
+    /// [`Process::write_byte`] where no segment stores `addr`: the store
+    /// grows the stored part of the stack down to it, and faults anywhere
+    /// else.
+    #[cold]
+    fn write_unstored(&mut self, addr: VirtAddr, value: u8) -> Result<(), Fault> {
+        if self.is_unstored(addr) {
+            self.grow_stack(addr.as_u32());
+            self.write_byte(addr, value)
+        } else {
+            Err(Fault::Segfault { addr })
         }
     }
 
@@ -400,7 +482,7 @@ impl Process {
                 self.stack[off] = value;
                 Ok(())
             }
-            None => Err(Fault::Segfault { addr }),
+            None => self.write_unstored(addr, value),
         }
     }
 
@@ -444,17 +526,20 @@ impl Process {
     }
 
     /// Borrows `len` bytes of process memory without copying, when the
-    /// whole range lies within a single segment — the common case for
-    /// word accesses, syscall buffers and string reads. Ranges that cross
-    /// a segment boundary are refused (even if every byte is mapped under
-    /// an adjacent custom layout, a contiguous borrow cannot exist);
+    /// whole range lies within a single segment's stored bytes — the common
+    /// case for word accesses, syscall buffers and string reads. Ranges
+    /// that cross a segment boundary are refused (even if every byte is
+    /// mapped under an adjacent custom layout, a contiguous borrow cannot
+    /// exist), and so are ranges that start in the unstored part of the
+    /// stack (its bytes are zero but not stored; see the module docs);
     /// callers needing byte-exact semantics fall back to
-    /// [`Process::read_bytes`], which does.
+    /// [`Process::read_bytes`], which reads both.
     ///
     /// # Errors
     ///
     /// Returns [`Fault::Segfault`] naming the first byte that does not fit
-    /// in the segment containing `addr` (or `addr` itself if unmapped).
+    /// in the segment containing `addr`, or `addr` itself if it is unmapped
+    /// or unstored.
     pub fn read_slice(&self, addr: VirtAddr, len: usize) -> Result<&[u8], Fault> {
         let (segment, off) = self
             .segment_for(addr.as_u32())
@@ -570,6 +655,7 @@ fn segments_disjoint(layout: MemoryLayout, code_len: usize, globals_len: usize) 
 enum Segment {
     Code,
     Globals,
+    /// The stored part of the stack.
     Stack,
 }
 
@@ -675,6 +761,128 @@ mod tests {
         assert_eq!(p1.code[0], 1);
         // Operands are untouched.
         assert_eq!(p0.code[1..6], p1.code[1..6]);
+    }
+
+    /// `digest_into`'s fields folded with plain FNV-1a writes, the stack
+    /// as the whole segment read back through `read_bytes`.
+    fn reference_digest(p: &Process) -> u64 {
+        let mut d = nvariant_types::Fnv1a::new();
+        d.write_u32(p.pc);
+        d.write_u32(p.sp);
+        d.write_u32(p.fp);
+        d.write_u8(p.expected_tag);
+        d.write_str(&format!("{:?}", p.state));
+        d.write_usize(p.ostack.len());
+        for word in &p.ostack {
+            d.write_u32(word.as_u32());
+        }
+        d.write_usize(p.globals.len());
+        d.write(&p.globals);
+        let whole = whole_stack(p);
+        d.write_usize(whole.len());
+        d.write(&whole);
+        d.finish()
+    }
+
+    fn whole_stack(p: &Process) -> Vec<u8> {
+        let layout = p.layout();
+        p.read_bytes(
+            VirtAddr::new(layout.stack_base()),
+            layout.stack_size as usize,
+        )
+        .unwrap()
+    }
+
+    fn digest(p: &Process) -> u64 {
+        let mut d = nvariant_types::Fnv1a::new();
+        p.digest_into(&mut d);
+        d.finish()
+    }
+
+    /// The stored stack against a model of the whole segment: fixed-seed
+    /// word and byte stores anywhere in it, zero and not, at and across
+    /// the stored part's lower edge, near the top and deep below the edge.
+    /// Each episode starts from a fresh process. The checker's pruning
+    /// rests on the digest equalities checked here.
+    #[test]
+    fn stored_stack_reads_writes_and_digests_as_the_whole_segment() {
+        let c = compiled();
+        let layout = MemoryLayout::default();
+        let (base, top) = (layout.stack_base(), layout.stack_top);
+        let mut seed = 0x5EED_57AC_u64;
+        let mut next = |n: u32| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % u64::from(n)) as u32
+        };
+        let mut partly_stored = 0;
+        for episode in 0..8 {
+            let mut p = Process::new(&c, layout);
+            // Holds the same bytes, but stored to the bottom of the segment.
+            let mut deep = p.clone();
+            deep.write_byte(VirtAddr::new(base), 0).unwrap();
+            assert_eq!(deep.stack_stored_base(), base);
+            assert_eq!(p.stack_stored_base(), top);
+            assert_eq!(digest(&p), digest(&deep));
+            let mut model = vec![0u8; layout.stack_size as usize];
+            for round in 0..24 {
+                let at = format!("episode {episode} round {round}");
+                let edge = p.stack_stored_base();
+                let addr = match next(16) {
+                    0..=1 => edge.saturating_sub(1 + next(3)).max(base),
+                    2..=6 => edge + next(16),
+                    7..=12 => top - 4 - next(64),
+                    13..=14 => edge.saturating_sub(next(12_288)).max(base),
+                    _ => base + next(layout.stack_size - 3),
+                }
+                .min(top - 4);
+                let value = if next(3) == 0 { 0 } else { next(u32::MAX) };
+                let off = (addr - base) as usize;
+                if next(2) == 0 {
+                    let word = Word::from_u32(value);
+                    p.write_word(VirtAddr::new(addr), word).unwrap();
+                    deep.write_word(VirtAddr::new(addr), word).unwrap();
+                    model[off..off + 4].copy_from_slice(&value.to_le_bytes());
+                } else {
+                    p.write_byte(VirtAddr::new(addr), value as u8).unwrap();
+                    deep.write_byte(VirtAddr::new(addr), value as u8).unwrap();
+                    model[off] = value as u8;
+                }
+                let edge = p.stack_stored_base();
+                assert!(edge <= addr, "{at}");
+                let unstored = (edge - base) as usize;
+                assert!(model[..unstored].iter().all(|&b| b == 0), "{at}");
+                assert_eq!(whole_stack(&p), model, "{at}");
+                assert_eq!(digest(&p), reference_digest(&p), "{at}");
+                let clone = p.clone();
+                assert_eq!(whole_stack(&clone), model, "{at}");
+                assert_eq!(digest(&clone), digest(&p), "{at}");
+                assert_eq!(digest(&deep), digest(&p), "{at}");
+                // A word across the stored part's lower edge reads like any
+                // other; its unstored half is zero.
+                if edge >= base + 2 {
+                    partly_stored += 1;
+                    let off = unstored - 2;
+                    let want = u32::from_le_bytes(model[off..off + 4].try_into().unwrap());
+                    let straddle = VirtAddr::new(edge - 2);
+                    assert_eq!(p.read_word(straddle).unwrap().as_u32(), want, "{at}");
+                    assert!(p.read_slice(straddle, 4).is_err(), "{at}");
+                    assert_eq!(p.read_byte(straddle).unwrap(), 0, "{at}");
+                    assert_eq!(p.read_cstring(straddle, 8).unwrap(), b"", "{at}");
+                }
+            }
+            // The segment's ends still fault where they did.
+            let below = VirtAddr::new(base - 1);
+            assert_eq!(p.read_byte(below), Err(Fault::Segfault { addr: below }));
+            assert_eq!(p.write_byte(below, 1), Err(Fault::Segfault { addr: below }));
+            let end = VirtAddr::new(top);
+            assert_eq!(p.read_word(end - 2), Err(Fault::Segfault { addr: end }));
+        }
+        assert!(
+            partly_stored >= 64,
+            "only {partly_stored} rounds left bytes unstored"
+        );
     }
 
     #[test]

@@ -2,6 +2,13 @@
 //! application layer: the weakened-monitor counterexample is deterministic
 //! down to the byte, and greedy minimization preserves the violation under
 //! randomized perturbation of the trace it starts from.
+//!
+//! The counterexample and its summary line are also pinned across commits
+//! by `tests/fixtures/weakened_counterexample_golden.txt`, so an explorer
+//! change that finds a different minimal trace, or counts states
+//! differently, fails here. Regenerate (only when a PR *deliberately*
+//! changes what the checker explores) with
+//! `NVARIANT_REGEN_GOLDEN=1 cargo test --test model_checking`.
 
 use nvariant::DeploymentConfig;
 use nvariant_apps::weakened_httpd_check_target;
@@ -11,6 +18,7 @@ use nvariant_check::{
 };
 use nvariant_simos::WorldTemplate;
 use proptest::prelude::*;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 /// Matches the CLI's `--quick` bound; deep enough for the weakened
@@ -22,26 +30,60 @@ fn weakened_target() -> CheckTarget {
 }
 
 /// The seeded regression's counterexample, computed once: the rendered form
-/// plus the minimized action trace it was rendered from.
-fn baseline() -> &'static (String, Vec<Action>) {
-    static BASELINE: OnceLock<(String, Vec<Action>)> = OnceLock::new();
+/// plus the minimized action trace it was rendered from, and the check's
+/// summary line.
+fn baseline() -> &'static (String, Vec<Action>, String) {
+    static BASELINE: OnceLock<(String, Vec<Action>, String)> = OnceLock::new();
     BASELINE.get_or_init(|| {
         let report = BoundedChecker.check(
             &weakened_target(),
             &CheckRequest::new(Property::UidIntegrity, DEPTH),
         );
         assert_eq!(report.status, CheckStatus::Fail);
+        let summary = report.summary_line();
         let counterexample = report
             .counterexample
             .expect("a failed check carries a counterexample");
         let actions = counterexample.steps.iter().map(|s| s.action).collect();
-        (counterexample.render(), actions)
+        (counterexample.render(), actions, summary)
     })
+}
+
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("weakened_counterexample_golden.txt")
+}
+
+#[test]
+fn weakened_counterexample_matches_the_committed_golden_fixture() {
+    let (render, _, summary) = baseline();
+    let text = format!("{summary}\n{render}");
+    let path = golden_path();
+    if std::env::var_os("NVARIANT_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &text).unwrap();
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); generate it on a known-good \
+             tree with NVARIANT_REGEN_GOLDEN=1 cargo test --test model_checking",
+            path.display()
+        )
+    });
+    assert_eq!(
+        text, golden,
+        "the weakened counterexample or its state counts drifted from the \
+         committed golden fixture; if this PR deliberately changes what the \
+         checker explores, regenerate with NVARIANT_REGEN_GOLDEN=1"
+    );
 }
 
 #[test]
 fn weakened_counterexample_renders_byte_identically_across_independent_checks() {
-    let (first_render, _) = baseline();
+    let (first_render, ..) = baseline();
     // A completely independent run: fresh target instantiation, fresh
     // exploration. Bounded checking is deterministic end to end, so the
     // rendered counterexample must match byte for byte.
@@ -57,7 +99,7 @@ fn weakened_counterexample_renders_byte_identically_across_independent_checks() 
 
 #[test]
 fn weakened_counterexample_replays_to_the_same_violation() {
-    let (render, actions) = baseline();
+    let (render, actions, _) = baseline();
     let replayed = replay(&weakened_target(), Property::UidIntegrity, actions);
     let violation = replayed
         .violation
@@ -82,7 +124,7 @@ proptest! {
         corrupt_seed in any::<u64>(),
     ) {
         let target = weakened_target();
-        let (_, base_actions) = baseline();
+        let (_, base_actions, _) = baseline();
         let mut perturbed = base_actions.clone();
         let len = perturbed.len();
         let cap_at = (cap_seed as usize) % len;
