@@ -20,7 +20,7 @@
 //! emits); a `Top` UID argument is excluded from the boundary-domain check
 //! rather than guessed.
 
-use crate::cfg::{build_cfgs, FunctionCfg};
+use crate::cfg::{build_cfgs, is_jump, FunctionCfg};
 use crate::lattice::{AbsVal, Region};
 use crate::report::{AnalysisReport, Finding, Property};
 use crate::{pair_relation, VariantArtifact};
@@ -112,7 +112,9 @@ pub fn analyze_pair(
 }
 
 /// Decodes a variant's retagged image, reporting every undecodable slot
-/// with the same text the interpreter's illegal-instruction fault renders.
+/// with the same text the interpreter's illegal-instruction fault renders,
+/// and every jump into the middle of a slot of the image: the CFG has no
+/// block there, so the pair cannot be shown to run in lockstep.
 fn decode_stream(variant: &VariantArtifact<'_>, findings: &mut Vec<Finding>) -> Option<Vec<Instr>> {
     let code = &variant.image[..];
     let slots = code.len() as u32 / INSTR_SIZE;
@@ -136,7 +138,28 @@ fn decode_stream(variant: &VariantArtifact<'_>, findings: &mut Vec<Finding>) -> 
     for i in 0..slots {
         let pc = i * INSTR_SIZE;
         match decode_slot_at(code, pc) {
-            Ok(instr) => stream.push(instr),
+            Ok(instr) => {
+                let target = instr.operand;
+                if is_jump(instr.op)
+                    && target < slots * INSTR_SIZE
+                    && !target.is_multiple_of(INSTR_SIZE)
+                {
+                    findings.push(Finding {
+                        property: Property::Lockstep,
+                        pc: Some(pc),
+                        function: function_at(&variant.program.functions, pc),
+                        block: None,
+                        index: None,
+                        instr: Some(instr),
+                        detail: format!(
+                            "jump target {target:#x} lies inside the slot at {:#x}, not on a \
+                             slot boundary",
+                            target - target % INSTR_SIZE
+                        ),
+                    });
+                }
+                stream.push(instr);
+            }
             Err(failure) => {
                 findings.push(Finding {
                     property: Property::Lockstep,
@@ -946,6 +969,7 @@ mod tests {
     use nvariant_diversity::{AddressTransform, VariantSpec};
     use nvariant_transform::{TransformOptions, UidTransformer};
     use nvariant_vm::{compile_program, parse_program, CompiledProgram, MemoryLayout};
+    use std::sync::Arc;
 
     const SRC: &str = r"
         var server_uid: uid_t = 48;
@@ -962,7 +986,14 @@ mod tests {
     ";
 
     fn compile_pair(options: TransformOptions) -> (CompiledProgram, CompiledProgram, UidContext) {
-        let program = parse_program(SRC).unwrap();
+        compile_pair_of(SRC, options)
+    }
+
+    fn compile_pair_of(
+        src: &str,
+        options: TransformOptions,
+    ) -> (CompiledProgram, CompiledProgram, UidContext) {
+        let program = parse_program(src).unwrap();
         let transformer = UidTransformer::new(options);
         let variants = transformer
             .transform_for_variants(
@@ -1141,5 +1172,169 @@ mod tests {
             "{}",
             first.detail
         );
+    }
+
+    /// The image of `variant` with slot `slot` replaced by `instr`, stamped
+    /// with the variant's tag.
+    fn with_slot(variant: &VariantArtifact<'_>, slot: usize, instr: Instr) -> Arc<[u8]> {
+        let mut bytes = variant.image.to_vec();
+        let at = slot * INSTR_SIZE as usize;
+        let instr = Instr {
+            tag: variant.spec.tag,
+            ..instr
+        };
+        bytes[at..at + INSTR_SIZE as usize].copy_from_slice(&instr.encode());
+        bytes.into()
+    }
+
+    #[test]
+    fn a_jump_into_the_middle_of_a_slot_is_a_lockstep_finding_at_the_jump() {
+        let program = parse_program(
+            "fn main() -> int { var i: int = 0; while (i < 3) { i = i + 1; } return i; }",
+        )
+        .unwrap();
+        let compiled = compile_program(&program).unwrap();
+        let ctx = UidContext::analyze(&program).unwrap();
+        let base = VariantArtifact::new(&compiled, MemoryLayout::default(), base_spec());
+        let mut corrupt = base.clone();
+        corrupt.image = with_slot(&base, 1, Instr::new(Op::Jmp, 3));
+        let report = analyze_pair(&corrupt, &base, &ctx);
+        let first = &report.findings[0];
+        assert_eq!(first.property, Property::Lockstep);
+        assert_eq!(first.pc, Some(INSTR_SIZE));
+        assert_eq!(first.function, "<start>");
+        assert!(
+            first
+                .detail
+                .contains("jump target 0x3 lies inside the slot at 0x0"),
+            "{}",
+            first.detail
+        );
+
+        // A function entry less than one slot in: no blocks, no panic.
+        let (mut a, mut b, ctx) = compile_pair_of(
+            "fn main() -> int { return 0; }",
+            TransformOptions::default(),
+        );
+        for program in [&mut a, &mut b] {
+            program.functions = Arc::new(BTreeMap::from([("main".to_string(), 3)]));
+        }
+        let base = VariantArtifact::new(&a, MemoryLayout::default(), base_spec());
+        let other = VariantArtifact::new(&b, MemoryLayout::default(), other_spec());
+        let report = analyze_pair(&base, &other, &ctx);
+        assert!(report.is_clean(), "{}", report.render());
+        assert_eq!(report.functions, 2);
+    }
+
+    /// SplitMix64: a dependency-free, fixed-seed generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A transformed pair with calls, loops, branches and UID sinks, for
+    /// the mutation test.
+    const MUTATED: &str = r"
+        var server_uid: uid_t = 48;
+        var hits: int = 0;
+
+        fn drop_to(uid: uid_t) -> int {
+            if (uid == 0) { return 1; }
+            return setuid(uid);
+        }
+
+        fn main() -> int {
+            var i: int = 0;
+            var root: uid_t;
+            root = getuid();
+            while (i < 3) {
+                if (server_uid == root) { hits = hits + 1; } else { hits = hits + 2; }
+                i = i + 1;
+            }
+            return drop_to(server_uid);
+        }
+    ";
+
+    #[test]
+    fn mutated_images_are_reported_without_panicking() {
+        let (a, b, ctx) = compile_pair_of(MUTATED, TransformOptions::default());
+        let pair = [
+            VariantArtifact::new(&a, MemoryLayout::default(), base_spec()),
+            VariantArtifact::new(&b, MemoryLayout::default(), other_spec()),
+        ];
+        let slot = INSTR_SIZE as usize;
+        let slots = pair[0].image.len() / slot;
+        let mut rng = Rng(20);
+        let mut misaligned = 0;
+        for case in 0..1_500 {
+            let side = case % 2;
+            let mut mutant = pair[side].clone();
+            let mut bytes = mutant.image.to_vec();
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(slots) * slot;
+                match rng.below(3) {
+                    // Rewrite an operand.
+                    0 => {
+                        let operand = rng.next() as u32;
+                        bytes[at + 2..at + slot].copy_from_slice(&operand.to_le_bytes());
+                    }
+                    // Copy another slot's opcode.
+                    1 => bytes[at + 1] = bytes[rng.below(slots) * slot + 1],
+                    // Aim a jump at an in-range offset, on a slot boundary
+                    // or not.
+                    _ => {
+                        let op = [Op::Jmp, Op::Jz, Op::Jnz][rng.below(3)];
+                        let target = rng.below(bytes.len()) as u32;
+                        let target = if rng.below(2) == 0 {
+                            target - target % INSTR_SIZE
+                        } else {
+                            target
+                        };
+                        bytes[at + 1] = op.as_u8();
+                        bytes[at + 2..at + slot].copy_from_slice(&target.to_le_bytes());
+                    }
+                }
+            }
+            mutant.image = bytes.into();
+            let report = if side == 0 {
+                analyze_pair(&mutant, &pair[1], &ctx)
+            } else {
+                analyze_pair(&pair[0], &mutant, &ctx)
+            };
+            for pc in (0..mutant.image.len() as u32).step_by(slot) {
+                let Ok(instr) = decode_slot_at(&mutant.image, pc) else {
+                    continue;
+                };
+                let target = instr.operand;
+                if is_jump(instr.op)
+                    && (target as usize) < mutant.image.len()
+                    && !target.is_multiple_of(INSTR_SIZE)
+                {
+                    misaligned += 1;
+                    assert!(
+                        report
+                            .findings
+                            .iter()
+                            .any(|f| f.property == Property::Lockstep
+                                && f.pc == Some(pc)
+                                && f.detail.contains("inside the slot")),
+                        "case {case}: jump at {pc:#x} to {target:#x} unreported\n{}",
+                        report.render()
+                    );
+                }
+            }
+        }
+        assert!(misaligned > 100, "only {misaligned} misaligned jumps drawn");
     }
 }

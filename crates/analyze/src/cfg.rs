@@ -3,8 +3,15 @@
 //! Leaders are the classic ones: the start of each function, every
 //! jump/branch target, and the instruction after every terminator
 //! (`Jmp`/`Jz`/`Jnz`/`Ret`/`Halt`). Jump operands in this machine are
-//! code-segment byte offsets (always multiples of `INSTR_SIZE`), so block
-//! boundaries are exact — there is no disassembly ambiguity to resolve.
+//! code-segment byte offsets, which the compiler always emits as multiples
+//! of `INSTR_SIZE`, so block boundaries are exact — there is no disassembly
+//! ambiguity to resolve.
+//!
+//! Blocks cover whole slots only. An image read from anywhere may hold a
+//! jump into the middle of a slot or a function entry that is not on a slot
+//! boundary: such a target is neither a leader nor a successor (the
+//! verifier reports the jump, see [`crate::analyze_pair`]), and a function
+//! range too short to hold one whole slot has no blocks.
 
 use nvariant_vm::{Instr, Op, INSTR_SIZE};
 use std::collections::BTreeMap;
@@ -52,7 +59,7 @@ fn is_terminator(op: Op) -> bool {
     matches!(op, Op::Jmp | Op::Jz | Op::Jnz | Op::Ret | Op::Halt)
 }
 
-fn is_jump(op: Op) -> bool {
+pub(crate) fn is_jump(op: Op) -> bool {
     matches!(op, Op::Jmp | Op::Jz | Op::Jnz)
 }
 
@@ -88,46 +95,37 @@ pub fn build_cfgs(stream: &[Instr], functions: &BTreeMap<String, u32>) -> Vec<Fu
 }
 
 fn build_function_cfg(stream: &[Instr], name: &str, start: u32, end: u32) -> FunctionCfg {
+    // The whole slots of `[start, end)` are those of `[first, limit)`.
+    let first = start.next_multiple_of(INSTR_SIZE);
+    let limit = end - end % INSTR_SIZE;
+    let is_slot =
+        |offset: u32| offset.is_multiple_of(INSTR_SIZE) && (first..limit).contains(&offset);
+
     let mut leaders: BTreeSet<u32> = BTreeSet::new();
-    leaders.insert(start);
-    let mut pc = start;
-    while pc < end {
+    if first < limit {
+        leaders.insert(first);
+    }
+    for pc in (first..limit).step_by(INSTR_SIZE as usize) {
         let instr = stream[(pc / INSTR_SIZE) as usize];
-        if is_jump(instr.op) && instr.operand >= start && instr.operand < end {
+        if is_jump(instr.op) && is_slot(instr.operand) {
             leaders.insert(instr.operand);
         }
-        if is_terminator(instr.op) && pc + INSTR_SIZE < end {
+        if is_terminator(instr.op) && pc + INSTR_SIZE < limit {
             leaders.insert(pc + INSTR_SIZE);
         }
-        pc += INSTR_SIZE;
     }
 
     let starts: Vec<u32> = leaders.into_iter().collect();
     let mut blocks = Vec::with_capacity(starts.len());
     for (i, &block_start) in starts.iter().enumerate() {
-        let block_end = starts.get(i + 1).copied().unwrap_or(end);
+        let block_end = starts.get(i + 1).copied().unwrap_or(limit);
         let last = stream[((block_end - INSTR_SIZE) / INSTR_SIZE) as usize];
         let mut succs = Vec::new();
-        match last.op {
-            Op::Jmp => {
-                if last.operand >= start && last.operand < end {
-                    succs.push(last.operand);
-                }
-            }
-            Op::Jz | Op::Jnz => {
-                if last.operand >= start && last.operand < end {
-                    succs.push(last.operand);
-                }
-                if block_end < end {
-                    succs.push(block_end);
-                }
-            }
-            Op::Ret | Op::Halt => {}
-            _ => {
-                if block_end < end {
-                    succs.push(block_end);
-                }
-            }
+        if is_jump(last.op) && is_slot(last.operand) {
+            succs.push(last.operand);
+        }
+        if !matches!(last.op, Op::Jmp | Op::Ret | Op::Halt) && block_end < limit {
+            succs.push(block_end);
         }
         blocks.push(BasicBlock {
             start: block_start,
@@ -148,13 +146,64 @@ mod tests {
     use super::*;
     use nvariant_vm::{compile_program, decode_slot_at, parse_program};
 
-    fn cfgs_of(src: &str) -> Vec<FunctionCfg> {
+    /// The decoded stream and function offsets of `src`.
+    fn stream_of(src: &str) -> (Vec<Instr>, BTreeMap<String, u32>) {
         let compiled = compile_program(&parse_program(src).unwrap()).unwrap();
         let code = compiled.code();
         let stream: Vec<Instr> = (0..code.len() as u32 / INSTR_SIZE)
             .map(|i| decode_slot_at(code, i * INSTR_SIZE).unwrap())
             .collect();
-        build_cfgs(&stream, &compiled.functions)
+        (stream, (*compiled.functions).clone())
+    }
+
+    fn cfgs_of(src: &str) -> Vec<FunctionCfg> {
+        let (stream, functions) = stream_of(src);
+        build_cfgs(&stream, &functions)
+    }
+
+    /// Every block spans whole slots inside its function, and every edge
+    /// leads to a block start.
+    fn assert_well_formed(cfgs: &[FunctionCfg]) {
+        for cfg in cfgs {
+            let starts: BTreeSet<u32> = cfg.blocks.iter().map(|b| b.start).collect();
+            for block in &cfg.blocks {
+                assert!(block.start < block.end, "{}: {block:?}", cfg.name);
+                assert!(block.start.is_multiple_of(INSTR_SIZE), "{block:?}");
+                assert!(block.end.is_multiple_of(INSTR_SIZE), "{block:?}");
+                assert!(cfg.range.0 <= block.start && block.end <= cfg.range.1);
+                for succ in &block.succs {
+                    assert!(starts.contains(succ), "dangling edge to {succ:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_jump_into_the_middle_of_a_slot_is_no_edge() {
+        let (mut stream, functions) = stream_of(
+            "fn main() -> int { var i: int = 0; while (i < 3) { i = i + 1; } return i; }",
+        );
+        stream[1] = Instr::new(Op::Jmp, 3);
+        let cfgs = build_cfgs(&stream, &functions);
+        assert_well_formed(&cfgs);
+        let stub = cfgs.iter().find(|c| c.name == "<start>").unwrap();
+        assert_eq!(stub.blocks[0].start, 0);
+        assert_eq!(stub.blocks[0].end, 2 * INSTR_SIZE);
+        assert!(stub.blocks[0].succs.is_empty(), "{:?}", stub.blocks);
+    }
+
+    #[test]
+    fn a_function_range_shorter_than_one_slot_has_no_blocks() {
+        let (stream, _) = stream_of("fn main() -> int { return 0; }");
+        let functions = BTreeMap::from([("main".to_string(), 3)]);
+        let cfgs = build_cfgs(&stream, &functions);
+        assert_well_formed(&cfgs);
+        let stub = cfgs.iter().find(|c| c.name == "<start>").unwrap();
+        assert_eq!(stub.range, (0, 3));
+        assert!(stub.blocks.is_empty(), "{:?}", stub.blocks);
+        // The misaligned entry's partial slot is left out as well.
+        let main = cfgs.iter().find(|c| c.name == "main").unwrap();
+        assert_eq!(main.blocks[0].start, INSTR_SIZE);
     }
 
     #[test]

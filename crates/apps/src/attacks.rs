@@ -425,6 +425,22 @@ mod tests {
     }
 
     #[test]
+    fn a_detected_overflow_reports_the_same_outcome_when_run_again() {
+        // The alarm leaves both variants at a syscall the monitor never
+        // answered; a second run must not resume them from it.
+        let mut system = crate::build_httpd_system(&DeploymentConfig::TwoVariantUid);
+        for request in Attack::all()[0].requests(&system) {
+            system
+                .kernel_mut()
+                .net_mut()
+                .preload_request(nvariant_types::Port::HTTP, request);
+        }
+        let first = system.run();
+        assert!(first.detected_attack(), "{first}");
+        assert_eq!(system.run(), first);
+    }
+
+    #[test]
     fn uid_overflow_evades_address_partitioning() {
         // Class-specificity: the relative overwrite is identical in both
         // address spaces, so Configuration 3 does not stop it.

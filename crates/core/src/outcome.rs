@@ -2,7 +2,6 @@
 
 pub use nvariant_monitor::ExecutionMetrics;
 use nvariant_monitor::{Alarm, NVariantOutcome};
-use nvariant_vm::RunOutcome;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -13,8 +12,8 @@ pub struct SystemOutcome {
     pub exit_status: Option<i32>,
     /// The alarm that terminated an N-variant group, if any.
     pub alarm: Option<Alarm>,
-    /// Human-readable description of a fault that terminated a
-    /// single-process run, if any.
+    /// Human-readable description of the fault that terminated a
+    /// single-process run (a group of one), if any.
     pub fault: Option<String>,
     /// Execution counters.
     pub metrics: ExecutionMetrics,
@@ -34,31 +33,14 @@ impl SystemOutcome {
         self.exit_status.is_some() && self.alarm.is_none() && self.fault.is_none()
     }
 
-    /// Builds an outcome from a single-process run.
-    #[must_use]
-    pub fn from_single(outcome: &RunOutcome) -> Self {
-        SystemOutcome {
-            exit_status: outcome.exit_status,
-            alarm: None,
-            fault: outcome.fault.map(|f| f.to_string()),
-            metrics: ExecutionMetrics {
-                variants: 1,
-                total_instructions: outcome.instructions,
-                syscalls: outcome.syscalls,
-                monitor_checks: 0,
-                detection_calls: 0,
-                io_bytes: outcome.io_bytes,
-            },
-        }
-    }
-
-    /// Builds an outcome from an N-variant monitored run.
+    /// Builds an outcome from a monitored run: an N-variant group or a
+    /// single process running as a group of one.
     #[must_use]
     pub fn from_nvariant(outcome: &NVariantOutcome) -> Self {
         SystemOutcome {
             exit_status: outcome.exit_status,
             alarm: outcome.alarm.clone(),
-            fault: None,
+            fault: outcome.fault.map(|f| f.to_string()),
             metrics: outcome.metrics,
         }
     }
@@ -81,19 +63,30 @@ mod tests {
     use nvariant_monitor::DivergenceKind;
     use nvariant_simos::Sysno;
     use nvariant_types::Word;
+    use nvariant_vm::Fault;
+
+    /// The outcome of a group of one that ran to `exit_status` or `fault`.
+    fn single_process(exit_status: Option<i32>, fault: Option<Fault>) -> NVariantOutcome {
+        NVariantOutcome {
+            exit_status,
+            alarm: None,
+            fault,
+            metrics: ExecutionMetrics {
+                variants: 1,
+                total_instructions: 1234,
+                syscalls: 7,
+                io_bytes: 512,
+                ..ExecutionMetrics::default()
+            },
+        }
+    }
 
     #[test]
     fn single_process_conversion() {
-        let run = RunOutcome {
-            exit_status: Some(0),
-            fault: None,
-            instructions: 1234,
-            syscalls: 7,
-            io_bytes: 512,
-        };
-        let outcome = SystemOutcome::from_single(&run);
+        let outcome = SystemOutcome::from_nvariant(&single_process(Some(0), None));
         assert!(outcome.exited_normally());
         assert!(!outcome.detected_attack());
+        assert_eq!(outcome.fault, None);
         assert_eq!(outcome.metrics.variants, 1);
         assert_eq!(outcome.metrics.total_instructions, 1234);
         assert_eq!(outcome.metrics.io_bytes, 512);
@@ -102,15 +95,11 @@ mod tests {
 
     #[test]
     fn faulted_single_process() {
-        let run = RunOutcome {
-            exit_status: None,
-            fault: Some(nvariant_vm::Fault::StackOverflow),
-            instructions: 10,
-            syscalls: 0,
-            io_bytes: 0,
-        };
-        let outcome = SystemOutcome::from_single(&run);
+        let run = single_process(None, Some(Fault::StackOverflow));
+        assert!(!run.exited_normally());
+        let outcome = SystemOutcome::from_nvariant(&run);
         assert!(!outcome.exited_normally());
+        assert!(!outcome.detected_attack());
         assert!(outcome.fault.as_deref().unwrap().contains("stack overflow"));
         assert!(outcome.to_string().contains("faulted"));
     }
@@ -126,6 +115,7 @@ mod tests {
                 },
                 3,
             )),
+            fault: None,
             metrics: ExecutionMetrics {
                 variants: 2,
                 total_instructions: 999,
@@ -137,10 +127,27 @@ mod tests {
         };
         let outcome = SystemOutcome::from_nvariant(&monitor_outcome);
         assert!(outcome.detected_attack());
+        assert_eq!(outcome.fault, None);
         assert_eq!(outcome.metrics.variants, 2);
         assert_eq!(outcome.metrics.monitor_checks, 12);
         assert_eq!(outcome.metrics.io_bytes, 100);
         assert!(outcome.to_string().contains("attack detected"));
+
+        // A group of one carries its fault, and no alarm, across.
+        let faulted = SystemOutcome::from_nvariant(&NVariantOutcome {
+            exit_status: None,
+            alarm: None,
+            fault: Some(Fault::StepLimitExceeded),
+            metrics: monitor_outcome.metrics,
+        });
+        assert!(!faulted.detected_attack());
+        assert!(!faulted.exited_normally());
+        assert_eq!(
+            faulted.fault,
+            Some(Fault::StepLimitExceeded.to_string()),
+            "{faulted}"
+        );
+        assert_eq!(faulted.metrics, monitor_outcome.metrics);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! Writes go through a write-then-rename so concurrent processes can never
 //! observe a torn entry.
 
-use crate::system::{BuildError, CompiledPlan, CompiledSystem, NVariantSystemBuilder};
+use crate::system::{BuildError, CompiledSystem, NVariantSystemBuilder};
 use nvariant_transform::TransformStats;
 use nvariant_types::hex::{hex_decode, hex_encode};
 use nvariant_types::lines::{quote, Line, LineReader, ParseError};
@@ -374,13 +374,10 @@ pub fn to_artifact_text(system: &CompiledSystem) -> String {
         Some(verdict) => out.push_str(&format!("analysis {}\n", quote(verdict))),
         None => out.push_str("analysis -\n"),
     }
-    let programs: Vec<&CompiledProgram> = match &system.plan {
-        CompiledPlan::Single { program, .. } => vec![program],
-        CompiledPlan::Multi { variants, .. } => variants.iter().map(|v| &v.program).collect(),
-    };
-    out.push_str(&format!("programs {}\n", programs.len()));
-    for program in programs {
-        render_program(&mut out, program);
+    let variants = &system.plan.variants;
+    out.push_str(&format!("programs {}\n", variants.len()));
+    for variant in variants {
+        render_program(&mut out, &variant.program);
     }
     format!(
         "{HEADER}\nchecksum {:#018x}\n{out}",
@@ -583,8 +580,8 @@ pub fn from_artifact_text(
 mod tests {
     use super::*;
     use crate::DeploymentConfig;
+    use nvariant_monitor::MonitorConfig;
     use nvariant_types::{Fnv1a, Uid};
-    use nvariant_vm::RunLimits;
 
     const SERVER: &str = r"
         var greeting: buf[16];
@@ -714,9 +711,10 @@ mod tests {
         assert_ne!(
             base,
             builder(DeploymentConfig::TwoVariantUid)
-                .run_limits(RunLimits {
+                .monitor_config(MonitorConfig {
                     max_steps_per_slice: 1,
                     max_syscalls: 1,
+                    ..MonitorConfig::default()
                 })
                 .fingerprint()
         );

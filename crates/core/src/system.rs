@@ -9,10 +9,9 @@ use nvariant_simos::{OsKernel, WorldBuilder};
 use nvariant_transform::{
     TransformError, TransformOptions, TransformStats, UidContext, UidTransformer,
 };
-use nvariant_types::{Pid, Uid};
+use nvariant_types::{Uid, VariantId};
 use nvariant_vm::{
     compile_program, CompileError, CompiledProgram, MemoryLayout, ParseError, Process, Program,
-    RunLimits, Runner,
 };
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -74,7 +73,6 @@ pub struct NVariantSystemBuilder {
     monitor_config: MonitorConfig,
     transform_options: TransformOptions,
     base_layout: MemoryLayout,
-    run_limits: RunLimits,
     extra_unshared: Vec<String>,
     verify_diversity: bool,
     /// Lazily computed [`fingerprint`](Self::fingerprint), invalidated by
@@ -106,7 +104,6 @@ impl NVariantSystemBuilder {
             monitor_config: MonitorConfig::default(),
             transform_options: TransformOptions::default(),
             base_layout: MemoryLayout::default(),
-            run_limits: RunLimits::default(),
             extra_unshared: Vec::new(),
             verify_diversity: false,
             fingerprint_cache: OnceLock::new(),
@@ -131,7 +128,10 @@ impl NVariantSystemBuilder {
         self
     }
 
-    /// Overrides the monitor configuration.
+    /// Overrides the monitor configuration. Its limits
+    /// ([`MonitorConfig::max_steps_per_slice`] and
+    /// [`MonitorConfig::max_syscalls`]) govern every deployment, a single
+    /// process included.
     #[must_use]
     pub fn monitor_config(mut self, config: MonitorConfig) -> Self {
         self.monitor_config = config;
@@ -151,14 +151,6 @@ impl NVariantSystemBuilder {
     #[must_use]
     pub fn base_layout(mut self, layout: MemoryLayout) -> Self {
         self.base_layout = layout;
-        self.fingerprint_cache = OnceLock::new();
-        self
-    }
-
-    /// Overrides the execution limits.
-    #[must_use]
-    pub fn run_limits(mut self, limits: RunLimits) -> Self {
-        self.run_limits = limits;
         self.fingerprint_cache = OnceLock::new();
         self
     }
@@ -200,8 +192,8 @@ impl NVariantSystemBuilder {
     /// [`compile`](Self::compile): FNV-1a 64 over the program source (in its
     /// canonical pretty-printed form) plus every builder knob that shapes
     /// the compiled images — deployment configuration, transformation
-    /// options, initial UID, monitor configuration, base memory layout,
-    /// execution limits and the extra unshared files.
+    /// options, initial UID, monitor configuration (execution limits
+    /// included), base memory layout and the extra unshared files.
     ///
     /// No world enters it: an artifact deploys into any world through
     /// [`CompiledSystem::provision_world`]. Two builders with equal
@@ -228,7 +220,13 @@ impl NVariantSystemBuilder {
         descriptor.push_str(&format!("initial_uid {}\n", self.initial_uid.as_u32()));
         descriptor.push_str(&format!("monitor_config {:?}\n", self.monitor_config));
         descriptor.push_str(&format!("base_layout {:?}\n", self.base_layout));
-        descriptor.push_str(&format!("run_limits {:?}\n", self.run_limits));
+        // The monitor configuration above already holds the limits. This
+        // line repeats them in its own shape because dropping it would move
+        // every artifact fingerprint and every plan hash.
+        descriptor.push_str(&format!(
+            "run_limits RunLimits {{ max_steps_per_slice: {}, max_syscalls: {} }}\n",
+            self.monitor_config.max_steps_per_slice, self.monitor_config.max_syscalls
+        ));
         descriptor.push_str(&format!("extra_unshared {:?}\n", self.extra_unshared));
         descriptor.push_str(&format!("verify_diversity {}\n", self.verify_diversity));
         descriptor.push_str("source\n");
@@ -312,7 +310,7 @@ impl NVariantSystemBuilder {
     /// instantiated, or `programs` does not hold one program per variant.
     pub(crate) fn assemble(
         &self,
-        mut programs: Vec<CompiledProgram>,
+        programs: Vec<CompiledProgram>,
         transform_stats: TransformStats,
         analysis: Option<String>,
     ) -> Result<CompiledSystem, BuildError> {
@@ -324,16 +322,12 @@ impl NVariantSystemBuilder {
                 specs.len()
             )));
         }
-        let plan = if specs.len() == 1 {
-            CompiledPlan::Single {
-                program: programs.swap_remove(0),
-                layout: self.base_layout,
-            }
-        } else {
-            // Register the unshared paths with the monitor: the *set* of
-            // paths is a property of the configuration, while the file
-            // contents are provisioned per world by `provision_world`.
-            let mut monitor_config = self.monitor_config.clone();
+        // Register the unshared paths with the monitor: the *set* of paths
+        // is a property of the configuration, while the file contents are
+        // provisioned per world by `provision_world`. A group of one has no
+        // sibling to keep a copy apart from.
+        let mut monitor_config = self.monitor_config.clone();
+        if specs.len() > 1 {
             let account_files: &[&str] = if self.config.uses_unshared_account_files() {
                 &["/etc/passwd", "/etc/group"]
             } else {
@@ -345,17 +339,17 @@ impl NVariantSystemBuilder {
                     monitor_config = monitor_config.with_unshared_file(path);
                 }
             }
-            CompiledPlan::Multi {
-                variants: programs
-                    .into_iter()
-                    .zip(&specs)
-                    .map(|(program, spec)| {
-                        CompiledVariant::new(program, self.layout_for(spec.addr), spec.tag)
-                    })
-                    .collect(),
-                specs: VariantSet::new(specs),
-                monitor_config,
-            }
+        }
+        let plan = CompiledPlan {
+            variants: programs
+                .into_iter()
+                .zip(&specs)
+                .map(|(program, spec)| {
+                    CompiledVariant::new(program, self.layout_for(spec.addr), spec.tag)
+                })
+                .collect(),
+            specs: VariantSet::new(specs),
+            monitor_config,
         };
         let mut system = CompiledSystem {
             fingerprint: self.fingerprint(),
@@ -363,7 +357,6 @@ impl NVariantSystemBuilder {
             transform_stats,
             kernel_template: WorldBuilder::standard().build(),
             initial_uid: self.initial_uid,
-            run_limits: self.run_limits,
             extra_unshared: self.extra_unshared.clone(),
             analysis,
             plan,
@@ -462,17 +455,14 @@ impl CompiledVariant {
     }
 }
 
+/// What a deployment runs: one compiled variant per process of the group
+/// (a single process is a group of one identity variant), their
+/// specifications and the monitor configuration.
 #[derive(Clone, Debug)]
-pub(crate) enum CompiledPlan {
-    Single {
-        program: CompiledProgram,
-        layout: MemoryLayout,
-    },
-    Multi {
-        variants: Vec<CompiledVariant>,
-        specs: VariantSet,
-        monitor_config: MonitorConfig,
-    },
+pub(crate) struct CompiledPlan {
+    pub(crate) variants: Vec<CompiledVariant>,
+    pub(crate) specs: VariantSet,
+    pub(crate) monitor_config: MonitorConfig,
 }
 
 /// A build-once artifact: the transformed and compiled variant programs
@@ -491,7 +481,6 @@ pub struct CompiledSystem {
     pub(crate) transform_stats: TransformStats,
     pub(crate) kernel_template: OsKernel,
     pub(crate) initial_uid: Uid,
-    pub(crate) run_limits: RunLimits,
     pub(crate) extra_unshared: Vec<String>,
     /// The static diversity verifier's combined verdict line, present when
     /// the artifact was compiled with
@@ -541,10 +530,7 @@ impl CompiledSystem {
     /// Number of variant processes an instantiation will run.
     #[must_use]
     pub fn variant_count(&self) -> usize {
-        match &self.plan {
-            CompiledPlan::Single { .. } => 1,
-            CompiledPlan::Multi { variants, .. } => variants.len(),
-        }
+        self.plan.variants.len()
     }
 
     /// The provisioned world template instantiations start from.
@@ -563,12 +549,14 @@ impl CompiledSystem {
     /// expects: provision once per (artifact, world) pair, then instantiate
     /// per run. The artifact's own [`kernel_template`](Self::kernel_template)
     /// is exactly `provision_world` applied to [`WorldBuilder::standard`].
+    /// A single process has no unshared files: its world is `base`.
     #[must_use]
     pub fn provision_world(&self, base: &OsKernel) -> OsKernel {
         let mut kernel = base.clone();
-        let CompiledPlan::Multi { specs, .. } = &self.plan else {
+        let specs = &self.plan.specs;
+        if specs.len() < 2 {
             return kernel;
-        };
+        }
         if self.config.uses_unshared_account_files() {
             let db = kernel.passwd().clone();
             for (variant, spec) in specs.iter() {
@@ -618,101 +606,39 @@ impl CompiledSystem {
     /// from the world they are instantiated into.
     #[must_use]
     pub fn instantiate_in(&self, world: &OsKernel) -> RunnableSystem {
-        let mut kernel = world.clone();
-        match &self.plan {
-            CompiledPlan::Single { program, layout } => {
-                let process = Process::new(program, *layout);
-                let pid = kernel.spawn_process(self.initial_uid);
-                RunnableSystem {
-                    config: self.config.clone(),
-                    transform_stats: self.transform_stats,
-                    inner: Deployment::Single {
-                        kernel: Box::new(kernel),
-                        pid,
-                        process: Box::new(process),
-                        limits: self.run_limits,
-                        finished: None,
-                    },
-                }
-            }
-            CompiledPlan::Multi {
-                variants,
-                specs,
-                monitor_config,
-            } => {
-                let processes = variants
-                    .iter()
-                    .map(|v| Process::with_image(&v.program, v.layout, v.tag, Arc::clone(&v.image)))
-                    .collect();
-                let monitor = NVariantMonitor::new(
-                    kernel,
-                    processes,
-                    specs.clone(),
-                    self.initial_uid,
-                    monitor_config.clone(),
-                );
-                RunnableSystem {
-                    config: self.config.clone(),
-                    transform_stats: self.transform_stats,
-                    inner: Deployment::Multi {
-                        monitor: Box::new(monitor),
-                    },
-                }
-            }
+        RunnableSystem {
+            config: self.config.clone(),
+            transform_stats: self.transform_stats,
+            monitor: Box::new(self.instantiate_monitor_in(world)),
         }
     }
 
     /// Stamps out a bare [`NVariantMonitor`] deployed into `world`, for
     /// callers that need step-wise control over the group (the model
-    /// checker). Single-plan systems are wrapped in a one-variant identity
-    /// monitor, which behaves exactly like a plain runner.
+    /// checker). Every deployment, the campaign's included, instantiates
+    /// through here: a single process is a group of one identity variant
+    /// under the artifact's monitor configuration.
     #[must_use]
     pub fn instantiate_monitor_in(&self, world: &OsKernel) -> NVariantMonitor {
-        let kernel = world.clone();
-        match &self.plan {
-            CompiledPlan::Single { program, layout } => NVariantMonitor::new(
-                kernel,
-                vec![Process::new(program, *layout)],
-                VariantSet::new(vec![nvariant_diversity::VariantSpec::identity()]),
-                self.initial_uid,
-                MonitorConfig::default(),
-            ),
-            CompiledPlan::Multi {
-                variants,
-                specs,
-                monitor_config,
-            } => NVariantMonitor::new(
-                kernel,
-                variants
-                    .iter()
-                    .map(|v| Process::with_image(&v.program, v.layout, v.tag, Arc::clone(&v.image)))
-                    .collect(),
-                specs.clone(),
-                self.initial_uid,
-                monitor_config.clone(),
-            ),
-        }
+        let plan = &self.plan;
+        NVariantMonitor::new(
+            world.clone(),
+            plan.variants
+                .iter()
+                .map(|v| Process::with_image(&v.program, v.layout, v.tag, Arc::clone(&v.image)))
+                .collect(),
+            plan.specs.clone(),
+            self.initial_uid,
+            plan.monitor_config.clone(),
+        )
     }
-}
-
-enum Deployment {
-    Single {
-        kernel: Box<OsKernel>,
-        pid: Pid,
-        process: Box<Process>,
-        limits: RunLimits,
-        finished: Option<SystemOutcome>,
-    },
-    Multi {
-        monitor: Box<NVariantMonitor>,
-    },
 }
 
 /// A deployed system, ready to run.
 pub struct RunnableSystem {
     config: DeploymentConfig,
     transform_stats: TransformStats,
-    inner: Deployment,
+    monitor: Box<NVariantMonitor>,
 }
 
 impl RunnableSystem {
@@ -732,45 +658,33 @@ impl RunnableSystem {
     /// Number of variant processes.
     #[must_use]
     pub fn variant_count(&self) -> usize {
-        match &self.inner {
-            Deployment::Single { .. } => 1,
-            Deployment::Multi { monitor } => monitor.variant_count(),
-        }
+        self.monitor.variant_count()
     }
 
     /// Read access to the simulated kernel (files, network, credentials).
     #[must_use]
     pub fn kernel(&self) -> &OsKernel {
-        match &self.inner {
-            Deployment::Single { kernel, .. } => kernel,
-            Deployment::Multi { monitor } => monitor.kernel(),
-        }
+        self.monitor.kernel()
     }
 
     /// Mutable access to the simulated kernel, used to stage client
     /// requests before calling [`RunnableSystem::run`].
     pub fn kernel_mut(&mut self) -> &mut OsKernel {
-        match &mut self.inner {
-            Deployment::Single { kernel, .. } => kernel,
-            Deployment::Multi { monitor } => monitor.kernel_mut(),
-        }
+        self.monitor.kernel_mut()
     }
 
-    /// The underlying monitor, for N-variant deployments.
+    /// The underlying monitor, for N-variant deployments. A single process
+    /// runs as a group of one, which has nothing to compare, so it has no
+    /// monitor to show: this returns `None`.
     #[must_use]
     pub fn monitor(&self) -> Option<&NVariantMonitor> {
-        match &self.inner {
-            Deployment::Single { .. } => None,
-            Deployment::Multi { monitor } => Some(monitor),
-        }
+        (self.variant_count() > 1).then_some(&*self.monitor)
     }
 
-    /// Mutable access to the underlying monitor, for N-variant deployments.
+    /// Mutable access to the underlying monitor, for N-variant deployments
+    /// (`None` for a single process, as for [`monitor`](Self::monitor)).
     pub fn monitor_mut(&mut self) -> Option<&mut NVariantMonitor> {
-        match &mut self.inner {
-            Deployment::Single { .. } => None,
-            Deployment::Multi { monitor } => Some(monitor),
-        }
+        (self.variant_count() > 1).then_some(&mut *self.monitor)
     }
 
     /// The virtual address of a named global variable in variant 0's
@@ -778,37 +692,15 @@ impl RunnableSystem {
     /// way a real attacker uses a leaked or guessed address.
     #[must_use]
     pub fn global_addr(&self, name: &str) -> Option<nvariant_types::VirtAddr> {
-        match &self.inner {
-            Deployment::Single { process, .. } => process.global_addr(name),
-            Deployment::Multi { monitor } => monitor
-                .variant_process(nvariant_types::VariantId::P0)
-                .global_addr(name),
-        }
+        self.monitor
+            .variant_process(VariantId::P0)
+            .global_addr(name)
     }
 
     /// Runs the system to completion and returns the outcome. Calling `run`
     /// again returns the same outcome (the processes have terminated).
     pub fn run(&mut self) -> SystemOutcome {
-        match &mut self.inner {
-            Deployment::Single {
-                kernel,
-                pid,
-                process,
-                limits,
-                finished,
-            } => {
-                if let Some(outcome) = finished {
-                    return outcome.clone();
-                }
-                let run = Runner::new(*limits).run(kernel, *pid, process);
-                let outcome = SystemOutcome::from_single(&run);
-                *finished = Some(outcome.clone());
-                outcome
-            }
-            Deployment::Multi { monitor } => {
-                SystemOutcome::from_nvariant(&monitor.run_to_completion())
-            }
-        }
+        SystemOutcome::from_nvariant(&self.monitor.run_to_completion())
     }
 }
 
@@ -818,7 +710,7 @@ impl fmt::Debug for RunnableSystem {
             .field("config", &self.config)
             .field("transform_stats", &self.transform_stats)
             .field("variants", &self.variant_count())
-            // `inner` holds live interpreter state with no useful rendering.
+            // `monitor` holds live interpreter state with no useful rendering.
             .finish_non_exhaustive()
     }
 }
@@ -1107,6 +999,68 @@ mod tests {
         let b = compiled.instantiate().run();
         assert_eq!(a, b);
         assert_eq!(a.exit_status, Some(0));
+    }
+
+    #[test]
+    fn run_returns_the_same_outcome_when_called_again() {
+        // Variant-dependent output under UID diversity without the
+        // transformation: the monitor alarms at the write.
+        let alarmed = NVariantSystemBuilder::from_source(
+            r"
+            fn main() -> int {
+                var line: buf[16];
+                utoa(getuid(), &line);
+                write(1, &line, 4);
+                return 0;
+            }
+            ",
+        )
+        .unwrap()
+        .config(DeploymentConfig::Custom {
+            variation: Variation::uid_diversity(),
+            variants: 2,
+            transform_uids: false,
+        })
+        .build()
+        .unwrap();
+        let faulted = NVariantSystemBuilder::from_source(
+            "fn main() -> int { var p: ptr; p = 4; return *p; }",
+        )
+        .unwrap()
+        .config(DeploymentConfig::Unmodified)
+        .build()
+        .unwrap();
+        for (mut system, alarms) in [(alarmed, true), (faulted, false)] {
+            let first = system.run();
+            assert_eq!(first.detected_attack(), alarms, "{first}");
+            assert_eq!(first.fault.is_some(), !alarms, "{first}");
+            assert_eq!(system.run(), first);
+        }
+    }
+
+    #[test]
+    fn single_process_limits_come_from_the_monitor_config() {
+        let compiled = NVariantSystemBuilder::from_source(
+            "fn main() -> int { while (1) { time(); } return 0; }",
+        )
+        .unwrap()
+        .config(DeploymentConfig::Unmodified)
+        .monitor_config(MonitorConfig {
+            max_syscalls: 5,
+            ..MonitorConfig::default()
+        })
+        .compile()
+        .unwrap();
+        let outcome = compiled.instantiate().run();
+        assert_eq!(outcome.metrics.syscalls, 5);
+        assert!(!outcome.detected_attack());
+        assert_eq!(
+            outcome.fault,
+            Some(nvariant_vm::Fault::StepLimitExceeded.to_string())
+        );
+        // The checker's entry point instantiates the same way.
+        let mut monitor = compiled.instantiate_monitor_in(compiled.kernel_template());
+        assert_eq!(monitor.run_to_completion().metrics.syscalls, 5);
     }
 
     #[test]

@@ -395,14 +395,16 @@ mod tests {
         dir
     }
 
-    /// Writes an executable shell script and returns its path.
+    /// The shell every stand-in script runs under.
+    const SH: &str = "/bin/sh";
+
+    /// Writes a shell script for [`SH`] to run and returns its path. No
+    /// test execs a file it just wrote: a child that another test thread
+    /// forks meanwhile holds the file open for writing until it execs, and
+    /// an exec in that window fails with "Text file busy".
     fn script(dir: &Path, name: &str, body: &str) -> PathBuf {
-        use std::os::unix::fs::PermissionsExt;
         let path = dir.join(name);
-        std::fs::write(&path, format!("#!/bin/sh\n{body}")).expect("write script");
-        let mut perms = std::fs::metadata(&path).expect("stat script").permissions();
-        perms.set_mode(0o755);
-        std::fs::set_permissions(&path, perms).expect("chmod script");
+        std::fs::write(&path, body).expect("write script");
         path
     }
 
@@ -417,14 +419,21 @@ mod tests {
         Ok(text)
     }
 
+    /// An assignment whose worker is [`SH`] running the script `worker`.
     fn assignment(dir: &Path, worker: &Path) -> ShardAssignment {
         ShardAssignment {
             index: 1,
             count: 4,
-            worker_bin: worker.to_path_buf(),
-            worker_args: vec!["--quick".to_string()],
+            worker_bin: PathBuf::from(SH),
+            worker_args: vec![worker.display().to_string(), "--quick".to_string()],
             scratch_dir: dir.to_path_buf(),
         }
+    }
+
+    /// A command transport whose prefix is [`SH`] running the script
+    /// `prefix` with the host as its first argument.
+    fn through(prefix: &Path) -> CommandTransport {
+        CommandTransport::from_template(&format!("{SH} {} {{host}}", prefix.display())).unwrap()
     }
 
     #[test]
@@ -493,8 +502,7 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
 "#,
         );
         std::env::set_var("NVFLEET_TEST_ROOT", dir.join("remotes"));
-        let transport =
-            CommandTransport::from_template(&format!("{} {{host}}", prefix.display())).unwrap();
+        let transport = through(&prefix);
         assert!(transport.label().contains("{host}"));
         let mut handle = transport
             .spawn("alpha", &assignment(&dir, &worker))
@@ -548,8 +556,7 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
         // file on the remote host.
         let prefix = script(&dir, "prefix.sh", "shift\nexec \"$@\"\n");
         let worker = script(&dir, "worker.sh", "exit 0\n");
-        let transport =
-            CommandTransport::from_template(&format!("{} {{host}}", prefix.display())).unwrap();
+        let transport = through(&prefix);
         let mut assignment = assignment(&dir, &worker);
         assignment.index = 3;
         let mut handle = transport.spawn("beta", &assignment).expect("spawn");
@@ -574,8 +581,12 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
         let dir = scratch("no-such-bin");
         let transport = LocalProcessTransport;
         let missing = dir.join("does-not-exist");
+        let assignment = ShardAssignment {
+            worker_bin: missing.clone(),
+            ..assignment(&dir, &missing)
+        };
         let error = transport
-            .spawn("anyhost", &assignment(&dir, &missing))
+            .spawn("anyhost", &assignment)
             .err()
             .expect("missing binary cannot spawn");
         assert!(error.message.contains("spawn failed"), "{error}");

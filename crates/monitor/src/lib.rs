@@ -18,7 +18,12 @@
 //!   checked across variants and answered without touching kernel state;
 //! * any divergence — different calls, non-equivalent arguments, a fault in
 //!   one variant, differing exits — raises an [`Alarm`] and terminates the
-//!   group.
+//!   group;
+//! * a single process (the paper's Configurations 1 and 2) runs through the
+//!   same loop as a group of one identity variant. It has nothing to
+//!   compare, so it counts no checks, and a fault or reaching
+//!   [`MonitorConfig::max_syscalls`] ends it as a fault
+//!   ([`NVariantOutcome::fault`]) rather than an alarm.
 //!
 //! # Example
 //!

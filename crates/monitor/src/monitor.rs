@@ -18,6 +18,12 @@ pub struct NVariantOutcome {
     pub exit_status: Option<i32>,
     /// The first alarm raised, if the run was terminated by divergence.
     pub alarm: Option<Alarm>,
+    /// The fault that ended a group of one: a single process has no
+    /// sibling to diverge from, so its fault, or reaching
+    /// [`MonitorConfig::max_syscalls`], ends the run as a fault. In a larger
+    /// group the same event raises a [`DivergenceKind::VariantFault`] alarm
+    /// and this stays `None`.
+    pub fault: Option<Fault>,
     /// Execution counters.
     pub metrics: ExecutionMetrics,
 }
@@ -32,7 +38,7 @@ impl NVariantOutcome {
     /// Returns `true` if the group terminated normally with agreeing exits.
     #[must_use]
     pub fn exited_normally(&self) -> bool {
-        self.exit_status.is_some() && self.alarm.is_none()
+        self.exit_status.is_some() && self.alarm.is_none() && self.fault.is_none()
     }
 }
 
@@ -68,12 +74,19 @@ pub struct StepObservation {
 pub enum StepEvent {
     /// The group advanced one synchronization point and keeps running.
     Progress(StepObservation),
-    /// The group terminated (normal exit or alarm-induced kill).
+    /// The group terminated (normal exit, alarm-induced kill, or the fault
+    /// that ends a group of one). Every later step returns the same outcome.
     Done(NVariantOutcome),
 }
 
 /// The N-variant monitor: owns the kernel, the variant processes and the
 /// synchronized descriptor table, and drives the group to completion.
+///
+/// Every deployment runs here, a single process as a group of one identity
+/// variant. Such a group has nothing to compare: it counts no
+/// [`monitor_checks`](ExecutionMetrics::monitor_checks) and no
+/// [`detection_calls`](ExecutionMetrics::detection_calls), and a fault ends
+/// it as a fault ([`NVariantOutcome::fault`]) rather than an alarm.
 ///
 /// The monitor is `Clone`: the model checker snapshots whole monitors to
 /// branch over syscall interleavings and attacker moves.
@@ -95,6 +108,15 @@ pub struct NVariantMonitor {
     /// Whether the most recent synchronization point saw canonically
     /// divergent arguments.
     last_divergent_args: bool,
+    /// The terminal outcome, once the group has terminated: the variants
+    /// cannot resume, so every later step returns it.
+    finished: Option<NVariantOutcome>,
+    /// Buffers a synchronization point fills and leaves empty, kept so
+    /// that a point allocates nothing of its own: the variants' traps,
+    /// their syscall requests, and the requests' canonical arguments.
+    traps: Vec<TrapReason>,
+    requests: Vec<SyscallRequest>,
+    canonical: Vec<Word>,
 }
 
 impl NVariantMonitor {
@@ -148,6 +170,10 @@ impl NVariantMonitor {
             alarms: Vec::new(),
             last_sysno: None,
             last_divergent_args: false,
+            finished: None,
+            traps: Vec::new(),
+            requests: Vec::new(),
+            canonical: Vec::new(),
         }
     }
 
@@ -209,7 +235,9 @@ impl NVariantMonitor {
         self.last_sysno
     }
 
-    /// Runs the group until it exits or an alarm terminates it.
+    /// Runs the group until it exits, an alarm terminates it or a group of
+    /// one faults. Once the group has terminated, every later call returns
+    /// the same outcome.
     pub fn run_to_completion(&mut self) -> NVariantOutcome {
         loop {
             if let Some(outcome) = self.step_group() {
@@ -263,43 +291,31 @@ impl NVariantMonitor {
 
     /// Advances every variant to its next trap and processes the
     /// synchronization point. Returns the final outcome once the group
-    /// terminates.
+    /// terminates, and the same outcome on every call after that.
     fn step_group(&mut self) -> Option<NVariantOutcome> {
+        if let Some(outcome) = &self.finished {
+            return Some(outcome.clone());
+        }
         if self.metrics.syscalls >= self.config.max_syscalls {
-            let alarm = Alarm::new(
-                DivergenceKind::VariantFault {
-                    variant: VariantId::P0,
-                    fault: Fault::StepLimitExceeded,
-                },
-                self.metrics.syscalls,
-            );
-            return Some(self.terminate_with_alarm(alarm));
+            return Some(self.variant_faulted(VariantId::P0, Fault::StepLimitExceeded));
         }
 
         let max_steps = self.config.max_steps_per_slice;
-        let traps: Vec<TrapReason> = self
-            .variants
-            .iter_mut()
-            .map(|v| v.process.run_until_trap(max_steps))
-            .collect();
+        let mut traps = std::mem::take(&mut self.traps);
+        traps.extend(
+            self.variants
+                .iter_mut()
+                .map(|v| v.process.run_until_trap(max_steps)),
+        );
         self.metrics.total_instructions = self
             .variants
             .iter()
             .map(|v| v.process.instructions_executed())
             .sum();
 
-        // A fault in any variant is a divergence (the healthy variants were
-        // about to do something the faulted one could not).
         for (index, trap) in traps.iter().enumerate() {
             if let TrapReason::Faulted(fault) = trap {
-                let alarm = Alarm::new(
-                    DivergenceKind::VariantFault {
-                        variant: VariantId::new(index),
-                        fault: *fault,
-                    },
-                    self.metrics.syscalls,
-                );
-                return Some(self.terminate_with_alarm(alarm));
+                return Some(self.variant_faulted(VariantId::new(index), *fault));
             }
         }
 
@@ -324,15 +340,13 @@ impl NVariantMonitor {
         }
 
         // Mixed exits/syscalls or differing call numbers.
-        let calls: Vec<Option<Sysno>> = traps
-            .iter()
-            .map(|t| match t {
-                TrapReason::Syscall(req) => Some(req.sysno),
-                _ => None,
-            })
-            .collect();
-        let first_call = calls[0];
-        if first_call.is_none() || calls.iter().any(|c| *c != first_call) {
+        let sysno = |trap: &TrapReason| match trap {
+            TrapReason::Syscall(req) => Some(req.sysno),
+            _ => None,
+        };
+        let first_call = sysno(&traps[0]);
+        if first_call.is_none() || traps.iter().any(|t| sysno(t) != first_call) {
+            let calls = traps.iter().map(sysno).collect();
             let alarm = Alarm::new(
                 DivergenceKind::SyscallMismatch { calls },
                 self.metrics.syscalls,
@@ -340,31 +354,75 @@ impl NVariantMonitor {
             return Some(self.terminate_with_alarm(alarm));
         }
 
-        let requests: Vec<SyscallRequest> = traps
-            .into_iter()
-            .map(|t| match t {
-                TrapReason::Syscall(req) => req,
-                _ => unreachable!("non-syscall traps handled above"),
-            })
-            .collect();
-        self.handle_syscall(&requests)
+        // Every branch above ends the group; from here on the buffers go
+        // back, empty, for the next point.
+        let mut requests = std::mem::take(&mut self.requests);
+        requests.extend(traps.drain(..).map(|t| match t {
+            TrapReason::Syscall(req) => req,
+            _ => unreachable!("non-syscall traps handled above"),
+        }));
+        self.traps = traps;
+        let outcome = self.handle_syscall(&requests);
+        requests.clear();
+        self.requests = requests;
+        outcome
     }
 
-    fn finish(&mut self, exit_status: Option<i32>) -> NVariantOutcome {
-        NVariantOutcome {
-            exit_status,
-            alarm: self.alarms.first().cloned(),
-            metrics: self.metrics,
+    /// Whether the group has siblings to compare. A group of one runs the
+    /// same loop but counts no checks, and its fault is not a divergence.
+    fn compares(&self) -> bool {
+        self.variants.len() > 1
+    }
+
+    /// Counts one cross-variant comparison, when there is anything to
+    /// compare.
+    fn count_check(&mut self) {
+        if self.compares() {
+            self.metrics.monitor_checks += 1;
         }
+    }
+
+    /// Ends the group after `variant` faulted. In a larger group the
+    /// healthy variants were about to do something the faulted one could
+    /// not, which is a divergence; a group of one ends as the fault.
+    fn variant_faulted(&mut self, variant: VariantId, fault: Fault) -> NVariantOutcome {
+        if !self.compares() {
+            return self.conclude(None, None, Some(fault));
+        }
+        let alarm = Alarm::new(
+            DivergenceKind::VariantFault { variant, fault },
+            self.metrics.syscalls,
+        );
+        self.terminate_with_alarm(alarm)
+    }
+
+    /// Ends the group with an agreed exit, carrying the first alarm a
+    /// [`DivergencePolicy::ReportAndContinue`] run recorded.
+    fn finish(&mut self, exit_status: Option<i32>) -> NVariantOutcome {
+        let alarm = self.alarms.first().cloned();
+        self.conclude(exit_status, alarm, None)
+    }
+
+    /// Records and returns the terminal outcome.
+    fn conclude(
+        &mut self,
+        exit_status: Option<i32>,
+        alarm: Option<Alarm>,
+        fault: Option<Fault>,
+    ) -> NVariantOutcome {
+        let outcome = NVariantOutcome {
+            exit_status,
+            alarm,
+            fault,
+            metrics: self.metrics,
+        };
+        self.finished = Some(outcome.clone());
+        outcome
     }
 
     fn terminate_with_alarm(&mut self, alarm: Alarm) -> NVariantOutcome {
         self.alarms.push(alarm.clone());
-        NVariantOutcome {
-            exit_status: None,
-            alarm: Some(alarm),
-            metrics: self.metrics,
-        }
+        self.conclude(None, Some(alarm), None)
     }
 
     /// Records an alarm; returns `Some(outcome)` if the policy says to stop.
@@ -396,29 +454,28 @@ impl NVariantMonitor {
         let sysno = requests[0].sysno;
         self.last_sysno = Some(sysno);
         self.metrics.syscalls += 1;
-        if sysno.is_detection_call() {
+        if sysno.is_detection_call() && self.compares() {
             self.metrics.detection_calls += 1;
         }
 
-        // Canonicalize and compare every argument position.
+        // Canonicalize every argument position into one flat vector, one
+        // run of `arg_count` words per variant, and compare position by
+        // position.
         let arg_count = requests.iter().map(|r| r.args.len()).max().unwrap_or(0);
-        let mut canonical_args: Vec<Vec<Word>> = Vec::with_capacity(self.variants.len());
+        let mut canonical = std::mem::take(&mut self.canonical);
         for (variant, request) in self.variants.iter().zip(requests) {
-            let canon: Vec<Word> = (0..arg_count)
-                .map(|i| {
-                    variant
-                        .canon
-                        .canonical(request.arg(i), Self::arg_class(sysno, i))
-                })
-                .collect();
-            canonical_args.push(canon);
+            canonical.extend((0..arg_count).map(|i| {
+                variant
+                    .canon
+                    .canonical(request.arg(i), Self::arg_class(sysno, i))
+            }));
         }
         for index in 0..arg_count {
-            self.metrics.monitor_checks += 1;
-            let first = canonical_args[0][index];
-            if canonical_args.iter().any(|args| args[index] != first) {
+            self.count_check();
+            let position = || canonical[index..].iter().step_by(arg_count).copied();
+            if position().any(|word| word != canonical[index]) {
                 self.last_divergent_args = true;
-                let values = canonical_args.iter().map(|args| args[index]).collect();
+                let values = position().collect();
                 let kind = if sysno.is_detection_call() {
                     DivergenceKind::DetectionCheckFailed {
                         sysno,
@@ -443,14 +500,9 @@ impl NVariantMonitor {
             }
         }
 
-        // Execute the (single) kernel effect and compute per-variant returns.
-        match self.execute(sysno, requests, &canonical_args) {
-            ExecuteResult::Deliver(returns) => {
-                for (variant, ret) in self.variants.iter_mut().zip(returns) {
-                    variant.process.complete_syscall(ret);
-                }
-                None
-            }
+        // Execute the (single) kernel effect and deliver per-variant returns.
+        let outcome = match self.execute(sysno, requests, &canonical[..arg_count]) {
+            ExecuteResult::Delivered => None,
             ExecuteResult::Exited(status) => {
                 let _ = self.kernel.exit(self.group_pid, status);
                 for variant in &mut self.variants {
@@ -462,27 +514,36 @@ impl NVariantMonitor {
                 // Under ReportAndContinue an output mismatch still needs a
                 // return value; deliver the length the first variant asked
                 // for so execution can proceed.
-                let fallback = requests[0].arg(2);
-                for variant in &mut self.variants {
-                    variant.process.complete_syscall(fallback);
-                }
+                self.deliver_all(requests[0].arg(2));
                 None
             }),
-        }
+        };
+        canonical.clear();
+        self.canonical = canonical;
+        outcome
     }
 
+    /// Completes every variant's pending call with the same `ret`.
+    fn deliver_all(&mut self, ret: Word) -> ExecuteResult {
+        for variant in &mut self.variants {
+            variant.process.complete_syscall(ret);
+        }
+        ExecuteResult::Delivered
+    }
+
+    /// Performs the call once against the kernel and delivers each
+    /// variant's return value. `canonical_args` are variant 0's canonical
+    /// arguments, which every variant agreed on.
     fn execute(
         &mut self,
         sysno: Sysno,
         requests: &[SyscallRequest],
-        canonical_args: &[Vec<Word>],
+        canonical_args: &[Word],
     ) -> ExecuteResult {
         // Injected code can issue a call with fewer operands than its arity;
-        // a missing operand reads as zero, as in the single-process runner.
-        let arg = |index: usize| canonical_args[0].get(index).copied().unwrap_or(Word::ZERO);
-        let n = self.variants.len();
+        // a missing operand reads as zero.
+        let arg = |index: usize| canonical_args.get(index).copied().unwrap_or(Word::ZERO);
         let errno_word = |e: Errno| Word::from_i32(e.as_syscall_ret());
-        let all = |w: Word| vec![w; n];
 
         match sysno {
             Sysno::Exit => ExecuteResult::Exited(arg(0).as_i32()),
@@ -498,13 +559,14 @@ impl NVariantMonitor {
                         .map(|g| Word::from_u32(g.as_u32())),
                 };
                 match canonical {
-                    Ok(word) => ExecuteResult::Deliver(
-                        self.variants
-                            .iter()
-                            .map(|v| v.canon.reexpress_uid(word))
-                            .collect(),
-                    ),
-                    Err(e) => ExecuteResult::Deliver(all(errno_word(e))),
+                    Ok(word) => {
+                        for variant in &mut self.variants {
+                            let ret = variant.canon.reexpress_uid(word);
+                            variant.process.complete_syscall(ret);
+                        }
+                        ExecuteResult::Delivered
+                    }
+                    Err(e) => self.deliver_all(errno_word(e)),
                 }
             }
 
@@ -516,10 +578,10 @@ impl NVariantMonitor {
                     Sysno::SetEuid => self.kernel.seteuid(self.group_pid, value.as_uid()),
                     _ => self.kernel.setgid(self.group_pid, Gid::new(value.as_u32())),
                 };
-                ExecuteResult::Deliver(all(match result {
+                self.deliver_all(match result {
                     Ok(()) => Word::ZERO,
                     Err(e) => errno_word(e),
-                }))
+                })
             }
             Sysno::SetReUid => {
                 let decode = |w: Word| {
@@ -532,15 +594,19 @@ impl NVariantMonitor {
                 let result = self
                     .kernel
                     .setreuid(self.group_pid, decode(arg(0)), decode(arg(1)));
-                ExecuteResult::Deliver(all(match result {
+                self.deliver_all(match result {
                     Ok(()) => Word::ZERO,
                     Err(e) => errno_word(e),
-                }))
+                })
             }
 
             // Detection calls: already checked; answer locally.
-            Sysno::UidValue => ExecuteResult::Deliver(requests.iter().map(|r| r.arg(0)).collect()),
-            Sysno::CondChk => ExecuteResult::Deliver(requests.iter().map(|r| r.arg(0)).collect()),
+            Sysno::UidValue | Sysno::CondChk => {
+                for (variant, request) in self.variants.iter_mut().zip(requests) {
+                    variant.process.complete_syscall(request.arg(0));
+                }
+                ExecuteResult::Delivered
+            }
             Sysno::CcEq
             | Sysno::CcNeq
             | Sysno::CcLt
@@ -557,7 +623,7 @@ impl NVariantMonitor {
                     Sysno::CcGt => a > b,
                     _ => a >= b,
                 };
-                ExecuteResult::Deliver(all(Word::from_bool(result)))
+                self.deliver_all(Word::from_bool(result))
             }
 
             Sysno::Open => self.execute_open(requests),
@@ -570,38 +636,38 @@ impl NVariantMonitor {
                         for fd in fds {
                             let _ = self.kernel.close(self.group_pid, fd);
                         }
-                        ExecuteResult::Deliver(all(Word::ZERO))
+                        self.deliver_all(Word::ZERO)
                     }
-                    Err(e) => ExecuteResult::Deliver(all(errno_word(e))),
+                    Err(e) => self.deliver_all(errno_word(e)),
                 }
             }
 
             Sysno::Socket => match self.kernel.socket(self.group_pid) {
                 Ok(fd) => {
                     let vfd = self.vfds.insert_shared(fd);
-                    ExecuteResult::Deliver(all(Word::from_u32(vfd)))
+                    self.deliver_all(Word::from_u32(vfd))
                 }
-                Err(e) => ExecuteResult::Deliver(all(errno_word(e))),
+                Err(e) => self.deliver_all(errno_word(e)),
             },
             Sysno::Bind => {
                 let result = self.vfds.shared_fd(arg(0).as_u32()).and_then(|fd| {
                     self.kernel
                         .bind(self.group_pid, fd, Port::new(arg(1).as_u32() as u16))
                 });
-                ExecuteResult::Deliver(all(match result {
+                self.deliver_all(match result {
                     Ok(()) => Word::ZERO,
                     Err(e) => errno_word(e),
-                }))
+                })
             }
             Sysno::Listen => {
                 let result = self
                     .vfds
                     .shared_fd(arg(0).as_u32())
                     .and_then(|fd| self.kernel.listen(self.group_pid, fd));
-                ExecuteResult::Deliver(all(match result {
+                self.deliver_all(match result {
                     Ok(()) => Word::ZERO,
                     Err(e) => errno_word(e),
-                }))
+                })
             }
             Sysno::Accept => {
                 let result = self
@@ -611,15 +677,15 @@ impl NVariantMonitor {
                 match result {
                     Ok(fd) => {
                         let vfd = self.vfds.insert_shared(fd);
-                        ExecuteResult::Deliver(all(Word::from_u32(vfd)))
+                        self.deliver_all(Word::from_u32(vfd))
                     }
-                    Err(e) => ExecuteResult::Deliver(all(errno_word(e))),
+                    Err(e) => self.deliver_all(errno_word(e)),
                 }
             }
-            Sysno::Time => ExecuteResult::Deliver(all(Word::from_u32(self.kernel.time() as u32))),
+            Sysno::Time => self.deliver_all(Word::from_u32(self.kernel.time() as u32)),
             // `Sysno` is non-exhaustive: unknown calls behave like an
             // unimplemented syscall.
-            _ => ExecuteResult::Deliver(all(errno_word(Errno::Enosys))),
+            _ => self.deliver_all(errno_word(Errno::Enosys)),
         }
     }
 
@@ -632,10 +698,10 @@ impl NVariantMonitor {
         for (variant, request) in self.variants.iter().zip(requests) {
             match variant.process.read_cstring(request.arg(0).as_addr(), 4096) {
                 Ok(bytes) => paths.push(String::from_utf8_lossy(&bytes).to_string()),
-                Err(_) => return ExecuteResult::Deliver(vec![errno_word(Errno::Efault); n]),
+                Err(_) => return self.deliver_all(errno_word(Errno::Efault)),
             }
         }
-        self.metrics.monitor_checks += 1;
+        self.count_check();
         if paths.iter().any(|p| p != &paths[0]) {
             return ExecuteResult::Abort(Alarm::new(
                 DivergenceKind::ArgumentMismatch {
@@ -661,53 +727,49 @@ impl NVariantMonitor {
                         for fd in fds {
                             let _ = self.kernel.close(self.group_pid, fd);
                         }
-                        return ExecuteResult::Deliver(vec![errno_word(e); n]);
+                        return self.deliver_all(errno_word(e));
                     }
                 }
             }
             let vfd = self.vfds.insert_unshared(fds);
-            ExecuteResult::Deliver(vec![Word::from_u32(vfd); n])
+            self.deliver_all(Word::from_u32(vfd))
         } else {
             match self.kernel.open(self.group_pid, &path, flags) {
                 Ok(fd) => {
                     let vfd = self.vfds.insert_shared(fd);
-                    ExecuteResult::Deliver(vec![Word::from_u32(vfd); n])
+                    self.deliver_all(Word::from_u32(vfd))
                 }
-                Err(e) => ExecuteResult::Deliver(vec![errno_word(e); n]),
+                Err(e) => self.deliver_all(errno_word(e)),
             }
         }
     }
 
     fn execute_read(&mut self, sysno: Sysno, requests: &[SyscallRequest]) -> ExecuteResult {
-        let n = self.variants.len();
         let errno_word = |e: Errno| Word::from_i32(e.as_syscall_ret());
         let vfd = requests[0].arg(0).as_u32();
         let count = requests[0].arg(2).as_u32() as usize;
 
         if self.vfds.is_unshared(vfd) {
             // Each variant reads from its own backing file.
-            let mut returns = Vec::with_capacity(n);
             for (index, request) in requests.iter().enumerate() {
-                let fd = match self.vfds.fd_for_variant(vfd, index) {
-                    Ok(fd) => fd,
-                    Err(e) => {
-                        returns.push(errno_word(e));
-                        continue;
-                    }
-                };
-                match self.kernel.read(self.group_pid, fd, count) {
+                let read = self
+                    .vfds
+                    .fd_for_variant(vfd, index)
+                    .and_then(|fd| self.kernel.read(self.group_pid, fd, count));
+                let process = &mut self.variants[index].process;
+                let ret = match read {
                     Ok(data) => {
                         self.metrics.io_bytes += data.len() as u64;
-                        let addr = request.arg(1).as_addr();
-                        match self.variants[index].process.write_bytes(addr, &data) {
-                            Ok(()) => returns.push(Word::from_u32(data.len() as u32)),
-                            Err(_) => returns.push(errno_word(Errno::Efault)),
+                        match process.write_bytes(request.arg(1).as_addr(), &data) {
+                            Ok(()) => Word::from_u32(data.len() as u32),
+                            Err(_) => errno_word(Errno::Efault),
                         }
                     }
-                    Err(e) => returns.push(errno_word(e)),
-                }
+                    Err(e) => errno_word(e),
+                };
+                process.complete_syscall(ret);
             }
-            return ExecuteResult::Deliver(returns);
+            return ExecuteResult::Delivered;
         }
 
         // Shared: perform the input once and replicate it to every variant.
@@ -724,17 +786,16 @@ impl NVariantMonitor {
         match result {
             Ok(data) => {
                 self.metrics.io_bytes += data.len() as u64;
-                let mut returns = Vec::with_capacity(n);
                 for (variant, request) in self.variants.iter_mut().zip(requests) {
-                    let addr = request.arg(1).as_addr();
-                    match variant.process.write_bytes(addr, &data) {
-                        Ok(()) => returns.push(Word::from_u32(data.len() as u32)),
-                        Err(_) => returns.push(errno_word(Errno::Efault)),
-                    }
+                    let ret = match variant.process.write_bytes(request.arg(1).as_addr(), &data) {
+                        Ok(()) => Word::from_u32(data.len() as u32),
+                        Err(_) => errno_word(Errno::Efault),
+                    };
+                    variant.process.complete_syscall(ret);
                 }
-                ExecuteResult::Deliver(returns)
+                ExecuteResult::Delivered
             }
-            Err(e) => ExecuteResult::Deliver(vec![errno_word(e); n]),
+            Err(e) => self.deliver_all(errno_word(e)),
         }
     }
 
@@ -749,31 +810,31 @@ impl NVariantMonitor {
         for (variant, request) in self.variants.iter().zip(requests) {
             match variant.process.read_bytes(request.arg(1).as_addr(), count) {
                 Ok(bytes) => payloads.push(bytes),
-                Err(_) => return ExecuteResult::Deliver(vec![errno_word(Errno::Efault); n]),
+                Err(_) => return self.deliver_all(errno_word(Errno::Efault)),
             }
         }
 
         if self.vfds.is_unshared(vfd) {
             // Per-variant output to per-variant files: no cross-check needed.
-            let mut returns = Vec::with_capacity(n);
             for (index, payload) in payloads.iter().enumerate() {
                 let result = self
                     .vfds
                     .fd_for_variant(vfd, index)
                     .and_then(|fd| self.kernel.write(self.group_pid, fd, payload));
-                match result {
+                let ret = match result {
                     Ok(len) => {
                         self.metrics.io_bytes += len as u64;
-                        returns.push(Word::from_u32(len as u32));
+                        Word::from_u32(len as u32)
                     }
-                    Err(e) => returns.push(errno_word(e)),
-                }
+                    Err(e) => errno_word(e),
+                };
+                self.variants[index].process.complete_syscall(ret);
             }
-            return ExecuteResult::Deliver(returns);
+            return ExecuteResult::Delivered;
         }
 
         // Shared output must be byte-identical across variants.
-        self.metrics.monitor_checks += 1;
+        self.count_check();
         if payloads.iter().any(|p| p != &payloads[0]) {
             return ExecuteResult::Abort(Alarm::new(
                 DivergenceKind::OutputMismatch { sysno },
@@ -802,16 +863,16 @@ impl NVariantMonitor {
             Ok(len) => {
                 self.metrics.io_bytes += len as u64;
                 self.output_bytes += len as u64;
-                ExecuteResult::Deliver(vec![Word::from_u32(len as u32); n])
+                self.deliver_all(Word::from_u32(len as u32))
             }
-            Err(e) => ExecuteResult::Deliver(vec![errno_word(e); n]),
+            Err(e) => self.deliver_all(errno_word(e)),
         }
     }
 }
 
 enum ExecuteResult {
-    /// Deliver one return value to each variant and keep running.
-    Deliver(Vec<Word>),
+    /// Every variant received its return value and keeps running.
+    Delivered,
     /// The group exited with the given status.
     Exited(i32),
     /// A divergence was detected while executing the call.
@@ -832,13 +893,20 @@ mod tests {
     use nvariant_types::VirtAddr;
     use nvariant_vm::{compile_program, parse_with_stdlib, MemoryLayout, Process};
 
-    /// Builds a 2-variant monitor for `source` under `variation`, all
-    /// variants sharing the same program text (no UID reexpression of
-    /// constants — suitable for programs without UID constants).
-    fn monitor_for(source: &str, variation: &Variation, uid: Uid) -> NVariantMonitor {
+    /// Builds a monitor of `variants` variants for `source` under
+    /// `variation`, all variants sharing the same program text (no UID
+    /// reexpression of constants — suitable for programs without UID
+    /// constants). One variant is a single process: variant 0 of every
+    /// variation is the identity.
+    fn monitor_for(
+        source: &str,
+        variation: &Variation,
+        uid: Uid,
+        variants: usize,
+    ) -> NVariantMonitor {
         let program = parse_with_stdlib(source).unwrap();
         let compiled = compile_program(&program).unwrap();
-        let specs = VariantSet::from_variation(variation, 2);
+        let specs = VariantSet::from_variation(variation, variants);
         let processes: Vec<Process> = specs
             .iter()
             .map(|(_, spec)| {
@@ -851,6 +919,14 @@ mod tests {
             .collect();
         let kernel = WorldBuilder::standard().build();
         NVariantMonitor::new(kernel, processes, specs, uid, MonitorConfig::default())
+    }
+
+    /// Runs `source` as a group of `variants` address-partitioned variants
+    /// started as `uid`, returning the outcome and the monitor.
+    fn run_group(source: &str, uid: Uid, variants: usize) -> (NVariantOutcome, NVariantMonitor) {
+        let mut monitor = monitor_for(source, &Variation::address_partitioning(), uid, variants);
+        let outcome = monitor.run_to_completion();
+        (outcome, monitor)
     }
 
     #[test]
@@ -869,7 +945,7 @@ mod tests {
             Variation::address_partitioning(),
             Variation::instruction_tagging(),
         ] {
-            let mut monitor = monitor_for(source, &variation, Uid::ROOT);
+            let mut monitor = monitor_for(source, &variation, Uid::ROOT, 2);
             let outcome = monitor.run_to_completion();
             assert_eq!(outcome.exit_status, Some(0), "under {variation}");
             assert!(!outcome.detected_attack());
@@ -877,8 +953,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn oversized_write_counts_return_efault_in_every_variant() {
+    /// Runs a program that writes and sends a 2 GiB count from a 16-byte
+    /// buffer as a group of `variants`: both calls must return EFAULT and
+    /// move no bytes.
+    fn assert_oversized_writes_return_efault(variants: usize) {
         // The monitor gathers each variant's payload before writing; a
         // program-chosen count far past the buffer must fault the read,
         // not reserve the count.
@@ -890,11 +968,283 @@ mod tests {
                 return 0;
             }
         ";
-        let mut monitor = monitor_for(source, &Variation::address_partitioning(), Uid::ROOT);
-        let outcome = monitor.run_to_completion();
-        assert_eq!(outcome.exit_status, Some(0));
+        let (outcome, _) = run_group(source, Uid::ROOT, variants);
+        assert_eq!(outcome.exit_status, Some(0), "{variants} variants");
         assert!(outcome.exited_normally());
         assert!(!outcome.detected_attack());
+        assert_eq!(outcome.metrics.io_bytes, 0);
+    }
+
+    #[test]
+    fn oversized_write_counts_return_efault() {
+        assert_oversized_writes_return_efault(1);
+    }
+
+    #[test]
+    fn oversized_write_counts_return_efault_in_every_variant() {
+        assert_oversized_writes_return_efault(2);
+    }
+
+    #[test]
+    fn identity_syscalls_round_trip() {
+        let source = r"
+            fn main() -> int {
+                var uid: uid_t;
+                uid = getuid();
+                if (uid == 0) { return 1; }
+                return 0;
+            }
+        ";
+        for variants in [1, 2] {
+            let (outcome, _) = run_group(source, Uid::ROOT, variants);
+            assert_eq!(outcome.exit_status, Some(1), "{variants} variants");
+            assert!(outcome.exited_normally());
+        }
+    }
+
+    #[test]
+    fn privilege_drop_through_syscalls() {
+        let source = r"
+            fn main() -> int {
+                var rc: int;
+                rc = setuid(48);
+                if (rc != 0) { return 1; }
+                rc = seteuid(0);
+                if (rc == 0) { return 2; }
+                return 0;
+            }
+        ";
+        for variants in [1, 2] {
+            let (outcome, monitor) = run_group(source, Uid::ROOT, variants);
+            assert_eq!(outcome.exit_status, Some(0), "{variants} variants");
+            let credentials = monitor.kernel().credentials(monitor.group_pid()).unwrap();
+            assert_eq!(credentials.euid(), Uid::new(48));
+        }
+    }
+
+    #[test]
+    fn file_io_against_the_standard_world() {
+        let source = r#"
+            fn main() -> int {
+                var fd: int;
+                var text: buf[256];
+                fd = open("/etc/passwd", 0);
+                if (fd < 0) { return 1; }
+                read(fd, &text, 255);
+                close(fd);
+                if (str_contains(&text, "httpd")) { return 0; }
+                return 2;
+            }
+        "#;
+        for variants in [1, 2] {
+            let (outcome, _) = run_group(source, Uid::new(48), variants);
+            assert_eq!(outcome.exit_status, Some(0), "{variants} variants");
+            assert!(outcome.metrics.io_bytes > 20);
+        }
+    }
+
+    #[test]
+    fn permission_errors_reach_the_program_as_negative_errno() {
+        let source = r#"
+            fn main() -> int {
+                var fd: int;
+                fd = open("/etc/shadow", 0);
+                if (fd == 0 - 13) { return 0; }
+                return fd;
+            }
+        "#;
+        for variants in [1, 2] {
+            let (outcome, _) = run_group(source, Uid::new(48), variants);
+            assert_eq!(outcome.exit_status, Some(0), "{variants} variants");
+        }
+    }
+
+    #[test]
+    fn network_round_trip() {
+        let source = r#"
+            fn main() -> int {
+                var sock: int;
+                var conn: int;
+                var request: buf[128];
+                sock = socket();
+                bind(sock, 80);
+                listen(sock);
+                conn = accept(sock);
+                if (conn < 0) { return 1; }
+                recv(conn, &request, 127);
+                if (starts_with(&request, "GET /") == 0) { return 2; }
+                send_str(conn, "HTTP/1.0 200 OK\r\n\r\nhello");
+                close(conn);
+                return 0;
+            }
+        "#;
+        for variants in [1, 2] {
+            // With no client staged, accept returns EAGAIN and the server
+            // exits 1.
+            let (idle, _) = run_group(source, Uid::ROOT, variants);
+            assert_eq!(idle.exit_status, Some(1), "{variants} variants");
+
+            // With a client request staged before the server starts, the
+            // full request/response round trip completes.
+            let mut monitor = monitor_for(
+                source,
+                &Variation::address_partitioning(),
+                Uid::ROOT,
+                variants,
+            );
+            monitor
+                .kernel_mut()
+                .net_mut()
+                .preload_request(Port::HTTP, b"GET / HTTP/1.0\r\n\r\n".to_vec());
+            let outcome = monitor.run_to_completion();
+            assert_eq!(outcome.exit_status, Some(0), "{variants} variants");
+            let conn = monitor.kernel().net().connections().next().unwrap();
+            assert!(conn.response.starts_with(b"HTTP/1.0 200 OK"));
+        }
+    }
+
+    #[test]
+    fn console_output_via_write_str() {
+        let source = r#"
+            fn main() -> int {
+                write_str(1, "starting up\n");
+                write_str(2, "warning: test\n");
+                return 0;
+            }
+        "#;
+        for variants in [1, 2] {
+            let (outcome, monitor) = run_group(source, Uid::ROOT, variants);
+            assert_eq!(outcome.exit_status, Some(0), "{variants} variants");
+            let console = monitor
+                .kernel()
+                .console_output(monitor.group_pid())
+                .unwrap();
+            let console = String::from_utf8(console.to_vec()).unwrap();
+            assert!(console.contains("starting up"));
+            assert!(console.contains("warning: test"));
+        }
+    }
+
+    #[test]
+    fn detection_calls_answer_a_group_of_one_without_checks() {
+        // A single process has nothing to compare: its detection calls take
+        // their plain meaning (`cond_chk` returns its argument) and count
+        // as neither checks nor detection calls.
+        let source = r"
+            fn main() -> int {
+                var uid: uid_t;
+                uid = uid_value(getuid());
+                if (cc_eq(uid, 0) == 0) { return 1; }
+                if (cc_neq(uid, 5) == 0) { return 2; }
+                if (cc_lt(uid, 1) == 0) { return 3; }
+                if (cc_leq(uid, 0) == 0) { return 4; }
+                if (cc_gt(5, uid) == 0) { return 5; }
+                if (cc_geq(uid, 0) == 0) { return 6; }
+                if (cond_chk(uid == 0) == 0) { return 7; }
+                if (cond_chk(7) != 7) { return 8; }
+                return 0;
+            }
+        ";
+        let (outcome, _) = run_group(source, Uid::ROOT, 1);
+        assert_eq!(outcome.exit_status, Some(0));
+        assert_eq!(outcome.metrics.syscalls, 11);
+        assert_eq!(outcome.metrics.detection_calls, 0);
+        assert_eq!(outcome.metrics.monitor_checks, 0);
+    }
+
+    #[test]
+    fn faults_are_reported_in_the_outcome() {
+        let source = r"
+            fn main() -> int {
+                var p: ptr;
+                p = 4;
+                return *p;
+            }
+        ";
+        // A group of one has no sibling to diverge from: the fault ends the
+        // run as a fault, with no alarm.
+        let (outcome, _) = run_group(source, Uid::ROOT, 1);
+        assert_eq!(outcome.exit_status, None);
+        assert!(matches!(outcome.fault, Some(Fault::Segfault { .. })));
+        assert!(outcome.alarm.is_none());
+        assert!(!outcome.exited_normally());
+        // In a larger group the same fault is a divergence.
+        let (outcome, _) = run_group(source, Uid::ROOT, 2);
+        assert_eq!(outcome.fault, None);
+        assert!(matches!(
+            outcome.alarm.unwrap().kind,
+            DivergenceKind::VariantFault {
+                variant: VariantId::P0,
+                fault: Fault::Segfault { .. }
+            }
+        ));
+    }
+
+    #[test]
+    fn the_syscall_limit_ends_a_group_of_one_as_a_fault() {
+        let source = r"
+            fn main() -> int {
+                while (1) { time(); }
+                return 0;
+            }
+        ";
+        for variants in [1, 2] {
+            let mut monitor = monitor_for(
+                source,
+                &Variation::address_partitioning(),
+                Uid::ROOT,
+                variants,
+            );
+            monitor.config.max_syscalls = 3;
+            let outcome = monitor.run_to_completion();
+            // The group stops before the call past the limit.
+            assert_eq!(outcome.metrics.syscalls, 3, "{variants} variants");
+            assert_eq!(outcome.exit_status, None);
+            if variants == 1 {
+                assert_eq!(outcome.fault, Some(Fault::StepLimitExceeded));
+                assert!(outcome.alarm.is_none());
+            } else {
+                assert_eq!(outcome.fault, None);
+                assert!(matches!(
+                    outcome.alarm.unwrap().kind,
+                    DivergenceKind::VariantFault {
+                        fault: Fault::StepLimitExceeded,
+                        ..
+                    }
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn a_terminated_group_returns_its_outcome_again() {
+        // An alarm leaves the variants at a syscall nobody answered and a
+        // fault leaves one unable to run: neither may resume.
+        let divergent_output = r"
+            fn main() -> int {
+                var uid: uid_t;
+                var line: buf[16];
+                uid = getuid();
+                utoa(uid, &line);
+                write(1, &line, 4);
+                return 0;
+            }
+        ";
+        let segfault = "fn main() -> int { var p: ptr; p = 4; return *p; }";
+        for (source, variants) in [(divergent_output, 2), (segfault, 1)] {
+            let mut monitor =
+                monitor_for(source, &Variation::uid_diversity(), Uid::new(48), variants);
+            let first = monitor.run_to_completion();
+            assert!(
+                first.detected_attack() || first.fault.is_some(),
+                "{first:?}"
+            );
+            assert_eq!(monitor.run_to_completion(), first);
+            match monitor.step() {
+                StepEvent::Done(outcome) => assert_eq!(outcome, first),
+                StepEvent::Progress(observation) => panic!("resumed: {observation:?}"),
+            }
+        }
     }
 
     #[test]
@@ -909,7 +1259,7 @@ mod tests {
                 return setuid(uid);
             }
         ";
-        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48));
+        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48), 2);
         let outcome = monitor.run_to_completion();
         assert_eq!(outcome.exit_status, Some(0));
         assert!(!outcome.detected_attack());
@@ -937,26 +1287,29 @@ mod tests {
                 return 0;
             }
         "#;
-        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48));
-        let mut output = 0;
-        let outcome = loop {
-            match monitor.step() {
-                StepEvent::Progress(observation) => output += observation.output_delta,
-                StepEvent::Done(outcome) => break outcome,
-            }
-        };
-        assert_eq!(outcome.exit_status, Some(0));
-        // The config file was read once and the line written once, not once
-        // per variant.
-        let conf_len = monitor.kernel().fs().get("/etc/httpd.conf").unwrap().len() as u64;
-        assert_eq!(output, 9);
-        assert_eq!(outcome.metrics.io_bytes, conf_len + 9);
-        let console = monitor
-            .kernel()
-            .console_output(monitor.group_pid())
-            .unwrap()
-            .to_vec();
-        assert_eq!(console, b"Listen 80");
+        for variants in [1, 2] {
+            let mut monitor =
+                monitor_for(source, &Variation::uid_diversity(), Uid::new(48), variants);
+            let mut output = 0;
+            let outcome = loop {
+                match monitor.step() {
+                    StepEvent::Progress(observation) => output += observation.output_delta,
+                    StepEvent::Done(outcome) => break outcome,
+                }
+            };
+            assert_eq!(outcome.exit_status, Some(0), "{variants} variants");
+            // The config file was read once and the line written once, not
+            // once per variant.
+            let conf_len = monitor.kernel().fs().get("/etc/httpd.conf").unwrap().len() as u64;
+            assert_eq!(output, 9);
+            assert_eq!(outcome.metrics.io_bytes, conf_len + 9);
+            let console = monitor
+                .kernel()
+                .console_output(monitor.group_pid())
+                .unwrap()
+                .to_vec();
+            assert_eq!(console, b"Listen 80");
+        }
     }
 
     #[test]
@@ -977,7 +1330,7 @@ mod tests {
             }
         ";
         // Running as uid 48: uid == euid, and cc_leq is true -> exit 2.
-        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48));
+        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48), 2);
         let outcome = monitor.run_to_completion();
         assert_eq!(outcome.exit_status, Some(2));
         assert!(outcome.metrics.detection_calls >= 4);
@@ -1131,7 +1484,7 @@ mod tests {
                 return 0;
             }
         ";
-        let mut monitor = monitor_for(source, &Variation::address_partitioning(), Uid::ROOT);
+        let mut monitor = monitor_for(source, &Variation::address_partitioning(), Uid::ROOT, 2);
         let outcome = monitor.run_to_completion();
         assert!(outcome.detected_attack());
         match outcome.alarm.unwrap().kind {
@@ -1143,7 +1496,7 @@ mod tests {
         }
         // The same program under UID diversity is NOT detected (both
         // variants perform the same in-range write): class-specificity.
-        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::ROOT);
+        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::ROOT, 2);
         let outcome = monitor.run_to_completion();
         assert!(!outcome.detected_attack());
     }
@@ -1163,7 +1516,7 @@ mod tests {
                 return 0;
             }
         ";
-        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48));
+        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48), 2);
         let outcome = monitor.run_to_completion();
         assert!(outcome.detected_attack());
         assert!(matches!(
@@ -1185,7 +1538,7 @@ mod tests {
                 return 7;
             }
         ";
-        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48));
+        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48), 2);
         let outcome = monitor.run_to_completion();
         assert!(outcome.detected_attack());
         // Exit is itself a synchronized system call, so the divergence shows
@@ -1286,7 +1639,7 @@ mod tests {
             // bind with one operand: port 0 on a descriptor that is not open.
             vec![push(3), syscall(Sysno::Bind, 1)],
         ] {
-            let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::ROOT);
+            let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::ROOT, 2);
             let injected: Vec<_> = call
                 .into_iter()
                 .chain([push(0), syscall(Sysno::Exit, 1)])
@@ -1365,7 +1718,7 @@ mod tests {
                 return 0;
             }
         ";
-        let mut monitor = monitor_for(source, &composed, Uid::ROOT);
+        let mut monitor = monitor_for(source, &composed, Uid::ROOT, 2);
         assert!(monitor.run_to_completion().detected_attack());
         // Clean program (no raw UID constants, UID used only via syscalls):
         // still exits normally.
@@ -1376,7 +1729,7 @@ mod tests {
                 return setuid(u);
             }
         ";
-        let mut monitor = monitor_for(clean, &composed, Uid::ROOT);
+        let mut monitor = monitor_for(clean, &composed, Uid::ROOT, 2);
         let outcome = monitor.run_to_completion();
         assert_eq!(outcome.exit_status, Some(0), "alarm: {:?}", outcome.alarm);
     }
@@ -1410,5 +1763,15 @@ mod tests {
         let outcome = monitor.run_to_completion();
         assert_eq!(outcome.exit_status, Some(1000));
         assert_eq!(outcome.metrics.variants, 1);
+        assert_eq!(outcome.metrics.syscalls, 2);
+        assert_eq!(outcome.metrics.monitor_checks, 0);
+    }
+
+    #[test]
+    fn a_group_of_one_runs_as_the_given_user() {
+        let (outcome, _) = run_group("fn main() -> int { return geteuid(); }", Uid::new(48), 1);
+        assert_eq!(outcome.exit_status, Some(48));
+        assert!(outcome.exited_normally());
+        assert_eq!(outcome.metrics.monitor_checks, 0);
     }
 }

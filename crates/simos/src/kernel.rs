@@ -1,6 +1,6 @@
 //! The reference kernel: processes, file descriptors, and the typed system
-//! call operations shared by the single-process runner and the N-variant
-//! monitor.
+//! call operations the N-variant monitor performs for every deployment, a
+//! single process included.
 //!
 //! The monitor (in `nvariant-monitor`) performs the *N-variant specific*
 //! work — synchronization, canonicalization, equivalence checks, unshared

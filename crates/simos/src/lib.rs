@@ -17,9 +17,9 @@
 //!   above ([`syscall`], [`kernel`]).
 //!
 //! This crate implements those behaviours as a deterministic, in-memory
-//! kernel ([`OsKernel`]) that the single-process runner (Configurations 1–2
-//! of the paper) and the N-variant monitor (Configurations 3–4) both execute
-//! against. A [`CostModel`] assigns simulated time to CPU work and I/O so the
+//! kernel ([`OsKernel`]) that the N-variant monitor executes every
+//! deployment against: the paper's Configurations 3–4 as two-variant
+//! groups, and Configurations 1–2 as groups of one. A [`CostModel`] assigns simulated time to CPU work and I/O so the
 //! WebBench-style evaluation can distinguish I/O-bound from CPU-bound load.
 //!
 //! # Example

@@ -347,4 +347,84 @@ mod tests {
             .unwrap();
         assert_eq!(pretty_print(&instrumented), pretty_print(&variant0.program));
     }
+
+    #[test]
+    fn mutated_sources_transform_or_return_a_typed_error() {
+        // SplitMix64 over a fixed seed: each case makes one or two small
+        // edits to the fragment (delete, duplicate or move a few bytes, or
+        // insert a token) and runs it through parse, the UID transform for
+        // a variant pair, and compile. None may panic.
+        let mut state: u64 = 20;
+        let mut below = |n: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let tokens = [
+            "uid_t",
+            "int",
+            "0",
+            "48",
+            "(",
+            ")",
+            "{",
+            "}",
+            ";",
+            "=",
+            "==",
+            "!",
+            "<",
+            "&&",
+            "server_uid",
+            "getuid()",
+            "return",
+            "if",
+            "while",
+        ];
+        let transforms = [UidTransform::Identity, UidTransform::paper_mask()];
+        let mut reached = std::collections::BTreeMap::new();
+        for _ in 0..1_000 {
+            let mut source = SERVER_FRAGMENT.to_string();
+            for _ in 0..=below(2) {
+                let at = below(source.len() + 1);
+                let run = (at + 1 + below(4)).min(source.len());
+                match below(4) {
+                    0 => drop(source.drain(at..run)),
+                    1 => {
+                        let copy = source[at..run].to_string();
+                        source.insert_str(at, &copy);
+                    }
+                    2 => {
+                        let moved: String = source.drain(at..run).collect();
+                        source.insert_str(below(source.len() + 1), &moved);
+                    }
+                    _ => source.insert_str(at, &format!(" {} ", tokens[below(tokens.len())])),
+                }
+            }
+            let stage = match parse_program(&source) {
+                Err(_) => "parse",
+                Ok(program) => {
+                    match UidTransformer::default().transform_for_variants(&program, &transforms) {
+                        Err(_) => "transform",
+                        Ok(variants) => {
+                            if variants.iter().all(|v| compile_program(&v.program).is_ok()) {
+                                "compiled"
+                            } else {
+                                "compile"
+                            }
+                        }
+                    }
+                }
+            };
+            *reached.entry(stage).or_insert(0) += 1;
+        }
+        for stage in ["parse", "transform", "compiled"] {
+            assert!(
+                reached.contains_key(stage),
+                "{stage} never reached: {reached:?}"
+            );
+        }
+    }
 }

@@ -2,8 +2,8 @@
 //! and executes until the process traps.
 //!
 //! Execution *traps* to the caller on every system call, exit or fault —
-//! the hook the single-process runner and the N-variant monitor both build
-//! on. [`Process::run_until_trap`] runs a slice of up to `max_steps`
+//! the hook the N-variant monitor builds on, for a single process as for a
+//! group. [`Process::run_until_trap`] runs a slice of up to `max_steps`
 //! instructions; [`Process::step`] is a slice of one. Both are the same
 //! loop, which implements every opcode exactly once.
 //!

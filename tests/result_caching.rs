@@ -11,6 +11,7 @@ use nvariant::{ArtifactStore, DeploymentConfig, NVariantSystemBuilder};
 use nvariant_apps::campaigns::full_matrix_campaign;
 use nvariant_apps::httpd_source;
 use nvariant_campaign::{CampaignPlan, CampaignReport, Scenario};
+use nvariant_monitor::MonitorConfig;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -314,9 +315,10 @@ proptest! {
                     variants,
                     transform_uids: transform,
                 })
-                .run_limits(nvariant_vm::RunLimits {
+                .monitor_config(MonitorConfig {
                     max_steps_per_slice: 1_000_000,
                     max_syscalls,
+                    ..MonitorConfig::default()
                 })
                 .fingerprint()
         };
@@ -338,9 +340,10 @@ proptest! {
             variants,
             transform_uids: transform,
         })
-        .run_limits(nvariant_vm::RunLimits {
+        .monitor_config(MonitorConfig {
             max_steps_per_slice: 1_000_000,
             max_syscalls,
+            ..MonitorConfig::default()
         })
         .fingerprint();
         prop_assert_ne!(base, other_source);
