@@ -103,20 +103,27 @@ fn corrupted_cache_entries_recover_by_recomputing() {
         "cold campaign_report",
     );
 
-    // Corrupt one cell entry (truncation) and one artifact entry (garbage).
+    // Corrupt one cell record (one flipped payload digit, which only its
+    // checksum catches) and one artifact entry (garbage).
     let cells_root = cache.join("cells");
     let cell_dir = std::fs::read_dir(&cells_root)
         .expect("cell cache populated")
         .find_map(Result::ok)
         .expect("one plan hash dir")
         .path();
-    let cell_entry = std::fs::read_dir(&cell_dir)
+    let pack = std::fs::read_dir(&cell_dir)
         .unwrap()
         .find_map(Result::ok)
-        .expect("one cell entry")
+        .expect("one cell pack")
         .path();
-    let text = std::fs::read_to_string(&cell_entry).unwrap();
-    std::fs::write(&cell_entry, &text[..text.len() / 2]).unwrap();
+    let mut bytes = std::fs::read(&pack).unwrap();
+    let digit = bytes
+        .windows(10)
+        .position(|window| window == b"\nexchange ")
+        .expect("a record with an exchange")
+        + 10;
+    bytes[digit] = if bytes[digit] == b'0' { b'1' } else { b'0' };
+    std::fs::write(&pack, bytes).unwrap();
 
     let artifact_entry = std::fs::read_dir(cache.join("artifacts"))
         .expect("artifact store populated")
@@ -137,6 +144,12 @@ fn corrupted_cache_entries_recover_by_recomputing() {
         "recovery campaign_report",
     );
     assert!(recovered.contains("1 invalidations"), "{recovered}");
+    assert!(
+        recovered.lines().any(
+            |line| line.contains("cell cache:") && line.ends_with(" 0 misses, 1 invalidations")
+        ),
+        "{recovered}"
+    );
     assert_eq!(
         std::fs::read_to_string(&cold_canonical).unwrap(),
         std::fs::read_to_string(&recovered_canonical).unwrap()

@@ -253,10 +253,10 @@ impl CampaignPlan {
     }
 
     /// Memoizes completed cells under `root` (the shared cache directory;
-    /// cell entries live in `<root>/cells/<plan_hash>/`): every executed
+    /// cell packs live in `<root>/cells/<plan_hash>/`): every executed
     /// cell is persisted, and later runs of an identical plan — in this
     /// process or another — read it back instead of re-running. Corrupt or
-    /// mismatched entries are recomputed, never surfaced as errors, and the
+    /// mismatched records are recomputed, never surfaced as errors, and the
     /// per-run [`CacheStats`](nvariant::CacheStats) appear on the report.
     ///
     /// Caching never changes a report's deterministic content: a cache hit

@@ -18,8 +18,8 @@ use crate::exchange::ServedRequest;
 use crate::report::{CampaignReport, PlanShape};
 use nvariant::ExecutionMetrics;
 use nvariant_transform::TransformStats;
-use nvariant_types::hex::{hex_decode, hex_encode};
-use nvariant_types::lines::{quote, LineReader, ParseError};
+use nvariant_types::hex::{hex_decode, hex_encode_into};
+use nvariant_types::lines::{quote, Line, LineReader, ParseError};
 use std::io::BufRead;
 use std::time::Duration;
 
@@ -30,9 +30,13 @@ use std::time::Duration;
 /// canonical text, so both must be regenerated rather than reinterpreted.
 const HEADER: &str = "nvariant-campaign-shard v3";
 
-fn render_cell(out: &mut String, cell: &CellResult) {
+/// Appends the cell block [`ShardWriter::push`] writes for `cell` to `out`:
+/// the lines before the exchanges through one small `String`, each
+/// exchange's payloads hex-encoded straight into `out`.
+pub(crate) fn render_cell(out: &mut Vec<u8>, cell: &CellResult) {
     let spec = &cell.spec;
-    out.push_str(&format!(
+    let mut head = String::with_capacity(512);
+    head.push_str(&format!(
         "cell {} {} {} {} {:#018x} {}\n",
         spec.config_index,
         spec.world_index,
@@ -41,23 +45,23 @@ fn render_cell(out: &mut String, cell: &CellResult) {
         spec.seed,
         cell.wall.as_nanos(),
     ));
-    out.push_str(&format!("config_label {}\n", quote(&spec.config_label)));
-    out.push_str(&format!("world_label {}\n", quote(&spec.world_label)));
-    out.push_str(&format!("scenario_label {}\n", quote(&spec.scenario_label)));
-    out.push_str(&format!(
+    head.push_str(&format!("config_label {}\n", quote(&spec.config_label)));
+    head.push_str(&format!("world_label {}\n", quote(&spec.world_label)));
+    head.push_str(&format!("scenario_label {}\n", quote(&spec.scenario_label)));
+    head.push_str(&format!(
         "exit {}\n",
         cell.outcome
             .exit_status
             .map_or("-".to_string(), |s| s.to_string())
     ));
     if let Some(alarm) = &cell.outcome.alarm {
-        out.push_str(&format!("alarm {}\n", quote(alarm)));
+        head.push_str(&format!("alarm {}\n", quote(alarm)));
     }
     if let Some(fault) = &cell.outcome.fault {
-        out.push_str(&format!("fault {}\n", quote(fault)));
+        head.push_str(&format!("fault {}\n", quote(fault)));
     }
     let m = &cell.outcome.metrics;
-    out.push_str(&format!(
+    head.push_str(&format!(
         "metrics {} {} {} {} {} {}\n",
         m.variants,
         m.total_instructions,
@@ -67,7 +71,7 @@ fn render_cell(out: &mut String, cell: &CellResult) {
         m.io_bytes
     ));
     let s = &cell.transform_stats;
-    out.push_str(&format!(
+    head.push_str(&format!(
         "stats {} {} {} {} {} {}\n",
         s.uid_constants_reexpressed,
         s.implicit_constants_made_explicit,
@@ -77,25 +81,26 @@ fn render_cell(out: &mut String, cell: &CellResult) {
         s.log_sinks_sanitized
     ));
     if let Some(verdict) = &cell.verdict {
-        out.push_str(&format!("observed {}\n", quote(&verdict.observed)));
-        out.push_str(&format!("expected {}\n", quote(&verdict.expected)));
+        head.push_str(&format!("observed {}\n", quote(&verdict.observed)));
+        head.push_str(&format!("expected {}\n", quote(&verdict.expected)));
     }
     if let Some(checked) = &cell.checked {
         // Property keys ("P1") and statuses ("pass"/"FAIL") are single
         // tokens by construction, so the line splits on spaces.
-        out.push_str(&format!(
+        head.push_str(&format!(
             "checked {} {} {} {}\n",
             checked.property, checked.status, checked.states, checked.depth
         ));
     }
+    out.extend_from_slice(head.as_bytes());
     for exchange in &cell.exchanges {
-        out.push_str(&format!(
-            "exchange {} {}\n",
-            hex_encode(&exchange.request),
-            hex_encode(&exchange.response)
-        ));
+        out.extend_from_slice(b"exchange ");
+        hex_encode_into(out, &exchange.request);
+        out.push(b' ');
+        hex_encode_into(out, &exchange.response);
+        out.push(b'\n');
     }
-    out.push_str("endcell\n");
+    out.extend_from_slice(b"endcell\n");
 }
 
 /// The streaming dual of [`ShardCursor`]: writes the shard header eagerly,
@@ -104,7 +109,7 @@ fn render_cell(out: &mut String, cell: &CellResult) {
 /// is implemented over this writer) without holding the whole shard.
 pub struct ShardWriter<W: std::io::Write> {
     writer: W,
-    scratch: String,
+    scratch: Vec<u8>,
 }
 
 impl<W: std::io::Write> ShardWriter<W> {
@@ -115,27 +120,11 @@ impl<W: std::io::Write> ShardWriter<W> {
     /// Propagates the underlying writer's I/O errors.
     pub fn new(mut writer: W, header: &ShardHeader) -> std::io::Result<Self> {
         let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        out.push_str(&format!("name {}\n", quote(&header.name)));
-        out.push_str(&format!("base_seed {:#018x}\n", header.base_seed));
-        out.push_str(&format!("plan_hash {:#018x}\n", header.plan_hash));
-        out.push_str(&format!(
-            "shape {} {} {} {}\n",
-            header.shape.configs,
-            header.shape.worlds,
-            header.shape.scenarios,
-            header.shape.replicates
-        ));
-        out.push_str(&format!("workers {}\n", header.workers));
-        out.push_str(&format!(
-            "total_wall_nanos {}\n",
-            header.total_wall.as_nanos()
-        ));
+        render_header(&mut out, header);
         writer.write_all(out.as_bytes())?;
         Ok(ShardWriter {
             writer,
-            scratch: String::new(),
+            scratch: Vec::new(),
         })
     }
 
@@ -148,7 +137,7 @@ impl<W: std::io::Write> ShardWriter<W> {
     pub fn push(&mut self, cell: &CellResult) -> std::io::Result<()> {
         self.scratch.clear();
         render_cell(&mut self.scratch, cell);
-        self.writer.write_all(self.scratch.as_bytes())
+        self.writer.write_all(&self.scratch)
     }
 
     /// Writes the end-of-shard trailer, flushes, and returns the
@@ -162,6 +151,24 @@ impl<W: std::io::Write> ShardWriter<W> {
         self.writer.flush()?;
         Ok(self.writer)
     }
+}
+
+/// Appends the header lines [`ShardWriter::new`] writes for `header`.
+pub(crate) fn render_header(out: &mut String, header: &ShardHeader) {
+    out.push_str(HEADER);
+    out.push('\n');
+    out.push_str(&format!("name {}\n", quote(&header.name)));
+    out.push_str(&format!("base_seed {:#018x}\n", header.base_seed));
+    out.push_str(&format!("plan_hash {:#018x}\n", header.plan_hash));
+    out.push_str(&format!(
+        "shape {} {} {} {}\n",
+        header.shape.configs, header.shape.worlds, header.shape.scenarios, header.shape.replicates
+    ));
+    out.push_str(&format!("workers {}\n", header.workers));
+    out.push_str(&format!(
+        "total_wall_nanos {}\n",
+        header.total_wall.as_nanos()
+    ));
 }
 
 /// Renders `cells` under `header` as the text of one shard file, through
@@ -388,24 +395,43 @@ impl<R: BufRead> ShardCursor<R> {
                 line.text()
             ));
         };
-        let [config, world, scenario, replicate, seed, wall] =
-            coordinates.tokens("cell line needs 6 fields (coordinates, seed, wall)")?;
-        let spec = CellSpec {
-            config_index: config.number()?,
-            world_index: world.number()?,
-            scenario_index: scenario.number()?,
-            replicate: replicate.number()?,
-            config_label: String::new(),
-            world_label: String::new(),
-            scenario_label: String::new(),
-            seed: seed.hex_number()?,
-        };
-        let wall = Duration::from_nanos(wall.number()?);
+        let (spec, wall) = parse_cell_head(coordinates)?;
         parse_cell_body(&mut self.lines, spec, wall).map(Some)
     }
 }
 
-fn parse_header<R: BufRead>(lines: &mut LineReader<R>) -> Result<ShardHeader, ParseError> {
+/// Parses one cell block as [`ShardWriter::push`] writes it, `cell` line
+/// first: the grammar a [`ShardCursor`] reads between the header and `end`.
+pub(crate) fn parse_cell<R: BufRead>(lines: &mut LineReader<R>) -> Result<CellResult, ParseError> {
+    let line = lines.next_line()?;
+    let Some(coordinates) = line.strip("cell") else {
+        return line.fail(format!("expected \"cell\", got {:?}", line.text()));
+    };
+    let (spec, wall) = parse_cell_head(coordinates)?;
+    parse_cell_body(lines, spec, wall)
+}
+
+/// The coordinates, seed and wall time a `cell` line carries after its key.
+fn parse_cell_head(coordinates: Line<'_>) -> Result<(CellSpec, Duration), ParseError> {
+    let [config, world, scenario, replicate, seed, wall] =
+        coordinates.tokens("cell line needs 6 fields (coordinates, seed, wall)")?;
+    let spec = CellSpec {
+        config_index: config.number()?,
+        world_index: world.number()?,
+        scenario_index: scenario.number()?,
+        replicate: replicate.number()?,
+        config_label: String::new(),
+        world_label: String::new(),
+        scenario_label: String::new(),
+        seed: seed.hex_number()?,
+    };
+    Ok((spec, Duration::from_nanos(wall.number()?)))
+}
+
+/// Parses the header lines [`ShardWriter::new`] writes.
+pub(crate) fn parse_header<R: BufRead>(
+    lines: &mut LineReader<R>,
+) -> Result<ShardHeader, ParseError> {
     let header = lines.next_line()?;
     if header.text() != HEADER {
         return header.fail(format!("expected {HEADER:?}, got {:?}", header.text()));
@@ -537,6 +563,7 @@ fn parse_cell_body<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvariant_types::hex::hex_encode;
     use nvariant_types::lines::MAX_LINE_BYTES;
     use std::io::Read;
 
@@ -627,6 +654,15 @@ mod tests {
         assert_eq!(parsed.shape, report.shape);
         // And the round trip is a fixed point.
         assert_eq!(parsed.to_shard_text(), text);
+    }
+
+    #[test]
+    fn the_encoder_writes_the_bytes_of_the_reference_golden() {
+        // Generated by the encoder that built each exchange line from two
+        // `hex_encode` strings; the in-place encoder must match it byte for
+        // byte.
+        let golden = include_str!("../tests/fixtures/shard_codec_golden.txt");
+        assert_eq!(sample_report().to_shard_text(), golden);
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! fault injection and divergence diagnosis — no real worker processes.
 
 use nvariant::{DeploymentConfig, NVariantSystemBuilder};
-use nvariant_campaign::{CampaignPlan, CampaignReport, Scenario};
+use nvariant_campaign::{CampaignPlan, CampaignReport, CellSpec, Scenario};
 use nvariant_fleet::{
     Divergence, Fleet, FleetConfig, FleetError, FleetRun, ShardAssignment, TransportError,
     WorkerHandle, WorkerStatus, WorkerTransport,
 };
 use std::collections::BTreeSet;
 use std::io::BufRead;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -524,6 +524,35 @@ fn with_first_seed_altered(text: &str) -> String {
     out
 }
 
+/// Flips one digit of the `metrics` line of `spec`'s record in the plan's
+/// cell-cache packs, so the record fails its checksum and the cell misses
+/// the cache.
+fn damage_record(root: &Path, plan: &CampaignPlan, spec: &CellSpec) {
+    let (config, world, scenario, replicate) = spec.coordinates();
+    let frame = format!("record {config} {world} {scenario} {replicate} ");
+    let dir = root
+        .join("cells")
+        .join(format!("{:016x}", plan.plan_hash()));
+    for entry in std::fs::read_dir(dir).expect("cell packs written") {
+        let pack = entry.expect("pack readable").path();
+        let mut bytes = std::fs::read(&pack).expect("pack readable");
+        let find = |needle: &[u8], from: usize| {
+            bytes[from..]
+                .windows(needle.len())
+                .position(|window| window == needle)
+                .map(|at| from + at + needle.len())
+        };
+        let Some(record) = find(frame.as_bytes(), 0) else {
+            continue;
+        };
+        let digit = find(b"\nmetrics ", record).expect("record has a metrics line");
+        bytes[digit] = if bytes[digit] == b'1' { b'2' } else { b'1' };
+        std::fs::write(&pack, bytes).expect("pack writable");
+        return;
+    }
+    panic!("no record of cell {:?}", spec.coordinates());
+}
+
 #[test]
 fn a_cell_with_an_altered_seed_is_refused_with_and_without_a_cache() {
     for cached in [false, true] {
@@ -532,12 +561,12 @@ fn a_cell_with_an_altered_seed_is_refused_with_and_without_a_cache() {
         } else {
             plan()
         };
-        // With a cache, shard_texts fills it; dropping one entry of shard 1
-        // makes that shard spawn a worker while its first cell, the one the
-        // transport alters, stays cached.
+        // With a cache, shard_texts fills it; damaging one record of shard
+        // 1 makes that shard spawn a worker while its first cell, the one
+        // the transport alters, stays cached.
         let mut texts = shard_texts(&plan, 2);
-        if let Some(cache) = plan.cell_cache() {
-            std::fs::remove_file(cache.entry_path(&plan.shard(1, 2)[1])).expect("entry exists");
+        if let Some(root) = plan.cache_dir() {
+            damage_record(root, &plan, &plan.shard(1, 2)[1]);
         }
         texts[1] = with_first_seed_altered(&texts[1]);
         let transport = MockTransport::new(texts, vec![("alpha", HostBehavior::Ok)]);

@@ -1,5 +1,5 @@
 //! The line codec of every file the workspace reads back: shard files,
-//! cell-cache entries and artifact-store entries.
+//! cell-cache packs and artifact-store entries.
 //!
 //! Such a file is a sequence of lines ended by `\n`; a `\r` before the `\n`
 //! is dropped, so a text-mode transfer changes nothing. Most lines are
@@ -153,6 +153,13 @@ impl<R: BufRead> LineReader<R> {
     #[must_use]
     pub fn line(&self) -> usize {
         self.line
+    }
+
+    /// The wrapped reader, positioned just after the line read last: a
+    /// caller that frames the file can seek past a body it skips, or ask
+    /// how far it has read.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.reader
     }
 
     /// Reads one line without its terminator, or `None` at the end of

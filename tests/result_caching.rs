@@ -155,20 +155,36 @@ fn corrupted_cell_entries_recompute_without_changing_bytes() {
     let plan = two_config_plan().with_cache_dir(&cache);
     let cold = plan.run(2);
 
-    // Corrupt one entry and truncate another.
+    // The cold run appended one record per cell to its pack. Damage two of
+    // them: one digit of each record's `metrics` line, so both still parse
+    // and only their checksums catch the damage.
     let cell_dir = cache
         .join("cells")
         .join(format!("{:016x}", plan.plan_hash()));
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&cell_dir)
-        .expect("cell entries written")
+    let packs: Vec<PathBuf> = std::fs::read_dir(&cell_dir)
+        .expect("cell packs written")
         .filter_map(Result::ok)
         .map(|e| e.path())
         .collect();
-    entries.sort();
-    assert_eq!(entries.len(), plan.cells().len());
-    std::fs::write(&entries[0], "garbage").unwrap();
-    let text = std::fs::read_to_string(&entries[1]).unwrap();
-    std::fs::write(&entries[1], &text[..text.len() / 2]).unwrap();
+    assert_eq!(packs.len(), 1, "{packs:?}");
+    let mut bytes = std::fs::read(&packs[0]).unwrap();
+    let records: Vec<usize> = bytes
+        .windows(8)
+        .enumerate()
+        .filter(|(_, window)| *window == b"\nrecord ")
+        .map(|(at, _)| at)
+        .collect();
+    assert_eq!(records.len(), plan.cells().len());
+    for &record in &records[..2] {
+        let digit = record
+            + bytes[record..]
+                .windows(9)
+                .position(|window| window == b"\nmetrics ")
+                .unwrap()
+            + 9;
+        bytes[digit] = if bytes[digit] == b'1' { b'2' } else { b'1' };
+    }
+    std::fs::write(&packs[0], bytes).unwrap();
 
     // The damaged cells recompute (invalidations, not crashes), the rest
     // hit, and the output is byte-identical.
