@@ -10,11 +10,12 @@
 //! the **compiled artifacts**:
 //!
 //! 1. a control-flow graph is reconstructed from each variant's decoded
-//!    instruction stream ([`cfg`]),
+//!    instruction stream ([`cfg`](mod@cfg)),
 //! 2. a worklist abstract interpretation runs over stack slots, locals and
 //!    globals with the small value lattice of [`lattice::AbsVal`]
 //!    (`Top / Const / UidClass / AddrClass / Tainted`), seeded from the
-//!    [`UidContext`] and the pair's [`VariantSpec`]s, and
+//!    [`UidContext`](nvariant_transform::UidContext) and the pair's
+//!    [`VariantSpec`]s, and
 //! 3. three properties are checked with precise diagnostics
 //!    ([`report::Finding`] carries the pc, the decoded instruction, the
 //!    enclosing function and the lattice state):

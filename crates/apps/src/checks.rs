@@ -7,7 +7,7 @@
 //! runs"; these entry points ask the [`BoundedChecker`] what it *could* do
 //! under every bounded interleaving of attacker moves and receive
 //! schedules. Both views run over the same compiled artifacts from the
-//! process-wide [`artifact_store`](crate::scenarios::artifact_store).
+//! process-wide [`artifact_store`].
 
 use crate::httpd::httpd_source;
 use crate::scenarios::artifact_store;

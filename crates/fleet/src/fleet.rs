@@ -5,7 +5,7 @@
 //! cache.
 //!
 //! The scheduler is written entirely against
-//! [`WorkerTransport`](crate::WorkerTransport), so the same supervision
+//! [`WorkerTransport`], so the same supervision
 //! loop drives local child processes and command-prefix (ssh-style)
 //! fleets. Elasticity comes from the shared cache, not from the scheduler:
 //! a host only ever executes cells nobody has computed yet, because fully

@@ -339,6 +339,101 @@ pub fn decode_all(code: &[u8]) -> Option<Vec<Instr>> {
         .collect()
 }
 
+/// A run of adjacent instructions the interpreter executes in one
+/// dispatch, all or nothing (see the `interp` module docs), marked on the
+/// slot of the predecoded stream that starts it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fused {
+    /// The slot starts no run.
+    Single,
+    /// `LoadL a; LoadL i; Add; LoadB`: push the byte at local `a` plus
+    /// local `i`, as `a[i]` compiles.
+    IndexByte,
+    /// `LoadL s; Push c; Add; StoreL d`: local `d` becomes local `s` plus
+    /// `c`, as `i = i + 1` compiles.
+    AddImmLocal,
+    /// `Push c; Ne; Jz t`: pop a word and jump to `t` if it equals `c`, as
+    /// the loop test `while (x != c)` compiles.
+    BranchIfImm,
+    /// `Ne; Jz t`: pop two words and jump to `t` if they are equal.
+    BranchIfEqual,
+}
+
+impl Fused {
+    /// Every run and its opcodes, longest first: where two runs start at
+    /// one slot, the longer one is marked.
+    const RUNS: [(Fused, &'static [Op]); 4] = [
+        (
+            Fused::IndexByte,
+            &[Op::LoadL, Op::LoadL, Op::Add, Op::LoadB],
+        ),
+        (
+            Fused::AddImmLocal,
+            &[Op::LoadL, Op::Push, Op::Add, Op::StoreL],
+        ),
+        (Fused::BranchIfImm, &[Op::Push, Op::Ne, Op::Jz]),
+        (Fused::BranchIfEqual, &[Op::Ne, Op::Jz]),
+    ];
+
+    /// The run whose instructions `instrs` starts with.
+    fn starting(instrs: &[Instr]) -> Fused {
+        Self::RUNS
+            .iter()
+            .find(|(_, ops)| {
+                ops.len() <= instrs.len() && ops.iter().zip(instrs).all(|(&op, i)| i.op == op)
+            })
+            .map_or(Fused::Single, |&(run, _)| run)
+    }
+
+    /// The number of source instructions the run executes.
+    pub(crate) fn instructions(self) -> u64 {
+        match self {
+            Fused::Single => 1,
+            Fused::BranchIfEqual => 2,
+            Fused::BranchIfImm => 3,
+            Fused::IndexByte | Fused::AddImmLocal => 4,
+        }
+    }
+}
+
+/// One slot of the interpreter's predecoded stream: the op and operand of
+/// the instruction there, and the fused run it starts. The tag stays in
+/// the image, where the interpreter reads it live, so one stream serves
+/// every retagged image. Eight bytes, the size of an [`Instr`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Slot {
+    pub(crate) op: Op,
+    pub(crate) fused: Fused,
+    pub(crate) operand: u32,
+}
+
+impl From<Instr> for Slot {
+    fn from(instr: Instr) -> Self {
+        Slot {
+            op: instr.op,
+            fused: Fused::Single,
+            operand: instr.operand,
+        }
+    }
+}
+
+/// Predecodes a code image into the interpreter's stream, marking every
+/// slot that starts a whole fused run. Every slot keeps its own op and
+/// operand, so a jump into the middle of a run executes the rest of it one
+/// instruction at a time. `None` when the image does not decode (see
+/// [`decode_all`]).
+pub(crate) fn predecode(code: &[u8]) -> Option<Vec<Slot>> {
+    let instrs = decode_all(code)?;
+    Some(
+        (0..instrs.len())
+            .map(|i| Slot {
+                fused: Fused::starting(&instrs[i..]),
+                ..Slot::from(instrs[i])
+            })
+            .collect(),
+    )
+}
+
 /// The tag every instruction slot of a code image carries, when they all
 /// carry one (`None` for an empty image).
 #[must_use]
@@ -458,6 +553,58 @@ mod tests {
         let failure = decode_slot_at(&bad, 0).unwrap_err();
         assert_eq!(failure.raw[1], 0xEE);
         assert_eq!(failure.pc, 0);
+    }
+
+    #[test]
+    fn predecode_marks_whole_runs_and_keeps_every_slot() {
+        use Op::{Add, Jz, LoadB, LoadL, Ne, Push, StoreL};
+        let instrs = [
+            Instr::new(LoadL, 4),
+            Instr::new(LoadL, 8),
+            Instr::simple(Add),
+            Instr::simple(LoadB),
+            Instr::new(Push, 0),
+            Instr::simple(Ne),
+            Instr::new(Jz, 60),
+            Instr::new(LoadL, 8),
+            Instr::new(Push, 1),
+            Instr::simple(Add),
+            Instr::new(StoreL, 8),
+            // Cut short by the end of the image: no run.
+            Instr::simple(Ne),
+        ];
+        let stream = predecode(&encode_all(&instrs)).unwrap();
+        let marks: Vec<Fused> = stream.iter().map(|slot| slot.fused).collect();
+        let single = Fused::Single;
+        assert_eq!(
+            marks,
+            [
+                Fused::IndexByte,
+                single,
+                single,
+                single,
+                Fused::BranchIfImm,
+                // The middle of one run starts a shorter one.
+                Fused::BranchIfEqual,
+                single,
+                Fused::AddImmLocal,
+                single,
+                single,
+                single,
+                single,
+            ]
+        );
+        for (slot, instr) in stream.iter().zip(&instrs) {
+            assert_eq!((slot.op, slot.operand), (instr.op, instr.operand));
+        }
+        for (run, ops) in Fused::RUNS {
+            assert_eq!(run.instructions(), ops.len() as u64, "{run:?}");
+        }
+        assert_eq!(std::mem::size_of::<Slot>(), std::mem::size_of::<Instr>());
+        assert_eq!(std::mem::size_of::<Slot>(), 8);
+        let mut bad = encode_all(&instrs);
+        bad[1] = 0xEE;
+        assert_eq!(predecode(&bad), None);
     }
 
     #[test]

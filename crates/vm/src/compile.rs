@@ -1,7 +1,9 @@
 //! The SimC compiler: AST to byte-encoded bytecode.
 
 use crate::ast::{BinOp, Expr, Function, LValue, Program, Stmt, Type, UnOp};
-use crate::bytecode::{decode_all, encode_all, retag_code, uniform_tag, Instr, Op, INSTR_SIZE};
+use crate::bytecode::{
+    self, encode_all, predecode, retag_code, uniform_tag, Instr, Op, INSTR_SIZE,
+};
 use crate::typecheck::{typecheck_program, TypeError, TypeInfo};
 use nvariant_simos::Sysno;
 use serde::{Deserialize, Serialize};
@@ -54,12 +56,15 @@ pub struct CompiledProgram {
     /// Encoded instructions (all stamped with tag 0), reference-counted so
     /// every process instantiated from this program shares one image.
     code: Arc<[u8]>,
-    /// The code image predecoded once at construction: instruction `i`
-    /// covers bytes `i * INSTR_SIZE ..`. `None` when the image does not
+    /// The code image predecoded once at construction: slot `i` covers
+    /// bytes `i * INSTR_SIZE ..`. Each 8-byte slot holds the instruction's
+    /// op, a one-byte mark naming the fused run the slot starts (or none)
+    /// and the 32-bit operand; the tag is not copied, since the interpreter
+    /// reads live tags from the image. `None` when the image does not
     /// decode cleanly (possible for a corrupted artifact-store entry whose
     /// hex still parses) — the interpreter then falls back to its
     /// byte-accurate fetch path.
-    stream: Option<Arc<[Instr]>>,
+    stream: Option<Arc<[bytecode::Slot]>>,
     /// The tag every instruction slot of `code` carries, when they all
     /// carry one (always 0 for compiler output; a loaded artifact may hold
     /// anything).
@@ -80,7 +85,8 @@ pub struct CompiledProgram {
 
 impl CompiledProgram {
     /// Assembles a compiled program from its parts, predecoding the code
-    /// image once so instruction fetch never re-decodes per step.
+    /// image once, fused runs marked, so instruction fetch never re-decodes
+    /// per step.
     #[must_use]
     pub fn new(
         code: Vec<u8>,
@@ -90,7 +96,7 @@ impl CompiledProgram {
         entry_offset: u32,
         type_info: TypeInfo,
     ) -> Self {
-        let stream = decode_all(&code).map(Arc::from);
+        let stream = predecode(&code).map(Arc::from);
         CompiledProgram {
             code_tag: uniform_tag(&code),
             code: Arc::from(code),
@@ -123,12 +129,12 @@ impl CompiledProgram {
         }
     }
 
-    /// The predecoded instruction stream, when the image decodes cleanly.
-    /// Tags are *not* authoritative here: the interpreter reads the live
-    /// tag byte from the (possibly retagged) code image, so one stream
-    /// serves every variant — retagging changes only byte 0 of each
-    /// instruction, never the opcode or operand.
-    pub(crate) fn stream(&self) -> Option<Arc<[Instr]>> {
+    /// The predecoded stream, when the image decodes cleanly. It holds no
+    /// tags: the interpreter reads the live tag byte from the (possibly
+    /// retagged) code image, so one stream serves every variant —
+    /// retagging changes only byte 0 of each instruction, never the opcode
+    /// or operand.
+    pub(crate) fn stream(&self) -> Option<Arc<[bytecode::Slot]>> {
         self.stream.clone()
     }
 

@@ -5,7 +5,9 @@
 //! the hook the N-variant monitor builds on, for a single process as for a
 //! group. [`Process::run_until_trap`] runs a slice of up to `max_steps`
 //! instructions; [`Process::step`] is a slice of one. Both are the same
-//! loop, which implements every opcode exactly once.
+//! loop, which implements every opcode, and every trap, exactly once; the
+//! fused runs below repeat only the paths on which their instructions
+//! complete.
 //!
 //! What the loop checks once instead of per instruction:
 //!
@@ -29,8 +31,34 @@
 //! A pc outside the predecoded stream (misaligned, beyond the image, in a
 //! data segment, or in an image that did not predecode) always takes the
 //! byte-accurate fetch.
+//!
+//! # Fused runs
+//!
+//! The predecoded stream marks each slot that starts one of four runs of
+//! adjacent instructions, the ones the SimC string routines spend their
+//! time in: the byte load `a[i]` (`LoadL; LoadL; Add; LoadB`), the
+//! increment `i = i + 1` (`LoadL; Push; Add; StoreL`), the loop test
+//! `x != c` (`Push; Ne; Jz`) and the two-word test (`Ne; Jz`). The loop
+//! executes a marked run in one dispatch, all or nothing. It tries the
+//! run only when the budget left covers every instruction in it and the
+//! image needs no per-slot tag check. The run then does every read first,
+//! through the accessors the single instructions use, checks that the
+//! operand stack holds what it pops, and writes only through one writable
+//! span. If a read would fault, the stack is too shallow or the store would
+//! take the byte-at-a-time path, it gives up having touched nothing, and
+//! the loop executes the run's first slot as an ordinary instruction. A
+//! completed run adds its length to `instructions_executed` and moves pc
+//! to its end or its jump target.
+//!
+//! So every trap, fault pc, budget boundary, operand stack and instruction
+//! count is the one single steps produce, and the opcode `match` stays the
+//! only implementation of every trap. [`Process::step`] never fuses, since
+//! its budget of one is shorter than any run: it is the reference the trap
+//! tests compare fused execution against. Every slot keeps its own op and
+//! operand, so a jump into the middle of a run executes the rest of it one
+//! instruction at a time.
 
-use crate::bytecode::{Instr, Op, INSTR_SIZE};
+use crate::bytecode::{Fused, Instr, Op, Slot, INSTR_SIZE};
 use crate::fault::Fault;
 use crate::process::{Process, ProcessState};
 use nvariant_simos::{SyscallRequest, Sysno};
@@ -93,7 +121,7 @@ impl Process {
         trap
     }
 
-    fn interpret(&mut self, stream: &[Instr], budget: u64) -> Option<TrapReason> {
+    fn interpret(&mut self, stream: &[Slot], budget: u64) -> Option<TrapReason> {
         macro_rules! try_fault {
             ($e:expr) => {
                 match $e {
@@ -116,22 +144,31 @@ impl Process {
         }
 
         let check_tags = self.image_tag != Some(self.expected_tag);
-        for _ in 0..budget {
+        let mut left = budget;
+        while left > 0 {
             // Fetch: an aligned pc inside the stream indexes it directly
             // (the stream spans exactly the image, see `with_image`).
             let off = self.pc.wrapping_sub(self.layout.code_base);
-            let instr = match stream.get((off / INSTR_SIZE) as usize) {
-                Some(&instr) if off.is_multiple_of(INSTR_SIZE) => {
+            let index = (off / INSTR_SIZE) as usize;
+            let instr = match stream.get(index) {
+                Some(&slot) if off.is_multiple_of(INSTR_SIZE) => {
                     if check_tags {
                         let found = self.code[off as usize];
                         if found != self.expected_tag {
                             return Some(self.fault(self.tag_mismatch(found)));
                         }
+                    } else if slot.fused != Fused::Single
+                        && left >= slot.fused.instructions()
+                        && self.run_fused(slot.fused, &stream[index..])
+                    {
+                        left -= slot.fused.instructions();
+                        continue;
                     }
-                    instr
+                    slot
                 }
-                _ => try_fault!(self.fetch_bytes()),
+                _ => Slot::from(try_fault!(self.fetch_bytes())),
             };
+            left -= 1;
             self.pc = self.pc.wrapping_add(INSTR_SIZE);
             self.instructions_executed += 1;
 
@@ -307,6 +344,67 @@ impl Process {
         None
     }
 
+    /// Executes the fused run `kind` that starts at `run[0]` as one step
+    /// and returns true, or returns false having touched nothing. It reads
+    /// everything first, through the accessors the single instructions
+    /// use, and gives up if a read would fault, the operand stack is too
+    /// shallow for the run, or its store would take the byte-at-a-time
+    /// path. The caller then executes `run[0]` alone, so every trap comes
+    /// from the single-instruction code.
+    #[inline]
+    fn run_fused(&mut self, kind: Fused, run: &[Slot]) -> bool {
+        let fp = self.fp;
+        let local = |slot: Slot| VirtAddr::new(fp.wrapping_sub(slot.operand));
+        let jump = match kind {
+            Fused::Single => return false,
+            Fused::IndexByte => {
+                let Ok(base) = self.read_word(local(run[0])) else {
+                    return false;
+                };
+                let Ok(index) = self.read_word(local(run[1])) else {
+                    return false;
+                };
+                let addr = base.as_u32().wrapping_add(index.as_u32());
+                let Ok(byte) = self.read_byte(VirtAddr::new(addr)) else {
+                    return false;
+                };
+                self.ostack.push(Word::from_u32(u32::from(byte)));
+                None
+            }
+            Fused::AddImmLocal => {
+                let Ok(value) = self.read_word(local(run[0])) else {
+                    return false;
+                };
+                let sum = Word::from_u32(value.as_u32().wrapping_add(run[1].operand));
+                let Some(span) = self.write_span(local(run[3]), 4) else {
+                    return false;
+                };
+                span.copy_from_slice(&sum.to_le_bytes());
+                None
+            }
+            Fused::BranchIfImm => {
+                let Some(value) = self.ostack.pop() else {
+                    return false;
+                };
+                (value == Word::from_u32(run[0].operand)).then_some(run[2].operand)
+            }
+            Fused::BranchIfEqual => {
+                let &[.., lhs, rhs] = self.ostack.as_slice() else {
+                    return false;
+                };
+                self.ostack.truncate(self.ostack.len() - 2);
+                (lhs == rhs).then_some(run[1].operand)
+            }
+        };
+        let count = kind.instructions();
+        self.instructions_executed += count;
+        self.pc = match jump {
+            Some(target) => self.layout.code_base.wrapping_add(target),
+            None => self.pc.wrapping_add(count as u32 * INSTR_SIZE),
+        };
+        true
+    }
+
     fn fault(&mut self, fault: Fault) -> TrapReason {
         self.state = ProcessState::Faulted(fault);
         TrapReason::Faulted(fault)
@@ -367,7 +465,7 @@ impl Process {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_program;
+    use crate::compile::{compile_program, CompiledProgram};
     use crate::parser::parse_program;
     use crate::process::MemoryLayout;
 
@@ -646,6 +744,147 @@ mod tests {
         let _ = p.run_until_trap(10_000);
         assert!(p.instructions_executed() > 3);
         assert_eq!(p.syscalls_made(), 1);
+    }
+
+    /// The C string routines of the standard library, on fixed strings and
+    /// an empty one: the code whose loops the interpreter fuses.
+    const STRING_ROUTINES: &str = r#"
+        var dst: buf[64];
+        var copy: buf[32];
+        fn main() -> int {
+            var total: int = strlen("GET /index.html HTTP/1.0") + strlen("");
+            total = total + strcmp("alpha", "alpha") + strcmp("alpha", "alpine");
+            total = total + strcmp("", "x");
+            total = total + strncmp("content-length", "content-type", 8);
+            total = total + strncmp("abc", "abd", 3);
+            strcpy(&dst, "/cgi-bin/");
+            strcat(&dst, "status");
+            strcat(&dst, "");
+            total = total + strlen(&dst);
+            memcpy(&copy, &dst, 16);
+            total = total + strcmp(&copy, &dst);
+            return total + atoi("-1234") + atoi("987") + atoi("");
+        }
+    "#;
+
+    /// Scans that run off the last byte of the globals: `tail` is the only
+    /// global and no string literal follows it.
+    const RUNAWAY_SCANS: [&str; 2] = [
+        r"
+        var tail: buf[8];
+        fn main() -> int {
+            var i: int = 0;
+            while (i < 8) { tail[i] = 'x'; i = i + 1; }
+            return strlen(&tail);
+        }
+        ",
+        r"
+        var tail: buf[8];
+        fn main() -> int {
+            var local: buf[32];
+            memset(&tail, 'y', 8);
+            return strcpy(&local, &tail);
+        }
+        ",
+    ];
+
+    fn stdlib_process(src: &str) -> (CompiledProgram, Process) {
+        let compiled = compile_program(&crate::parse_with_stdlib(src).unwrap()).unwrap();
+        let process = Process::new(&compiled, MemoryLayout::default());
+        (compiled, process)
+    }
+
+    /// What a slice leaves behind: the trap and the process' registers,
+    /// instruction count and state digest.
+    fn observe(p: &Process, trap: Option<&TrapReason>) -> String {
+        let mut digest = nvariant_types::Fnv1a::new();
+        p.digest_into(&mut digest);
+        format!(
+            "{trap:?} pc={:x} sp={:x} fp={:x} n={} d={:x}",
+            p.pc,
+            p.sp,
+            p.fp,
+            p.instructions_executed,
+            digest.finish()
+        )
+    }
+
+    /// Runs `process` in slices of `budget` instructions until it traps
+    /// for good, checking every slice against the same slice executed
+    /// one `step()` at a time — which never fuses, its budget being
+    /// shorter than any run. Returns the final trap.
+    fn slices_match_steps(mut process: Process, budget: u64) -> TrapReason {
+        loop {
+            let mut stepped = process.clone();
+            let trap = process.run_steps(budget);
+            let stepped_trap = (0..budget).find_map(|_| stepped.step());
+            assert_eq!(
+                observe(&process, trap.as_ref()),
+                observe(&stepped, stepped_trap.as_ref()),
+                "budget {budget}"
+            );
+            if let Some(trap) = trap {
+                return trap;
+            }
+        }
+    }
+
+    #[test]
+    fn fused_string_routines_match_single_steps_at_every_budget() {
+        let full = 1_000_000;
+        let (_, process) = stdlib_process(STRING_ROUTINES);
+        for budget in (1..=16).chain([full]) {
+            match slices_match_steps(process.clone(), budget) {
+                TrapReason::Syscall(req) if req.sysno == Sysno::Exit => {
+                    assert_eq!(req.arg(0).as_i32(), -330);
+                }
+                other => panic!("expected exit, got {other:?}"),
+            }
+        }
+        for src in RUNAWAY_SCANS {
+            let (compiled, process) = stdlib_process(src);
+            let end = process.layout().globals_base + compiled.globals_image.len() as u32;
+            for budget in (1..=16).chain([full]) {
+                assert_eq!(
+                    slices_match_steps(process.clone(), budget),
+                    TrapReason::Faulted(Fault::Segfault {
+                        addr: VirtAddr::new(end)
+                    })
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stdlib_string_loops_are_marked_fused() {
+        use Fused::{AddImmLocal, BranchIfEqual, BranchIfImm, IndexByte};
+        let (compiled, _) = stdlib_process(STRING_ROUTINES);
+        let stream = compiled.stream().unwrap();
+        let marks = |function: &str| -> Vec<Fused> {
+            let start = compiled.functions[function];
+            let end = compiled
+                .functions
+                .values()
+                .copied()
+                .filter(|&offset| offset > start)
+                .min()
+                .unwrap_or(compiled.code().len() as u32);
+            stream[(start / INSTR_SIZE) as usize..(end / INSTR_SIZE) as usize]
+                .iter()
+                .map(|slot| slot.fused)
+                .filter(|&fused| fused != Fused::Single)
+                .collect()
+        };
+        // `while (s[n] != 0) { n = n + 1; }`: the byte load, the test (whose
+        // `Ne; Jz` tail is a run of its own) and the increment.
+        assert_eq!(
+            marks("strlen"),
+            [IndexByte, BranchIfImm, BranchIfEqual, AddImmLocal]
+        );
+        let strcmp = marks("strcmp");
+        for run in [IndexByte, BranchIfImm, BranchIfEqual, AddImmLocal] {
+            assert!(strcmp.contains(&run), "strcmp lost {run:?}: {strcmp:?}");
+        }
     }
 
     #[test]

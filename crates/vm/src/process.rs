@@ -38,7 +38,7 @@
 //! with equal bytes digest equally however deep each one reached.
 
 use crate::ast::Type;
-use crate::bytecode::{Instr, INSTR_SIZE};
+use crate::bytecode::{Slot, INSTR_SIZE};
 use crate::compile::CompiledProgram;
 use crate::fault::Fault;
 use nvariant_types::{VirtAddr, Word};
@@ -148,12 +148,12 @@ pub struct Process {
     /// and every sibling process at the same tag — code is write-protected,
     /// so one reference-counted image serves them all.
     pub(crate) code: Arc<[u8]>,
-    /// Predecoded view of `code`: instruction `i` covers bytes
+    /// Predecoded view of `code`, fused runs marked: slot `i` covers bytes
     /// `i * INSTR_SIZE ..`. Opcode and operand are tag-independent, so the
-    /// tag-0 stream serves every retagged image. `None` (an image that did
-    /// not predecode, or one whose length is not the stream's) falls back
-    /// to byte decoding.
-    pub(crate) instrs: Option<Arc<[Instr]>>,
+    /// program's one stream serves every retagged image. `None` (an image
+    /// that did not predecode, or one whose length is not the stream's)
+    /// falls back to byte decoding.
+    pub(crate) instrs: Option<Arc<[Slot]>>,
     /// The tag every instruction slot of `code` carries, when they all
     /// carry one. The code segment is write-protected, so this never goes
     /// stale: the fetch stage reads live tag bytes only when it differs
@@ -557,7 +557,7 @@ impl Process {
     /// *writable* segment; `None` sends the caller to the byte-at-a-time
     /// path, which reports [`Fault::WriteProtection`] / [`Fault::Segfault`]
     /// byte-accurately.
-    fn write_span(&mut self, addr: VirtAddr, len: usize) -> Option<&mut [u8]> {
+    pub(crate) fn write_span(&mut self, addr: VirtAddr, len: usize) -> Option<&mut [u8]> {
         let (segment, off) = self.segment_for(addr.as_u32())?;
         let bytes = match segment {
             Segment::Code => return None,

@@ -3,7 +3,7 @@
 # in alternating pairs on this machine. A figure recorded on another
 # machine is never a baseline.
 #
-#   scripts/bench_gate.sh BASE
+#   scripts/bench_gate.sh BASE [SEED]
 #
 # BASE is a commit, such as the base of a pull request. The script checks it
 # out into a temporary git worktree and gives that tree HEAD's perfbench/
@@ -12,6 +12,10 @@
 # pairs of every workload BENCHMARK.json declares, each run for the file's
 # run_seconds, alternating which side goes first. For every end-to-end
 # metric it prints each side's median and quartiles and HEAD's change.
+#
+# SEED, a non-negative integer, is passed as --seed to every run on both
+# sides, and the header line names it: a claimed gain should hold on a
+# second seed too. Without it every run uses perfbench's default seed.
 #
 # Exit status 1 means one of:
 #   - a run on either side exited non-zero or reported "correct": false, so
@@ -26,9 +30,20 @@ set -euo pipefail
 
 readonly PAIRS=10
 
-if [ "$#" -ne 1 ]; then
-    echo "usage: scripts/bench_gate.sh BASE" >&2
+usage() {
+    echo "usage: scripts/bench_gate.sh BASE [SEED]" >&2
     exit 2
+}
+if [ "$#" -lt 1 ] || [ "$#" -gt 2 ]; then
+    usage
+fi
+seed=${2-}
+seed_args=()
+if [ "$#" -eq 2 ]; then
+    if ! [[ "$seed" =~ ^[0-9]+$ ]]; then
+        usage
+    fi
+    seed_args=(--seed "$seed")
 fi
 root=$(git rev-parse --show-toplevel)
 if ! base=$(git -C "$root" rev-parse --verify --quiet "$1^{commit}"); then
@@ -64,7 +79,8 @@ done
 mkdir "$work/runs"
 run() {
     local out="$work/runs/$3.$1.$4"
-    if ! (cd "$2" && perfbench/target/release/perfbench --workload "$3" --seconds "$seconds") \
+    if ! (cd "$2" && perfbench/target/release/perfbench --workload "$3" --seconds "$seconds" \
+        ${seed_args[@]+"${seed_args[@]}"}) \
         >"$out.log" 2>&1; then
         tail -n 20 "$out.log" >&2
         echo "bench_gate: FAIL: $3 pair $4 on $1 exited non-zero" >&2
@@ -91,12 +107,13 @@ for workload in $workloads; do
     done
 done
 
-python3 - "$spec" "$work/runs" "$PAIRS" "$base" <<'EOF'
+python3 - "$spec" "$work/runs" "$PAIRS" "$base" "$seed" <<'EOF'
 import json
 import sys
 from pathlib import Path
 
 spec, runs, pairs, base = json.load(open(sys.argv[1])), Path(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+seed = sys.argv[5]
 
 
 def quartiles(values):
@@ -113,7 +130,8 @@ def quartiles(values):
 
 
 failed = False
-print(f"bench_gate: HEAD against BASE {base[:12]}, {pairs} alternating pairs of {spec['run_seconds']} s runs")
+seed_text = f", seed {seed}" if seed else ""
+print(f"bench_gate: HEAD against BASE {base[:12]}, {pairs} alternating pairs of {spec['run_seconds']} s runs{seed_text}")
 for workload in [w["name"] for w in spec["workloads"]]:
     reports = {}
     for side in ("base", "head"):

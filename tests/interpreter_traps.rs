@@ -12,6 +12,18 @@
 //! each of its first two traps under the full budget — resumed past a
 //! system call, or already exited or faulted.
 //!
+//! Random images almost never hold one of the instruction runs the
+//! interpreter fuses into one dispatch, so twelve more images, drawn from
+//! their own generator stream, plant them: one run at the entry, behind 0
+//! to 4 feeding slots, and more throughout the image, with edge operands,
+//! an operand stack that is empty or one word short, branch targets in
+//! the middle of runs, and budgets 0 to 7 that end a slice at every offset
+//! inside the entry's run. The test asserts the planted runs are met in
+//! every way that matters: each instruction of a run that can fault is
+//! seen faulting, and a slice is seen ending, and a branch landing, at
+//! every offset inside every run. Since `step()` never fuses, the
+//! step-by-step check compares every fused probe with unfused execution.
+//!
 //! Each probe is one line of the committed golden fixture
 //! `tests/fixtures/interpreter_traps_golden.txt`: the trap, pc, sp, fp,
 //! `instructions_executed`, `syscalls_made` and the `digest_into` value.
@@ -39,6 +51,33 @@ const BUDGETS: [u64; 4] = [0, 1, 7, FULL];
 const FULL: u64 = 10_000;
 const STATES: usize = 3;
 const SLOT: usize = INSTR_SIZE as usize;
+/// The images after the random ones plant the interpreter's fused runs.
+const RUN_SEED: u64 = 24;
+const RUN_IMAGES: u64 = 12;
+/// Every budget up to 7 ends a slice at each offset inside the run planted
+/// at a run image's entry, behind its feeding slots.
+const RUN_BUDGETS: [u64; 9] = [0, 1, 2, 3, 4, 5, 6, 7, FULL];
+
+/// The instruction runs the interpreter executes in one dispatch, by name.
+const RUNS: [(&str, &[Op]); 4] = [
+    ("index_byte", &[Op::LoadL, Op::LoadL, Op::Add, Op::LoadB]),
+    ("branch_if_imm", &[Op::Push, Op::Ne, Op::Jz]),
+    ("add_imm_local", &[Op::LoadL, Op::Push, Op::Add, Op::StoreL]),
+    ("branch_if_equal", &[Op::Ne, Op::Jz]),
+];
+
+/// Each instruction of a run that can fault there, with its fault. A run's
+/// `Push`, `Add` and `Jz` cannot: their operands are the run's own.
+const RUN_FAULTS: [(&str, u32, &str); 8] = [
+    ("index_byte", 0, "Segfault"),
+    ("index_byte", 1, "Segfault"),
+    ("index_byte", 3, "Segfault"),
+    ("branch_if_imm", 1, "OperandStackUnderflow"),
+    ("add_imm_local", 0, "Segfault"),
+    ("add_imm_local", 3, "Segfault"),
+    ("add_imm_local", 3, "WriteProtection"),
+    ("branch_if_equal", 0, "OperandStackUnderflow"),
+];
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -83,6 +122,8 @@ struct Image {
     compiled: CompiledProgram,
     /// Slot indices whose tag byte the mixed-tag image restamps.
     mixed_slots: Vec<usize>,
+    /// The planted fused runs: head slot and index into [`RUNS`].
+    runs: Vec<(u32, usize)>,
 }
 
 /// Operands aimed at the edges of every segment under every layout.
@@ -356,6 +397,168 @@ impl Edges {
             out.push(Instr::new(Op::Call, self.code_target(rng)));
         }
     }
+
+    /// A frame operand for a fused run's locals: a local of the current
+    /// frame when `tame`, and usually otherwise; else a
+    /// [`Edges::run_edges`] operand, one across the stack top or a wild one.
+    fn run_local(&self, tame: bool, rng: &mut Rng) -> u32 {
+        if tame || rng.below(8) != 0 {
+            return 4 + 4 * rng.below(15);
+        }
+        let wild = rng.next() as u32;
+        let edges = self.run_edges();
+        rng.pick(&[edges[0], edges[1], 2, edges[2], edges[3], wild])
+    }
+
+    /// Frame operands that, from the top-level frame, lie above the stack
+    /// top, below the stack base, across the end of the globals and on the
+    /// code base.
+    fn run_edges(&self) -> [u32; 4] {
+        let base = MemoryLayout::default();
+        let to_globals_end = base.stack_top - base.globals_base - self.globals_len;
+        [
+            0u32.wrapping_sub(4),
+            base.stack_size + 4,
+            to_globals_end + 2,
+            base.stack_top - base.code_base,
+        ]
+    }
+
+    /// Usually an address inside the globals, otherwise any address.
+    fn byte_address(&self, rng: &mut Rng) -> Instr {
+        if rng.below(8) == 0 {
+            self.address_of(rng)
+        } else {
+            Instr::new(Op::LeaG, rng.below(self.globals_len - 4))
+        }
+    }
+
+    /// Plants the fused run `RUNS[kind]` behind a `Jmp` to its slot at
+    /// `offset`, preceded by the words the run's remainder pops there: an
+    /// address for `LoadB`, and what `Add` and `Ne` combine.
+    fn run_from_middle(
+        &self,
+        kind: usize,
+        offset: u32,
+        tame: bool,
+        rng: &mut Rng,
+        out: &mut Vec<Instr>,
+        runs: &mut Vec<(u32, usize)>,
+    ) {
+        match (kind, offset) {
+            (0, 2) => {
+                out.push(self.byte_address(rng));
+                out.push(Instr::new(Op::Push, rng.below(4)));
+            }
+            (0, _) => out.push(self.byte_address(rng)),
+            (1, 1) | (2, 2) => {
+                out.push(self.value(rng));
+                out.push(self.value(rng));
+            }
+            _ => out.push(self.value(rng)),
+        }
+        out.push(Instr::new(Op::Jmp, 0));
+        let jump = out.len() - 1;
+        self.run(kind, 2, tame, rng, out, runs);
+        out[jump].operand = (runs[runs.len() - 1].0 + offset) * INSTR_SIZE;
+    }
+
+    /// A run's branch target: the slot after the run, at `next`, when
+    /// `tame`, and usually otherwise, so execution goes on there whether
+    /// the branch is taken or not.
+    fn run_target(&self, tame: bool, rng: &mut Rng, next: usize) -> u32 {
+        if !tame && rng.below(3) == 0 {
+            self.code_target(rng)
+        } else {
+            next as u32 * INSTR_SIZE
+        }
+    }
+
+    /// Plants the fused run `RUNS[kind]`, recording its head in `runs`.
+    /// With `feed`, the slots before it store the locals it reads, or
+    /// push `feed` words (at most one for `branch_if_imm`) for its `Ne`.
+    /// A `tame` run reads and writes only locals of the current frame and
+    /// branches to the slot after it.
+    fn run(
+        &self,
+        kind: usize,
+        feed: u32,
+        tame: bool,
+        rng: &mut Rng,
+        out: &mut Vec<Instr>,
+        runs: &mut Vec<(u32, usize)>,
+    ) {
+        let run = match kind {
+            0 => {
+                let base = self.run_local(tame, rng);
+                let index = match self.run_local(tame, rng) {
+                    index if index == base => base.wrapping_add(4),
+                    index => index,
+                };
+                if feed > 0 {
+                    out.push(self.byte_address(rng));
+                    out.push(Instr::new(Op::StoreL, base));
+                    out.push(Instr::new(Op::Push, rng.below(4)));
+                    out.push(Instr::new(Op::StoreL, index));
+                }
+                [
+                    Instr::new(Op::LoadL, base),
+                    Instr::new(Op::LoadL, index),
+                    Instr::simple(Op::Add),
+                    Instr::simple(Op::LoadB),
+                ]
+                .to_vec()
+            }
+            1 => {
+                let imm = self.value(rng).operand;
+                if feed > 0 {
+                    let word = if rng.below(2) == 0 {
+                        imm
+                    } else {
+                        self.value(rng).operand
+                    };
+                    out.push(Instr::new(Op::Push, word));
+                }
+                [
+                    Instr::new(Op::Push, imm),
+                    Instr::simple(Op::Ne),
+                    Instr::new(Op::Jz, self.run_target(tame, rng, out.len() + 3)),
+                ]
+                .to_vec()
+            }
+            2 => {
+                let (src, dst) = (self.run_local(tame, rng), self.run_local(tame, rng));
+                if feed > 0 {
+                    out.push(self.value(rng));
+                    out.push(Instr::new(Op::StoreL, src));
+                }
+                let imm = if rng.below(4) == 0 {
+                    rng.next() as u32
+                } else {
+                    rng.below(4)
+                };
+                [
+                    Instr::new(Op::LoadL, src),
+                    Instr::new(Op::Push, imm),
+                    Instr::simple(Op::Add),
+                    Instr::new(Op::StoreL, dst),
+                ]
+                .to_vec()
+            }
+            _ => {
+                for _ in 0..feed {
+                    out.push(self.value(rng));
+                }
+                [
+                    Instr::simple(Op::Ne),
+                    Instr::new(Op::Jz, self.run_target(tame, rng, out.len() + 2)),
+                ]
+                .to_vec()
+            }
+        };
+        runs.push((out.len() as u32, kind));
+        out.extend(run);
+    }
 }
 
 /// Image 0: a well-formed tour that executes every opcode once under the
@@ -457,17 +660,13 @@ fn tour_image() -> Image {
         })
         .collect();
     let slots = instrs.len();
-    Image {
-        compiled: CompiledProgram::new(
-            encode_all(&instrs),
-            vec![0; 16],
-            BTreeMap::new(),
-            BTreeMap::new(),
-            0,
-            TypeInfo::default(),
-        ),
-        mixed_slots: vec![slots / 2],
-    }
+    image(
+        encode_all(&instrs),
+        vec![0; 16],
+        0,
+        vec![slots / 2],
+        Vec::new(),
+    )
 }
 
 fn random_image(index: u64) -> Image {
@@ -493,13 +692,123 @@ fn random_image(index: u64) -> Image {
         code[slot * SLOT + 1] = 0xEE;
     }
 
-    let mut globals = vec![0u8; globals_len as usize];
+    let (globals, mixed_slots) = globals_and_mixed(&edges, &mut rng);
+    let entry = if rng.below(4) == 0 {
+        rng.below(slots) * INSTR_SIZE
+    } else {
+        0
+    };
+    image(code, globals, entry, mixed_slots, Vec::new())
+}
+
+/// The ways into a fused run's middle: (index into [`RUNS`], offset).
+const MIDDLES: [(usize, u32); 9] = [
+    (0, 1),
+    (0, 2),
+    (0, 3),
+    (1, 1),
+    (1, 2),
+    (2, 1),
+    (2, 2),
+    (2, 3),
+    (3, 1),
+];
+
+/// Run image `index`: a fused run at the entry, then a body of fused runs,
+/// system calls (whose results later probe states resume past) and random
+/// snippets. The entry run is bare in images 0 to 3, where `Ne` meets an
+/// empty operand stack, and in image 9, where `LoadB` reads address 0; a
+/// single word feeds `branch_if_equal` (which underflows on its second
+/// pop) in image 7. Images 0, 2, 6, 8 and 10 plant an edge operand that
+/// makes `LoadL` or `StoreL` fault inside the entry run; in image 10 the
+/// store writes three bytes before it faults, over the word the run's
+/// load read, so a run that wrote before giving up would load something
+/// else when the loop executes it again. Images 4, 5 and 11 feed it fully
+/// and run on into the body, which starts with a `Jmp` into each of
+/// [`MIDDLES`], fed so the run's remainder completes. In the rest of the
+/// body every second run is entered by a `Jmp` into its middle, and a
+/// third of its runs' `Jz` targets move into the middle of a later run.
+fn run_image(index: u64) -> Image {
+    let mut rng = Rng(RUN_SEED ^ index.wrapping_mul(0xA24B_AED4_963E_E407));
+    let slots = 96 + rng.below(32);
+    let globals_len = 16 + 4 * rng.below(12) + rng.below(4);
+    let edges = Edges {
+        slots,
+        globals_len,
+        plant: rng.below(globals_len - 2 * INSTR_SIZE),
+    };
+
+    let [above_top, below_base, across_globals_end, on_code] = edges.run_edges();
+    let (kind, feed, planted): (usize, u32, &[(usize, u32)]) = match index {
+        0 => (0, 0, &[(0, above_top)]),
+        2 => (2, 0, &[(3, on_code)]),
+        6 => (2, 0, &[(0, below_base)]),
+        7 => (3, 1, &[]),
+        8 => (0, 0, &[(1, below_base)]),
+        9 => (0, 0, &[(0, 4), (1, 8)]),
+        10 => (
+            2,
+            2,
+            &[(0, across_globals_end + 2), (3, across_globals_end + 1)],
+        ),
+        _ => (index as usize % 4, if index < 4 { 0 } else { 2 }, &[]),
+    };
+    let mut instrs = Vec::new();
+    let mut runs = Vec::new();
+    edges.run(kind, feed, true, &mut rng, &mut instrs, &mut runs);
+    for &(slot, operand) in planted {
+        instrs[runs[0].0 as usize + slot].operand = operand;
+    }
+    // Words for the remainders of runs entered in the middle to pop.
+    for _ in 0..4 {
+        instrs.push(edges.value(&mut rng));
+    }
+    for (kind, offset) in MIDDLES {
+        edges.run_from_middle(kind, offset, true, &mut rng, &mut instrs, &mut runs);
+    }
+    while instrs.len() < slots as usize {
+        match rng.below(8) {
+            0 => edges.snippet(&mut rng, &mut instrs),
+            1 => instrs.push(Instr::new(Op::Syscall, Sysno::Time.as_u32() << 8)),
+            k if k % 2 == 0 => {
+                let kind = rng.below(4) as usize;
+                let offset = 1 + rng.below(RUNS[kind].1.len() as u32 - 1);
+                edges.run_from_middle(kind, offset, false, &mut rng, &mut instrs, &mut runs);
+            }
+            _ => {
+                let kind = rng.below(4) as usize;
+                edges.run(kind, 2, false, &mut rng, &mut instrs, &mut runs);
+            }
+        }
+    }
+    instrs.truncate(slots as usize);
+    runs.retain(|&(head, kind)| head as usize + RUNS[kind].1.len() <= instrs.len());
+    // The entry run and the tame ones after it keep their targets.
+    for i in 1 + MIDDLES.len()..runs.len() {
+        let (head, kind) = runs[i];
+        let ops = RUNS[kind].1;
+        let later = runs.len() - i - 1;
+        if ops.last() == Some(&Op::Jz) && later > 0 && rng.below(3) == 0 {
+            let (to, to_kind) = runs[i + 1 + rng.below(later as u32) as usize];
+            let offset = 1 + rng.below(RUNS[to_kind].1.len() as u32 - 1);
+            instrs[(head as usize) + ops.len() - 1].operand = (to + offset) * INSTR_SIZE;
+        }
+    }
+
+    let (globals, mixed_slots) = globals_and_mixed(&edges, &mut rng);
+    image(encode_all(&instrs), globals, 0, mixed_slots, runs)
+}
+
+/// The globals of a random image with two snippets planted at
+/// `edges.plant`, and the slots its mixed-tag image restamps.
+fn globals_and_mixed(edges: &Edges, rng: &mut Rng) -> (Vec<u8>, Vec<usize>) {
+    let mut globals = vec![0u8; edges.globals_len as usize];
     for byte in &mut globals {
         *byte = rng.below(256) as u8;
     }
     let mut planted = Vec::new();
     while planted.len() < 2 {
-        edges.snippet(&mut rng, &mut planted);
+        edges.snippet(rng, &mut planted);
     }
     for (k, instr) in planted.iter().take(2).enumerate() {
         let tag = rng.below(3) as u8;
@@ -507,15 +816,21 @@ fn random_image(index: u64) -> Image {
         globals[at..at + SLOT].copy_from_slice(&instr.with_tag(tag).encode());
     }
 
+    let slots = edges.slots;
     let mut mixed_slots: Vec<usize> = (0..slots as usize).filter(|_| rng.below(4) == 0).collect();
     if mixed_slots.is_empty() {
         mixed_slots.push(rng.below(slots) as usize);
     }
-    let entry = if rng.below(4) == 0 {
-        rng.below(slots) * INSTR_SIZE
-    } else {
-        0
-    };
+    (globals, mixed_slots)
+}
+
+fn image(
+    code: Vec<u8>,
+    globals: Vec<u8>,
+    entry: u32,
+    mixed_slots: Vec<usize>,
+    runs: Vec<(u32, usize)>,
+) -> Image {
     Image {
         compiled: CompiledProgram::new(
             code,
@@ -526,6 +841,7 @@ fn random_image(index: u64) -> Image {
             TypeInfo::default(),
         ),
         mixed_slots,
+        runs,
     }
 }
 
@@ -585,16 +901,79 @@ fn next_op(process: &Process) -> Option<Op> {
     Instr::decode(&bytes).map(|instr| instr.op)
 }
 
+/// What the single-step reference saw: every opcode it executed, and each
+/// way it met a planted fused run, as (run name, offset in the run, event):
+/// the fault an instruction there raised, a `budget` that ran out before
+/// it, or a `branch` that landed on it.
+#[derive(Default)]
+struct Seen {
+    ops: BTreeSet<u8>,
+    runs: BTreeSet<(&'static str, u32, String)>,
+}
+
+impl Seen {
+    fn note(&mut self, runs: &[(u32, usize)], process: &Process, pc: u32, event: &str) {
+        let off = pc.wrapping_sub(process.layout().code_base);
+        if !off.is_multiple_of(INSTR_SIZE) {
+            return;
+        }
+        let slot = off / INSTR_SIZE;
+        for &(head, kind) in runs {
+            let (name, ops) = RUNS[kind];
+            if (head..head + ops.len() as u32).contains(&slot) {
+                self.runs.insert((name, slot - head, event.to_string()));
+            }
+        }
+    }
+
+    /// The ways some planted run was never met, of those every run of
+    /// [`RUNS`] must be.
+    fn missed_runs(&self) -> Vec<(&'static str, u32, String)> {
+        let mut want: Vec<_> = RUN_FAULTS
+            .iter()
+            .map(|&(name, offset, fault)| (name, offset, fault.to_string()))
+            .collect();
+        for (name, ops) in RUNS {
+            for offset in 1..ops.len() as u32 {
+                want.push((name, offset, "budget".to_string()));
+                want.push((name, offset, "branch".to_string()));
+            }
+        }
+        want.retain(|way| !self.runs.contains(way));
+        want
+    }
+}
+
 /// Runs `budget` single steps, stopping at the first trap; an exhausted
 /// budget faults exactly as `run_until_trap` does.
-fn step_slice(process: &mut Process, budget: u64, executed: &mut BTreeSet<u8>) -> TrapReason {
+fn step_slice(
+    process: &mut Process,
+    budget: u64,
+    runs: &[(u32, usize)],
+    seen: &mut Seen,
+) -> TrapReason {
     for _ in 0..budget {
+        let pc = process.pc().as_u32();
+        let running = process.state() == ProcessState::Running;
         if let Some(op) = next_op(process) {
-            executed.insert(op.as_u8());
+            seen.ops.insert(op.as_u8());
         }
-        if let Some(trap) = process.step() {
-            return trap;
+        let Some(trap) = process.step() else {
+            let to = process.pc().as_u32();
+            if to != pc.wrapping_add(INSTR_SIZE) {
+                seen.note(runs, process, to, "branch");
+            }
+            continue;
+        };
+        if let (true, TrapReason::Faulted(fault)) = (running, &trap) {
+            let name = format!("{fault:?}");
+            let name = name.split(|c: char| !c.is_alphanumeric()).next();
+            seen.note(runs, process, pc, name.unwrap_or_default());
         }
+        return trap;
+    }
+    if process.state() == ProcessState::Running {
+        seen.note(runs, process, process.pc().as_u32(), "budget");
     }
     process.set_faulted(Fault::StepLimitExceeded);
     TrapReason::Faulted(Fault::StepLimitExceeded)
@@ -612,25 +991,29 @@ fn resume(process: &mut Process, trap: &TrapReason, state: usize) {
     }
 }
 
-fn golden_text(executed: &mut BTreeSet<u8>) -> String {
-    let mut text = String::new();
-    for index in 0..IMAGES {
+fn golden_text(seen: &mut Seen) -> String {
+    let random = (0..IMAGES).map(|index| {
         let image = if index == 0 {
             tour_image()
         } else {
             random_image(index)
         };
+        (index, image, &BUDGETS[..])
+    });
+    let runs = (0..RUN_IMAGES).map(|k| (IMAGES + k, run_image(k), &RUN_BUDGETS[..]));
+    let mut text = String::new();
+    for (index, image, budgets) in random.chain(runs) {
         for (l, layout) in layouts().into_iter().enumerate() {
             for (label, tag, code) in tag_cases(&image) {
                 let mut process =
                     Process::with_image(&image.compiled, layout, tag, Arc::clone(&code));
                 for state in 0..STATES {
-                    for budget in BUDGETS {
+                    for &budget in budgets {
                         let mut run = process.clone();
                         let trap = run.run_until_trap(budget);
                         let line = snapshot(&run, &trap);
                         let mut stepped = process.clone();
-                        let stepped_trap = step_slice(&mut stepped, budget, executed);
+                        let stepped_trap = step_slice(&mut stepped, budget, &image.runs, seen);
                         assert_eq!(
                             snapshot(&stepped, &stepped_trap),
                             line,
@@ -650,14 +1033,19 @@ fn golden_text(executed: &mut BTreeSet<u8>) -> String {
 
 #[test]
 fn random_bytecode_traps_match_the_committed_golden_fixture() {
-    let mut executed = BTreeSet::new();
-    let text = golden_text(&mut executed);
+    let mut seen = Seen::default();
+    let text = golden_text(&mut seen);
     let missing: Vec<Op> = Op::ALL
         .iter()
         .copied()
-        .filter(|op| !executed.contains(&op.as_u8()))
+        .filter(|op| !seen.ops.contains(&op.as_u8()))
         .collect();
     assert!(missing.is_empty(), "opcodes never executed: {missing:?}");
+    let missed = seen.missed_runs();
+    assert!(
+        missed.is_empty(),
+        "fused runs never met these ways: {missed:?}"
+    );
 
     let path = golden_path();
     if std::env::var_os("NVARIANT_REGEN_GOLDEN").is_some() {
