@@ -262,6 +262,35 @@ mod tests {
     }
 
     #[test]
+    fn an_unbounded_depth_explores_what_a_terminating_depth_does() {
+        // Every trace of the echo server terminates long before depth
+        // 1,000, so a bound of usize::MAX explores exactly the same space;
+        // nothing may be sized by the bound itself.
+        for config in DeploymentConfig::paper_configurations() {
+            let attacker = match config {
+                DeploymentConfig::TwoVariantUid => uid_attacker(),
+                DeploymentConfig::TwoVariantAddress => AttackerModel::CorruptAbsolute {
+                    global: "server_uid".to_string(),
+                    value: 0,
+                },
+                _ => AttackerModel::Passive,
+            };
+            let target = target(config, false, attacker);
+            for property in Property::all() {
+                let bounded = BoundedChecker.check(&target, &CheckRequest::new(property, 1_000));
+                let unbounded =
+                    BoundedChecker.check(&target, &CheckRequest::new(property, usize::MAX));
+                let line = bounded.summary_line();
+                assert_eq!(bounded.status, CheckStatus::Pass, "{line}");
+                assert!(bounded.stats.terminal_runs > 0, "{line}");
+                assert!(!bounded.stats.truncated, "{line}");
+                assert_eq!(unbounded.status, bounded.status, "{line}");
+                assert_eq!(unbounded.stats, bounded.stats, "{line}");
+            }
+        }
+    }
+
+    #[test]
     fn pruning_merges_converging_schedules() {
         // A request shorter than the recv chunk cap makes the capped and
         // uncapped schedules deliver identical bytes: the branches converge

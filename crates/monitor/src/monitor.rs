@@ -1,5 +1,14 @@
 //! The monitor proper: lockstep execution, equivalence checking, I/O-once
 //! replication, and alarm generation.
+//!
+//! A synchronization point has two halves: every variant runs to its next
+//! trap, then the monitor compares the traps and serves the call. Both
+//! halves normally run inside [`NVariantMonitor::step`].
+//! [`NVariantMonitor::advance`] runs the first half on its own and holds
+//! the traps, and the next `step` serves the held traps without running
+//! anything. A monitor holding traps is between the halves of a point:
+//! its [`state_digest`](NVariantMonitor::state_digest) is not defined
+//! there, because held requests are not part of it.
 
 use crate::alarm::{Alarm, DivergenceKind};
 use crate::config::{DivergencePolicy, MonitorConfig};
@@ -69,6 +78,14 @@ pub struct StepObservation {
     pub divergent_args: bool,
 }
 
+/// The call a variant trapped on, if it trapped on one.
+fn trap_sysno(trap: &TrapReason) -> Option<Sysno> {
+    match trap {
+        TrapReason::Syscall(req) => Some(req.sysno),
+        _ => None,
+    }
+}
+
 /// Result of a single monitor step (see [`NVariantMonitor::step`]).
 #[derive(Clone, Debug)]
 pub enum StepEvent {
@@ -89,7 +106,9 @@ pub enum StepEvent {
 /// it as a fault ([`NVariantOutcome::fault`]) rather than an alarm.
 ///
 /// The monitor is `Clone`: the model checker snapshots whole monitors to
-/// branch over syscall interleavings and attacker moves.
+/// branch over syscall interleavings and attacker moves, and clones a
+/// monitor after [`advance`](Self::advance) to serve one point's traps
+/// under several receive schedules.
 #[derive(Clone)]
 pub struct NVariantMonitor {
     kernel: OsKernel,
@@ -114,6 +133,8 @@ pub struct NVariantMonitor {
     /// Buffers a synchronization point fills and leaves empty, kept so
     /// that a point allocates nothing of its own: the variants' traps,
     /// their syscall requests, and the requests' canonical arguments.
+    /// `traps` is non-empty only between [`advance`](Self::advance) and
+    /// the [`step`](Self::step) that serves the traps it holds.
     traps: Vec<TrapReason>,
     requests: Vec<SyscallRequest>,
     canonical: Vec<Word>,
@@ -249,7 +270,9 @@ impl NVariantMonitor {
     /// Advances the group by exactly one synchronization point, reporting
     /// what happened. This is the model checker's stepping primitive: it
     /// exposes which syscall was processed and whether alarms or external
-    /// output occurred, without running to completion.
+    /// output occurred, without running to completion. After
+    /// [`advance`](Self::advance) it serves the traps that call holds and
+    /// runs no variant.
     pub fn step(&mut self) -> StepEvent {
         let alarms_before = self.alarms.len();
         let output_before = self.output_bytes;
@@ -266,6 +289,32 @@ impl NVariantMonitor {
         }
     }
 
+    /// Runs every variant to its next trap and holds the traps: the first
+    /// half of the next synchronization point, which the next
+    /// [`step`](Self::step) completes without running any variant again.
+    /// Returns the system call every variant trapped on, when they agree:
+    /// the call [`last_sysno`](Self::last_sysno) reports after that step.
+    ///
+    /// It is idempotent: a second call before `step` runs nothing and
+    /// returns the same call. A terminated group, or one at its syscall
+    /// limit, runs nothing and returns `None`, and `step` ends it as it
+    /// would have without this call.
+    ///
+    /// Memory written between this call and `step` is seen by the call's
+    /// service (the bytes a `write` sends, say) but not by the held
+    /// requests' arguments, which were read at the trap.
+    pub fn advance(&mut self) -> Option<Sysno> {
+        if self.finished.is_some() || self.metrics.syscalls >= self.config.max_syscalls {
+            return None;
+        }
+        self.run_variants();
+        let first = trap_sysno(&self.traps[0])?;
+        self.traps
+            .iter()
+            .all(|trap| trap_sysno(trap) == Some(first))
+            .then_some(first)
+    }
+
     /// A canonical digest of the group's full semantic state: kernel (time,
     /// accounts, filesystem, network, processes), every variant's machine
     /// state, the virtual descriptor table and the alarm count. Monotone
@@ -273,8 +322,15 @@ impl NVariantMonitor {
     /// are deliberately excluded so the model checker's visited-state
     /// pruning identifies states that are behaviourally identical but were
     /// reached by different paths.
+    ///
+    /// It is defined between synchronization points, not between
+    /// [`advance`](Self::advance) and the `step` that serves its traps.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
+        debug_assert!(
+            self.traps.is_empty(),
+            "state_digest while traps are held: held requests are not in the digest"
+        );
         let mut digest = Fnv1a::new();
         self.kernel.digest_into(&mut digest);
         digest.write_u32(self.group_pid.as_u32());
@@ -289,7 +345,8 @@ impl NVariantMonitor {
 
     // ----- the synchronization loop -------------------------------------------
 
-    /// Advances every variant to its next trap and processes the
+    /// Advances every variant to its next trap, unless
+    /// [`advance`](Self::advance) already holds the traps, and processes the
     /// synchronization point. Returns the final outcome once the group
     /// terminates, and the same outcome on every call after that.
     fn step_group(&mut self) -> Option<NVariantOutcome> {
@@ -300,19 +357,8 @@ impl NVariantMonitor {
             return Some(self.variant_faulted(VariantId::P0, Fault::StepLimitExceeded));
         }
 
-        let max_steps = self.config.max_steps_per_slice;
+        self.run_variants();
         let mut traps = std::mem::take(&mut self.traps);
-        traps.extend(
-            self.variants
-                .iter_mut()
-                .map(|v| v.process.run_until_trap(max_steps)),
-        );
-        self.metrics.total_instructions = self
-            .variants
-            .iter()
-            .map(|v| v.process.instructions_executed())
-            .sum();
-
         for (index, trap) in traps.iter().enumerate() {
             if let TrapReason::Faulted(fault) = trap {
                 return Some(self.variant_faulted(VariantId::new(index), *fault));
@@ -340,13 +386,9 @@ impl NVariantMonitor {
         }
 
         // Mixed exits/syscalls or differing call numbers.
-        let sysno = |trap: &TrapReason| match trap {
-            TrapReason::Syscall(req) => Some(req.sysno),
-            _ => None,
-        };
-        let first_call = sysno(&traps[0]);
-        if first_call.is_none() || traps.iter().any(|t| sysno(t) != first_call) {
-            let calls = traps.iter().map(sysno).collect();
+        let first_call = trap_sysno(&traps[0]);
+        if first_call.is_none() || traps.iter().any(|t| trap_sysno(t) != first_call) {
+            let calls = traps.iter().map(trap_sysno).collect();
             let alarm = Alarm::new(
                 DivergenceKind::SyscallMismatch { calls },
                 self.metrics.syscalls,
@@ -366,6 +408,25 @@ impl NVariantMonitor {
         requests.clear();
         self.requests = requests;
         outcome
+    }
+
+    /// Runs every variant to its next trap into `self.traps`, unless traps
+    /// are already held there.
+    fn run_variants(&mut self) {
+        if !self.traps.is_empty() {
+            return;
+        }
+        let max_steps = self.config.max_steps_per_slice;
+        self.traps.extend(
+            self.variants
+                .iter_mut()
+                .map(|v| v.process.run_until_trap(max_steps)),
+        );
+        self.metrics.total_instructions = self
+            .variants
+            .iter()
+            .map(|v| v.process.instructions_executed())
+            .sum();
     }
 
     /// Whether the group has siblings to compare. A group of one runs the
@@ -1773,5 +1834,173 @@ mod tests {
         assert_eq!(outcome.exit_status, Some(48));
         assert!(outcome.exited_normally());
         assert_eq!(outcome.metrics.monitor_checks, 0);
+    }
+
+    /// A server that reads a file, serves each staged request with its own
+    /// UID re-established around the reply, and exits: it reaches file,
+    /// network and credential calls, and `recv` once per request.
+    const ADVANCE_SERVER: &str = r#"
+        fn main() -> int {
+            var fd: int;
+            var sock: int;
+            var conn: int;
+            var n: int;
+            var me: uid_t;
+            var text: buf[64];
+            var request: buf[64];
+            fd = open("/etc/passwd", 0);
+            read(fd, &text, 60);
+            close(fd);
+            me = getuid();
+            sock = socket();
+            bind(sock, 80);
+            listen(sock);
+            conn = accept(sock);
+            while (conn >= 0) {
+                n = recv(conn, &request, 60);
+                seteuid(me);
+                send(conn, &request, n);
+                close(conn);
+                conn = accept(sock);
+            }
+            return 0;
+        }
+    "#;
+
+    /// The paper's four configurations as monitor groups, with two requests
+    /// staged: the unmodified and the transformed server are groups of one
+    /// (variant 0 of every variation is the identity), then two-variant
+    /// address partitioning and two-variant UID variation.
+    fn paper_groups() -> Vec<NVariantMonitor> {
+        [
+            (Variation::address_partitioning(), 1),
+            (Variation::uid_diversity(), 1),
+            (Variation::address_partitioning(), 2),
+            (Variation::uid_diversity(), 2),
+        ]
+        .iter()
+        .map(|(variation, variants)| {
+            let mut monitor = monitor_for(ADVANCE_SERVER, variation, Uid::ROOT, *variants);
+            for request in [&b"GET /a"[..], b"GET /bb"] {
+                monitor
+                    .kernel_mut()
+                    .net_mut()
+                    .preload_request(Port::HTTP, request.to_vec());
+            }
+            monitor
+        })
+        .collect()
+    }
+
+    /// What a step reports and leaves behind: its event, the call it
+    /// served, the state digest and the counters.
+    fn observe(monitor: &NVariantMonitor, event: &StepEvent) -> String {
+        format!(
+            "{event:?} {:?} {:#018x} {:?}",
+            monitor.last_sysno(),
+            monitor.state_digest(),
+            monitor.metrics()
+        )
+    }
+
+    /// Steps `monitor` to termination, calling `advance` `advances(point)`
+    /// times before the step of each point, and observes every step.
+    /// Checks along the way that repeated calls agree and that `advance`
+    /// returns the call the step then reports.
+    fn observed_run(
+        mut monitor: NVariantMonitor,
+        advances: impl Fn(usize) -> usize,
+    ) -> Vec<String> {
+        let mut observed = Vec::new();
+        for point in 0.. {
+            let mut predicted = None;
+            for _ in 0..advances(point) {
+                let sysno = monitor.advance();
+                assert!(
+                    predicted.is_none_or(|first| first == sysno),
+                    "point {point}"
+                );
+                predicted = Some(sysno);
+            }
+            let event = monitor.step();
+            if let Some(sysno) = predicted {
+                assert_eq!(sysno, monitor.last_sysno(), "point {point}");
+            }
+            observed.push(observe(&monitor, &event));
+            if matches!(event, StepEvent::Done(_)) {
+                return observed;
+            }
+        }
+        unreachable!("the loop returns at termination")
+    }
+
+    #[test]
+    fn advancing_before_each_step_changes_nothing_a_step_reports() {
+        for monitor in paper_groups() {
+            let variants = monitor.variant_count();
+            let plain = observed_run(monitor.clone(), |_| 0);
+            assert!(plain.len() > 15, "{variants} variants: {plain:?}");
+            assert!(
+                plain.last().unwrap().contains("exit_status: Some(0)"),
+                "{variants} variants: {plain:?}"
+            );
+            assert!(plain.iter().any(|step| step.contains("Some(Recv)")));
+            assert_eq!(observed_run(monitor.clone(), |_| 1), plain);
+            // Sometimes twice, sometimes not at all.
+            assert_eq!(observed_run(monitor, |point| point % 3), plain);
+        }
+    }
+
+    #[test]
+    fn a_clone_taken_after_advance_steps_like_the_original() {
+        for mut monitor in paper_groups() {
+            loop {
+                let sysno = monitor.advance();
+                let mut copy = monitor.clone();
+                let event = monitor.step();
+                let copy_event = copy.step();
+                assert_eq!(observe(&copy, &copy_event), observe(&monitor, &event));
+                assert_eq!(monitor.last_sysno(), sysno);
+                assert_eq!(copy.alarms(), monitor.alarms());
+                if matches!(event, StepEvent::Done(_)) {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_finished_group_advances_nothing() {
+        for mut monitor in paper_groups() {
+            let outcome = monitor.run_to_completion();
+            assert_eq!(outcome.exit_status, Some(0));
+            let digest = monitor.state_digest();
+            assert_eq!(monitor.advance(), None);
+            assert_eq!(monitor.metrics(), &outcome.metrics);
+            assert_eq!(monitor.state_digest(), digest);
+            assert!(matches!(monitor.step(), StepEvent::Done(again) if again == outcome));
+        }
+        // A group at its syscall limit runs nothing either, and its next
+        // step ends it exactly as without the call.
+        for variants in [1, 2] {
+            let mut monitor = monitor_for(
+                ADVANCE_SERVER,
+                &Variation::address_partitioning(),
+                Uid::ROOT,
+                variants,
+            );
+            monitor.config.max_syscalls = 3;
+            let mut reference = monitor.clone();
+            for _ in 0..3 {
+                monitor.step();
+            }
+            let instructions = monitor.metrics().total_instructions;
+            assert_eq!(monitor.advance(), None);
+            assert_eq!(monitor.metrics().total_instructions, instructions);
+            let StepEvent::Done(outcome) = monitor.step() else {
+                panic!("the step past the limit ends the group");
+            };
+            assert_eq!(outcome, reference.run_to_completion());
+        }
     }
 }

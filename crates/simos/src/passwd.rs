@@ -7,10 +7,20 @@
 //! have been transformed with that variant's reexpression function — the
 //! *unshared files* mechanism. This module provides parsing, rendering, and
 //! UID-mapping helpers used to generate those per-variant files.
+//!
+//! The kernel holds one [`PasswdDb`], which every world clone and every
+//! model-checker state copies and digests. The database is therefore shared
+//! copy-on-write, like a file's contents: a clone bumps a reference count,
+//! and the first [`add_user`](PasswdDb::add_user) or
+//! [`add_group`](PasswdDb::add_group) on a shared copy detaches it. The
+//! digest of its canonical renderings is computed once per generation and
+//! shared by every clone that has not written since, so a state digest
+//! folds the accounts as one `u64`.
 
-use nvariant_types::{Gid, Uid};
+use nvariant_types::{Fnv1a, Gid, Uid};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// One line of `/etc/passwd`.
 ///
@@ -173,7 +183,8 @@ impl fmt::Display for GroupEntry {
     }
 }
 
-/// The combined user/group account database.
+/// The combined user/group account database, shared copy-on-write with a
+/// memoised digest (see the module docs).
 ///
 /// # Example
 ///
@@ -189,10 +200,16 @@ impl fmt::Display for GroupEntry {
 /// let variant1 = db.render_passwd_with(|uid| Uid::new(uid.as_u32() ^ 0x7FFF_FFFF));
 /// assert!(variant1.contains(&format!("{}", 48u32 ^ 0x7FFF_FFFF)));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PasswdDb {
+#[derive(Clone, Default)]
+pub struct PasswdDb(Arc<Accounts>);
+
+#[derive(Clone, Default)]
+struct Accounts {
     users: Vec<PasswdEntry>,
     groups: Vec<GroupEntry>,
+    /// The FNV-1a of the canonical `passwd` and `group` renderings, once
+    /// something has asked for it.
+    digest: OnceLock<u64>,
 }
 
 impl PasswdDb {
@@ -202,42 +219,50 @@ impl PasswdDb {
         PasswdDb::default()
     }
 
+    /// The entries for writing: detached from any sharing clones, with the
+    /// memoised digest reset.
+    fn accounts_mut(&mut self) -> &mut Accounts {
+        let accounts = Arc::make_mut(&mut self.0);
+        accounts.digest = OnceLock::new();
+        accounts
+    }
+
     /// Adds a user entry.
     pub fn add_user(&mut self, entry: PasswdEntry) {
-        self.users.push(entry);
+        self.accounts_mut().users.push(entry);
     }
 
     /// Adds a group entry.
     pub fn add_group(&mut self, entry: GroupEntry) {
-        self.groups.push(entry);
+        self.accounts_mut().groups.push(entry);
     }
 
     /// Looks up a user by login name.
     #[must_use]
     pub fn lookup_user(&self, name: &str) -> Option<&PasswdEntry> {
-        self.users.iter().find(|u| u.name == name)
+        self.0.users.iter().find(|u| u.name == name)
     }
 
     /// Looks up a user by UID.
     #[must_use]
     pub fn lookup_uid(&self, uid: Uid) -> Option<&PasswdEntry> {
-        self.users.iter().find(|u| u.uid == uid)
+        self.0.users.iter().find(|u| u.uid == uid)
     }
 
     /// Looks up a group by name.
     #[must_use]
     pub fn lookup_group(&self, name: &str) -> Option<&GroupEntry> {
-        self.groups.iter().find(|g| g.name == name)
+        self.0.groups.iter().find(|g| g.name == name)
     }
 
     /// Iterates over all user entries.
     pub fn users(&self) -> impl Iterator<Item = &PasswdEntry> {
-        self.users.iter()
+        self.0.users.iter()
     }
 
     /// Iterates over all group entries.
     pub fn groups(&self) -> impl Iterator<Item = &GroupEntry> {
-        self.groups.iter()
+        self.0.groups.iter()
     }
 
     /// Parses a full `/etc/passwd` file.
@@ -267,7 +292,7 @@ impl PasswdDb {
     #[must_use]
     pub fn render_passwd_with(&self, map: impl Fn(Uid) -> Uid) -> String {
         let mut out = String::new();
-        for user in &self.users {
+        for user in &self.0.users {
             let mut entry = user.clone();
             entry.uid = map(user.uid);
             entry.gid = Gid::new(map(Uid::new(user.gid.as_u32())).as_u32());
@@ -287,7 +312,7 @@ impl PasswdDb {
     #[must_use]
     pub fn render_group_with(&self, map: impl Fn(Gid) -> Gid) -> String {
         let mut out = String::new();
-        for group in &self.groups {
+        for group in &self.0.groups {
             let mut entry = group.clone();
             entry.gid = map(group.gid);
             out.push_str(&entry.render());
@@ -296,14 +321,40 @@ impl PasswdDb {
         out
     }
 
-    /// Folds the complete account database into `digest` via the canonical
-    /// `passwd(5)`/`group(5)` renderings (which cover every field of every
-    /// entry, in insertion order).
-    pub fn digest_into(&self, digest: &mut nvariant_types::Fnv1a) {
-        digest.write_str(&self.render_passwd());
-        digest.write_str(&self.render_group());
+    /// Folds the complete account database into `digest` as one `u64`: the
+    /// FNV-1a of the canonical `passwd(5)`/`group(5)` renderings (which
+    /// cover every field of every entry, in insertion order), computed once
+    /// per write generation and shared by every clone that has not written
+    /// since.
+    pub fn digest_into(&self, digest: &mut Fnv1a) {
+        let accounts = *self.0.digest.get_or_init(|| {
+            let mut accounts = Fnv1a::new();
+            accounts.write_str(&self.render_passwd());
+            accounts.write_str(&self.render_group());
+            accounts.finish()
+        });
+        digest.write_u64(accounts);
     }
 }
+
+// Debug output and equality see only the entries: the memo is a cache, and
+// whether it has been filled yet is not part of the database.
+impl fmt::Debug for PasswdDb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PasswdDb")
+            .field("users", &self.0.users)
+            .field("groups", &self.0.groups)
+            .finish()
+    }
+}
+
+impl PartialEq for PasswdDb {
+    fn eq(&self, other: &PasswdDb) -> bool {
+        self.0.users == other.0.users && self.0.groups == other.0.groups
+    }
+}
+
+impl Eq for PasswdDb {}
 
 #[cfg(test)]
 mod tests {
@@ -388,6 +439,65 @@ mod tests {
         let text = db.render_group_with(|g| Gid::new(g.as_u32() ^ 0x7FFF_FFFF));
         let parsed = PasswdDb::parse_group(&text);
         assert_eq!(parsed[1].gid.as_u32(), 48 ^ 0x7FFF_FFFF);
+    }
+
+    fn digest(db: &PasswdDb) -> u64 {
+        let mut digest = Fnv1a::new();
+        db.digest_into(&mut digest);
+        digest.finish()
+    }
+
+    #[test]
+    fn a_clone_shares_the_database() {
+        let db = sample_db();
+        let expected = digest(&db);
+        let copy = db.clone();
+        assert!(Arc::ptr_eq(&db.0, &copy.0));
+        // The copy reads the memo the original filled.
+        assert!(copy.0.digest.get().is_some());
+        assert_eq!(digest(&copy), expected);
+    }
+
+    #[test]
+    fn a_write_after_a_clone_detaches_only_the_writer() {
+        let db = sample_db();
+        let before = digest(&db);
+        let mut writer = db.clone();
+        writer.add_user(PasswdEntry::new("bob", Uid::new(1001), Gid::new(100)));
+        assert!(!Arc::ptr_eq(&db.0, &writer.0));
+        assert_eq!(digest(&db), before);
+        assert_eq!(db.users().count(), 3);
+        assert_ne!(digest(&writer), before);
+        assert_eq!(writer.users().count(), 4);
+
+        let mut grouped = db.clone();
+        grouped.add_group(GroupEntry::new("staff", Gid::new(100)));
+        assert_eq!(digest(&db), before);
+        assert_ne!(digest(&grouped), before);
+        assert_ne!(digest(&grouped), digest(&writer));
+    }
+
+    #[test]
+    fn equal_databases_built_apart_digest_equally() {
+        let first = sample_db();
+        let second = sample_db();
+        assert!(!Arc::ptr_eq(&first.0, &second.0));
+        assert_eq!(first, second);
+        assert_eq!(digest(&first), digest(&second));
+        // The memo is invisible to equality and to debug output.
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        assert_ne!(digest(&first), digest(&PasswdDb::new()));
+    }
+
+    #[test]
+    fn the_digest_folds_the_canonical_renderings() {
+        let db = sample_db();
+        let mut accounts = Fnv1a::new();
+        accounts.write_str(&db.render_passwd());
+        accounts.write_str(&db.render_group());
+        let mut expected = Fnv1a::new();
+        expected.write_u64(accounts.finish());
+        assert_eq!(digest(&db), expected.finish());
     }
 
     #[test]

@@ -23,12 +23,28 @@
 //! repeated squaring in O(log n) steps, and returns exactly what `n`
 //! one-byte zero writes would. The model checker folds the never-written
 //! part of a process stack this way.
+//!
+//! [`Fnv1a::write`] uses the same identity inside its input: it walks the
+//! bytes in 8-byte words and folds a word that is all zeros as one
+//! multiplication by the constant `PRIME^8`, and any other word, and the
+//! 0–7 bytes after the last whole word, one byte at a time. Every value is
+//! still byte-wise FNV-1a's, however the input is split between calls. A
+//! process's stored stack is mostly zero words, so its digest costs about a
+//! fifth of a byte-at-a-time fold; text, which has no zero word, still
+//! folds a byte at a time.
 
 /// The FNV-1a 64-bit offset basis.
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The FNV-1a 64-bit prime.
 const PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `PRIME^8`: what folding eight zero bytes multiplies the state by.
+const PRIME_POW_8: u64 = {
+    let squared = PRIME.wrapping_mul(PRIME);
+    let fourth = squared.wrapping_mul(squared);
+    fourth.wrapping_mul(fourth)
+};
 
 /// Hashes `bytes` with FNV-1a 64 in one call.
 #[must_use]
@@ -57,8 +73,22 @@ impl Fnv1a {
         Fnv1a { hash: OFFSET_BASIS }
     }
 
-    /// Folds a byte slice into the digest.
+    /// Folds a byte slice into the digest. An all-zero 8-byte word of the
+    /// slice folds as one multiplication (see the module docs).
     pub fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            if u64::from_ne_bytes(word.try_into().expect("chunks of 8 bytes")) == 0 {
+                self.hash = self.hash.wrapping_mul(PRIME_POW_8);
+            } else {
+                self.write_bytes(word);
+            }
+        }
+        self.write_bytes(words.remainder());
+    }
+
+    /// Folds `bytes` one at a time.
+    fn write_bytes(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.hash ^= u64::from(byte);
             self.hash = self.hash.wrapping_mul(PRIME);
@@ -240,6 +270,76 @@ mod tests {
                 assert_eq!(fast.finish(), slow.finish(), "n={n} prefix={prefix:?}");
             }
         }
+    }
+
+    /// Byte-wise FNV-1a, one byte at a time: what [`Fnv1a::write`] must
+    /// equal.
+    fn reference(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(OFFSET_BASIS, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(PRIME)
+        })
+    }
+
+    /// Fixed-seed bytes from a xorshift64 generator.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state.to_le_bytes()[0]
+            })
+            .collect()
+    }
+
+    /// Asserts the fold of `bytes` equals the reference, in one call and
+    /// split across two calls at every split point.
+    fn assert_folds_like_the_reference(bytes: &[u8]) {
+        let expected = reference(bytes);
+        assert_eq!(fnv1a_64(bytes), expected, "one call over {bytes:?}");
+        for split in 0..=bytes.len() {
+            let mut hasher = Fnv1a::new();
+            hasher.write(&bytes[..split]);
+            hasher.write(&bytes[split..]);
+            assert_eq!(hasher.finish(), expected, "split at {split} of {bytes:?}");
+        }
+    }
+
+    #[test]
+    fn zero_words_fold_to_the_byte_wise_value() {
+        assert_eq!(
+            PRIME_POW_8,
+            (0..8).fold(1u64, |power, _| power.wrapping_mul(PRIME))
+        );
+        for len in 0..=80 {
+            assert_folds_like_the_reference(&noise(len, 0x9e37_79b9_7f4a_7c15));
+            assert_folds_like_the_reference(&vec![0; len]);
+            // Zero runs starting at every offset within a word, short of a
+            // word, exactly one, and crossing one or two word boundaries.
+            for start in 0..8 {
+                for run in [1, 7, 8, 9, 16, 17] {
+                    let mut bytes = noise(len, len as u64 * 64 + start as u64 + 1);
+                    for byte in bytes.iter_mut().skip(start).take(run) {
+                        *byte = 0;
+                    }
+                    assert_folds_like_the_reference(&bytes);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stack_like_buffer_folds_to_the_byte_wise_value() {
+        // 8 KiB of mostly zero words, with a live region of noise at the
+        // top and scattered nonzero words below it, as a stored stack has.
+        let mut bytes = vec![0u8; 8192];
+        bytes[7_000..].copy_from_slice(&noise(1_192, 7));
+        for (index, word) in noise(64, 11).iter().enumerate() {
+            let at = index * 97 + usize::from(*word % 8);
+            bytes[at] = word | 1;
+        }
+        assert_folds_like_the_reference(&bytes);
     }
 
     #[test]

@@ -5,13 +5,15 @@
 #
 #   scripts/bench_gate.sh BASE [SEED]
 #
-# BASE is a commit, such as the base of a pull request. The script checks it
-# out into a temporary git worktree and gives that tree HEAD's perfbench/
-# and BENCHMARK.json, so both sides run the same benchmark code and settings
-# over their own crates. It builds each side's perfbench once, then runs 10
-# pairs of every workload BENCHMARK.json declares, each run for the file's
-# run_seconds, alternating which side goes first. For every end-to-end
-# metric it prints each side's median and quartiles and HEAD's change.
+# BASE is a commit, such as the base of a pull request. The script extracts
+# its files with git archive into a temporary directory and gives that tree
+# HEAD's perfbench/ and BENCHMARK.json, so both sides run the same benchmark
+# code and settings over their own crates. It writes nothing under .git, and
+# its cleanup removes only that directory. It builds each side's perfbench
+# once, then runs 10 pairs of every workload BENCHMARK.json declares, each
+# run for the file's run_seconds, alternating which side goes first. For
+# every end-to-end metric it prints each side's median and quartiles and
+# HEAD's change.
 #
 # SEED, a non-negative integer, is passed as --seed to every run on both
 # sides, and the header line names it: a claimed gain should hold on a
@@ -52,14 +54,10 @@ if ! base=$(git -C "$root" rev-parse --verify --quiet "$1^{commit}"); then
 fi
 
 work=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$work/base" 2>/dev/null || true
-    git -C "$root" worktree prune
-    rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
-git -C "$root" worktree add --quiet --detach "$work/base" "$base"
+mkdir "$work/base"
+git -C "$root" archive "$base" | tar -x -C "$work/base"
 rm -rf "$work/base/perfbench" "$work/base/BENCHMARK.json"
 git -C "$root" ls-files -z -- perfbench BENCHMARK.json |
     (cd "$root" && tar --null -T - -cf -) | tar -xf - -C "$work/base"

@@ -9,8 +9,16 @@
 //! differently, fails here. Regenerate (only when a PR *deliberately*
 //! changes what the checker explores) with
 //! `NVARIANT_REGEN_GOLDEN=1 cargo test --test model_checking`.
+//!
+//! `tests/fixtures/check_sweep_golden.txt` pins the explorer per target: the
+//! summary line and deepest point of P1–P3 over every paper configuration
+//! and check world, and over the weakened two-variant UID target, at depths
+//! 8 to 48. Depths short of termination exercise remaining-depth pruning,
+//! and the failing weakened checks pin the order in which the first
+//! violation is found.
 
 use nvariant::DeploymentConfig;
+use nvariant_apps::checks::{check_worlds, httpd_check_target};
 use nvariant_apps::weakened_httpd_check_target;
 use nvariant_check::{
     minimize, replay, Action, BoundedChecker, CheckRequest, CheckStatus, CheckTarget, Checker,
@@ -49,20 +57,19 @@ fn baseline() -> &'static (String, Vec<Action>, String) {
     })
 }
 
-fn golden_path() -> PathBuf {
+fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("weakened_counterexample_golden.txt")
+        .join(name)
 }
 
-#[test]
-fn weakened_counterexample_matches_the_committed_golden_fixture() {
-    let (render, _, summary) = baseline();
-    let text = format!("{summary}\n{render}");
-    let path = golden_path();
+/// Compares `text` with the committed fixture `name`, or rewrites the
+/// fixture under `NVARIANT_REGEN_GOLDEN`.
+fn assert_matches_golden(name: &str, text: &str, what: &str) {
+    let path = golden_path(name);
     if std::env::var_os("NVARIANT_REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, &text).unwrap();
+        std::fs::write(&path, text).unwrap();
         eprintln!("regenerated {}", path.display());
         return;
     }
@@ -75,9 +82,54 @@ fn weakened_counterexample_matches_the_committed_golden_fixture() {
     });
     assert_eq!(
         text, golden,
-        "the weakened counterexample or its state counts drifted from the \
-         committed golden fixture; if this PR deliberately changes what the \
-         checker explores, regenerate with NVARIANT_REGEN_GOLDEN=1"
+        "{what} drifted from the committed golden fixture; if a change \
+         deliberately alters what the checker explores, regenerate with \
+         NVARIANT_REGEN_GOLDEN=1"
+    );
+}
+
+#[test]
+fn weakened_counterexample_matches_the_committed_golden_fixture() {
+    let (render, _, summary) = baseline();
+    assert_matches_golden(
+        "weakened_counterexample_golden.txt",
+        &format!("{summary}\n{render}"),
+        "the weakened counterexample or its state counts",
+    );
+}
+
+/// The depths the sweep golden pins: from well short of the paper targets'
+/// termination (48 synchronization points) up to it.
+const SWEEP_DEPTHS: [usize; 6] = [8, 16, 24, 32, 40, 48];
+
+#[test]
+fn per_target_sweeps_match_the_committed_golden_fixture() {
+    let mut targets = Vec::new();
+    for property in Property::all() {
+        for config in DeploymentConfig::paper_configurations() {
+            for world in check_worlds() {
+                targets.push(("", property, httpd_check_target(&config, world)));
+            }
+        }
+    }
+    for property in Property::all() {
+        targets.push(("weakened ", property, weakened_target()));
+    }
+    let mut text = String::new();
+    for depth in SWEEP_DEPTHS {
+        for (prefix, property, target) in &targets {
+            let report = BoundedChecker.check(target, &CheckRequest::new(*property, depth));
+            text.push_str(&format!(
+                "{prefix}{} deepest={}\n",
+                report.summary_line(),
+                report.stats.deepest
+            ));
+        }
+    }
+    assert_matches_golden(
+        "check_sweep_golden.txt",
+        &text,
+        "a per-target checker sweep",
     );
 }
 
