@@ -15,6 +15,7 @@
 //! therefore fault in at least one variant.
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Size in bytes of one encoded instruction.
@@ -339,9 +340,10 @@ pub fn decode_all(code: &[u8]) -> Option<Vec<Instr>> {
         .collect()
 }
 
-/// A run of adjacent instructions the interpreter executes in one
-/// dispatch, all or nothing (see the `interp` module docs), marked on the
-/// slot of the predecoded stream that starts it.
+/// What the interpreter executes in one dispatch, all or nothing, at a
+/// slot of the predecoded stream (see the `interp` module docs): a run of
+/// adjacent instructions that starts there, or the whole call a `Call`
+/// there makes to a standard-library string routine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Fused {
     /// The slot starts no run.
@@ -357,6 +359,9 @@ pub(crate) enum Fused {
     BranchIfImm,
     /// `Ne; Jz t`: pop two words and jump to `t` if they are equal.
     BranchIfEqual,
+    /// A `Call` whose target is, slot for slot, the routine's body as the
+    /// compiler emits it.
+    Call(Routine),
 }
 
 impl Fused {
@@ -385,14 +390,181 @@ impl Fused {
             .map_or(Fused::Single, |&(run, _)| run)
     }
 
-    /// The number of source instructions the run executes.
+    /// The number of source instructions a run executes. A call's number
+    /// depends on its strings, and the interpreter checks it against the
+    /// budget once it has scanned them; the 2 here only keeps a budget of
+    /// one from trying a call.
     pub(crate) fn instructions(self) -> u64 {
         match self {
             Fused::Single => 1,
-            Fused::BranchIfEqual => 2,
+            Fused::BranchIfEqual | Fused::Call(_) => 2,
             Fused::BranchIfImm => 3,
             Fused::IndexByte | Fused::AddImmLocal => 4,
         }
+    }
+}
+
+/// A SimC standard-library string routine the interpreter runs natively
+/// (see the `interp` module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Routine {
+    /// `strlen(s)`.
+    Strlen,
+    /// `starts_with(s, prefix)`.
+    StartsWith,
+    /// `strcpy(dst, src)`.
+    Strcpy,
+    /// `strcmp(a, b)`.
+    Strcmp,
+    /// `strcat(dst, src)`, which calls `strlen(dst)`.
+    Strcat,
+}
+
+impl Routine {
+    /// Every routine, in the order a body is compared with them.
+    pub(crate) const ALL: [Routine; 5] = [
+        Routine::Strlen,
+        Routine::StartsWith,
+        Routine::Strcpy,
+        Routine::Strcmp,
+        Routine::Strcat,
+    ];
+
+    /// The routine's standard-library name.
+    #[cfg(test)]
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Routine::Strlen => "strlen",
+            Routine::StartsWith => "starts_with",
+            Routine::Strcpy => "strcpy",
+            Routine::Strcmp => "strcmp",
+            Routine::Strcat => "strcat",
+        }
+    }
+
+    /// The routine's body as the compiler emits it from `stdlib_source`,
+    /// slot for slot: op and operand, jump operands relative to the first
+    /// slot. `strcat`'s `Call` operand is not compared: its target must
+    /// itself be `strlen`'s body.
+    pub(crate) fn template(self) -> &'static [(Op, u32)] {
+        use Op::{Add, Call, Enter, Jmp, Jz, LoadB, LoadL, Ne, Push, Ret, StoreB, StoreL, Sub};
+        /// The jump operand of slot `n`.
+        const fn at(n: u32) -> u32 {
+            n * INSTR_SIZE
+        }
+        #[rustfmt::skip]
+        const STRLEN: [(Op, u32); 20] = [
+            (Enter, 8), (StoreL, 4), (Push, 0), (StoreL, 8),
+            // while (s[n] != 0)
+            (LoadL, 4), (LoadL, 8), (Add, 0), (LoadB, 0), (Push, 0), (Ne, 0), (Jz, at(16)),
+            // n = n + 1;
+            (LoadL, 8), (Push, 1), (Add, 0), (StoreL, 8), (Jmp, at(4)),
+            // return n;
+            (LoadL, 8), (Ret, 0),
+            (Push, 0), (Ret, 0),
+        ];
+        #[rustfmt::skip]
+        const STARTS_WITH: [(Op, u32); 34] = [
+            (Enter, 16), (StoreL, 8), (StoreL, 4), (Push, 0), (StoreL, 12),
+            // while (prefix[i] != 0)
+            (LoadL, 8), (LoadL, 12), (Add, 0), (LoadB, 0), (Push, 0), (Ne, 0), (Jz, at(30)),
+            // if (s[i] != prefix[i]) { return 0; }
+            (LoadL, 4), (LoadL, 12), (Add, 0), (LoadB, 0),
+            (LoadL, 8), (LoadL, 12), (Add, 0), (LoadB, 0),
+            (Ne, 0), (Jz, at(25)), (Push, 0), (Ret, 0), (Jmp, at(25)),
+            // i = i + 1;
+            (LoadL, 12), (Push, 1), (Add, 0), (StoreL, 12), (Jmp, at(5)),
+            // return 1;
+            (Push, 1), (Ret, 0),
+            (Push, 0), (Ret, 0),
+        ];
+        #[rustfmt::skip]
+        const STRCPY: [(Op, u32); 34] = [
+            (Enter, 16), (StoreL, 8), (StoreL, 4), (Push, 0), (StoreL, 12),
+            // while (src[i] != 0)
+            (LoadL, 8), (LoadL, 12), (Add, 0), (LoadB, 0), (Push, 0), (Ne, 0), (Jz, at(25)),
+            // dst[i] = src[i];
+            (LoadL, 8), (LoadL, 12), (Add, 0), (LoadB, 0),
+            (LoadL, 4), (LoadL, 12), (Add, 0), (StoreB, 0),
+            // i = i + 1;
+            (LoadL, 12), (Push, 1), (Add, 0), (StoreL, 12), (Jmp, at(5)),
+            // dst[i] = 0; return i;
+            (Push, 0), (LoadL, 4), (LoadL, 12), (Add, 0), (StoreB, 0),
+            (LoadL, 12), (Ret, 0),
+            (Push, 0), (Ret, 0),
+        ];
+        #[rustfmt::skip]
+        const STRCMP: [(Op, u32); 61] = [
+            (Enter, 16), (StoreL, 8), (StoreL, 4), (Push, 0), (StoreL, 12),
+            // while (a[i] != 0 && b[i] != 0)
+            (LoadL, 4), (LoadL, 12), (Add, 0), (LoadB, 0), (Push, 0), (Ne, 0), (Jz, at(21)),
+            (LoadL, 8), (LoadL, 12), (Add, 0), (LoadB, 0), (Push, 0), (Ne, 0), (Jz, at(21)),
+            (Push, 1), (Jmp, at(22)), (Push, 0), (Jz, at(49)),
+            // if (a[i] != b[i]) { return a[i] - b[i]; }
+            (LoadL, 4), (LoadL, 12), (Add, 0), (LoadB, 0),
+            (LoadL, 8), (LoadL, 12), (Add, 0), (LoadB, 0),
+            (Ne, 0), (Jz, at(44)),
+            (LoadL, 4), (LoadL, 12), (Add, 0), (LoadB, 0),
+            (LoadL, 8), (LoadL, 12), (Add, 0), (LoadB, 0),
+            (Sub, 0), (Ret, 0), (Jmp, at(44)),
+            // i = i + 1;
+            (LoadL, 12), (Push, 1), (Add, 0), (StoreL, 12), (Jmp, at(5)),
+            // return a[i] - b[i];
+            (LoadL, 4), (LoadL, 12), (Add, 0), (LoadB, 0),
+            (LoadL, 8), (LoadL, 12), (Add, 0), (LoadB, 0),
+            (Sub, 0), (Ret, 0),
+            (Push, 0), (Ret, 0),
+        ];
+        #[rustfmt::skip]
+        const STRCAT: [(Op, u32); 43] = [
+            (Enter, 16), (StoreL, 8), (StoreL, 4),
+            // var off: int = strlen(dst); var i: int = 0;
+            (LoadL, 4), (Call, 0), (StoreL, 12), (Push, 0), (StoreL, 16),
+            // while (src[i] != 0)
+            (LoadL, 8), (LoadL, 16), (Add, 0), (LoadB, 0), (Push, 0), (Ne, 0), (Jz, at(30)),
+            // dst[off + i] = src[i];
+            (LoadL, 8), (LoadL, 16), (Add, 0), (LoadB, 0),
+            (LoadL, 4), (LoadL, 12), (LoadL, 16), (Add, 0), (Add, 0), (StoreB, 0),
+            // i = i + 1;
+            (LoadL, 16), (Push, 1), (Add, 0), (StoreL, 16), (Jmp, at(8)),
+            // dst[off + i] = 0; return off + i;
+            (Push, 0), (LoadL, 4), (LoadL, 12), (LoadL, 16), (Add, 0), (Add, 0), (StoreB, 0),
+            (LoadL, 12), (LoadL, 16), (Add, 0), (Ret, 0),
+            (Push, 0), (Ret, 0),
+        ];
+        match self {
+            Routine::Strlen => &STRLEN,
+            Routine::StartsWith => &STARTS_WITH,
+            Routine::Strcpy => &STRCPY,
+            Routine::Strcmp => &STRCMP,
+            Routine::Strcat => &STRCAT,
+        }
+    }
+
+    /// The routine whose body starts at code offset `target` of `instrs`.
+    fn at(instrs: &[Instr], target: u32) -> Option<Routine> {
+        Self::ALL
+            .into_iter()
+            .find(|routine| routine.is_at(instrs, target))
+    }
+
+    /// Whether the body at code offset `target` of `instrs` is this
+    /// routine's template.
+    fn is_at(self, instrs: &[Instr], target: u32) -> bool {
+        let template = self.template();
+        let start = (target / INSTR_SIZE) as usize;
+        let Some(body) = instrs.get(start..start + template.len()) else {
+            return false;
+        };
+        target.is_multiple_of(INSTR_SIZE)
+            && body.iter().zip(template).all(|(instr, &(op, operand))| {
+                instr.op == op
+                    && match op {
+                        Op::Jmp | Op::Jz | Op::Jnz => instr.operand == target.wrapping_add(operand),
+                        Op::Call => Routine::Strlen.is_at(instrs, instr.operand),
+                        _ => instr.operand == operand,
+                    }
+            })
     }
 }
 
@@ -418,17 +590,30 @@ impl From<Instr> for Slot {
 }
 
 /// Predecodes a code image into the interpreter's stream, marking every
-/// slot that starts a whole fused run. Every slot keeps its own op and
-/// operand, so a jump into the middle of a run executes the rest of it one
-/// instruction at a time. `None` when the image does not decode (see
-/// [`decode_all`]).
+/// slot that starts a whole fused run, and every `Call` whose target is a
+/// string routine's body (each distinct target compared once). Every slot
+/// keeps its own op and operand, so a jump into the middle of a run
+/// executes the rest of it one instruction at a time. `None` when the
+/// image does not decode (see [`decode_all`]).
 pub(crate) fn predecode(code: &[u8]) -> Option<Vec<Slot>> {
     let instrs = decode_all(code)?;
+    let mut targets = BTreeMap::new();
     Some(
         (0..instrs.len())
-            .map(|i| Slot {
-                fused: Fused::starting(&instrs[i..]),
-                ..Slot::from(instrs[i])
+            .map(|i| {
+                let instr = instrs[i];
+                let fused = if instr.op == Op::Call {
+                    targets
+                        .entry(instr.operand)
+                        .or_insert_with(|| Routine::at(&instrs, instr.operand))
+                        .map_or(Fused::Single, Fused::Call)
+                } else {
+                    Fused::starting(&instrs[i..])
+                };
+                Slot {
+                    fused,
+                    ..Slot::from(instr)
+                }
             })
             .collect(),
     )

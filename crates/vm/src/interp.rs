@@ -57,8 +57,46 @@
 //! tests compare fused execution against. Every slot keeps its own op and
 //! operand, so a jump into the middle of a run executes the rest of it one
 //! instruction at a time.
+//!
+//! # Native calls
+//!
+//! Five standard-library string routines, `strlen`, `starts_with`,
+//! `strcpy`, `strcmp` and `strcat`, execute most of the instructions a
+//! served request costs. The predecoder marks a `Call` whose target is,
+//! slot for slot, one of their bodies as the compiler emits it (and, for
+//! `strcat`, whose inner `Call` targets `strlen`'s), whatever the
+//! functions are named. The loop runs such a call natively, in one
+//! dispatch and whole or not at all, under the fused runs' conditions (an
+//! aligned in-stream fetch, no per-slot tag check) and these, all checked
+//! before anything is written:
+//!
+//! - the layout's segments are disjoint, and the operand stack holds the
+//!   routine's arguments;
+//! - the callee frame (return address, saved fp and the `Enter` size; for
+//!   `strcat` also `strlen`'s nested 16 bytes) is one writable span of the
+//!   stored stack, at or above the stack base, directly below `sp`;
+//! - every string the routine reads ends in the stored bytes of the
+//!   segment it starts in, and no byte it reads or writes lies in the
+//!   callee frames;
+//! - a copy's destination, NUL included, is one writable span that does
+//!   not overlap its source;
+//! - the budget left covers the call's whole instruction count.
+//!
+//! A native call then leaves what the bytecode leaves: the arguments
+//! popped and the result pushed, the frames' return addresses, saved fps,
+//! parameter copies and final locals (the `Enter` padding word untouched),
+//! the copied bytes, pc at the return address with sp and fp unchanged,
+//! and `instructions_executed` grown by the bytecode's exact count. Stack
+//! residue is observable, by a later uninitialised local and by the state
+//! digest, so those bytes are exact. If any condition fails it gives up
+//! having touched nothing, and the `Call` executes as an ordinary
+//! instruction: every fault then comes from the single-instruction code,
+//! at the byte and the instruction the bytecode reaches. The shortest
+//! call, `strlen("")`, is 14 instructions, so [`Process::step`] never runs
+//! one natively and stays the reference here too. A `CallPtr`, an image
+//! that did not predecode and code fetched byte by byte are never marked.
 
-use crate::bytecode::{Fused, Instr, Op, Slot, INSTR_SIZE};
+use crate::bytecode::{Fused, Instr, Op, Routine, Slot, INSTR_SIZE};
 use crate::fault::Fault;
 use crate::process::{Process, ProcessState};
 use nvariant_simos::{SyscallRequest, Sysno};
@@ -157,12 +195,12 @@ impl Process {
                         if found != self.expected_tag {
                             return Some(self.fault(self.tag_mismatch(found)));
                         }
-                    } else if slot.fused != Fused::Single
-                        && left >= slot.fused.instructions()
-                        && self.run_fused(slot.fused, &stream[index..])
-                    {
-                        left -= slot.fused.instructions();
-                        continue;
+                    } else if slot.fused != Fused::Single && left >= slot.fused.instructions() {
+                        let done = self.run_fused(slot.fused, &stream[index..], left);
+                        if done > 0 {
+                            left -= done;
+                            continue;
+                        }
                     }
                     slot
                 }
@@ -344,53 +382,55 @@ impl Process {
         None
     }
 
-    /// Executes the fused run `kind` that starts at `run[0]` as one step
-    /// and returns true, or returns false having touched nothing. It reads
-    /// everything first, through the accessors the single instructions
-    /// use, and gives up if a read would fault, the operand stack is too
-    /// shallow for the run, or its store would take the byte-at-a-time
-    /// path. The caller then executes `run[0]` alone, so every trap comes
-    /// from the single-instruction code.
+    /// Executes what `kind` marks at `run[0]` as one step and returns the
+    /// instructions it executed, at most `left`, or returns 0 having
+    /// touched nothing. A run reads everything first, through the
+    /// accessors the single instructions use, and gives up if a read would
+    /// fault, the operand stack is too shallow for the run, or its store
+    /// would take the byte-at-a-time path; a call gives up as
+    /// [`Process::call_native`] says. The caller then executes `run[0]`
+    /// alone, so every trap comes from the single-instruction code.
     #[inline]
-    fn run_fused(&mut self, kind: Fused, run: &[Slot]) -> bool {
+    fn run_fused(&mut self, kind: Fused, run: &[Slot], left: u64) -> u64 {
         let fp = self.fp;
         let local = |slot: Slot| VirtAddr::new(fp.wrapping_sub(slot.operand));
         let jump = match kind {
-            Fused::Single => return false,
+            Fused::Single => return 0,
+            Fused::Call(routine) => return self.call_native(routine, run[0].operand, left),
             Fused::IndexByte => {
                 let Ok(base) = self.read_word(local(run[0])) else {
-                    return false;
+                    return 0;
                 };
                 let Ok(index) = self.read_word(local(run[1])) else {
-                    return false;
+                    return 0;
                 };
                 let addr = base.as_u32().wrapping_add(index.as_u32());
                 let Ok(byte) = self.read_byte(VirtAddr::new(addr)) else {
-                    return false;
+                    return 0;
                 };
                 self.ostack.push(Word::from_u32(u32::from(byte)));
                 None
             }
             Fused::AddImmLocal => {
                 let Ok(value) = self.read_word(local(run[0])) else {
-                    return false;
+                    return 0;
                 };
                 let sum = Word::from_u32(value.as_u32().wrapping_add(run[1].operand));
                 let Some(span) = self.write_span(local(run[3]), 4) else {
-                    return false;
+                    return 0;
                 };
                 span.copy_from_slice(&sum.to_le_bytes());
                 None
             }
             Fused::BranchIfImm => {
                 let Some(value) = self.ostack.pop() else {
-                    return false;
+                    return 0;
                 };
                 (value == Word::from_u32(run[0].operand)).then_some(run[2].operand)
             }
             Fused::BranchIfEqual => {
                 let &[.., lhs, rhs] = self.ostack.as_slice() else {
-                    return false;
+                    return 0;
                 };
                 self.ostack.truncate(self.ostack.len() - 2);
                 (lhs == rhs).then_some(run[1].operand)
@@ -402,7 +442,192 @@ impl Process {
             Some(target) => self.layout.code_base.wrapping_add(target),
             None => self.pc.wrapping_add(count as u32 * INSTR_SIZE),
         };
-        true
+        count
+    }
+
+    /// Runs the call at pc to `routine`, whose body starts at code offset
+    /// `target`, natively (see the module docs): returns its instruction
+    /// count, or 0 having touched nothing.
+    #[inline(never)]
+    fn call_native(&mut self, routine: Routine, target: u32, left: u64) -> u64 {
+        let done = self
+            .plan_call(routine, target)
+            .map_or(0, |plan| self.commit_call(&plan, left));
+        #[cfg(test)]
+        tally::note(routine, done > 0);
+        done
+    }
+
+    /// Scans what `routine` reads, without writing, and plans what its
+    /// call leaves; `None` when a string it reads does not end in the
+    /// stored bytes of its segment, or the operand stack is too shallow.
+    fn plan_call(&self, routine: Routine, target: u32) -> Option<CallPlan> {
+        let args = if routine == Routine::Strlen { 1 } else { 2 };
+        // The first and the last argument: one and the same for `strlen`.
+        let words = &self.ostack[self.ostack.len().checked_sub(args)?..];
+        let (x, y) = (words[0].as_u32(), words[args - 1].as_u32());
+        let ret = self.pc.wrapping_add(INSTR_SIZE);
+        let fp = self.fp;
+        let mut plan = CallPlan {
+            args,
+            frame: [None; MAX_FRAME_WORDS],
+            words: 6,
+            reads: [(0, 0); 2],
+            copy: None,
+            count: 0,
+            result: 0,
+        };
+        match routine {
+            Routine::Strlen => {
+                let n = self.string_length(y)?;
+                plan.words = 4;
+                plan.frame[..4].copy_from_slice(&[Some(n), Some(y), Some(ret), Some(fp)]);
+                plan.reads[0] = (y, n + 1);
+                plan.count = 14 + 12 * u64::from(n);
+                plan.result = n;
+            }
+            Routine::StartsWith => {
+                let (s, prefix) = (self.stored_from(x), self.stored_from(y));
+                let mut k = 0;
+                let matched = loop {
+                    let &p = prefix.get(k)?;
+                    if p == 0 {
+                        break true;
+                    }
+                    if *s.get(k)? != p {
+                        break false;
+                    }
+                    k += 1;
+                };
+                let k = k as u32;
+                plan.frame = padded_frame([k, y, x, ret, fp]);
+                plan.reads = [(x, k + u32::from(!matched)), (y, k + 1)];
+                plan.count = if matched { 15 } else { 25 } + 22 * u64::from(k);
+                plan.result = u32::from(matched);
+            }
+            Routine::Strcpy => {
+                let n = self.string_length(y)?;
+                plan.frame = padded_frame([n, y, x, ret, fp]);
+                plan.reads[0] = (y, n + 1);
+                plan.copy = Some((x, y, n + 1));
+                plan.count = 20 + 20 * u64::from(n);
+                plan.result = n;
+            }
+            Routine::Strcmp => {
+                let (a, b) = (self.stored_from(x), self.stored_from(y));
+                let mut k = 0;
+                let (p, q) = loop {
+                    let (&p, &q) = (a.get(k)?, b.get(k)?);
+                    if p == 0 || q == 0 || p != q {
+                        break (p, q);
+                    }
+                    k += 1;
+                };
+                let k = k as u32;
+                let stop = match (p, q) {
+                    (0, _) => 19,
+                    (_, 0) => 26,
+                    _ => 37,
+                };
+                plan.frame = padded_frame([k, y, x, ret, fp]);
+                plan.reads = [(x, k + 1), (y, k + 1)];
+                plan.count = 6 + 32 * u64::from(k) + stop;
+                plan.result = u32::from(p).wrapping_sub(u32::from(q));
+            }
+            Routine::Strcat => {
+                let len = self.string_length(x)?;
+                let n = self.string_length(y)?;
+                // `strlen`'s nested frame, then `strcat`'s own. `strlen`
+                // returns to the slot after the template's `Call`.
+                let call = Routine::Strcat
+                    .template()
+                    .iter()
+                    .position(|&(op, _)| op == Op::Call)?;
+                let nested_ret = self
+                    .layout
+                    .code_base
+                    .wrapping_add(target)
+                    .wrapping_add((call as u32 + 1) * INSTR_SIZE);
+                let callee_fp = self.sp.wrapping_sub(8);
+                let words = [len, x, nested_ret, callee_fp, n, len, y, x, ret, fp];
+                plan.words = MAX_FRAME_WORDS;
+                plan.frame = words.map(Some);
+                plan.reads = [(x, len + 1), (y, n + 1)];
+                plan.copy = Some((x.wrapping_add(len), y, n + 1));
+                plan.count = 40 + 12 * u64::from(len) + 22 * u64::from(n);
+                plan.result = len.wrapping_add(n);
+            }
+        }
+        Some(plan)
+    }
+
+    /// The length of the string at `addr`, when its NUL lies in the stored
+    /// bytes of the segment `addr` is in.
+    fn string_length(&self, addr: u32) -> Option<u32> {
+        let nul = self.stored_from(addr).iter().position(|&byte| byte == 0)?;
+        Some(nul as u32)
+    }
+
+    /// Checks every condition of a native call against `plan`, then
+    /// writes what it leaves: returns its instruction count, or 0 having
+    /// touched nothing.
+    fn commit_call(&mut self, plan: &CallPlan, left: u64) -> u64 {
+        let size = plan.words as u32 * 4;
+        let Some(low) = self.sp.checked_sub(size) else {
+            return 0;
+        };
+        let frame = (low, size);
+        // Only frames in the stored stack are pushed without a fault or a
+        // growth: with `sp` in the globals, say after a `Ret` through a
+        // forged saved fp, the `Call` overflows the stack instead.
+        if low < self.stack_stored_base() || self.sp > self.layout.stack_top {
+            return 0;
+        }
+        if plan.count > left || plan.reads.iter().any(|&read| overlaps(read, frame)) {
+            return 0;
+        }
+        if let Some((dst, src, len)) = plan.copy {
+            if overlaps((dst, len), frame)
+                || overlaps((dst, len), (src, len))
+                || self.write_span(VirtAddr::new(dst), len as usize).is_none()
+            {
+                return 0;
+            }
+        }
+        // The last check; the writes follow.
+        let Some(span) = self.write_span(VirtAddr::new(low), size as usize) else {
+            return 0;
+        };
+        for (word, bytes) in plan.frame.iter().zip(span.chunks_exact_mut(4)) {
+            if let Some(word) = word {
+                bytes.copy_from_slice(&word.to_le_bytes());
+            }
+        }
+        if let Some((dst, src, len)) = plan.copy {
+            self.copy_stored(dst, src, len as usize);
+        }
+        self.ostack.truncate(self.ostack.len() - plan.args);
+        self.ostack.push(Word::from_u32(plan.result));
+        self.pc = self.pc.wrapping_add(INSTR_SIZE);
+        self.instructions_executed += plan.count;
+        plan.count
+    }
+
+    /// Copies `len` stored bytes from `src` to the writable span at `dst`,
+    /// which [`Process::commit_call`] has checked, through a buffer on the
+    /// machine stack.
+    fn copy_stored(&mut self, dst: u32, src: u32, len: usize) {
+        let mut chunk = [0u8; 64];
+        let mut done = 0;
+        while done < len {
+            let n = (len - done).min(chunk.len());
+            let at = done as u32;
+            chunk[..n].copy_from_slice(&self.stored_from(src.wrapping_add(at))[..n]);
+            if let Some(span) = self.write_span(VirtAddr::new(dst.wrapping_add(at)), n) {
+                span.copy_from_slice(&chunk[..n]);
+            }
+            done += n;
+        }
     }
 
     fn fault(&mut self, fault: Fault) -> TrapReason {
@@ -459,6 +684,69 @@ impl Process {
         self.sp = new_sp;
         self.pc = target;
         Ok(())
+    }
+}
+
+/// The most frame words a native call writes: `strcat`'s ten.
+const MAX_FRAME_WORDS: usize = 10;
+
+/// What a native call reads and leaves, planned before anything is
+/// written (see the module docs).
+struct CallPlan {
+    /// The operand words the call pops.
+    args: usize,
+    /// The callee frames' words, lowest first, the last one just below
+    /// `sp`: `None` is `Enter`'s padding word, left as it is.
+    frame: [Option<u32>; MAX_FRAME_WORDS],
+    /// How many of `frame` the call spans.
+    words: usize,
+    /// The byte ranges the routine reads, as (address, length).
+    reads: [(u32, u32); 2],
+    /// A copy: destination, source and length, NUL included.
+    copy: Option<(u32, u32, u32)>,
+    /// The instructions the call executes, the `Call` included.
+    count: u64,
+    result: u32,
+}
+
+/// The frame of a two-argument routine with `Enter 16` and one local,
+/// lowest word first: the padding word, the local, the second and first
+/// parameters, the return address and the saved fp.
+fn padded_frame([local, second, first, ret, fp]: [u32; 5]) -> [Option<u32>; MAX_FRAME_WORDS] {
+    let mut frame = [None; MAX_FRAME_WORDS];
+    frame[1..6].copy_from_slice(&[Some(local), Some(second), Some(first), Some(ret), Some(fp)]);
+    frame
+}
+
+/// Whether two byte ranges, each (address, length), share a byte.
+fn overlaps((a, a_len): (u32, u32), (b, b_len): (u32, u32)) -> bool {
+    let (a, b) = (u64::from(a), u64::from(b));
+    a < b + u64::from(b_len) && b < a + u64::from(a_len)
+}
+
+/// Native runs and give-ups of each string routine on this thread, so a
+/// test can tell which path a call took.
+#[cfg(test)]
+pub(crate) mod tally {
+    use crate::bytecode::Routine;
+    use std::cell::Cell;
+
+    thread_local! {
+        static COUNTS: Cell<[[u64; 2]; 5]> = const { Cell::new([[0; 2]; 5]) };
+    }
+
+    pub(crate) fn note(routine: Routine, native: bool) {
+        COUNTS.with(|counts| {
+            let mut all = counts.get();
+            all[routine as usize][usize::from(native)] += 1;
+            counts.set(all);
+        });
+    }
+
+    /// Takes this thread's (give-ups, native runs) of every routine, in
+    /// [`Routine::ALL`] order, and starts again from zero.
+    pub(crate) fn take() -> [[u64; 2]; 5] {
+        COUNTS.with(|counts| counts.replace([[0; 2]; 5]))
     }
 }
 
@@ -757,6 +1045,7 @@ mod tests {
             total = total + strcmp("", "x");
             total = total + strncmp("content-length", "content-type", 8);
             total = total + strncmp("abc", "abd", 3);
+            total = total + starts_with("GET /", "GET ") + starts_with("GE", "GET ");
             strcpy(&dst, "/cgi-bin/");
             strcat(&dst, "status");
             strcat(&dst, "");
@@ -829,22 +1118,32 @@ mod tests {
         }
     }
 
+    /// The longest call [`STRING_ROUTINES`] makes to a natively run
+    /// routine: `strcmp(&copy, &dst)` on two equal 15-byte strings, 6 +
+    /// 32 × 15 + 19 instructions.
+    const LONGEST_CALL: u64 = 505;
+
     #[test]
     fn fused_string_routines_match_single_steps_at_every_budget() {
         let full = 1_000_000;
         let (_, process) = stdlib_process(STRING_ROUTINES);
-        for budget in (1..=16).chain([full]) {
+        tally::take();
+        for budget in (1..=LONGEST_CALL + 1).chain([full]) {
             match slices_match_steps(process.clone(), budget) {
                 TrapReason::Syscall(req) if req.sysno == Sysno::Exit => {
-                    assert_eq!(req.arg(0).as_i32(), -330);
+                    assert_eq!(req.arg(0).as_i32(), -329);
                 }
                 other => panic!("expected exit, got {other:?}"),
             }
         }
+        // Every slice long enough for a call ran it natively.
+        for ([_, native], routine) in tally::take().into_iter().zip(Routine::ALL) {
+            assert!(native > 0, "{routine:?} never ran natively");
+        }
         for src in RUNAWAY_SCANS {
             let (compiled, process) = stdlib_process(src);
             let end = process.layout().globals_base + compiled.globals_image.len() as u32;
-            for budget in (1..=16).chain([full]) {
+            for budget in (1..=LONGEST_CALL + 1).chain([full]) {
                 assert_eq!(
                     slices_match_steps(process.clone(), budget),
                     TrapReason::Faulted(Fault::Segfault {
@@ -852,6 +1151,255 @@ mod tests {
                     })
                 );
             }
+        }
+    }
+
+    /// Runs `src` to its first trap in slices of every budget up to 64,
+    /// each checked against single steps, then once with the whole budget:
+    /// returns that run's trap and process, and the (give-ups, native
+    /// runs) of each routine it called.
+    fn run_counted(src: &str) -> (TrapReason, Process, [[u64; 2]; 5]) {
+        let (_, process) = stdlib_process(src);
+        for budget in 1..=64 {
+            slices_match_steps(process.clone(), budget);
+        }
+        let mut run = process.clone();
+        tally::take();
+        let trap = run.run_until_trap(1_000_000);
+        let counts = tally::take();
+        let stepped = slices_match_steps(process, 1_000_000);
+        assert_eq!(trap, stepped);
+        (trap, run, counts)
+    }
+
+    #[test]
+    fn string_routine_calls_run_natively() {
+        let (trap, _, counts) = run_counted(STRING_ROUTINES);
+        assert!(matches!(trap, TrapReason::Syscall(req) if req.arg(0).as_i32() == -329));
+        for ([give_ups, native], routine) in counts.into_iter().zip(Routine::ALL) {
+            assert!(native > 0, "{routine:?} never ran natively");
+            assert_eq!(give_ups, 0, "{routine:?} gave up");
+        }
+    }
+
+    /// One program per condition a native call checks, each calling the
+    /// routine once: the call gives up, runs as bytecode and traps where
+    /// single steps do. `p` points at `main`'s first local minus an
+    /// offset: 20 bytes down is the callee's own `n`, 8,000 is below the
+    /// stored stack. `big` leaves `main`'s `sp` 8 bytes above the stack
+    /// base, so `strlen`'s frame would end 8 bytes below it. `forge` copies
+    /// `middle`'s return address and saved fp into `saved` and points its
+    /// own saved fp there, so `middle`'s `Ret` leaves `sp` in the globals,
+    /// 40 bytes above their base: `strlen`'s frame would be writable
+    /// there, but the bytecode's `Call` overflows the stack.
+    #[test]
+    fn native_calls_give_up_on_every_condition() {
+        let layout = MemoryLayout::default();
+        let segfault = |addr: u32| {
+            TrapReason::Faulted(Fault::Segfault {
+                addr: VirtAddr::new(addr),
+            })
+        };
+        let exit = |status: i32| {
+            TrapReason::Syscall(SyscallRequest::new(
+                Sysno::Exit,
+                vec![Word::from_i32(status)],
+            ))
+        };
+        let cases = [
+            (
+                "var b: buf[8];
+                 fn main() -> int { b[0] = 'a'; b[1] = 'b'; return strcpy(&b + 1, &b); }",
+                Routine::Strcpy,
+                segfault(layout.globals_base + 8),
+            ),
+            (
+                "var s: buf[8];
+                 fn main() -> int { s[0] = 'a'; s[1] = 'b'; return strcat(&s, &s); }",
+                Routine::Strcat,
+                segfault(layout.globals_base + 8),
+            ),
+            (
+                r#"fn main() -> int { var p: ptr; p = 4096; return strcpy(p, "x"); }"#,
+                Routine::Strcpy,
+                TrapReason::Faulted(Fault::WriteProtection {
+                    addr: VirtAddr::new(layout.code_base),
+                }),
+            ),
+            (
+                "var tail: buf[4];
+                 fn main() -> int {
+                     var local: buf[16];
+                     memset(&local, 'z', 8);
+                     return strcpy(&tail, &local);
+                 }",
+                Routine::Strcpy,
+                segfault(layout.globals_base + 4),
+            ),
+            (
+                "fn main() -> int { var x: int; var p: ptr; p = &x - 20; return strlen(p); }",
+                Routine::Strlen,
+                exit(0),
+            ),
+            (
+                "fn main() -> int { var x: int; var p: ptr; p = &x - 8000; return strlen(p); }",
+                Routine::Strlen,
+                exit(0),
+            ),
+            (
+                r#"fn main() -> int { var big: buf[131048]; var r: int; r = strlen("abc"); return r; }"#,
+                Routine::Strlen,
+                TrapReason::Faulted(Fault::StackOverflow),
+            ),
+            (
+                r#"var pad: buf[32];
+                   var saved: buf[8];
+                   fn forge() -> int {
+                       var x: int; var caller: ptr; var to: ptr;
+                       memcpy(&caller, &x + 8, 4);
+                       memcpy(&saved, caller, 8);
+                       to = &saved;
+                       memcpy(&x + 8, &to, 4);
+                       return 0;
+                   }
+                   fn middle() -> int { forge(); return 0; }
+                   fn main() -> int { middle(); return strlen("abc"); }"#,
+                Routine::Strlen,
+                TrapReason::Faulted(Fault::StackOverflow),
+            ),
+        ];
+        for (src, routine, want) in cases {
+            let (trap, process, counts) = run_counted(src);
+            assert_eq!(trap, want, "{src}");
+            let [give_ups, native] = counts[routine as usize];
+            assert_eq!(native, 0, "{src}");
+            assert!(give_ups > 0, "{src}");
+            if src.contains("tail") {
+                // The bytes before the end of the globals were written.
+                let tail = process.read_bytes(VirtAddr::new(layout.globals_base), 4);
+                assert_eq!(tail.unwrap(), b"zzzz");
+            }
+        }
+    }
+
+    /// Under a layout whose globals lie inside the stack segment, every
+    /// call gives up: a string could run on from one segment into the
+    /// other, where a scan of one segment's bytes would not follow it.
+    #[test]
+    fn native_calls_give_up_when_segments_overlap() {
+        let (compiled, _) = stdlib_process(STRING_ROUTINES);
+        let mut layout = MemoryLayout::default();
+        layout.globals_base = layout.stack_base() + 0x100;
+        let process = Process::new(&compiled, layout);
+        for budget in (1..=64).chain([1_000_000]) {
+            let trap = slices_match_steps(process.clone(), budget);
+            assert!(matches!(trap, TrapReason::Syscall(req) if req.arg(0).as_i32() == -329));
+        }
+        tally::take();
+        process.clone().run_until_trap(1_000_000);
+        for ([give_ups, native], routine) in tally::take().into_iter().zip(Routine::ALL) {
+            assert_eq!(native, 0, "{routine:?}");
+            assert!(give_ups > 0, "{routine:?}");
+        }
+    }
+
+    /// `stdlib_source` compiles each routine to exactly its template.
+    #[test]
+    fn templates_are_the_compiled_standard_library() {
+        let (compiled, _) = stdlib_process("fn main() -> int { return 0; }");
+        let instrs = crate::bytecode::decode_all(compiled.code()).unwrap();
+        for routine in Routine::ALL {
+            let start = compiled.functions[routine.name()];
+            let end = compiled
+                .functions
+                .values()
+                .copied()
+                .filter(|&offset| offset > start)
+                .min()
+                .unwrap();
+            let body: Vec<(Op, u32)> = instrs
+                [(start / INSTR_SIZE) as usize..(end / INSTR_SIZE) as usize]
+                .iter()
+                .map(|instr| match instr.op {
+                    Op::Jmp | Op::Jz | Op::Jnz => (instr.op, instr.operand - start),
+                    Op::Call => {
+                        assert_eq!(instr.operand, compiled.functions["strlen"]);
+                        (Op::Call, 0)
+                    }
+                    _ => (instr.op, instr.operand),
+                })
+                .collect();
+            assert_eq!(body, routine.template(), "{routine:?}");
+        }
+    }
+
+    /// The case-study server's SimC source, cut from the `nvariant_apps`
+    /// file that holds it.
+    fn httpd_source() -> &'static str {
+        let file = include_str!("../../apps/src/httpd.rs");
+        let start = file.find("r#\"").unwrap() + 3;
+        let end = start + file[start..].find("\"#").unwrap();
+        &file[start..end]
+    }
+
+    #[test]
+    fn every_httpd_call_to_a_string_routine_is_marked() {
+        let (compiled, _) = stdlib_process(httpd_source());
+        let mut marked = [0; 5];
+        for slot in compiled.stream().unwrap().iter() {
+            let callee = Routine::ALL
+                .into_iter()
+                .find(|routine| compiled.functions[routine.name()] == slot.operand);
+            match (slot.op, slot.fused) {
+                (Op::Call, Fused::Call(routine)) => {
+                    assert_eq!(callee, Some(routine));
+                    marked[routine as usize] += 1;
+                }
+                (Op::Call, _) => assert_eq!(callee, None),
+                _ => {}
+            }
+        }
+        // strlen: httpd's four calls, strcat's, write_str's and send_str's.
+        assert_eq!(marked, [7, 6, 1, 1, 2]);
+    }
+
+    /// The standard library's `strlen` with one operand changed (its
+    /// `Add`'s, which nothing reads), and an application's own `strlen`
+    /// with another body: neither is marked, nor is `strcat`, whose inner
+    /// call no longer targets `strlen`'s body, and both run as bytecode.
+    #[test]
+    fn lookalike_bodies_stay_unmarked_and_run_as_bytecode() {
+        let (compiled, _) = stdlib_process(r#"fn main() -> int { return strlen("abc"); }"#);
+        let mut code = compiled.code().to_vec();
+        let add = compiled.functions["strlen"] + 6 * INSTR_SIZE;
+        assert_eq!(code[add as usize + 1], Op::Add.as_u8());
+        code[add as usize + 2] = 1;
+        let lookalike = CompiledProgram::new(
+            code,
+            compiled.globals_image.clone(),
+            (*compiled.globals_map).clone(),
+            (*compiled.functions).clone(),
+            compiled.entry_offset,
+            compiled.type_info.clone(),
+        );
+        let own = r#"
+            fn strlen(s: ptr) -> int {
+                var n: int = 0;
+                while (s[n]) { n = n + 1; }
+                return n;
+            }
+            fn main() -> int { return strlen("abc"); }
+        "#;
+        let own = compile_program(&parse_program(own).unwrap()).unwrap();
+        for program in [lookalike, own] {
+            let stream = program.stream().unwrap();
+            assert!(stream
+                .iter()
+                .all(|slot| !matches!(slot.fused, Fused::Call(_))));
+            tally::take();
+            let mut process = Process::new(&program, MemoryLayout::default());
+            assert_eq!(run_to_exit(&mut process), 3);
+            assert_eq!(tally::take(), [[0; 2]; 5]);
         }
     }
 

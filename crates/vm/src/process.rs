@@ -434,6 +434,18 @@ impl Process {
         }
     }
 
+    /// The stored bytes from `addr` to the end of the segment that holds
+    /// it. Empty where no segment stores `addr`, and everywhere when the
+    /// layout's segments are not disjoint, where bytes run on into the
+    /// next segment. The interpreter's native string calls scan and copy
+    /// through it.
+    pub(crate) fn stored_from(&self, addr: u32) -> &[u8] {
+        match self.segment_for(addr) {
+            Some((segment, off)) if self.disjoint => &self.bytes_of(segment)[off..],
+            _ => &[],
+        }
+    }
+
     /// Whether `addr` lies in the stack segment below its stored part.
     fn is_unstored(&self, addr: VirtAddr) -> bool {
         let addr = addr.as_u32();

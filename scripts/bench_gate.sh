@@ -26,8 +26,12 @@
 #     below (1 - bound) x BASE where higher is better, above
 #     (1 + bound) x BASE where lower is better.
 # A metric whose BASE quartile spread, (q3 - q1) / median, exceeds its
-# bound is printed as unresolved and fails nothing: the machine was too
-# noisy to tell. Exit status 2 is a usage error.
+# bound fails nothing: the machine was too noisy to tell it from its
+# bound. It is printed as better when every HEAD run beats every BASE run,
+# and as unresolved otherwise. A metric is printed as gain, whatever the
+# spread, when HEAD wins at least 9 of 10 pairs and its median beats
+# BASE's by more than BASE's quartile spread: the rule a claimed gain is
+# judged by. Other metrics print ok. Exit status 2 is a usage error.
 set -euo pipefail
 
 readonly PAIRS=10
@@ -156,8 +160,15 @@ for workload in [w["name"] for w in spec["workloads"]]:
         change = head_median / base_median - 1
         spread = (base_q3 - base_q1) / base_median
         wins = sum((h > b) if higher else (h < b) for b, h in zip(base_values, head_values))
-        if spread > bound:
-            verdict = "unresolved"
+        gain = change if higher else -change
+        if higher:
+            every_run_better = min(head_values) > max(base_values)
+        else:
+            every_run_better = max(head_values) < min(base_values)
+        if 10 * wins >= 9 * pairs and gain > spread:
+            verdict = "gain"
+        elif spread > bound:
+            verdict = "better" if every_run_better else "unresolved"
         elif (change < -bound) if higher else (change > bound):
             verdict = "FAIL"
             failed = True

@@ -24,6 +24,26 @@
 //! every offset inside every run. Since `step()` never fuses, the
 //! step-by-step check compares every fused probe with unfused execution.
 //!
+//! The last sixteen images, from a third generator stream, plant the
+//! five string routines the interpreter runs natively (`strlen`,
+//! `starts_with`, `strcpy`, `strcmp` and `strcat`) as the compiler emits
+//! them, behind a caller that calls them with short strings and edge
+//! arguments: strings that end at (or run off) the last byte of the
+//! globals or of the stored stack, pointers into the callee's frame, into
+//! code, into the unstored stack or nowhere, destinations in code, off the
+//! end of the globals or overlapping their source, an operand stack one
+//! word short, residue in the callee's `Enter` padding word, and caller
+//! frames that leave the callee's frame just below or exactly on the stack
+//! base, and a return through a forged saved fp that leaves `sp` in the
+//! globals, where a callee's frame would be writable but the `Call`
+//! overflows the stack. Budgets from 0 up to one past the end of the
+//! first call end a slice at every offset inside it (up to 160, past
+//! which only a copy onto itself runs); later states take the random
+//! images' budgets. The test asserts every routine is seen ending a
+//! slice, faulting and returning inside its body, and the faults each
+//! give-up leaves to the bytecode are seen where the images plant them,
+//! in a body or at a call.
+//!
 //! Each probe is one line of the committed golden fixture
 //! `tests/fixtures/interpreter_traps_golden.txt`: the trap, pc, sp, fp,
 //! `instructions_executed`, `syscalls_made` and the `digest_into` value.
@@ -34,10 +54,10 @@
 
 use nvariant_simos::Sysno;
 use nvariant_types::{Fnv1a, Word};
-use nvariant_vm::bytecode::encode_all;
+use nvariant_vm::bytecode::{decode_all, encode_all};
 use nvariant_vm::{
-    CompiledProgram, Fault, Instr, MemoryLayout, Op, Process, ProcessState, TrapReason, TypeInfo,
-    INSTR_SIZE,
+    compile_program, parse_with_stdlib, CompiledProgram, Fault, Instr, MemoryLayout, Op, Process,
+    ProcessState, TrapReason, TypeInfo, INSTR_SIZE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -57,6 +77,41 @@ const RUN_IMAGES: u64 = 12;
 /// Every budget up to 7 ends a slice at each offset inside the run planted
 /// at a run image's entry, behind its feeding slots.
 const RUN_BUDGETS: [u64; 9] = [0, 1, 2, 3, 4, 5, 6, 7, FULL];
+
+/// The images after the run images plant the natively run string routines.
+const NATIVE_SEED: u64 = 28;
+const NATIVE_IMAGES: u64 = 16;
+/// The longest first call whose every offset the budgets probe.
+const NATIVE_SWEEP: u64 = 160;
+
+/// The string routines the interpreter runs natively, and how many
+/// arguments each pops.
+const ROUTINES: [(&str, u32); 5] = [
+    ("strlen", 1),
+    ("starts_with", 2),
+    ("strcpy", 2),
+    ("strcmp", 2),
+    ("strcat", 2),
+];
+
+/// Each way every planted routine must be met: a slice ending inside its
+/// body, a fault there, and its `Ret` returning.
+const ROUTINE_EVENTS: [&str; 3] = ["budget", "Segfault", "return"];
+
+/// The faults some routine, or a `call` to one, must be seen raising:
+/// (routine, fault).
+const ROUTINE_FAULTS: [(&str, &str); 5] = [
+    ("strlen", "StackOverflow"),
+    ("starts_with", "OperandStackUnderflow"),
+    ("strcpy", "WriteProtection"),
+    ("strcat", "WriteProtection"),
+    ("call", "StackOverflow"),
+];
+
+/// The globals offset of the return address and saved fp a forged frame
+/// returns through, 24 bytes above the globals' base: a routine's frame
+/// below the `sp` it leaves would lie in the globals.
+const FORGED: u32 = 24;
 
 /// The instruction runs the interpreter executes in one dispatch, by name.
 const RUNS: [(&str, &[Op]); 4] = [
@@ -124,6 +179,9 @@ struct Image {
     mixed_slots: Vec<usize>,
     /// The planted fused runs: head slot and index into [`RUNS`].
     runs: Vec<(u32, usize)>,
+    /// The planted string routines, and each call to one as `call`: first
+    /// slot, slot count and name.
+    routines: Vec<(u32, u32, &'static str)>,
 }
 
 /// Operands aimed at the edges of every segment under every layout.
@@ -799,6 +857,275 @@ fn run_image(index: u64) -> Image {
     image(encode_all(&instrs), globals, 0, mixed_slots, runs)
 }
 
+/// The five string routines as the compiler emits them, in [`ROUTINES`]
+/// order, with jump operands relative to the routine's first slot.
+fn routine_bodies() -> Vec<Vec<Instr>> {
+    let stub = parse_with_stdlib("fn main() -> int { return 0; }").unwrap();
+    let compiled = compile_program(&stub).unwrap();
+    let instrs = decode_all(compiled.code()).unwrap();
+    let end = compiled.code().len() as u32;
+    ROUTINES
+        .iter()
+        .map(|&(name, _)| {
+            let start = compiled.functions[name];
+            let next = compiled
+                .functions
+                .values()
+                .copied()
+                .filter(|&offset| offset > start)
+                .min()
+                .unwrap_or(end);
+            instrs[(start / INSTR_SIZE) as usize..(next / INSTR_SIZE) as usize]
+                .iter()
+                .map(|&instr| match instr.op {
+                    Op::Jmp | Op::Jz | Op::Jnz => Instr::new(instr.op, instr.operand - start),
+                    _ => instr,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Native-call image `index`: a caller that reserves a frame, fills its
+/// words with short strings, then calls the planted routines, sometimes
+/// making a system call in between. A later call passes short strings
+/// and a buffer in the globals two times in three, and edge arguments
+/// otherwise, as the first call does. The first call is to
+/// `ROUTINES[index % 5]`. Images 0, 1 and 3 draw its arguments like the
+/// later calls'; images 2 and 4 copy a string onto itself, one byte ahead
+/// and at its end; images 5 to 9 pass an unmapped string last; image 10
+/// reserves a caller frame that leaves the callee's frame just below the
+/// stack base, and image 13 one that leaves it exactly on the base; image
+/// 11 pushes one argument too few; images 12 and 14 copy into code. Image
+/// 15 first returns through a saved fp it forged to point at [`FORGED`],
+/// which leaves `sp` in the globals, and then calls `strlen` with a
+/// string in the globals. Returns the image and the budgets that end a
+/// slice at every offset up to one past the end of the first call, or up
+/// to [`NATIVE_SWEEP`].
+fn native_image(index: u64, bodies: &[Vec<Instr>]) -> (Image, Vec<u64>) {
+    let mut rng = Rng(NATIVE_SEED ^ index.wrapping_mul(0xA24B_AED4_963E_E407));
+    let layout = MemoryLayout::default();
+    let globals_len = 33 + rng.below(8);
+    let frame = match index {
+        10 => layout.stack_size - 12,
+        13 => layout.stack_size - 24,
+        _ => 16,
+    };
+    let mut caller = vec![Instr::new(Op::Enter, frame)];
+    // Three words of stack strings below the stack top: the two lower
+    // ones end in a NUL, the top one ends at the last stored byte or runs
+    // off it.
+    for (k, disp) in [12, 8, 4].into_iter().enumerate() {
+        let mut bytes = [0u8; 4];
+        let len = if k == 2 { 3 } else { rng.below(4) };
+        for byte in &mut bytes[..len as usize] {
+            *byte = b'a' + rng.below(2) as u8;
+        }
+        if k == 2 && rng.below(2) == 0 {
+            bytes[3] = b'b';
+        }
+        caller.push(Instr::new(Op::Push, u32::from_le_bytes(bytes)));
+        caller.push(Instr::new(Op::StoreL, disp));
+    }
+    // Residue where a two-argument callee keeps its `Enter` padding word.
+    if frame == 16 {
+        caller.push(Instr::new(Op::Push, 0x5A5A_5A5A));
+        caller.push(Instr::new(Op::StoreL, frame + 24));
+    }
+    // The caller stores the address of the slot after its `Ret`, and its
+    // own fp, at `FORGED`; `forge` points its saved fp there, so that
+    // `Ret` resumes at the next slot with `sp` 8 bytes above `FORGED`.
+    let forge = (index == 15).then(|| {
+        let resume = caller.len() as u32 + 6;
+        caller.extend([
+            Instr::new(Op::LeaG, to_code().wrapping_add(resume * INSTR_SIZE)),
+            Instr::new(Op::StoreG, FORGED),
+            Instr::new(Op::LeaL, 0),
+            Instr::new(Op::StoreG, FORGED + 4),
+            Instr::new(Op::Call, 0),
+            Instr::simple(Op::Ret),
+        ]);
+        caller.len() - 2
+    });
+    let calls = 4 + rng.below(3);
+    let mut sites = Vec::new();
+    for call in 0..calls {
+        let routine = if call == 0 {
+            index as usize % ROUTINES.len()
+        } else {
+            rng.below(ROUTINES.len() as u32) as usize
+        };
+        let mut args = if call > 0 && rng.below(3) != 0 {
+            tame_args(routine, &mut rng)
+        } else {
+            native_args(routine, globals_len, frame, &mut rng)
+        };
+        let short = if call == 0 {
+            match index {
+                2 => args = vec![Instr::new(Op::LeaG, 1), Instr::new(Op::LeaG, 0)],
+                4 => args = vec![Instr::new(Op::LeaG, 0), Instr::new(Op::LeaG, 0)],
+                5..=9 => *args.last_mut().unwrap() = Instr::new(Op::Push, 0),
+                12 | 14 => args[0] = Instr::new(Op::LeaG, to_code().wrapping_add(INSTR_SIZE)),
+                15 => args = vec![Instr::new(Op::LeaG, 0)],
+                _ => {}
+            }
+            index == 11
+        } else {
+            rng.below(8) == 0
+        };
+        caller.extend(&args[usize::from(short)..]);
+        sites.push((caller.len(), routine));
+        caller.push(Instr::new(Op::Call, 0));
+        match rng.below(3) {
+            0 => caller.push(Instr::new(Op::Syscall, Sysno::Time.as_u32() << 8)),
+            1 => caller.push(Instr::simple(Op::Pop)),
+            _ => {}
+        }
+    }
+    caller.push(Instr::simple(Op::Halt));
+    if let Some(site) = forge {
+        caller[site].operand = caller.len() as u32 * INSTR_SIZE;
+        caller.extend([
+            Instr::new(Op::LeaG, FORGED),
+            Instr::new(Op::StoreL, 0u32.wrapping_sub(4)),
+            Instr::simple(Op::Ret),
+        ]);
+    }
+
+    // The bodies follow the caller, in `ROUTINES` order.
+    let mut instrs = caller;
+    let mut entries = Vec::new();
+    let mut routines: Vec<_> = sites
+        .iter()
+        .map(|&(site, _)| (site as u32, 1, "call"))
+        .collect();
+    for (k, body) in bodies.iter().enumerate() {
+        let entry = instrs.len() as u32 * INSTR_SIZE;
+        entries.push(entry);
+        routines.push((instrs.len() as u32, body.len() as u32, ROUTINES[k].0));
+        instrs.extend(body.iter().map(|&instr| match instr.op {
+            Op::Jmp | Op::Jz | Op::Jnz => Instr::new(instr.op, instr.operand + entry),
+            // `strcat` calls `strlen`, planted first.
+            Op::Call => Instr::new(Op::Call, entries[0]),
+            _ => instr,
+        }));
+    }
+    for &(site, routine) in &sites {
+        instrs[site].operand = entries[routine];
+    }
+
+    // Globals: two short strings, the first not empty, a zeroed buffer,
+    // and up to three letters that end at, or run off, the last byte.
+    let mut globals = vec![0u8; globals_len as usize];
+    for at in [0, 8] {
+        let len = if at == 0 {
+            1 + rng.below(3)
+        } else {
+            rng.below(4)
+        };
+        for byte in &mut globals[at..at + len as usize] {
+            *byte = b'a' + rng.below(2) as u8;
+        }
+    }
+    let tail = globals_len as usize - 1;
+    for byte in &mut globals[tail - rng.below(3) as usize..tail] {
+        *byte = b'a' + rng.below(2) as u8;
+    }
+    if rng.below(2) == 0 {
+        globals[tail] = b'b';
+    }
+    let mut mixed_slots: Vec<usize> = (0..instrs.len()).filter(|_| rng.below(4) == 0).collect();
+    if mixed_slots.is_empty() {
+        mixed_slots.push(0);
+    }
+
+    let first_return = (sites[0].0 as u32 + 1) * INSTR_SIZE;
+    let mut image = image(encode_all(&instrs), globals, 0, mixed_slots, Vec::new());
+    image.routines = routines;
+    let mut process = Process::new(&image.compiled, layout);
+    let mut steps = 0;
+    while steps < NATIVE_SWEEP
+        && process.pc().as_u32() != layout.code_base + first_return
+        && process.step().is_none()
+    {
+        steps += 1;
+    }
+    (image, (0..=steps + 1).chain([FULL]).collect())
+}
+
+/// The instructions that push the arguments of `ROUTINES[routine]`: the
+/// destination first for `strcpy` and `strcat`.
+fn native_args(routine: usize, globals_len: u32, frame: u32, rng: &mut Rng) -> Vec<Instr> {
+    let src = native_string(globals_len, frame, rng);
+    match ROUTINES[routine] {
+        (_, 1) => vec![src],
+        ("strcpy" | "strcat", _) => vec![native_destination(globals_len, frame, src, rng), src],
+        _ => vec![native_string(globals_len, frame, rng), src],
+    }
+}
+
+/// The instructions that push short strings, in the globals or the
+/// caller's terminated stack words, as the arguments of
+/// `ROUTINES[routine]`, and the globals' buffer as a destination.
+fn tame_args(routine: usize, rng: &mut Rng) -> Vec<Instr> {
+    let string = |rng: &mut Rng| {
+        if rng.below(2) == 0 {
+            Instr::new(Op::LeaG, 8 * rng.below(2))
+        } else {
+            Instr::new(Op::LeaL, 8 + 4 * rng.below(2))
+        }
+    };
+    let src = string(rng);
+    match ROUTINES[routine] {
+        (_, 1) => vec![src],
+        ("strcpy" | "strcat", _) => vec![Instr::new(Op::LeaG, 16 + rng.below(4)), src],
+        _ => vec![string(rng), src],
+    }
+}
+
+/// The globals-relative displacement of the code segment, the same under
+/// every layout.
+fn to_code() -> u32 {
+    let base = MemoryLayout::default();
+    base.code_base.wrapping_sub(base.globals_base)
+}
+
+/// An instruction leaving the address of a string to read: a short string
+/// in the globals, their last bytes, the caller's stack words up to the
+/// stack top, the callee's own frame (`strcat`'s nested one included),
+/// code, the unstored stack or an unmapped address.
+fn native_string(globals_len: u32, frame: u32, rng: &mut Rng) -> Instr {
+    match rng.below(12) {
+        0..=4 => Instr::new(Op::LeaG, 8 * rng.below(2)),
+        5 => Instr::new(Op::LeaG, globals_len - 1 - rng.below(4)),
+        6 | 7 => Instr::new(Op::LeaL, 4 + 4 * rng.below(3)),
+        8 => Instr::new(Op::LeaL, frame + 4 + 4 * rng.below(10)),
+        9 => Instr::new(Op::LeaG, to_code().wrapping_add(rng.below(48))),
+        10 => Instr::new(Op::LeaL, 0x2000 + rng.below(8)),
+        _ => Instr::new(Op::Push, rng.below(8)),
+    }
+}
+
+/// An instruction leaving a copy's destination: the globals' buffer, a
+/// caller stack word or the dead stack below the callee, code, the last
+/// bytes of the globals, the callee's frame, or `src` or one past it.
+fn native_destination(globals_len: u32, frame: u32, src: Instr, rng: &mut Rng) -> Instr {
+    match rng.below(10) {
+        0..=2 => Instr::new(Op::LeaG, 16 + rng.below(4)),
+        3 => Instr::new(Op::LeaL, rng.pick(&[16, frame + 64])),
+        4 => Instr::new(Op::LeaG, to_code().wrapping_add(rng.below(48))),
+        5 => Instr::new(Op::LeaG, globals_len - 1 - rng.below(2)),
+        6 => Instr::new(Op::LeaL, frame + 4 + 4 * rng.below(10)),
+        _ => {
+            let ahead = rng.below(2);
+            match src.op {
+                Op::LeaL => Instr::new(Op::LeaL, src.operand.wrapping_sub(ahead)),
+                _ => Instr::new(src.op, src.operand.wrapping_add(ahead)),
+            }
+        }
+    }
+}
+
 /// The globals of a random image with two snippets planted at
 /// `edges.plant`, and the slots its mixed-tag image restamps.
 fn globals_and_mixed(edges: &Edges, rng: &mut Rng) -> (Vec<u8>, Vec<usize>) {
@@ -842,6 +1169,7 @@ fn image(
         ),
         mixed_slots,
         runs,
+        routines: Vec::new(),
     }
 }
 
@@ -901,29 +1229,51 @@ fn next_op(process: &Process) -> Option<Op> {
     Instr::decode(&bytes).map(|instr| instr.op)
 }
 
-/// What the single-step reference saw: every opcode it executed, and each
+/// What the single-step reference saw: every opcode it executed, each
 /// way it met a planted fused run, as (run name, offset in the run, event):
 /// the fault an instruction there raised, a `budget` that ran out before
-/// it, or a `branch` that landed on it.
+/// it, or a `branch` that landed on it; and each way it met a planted
+/// string routine, as (routine name, event).
 #[derive(Default)]
 struct Seen {
     ops: BTreeSet<u8>,
     runs: BTreeSet<(&'static str, u32, String)>,
+    routines: BTreeSet<(&'static str, String)>,
 }
 
 impl Seen {
-    fn note(&mut self, runs: &[(u32, usize)], process: &Process, pc: u32, event: &str) {
+    fn note(&mut self, image: &Image, process: &Process, pc: u32, event: &str) {
         let off = pc.wrapping_sub(process.layout().code_base);
         if !off.is_multiple_of(INSTR_SIZE) {
             return;
         }
         let slot = off / INSTR_SIZE;
-        for &(head, kind) in runs {
+        for &(head, kind) in &image.runs {
             let (name, ops) = RUNS[kind];
             if (head..head + ops.len() as u32).contains(&slot) {
                 self.runs.insert((name, slot - head, event.to_string()));
             }
         }
+        for &(first, len, name) in &image.routines {
+            if (first..first + len).contains(&slot) {
+                self.routines.insert((name, event.to_string()));
+            }
+        }
+    }
+
+    /// The ways some planted routine was never met.
+    fn missed_routines(&self) -> Vec<(&'static str, String)> {
+        let mut want: Vec<_> = ROUTINES
+            .iter()
+            .flat_map(|&(name, _)| ROUTINE_EVENTS.map(|event| (name, event.to_string())))
+            .chain(
+                ROUTINE_FAULTS
+                    .iter()
+                    .map(|&(name, event)| (name, event.to_string())),
+            )
+            .collect();
+        want.retain(|way| !self.routines.contains(way));
+        want
     }
 
     /// The ways some planted run was never met, of those every run of
@@ -946,34 +1296,33 @@ impl Seen {
 
 /// Runs `budget` single steps, stopping at the first trap; an exhausted
 /// budget faults exactly as `run_until_trap` does.
-fn step_slice(
-    process: &mut Process,
-    budget: u64,
-    runs: &[(u32, usize)],
-    seen: &mut Seen,
-) -> TrapReason {
+fn step_slice(process: &mut Process, budget: u64, image: &Image, seen: &mut Seen) -> TrapReason {
     for _ in 0..budget {
         let pc = process.pc().as_u32();
         let running = process.state() == ProcessState::Running;
-        if let Some(op) = next_op(process) {
+        let op = next_op(process);
+        if let Some(op) = op {
             seen.ops.insert(op.as_u8());
         }
         let Some(trap) = process.step() else {
             let to = process.pc().as_u32();
             if to != pc.wrapping_add(INSTR_SIZE) {
-                seen.note(runs, process, to, "branch");
+                seen.note(image, process, to, "branch");
+            }
+            if op == Some(Op::Ret) {
+                seen.note(image, process, pc, "return");
             }
             continue;
         };
         if let (true, TrapReason::Faulted(fault)) = (running, &trap) {
             let name = format!("{fault:?}");
             let name = name.split(|c: char| !c.is_alphanumeric()).next();
-            seen.note(runs, process, pc, name.unwrap_or_default());
+            seen.note(image, process, pc, name.unwrap_or_default());
         }
         return trap;
     }
     if process.state() == ProcessState::Running {
-        seen.note(runs, process, process.pc().as_u32(), "budget");
+        seen.note(image, process, process.pc().as_u32(), "budget");
     }
     process.set_faulted(Fault::StepLimitExceeded);
     TrapReason::Faulted(Fault::StepLimitExceeded)
@@ -998,22 +1347,31 @@ fn golden_text(seen: &mut Seen) -> String {
         } else {
             random_image(index)
         };
-        (index, image, &BUDGETS[..])
+        (index, image, BUDGETS.to_vec(), &BUDGETS[..])
     });
-    let runs = (0..RUN_IMAGES).map(|k| (IMAGES + k, run_image(k), &RUN_BUDGETS[..]));
+    let runs = (0..RUN_IMAGES).map(|k| {
+        let budgets = RUN_BUDGETS.to_vec();
+        (IMAGES + k, run_image(k), budgets, &RUN_BUDGETS[..])
+    });
+    let bodies = routine_bodies();
+    let natives = (0..NATIVE_IMAGES).map(|k| {
+        let (image, first_call) = native_image(k, &bodies);
+        (IMAGES + RUN_IMAGES + k, image, first_call, &BUDGETS[..])
+    });
     let mut text = String::new();
-    for (index, image, budgets) in random.chain(runs) {
+    for (index, image, first, later) in random.chain(runs).chain(natives) {
         for (l, layout) in layouts().into_iter().enumerate() {
             for (label, tag, code) in tag_cases(&image) {
                 let mut process =
                     Process::with_image(&image.compiled, layout, tag, Arc::clone(&code));
                 for state in 0..STATES {
+                    let budgets = if state == 0 { &first[..] } else { later };
                     for &budget in budgets {
                         let mut run = process.clone();
                         let trap = run.run_until_trap(budget);
                         let line = snapshot(&run, &trap);
                         let mut stepped = process.clone();
-                        let stepped_trap = step_slice(&mut stepped, budget, &image.runs, seen);
+                        let stepped_trap = step_slice(&mut stepped, budget, &image, seen);
                         assert_eq!(
                             snapshot(&stepped, &stepped_trap),
                             line,
@@ -1045,6 +1403,11 @@ fn random_bytecode_traps_match_the_committed_golden_fixture() {
     assert!(
         missed.is_empty(),
         "fused runs never met these ways: {missed:?}"
+    );
+    let missed = seen.missed_routines();
+    assert!(
+        missed.is_empty(),
+        "string routines never met these ways: {missed:?}"
     );
 
     let path = golden_path();
