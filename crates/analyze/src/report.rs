@@ -6,11 +6,10 @@
 
 use nvariant_diversity::{UidTransform, VariantSpec};
 use nvariant_vm::Instr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The property a finding violates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Property {
     /// Structural drift between the variants (CFG shape, tags, opcodes,
     /// operands outside the declared relation, undecodable slots).
@@ -41,7 +40,7 @@ impl fmt::Display for Property {
 }
 
 /// One verified defect, anchored to an exact instruction where possible.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
     /// The violated property.
     pub property: Property,
@@ -84,7 +83,7 @@ impl Finding {
 }
 
 /// The result of verifying one variant pair.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AnalysisReport {
     /// The spec of the pair's base variant (the one whose stream was
     /// abstractly interpreted).

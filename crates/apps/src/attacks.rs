@@ -5,11 +5,10 @@
 use crate::scenarios::{compiled_httpd_system, ScenarioOutcome, ServedRequest};
 use nvariant::{DeploymentConfig, RunnableSystem};
 use nvariant_campaign::{CampaignPlan, CellOutcome, CellRun, CellVerdict, Scenario};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The class of a concrete attack, in the paper's terms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum AttackClass {
     /// Non-control-data attack corrupting a UID value through a *relative*
@@ -24,7 +23,7 @@ pub enum AttackClass {
 }
 
 /// What happened when an attack was launched against a configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AttackResult {
     /// The monitor raised an alarm before the attack achieved its goal.
     Detected,
@@ -46,7 +45,7 @@ impl fmt::Display for AttackResult {
 }
 
 /// A concrete attack against the mini Apache.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Attack {
     /// The attack class.
     pub class: AttackClass,
@@ -228,7 +227,7 @@ impl Attack {
 }
 
 /// The outcome of launching one attack against one configuration.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AttackOutcome {
     /// The attack name.
     pub attack: String,

@@ -14,15 +14,13 @@ use nvariant::{
 };
 use nvariant_campaign::{CampaignPlan, CellOutcome, CellResult, Scenario};
 use nvariant_transform::TransformStats;
-use nvariant_types::Port;
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 pub use nvariant_campaign::ServedRequest;
 
 /// The result of serving a batch of requests under one configuration.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScenarioOutcome {
     /// The configuration label the scenario ran under.
     pub config_label: String,
@@ -134,24 +132,6 @@ pub fn run_requests(config: &DeploymentConfig, requests: &[Vec<u8>]) -> Scenario
         .scenario(Scenario::fixed_requests("requests", requests.to_vec()))
         .run(1);
     ScenarioOutcome::from_cell(report.cells.remove(0))
-}
-
-/// Like [`run_requests`] but against an already-built system (useful when
-/// the caller needed to inspect symbol addresses to craft the requests, or
-/// staged extra world state).
-#[must_use]
-pub fn run_requests_on(
-    system: &mut RunnableSystem,
-    config: &DeploymentConfig,
-    requests: &[Vec<u8>],
-) -> ScenarioOutcome {
-    let (outcome, served) = nvariant_campaign::serve_requests(system, Port::HTTP, requests);
-    ScenarioOutcome {
-        config_label: config.label(),
-        system: CellOutcome::from(&outcome),
-        requests: served,
-        transform_stats: *system.transform_stats(),
-    }
 }
 
 #[cfg(test)]

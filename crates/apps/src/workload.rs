@@ -21,7 +21,6 @@ use nvariant_campaign::Scenario;
 use nvariant_simos::{CostModel, SimDuration, SimInstant, Sysno};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Builds a benign HTTP request for `path`, with the modest User-Agent the
 /// WebBench tool would send.
@@ -34,7 +33,7 @@ pub fn benign_request(path: &str) -> Vec<u8> {
 }
 
 /// A weighted static-page mix.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkloadMix {
     entries: Vec<(String, u32)>,
 }
@@ -95,7 +94,7 @@ impl WorkloadMix {
 }
 
 /// A load level: how many closed-loop clients issue how many requests each.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LoadLevel {
     /// Number of concurrent closed-loop clients.
     pub clients: usize,
@@ -148,7 +147,7 @@ impl LoadLevel {
 }
 
 /// One measured cell of the Table 3 reproduction.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BenchmarkResult {
     /// Configuration label.
     pub config_label: String,

@@ -5,12 +5,11 @@
 use crate::exchange::ServedRequest;
 use nvariant::{ExecutionMetrics, SystemOutcome};
 use nvariant_transform::TransformStats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
 /// The coordinates and derived seed of one campaign cell.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellSpec {
     /// Index of the configuration in the plan's config list.
     pub config_index: usize,
@@ -54,7 +53,7 @@ impl CellSpec {
 
 /// A scenario's classification of a cell, alongside the prediction it was
 /// expected to match (e.g. an attack's observed vs. predicted result).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellVerdict {
     /// What was observed.
     pub observed: String,
@@ -75,7 +74,7 @@ impl CellVerdict {
 /// [`Scenario::with_check`](crate::Scenario::with_check)). Plain strings
 /// and counters so shards and merged reports stay self-contained without
 /// the campaign crate depending on the checker.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckSummary {
     /// Property key (`P1`/`P2`/`P3`).
     pub property: String,
@@ -104,7 +103,7 @@ impl fmt::Display for CheckSummary {
 /// report is self-contained — it can be serialized to a shard file,
 /// reassembled by [`CampaignReport::merge`](crate::CampaignReport::merge)
 /// and compared byte-for-byte without holding live monitor state.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellOutcome {
     /// Exit status, if the program (or agreeing variant group) exited.
     pub exit_status: Option<i32>,
@@ -155,7 +154,7 @@ impl fmt::Display for CellOutcome {
 }
 
 /// Response status counts over a batch of served requests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RequestTally {
     /// Total request/response pairs observed.
     pub total: usize,
@@ -209,7 +208,7 @@ impl fmt::Display for RequestTally {
 }
 
 /// The complete observed result of one campaign cell.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CellResult {
     /// The cell's coordinates and seed.
     pub spec: CellSpec,

@@ -1,10 +1,8 @@
 //! Request/response pairs observed at the simulated network, with an HTTP
 //! status-line parser shared by every scenario and report.
 
-use serde::{Deserialize, Serialize};
-
 /// One request/response pair observed at the simulated network.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServedRequest {
     /// The raw request the client sent.
     pub request: Vec<u8>,

@@ -12,7 +12,6 @@ use crate::shardio::ShardCursor;
 use crate::streaming::{ShardMerger, StreamingAggregator};
 use nvariant::CacheStats;
 use nvariant_types::lines::ParseError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
@@ -24,7 +23,7 @@ use std::time::Duration;
 /// or foreign cells *without re-running the plan* — the shape, together
 /// with the plan hash, is what turns merging from "trust the shards" into
 /// validation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanShape {
     /// Number of configurations on the deployment axis.
     pub configs: usize,
@@ -220,7 +219,7 @@ impl std::error::Error for MergeError {}
 /// [`merge`](Self::merge), compare byte-identically. Wall-clock fields
 /// (`total_wall`, per-cell `wall`, `workers`) are measurement metadata and
 /// stay out of the canonical form.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CampaignReport {
     /// The plan's name.
     pub name: String,

@@ -6,14 +6,13 @@ use crate::trace::Counterexample;
 use nvariant::CompiledSystem;
 use nvariant_simos::WorldTemplate;
 use nvariant_types::Port;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// The attacker move the explorer may inject before any synchronization
 /// point (at most once per trace). Each model corresponds to one memory
 /// corruption class of the paper's evaluation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AttackerModel {
     /// No attacker: the only branching is over schedules. Properties that
     /// quantify over attacker moves pass vacuously.
@@ -75,7 +74,7 @@ pub(crate) const RECV_CHUNKS: [usize; 1] = [4];
 pub(crate) const MAX_STATES: u64 = 200_000;
 
 /// What one check run checks, and how deep.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckRequest {
     /// The property to check.
     pub property: Property,
@@ -93,7 +92,7 @@ impl CheckRequest {
 
 /// Counters describing how much of the bounded state space one check run
 /// explored.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExploreStats {
     /// Distinct steps executed (tree nodes expanded).
     pub states_visited: u64,
@@ -110,7 +109,7 @@ pub struct ExploreStats {
 }
 
 /// Verdict of one check run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckStatus {
     /// No violating trace exists within the bound.
     Pass,
@@ -128,7 +127,7 @@ impl fmt::Display for CheckStatus {
 }
 
 /// The result of checking one property against one target.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckReport {
     /// The property checked.
     pub property: Property,

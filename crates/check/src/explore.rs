@@ -111,36 +111,26 @@ fn violation(
     monitor: &NVariantMonitor,
 ) -> Option<String> {
     match property {
+        // Every alarm ends the group, so only a terminal step carries one
+        // and a step that keeps the group running raised none.
         Property::BenignLockstep => {
-            let alarmed = match event {
-                StepEvent::Progress(obs) => obs.alarms_raised > 0,
-                StepEvent::Done(outcome) => outcome.alarm.is_some(),
+            let StepEvent::Done(outcome) = event else {
+                return None;
             };
-            if alarmed {
-                let alarm = monitor
-                    .alarms()
-                    .last()
-                    .expect("alarmed step records an alarm");
-                return Some(format!("alarm on benign trace: {:?}", alarm.kind));
-            }
-            None
+            let alarm = outcome.alarm.as_ref()?;
+            Some(format!("alarm on benign trace: {:?}", alarm.kind))
         }
         Property::UidIntegrity => {
             let StepEvent::Progress(obs) = event else {
                 return None;
             };
-            let executed_credential_call = obs.sysno.is_some_and(is_credential_call);
             // The corrupted value actually reached the call: the variants'
             // canonicalized arguments disagreed, yet the call executed
             // without an alarm.
-            if corrupted
-                && executed_credential_call
-                && obs.divergent_args
-                && monitor.alarms().is_empty()
-            {
+            if corrupted && is_credential_call(obs.sysno) && obs.divergent_args {
                 return Some(format!(
                     "credential call {:?} executed with corrupted uid and no alarm",
-                    obs.sysno.expect("checked above")
+                    obs.sysno
                 ));
             }
             None
@@ -149,12 +139,12 @@ fn violation(
             let StepEvent::Progress(obs) = event else {
                 return None;
             };
-            let sent_output = obs.sysno == Some(Sysno::Send) && obs.output_delta > 0;
+            let sent_output = obs.sysno == Sysno::Send && obs.output_delta > 0;
             let privileged = monitor
                 .kernel()
                 .credentials(monitor.group_pid())
                 .is_ok_and(|cred| cred.euid().is_root());
-            if corrupted && sent_output && privileged && monitor.alarms().is_empty() {
+            if corrupted && sent_output && privileged {
                 return Some(format!(
                     "{} bytes of network output left a corrupted, still-privileged \
                      group with no alarm",
@@ -317,7 +307,6 @@ pub fn replay(target: &CheckTarget, property: Property, actions: &[Action]) -> R
     let mut corrupted = false;
     let mut steps = Vec::new();
     for (index, action) in actions.iter().enumerate() {
-        let alarms_before = monitor.alarms().len();
         let event = apply_step(&mut monitor, target, *action);
         corrupted = corrupted || action.corrupt;
         steps.push(TraceStep {
@@ -326,7 +315,12 @@ pub fn replay(target: &CheckTarget, property: Property, actions: &[Action]) -> R
             sysno: monitor
                 .last_sysno()
                 .map_or_else(|| "-".to_string(), |s| format!("{s:?}")),
-            alarms: monitor.alarms().len() - alarms_before,
+            // Replay stops at the first terminal step, the only one that
+            // can carry an alarm.
+            alarms: match &event {
+                StepEvent::Done(outcome) => usize::from(outcome.alarm.is_some()),
+                StepEvent::Progress(_) => 0,
+            },
         });
         if let Some(why) = violation(property, corrupted, &event, &monitor) {
             return Replay {

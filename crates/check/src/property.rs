@@ -1,11 +1,10 @@
 //! The detection properties the checker verifies.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A bounded-checkable property of an instantiated N-variant system, stated
 /// against the paper's detection arguments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Property {
     /// **P1 — UID integrity**: no attacker move sequence reaches a
     /// credential-changing system call with a corrupted UID without the

@@ -2,13 +2,12 @@
 //! syscalls they produced, and a deterministic text rendering.
 
 use crate::property::Property;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// The annotations the explorer attaches to one synchronization step: an
 /// optional attacker move before the step, and an optional receive cap
 /// (schedule choice) for the step.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Action {
     /// Apply the target's attacker move before this step (at most one move
     /// per trace — the one-shot corruption model).
@@ -28,7 +27,7 @@ impl Action {
 }
 
 /// One rendered step of a counterexample trace.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceStep {
     /// Step index (0-based synchronization point).
     pub index: usize,
@@ -43,7 +42,7 @@ pub struct TraceStep {
 
 /// A minimal counterexample: the shortest annotated schedule prefix the
 /// minimizer could not shrink further that still violates the property.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Counterexample {
     /// The violated property.
     pub property: Property,

@@ -1,12 +1,11 @@
 //! Deployment configurations, mirroring the paper's Table 3.
 
 use nvariant_diversity::Variation;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How a program is deployed: which variation, how many variants, and
 /// whether the UID source transformation is applied.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DeploymentConfig {
     /// Paper Configuration 1: the unmodified program running as a single

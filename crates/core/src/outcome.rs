@@ -2,11 +2,10 @@
 
 pub use nvariant_monitor::ExecutionMetrics;
 use nvariant_monitor::{Alarm, NVariantOutcome};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The outcome of running a deployed system to completion.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SystemOutcome {
     /// Exit status, if the program (or agreeing variant group) exited.
     pub exit_status: Option<i32>,

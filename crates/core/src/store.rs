@@ -34,7 +34,6 @@ use nvariant_transform::TransformStats;
 use nvariant_types::hex::{hex_decode, hex_encode};
 use nvariant_types::lines::{quote, Line, LineReader, ParseError};
 use nvariant_vm::{CompiledProgram, FunctionSig, Type, TypeInfo};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::BufRead;
@@ -56,7 +55,7 @@ pub use nvariant_types::fnv::fnv1a_64;
 
 /// A point-in-time snapshot of cache effectiveness counters, shared by the
 /// artifact store and the campaign cell cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries served from the cache.
     pub hits: u64,
@@ -705,7 +704,7 @@ mod tests {
         assert_ne!(
             base,
             builder(DeploymentConfig::TwoVariantUid)
-                .unshared_file("/etc/motd")
+                .monitor_config(MonitorConfig::default().with_unshared_file("/etc/motd"))
                 .fingerprint()
         );
         assert_ne!(

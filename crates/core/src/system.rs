@@ -4,7 +4,7 @@ use crate::config::DeploymentConfig;
 use crate::outcome::SystemOutcome;
 use nvariant_analyze::{analyze_pair, combined_verdict, AnalysisReport, VariantArtifact};
 use nvariant_diversity::{AddressTransform, UidTransform, VariantSet, VariantSpec};
-use nvariant_monitor::{provision_unshared_copies, MonitorConfig, NVariantMonitor};
+use nvariant_monitor::{MonitorConfig, NVariantMonitor};
 use nvariant_simos::{OsKernel, WorldBuilder};
 use nvariant_transform::{
     TransformError, TransformOptions, TransformStats, UidContext, UidTransformer,
@@ -72,8 +72,6 @@ pub struct NVariantSystemBuilder {
     config: DeploymentConfig,
     monitor_config: MonitorConfig,
     transform_options: TransformOptions,
-    base_layout: MemoryLayout,
-    extra_unshared: Vec<String>,
     verify_diversity: bool,
     /// Lazily computed [`fingerprint`](Self::fingerprint), invalidated by
     /// every setter that shapes the compiled artifact. Deriving the
@@ -103,8 +101,6 @@ impl NVariantSystemBuilder {
             config: DeploymentConfig::TwoVariantUid,
             monitor_config: MonitorConfig::default(),
             transform_options: TransformOptions::default(),
-            base_layout: MemoryLayout::default(),
-            extra_unshared: Vec::new(),
             verify_diversity: false,
             fingerprint_cache: OnceLock::new(),
         }
@@ -147,24 +143,6 @@ impl NVariantSystemBuilder {
         self
     }
 
-    /// Overrides the base memory layout used for variant 0.
-    #[must_use]
-    pub fn base_layout(mut self, layout: MemoryLayout) -> Self {
-        self.base_layout = layout;
-        self.fingerprint_cache = OnceLock::new();
-        self
-    }
-
-    /// Marks an additional file as unshared (each variant receives a
-    /// verbatim copy unless the caller provisions diversified copies
-    /// beforehand).
-    #[must_use]
-    pub fn unshared_file(mut self, path: &str) -> Self {
-        self.extra_unshared.push(path.to_string());
-        self.fingerprint_cache = OnceLock::new();
-        self
-    }
-
     /// Enables the static diversity verifier: [`compile`](Self::compile)
     /// runs [`nvariant_analyze::analyze_pair`] over every variant pair of a
     /// multi-variant plan and records the combined verdict in the artifact
@@ -178,22 +156,12 @@ impl NVariantSystemBuilder {
         self
     }
 
-    fn layout_for(&self, addr: AddressTransform) -> MemoryLayout {
-        match addr {
-            AddressTransform::Identity => self.base_layout,
-            AddressTransform::PartitionHigh => self.base_layout.with_partition_bit(),
-            AddressTransform::PartitionHighWithOffset(offset) => {
-                self.base_layout.with_partition_bit().with_offset(offset)
-            }
-        }
-    }
-
     /// The canonical content fingerprint of the artifact this builder would
     /// [`compile`](Self::compile): FNV-1a 64 over the program source (in its
     /// canonical pretty-printed form) plus every builder knob that shapes
     /// the compiled images — deployment configuration, transformation
     /// options, initial UID, monitor configuration (execution limits
-    /// included), base memory layout and the extra unshared files.
+    /// included) and whether the static verifier runs.
     ///
     /// No world enters it: an artifact deploys into any world through
     /// [`CompiledSystem::provision_world`]. Two builders with equal
@@ -218,16 +186,26 @@ impl NVariantSystemBuilder {
         descriptor.push_str(&format!("config {:?}\n", self.config));
         descriptor.push_str(&format!("transform_options {:?}\n", self.transform_options));
         descriptor.push_str(&format!("initial_uid {}\n", self.initial_uid.as_u32()));
-        descriptor.push_str(&format!("monitor_config {:?}\n", self.monitor_config));
-        descriptor.push_str(&format!("base_layout {:?}\n", self.base_layout));
-        // The monitor configuration above already holds the limits. This
-        // line repeats them in its own shape because dropping it would move
-        // every artifact fingerprint and every plan hash.
+        // `policy: KillAndReport`, the base layout and the empty extra
+        // unshared list are constants, and the run limits repeat the
+        // monitor configuration's. Their lines keep the bytes they always
+        // rendered, because changing them would move every artifact
+        // fingerprint and every plan hash.
+        let monitor = &self.monitor_config;
+        descriptor.push_str(&format!(
+            "monitor_config MonitorConfig {{ unshared_files: {:?}, max_steps_per_slice: {}, \
+             max_syscalls: {}, policy: KillAndReport, detection_checks: {} }}\n",
+            monitor.unshared_files,
+            monitor.max_steps_per_slice,
+            monitor.max_syscalls,
+            monitor.detection_checks
+        ));
+        descriptor.push_str(&format!("base_layout {:?}\n", MemoryLayout::default()));
         descriptor.push_str(&format!(
             "run_limits RunLimits {{ max_steps_per_slice: {}, max_syscalls: {} }}\n",
-            self.monitor_config.max_steps_per_slice, self.monitor_config.max_syscalls
+            monitor.max_steps_per_slice, monitor.max_syscalls
         ));
-        descriptor.push_str(&format!("extra_unshared {:?}\n", self.extra_unshared));
+        descriptor.push_str("extra_unshared []\n");
         descriptor.push_str(&format!("verify_diversity {}\n", self.verify_diversity));
         descriptor.push_str("source\n");
         descriptor.push_str(&nvariant_vm::pretty_print(&self.program));
@@ -333,8 +311,7 @@ impl NVariantSystemBuilder {
             } else {
                 &[]
             };
-            let extra = self.extra_unshared.iter().map(String::as_str);
-            for path in account_files.iter().copied().chain(extra) {
+            for path in account_files {
                 if !monitor_config.is_unshared(path) {
                     monitor_config = monitor_config.with_unshared_file(path);
                 }
@@ -345,7 +322,7 @@ impl NVariantSystemBuilder {
                 .into_iter()
                 .zip(&specs)
                 .map(|(program, spec)| {
-                    CompiledVariant::new(program, self.layout_for(spec.addr), spec.tag)
+                    CompiledVariant::new(program, layout_for(spec.addr), spec.tag)
                 })
                 .collect(),
             specs: VariantSet::new(specs),
@@ -357,7 +334,6 @@ impl NVariantSystemBuilder {
             transform_stats,
             kernel_template: WorldBuilder::standard().build(),
             initial_uid: self.initial_uid,
-            extra_unshared: self.extra_unshared.clone(),
             analysis,
             plan,
         };
@@ -405,7 +381,7 @@ impl NVariantSystemBuilder {
             .map(|(program, spec)| VariantArtifact {
                 program,
                 image: program.retagged_image(spec.tag),
-                layout: self.layout_for(spec.addr),
+                layout: layout_for(spec.addr),
                 spec,
             })
             .collect();
@@ -427,6 +403,19 @@ impl NVariantSystemBuilder {
     /// compile, or the variation cannot be instantiated.
     pub fn build(self) -> Result<RunnableSystem, BuildError> {
         Ok(self.compile()?.instantiate())
+    }
+}
+
+/// The memory layout of a variant whose addresses `addr` transforms: the
+/// default layout, partitioned and offset as the transform asks.
+fn layout_for(addr: AddressTransform) -> MemoryLayout {
+    let base = MemoryLayout::default();
+    match addr {
+        AddressTransform::Identity => base,
+        AddressTransform::PartitionHigh => base.with_partition_bit(),
+        AddressTransform::PartitionHighWithOffset(offset) => {
+            base.with_partition_bit().with_offset(offset)
+        }
     }
 }
 
@@ -481,7 +470,6 @@ pub struct CompiledSystem {
     pub(crate) transform_stats: TransformStats,
     pub(crate) kernel_template: OsKernel,
     pub(crate) initial_uid: Uid,
-    pub(crate) extra_unshared: Vec<String>,
     /// The static diversity verifier's combined verdict line, present when
     /// the artifact was compiled with
     /// [`NVariantSystemBuilder::verify_diversity`] (or loaded from a store
@@ -543,7 +531,7 @@ impl CompiledSystem {
     /// re-derives every per-variant unshared file from *that world's* state
     /// (the `/etc/passwd-N` / `/etc/group-N` copies are rendered from the
     /// base world's account database through each variant's reexpression
-    /// function, and any extra unshared files are copied per variant).
+    /// function).
     ///
     /// The returned kernel is what [`instantiate_in`](Self::instantiate_in)
     /// expects: provision once per (artifact, world) pair, then instantiate
@@ -577,9 +565,6 @@ impl CompiledSystem {
                     .into_bytes(),
                 );
             }
-        }
-        for path in &self.extra_unshared {
-            provision_unshared_copies(&mut kernel, path, specs.len(), |_, data| data.to_vec());
         }
         kernel
     }

@@ -1,7 +1,6 @@
 //! Reexpression functions for addresses (address-space partitioning).
 
 use nvariant_types::VirtAddr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reexpression function over virtual addresses.
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert_eq!(r1.apply(a).as_u32(), 0x8010_0000);
 /// assert_eq!(r1.invert(r1.apply(a)), a);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum AddressTransform {
     /// The identity mapping (variant 0).
     #[default]

@@ -10,11 +10,10 @@
 
 use crate::spec::VariantSpec;
 use nvariant_types::Word;
-use serde::{Deserialize, Serialize};
 
 /// The data class of a system-call argument, which determines which inverse
 /// reexpression function the monitor applies before comparing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DataClass {
     /// UID/GID values: canonicalized with the UID inverse reexpression.
     Uid,
@@ -42,7 +41,7 @@ pub enum DataClass {
 /// // Opaque data passes through untouched.
 /// assert_eq!(canon.canonical(root, DataClass::Opaque), root);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Canonicalizer {
     spec: VariantSpec,
 }

@@ -9,11 +9,10 @@
 use crate::spec::VariantSpec;
 use crate::variation::Variation;
 use nvariant_types::{Uid, VirtAddr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One property check and its outcome.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PropertyCheck {
     /// What was checked (human-readable).
     pub description: String,
@@ -34,7 +33,7 @@ pub struct PropertyCheck {
 /// assert!(report.all_hold());
 /// assert!(report.checks.len() >= 3);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PropertyReport {
     /// The individual checks performed.
     pub checks: Vec<PropertyCheck>,

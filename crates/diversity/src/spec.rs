@@ -4,7 +4,6 @@
 use crate::addr::AddressTransform;
 use crate::uid::UidTransform;
 use nvariant_types::VariantId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Everything the framework needs to know to instantiate and monitor one
@@ -25,7 +24,7 @@ use std::fmt;
 /// assert_eq!(spec.uid.apply(Uid::ROOT).as_u32(), 0x7FFF_FFFF);
 /// assert_eq!(spec.tag, 0);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct VariantSpec {
     /// Reexpression applied to UID-class data.
     pub uid: UidTransform,
@@ -126,7 +125,7 @@ impl fmt::Display for VariantSpec {
 /// assert!(set.spec(VariantId::P0).is_identity());
 /// assert!(!set.spec(VariantId::P1).is_identity());
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VariantSet {
     specs: Vec<VariantSpec>,
 }

@@ -1,7 +1,6 @@
 //! Reexpression functions for UID-class data.
 
 use nvariant_types::{Uid, Word};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The reexpression mask used by the paper's UID variation
@@ -35,7 +34,7 @@ pub const FULL_UID_MASK: u32 = 0xFFFF_FFFF;
 /// assert_eq!(reexpressed.as_u32(), 48 ^ 0x7FFF_FFFF);
 /// assert_eq!(r1.invert(reexpressed), Uid::new(48));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum UidTransform {
     /// The identity reexpression (used by variant 0).
     #[default]

@@ -3,7 +3,6 @@
 use crate::addr::AddressTransform;
 use crate::spec::VariantSpec;
 use crate::uid::{UidTransform, FULL_UID_MASK, PAPER_UID_MASK};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A diversity variation: a rule for constructing the reexpression functions
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert_eq!(rows[3].variation, "UID Variation");
 /// assert!(rows[3].reexpression_p1.contains("0x7FFFFFFF"));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Variation {
     /// Address-space partitioning (Cox et al. 2006).
@@ -199,7 +198,7 @@ impl fmt::Display for Variation {
 }
 
 /// One row of the paper's Table 1, rendered for a two-variant deployment.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Table1Row {
     /// Variation name.
     pub variation: String,

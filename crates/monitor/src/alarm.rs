@@ -3,11 +3,10 @@
 use nvariant_simos::Sysno;
 use nvariant_types::{VariantId, Word};
 use nvariant_vm::Fault;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The specific way in which the variants diverged.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DivergenceKind {
     /// The variants issued different system calls at the same
@@ -106,7 +105,7 @@ impl fmt::Display for DivergenceKind {
 /// assert!(alarm.to_string().contains("uid_value"));
 /// assert_eq!(alarm.syscall_index, 12);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Alarm {
     /// What diverged.
     pub kind: DivergenceKind,
@@ -123,13 +122,6 @@ impl Alarm {
             kind,
             syscall_index,
         }
-    }
-
-    /// Returns `true` if the alarm was raised by one of the Table 2
-    /// detection calls (rather than a pre-existing syscall check or fault).
-    #[must_use]
-    pub fn from_detection_call(&self) -> bool {
-        matches!(self.kind, DivergenceKind::DetectionCheckFailed { .. })
     }
 }
 
@@ -162,7 +154,7 @@ mod tests {
         let text = alarm.to_string();
         assert!(text.contains("seteuid"));
         assert!(text.contains("point 7"));
-        assert!(!alarm.from_detection_call());
+        assert!(!text.contains("detection call"));
     }
 
     #[test]
@@ -174,7 +166,7 @@ mod tests {
             },
             0,
         );
-        assert!(alarm.from_detection_call());
+        assert!(alarm.to_string().contains("detection call cc_eq"));
     }
 
     #[test]

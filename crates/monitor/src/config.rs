@@ -1,22 +1,10 @@
 //! Monitor configuration.
 
-use serde::{Deserialize, Serialize};
-
-/// What the monitor does when it detects divergence.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DivergencePolicy {
-    /// Terminate every variant and report the alarm (the paper's behaviour:
-    /// any divergence is treated as an attack).
-    #[default]
-    KillAndReport,
-    /// Report the alarm but keep note of it and continue executing — useful
-    /// only for debugging benign-divergence issues such as un-sanitized log
-    /// output; never appropriate in production.
-    ReportAndContinue,
-}
-
 /// Configuration of an N-variant monitor instance.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Every divergence is treated as an attack: the monitor terminates the
+/// group and reports the alarm in its outcome.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MonitorConfig {
     /// Absolute paths treated as *unshared files*: each variant opens its
     /// own copy (`<path>-<variant index>`), which must have been provisioned
@@ -28,8 +16,6 @@ pub struct MonitorConfig {
     pub max_steps_per_slice: u64,
     /// Maximum number of synchronization points before the run is aborted.
     pub max_syscalls: u64,
-    /// Divergence policy.
-    pub policy: DivergencePolicy,
     /// Whether the per-argument canonicalization equivalence checks raise
     /// alarms. Disabling this deliberately *weakens* the monitor — corrupted
     /// but structurally identical syscalls sail through — and exists so the
@@ -43,7 +29,6 @@ impl Default for MonitorConfig {
             unshared_files: Vec::new(),
             max_steps_per_slice: 20_000_000,
             max_syscalls: 1_000_000,
-            policy: DivergencePolicy::KillAndReport,
             detection_checks: true,
         }
     }
@@ -54,13 +39,6 @@ impl MonitorConfig {
     #[must_use]
     pub fn with_unshared_file(mut self, path: &str) -> Self {
         self.unshared_files.push(path.to_string());
-        self
-    }
-
-    /// Sets the divergence policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: DivergencePolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -88,7 +66,6 @@ mod tests {
     fn defaults() {
         let config = MonitorConfig::default();
         assert!(config.unshared_files.is_empty());
-        assert_eq!(config.policy, DivergencePolicy::KillAndReport);
         assert!(config.max_steps_per_slice > 1_000_000);
     }
 
@@ -96,11 +73,9 @@ mod tests {
     fn builder_and_lookup() {
         let config = MonitorConfig::default()
             .with_unshared_file("/etc/passwd")
-            .with_unshared_file("/etc/group")
-            .with_policy(DivergencePolicy::ReportAndContinue);
+            .with_unshared_file("/etc/group");
         assert!(config.is_unshared("/etc/passwd"));
         assert!(config.is_unshared("/etc/group"));
         assert!(!config.is_unshared("/etc/httpd.conf"));
-        assert_eq!(config.policy, DivergencePolicy::ReportAndContinue);
     }
 }

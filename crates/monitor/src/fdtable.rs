@@ -8,13 +8,12 @@
 //! number.
 
 use nvariant_types::{Errno, Fd, Fnv1a};
-use serde::{Deserialize, Serialize};
 
 /// A virtual descriptor as seen by the variants.
 pub type VirtualFd = u32;
 
 /// What one virtual descriptor slot refers to.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum VfdEntry {
     /// A shared kernel object: one kernel descriptor, I/O performed once.
     Shared(Fd),
@@ -37,7 +36,7 @@ pub enum VfdEntry {
 /// assert_eq!(table.shared_fd(shared), Ok(Fd::new(7)));
 /// assert_eq!(table.fd_for_variant(unshared, 1), Ok(Fd::new(9)));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VirtualFdTable {
     variants: usize,
     slots: Vec<Option<VfdEntry>>,

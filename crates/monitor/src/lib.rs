@@ -66,7 +66,7 @@ pub mod monitor;
 pub mod provision;
 
 pub use alarm::{Alarm, DivergenceKind};
-pub use config::{DivergencePolicy, MonitorConfig};
+pub use config::MonitorConfig;
 pub use fdtable::{VirtualFd, VirtualFdTable};
 pub use metrics::ExecutionMetrics;
 pub use monitor::{NVariantMonitor, NVariantOutcome, StepEvent, StepObservation};

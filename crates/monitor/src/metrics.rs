@@ -5,13 +5,12 @@
 //! executed by every variant plus the number of monitor checks, while I/O
 //! bytes are charged once because the kernel performed them once.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Execution counters in a shape shared by single-process and N-variant
 /// deployments, used by the performance model behind the Table 3
 /// reproduction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecutionMetrics {
     /// Number of variant processes that executed.
     pub variants: usize,

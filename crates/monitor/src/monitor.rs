@@ -11,21 +11,20 @@
 //! there, because held requests are not part of it.
 
 use crate::alarm::{Alarm, DivergenceKind};
-use crate::config::{DivergencePolicy, MonitorConfig};
+use crate::config::MonitorConfig;
 use crate::fdtable::VirtualFdTable;
 use crate::metrics::ExecutionMetrics;
 use nvariant_diversity::{Canonicalizer, DataClass, VariantSet};
 use nvariant_simos::{OpenFlags, OsKernel, SyscallRequest, Sysno};
 use nvariant_types::{Errno, Fd, Fnv1a, Gid, Pid, Port, Uid, VariantId, Word};
 use nvariant_vm::{Fault, Process, TrapReason};
-use serde::{Deserialize, Serialize};
 
 /// The observable outcome of running an N-variant group to completion.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NVariantOutcome {
     /// The common exit status, if all variants exited normally and agreed.
     pub exit_status: Option<i32>,
-    /// The first alarm raised, if the run was terminated by divergence.
+    /// The alarm that ended the run, if a divergence terminated it.
     pub alarm: Option<Alarm>,
     /// The fault that ended a group of one: a single process has no
     /// sibling to diverge from, so its fault, or reaching
@@ -58,15 +57,12 @@ struct VariantRuntime {
 }
 
 /// One observed synchronization step that did *not* terminate the group
-/// (see [`NVariantMonitor::step`]).
+/// (see [`NVariantMonitor::step`]). Any alarm terminates the group, so a
+/// step that raised one is a [`StepEvent::Done`], never an observation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StepObservation {
-    /// The syscall processed at this synchronization point, if the step
-    /// reached one (`None` when the step only raised a pre-syscall alarm
-    /// under [`DivergencePolicy::ReportAndContinue`]).
-    pub sysno: Option<Sysno>,
-    /// Alarms raised during this step.
-    pub alarms_raised: usize,
+    /// The syscall processed at this synchronization point.
+    pub sysno: Sysno,
     /// Bytes of externally visible output (console or network) produced by
     /// this step.
     pub output_delta: u64,
@@ -120,7 +116,6 @@ pub struct NVariantMonitor {
     /// Bytes of shared (console or network) output, the source of
     /// [`StepObservation::output_delta`].
     output_bytes: u64,
-    alarms: Vec<Alarm>,
     /// Syscall processed by the most recent synchronization point (reported
     /// through [`StepEvent::Progress`]).
     last_sysno: Option<Sysno>,
@@ -188,7 +183,6 @@ impl NVariantMonitor {
                 ..ExecutionMetrics::default()
             },
             output_bytes: 0,
-            alarms: Vec::new(),
             last_sysno: None,
             last_divergent_args: false,
             finished: None,
@@ -221,13 +215,6 @@ impl NVariantMonitor {
     #[must_use]
     pub fn metrics(&self) -> &ExecutionMetrics {
         &self.metrics
-    }
-
-    /// Every alarm raised so far (more than one only under
-    /// [`DivergencePolicy::ReportAndContinue`]).
-    #[must_use]
-    pub fn alarms(&self) -> &[Alarm] {
-        &self.alarms
     }
 
     /// Read access to one variant's process (used by tests and the attack
@@ -269,20 +256,21 @@ impl NVariantMonitor {
 
     /// Advances the group by exactly one synchronization point, reporting
     /// what happened. This is the model checker's stepping primitive: it
-    /// exposes which syscall was processed and whether alarms or external
-    /// output occurred, without running to completion. After
+    /// exposes which syscall was processed and whether external output
+    /// occurred, or the terminal outcome, alarm included, once the group
+    /// ends, without running to completion. After
     /// [`advance`](Self::advance) it serves the traps that call holds and
     /// runs no variant.
     pub fn step(&mut self) -> StepEvent {
-        let alarms_before = self.alarms.len();
         let output_before = self.output_bytes;
         self.last_sysno = None;
         self.last_divergent_args = false;
         match self.step_group() {
             Some(outcome) => StepEvent::Done(outcome),
             None => StepEvent::Progress(StepObservation {
-                sysno: self.last_sysno,
-                alarms_raised: self.alarms.len() - alarms_before,
+                sysno: self
+                    .last_sysno
+                    .expect("a point that keeps the group running served a call"),
                 output_delta: self.output_bytes - output_before,
                 divergent_args: self.last_divergent_args,
             }),
@@ -317,7 +305,7 @@ impl NVariantMonitor {
 
     /// A canonical digest of the group's full semantic state: kernel (time,
     /// accounts, filesystem, network, processes), every variant's machine
-    /// state, the virtual descriptor table and the alarm count. Monotone
+    /// state and the virtual descriptor table. Monotone
     /// execution counters ([`ExecutionMetrics`] and the output-byte count)
     /// are deliberately excluded so the model checker's visited-state
     /// pruning identifies states that are behaviourally identical but were
@@ -339,7 +327,6 @@ impl NVariantMonitor {
             variant.process.digest_into(&mut digest);
         }
         self.vfds.digest_into(&mut digest);
-        digest.write_usize(self.alarms.len());
         digest.finish()
     }
 
@@ -376,7 +363,7 @@ impl NVariantMonitor {
                 .collect();
             let first = statuses[0];
             if statuses.iter().all(|s| *s == first) {
-                return Some(self.finish(first));
+                return Some(self.conclude(first, None, None));
             }
             let alarm = Alarm::new(
                 DivergenceKind::ExitMismatch { statuses },
@@ -457,13 +444,6 @@ impl NVariantMonitor {
         self.terminate_with_alarm(alarm)
     }
 
-    /// Ends the group with an agreed exit, carrying the first alarm a
-    /// [`DivergencePolicy::ReportAndContinue`] run recorded.
-    fn finish(&mut self, exit_status: Option<i32>) -> NVariantOutcome {
-        let alarm = self.alarms.first().cloned();
-        self.conclude(exit_status, alarm, None)
-    }
-
     /// Records and returns the terminal outcome.
     fn conclude(
         &mut self,
@@ -481,20 +461,18 @@ impl NVariantMonitor {
         outcome
     }
 
+    /// Ends the group on a divergence: every alarm is treated as an attack.
     fn terminate_with_alarm(&mut self, alarm: Alarm) -> NVariantOutcome {
-        self.alarms.push(alarm.clone());
         self.conclude(None, Some(alarm), None)
     }
 
-    /// Records an alarm; returns `Some(outcome)` if the policy says to stop.
-    fn raise(&mut self, alarm: Alarm) -> Option<NVariantOutcome> {
-        match self.config.policy {
-            DivergencePolicy::KillAndReport => Some(self.terminate_with_alarm(alarm)),
-            DivergencePolicy::ReportAndContinue => {
-                self.alarms.push(alarm);
-                None
-            }
+    /// Ends the group with the status every variant passed to `exit`.
+    fn exit_group(&mut self, status: i32) -> NVariantOutcome {
+        let _ = self.kernel.exit(self.group_pid, status);
+        for variant in &mut self.variants {
+            variant.process.set_exited(status);
         }
+        self.conclude(Some(status), None, None)
     }
 
     // ----- syscall handling -------------------------------------------------------
@@ -554,60 +532,45 @@ impl NVariantMonitor {
                 // is observed but never alarmed.
                 if self.config.detection_checks {
                     let alarm = Alarm::new(kind, self.metrics.syscalls);
-                    if let Some(outcome) = self.raise(alarm) {
-                        return Some(outcome);
-                    }
+                    return Some(self.terminate_with_alarm(alarm));
                 }
             }
         }
 
         // Execute the (single) kernel effect and deliver per-variant returns.
-        let outcome = match self.execute(sysno, requests, &canonical[..arg_count]) {
-            ExecuteResult::Delivered => None,
-            ExecuteResult::Exited(status) => {
-                let _ = self.kernel.exit(self.group_pid, status);
-                for variant in &mut self.variants {
-                    variant.process.set_exited(status);
-                }
-                Some(self.finish(Some(status)))
-            }
-            ExecuteResult::Abort(alarm) => self.raise(alarm).or_else(|| {
-                // Under ReportAndContinue an output mismatch still needs a
-                // return value; deliver the length the first variant asked
-                // for so execution can proceed.
-                self.deliver_all(requests[0].arg(2));
-                None
-            }),
-        };
+        let outcome = self.execute(sysno, requests, &canonical[..arg_count]);
         canonical.clear();
         self.canonical = canonical;
         outcome
     }
 
-    /// Completes every variant's pending call with the same `ret`.
-    fn deliver_all(&mut self, ret: Word) -> ExecuteResult {
+    /// Completes every variant's pending call with the same `ret`. The
+    /// group keeps running, so there is no outcome.
+    fn deliver_all(&mut self, ret: Word) -> Option<NVariantOutcome> {
         for variant in &mut self.variants {
             variant.process.complete_syscall(ret);
         }
-        ExecuteResult::Delivered
+        None
     }
 
     /// Performs the call once against the kernel and delivers each
-    /// variant's return value. `canonical_args` are variant 0's canonical
+    /// variant's return value (`None`), or ends the group (`Some`): `exit`
+    /// with the agreed status, a divergence found while serving the call
+    /// with its alarm. `canonical_args` are variant 0's canonical
     /// arguments, which every variant agreed on.
     fn execute(
         &mut self,
         sysno: Sysno,
         requests: &[SyscallRequest],
         canonical_args: &[Word],
-    ) -> ExecuteResult {
+    ) -> Option<NVariantOutcome> {
         // Injected code can issue a call with fewer operands than its arity;
         // a missing operand reads as zero.
         let arg = |index: usize| canonical_args.get(index).copied().unwrap_or(Word::ZERO);
         let errno_word = |e: Errno| Word::from_i32(e.as_syscall_ret());
 
         match sysno {
-            Sysno::Exit => ExecuteResult::Exited(arg(0).as_i32()),
+            Sysno::Exit => Some(self.exit_group(arg(0).as_i32())),
 
             // Identity queries: perform once, re-express per variant.
             Sysno::GetUid | Sysno::GetEuid | Sysno::GetGid => {
@@ -625,7 +588,7 @@ impl NVariantMonitor {
                             let ret = variant.canon.reexpress_uid(word);
                             variant.process.complete_syscall(ret);
                         }
-                        ExecuteResult::Delivered
+                        None
                     }
                     Err(e) => self.deliver_all(errno_word(e)),
                 }
@@ -666,7 +629,7 @@ impl NVariantMonitor {
                 for (variant, request) in self.variants.iter_mut().zip(requests) {
                     variant.process.complete_syscall(request.arg(0));
                 }
-                ExecuteResult::Delivered
+                None
             }
             Sysno::CcEq
             | Sysno::CcNeq
@@ -750,7 +713,7 @@ impl NVariantMonitor {
         }
     }
 
-    fn execute_open(&mut self, requests: &[SyscallRequest]) -> ExecuteResult {
+    fn execute_open(&mut self, requests: &[SyscallRequest]) -> Option<NVariantOutcome> {
         let n = self.variants.len();
         let errno_word = |e: Errno| Word::from_i32(e.as_syscall_ret());
 
@@ -764,14 +727,14 @@ impl NVariantMonitor {
         }
         self.count_check();
         if paths.iter().any(|p| p != &paths[0]) {
-            return ExecuteResult::Abort(Alarm::new(
+            return Some(self.terminate_with_alarm(Alarm::new(
                 DivergenceKind::ArgumentMismatch {
                     sysno: Sysno::Open,
                     arg_index: 0,
                     canonical_values: requests.iter().map(|r| r.arg(0)).collect(),
                 },
                 self.metrics.syscalls,
-            ));
+            )));
         }
         let path = nvariant_simos::FileSystem::normalize(&paths[0]);
         let flags = OpenFlags::from_bits(requests[0].arg(1).as_u32());
@@ -805,7 +768,11 @@ impl NVariantMonitor {
         }
     }
 
-    fn execute_read(&mut self, sysno: Sysno, requests: &[SyscallRequest]) -> ExecuteResult {
+    fn execute_read(
+        &mut self,
+        sysno: Sysno,
+        requests: &[SyscallRequest],
+    ) -> Option<NVariantOutcome> {
         let errno_word = |e: Errno| Word::from_i32(e.as_syscall_ret());
         let vfd = requests[0].arg(0).as_u32();
         let count = requests[0].arg(2).as_u32() as usize;
@@ -830,7 +797,7 @@ impl NVariantMonitor {
                 };
                 process.complete_syscall(ret);
             }
-            return ExecuteResult::Delivered;
+            return None;
         }
 
         // Shared: perform the input once and replicate it to every variant.
@@ -854,13 +821,17 @@ impl NVariantMonitor {
                     };
                     variant.process.complete_syscall(ret);
                 }
-                ExecuteResult::Delivered
+                None
             }
             Err(e) => self.deliver_all(errno_word(e)),
         }
     }
 
-    fn execute_write(&mut self, sysno: Sysno, requests: &[SyscallRequest]) -> ExecuteResult {
+    fn execute_write(
+        &mut self,
+        sysno: Sysno,
+        requests: &[SyscallRequest],
+    ) -> Option<NVariantOutcome> {
         let n = self.variants.len();
         let errno_word = |e: Errno| Word::from_i32(e.as_syscall_ret());
         let vfd = requests[0].arg(0).as_u32();
@@ -891,16 +862,16 @@ impl NVariantMonitor {
                 };
                 self.variants[index].process.complete_syscall(ret);
             }
-            return ExecuteResult::Delivered;
+            return None;
         }
 
         // Shared output must be byte-identical across variants.
         self.count_check();
         if payloads.iter().any(|p| p != &payloads[0]) {
-            return ExecuteResult::Abort(Alarm::new(
+            return Some(self.terminate_with_alarm(Alarm::new(
                 DivergenceKind::OutputMismatch { sysno },
                 self.metrics.syscalls,
-            ));
+            )));
         }
 
         // Standard descriptors (console) are not in the virtual table; treat
@@ -929,15 +900,6 @@ impl NVariantMonitor {
             Err(e) => self.deliver_all(errno_word(e)),
         }
     }
-}
-
-enum ExecuteResult {
-    /// Every variant received its return value and keeps running.
-    Delivered,
-    /// The group exited with the given status.
-    Exited(i32),
-    /// A divergence was detected while executing the call.
-    Abort(Alarm),
 }
 
 // Reads on standard descriptors (console) are not routed through the virtual
@@ -1448,7 +1410,10 @@ mod tests {
         let outcome = monitor.run_to_completion();
         assert!(outcome.detected_attack());
         let alarm = outcome.alarm.unwrap();
-        assert!(alarm.from_detection_call(), "alarm was {alarm}");
+        assert!(
+            matches!(alarm.kind, DivergenceKind::DetectionCheckFailed { .. }),
+            "alarm was {alarm}"
+        );
     }
 
     #[test]
@@ -1613,36 +1578,6 @@ mod tests {
             } | DivergenceKind::SyscallMismatch { .. }
                 | DivergenceKind::ExitMismatch { .. }
         ));
-    }
-
-    #[test]
-    fn report_and_continue_policy_records_but_does_not_stop() {
-        let source = r"
-            fn main() -> int {
-                var uid: uid_t;
-                var line: buf[16];
-                uid = getuid();
-                utoa(uid, &line);
-                write(1, &line, 4);
-                return 0;
-            }
-        ";
-        let program = parse_with_stdlib(source).unwrap();
-        let compiled = compile_program(&program).unwrap();
-        let specs = VariantSet::from_variation(&Variation::uid_diversity(), 2);
-        let processes: Vec<Process> = (0..2)
-            .map(|_| Process::new(&compiled, MemoryLayout::default()))
-            .collect();
-        let kernel = WorldBuilder::standard().build();
-        let config = MonitorConfig {
-            policy: DivergencePolicy::ReportAndContinue,
-            ..MonitorConfig::default()
-        };
-        let mut monitor = NVariantMonitor::new(kernel, processes, specs, Uid::new(48), config);
-        let outcome = monitor.run_to_completion();
-        assert_eq!(outcome.exit_status, Some(0));
-        assert!(!monitor.alarms().is_empty());
-        assert_eq!(outcome.alarm.as_ref(), monitor.alarms().first());
     }
 
     #[test]
@@ -1961,7 +1896,6 @@ mod tests {
                 let copy_event = copy.step();
                 assert_eq!(observe(&copy, &copy_event), observe(&monitor, &event));
                 assert_eq!(monitor.last_sysno(), sysno);
-                assert_eq!(copy.alarms(), monitor.alarms());
                 if matches!(event, StepEvent::Done(_)) {
                     break;
                 }

@@ -10,7 +10,6 @@
 //! incurred once.
 
 use crate::syscall::Sysno;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -25,9 +24,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(d.as_nanos(), 5_500);
 /// assert!((d.as_millis_f64() - 0.0055).abs() < 1e-12);
 /// ```
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -122,9 +119,7 @@ impl fmt::Display for SimDuration {
 /// let t1 = t0 + SimDuration::from_millis(3);
 /// assert_eq!(t1.duration_since(t0), SimDuration::from_millis(3));
 /// ```
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimInstant(u64);
 
 impl SimInstant {
@@ -188,7 +183,7 @@ impl fmt::Display for SimInstant {
 /// let io = costs.io_cost(Sysno::Send, 2048);
 /// assert!(io > costs.io_cost(Sysno::Send, 0));
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostModel {
     /// Nanoseconds of CPU time per executed bytecode instruction.
     pub ns_per_instruction: f64,

@@ -6,7 +6,6 @@
 //! Chen et al. that the paper's case study defends against.
 
 use nvariant_types::{Errno, Gid, Uid};
-use serde::{Deserialize, Serialize};
 
 /// The real, effective and saved user and group identifiers of a process.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// // A full setuid() as root clears the saved UID, so re-escalation fails.
 /// assert!(cred.seteuid(Uid::ROOT).is_err());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Credentials {
     ruid: Uid,
     euid: Uid,

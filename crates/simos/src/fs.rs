@@ -11,7 +11,6 @@
 
 use crate::cred::Credentials;
 use nvariant_types::{fnv1a_64, Errno, Fnv1a, Gid, Uid};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
@@ -28,7 +27,7 @@ use std::sync::{Arc, OnceLock};
 /// assert!(mode.allows_owner_read());
 /// assert!(!mode.allows_other_read());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FileMode(u16);
 
 impl FileMode {
@@ -105,7 +104,7 @@ impl Default for FileMode {
 }
 
 /// The kind of access being requested on a file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessMode {
     /// Read access.
     Read,
@@ -125,7 +124,7 @@ pub enum AccessMode {
 /// assert!(OpenFlags::RDWR.wants_read() && OpenFlags::RDWR.wants_write());
 /// assert!(OpenFlags::from_bits(OpenFlags::WRONLY.bits() | OpenFlags::CREAT.bits()).creates());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct OpenFlags(u32);
 
 impl OpenFlags {
@@ -336,11 +335,8 @@ impl<const N: usize> PartialEq<&[u8; N]> for FileData {
     }
 }
 
-impl Serialize for FileData {}
-impl Deserialize<'_> for FileData {}
-
 /// A regular file in the simulated filesystem.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Inode {
     /// The file contents.
     pub data: FileData,
@@ -398,7 +394,7 @@ impl Inode {
 /// let root = Credentials::root();
 /// assert!(fs.check_access("/etc/shadow", &root, AccessMode::Read).is_ok());
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FileSystem {
     files: BTreeMap<String, Inode>,
     /// Paths whose reads deterministically fail with `EIO` — the
@@ -585,29 +581,6 @@ impl FileSystem {
             digest.write_str(path);
         }
     }
-
-    /// Changes the ownership of a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Errno::Enoent`] if the file does not exist.
-    pub fn chown(&mut self, path: &str, owner: Uid, group: Gid) -> Result<(), Errno> {
-        let inode = self.get_mut(path).ok_or(Errno::Enoent)?;
-        inode.owner = owner;
-        inode.group = group;
-        Ok(())
-    }
-
-    /// Changes the permission bits of a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Errno::Enoent`] if the file does not exist.
-    pub fn chmod(&mut self, path: &str, mode: FileMode) -> Result<(), Errno> {
-        let inode = self.get_mut(path).ok_or(Errno::Enoent)?;
-        inode.mode = mode;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -703,22 +676,6 @@ mod tests {
             fs.check_access("/nope", &Credentials::root(), AccessMode::Read),
             Err(Errno::Enoent)
         );
-    }
-
-    #[test]
-    fn chown_and_chmod() {
-        let mut fs = FileSystem::new();
-        fs.create("/f", b"".to_vec());
-        fs.chown("/f", Uid::new(48), Gid::new(48)).unwrap();
-        fs.chmod("/f", FileMode::PRIVATE).unwrap();
-        let inode = fs.get("/f").unwrap();
-        assert_eq!(inode.owner, Uid::new(48));
-        assert_eq!(inode.mode, FileMode::PRIVATE);
-        assert_eq!(
-            fs.chown("/missing", Uid::ROOT, Gid::ROOT),
-            Err(Errno::Enoent)
-        );
-        assert_eq!(fs.chmod("/missing", FileMode::PUBLIC), Err(Errno::Enoent));
     }
 
     #[test]

@@ -13,14 +13,13 @@ use crate::fs::{AccessMode, FileMode, FileSystem, OpenFlags};
 use crate::net::SimNetwork;
 use crate::passwd::PasswdDb;
 use nvariant_types::{ConnId, Errno, Fd, Fnv1a, Gid, Pid, Port, Uid};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Maximum number of open descriptors per process.
 pub const MAX_FDS: usize = 64;
 
 /// What a file descriptor refers to.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FdEntry {
     /// The process console (stdin/stdout/stderr).
     Console,
@@ -45,7 +44,7 @@ pub enum FdEntry {
 }
 
 /// Per-process kernel state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct Proc {
     cred: Credentials,
     fds: Vec<Option<FdEntry>>,
@@ -108,7 +107,7 @@ impl Proc {
 /// assert_eq!(kernel.read(pid, fd, 16)?, b"hello");
 /// # Ok::<(), nvariant_types::Errno>(())
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct OsKernel {
     fs: FileSystem,
     net: SimNetwork,
@@ -438,18 +437,6 @@ impl OsKernel {
         let proc = self.proc_mut(pid)?;
         proc.fds[fd.as_usize()] = None;
         Ok(())
-    }
-
-    /// Returns the path behind a file descriptor, if it is a regular file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Errno::Ebadf`] if the descriptor is invalid.
-    pub fn fd_path(&self, pid: Pid, fd: Fd) -> Result<Option<String>, Errno> {
-        match self.proc_ref(pid)?.fd(fd)? {
-            FdEntry::File { path, .. } => Ok(Some(path.clone())),
-            _ => Ok(None),
-        }
     }
 
     // ----- network syscalls --------------------------------------------------
@@ -864,16 +851,5 @@ mod tests {
             }
         }
         assert_eq!(opened.len(), MAX_FDS - 3);
-    }
-
-    #[test]
-    fn fd_path_reports_backing_file() {
-        let mut k = OsKernel::new();
-        k.fs_mut()
-            .create("/etc/passwd", b"root:x:0:0:::\n".to_vec());
-        let pid = k.spawn_process(Uid::ROOT);
-        let fd = k.open(pid, "/etc/passwd", OpenFlags::RDONLY).unwrap();
-        assert_eq!(k.fd_path(pid, fd).unwrap().as_deref(), Some("/etc/passwd"));
-        assert_eq!(k.fd_path(pid, Fd::STDOUT).unwrap(), None);
     }
 }

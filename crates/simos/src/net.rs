@@ -8,11 +8,10 @@
 
 use bytes::Bytes;
 use nvariant_types::{ConnId, Errno, Fnv1a, Port};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// A pending or established client connection.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Connection {
     /// Unique identifier of the connection.
     pub id: ConnId,
@@ -39,12 +38,6 @@ impl Connection {
         }
     }
 
-    /// Returns the unread portion of the request.
-    #[must_use]
-    pub fn remaining_request(&self) -> &[u8] {
-        &self.request[self.read_pos.min(self.request.len())..]
-    }
-
     /// Returns the accumulated response bytes.
     #[must_use]
     pub fn response_bytes(&self) -> Bytes {
@@ -53,7 +46,7 @@ impl Connection {
 }
 
 /// A listening socket bound to a port.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Listener {
     /// Connections waiting to be accepted, in arrival order.
     pub backlog: VecDeque<ConnId>,
@@ -80,7 +73,7 @@ pub struct Listener {
 /// net.send(conn, b"HTTP/1.0 200 OK\r\n").unwrap();
 /// assert!(net.connection(conn).unwrap().response.starts_with(b"HTTP/1.0 200"));
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SimNetwork {
     listeners: BTreeMap<u16, Listener>,
     connections: BTreeMap<u64, Connection>,
@@ -445,13 +438,5 @@ mod tests {
         let mut net = ready_network();
         net.preload_request(Port::HTTP, b"GET / HTTP/1.0\r\n\r\n".to_vec());
         assert_eq!(net.backlog_len(Port::HTTP), 1);
-    }
-
-    #[test]
-    fn remaining_request_view() {
-        let mut net = ready_network();
-        let c = net.enqueue_request(Port::HTTP, b"abcdef".to_vec()).unwrap();
-        net.recv(c, 2).unwrap();
-        assert_eq!(net.connection(c).unwrap().remaining_request(), b"cdef");
     }
 }

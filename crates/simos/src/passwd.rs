@@ -18,7 +18,6 @@
 //! folds the accounts as one `u64`.
 
 use nvariant_types::{Fnv1a, Gid, Uid};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -34,7 +33,7 @@ use std::sync::{Arc, OnceLock};
 /// assert_eq!(entry.uid.as_u32(), 48);
 /// assert_eq!(entry.render(), "httpd:x:48:48:Apache:/var/www:/sbin/nologin");
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PasswdEntry {
     /// Login name.
     pub name: String,
@@ -121,7 +120,7 @@ impl fmt::Display for PasswdEntry {
 /// assert_eq!(entry.members, vec!["alice", "bob"]);
 /// assert_eq!(entry.render(), "wheel:x:10:alice,bob");
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupEntry {
     /// Group name.
     pub name: String,

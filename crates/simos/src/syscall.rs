@@ -10,11 +10,10 @@
 //! (Table 2): `uid_value`, `cond_chk`, and the `cc_*` comparison family.
 
 use nvariant_types::Word;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// System call numbers understood by the simulated kernel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Sysno {
     /// `exit(status)` — terminate the process.
@@ -309,7 +308,7 @@ impl fmt::Display for Sysno {
 /// assert_eq!(req.sysno, Sysno::SetUid);
 /// assert_eq!(req.args.len(), 1);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SyscallRequest {
     /// Which call was made.
     pub sysno: Sysno,

@@ -11,10 +11,9 @@ use crate::fs::FileMode;
 use crate::kernel::OsKernel;
 use crate::passwd::{GroupEntry, PasswdDb, PasswdEntry};
 use nvariant_types::{Gid, Uid};
-use serde::{Deserialize, Serialize};
 
 /// Description of one user account to create in the world.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UserSpec {
     /// Login name.
     pub name: String,
@@ -37,7 +36,7 @@ impl UserSpec {
 }
 
 /// A file to create in the world.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct FileSpec {
     path: String,
     data: Vec<u8>,
@@ -59,7 +58,7 @@ struct FileSpec {
 /// assert!(kernel.fs().exists("/var/www/html/index.html"));
 /// assert_eq!(kernel.passwd().lookup_user("httpd").unwrap().uid.as_u32(), 48);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct WorldBuilder {
     users: Vec<UserSpec>,
     files: Vec<FileSpec>,

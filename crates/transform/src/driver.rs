@@ -7,11 +7,10 @@ use crate::stats::TransformStats;
 use nvariant_diversity::UidTransform;
 use nvariant_vm::ast::Program;
 use nvariant_vm::TypeError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Options controlling the transformation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransformOptions {
     /// Whether to insert the Table 2 detection calls (`uid_value`,
     /// `cond_chk`, `cc_*`). Disabling this models the §5 alternative of
@@ -41,7 +40,7 @@ impl Default for TransformOptions {
 }
 
 /// Errors produced by the transformation driver.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TransformError {
     /// The input program failed type checking.
@@ -65,7 +64,7 @@ impl From<TypeError> for TransformError {
 }
 
 /// A program prepared for one variant, together with the change counts.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransformedVariant {
     /// The transformed program (instrumented, with constants re-expressed
     /// for this variant).
@@ -97,7 +96,7 @@ pub struct TransformedVariant {
 /// assert!(nvariant_vm::pretty_print(&instrumented).contains("cc_eq"));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UidTransformer {
     options: TransformOptions,
 }

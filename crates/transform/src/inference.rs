@@ -10,7 +10,6 @@
 
 use nvariant_vm::ast::{Expr, Function, LValue, Program, Stmt, Type};
 use nvariant_vm::typecheck::{builtin_signature, typecheck_program, TypeInfo};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything the transformation passes need to know about which data is
@@ -38,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// assert!(ctx.is_tainted("main", "rc"));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UidContext {
     type_info: TypeInfo,
     /// Globals known to hold UID-class values (declared or inferred).
@@ -217,15 +216,6 @@ impl UidContext {
             .cloned()
             .or_else(|| builtin_signature(name));
         sig.is_some_and(|sig| sig.params.iter().any(|p| p.is_uid_class()))
-    }
-
-    /// The declared or inferred UID variables of a function (for reporting).
-    #[must_use]
-    pub fn uid_vars_of(&self, function: &str) -> Vec<String> {
-        self.uid_locals
-            .get(function)
-            .map(|set| set.iter().cloned().collect())
-            .unwrap_or_default()
     }
 
     /// The globals holding UID-class data (for reporting).
@@ -485,7 +475,6 @@ mod tests {
         assert!(ctx.is_uid_var("f", "u"));
         assert!(!ctx.is_uid_var("f", "n"));
         assert_eq!(ctx.uid_globals(), vec!["server_gid", "server_uid"]);
-        assert_eq!(ctx.uid_vars_of("f"), vec!["u"]);
     }
 
     #[test]

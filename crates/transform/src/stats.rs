@@ -1,6 +1,5 @@
 //! Per-category change counts for the UID transformation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Add;
 
@@ -25,7 +24,7 @@ use std::ops::Add;
 /// assert_eq!(stats.total(), 77);
 /// assert_eq!(stats.paper_change_total(), 73);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransformStats {
     /// Constant UID values rewritten with the reexpression function
     /// ("15 of the changes involved applying the reexpression function to

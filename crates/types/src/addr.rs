@@ -1,6 +1,5 @@
 //! Virtual addresses in the simulated process address space.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -22,7 +21,7 @@ use std::ops::{Add, Sub};
 /// assert_eq!(partitioned.without_high_bit(), a);
 /// assert_eq!(a.checked_add(4), Some(VirtAddr::new(0x0000_4004)));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(u32);
 
 /// The partition bit used by address-space partitioning: `0x8000_0000`.

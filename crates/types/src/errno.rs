@@ -1,6 +1,5 @@
 //! POSIX-style error numbers returned by simulated system calls.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error numbers returned by the simulated kernel.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(Errno::Eacces.as_syscall_ret(), -13);
 /// assert_eq!(Errno::from_i32(2), Some(Errno::Enoent));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[non_exhaustive]
 pub enum Errno {
     /// Operation not permitted.

@@ -1,6 +1,5 @@
 //! Small identifier newtypes for kernel objects and variants.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A file descriptor in the simulated kernel.
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert_eq!(Fd::STDIN.as_u32(), 0);
 /// assert_eq!(Fd::new(5).as_u32(), 5);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Fd(u32);
 
 impl Fd {
@@ -72,7 +71,7 @@ impl From<u32> for Fd {
 /// use nvariant_types::Pid;
 /// assert_eq!(Pid::new(1).as_u32(), 1);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pid(u32);
 
 impl Pid {
@@ -116,7 +115,7 @@ impl fmt::Display for Pid {
 /// assert_ne!(v0, v1);
 /// assert_eq!(format!("{v1}"), "P1");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VariantId(usize);
 
 impl VariantId {
@@ -165,7 +164,7 @@ impl From<usize> for VariantId {
 /// use nvariant_types::ConnId;
 /// assert_eq!(ConnId::new(3).as_u64(), 3);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ConnId(u64);
 
 impl ConnId {
@@ -208,7 +207,7 @@ impl fmt::Display for ConnId {
 /// assert!(Port::HTTP.is_privileged());
 /// assert!(!Port::new(8080).is_privileged());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Port(u16);
 
 impl Port {

@@ -1,6 +1,5 @@
 //! User and group identifier newtypes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A user identifier, mirroring POSIX `uid_t`.
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert_eq!(www.as_u32(), 48);
 /// assert_eq!(format!("{www}"), "uid(48)");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Uid(u32);
 
 impl Uid {
@@ -106,7 +105,7 @@ impl From<Uid> for u32 {
 /// assert_eq!(wheel.as_u32(), 10);
 /// assert!(Gid::ROOT.is_root());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Gid(u32);
 
 impl Gid {

@@ -1,7 +1,6 @@
 //! Machine words as stored in variant process memory and registers.
 
 use crate::{Uid, VirtAddr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 32-bit machine word.
@@ -27,7 +26,7 @@ use std::fmt;
 /// let addr_word = Word::from_addr(VirtAddr::new(0x8000_0000));
 /// assert!(addr_word.as_addr().high_bit_set());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Word(u32);
 
 impl Word {

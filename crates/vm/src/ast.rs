@@ -6,11 +6,10 @@
 //! of every variable, so that UID-typed data (`uid_t`, `gid_t`) can be
 //! identified and re-expressed without disturbing anything else.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Declared types in SimC.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Type {
     /// 32-bit signed integer.
     Int,
@@ -58,7 +57,7 @@ impl fmt::Display for Type {
 }
 
 /// Unary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation `-x`.
     Neg,
@@ -79,7 +78,7 @@ impl fmt::Display for UnOp {
 }
 
 /// Binary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Addition.
     Add,
@@ -167,7 +166,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Expressions.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Expr {
     /// Integer literal (decimal, hex, or character constant in source form).
     IntLit(i64),
@@ -217,7 +216,7 @@ impl Expr {
 }
 
 /// Assignment targets.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LValue {
     /// A scalar variable.
     Var(String),
@@ -228,7 +227,7 @@ pub enum LValue {
 }
 
 /// Statements.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Stmt {
     /// Local variable declaration with optional initializer.
     VarDecl {
@@ -273,7 +272,7 @@ pub enum Stmt {
 }
 
 /// A function parameter.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Param {
     /// Parameter name.
     pub name: String,
@@ -282,7 +281,7 @@ pub struct Param {
 }
 
 /// A function definition.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Function {
     /// Function name.
     pub name: String,
@@ -295,7 +294,7 @@ pub struct Function {
 }
 
 /// A global variable declaration.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GlobalDecl {
     /// Variable name.
     pub name: String,
@@ -318,7 +317,7 @@ pub struct GlobalDecl {
 /// assert!(program.function("main").is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Program {
     /// Global variables, in declaration order (which fixes their layout).
     pub globals: Vec<GlobalDecl>,

@@ -14,7 +14,6 @@
 //! injected instructions (which necessarily carry a single concrete tag)
 //! therefore fault in at least one variant.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -22,7 +21,7 @@ use std::fmt;
 pub const INSTR_SIZE: u32 = 6;
 
 /// Operation codes of the SimC machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 #[repr(u8)]
 pub enum Op {
@@ -193,7 +192,7 @@ impl fmt::Display for Op {
 /// assert_eq!(bytes.len() as u32, INSTR_SIZE);
 /// assert_eq!(Instr::decode(&bytes).unwrap(), instr);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Instr {
     /// The variant tag stamped on this instruction.
     pub tag: u8,
@@ -271,7 +270,7 @@ impl fmt::Display for Instr {
 /// Both the interpreter's fetch fallback and the static analyzer's stream
 /// walk report undecodable slots through this one type, so a bad opcode byte
 /// renders identically whether it is hit at run time or at verify time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DecodeFailure {
     /// The program counter (or code-segment byte offset) of the bad slot.
     pub pc: u32,
@@ -357,17 +356,15 @@ pub(crate) enum Fused {
     /// `Push c; Ne; Jz t`: pop a word and jump to `t` if it equals `c`, as
     /// the loop test `while (x != c)` compiles.
     BranchIfImm,
-    /// `Ne; Jz t`: pop two words and jump to `t` if they are equal.
-    BranchIfEqual,
     /// A `Call` whose target is, slot for slot, the routine's body as the
     /// compiler emits it.
     Call(Routine),
 }
 
 impl Fused {
-    /// Every run and its opcodes, longest first: where two runs start at
-    /// one slot, the longer one is marked.
-    const RUNS: [(Fused, &'static [Op]); 4] = [
+    /// Every run and its opcodes. No two runs start with the same two
+    /// opcodes, so at most one starts at a slot.
+    const RUNS: [(Fused, &'static [Op]); 3] = [
         (
             Fused::IndexByte,
             &[Op::LoadL, Op::LoadL, Op::Add, Op::LoadB],
@@ -377,7 +374,6 @@ impl Fused {
             &[Op::LoadL, Op::Push, Op::Add, Op::StoreL],
         ),
         (Fused::BranchIfImm, &[Op::Push, Op::Ne, Op::Jz]),
-        (Fused::BranchIfEqual, &[Op::Ne, Op::Jz]),
     ];
 
     /// The run whose instructions `instrs` starts with.
@@ -397,7 +393,7 @@ impl Fused {
     pub(crate) fn instructions(self) -> u64 {
         match self {
             Fused::Single => 1,
-            Fused::BranchIfEqual | Fused::Call(_) => 2,
+            Fused::Call(_) => 2,
             Fused::BranchIfImm => 3,
             Fused::IndexByte | Fused::AddImmLocal => 4,
         }
@@ -756,6 +752,7 @@ mod tests {
             Instr::simple(Add),
             Instr::new(StoreL, 8),
             // Cut short by the end of the image: no run.
+            Instr::new(Push, 0),
             Instr::simple(Ne),
         ];
         let stream = predecode(&encode_all(&instrs)).unwrap();
@@ -769,10 +766,10 @@ mod tests {
                 single,
                 single,
                 Fused::BranchIfImm,
-                // The middle of one run starts a shorter one.
-                Fused::BranchIfEqual,
+                single,
                 single,
                 Fused::AddImmLocal,
+                single,
                 single,
                 single,
                 single,

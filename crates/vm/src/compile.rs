@@ -6,13 +6,12 @@ use crate::bytecode::{
 };
 use crate::typecheck::{typecheck_program, TypeError, TypeInfo};
 use nvariant_simos::Sysno;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// Errors produced by the compiler.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CompileError {
     /// The program failed type checking.
@@ -51,7 +50,7 @@ impl From<TypeError> for CompileError {
 /// The output of compilation: a position-independent code image (jump and
 /// call operands are code-segment offsets), the initial globals/rodata
 /// image, and symbol tables.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompiledProgram {
     /// Encoded instructions (all stamped with tag 0), reference-counted so
     /// every process instantiated from this program shares one image.

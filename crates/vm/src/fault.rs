@@ -6,11 +6,10 @@
 //! [`Fault::TagMismatch`]; the monitor interprets either as divergence.
 
 use nvariant_types::VirtAddr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fault that terminates a variant process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Fault {
     /// An access to unmapped memory.

@@ -1,10 +1,9 @@
 //! The SimC lexer.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tokens produced by the lexer.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Token {
     /// Identifier or keyword-like type name.
     Ident(String),
@@ -104,7 +103,7 @@ impl fmt::Display for Token {
 }
 
 /// A token together with the source line it started on (for diagnostics).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpannedToken {
     /// The token.
     pub token: Token,
@@ -113,7 +112,7 @@ pub struct SpannedToken {
 }
 
 /// Errors produced while tokenizing SimC source.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LexError {
     /// Human-readable description.
     pub message: String,

@@ -2,11 +2,10 @@
 
 use crate::ast::{BinOp, Expr, Function, GlobalDecl, LValue, Param, Program, Stmt, Type, UnOp};
 use crate::lexer::{tokenize, LexError, SpannedToken, Token};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced while parsing SimC source.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     /// Human-readable description.
     pub message: String,

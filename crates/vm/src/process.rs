@@ -42,7 +42,6 @@ use crate::bytecode::{Slot, INSTR_SIZE};
 use crate::compile::CompiledProgram;
 use crate::fault::Fault;
 use nvariant_types::{VirtAddr, Word};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -59,7 +58,7 @@ use std::sync::Arc;
 /// assert_eq!(partitioned.code_base, base.code_base | 0x8000_0000);
 /// assert_eq!(partitioned.stack_top, base.stack_top | 0x8000_0000);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MemoryLayout {
     /// Base address of the (read-only) code segment.
     pub code_base: u32,
@@ -116,7 +115,7 @@ impl MemoryLayout {
 }
 
 /// Execution state of a variant process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProcessState {
     /// The process is runnable.
     Running,
@@ -141,7 +140,7 @@ pub enum ProcessState {
 /// assert_eq!(process.read_word(addr).unwrap().as_i32(), 7);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Process {
     pub(crate) layout: MemoryLayout,
     /// The (possibly retagged) code image, shared with the compiled program
@@ -304,12 +303,6 @@ impl Process {
         self.symbols
             .get(name)
             .map(|(offset, _)| VirtAddr::new(self.layout.globals_base + offset))
-    }
-
-    /// The size in bytes of a named global variable, if it exists.
-    #[must_use]
-    pub fn global_size(&self, name: &str) -> Option<u32> {
-        self.symbols.get(name).map(|(_, ty)| ty.size())
     }
 
     /// The virtual address of a named function's first instruction.
@@ -707,7 +700,6 @@ mod tests {
         let p = Process::new(&c, MemoryLayout::default());
         let uid_addr = p.global_addr("server_uid").unwrap();
         assert_eq!(p.read_word(uid_addr).unwrap().as_u32(), 48);
-        assert_eq!(p.global_size("logbuf"), Some(16));
         // Declaration order fixes adjacency: the buffer sits below the UID.
         let buf_addr = p.global_addr("logbuf").unwrap();
         assert!(buf_addr < uid_addr);

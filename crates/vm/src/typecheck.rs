@@ -8,12 +8,11 @@
 
 use crate::ast::{BinOp, Expr, Function, LValue, Program, Stmt, Type, UnOp};
 use nvariant_simos::Sysno;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A function signature (parameter types and return type).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FunctionSig {
     /// Parameter types in order.
     pub params: Vec<Type>,
@@ -22,7 +21,7 @@ pub struct FunctionSig {
 }
 
 /// Errors detected by the type checker.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TypeError {
     /// Human-readable description of the problem.
     pub message: String,
@@ -70,7 +69,7 @@ impl std::error::Error for TypeError {}
 /// assert_eq!(info.var_type("main", "n"), Some(Type::Int));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TypeInfo {
     /// Declared type of every global.
     pub globals: BTreeMap<String, Type>,

@@ -113,7 +113,9 @@ const ROUTINE_FAULTS: [(&str, &str); 5] = [
 /// below the `sp` it leaves would lie in the globals.
 const FORGED: u32 = 24;
 
-/// The instruction runs the interpreter executes in one dispatch, by name.
+/// The instruction runs the images plant, by name: the three the
+/// interpreter executes in one dispatch, and `Ne; Jz`, which it executes
+/// one instruction at a time.
 const RUNS: [(&str, &[Op]); 4] = [
     ("index_byte", &[Op::LoadL, Op::LoadL, Op::Add, Op::LoadB]),
     ("branch_if_imm", &[Op::Push, Op::Ne, Op::Jz]),

@@ -4,7 +4,12 @@
 //! from cache; flipping any plan axis or transform option changes the plan
 //! hash and therefore never reuses the old entries; and the builder
 //! fingerprint that keys the artifact store is stable and axis-sensitive,
-//! mirroring `plan_hash_is_stable_and_axis_sensitive`.
+//! mirroring `plan_hash_is_stable_and_axis_sensitive`, and matches the
+//! committed absolute values in `tests/fixtures/fingerprint_golden.txt`.
+//!
+//! Regenerate that fixture only when a change deliberately moves artifact
+//! fingerprints, on the tree before the change:
+//! `NVARIANT_REGEN_GOLDEN=1 cargo test --test result_caching`.
 
 use nvariant::store::{from_artifact_text, to_artifact_text};
 use nvariant::{ArtifactStore, DeploymentConfig, NVariantSystemBuilder};
@@ -287,6 +292,68 @@ fn concurrent_stores_on_one_directory_never_produce_torn_artifacts() {
         });
     });
     let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// One line per security-sweep configuration and builder shape the
+/// workspace compiles the httpd with: the scenario builder, the weakened
+/// monitor (detection checks off), the weakened transform, and the
+/// scenario builder with the static verifier on.
+fn fingerprint_golden_text() -> String {
+    let mut text = String::new();
+    for config in nvariant_apps::campaigns::security_sweep_configs() {
+        let base = NVariantSystemBuilder::from_source(httpd_source())
+            .unwrap()
+            .config(config.clone())
+            .initial_uid(nvariant_types::Uid::ROOT);
+        let builders = [
+            ("scenario", base.clone()),
+            (
+                "weakened-monitor",
+                base.clone()
+                    .monitor_config(MonitorConfig::default().without_detection_checks()),
+            ),
+            (
+                "weakened-transform",
+                base.clone()
+                    .transform_options(nvariant_apps::checks::weakened_transform_options()),
+            ),
+            ("verified", base.verify_diversity(true)),
+        ];
+        for (shape, builder) in builders {
+            text.push_str(&format!(
+                "{:?} {shape} {:#018x}\n",
+                config.label(),
+                builder.fingerprint()
+            ));
+        }
+    }
+    text
+}
+
+#[test]
+fn fingerprints_match_the_committed_golden() {
+    let text = fingerprint_golden_text();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("fingerprint_golden.txt");
+    if std::env::var_os("NVARIANT_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &text).unwrap();
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); generate it on a known-good \
+             tree with NVARIANT_REGEN_GOLDEN=1 cargo test --test result_caching",
+            path.display()
+        )
+    });
+    assert_eq!(
+        text, golden,
+        "artifact fingerprints drifted from the committed golden fixture; \
+         every cached artifact and plan hash moves with them"
+    );
 }
 
 #[test]
