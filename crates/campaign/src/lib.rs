@@ -103,7 +103,7 @@ pub use cell::{CellOutcome, CellResult, CellSpec, CellVerdict, CheckSummary, Req
 pub use engine::{cell_seed, run_parallel};
 pub use exchange::ServedRequest;
 pub use nvariant::CacheStats;
-pub use plan::{serve_requests, CampaignPlan, CellRun, Scenario};
+pub use plan::{CampaignPlan, CellRun, Scenario};
 pub use report::{CampaignReport, MergeError, PlanShape};
 pub use shardio::{ShardCursor, ShardHeader, ShardWriter};
 pub use streaming::{

@@ -28,11 +28,9 @@ pub struct CellRun<'a> {
 }
 
 /// Stages `requests` on `port`, runs `system` to completion and pairs each
-/// observed connection with its response. The one canonical
-/// stage-run-collect sequence: campaign cells and direct scenario runners
-/// share it, so what a cell reports and what a hand-driven system reports
-/// cannot drift apart.
-pub fn serve_requests(
+/// observed connection with its response, in arrival order: what a
+/// campaign cell runs and reports.
+pub(crate) fn serve_requests(
     system: &mut RunnableSystem,
     port: Port,
     requests: &[Vec<u8>],

@@ -8,8 +8,8 @@
 pub struct MonitorConfig {
     /// Absolute paths treated as *unshared files*: each variant opens its
     /// own copy (`<path>-<variant index>`), which must have been provisioned
-    /// in the filesystem beforehand (see
-    /// [`provision_unshared_copies`](crate::provision_unshared_copies)).
+    /// in the filesystem beforehand (`nvariant::CompiledSystem::provision_world`
+    /// renders the account files' copies).
     pub unshared_files: Vec<String>,
     /// Maximum bytecode instructions one variant may execute between two
     /// synchronization points before it is considered runaway.

@@ -63,11 +63,9 @@ pub mod config;
 pub mod fdtable;
 pub mod metrics;
 pub mod monitor;
-pub mod provision;
 
 pub use alarm::{Alarm, DivergenceKind};
 pub use config::MonitorConfig;
 pub use fdtable::{VirtualFd, VirtualFdTable};
 pub use metrics::ExecutionMetrics;
 pub use monitor::{NVariantMonitor, NVariantOutcome, StepEvent, StepObservation};
-pub use provision::provision_unshared_copies;

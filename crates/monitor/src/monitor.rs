@@ -18,6 +18,7 @@ use nvariant_diversity::{Canonicalizer, DataClass, VariantSet};
 use nvariant_simos::{OpenFlags, OsKernel, SyscallRequest, Sysno};
 use nvariant_types::{Errno, Fd, Fnv1a, Gid, Pid, Port, Uid, VariantId, Word};
 use nvariant_vm::{Fault, Process, TrapReason};
+use std::borrow::Cow;
 
 /// The observable outcome of running an N-variant group to completion.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -717,11 +718,12 @@ impl NVariantMonitor {
         let n = self.variants.len();
         let errno_word = |e: Errno| Word::from_i32(e.as_syscall_ret());
 
-        // Read the path from each variant's own memory and require equality.
+        // Read the path from each variant's own memory and require its
+        // bytes to be equal.
         let mut paths = Vec::with_capacity(n);
         for (variant, request) in self.variants.iter().zip(requests) {
             match variant.process.read_cstring(request.arg(0).as_addr(), 4096) {
-                Ok(bytes) => paths.push(String::from_utf8_lossy(&bytes).to_string()),
+                Ok(bytes) => paths.push(bytes),
                 Err(_) => return self.deliver_all(errno_word(Errno::Efault)),
             }
         }
@@ -736,7 +738,7 @@ impl NVariantMonitor {
                 self.metrics.syscalls,
             )));
         }
-        let path = nvariant_simos::FileSystem::normalize(&paths[0]);
+        let path = nvariant_simos::FileSystem::normalize(&String::from_utf8_lossy(&paths[0]));
         let flags = OpenFlags::from_bits(requests[0].arg(1).as_u32());
 
         if self.config.is_unshared(&path) && n > 1 {
@@ -832,27 +834,29 @@ impl NVariantMonitor {
         sysno: Sysno,
         requests: &[SyscallRequest],
     ) -> Option<NVariantOutcome> {
-        let n = self.variants.len();
         let errno_word = |e: Errno| Word::from_i32(e.as_syscall_ret());
         let vfd = requests[0].arg(0).as_u32();
         let count = requests[0].arg(2).as_u32() as usize;
 
-        // Gather the bytes each variant wants to emit.
-        let mut payloads = Vec::with_capacity(n);
-        for (variant, request) in self.variants.iter().zip(requests) {
-            match variant.process.read_bytes(request.arg(1).as_addr(), count) {
-                Ok(bytes) => payloads.push(bytes),
-                Err(_) => return self.deliver_all(errno_word(Errno::Efault)),
-            }
+        // Every variant's bytes must be readable before anything is written.
+        if self
+            .variants
+            .iter()
+            .zip(requests)
+            .any(|(variant, request)| written_bytes(&variant.process, request, count).is_err())
+        {
+            return self.deliver_all(errno_word(Errno::Efault));
         }
 
         if self.vfds.is_unshared(vfd) {
             // Per-variant output to per-variant files: no cross-check needed.
-            for (index, payload) in payloads.iter().enumerate() {
-                let result = self
-                    .vfds
-                    .fd_for_variant(vfd, index)
-                    .and_then(|fd| self.kernel.write(self.group_pid, fd, payload));
+            for (index, request) in requests.iter().enumerate().take(self.variants.len()) {
+                let result = written_bytes(&self.variants[index].process, request, count)
+                    .map_err(|_| Errno::Efault)
+                    .and_then(|bytes| {
+                        let fd = self.vfds.fd_for_variant(vfd, index)?;
+                        self.kernel.write(self.group_pid, fd, &bytes)
+                    });
                 let ret = match result {
                     Ok(len) => {
                         self.metrics.io_bytes += len as u64;
@@ -865,9 +869,16 @@ impl NVariantMonitor {
             return None;
         }
 
-        // Shared output must be byte-identical across variants.
+        // Shared output must be byte-identical across variants. Every
+        // variant's bytes were readable, so `payloads` holds them all.
         self.count_check();
-        if payloads.iter().any(|p| p != &payloads[0]) {
+        let mut payloads = self
+            .variants
+            .iter()
+            .zip(requests)
+            .filter_map(|(variant, request)| written_bytes(&variant.process, request, count).ok());
+        let first = payloads.next().unwrap_or_default();
+        if payloads.any(|other| other != first) {
             return Some(self.terminate_with_alarm(Alarm::new(
                 DivergenceKind::OutputMismatch { sysno },
                 self.metrics.syscalls,
@@ -877,15 +888,14 @@ impl NVariantMonitor {
         // Standard descriptors (console) are not in the virtual table; treat
         // them as shared writes to the group process console.
         let result = if vfd < 3 {
-            self.kernel
-                .write(self.group_pid, Fd::new(vfd), &payloads[0])
+            self.kernel.write(self.group_pid, Fd::new(vfd), &first)
         } else {
             match self.vfds.shared_fd(vfd) {
                 Ok(fd) => {
                     if sysno == Sysno::Send {
-                        self.kernel.send(self.group_pid, fd, &payloads[0])
+                        self.kernel.send(self.group_pid, fd, &first)
                     } else {
-                        self.kernel.write(self.group_pid, fd, &payloads[0])
+                        self.kernel.write(self.group_pid, fd, &first)
                     }
                 }
                 Err(e) => Err(e),
@@ -899,6 +909,22 @@ impl NVariantMonitor {
             }
             Err(e) => self.deliver_all(errno_word(e)),
         }
+    }
+}
+
+/// The `count` bytes a `write` or `send` request asks `process` to emit:
+/// borrowed where they lie in one segment's stored bytes, and otherwise
+/// read byte by byte, so a range that faults faults as
+/// [`Process::read_bytes`] says.
+fn written_bytes<'a>(
+    process: &'a Process,
+    request: &SyscallRequest,
+    count: usize,
+) -> Result<Cow<'a, [u8]>, Fault> {
+    let addr = request.arg(1).as_addr();
+    match process.read_slice(addr, count) {
+        Ok(bytes) => Ok(Cow::Borrowed(bytes)),
+        Err(_) => process.read_bytes(addr, count).map(Cow::Owned),
     }
 }
 
@@ -1549,6 +1575,41 @@ mod tests {
             outcome.alarm.unwrap().kind,
             DivergenceKind::OutputMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn open_compares_path_bytes_not_their_utf8_renderings() {
+        // Each variant builds a path from its own stack address: `/x\xFF`
+        // below the partition bit and `/x\xFE` above it. Both bytes are
+        // invalid UTF-8, and both render as U+FFFD.
+        let source = r"
+            fn main() -> int {
+                var path: buf[8];
+                var high: int;
+                high = (&path >> 31) & 1;
+                path[0] = '/';
+                path[1] = 'x';
+                path[2] = 255 - high;
+                path[3] = 0;
+                open(&path, 0);
+                return 0;
+            }
+        ";
+        let (outcome, _) = run_group(source, Uid::ROOT, 2);
+        assert!(
+            matches!(
+                outcome.alarm.as_ref().map(|alarm| &alarm.kind),
+                Some(DivergenceKind::ArgumentMismatch {
+                    sysno: Sysno::Open,
+                    arg_index: 0,
+                    ..
+                })
+            ),
+            "{outcome:?}"
+        );
+        // One variant opens the path it built, invalid bytes and all.
+        let (outcome, _) = run_group(source, Uid::ROOT, 1);
+        assert_eq!(outcome.exit_status, Some(0));
     }
 
     #[test]

@@ -8,10 +8,24 @@
 //! File contents are copy-on-write and carry a memoised FNV-1a digest
 //! ([`FileData`]): a state digest folds each file as its length and that
 //! digest, so the model checker rehashes a file's bytes only after a write.
+//!
+//! The file table itself is shared copy-on-write the same way, like the
+//! account database ([`PasswdDb`](crate::PasswdDb)): a clone bumps a
+//! reference count, and the first write to a shared table (creating,
+//! removing or opening a file for writing, or changing a read fault)
+//! copies its directory map once. The fold of the whole table is computed
+//! once per write generation and shared by every clone that has not
+//! written since, so a state digest folds the file system as one `u64`.
+//!
+//! Lookups take paths as the program wrote them. A path that is already
+//! normal (the paths the table stores and descriptors hold) is looked up
+//! as it is; only a path with `.`, `..` or empty components is resolved
+//! into a new string first.
 
 use crate::cred::Credentials;
 use nvariant_types::{fnv1a_64, Errno, Fnv1a, Gid, Uid};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -373,7 +387,8 @@ impl Inode {
     }
 }
 
-/// A flat, in-memory filesystem keyed by absolute path.
+/// A flat, in-memory filesystem keyed by absolute path, shared
+/// copy-on-write with a memoised digest (see the module docs).
 ///
 /// Directories are implicit: any `/`-separated prefix of an existing path is
 /// considered a directory. Paths are normalized before lookup so that the
@@ -394,12 +409,18 @@ impl Inode {
 /// let root = Credentials::root();
 /// assert!(fs.check_access("/etc/shadow", &root, AccessMode::Read).is_ok());
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct FileSystem {
+#[derive(Clone, Default)]
+pub struct FileSystem(Arc<FileTable>);
+
+#[derive(Clone, Default)]
+struct FileTable {
     files: BTreeMap<String, Inode>,
     /// Paths whose reads deterministically fail with `EIO` — the
     /// fault-injection hook behind the `faulty-fs` world template.
-    read_faults: std::collections::BTreeSet<String>,
+    read_faults: BTreeSet<String>,
+    /// The fold of `files` and `read_faults`, once something has asked for
+    /// it.
+    digest: OnceLock<u64>,
 }
 
 impl FileSystem {
@@ -413,24 +434,22 @@ impl FileSystem {
     /// and ensures a leading slash.
     #[must_use]
     pub fn normalize(path: &str) -> String {
-        let mut parts: Vec<&str> = Vec::new();
-        for comp in path.split('/') {
-            match comp {
-                "" | "." => {}
-                ".." => {
-                    parts.pop();
-                }
-                other => parts.push(other),
-            }
-        }
-        let mut out = String::from("/");
-        out.push_str(&parts.join("/"));
-        out
+        normal(path).into_owned()
+    }
+
+    /// The table for writing: detached from any sharing clones, with the
+    /// memoised digest reset.
+    fn table_mut(&mut self) -> &mut FileTable {
+        let table = Arc::make_mut(&mut self.0);
+        table.digest = OnceLock::new();
+        table
     }
 
     /// Creates (or replaces) a file owned by root with public permissions.
     pub fn create(&mut self, path: &str, data: Vec<u8>) {
-        self.files.insert(Self::normalize(path), Inode::new(data));
+        self.table_mut()
+            .files
+            .insert(Self::normalize(path), Inode::new(data));
     }
 
     /// Creates (or replaces) a file with explicit ownership and mode.
@@ -442,7 +461,7 @@ impl FileSystem {
         group: Gid,
         mode: FileMode,
     ) {
-        self.files.insert(
+        self.table_mut().files.insert(
             Self::normalize(path),
             Inode {
                 data: data.into(),
@@ -455,41 +474,41 @@ impl FileSystem {
 
     /// Removes a file. Returns the removed inode if it existed.
     pub fn remove(&mut self, path: &str) -> Option<Inode> {
-        self.files.remove(&Self::normalize(path))
+        self.table_mut().files.remove(&*normal(path))
     }
 
     /// Returns `true` if a file exists at `path`.
     #[must_use]
     pub fn exists(&self, path: &str) -> bool {
-        self.files.contains_key(&Self::normalize(path))
+        self.0.files.contains_key(&*normal(path))
     }
 
     /// Looks up a file.
     #[must_use]
     pub fn get(&self, path: &str) -> Option<&Inode> {
-        self.files.get(&Self::normalize(path))
+        self.0.files.get(&*normal(path))
     }
 
-    /// Looks up a file mutably.
+    /// Looks up a file mutably, detaching the table from any sharing clones.
     pub fn get_mut(&mut self, path: &str) -> Option<&mut Inode> {
-        self.files.get_mut(&Self::normalize(path))
+        self.table_mut().files.get_mut(&*normal(path))
     }
 
     /// Iterates over all `(path, inode)` pairs in path order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Inode)> {
-        self.files.iter().map(|(k, v)| (k.as_str(), v))
+        self.0.files.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Number of files in the filesystem.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.files.len()
+        self.0.files.len()
     }
 
     /// Returns `true` if the filesystem contains no files.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
+        self.0.files.is_empty()
     }
 
     /// Checks whether the process described by `cred` may access `path` with
@@ -538,49 +557,108 @@ impl FileSystem {
     /// sector. The fault is part of the filesystem state, so it survives
     /// cloning into provisioned world templates and is fully deterministic.
     pub fn inject_read_fault(&mut self, path: &str) {
-        self.read_faults.insert(Self::normalize(path));
+        self.table_mut().read_faults.insert(Self::normalize(path));
     }
 
     /// Clears a previously injected read fault. Returns `true` if one was
     /// present.
     pub fn clear_read_fault(&mut self, path: &str) -> bool {
-        self.read_faults.remove(&Self::normalize(path))
+        self.table_mut().read_faults.remove(&*normal(path))
     }
 
     /// Returns `true` if reads of `path` have been marked faulty.
     #[must_use]
     pub fn is_read_faulty(&self, path: &str) -> bool {
-        self.read_faults.contains(&Self::normalize(path))
+        self.0.read_faults.contains(&*normal(path))
     }
 
     /// The paths currently marked read-faulty, in path order.
     pub fn read_faulty_paths(&self) -> impl Iterator<Item = &str> {
-        self.read_faults.iter().map(String::as_str)
+        self.0.read_faults.iter().map(String::as_str)
     }
 
     /// Folds the complete filesystem state — every inode's path, contents,
-    /// ownership and mode, plus the injected read faults — into `digest`.
-    /// `BTreeMap`/`BTreeSet` iteration order makes the digest canonical:
-    /// two equal filesystems always fold identically, which is what the
-    /// model checker's visited-state pruning relies on. Contents fold as
-    /// their length and memoised [`FileData::content_digest`], so equal
-    /// files still fold equally (up to FNV collisions, as for the whole
-    /// state) while a file nothing wrote costs no rehash.
+    /// ownership and mode, plus the injected read faults — into `digest`
+    /// as one `u64`, computed once per write generation and shared by every
+    /// clone that has not written since. `BTreeMap`/`BTreeSet` iteration
+    /// order makes the digest canonical: two equal filesystems always fold
+    /// identically, which is what the model checker's visited-state pruning
+    /// relies on. Contents fold as their length and memoised
+    /// [`FileData::content_digest`], so equal files still fold equally (up
+    /// to FNV collisions, as for the whole state) while a file nothing
+    /// wrote costs no rehash.
     pub fn digest_into(&self, digest: &mut Fnv1a) {
-        digest.write_usize(self.files.len());
-        for (path, inode) in &self.files {
-            digest.write_str(path);
-            digest.write_usize(inode.data.len());
-            digest.write_u64(inode.data.content_digest());
-            digest.write_u32(inode.owner.as_u32());
-            digest.write_u32(inode.group.as_u32());
-            digest.write_u32(u32::from(inode.mode.bits()));
-        }
-        digest.write_usize(self.read_faults.len());
-        for path in &self.read_faults {
-            digest.write_str(path);
+        let table = *self.0.digest.get_or_init(|| {
+            let mut table = Fnv1a::new();
+            table.write_usize(self.0.files.len());
+            for (path, inode) in &self.0.files {
+                table.write_str(path);
+                table.write_usize(inode.data.len());
+                table.write_u64(inode.data.content_digest());
+                table.write_u32(inode.owner.as_u32());
+                table.write_u32(inode.group.as_u32());
+                table.write_u32(u32::from(inode.mode.bits()));
+            }
+            table.write_usize(self.0.read_faults.len());
+            for path in &self.0.read_faults {
+                table.write_str(path);
+            }
+            table.finish()
+        });
+        digest.write_u64(table);
+    }
+}
+
+// Debug output sees only the files and read faults: the memo is a cache, and
+// whether it has been filled yet is not part of the file system's state.
+impl fmt::Debug for FileSystem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FileSystem")
+            .field("files", &self.0.files)
+            .field("read_faults", &self.0.read_faults)
+            .finish()
+    }
+}
+
+/// `path` normalized: borrowed when it is normal already, so a lookup by a
+/// stored path allocates nothing.
+fn normal(path: &str) -> Cow<'_, str> {
+    if is_normal(path) {
+        Cow::Borrowed(path)
+    } else {
+        Cow::Owned(resolve_components(path))
+    }
+}
+
+/// Whether [`resolve_components`] would return `path` unchanged: a leading
+/// slash, and no empty, `.` or `..` component after it (so no `//` and no
+/// trailing slash), or `/` alone.
+fn is_normal(path: &str) -> bool {
+    match path.strip_prefix('/') {
+        Some("") => true,
+        Some(rest) => rest
+            .split('/')
+            .all(|component| !matches!(component, "" | "." | "..")),
+        None => false,
+    }
+}
+
+/// Collapses `//`, resolves `.` and `..` components, and ensures a leading
+/// slash.
+fn resolve_components(path: &str) -> String {
+    let mut parts: Vec<&str> = Vec::new();
+    for comp in path.split('/') {
+        match comp {
+            "" | "." => {}
+            ".." => {
+                parts.pop();
+            }
+            other => parts.push(other),
         }
     }
+    let mut out = String::from("/");
+    out.push_str(&parts.join("/"));
+    out
 }
 
 #[cfg(test)]
@@ -603,6 +681,29 @@ mod tests {
         );
         assert_eq!(FileSystem::normalize("/../.."), "/");
         assert_eq!(FileSystem::normalize(""), "/");
+    }
+
+    #[test]
+    fn normal_paths_are_borrowed_exactly_when_the_walk_keeps_them() {
+        // Every path of up to 7 characters over `/`, `.` and `a`.
+        let mut paths = vec![String::new()];
+        let mut checked = 0;
+        while let Some(path) = paths.pop() {
+            let walked = resolve_components(&path);
+            assert_eq!(normal(&path), walked, "{path:?}");
+            assert_eq!(
+                matches!(normal(&path), Cow::Borrowed(_)),
+                walked == path,
+                "{path:?}"
+            );
+            checked += 1;
+            if path.len() < 7 {
+                for c in ['/', '.', 'a'] {
+                    paths.push(format!("{path}{c}"));
+                }
+            }
+        }
+        assert_eq!(checked, (0..=7).map(|len| 3usize.pow(len)).sum::<usize>());
     }
 
     #[test]
@@ -728,10 +829,12 @@ mod tests {
         let mut template = FileSystem::new();
         template.create("/var/log/httpd.log", b"seed\n".to_vec());
         let mut cell = template.clone();
-        assert!(cell.get("/var/log/httpd.log").unwrap().data.is_shared());
 
         // Writing through one clone detaches it; the other is untouched.
+        // `get_mut` copies the shared table, so the bytes are shared until
+        // the first write to them.
         let inode = cell.get_mut("/var/log/httpd.log").unwrap();
+        assert!(inode.data.is_shared());
         let pos = inode.data.len();
         inode.data.write_at(pos, b"GET /\n");
         assert_eq!(
@@ -795,6 +898,80 @@ mod tests {
         cleared.get_mut(LOG).unwrap().data.write_at(0, b"seed\n");
         assert!(!cleared.get(LOG).unwrap().data.is_shared());
         assert_eq!(fold(&cleared), before);
+    }
+
+    #[test]
+    fn the_table_is_shared_and_folded_once_per_write() {
+        let mut template = FileSystem::new();
+        template.create("/etc/motd", b"hello\n".to_vec());
+        template.inject_read_fault("/var/www/html/news.html");
+        let before = fold(&template);
+        // A clone shares the table and the memo the template filled.
+        let cell = template.clone();
+        assert!(Arc::ptr_eq(&template.0, &cell.0));
+        assert_eq!(
+            cell.0.digest.get(),
+            Some(&{
+                let mut table = Fnv1a::new();
+                table.write_usize(1);
+                table.write_str("/etc/motd");
+                table.write_usize(6);
+                table.write_u64(fnv1a_64(b"hello\n"));
+                table.write_u32(0);
+                table.write_u32(0);
+                table.write_u32(0o644);
+                table.write_usize(1);
+                table.write_str("/var/www/html/news.html");
+                table.finish()
+            })
+        );
+        assert_eq!(fold(&cell), before);
+
+        // Every mutation detaches the writer and resets its memo only.
+        let writes: [fn(&mut FileSystem); 7] = [
+            |fs| fs.create("/tmp/new", Vec::new()),
+            |fs| {
+                fs.remove("/etc/motd");
+            },
+            |fs| fs.get_mut("/etc/motd").unwrap().data.write_at(0, b"J"),
+            |fs| fs.get_mut("/etc/motd").unwrap().mode = FileMode::PRIVATE,
+            |fs| fs.inject_read_fault("/etc/motd"),
+            |fs| {
+                fs.clear_read_fault("/var/www/html/news.html");
+            },
+            |fs| {
+                fs.create_with(
+                    "/etc/motd",
+                    b"hello\n".to_vec(),
+                    Uid::new(1),
+                    Gid::ROOT,
+                    FileMode::PUBLIC,
+                );
+            },
+        ];
+        for (index, write) in writes.iter().enumerate() {
+            let mut writer = cell.clone();
+            write(&mut writer);
+            assert!(!Arc::ptr_eq(&template.0, &writer.0), "write {index}");
+            assert_ne!(fold(&writer), before, "write {index}");
+            assert_eq!(fold(&template), before, "write {index}");
+            assert_eq!(fold(&cell), before, "write {index}");
+        }
+
+        // Lookups by a path that is not normal do not write.
+        assert!(cell.exists("/etc//motd"));
+        assert!(cell.is_read_faulty("/var/www/./html/news.html"));
+        assert!(Arc::ptr_eq(&template.0, &cell.0));
+        // The memo is invisible to debug output.
+        assert_eq!(
+            format!("{template:?}"),
+            format!("{:?}", {
+                let mut built = FileSystem::new();
+                built.inject_read_fault("/var/www/html/news.html");
+                built.create("/etc/motd", b"hello\n".to_vec());
+                built
+            })
+        );
     }
 
     #[test]

@@ -359,8 +359,8 @@ impl OsKernel {
     /// * [`Errno::Ebadf`] if the descriptor is invalid.
     /// * [`Errno::Eacces`] if the file was not opened for reading.
     pub fn read(&mut self, pid: Pid, fd: Fd, max: usize) -> Result<Vec<u8>, Errno> {
-        let entry = self.proc_ref(pid)?.fd(fd)?.clone();
-        match entry {
+        let proc = self.procs.get_mut(&pid.as_u32()).ok_or(Errno::Einval)?;
+        match proc.fd_mut(fd)? {
             FdEntry::Console => Ok(Vec::new()),
             FdEntry::File {
                 path,
@@ -370,16 +370,13 @@ impl OsKernel {
                 if !flags.wants_read() {
                     return Err(Errno::Eacces);
                 }
-                let inode = self.fs.get(&path).ok_or(Errno::Enoent)?;
-                let start = offset.min(inode.data.len());
+                let inode = self.fs.get(path).ok_or(Errno::Enoent)?;
+                let start = (*offset).min(inode.data.len());
                 let end = (start + max).min(inode.data.len());
-                let data = inode.data[start..end].to_vec();
-                if let FdEntry::File { offset, .. } = self.proc_mut(pid)?.fd_mut(fd)? {
-                    *offset = end;
-                }
-                Ok(data)
+                *offset = end;
+                Ok(inode.data[start..end].to_vec())
             }
-            FdEntry::Conn(conn) => self.net.recv(conn, max),
+            FdEntry::Conn(conn) => self.net.recv(*conn, max),
             FdEntry::Socket { .. } => Err(Errno::Einval),
         }
     }
@@ -391,10 +388,10 @@ impl OsKernel {
     /// * [`Errno::Ebadf`] if the descriptor is invalid.
     /// * [`Errno::Eacces`] if the file was not opened for writing.
     pub fn write(&mut self, pid: Pid, fd: Fd, data: &[u8]) -> Result<usize, Errno> {
-        let entry = self.proc_ref(pid)?.fd(fd)?.clone();
-        match entry {
+        let proc = self.procs.get_mut(&pid.as_u32()).ok_or(Errno::Einval)?;
+        match proc.fd_mut(fd)? {
             FdEntry::Console => {
-                self.proc_mut(pid)?.console.extend_from_slice(data);
+                proc.console.extend_from_slice(data);
                 Ok(data.len())
             }
             FdEntry::File {
@@ -405,20 +402,17 @@ impl OsKernel {
                 if !flags.wants_write() {
                     return Err(Errno::Eacces);
                 }
-                let inode = self.fs.get_mut(&path).ok_or(Errno::Enoent)?;
+                let inode = self.fs.get_mut(path).ok_or(Errno::Enoent)?;
                 let pos = if flags.appends() {
                     inode.data.len()
                 } else {
-                    offset
+                    *offset
                 };
                 inode.data.write_at(pos, data);
-                let new_offset = pos + data.len();
-                if let FdEntry::File { offset, .. } = self.proc_mut(pid)?.fd_mut(fd)? {
-                    *offset = new_offset;
-                }
+                *offset = pos + data.len();
                 Ok(data.len())
             }
-            FdEntry::Conn(conn) => self.net.send(conn, data),
+            FdEntry::Conn(conn) => self.net.send(*conn, data),
             FdEntry::Socket { .. } => Err(Errno::Einval),
         }
     }
@@ -429,13 +423,16 @@ impl OsKernel {
     ///
     /// Returns [`Errno::Ebadf`] if the descriptor is invalid.
     pub fn close(&mut self, pid: Pid, fd: Fd) -> Result<(), Errno> {
-        let entry = self.proc_ref(pid)?.fd(fd)?.clone();
+        let proc = self.procs.get_mut(&pid.as_u32()).ok_or(Errno::Einval)?;
+        let entry = proc
+            .fds
+            .get_mut(fd.as_usize())
+            .and_then(Option::take)
+            .ok_or(Errno::Ebadf)?;
         if let FdEntry::Conn(conn) = entry {
             // Ignore errors from double closes of the underlying connection.
             let _ = self.net.close(conn);
         }
-        let proc = self.proc_mut(pid)?;
-        proc.fds[fd.as_usize()] = None;
         Ok(())
     }
 
@@ -568,22 +565,27 @@ impl OsKernel {
             ] {
                 digest.write_u32(id);
             }
-            digest.write_usize(proc.fds.len());
-            for entry in &proc.fds {
+            // The open descriptors only: how many, then each one's number
+            // and entry.
+            digest.write_usize(proc.fds.iter().flatten().count());
+            for (fd, entry) in proc.fds.iter().enumerate() {
+                let Some(entry) = entry else {
+                    continue;
+                };
+                digest.write_usize(fd);
                 match entry {
-                    None => digest.write_u8(0),
-                    Some(FdEntry::Console) => digest.write_u8(1),
-                    Some(FdEntry::File {
+                    FdEntry::Console => digest.write_u8(1),
+                    FdEntry::File {
                         path,
                         offset,
                         flags,
-                    }) => {
+                    } => {
                         digest.write_u8(2);
                         digest.write_str(path);
                         digest.write_usize(*offset);
                         digest.write_u32(flags.bits());
                     }
-                    Some(FdEntry::Socket { bound, listening }) => {
+                    FdEntry::Socket { bound, listening } => {
                         digest.write_u8(3);
                         match bound {
                             None => digest.write_u8(0),
@@ -594,7 +596,7 @@ impl OsKernel {
                         }
                         digest.write_u8(u8::from(*listening));
                     }
-                    Some(FdEntry::Conn(conn)) => {
+                    FdEntry::Conn(conn) => {
                         digest.write_u8(4);
                         digest.write_u64(conn.as_u64());
                     }
@@ -833,6 +835,171 @@ mod tests {
         assert_eq!(k.time(), 0);
         k.advance_time(5);
         assert_eq!(k.time(), 5);
+    }
+
+    fn digest(k: &OsKernel) -> u64 {
+        let mut digest = Fnv1a::new();
+        k.digest_into(&mut digest);
+        digest.finish()
+    }
+
+    /// A kernel with files, accounts, a second process, a socket (fd 3)
+    /// and a request waiting for a listener.
+    fn staleness_base() -> (OsKernel, Pid) {
+        let mut k = kernel_with_file("/etc/shadow", b"root:x\n", FileMode::PRIVATE, Uid::ROOT);
+        k.fs_mut()
+            .create("/var/www/html/index.html", b"<html>".to_vec());
+        k.passwd_mut()
+            .add_user(crate::PasswdEntry::new("root", Uid::ROOT, Gid::ROOT));
+        let pid = k.spawn_process(Uid::ROOT);
+        k.spawn_process(Uid::new(48));
+        k.socket(pid).unwrap();
+        k.net_mut()
+            .preload_request(Port::HTTP, b"GET / HTTP/1.0\r\n\r\n".to_vec());
+        (k, pid)
+    }
+
+    /// Applies the operation `op` encodes — a file, fault, network,
+    /// descriptor, credential, clock, account or process operation — to
+    /// `k` as `pid`, ignoring its result.
+    fn apply(k: &mut OsKernel, pid: Pid, op: u64) {
+        const PATHS: [&str; 5] = [
+            "/etc/shadow",
+            "/var/www/html/index.html",
+            "/tmp/log",
+            "/var//www/html/../html/index.html",
+            "/tmp/./new",
+        ];
+        let flags = [
+            OpenFlags::RDONLY,
+            OpenFlags::WRONLY.union(OpenFlags::CREAT),
+            OpenFlags::RDWR,
+            OpenFlags::WRONLY.union(OpenFlags::APPEND),
+            OpenFlags::WRONLY.union(OpenFlags::TRUNC),
+            OpenFlags::RDWR
+                .union(OpenFlags::CREAT)
+                .union(OpenFlags::TRUNC),
+        ];
+        let arg = (op >> 8) as usize;
+        let path = PATHS[arg % PATHS.len()];
+        let fd = Fd::new((arg % 8) as u32);
+        let bytes = &(op >> 16).to_le_bytes()[..(op >> 60) as usize % 8];
+        let uid = [Uid::ROOT, Uid::new(48), Uid::new(1000)][arg % 3];
+        let port = [Port::HTTP, Port::new(8080)][(op >> 20) as usize % 2];
+        match op % 16 {
+            0 => drop(k.open(pid, path, flags[(op >> 16) as usize % flags.len()])),
+            1 => drop(k.read(pid, fd, (op >> 16) as usize % 16)),
+            2 => drop(k.write(pid, fd, bytes)),
+            3 => drop(k.close(pid, fd)),
+            4 => k.fs_mut().inject_read_fault(path),
+            5 => drop(k.fs_mut().clear_read_fault(path)),
+            6 if op & 1 << 20 == 0 => k.fs_mut().create(path, bytes.to_vec()),
+            6 => drop(k.fs_mut().remove(path)),
+            7 => k.net_mut().preload_request(port, bytes.to_vec()),
+            8 => drop(k.net_mut().enqueue_request(port, bytes.to_vec())),
+            9 => drop(k.accept(pid, Fd::new(3))),
+            10 if op & 1 << 20 == 0 => drop(k.bind(pid, Fd::new(3), port)),
+            10 => drop(k.listen(pid, Fd::new(3))),
+            11 => {
+                // The checker's receive schedule: a cap set around one read.
+                k.net_mut().set_recv_cap(Some((op >> 16) as usize % 4));
+                drop(k.read(pid, fd, 64));
+                k.net_mut().set_recv_cap(None);
+            }
+            12 => drop(match (op >> 16) % 3 {
+                0 => k.setuid(pid, uid),
+                1 => k.seteuid(pid, uid),
+                _ => k.setreuid(pid, Some(uid), None),
+            }),
+            13 => k.advance_time(1),
+            14 => k.passwd_mut().add_user(crate::PasswdEntry::new(
+                "user",
+                uid,
+                Gid::new(uid.as_u32()),
+            )),
+            _ if op & 1 << 20 == 0 => drop(k.spawn_process(uid)),
+            _ => drop(k.exit(Pid::new(2), (op >> 24) as i32 % 4)),
+        }
+    }
+
+    /// Fixed-seed xorshift64 operations.
+    fn ops(seed: u64, len: usize) -> Vec<u64> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memoised_digests_follow_every_write_and_only_the_writer() {
+        for seed in 1..=24u64 {
+            let (mut eager, pid) = staleness_base();
+            let mut lazy = eager.clone();
+            let main = ops(seed * 0x9e37_79b9, 160);
+            let side = ops(seed * 0x85eb_ca6b + 1, 160);
+            // Forks of `eager` that follow its history, and forks that
+            // take another one, each with a twin forked from `lazy` and
+            // digested only at the end.
+            let mut followers: Vec<OsKernel> = Vec::new();
+            let mut strays: Vec<(OsKernel, OsKernel)> = Vec::new();
+            let mut digests = Vec::new();
+            for (step, (&op, &other)) in main.iter().zip(&side).enumerate() {
+                if step % 40 == 0 {
+                    followers.push(eager.clone());
+                    strays.push((eager.clone(), lazy.clone()));
+                }
+                let strays_before: Vec<u64> = strays.iter().map(|(k, _)| digest(k)).collect();
+                apply(&mut eager, pid, op);
+                apply(&mut lazy, pid, op);
+                let now = digest(&eager);
+                digests.push(now);
+                for (stray, before) in strays.iter_mut().zip(strays_before) {
+                    // A write through `eager` left the stray unchanged, and
+                    // one through the stray leaves `eager` unchanged.
+                    assert_eq!(digest(&stray.0), before, "seed {seed} step {step}");
+                    apply(&mut stray.0, pid, other);
+                    apply(&mut stray.1, pid, other);
+                    assert_eq!(digest(&eager), now, "seed {seed} step {step}");
+                }
+                for follower in &mut followers {
+                    apply(follower, pid, op);
+                    assert_eq!(digest(follower), now, "seed {seed} step {step}");
+                }
+            }
+            assert_eq!(digest(&lazy), *digests.last().unwrap(), "seed {seed}");
+            for (stray, twin) in &strays {
+                assert_eq!(digest(stray), digest(twin), "seed {seed}");
+            }
+            // The sequences did change the state, step by step.
+            digests.dedup();
+            assert!(
+                digests.len() >= 40,
+                "seed {seed}: {} digests",
+                digests.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_descriptor_folds_with_its_number() {
+        let mut moved = kernel_with_file("/f", b"x", FileMode::PUBLIC, Uid::ROOT);
+        let mut kept = moved.clone();
+        let pid = moved.spawn_process(Uid::ROOT);
+        kept.spawn_process(Uid::ROOT);
+        let first = moved.open(pid, "/f", OpenFlags::RDONLY).unwrap();
+        moved.open(pid, "/f", OpenFlags::RDONLY).unwrap();
+        moved.close(pid, first).unwrap();
+        kept.open(pid, "/f", OpenFlags::RDONLY).unwrap();
+        // The same entry in slot 4 and in slot 3.
+        assert_ne!(digest(&moved), digest(&kept));
+        kept.close(pid, first).unwrap();
+        moved.close(pid, Fd::new(4)).unwrap();
+        assert_eq!(digest(&moved), digest(&kept));
     }
 
     #[test]

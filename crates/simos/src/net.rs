@@ -5,10 +5,16 @@
 //! service (Figure 2 of the paper: "External Input"). The workload generator
 //! and the attack library both enqueue [`Connection`]s here; the server pulls
 //! them off with `accept`/`recv` and answers with `send`.
+//!
+//! The fold of the listeners, connections and queues is memoised: every
+//! method that changes them resets the memo, so a state digest re-folds the
+//! network's buffers only after a step that used it.
 
 use bytes::Bytes;
 use nvariant_types::{ConnId, Errno, Fnv1a, Port};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A pending or established client connection.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,18 +79,28 @@ pub struct Listener {
 /// net.send(conn, b"HTTP/1.0 200 OK\r\n").unwrap();
 /// assert!(net.connection(conn).unwrap().response.starts_with(b"HTTP/1.0 200"));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct SimNetwork {
-    listeners: BTreeMap<u16, Listener>,
-    connections: BTreeMap<u64, Connection>,
-    next_conn: u64,
-    preloaded: BTreeMap<u16, VecDeque<Vec<u8>>>,
+    /// Everything but the delivery cap; written only through
+    /// [`SimNetwork::fabric_mut`].
+    fabric: Fabric,
+    /// The fold of `fabric`, once something has asked for it.
+    digest: OnceLock<u64>,
     /// Deterministic schedule injection: when set, every `recv` delivers at
     /// most this many bytes even if the caller asked for more, modelling a
     /// network that fragments request payloads at a chosen boundary. The
     /// model checker enumerates different caps to explore the delivery
-    /// schedules a real TCP stack could produce.
+    /// schedules a real TCP stack could produce. It sets and clears the cap
+    /// around every step, so the cap stays outside the memo.
     recv_cap: Option<usize>,
+}
+
+#[derive(Clone, Default)]
+struct Fabric {
+    listeners: BTreeMap<u16, Listener>,
+    connections: BTreeMap<u64, Connection>,
+    next_conn: u64,
+    preloaded: BTreeMap<u16, VecDeque<Vec<u8>>>,
 }
 
 impl SimNetwork {
@@ -92,6 +108,13 @@ impl SimNetwork {
     #[must_use]
     pub fn new() -> Self {
         SimNetwork::default()
+    }
+
+    /// The listeners, connections and queues for writing, with the memoised
+    /// digest reset.
+    fn fabric_mut(&mut self) -> &mut Fabric {
+        self.digest = OnceLock::new();
+        &mut self.fabric
     }
 
     /// Binds a listener to `port`.
@@ -102,10 +125,12 @@ impl SimNetwork {
     /// (Privilege checks for low ports are performed by the kernel layer,
     /// which knows the caller's credentials.)
     pub fn bind(&mut self, port: Port) -> Result<(), Errno> {
-        if self.listeners.contains_key(&port.as_u16()) {
+        if self.fabric.listeners.contains_key(&port.as_u16()) {
             return Err(Errno::Eaddrinuse);
         }
-        self.listeners.insert(port.as_u16(), Listener::default());
+        self.fabric_mut()
+            .listeners
+            .insert(port.as_u16(), Listener::default());
         Ok(())
     }
 
@@ -115,13 +140,14 @@ impl SimNetwork {
     ///
     /// Returns [`Errno::Einval`] if the port was never bound.
     pub fn listen(&mut self, port: Port) -> Result<(), Errno> {
-        let listener = self
+        let fabric = self.fabric_mut();
+        let listener = fabric
             .listeners
             .get_mut(&port.as_u16())
             .ok_or(Errno::Einval)?;
         listener.listening = true;
         // Clients that were waiting for the service to come up connect now.
-        if let Some(waiting) = self.preloaded.remove(&port.as_u16()) {
+        if let Some(waiting) = fabric.preloaded.remove(&port.as_u16()) {
             for request in waiting {
                 let _ = self.enqueue_request(port, request);
             }
@@ -136,12 +162,17 @@ impl SimNetwork {
     /// the (synchronously executed) server program has had a chance to call
     /// `bind`/`listen`.
     pub fn preload_request(&mut self, port: Port, request: Vec<u8>) {
-        self.preloaded
+        self.fabric_mut()
+            .preloaded
             .entry(port.as_u16())
             .or_default()
             .push_back(request);
         if self.is_listening(port) {
-            let waiting = self.preloaded.remove(&port.as_u16()).unwrap_or_default();
+            let waiting = self
+                .fabric_mut()
+                .preloaded
+                .remove(&port.as_u16())
+                .unwrap_or_default();
             for request in waiting {
                 let _ = self.enqueue_request(port, request);
             }
@@ -151,7 +182,8 @@ impl SimNetwork {
     /// Returns `true` if the port has a listening socket.
     #[must_use]
     pub fn is_listening(&self, port: Port) -> bool {
-        self.listeners
+        self.fabric
+            .listeners
             .get(&port.as_u16())
             .is_some_and(|l| l.listening)
     }
@@ -166,11 +198,14 @@ impl SimNetwork {
         if !self.is_listening(port) {
             return Err(Errno::Econnreset);
         }
-        let id = ConnId::new(self.next_conn);
-        self.next_conn += 1;
-        self.connections
+        let fabric = self.fabric_mut();
+        let id = ConnId::new(fabric.next_conn);
+        fabric.next_conn += 1;
+        fabric
+            .connections
             .insert(id.as_u64(), Connection::new(id, request));
-        self.listeners
+        fabric
+            .listeners
             .get_mut(&port.as_u16())
             .expect("listener checked above")
             .backlog
@@ -187,6 +222,7 @@ impl SimNetwork {
     ///   uses this as its shutdown signal).
     pub fn accept(&mut self, port: Port) -> Result<ConnId, Errno> {
         let listener = self
+            .fabric_mut()
             .listeners
             .get_mut(&port.as_u16())
             .ok_or(Errno::Einval)?;
@@ -203,19 +239,13 @@ impl SimNetwork {
     /// Returns [`Errno::Ebadf`] if the connection does not exist or has been
     /// closed.
     pub fn recv(&mut self, conn: ConnId, max: usize) -> Result<Vec<u8>, Errno> {
-        let c = self
-            .connections
-            .get_mut(&conn.as_u64())
-            .ok_or(Errno::Ebadf)?;
-        if c.closed {
-            return Err(Errno::Ebadf);
-        }
         // A cap of 0 would starve the reader forever; deliver at least one
         // byte per call so capped schedules always make progress.
         let max = match self.recv_cap {
             Some(cap) => max.min(cap.max(1)),
             None => max,
         };
+        let c = self.live_connection(conn)?;
         let start = c.read_pos.min(c.request.len());
         let end = (start + max).min(c.request.len());
         c.read_pos = end;
@@ -229,15 +259,17 @@ impl SimNetwork {
     /// Returns [`Errno::Ebadf`] if the connection does not exist or has been
     /// closed.
     pub fn send(&mut self, conn: ConnId, data: &[u8]) -> Result<usize, Errno> {
-        let c = self
-            .connections
-            .get_mut(&conn.as_u64())
-            .ok_or(Errno::Ebadf)?;
-        if c.closed {
-            return Err(Errno::Ebadf);
-        }
-        c.response.extend_from_slice(data);
+        self.live_connection(conn)?.response.extend_from_slice(data);
         Ok(data.len())
+    }
+
+    /// An open connection, for writing: [`Errno::Ebadf`] if it does not
+    /// exist or has been closed.
+    fn live_connection(&mut self, conn: ConnId) -> Result<&mut Connection, Errno> {
+        match self.fabric_mut().connections.get_mut(&conn.as_u64()) {
+            Some(c) if !c.closed => Ok(c),
+            _ => Err(Errno::Ebadf),
+        }
     }
 
     /// Closes a connection (the response stays available for inspection).
@@ -246,29 +278,30 @@ impl SimNetwork {
     ///
     /// Returns [`Errno::Ebadf`] if the connection does not exist.
     pub fn close(&mut self, conn: ConnId) -> Result<(), Errno> {
-        let c = self
+        self.fabric_mut()
             .connections
             .get_mut(&conn.as_u64())
-            .ok_or(Errno::Ebadf)?;
-        c.closed = true;
+            .ok_or(Errno::Ebadf)?
+            .closed = true;
         Ok(())
     }
 
     /// Looks up a connection by id.
     #[must_use]
     pub fn connection(&self, conn: ConnId) -> Option<&Connection> {
-        self.connections.get(&conn.as_u64())
+        self.fabric.connections.get(&conn.as_u64())
     }
 
     /// Iterates over all connections ever created, in creation order.
     pub fn connections(&self) -> impl Iterator<Item = &Connection> {
-        self.connections.values()
+        self.fabric.connections.values()
     }
 
     /// Number of connections still waiting in the backlog of `port`.
     #[must_use]
     pub fn backlog_len(&self, port: Port) -> usize {
-        self.listeners
+        self.fabric
+            .listeners
             .get(&port.as_u16())
             .map_or(0, |l| l.backlog.len())
     }
@@ -276,7 +309,11 @@ impl SimNetwork {
     /// Total number of response bytes produced across all connections.
     #[must_use]
     pub fn total_response_bytes(&self) -> usize {
-        self.connections.values().map(|c| c.response.len()).sum()
+        self.fabric
+            .connections
+            .values()
+            .map(|c| c.response.len())
+            .sum()
     }
 
     /// Caps (or, with `None`, uncaps) the number of bytes a single `recv`
@@ -295,7 +332,24 @@ impl SimNetwork {
     /// Folds the complete network state — listeners with their backlogs,
     /// every connection's buffers and cursors, the preloaded request queues
     /// and the delivery cap — into `digest`, in canonical `BTreeMap` order.
+    /// All but the cap fold as one `u64`, computed once per write
+    /// generation; the cap folds after it.
     pub fn digest_into(&self, digest: &mut Fnv1a) {
+        let fabric = *self.digest.get_or_init(|| self.fabric.fold());
+        digest.write_u64(fabric);
+        match self.recv_cap {
+            None => digest.write_u8(0),
+            Some(cap) => {
+                digest.write_u8(1);
+                digest.write_usize(cap);
+            }
+        }
+    }
+}
+
+impl Fabric {
+    fn fold(&self) -> u64 {
+        let mut digest = Fnv1a::new();
         digest.write_usize(self.listeners.len());
         for (port, listener) in &self.listeners {
             digest.write_u32(u32::from(*port));
@@ -325,13 +379,21 @@ impl SimNetwork {
                 digest.write(request);
             }
         }
-        match self.recv_cap {
-            None => digest.write_u8(0),
-            Some(cap) => {
-                digest.write_u8(1);
-                digest.write_usize(cap);
-            }
-        }
+        digest.finish()
+    }
+}
+
+// Debug output sees only the network's state: the memo is a cache, and
+// whether it has been filled yet is not part of the state.
+impl fmt::Debug for SimNetwork {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimNetwork")
+            .field("listeners", &self.fabric.listeners)
+            .field("connections", &self.fabric.connections)
+            .field("next_conn", &self.fabric.next_conn)
+            .field("preloaded", &self.fabric.preloaded)
+            .field("recv_cap", &self.recv_cap)
+            .finish_non_exhaustive()
     }
 }
 

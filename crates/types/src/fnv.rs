@@ -25,13 +25,14 @@
 //! part of a process stack this way.
 //!
 //! [`Fnv1a::write`] uses the same identity inside its input: it walks the
-//! bytes in 8-byte words and folds a word that is all zeros as one
-//! multiplication by the constant `PRIME^8`, and any other word, and the
-//! 0–7 bytes after the last whole word, one byte at a time. Every value is
-//! still byte-wise FNV-1a's, however the input is split between calls. A
-//! process's stored stack is mostly zero words, so its digest costs about a
-//! fifth of a byte-at-a-time fold; text, which has no zero word, still
-//! folds a byte at a time.
+//! bytes in 8-byte words, counts each run of consecutive all-zero words and
+//! folds the run with [`Fnv1a::write_zeros`], in O(log n) multiplications
+//! for a run of n words; any other word, and the 0–7 bytes after the last
+//! whole word, fold one byte at a time. Every value is still byte-wise
+//! FNV-1a's, however the input is split between calls. A process's stored
+//! stack is mostly long runs of zero words, so its digest costs little
+//! more than its non-zero words; text, which has no zero word, still folds
+//! a byte at a time.
 
 /// The FNV-1a 64-bit offset basis.
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -73,17 +74,23 @@ impl Fnv1a {
         Fnv1a { hash: OFFSET_BASIS }
     }
 
-    /// Folds a byte slice into the digest. An all-zero 8-byte word of the
-    /// slice folds as one multiplication (see the module docs).
+    /// Folds a byte slice into the digest. A run of all-zero 8-byte words
+    /// in the slice folds in O(log n) multiplications (see the module docs).
     pub fn write(&mut self, bytes: &[u8]) {
         let mut words = bytes.chunks_exact(8);
+        let mut zero_words = 0;
         for word in &mut words {
             if u64::from_ne_bytes(word.try_into().expect("chunks of 8 bytes")) == 0 {
-                self.hash = self.hash.wrapping_mul(PRIME_POW_8);
+                zero_words += 1;
             } else {
+                if zero_words > 0 {
+                    self.write_zeros(8 * zero_words);
+                    zero_words = 0;
+                }
                 self.write_bytes(word);
             }
         }
+        self.write_zeros(8 * zero_words);
         self.write_bytes(words.remainder());
     }
 
@@ -110,17 +117,22 @@ impl Fnv1a {
 
     /// Folds a single byte into the digest.
     pub fn write_u8(&mut self, value: u8) {
-        self.write(&[value]);
+        self.write_bytes(&[value]);
     }
 
     /// Folds a `u32` into the digest (little-endian).
     pub fn write_u32(&mut self, value: u32) {
-        self.write(&value.to_le_bytes());
+        self.write_bytes(&value.to_le_bytes());
     }
 
-    /// Folds a `u64` into the digest (little-endian).
+    /// Folds a `u64` into the digest (little-endian); zero, eight zero
+    /// bytes, as one multiplication by `PRIME^8`.
     pub fn write_u64(&mut self, value: u64) {
-        self.write(&value.to_le_bytes());
+        if value == 0 {
+            self.hash = self.hash.wrapping_mul(PRIME_POW_8);
+        } else {
+            self.write_bytes(&value.to_le_bytes());
+        }
     }
 
     /// Folds a `usize` into the digest (as a `u64`, so the digest is
@@ -326,6 +338,68 @@ mod tests {
                     assert_folds_like_the_reference(&bytes);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn zero_word_runs_fold_to_the_byte_wise_value() {
+        // A run of 0–300 zero words starting at every offset within a word,
+        // between non-zero bytes, in one call and split across calls inside
+        // the run, at its edges and three ways.
+        for words in 0..=300 {
+            for start in 0..8 {
+                let run = 8 * words;
+                let mut bytes: Vec<u8> = noise(start, words as u64 + 1)
+                    .into_iter()
+                    .map(|byte| byte | 1)
+                    .collect();
+                bytes.resize(start + run, 0);
+                bytes.extend_from_slice(b"after the run");
+                let expected = reference(&bytes);
+                assert_eq!(fnv1a_64(&bytes), expected, "{words} words at {start}");
+                for split in [
+                    0,
+                    start,
+                    start + 3,
+                    start + run / 2,
+                    start + run,
+                    bytes.len(),
+                ] {
+                    let split = split.min(bytes.len());
+                    let mut hasher = Fnv1a::new();
+                    hasher.write(&bytes[..split]);
+                    hasher.write(&bytes[split..]);
+                    assert_eq!(
+                        hasher.finish(),
+                        expected,
+                        "{words} words at {start}, split {split}"
+                    );
+                }
+                let (third, two_thirds) = (start + run / 3, start + 2 * run / 3 + 5);
+                let mut hasher = Fnv1a::new();
+                hasher.write(&bytes[..third]);
+                hasher.write(&bytes[third..two_thirds]);
+                hasher.write(&bytes[two_thirds..]);
+                assert_eq!(
+                    hasher.finish(),
+                    expected,
+                    "{words} words at {start}, three calls"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn integer_writes_fold_to_the_byte_wise_value() {
+        for value in [0, 1, 0x100, 0xff00_0000, u64::MAX, 0x0807_0605_0403_0201] {
+            let mut hasher = Fnv1a::new();
+            hasher.write_u8(value as u8);
+            hasher.write_u32(value as u32);
+            hasher.write_u64(value);
+            let mut bytes = vec![value as u8];
+            bytes.extend_from_slice(&(value as u32).to_le_bytes());
+            bytes.extend_from_slice(&value.to_le_bytes());
+            assert_eq!(hasher.finish(), reference(&bytes), "{value:#x}");
         }
     }
 

@@ -337,7 +337,12 @@ impl Process {
         digest.write_u32(self.sp);
         digest.write_u32(self.fp);
         digest.write_u8(self.expected_tag);
-        digest.write_str(&format!("{:?}", self.state));
+        // The state folds as its `Debug` rendering, rendered only when the
+        // process has stopped.
+        match self.state {
+            ProcessState::Running => digest.write_str("Running"),
+            state => digest.write_str(&format!("{state:?}")),
+        }
         digest.write_usize(self.ostack.len());
         for word in &self.ostack {
             digest.write_u32(word.as_u32());
