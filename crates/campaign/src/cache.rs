@@ -24,9 +24,12 @@
 //! then exactly `<bytes>` bytes: the cell block
 //! [`ShardWriter::push`](crate::ShardWriter::push) writes, parsed back by
 //! the grammar a [`ShardCursor`](crate::ShardCursor) reads, so a hit is
-//! bit-for-bit the cell a cold run would produce. The checksum is the
-//! word-wise FNV-1a fold of those bytes ([`nvariant_types::fnv`]), which
-//! costs a fraction of encoding them.
+//! bit-for-bit the cell a cold run would produce. The checksum is the word
+//! fold of those bytes ([`nvariant_types::fnv`]), which costs a fraction of
+//! encoding them, and in which a change to any bit of a word reaches the
+//! whole checksum. Packs written by builds that checksummed with word-wise
+//! FNV-1a instead fail the checksum once per record: each such record is
+//! one invalidation, recomputed and appended under the new checksum.
 //!
 //! **One writer per pack.** A handle creates its own pack, with
 //! `create_new`, on its first insert. Pack names are a zero-padded creation
@@ -65,7 +68,7 @@ use crate::cell::{CellResult, CellSpec};
 use crate::report::PlanShape;
 use crate::shardio::{parse_cell, parse_header, render_cell, render_header, ShardHeader};
 use nvariant::store::{CacheCounters, CacheStats};
-use nvariant_types::fnv::{fnv1a_64_words, FnvWords};
+use nvariant_types::fnv::{word_fold, WordFold};
 use nvariant_types::lines::{Line, LineReader, ParseError};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -352,7 +355,7 @@ fn frame(
     (config, world, scenario, replicate): Coordinates,
 ) -> (usize, u64, u64) {
     let block = &record[FRAME_ROOM..];
-    let (bytes, checksum) = (block.len() as u64, fnv1a_64_words(block));
+    let (bytes, checksum) = (block.len() as u64, word_fold(block));
     let line = format!("record {config} {world} {scenario} {replicate} {bytes} {checksum:#018x}\n");
     let start = FRAME_ROOM - line.len();
     record[start..FRAME_ROOM].copy_from_slice(line.as_bytes());
@@ -382,7 +385,7 @@ impl Record {
         let body = BufReader::with_capacity(RECORD_BUFFER, file).take(self.bytes);
         let mut lines = LineReader::new(Summed {
             inner: body,
-            digest: FnvWords::new(),
+            digest: WordFold::new(),
             count: 0,
         });
         let cell = parse_cell(&mut lines).ok()?;
@@ -394,11 +397,11 @@ impl Record {
     }
 }
 
-/// A reader that folds every byte read through it into a word-wise
+/// A reader that folds every byte read through it into a word-fold
 /// checksum, and counts them.
 struct Summed<R> {
     inner: R,
-    digest: FnvWords,
+    digest: WordFold,
     count: u64,
 }
 
@@ -580,7 +583,7 @@ mod tests {
         let frame = format!(
             "record 1 0 0 0 {} {:#018x}\n",
             block.len(),
-            fnv1a_64_words(block.as_bytes())
+            word_fold(block.as_bytes())
         );
         assert_eq!(written, format!("{PACK_MAGIC}\n{header}{frame}{block}"));
         let _ = std::fs::remove_dir_all(&root);
@@ -675,6 +678,43 @@ mod tests {
         assert_eq!(healed.lookup(&damaged.spec), Some(damaged));
         assert_eq!(healed.lookup(&intact.spec), Some(intact));
         assert_eq!(healed.stats().hits, 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn two_top_byte_digit_substitutions_fail_the_checksum() {
+        // A 4,000-byte response with one hex digit changed at byte 7 of
+        // words 31 and 33 of its record's cell block: the block still
+        // parses. Word-wise FNV-1a keeps a difference in a word's top byte
+        // in the hash's top byte, where these two cancel, so under that
+        // checksum the altered payload is served as a hit.
+        let root = scratch("top-bytes");
+        let cache = open(&root);
+        let mut stored = cell(0, 0);
+        let response = &mut stored.exchanges[0].response;
+        response.truncate(19);
+        response.resize(4_000, b'x');
+        cache.insert(&stored);
+        let pack = &packs(&cache)[0];
+        let mut bytes = std::fs::read(pack).unwrap();
+        let body = bytes.len() - block(&stored).len();
+        for (word, digit) in [(31, b'9'), (33, b'e')] {
+            let at = body + 8 * word + 7;
+            assert_eq!(bytes[at], b'7');
+            bytes[at] = digit;
+        }
+        std::fs::write(pack, &bytes).unwrap();
+
+        let cache = open(&root);
+        assert!(cache.lookup(&stored.spec).is_none());
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 0,
+                invalidations: 1,
+            }
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -46,11 +46,11 @@ use std::sync::{Arc, Mutex};
 /// recompiled over, which is the codec's designed upgrade path.
 const HEADER: &str = "nvariant-artifact v3";
 
-/// FNV-1a 64: the workspace's one stable cross-process hash, re-exported
-/// from [`nvariant_types::fnv`] — the same construction the campaign plan
-/// hash uses, because cache keys must survive process and machine
-/// boundaries (unlike `std`'s `DefaultHasher`, whose output may change
-/// between releases).
+/// FNV-1a 64: the workspace's stable cross-process identity hash,
+/// re-exported from [`nvariant_types::fnv`] — the same construction the
+/// campaign plan hash uses, because cache keys must survive process and
+/// machine boundaries (unlike `std`'s `DefaultHasher`, whose output may
+/// change between releases).
 pub use nvariant_types::fnv::fnv1a_64;
 
 /// A point-in-time snapshot of cache effectiveness counters, shared by the

@@ -5,7 +5,7 @@
 //! actually gains anything is decided here, when `open("/etc/shadow")` is
 //! checked against the effective UID of the calling process.
 //!
-//! File contents are copy-on-write and carry a memoised FNV-1a digest
+//! File contents are copy-on-write and carry a memoised word-fold digest
 //! ([`FileData`]): a state digest folds each file as its length and that
 //! digest, so the model checker rehashes a file's bytes only after a write.
 //!
@@ -23,7 +23,8 @@
 //! into a new string first.
 
 use crate::cred::Credentials;
-use nvariant_types::{fnv1a_64, Errno, Fnv1a, Gid, Uid};
+use nvariant_types::fnv::word_fold;
+use nvariant_types::{Errno, Fnv1a, Gid, Uid};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -220,7 +221,7 @@ impl fmt::Debug for OpenFlags {
 /// still-shared file copies its bytes once (via [`Arc::make_mut`]) and
 /// later writes mutate that private buffer in place.
 ///
-/// The FNV-1a digest of the bytes ([`FileData::content_digest`]) is
+/// The word fold of the bytes ([`FileData::content_digest`]) is
 /// computed on first use and kept inside the same [`Arc`], so every clone
 /// that has not written shares it: the model checker folds a file into a
 /// state digest at the cost of one `u64`, not of its bytes. [`FileData::clear`]
@@ -236,7 +237,7 @@ pub struct FileData(Arc<FileBytes>);
 #[derive(Clone, Default)]
 struct FileBytes {
     bytes: Vec<u8>,
-    /// `fnv1a_64(&bytes)`, once something has asked for it.
+    /// `word_fold(&bytes)`, once something has asked for it.
     digest: OnceLock<u64>,
 }
 
@@ -256,11 +257,12 @@ impl FileData {
         self.0.bytes.clone()
     }
 
-    /// The FNV-1a 64 digest of the contents, computed once per write
-    /// generation and shared by every clone that has not written since.
+    /// The word fold of the contents ([`nvariant_types::fnv`]), computed
+    /// once per write generation and shared by every clone that has not
+    /// written since.
     #[must_use]
     pub fn content_digest(&self) -> u64 {
-        *self.0.digest.get_or_init(|| fnv1a_64(&self.0.bytes))
+        *self.0.digest.get_or_init(|| word_fold(&self.0.bytes))
     }
 
     /// The contents for writing: detached from any sharing clones, with
@@ -585,7 +587,7 @@ impl FileSystem {
     /// identically, which is what the model checker's visited-state pruning
     /// relies on. Contents fold as their length and memoised
     /// [`FileData::content_digest`], so equal files still fold equally (up
-    /// to FNV collisions, as for the whole state) while a file nothing
+    /// to digest collisions, as for the whole state) while a file nothing
     /// wrote costs no rehash.
     pub fn digest_into(&self, digest: &mut Fnv1a) {
         let table = *self.0.digest.get_or_init(|| {
@@ -870,29 +872,29 @@ mod tests {
         let digest_of = |fs: &FileSystem| fs.get(LOG).unwrap().data.content_digest();
         assert_eq!(
             template.get("/etc/motd").unwrap().data.content_digest(),
-            fnv1a_64(b"hello\n")
+            word_fold(b"hello\n")
         );
-        assert_eq!(digest_of(&template), fnv1a_64(b"seed\n"));
+        assert_eq!(digest_of(&template), word_fold(b"seed\n"));
         let before = fold(&template);
 
         // A write through a clone resets the clone's memo, shared until
         // then, and leaves the template's alone.
         let mut cell = template.clone();
-        assert_eq!(digest_of(&cell), fnv1a_64(b"seed\n"));
+        assert_eq!(digest_of(&cell), word_fold(b"seed\n"));
         cell.get_mut(LOG).unwrap().data.write_at(5, b"GET /\n");
-        assert_eq!(digest_of(&cell), fnv1a_64(b"seed\nGET /\n"));
-        assert_eq!(digest_of(&template), fnv1a_64(b"seed\n"));
+        assert_eq!(digest_of(&cell), word_fold(b"seed\nGET /\n"));
+        assert_eq!(digest_of(&template), word_fold(b"seed\n"));
         assert_ne!(fold(&cell), before);
         assert_eq!(fold(&template), before);
         // A second write to the now private copy resets it again.
         cell.get_mut(LOG).unwrap().data.write_at(0, b"S");
-        assert_eq!(digest_of(&cell), fnv1a_64(b"Seed\nGET /\n"));
+        assert_eq!(digest_of(&cell), word_fold(b"Seed\nGET /\n"));
 
         let mut cleared = template.clone();
         cleared.get_mut(LOG).unwrap().data.clear();
-        assert_eq!(digest_of(&cleared), fnv1a_64(b""));
+        assert_eq!(digest_of(&cleared), word_fold(b""));
         assert_ne!(fold(&cleared), before);
-        assert_eq!(digest_of(&template), fnv1a_64(b"seed\n"));
+        assert_eq!(digest_of(&template), word_fold(b"seed\n"));
 
         // Writing the original bytes back folds like the template again.
         cleared.get_mut(LOG).unwrap().data.write_at(0, b"seed\n");
@@ -916,7 +918,7 @@ mod tests {
                 table.write_usize(1);
                 table.write_str("/etc/motd");
                 table.write_usize(6);
-                table.write_u64(fnv1a_64(b"hello\n"));
+                table.write_u64(word_fold(b"hello\n"));
                 table.write_u32(0);
                 table.write_u32(0);
                 table.write_u32(0o644);

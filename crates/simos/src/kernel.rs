@@ -12,6 +12,7 @@ use crate::cred::Credentials;
 use crate::fs::{AccessMode, FileMode, FileSystem, OpenFlags};
 use crate::net::SimNetwork;
 use crate::passwd::PasswdDb;
+use nvariant_types::fnv::word_fold;
 use nvariant_types::{ConnId, Errno, Fd, Fnv1a, Gid, Pid, Port, Uid};
 use std::collections::BTreeMap;
 
@@ -545,7 +546,8 @@ impl OsKernel {
     /// filesystem, network, and every process' credentials, descriptor
     /// table, console buffer and exit status — into `digest`, in canonical
     /// order. Two equal kernels always fold identically, which is what the
-    /// model checker's visited-state pruning relies on.
+    /// model checker's visited-state pruning relies on. A console buffer
+    /// folds as its word fold ([`nvariant_types::fnv`]).
     pub fn digest_into(&self, digest: &mut Fnv1a) {
         digest.write_u64(self.sim_seconds);
         self.passwd.digest_into(digest);
@@ -602,8 +604,7 @@ impl OsKernel {
                     }
                 }
             }
-            digest.write_usize(proc.console.len());
-            digest.write(&proc.console);
+            digest.write_u64(word_fold(&proc.console));
             match proc.exited {
                 None => digest.write_u8(0),
                 Some(status) => {

@@ -11,6 +11,7 @@
 //! network's buffers only after a step that used it.
 
 use bytes::Bytes;
+use nvariant_types::fnv::word_fold;
 use nvariant_types::{ConnId, Errno, Fnv1a, Port};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -333,7 +334,8 @@ impl SimNetwork {
     /// every connection's buffers and cursors, the preloaded request queues
     /// and the delivery cap — into `digest`, in canonical `BTreeMap` order.
     /// All but the cap fold as one `u64`, computed once per write
-    /// generation; the cap folds after it.
+    /// generation; the cap folds after it. Request and response bytes fold
+    /// through the word fold ([`nvariant_types::fnv`]).
     pub fn digest_into(&self, digest: &mut Fnv1a) {
         let fabric = *self.digest.get_or_init(|| self.fabric.fold());
         digest.write_u64(fabric);
@@ -362,11 +364,9 @@ impl Fabric {
         digest.write_usize(self.connections.len());
         for (id, conn) in &self.connections {
             digest.write_u64(*id);
-            digest.write_usize(conn.request.len());
-            digest.write(&conn.request);
+            digest.write_u64(word_fold(&conn.request));
             digest.write_usize(conn.read_pos);
-            digest.write_usize(conn.response.len());
-            digest.write(&conn.response);
+            digest.write_u64(word_fold(&conn.response));
             digest.write_u8(u8::from(conn.closed));
         }
         digest.write_u64(self.next_conn);
@@ -375,8 +375,7 @@ impl Fabric {
             digest.write_u32(u32::from(*port));
             digest.write_usize(queue.len());
             for request in queue {
-                digest.write_usize(request.len());
-                digest.write(request);
+                digest.write_u64(word_fold(request));
             }
         }
         digest.finish()

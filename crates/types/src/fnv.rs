@@ -1,38 +1,60 @@
-//! FNV-1a 64: tiny, dependency-free, and stable across platforms and
-//! processes.
+//! Stable 64-bit folds: the same value on every platform and in every
+//! process.
 //!
-//! Cross-process identities and checksums must survive process and machine
-//! boundaries (unlike `std`'s `DefaultHasher`, whose output is explicitly
-//! allowed to vary between releases), so the workspace computes them all
-//! here, in one of two folds over the same offset basis and prime:
+//! `std`'s `DefaultHasher` may change its output between releases, so
+//! whatever must compare equal across processes, runs or machines is
+//! computed here, by one of two folds:
 //!
-//! - **Byte-wise FNV-1a** ([`Fnv1a`], [`fnv1a_64`]): the campaign plan
-//!   hash, the artifact store's content fingerprints and checksums, and the
-//!   model checker's canonical state digests.
-//! - **Word-wise FNV-1a** ([`FnvWords`], [`fnv1a_64_words`]): the cell
-//!   cache's record checksums. It folds each 8-byte little-endian word as
-//!   one step, `hash = (hash ^ word) * PRIME`, then the 0–7 bytes after the
-//!   last whole word one at a time. A record is a whole cell block, about
-//!   96 KiB in the security matrix; folded a byte at a time its checksum
-//!   would cost more than encoding the cell, folded a word at a time about
-//!   an eighth of that. Its values differ from byte-wise FNV-1a's.
+//! - **Byte-wise FNV-1a** ([`Fnv1a`], [`fnv1a_64`]) for the identities
+//!   that cross processes and are pinned: the campaign plan hash, the
+//!   artifact store's content fingerprints and checksums, and the text
+//!   digests built on them. The model checker's state digests also fold
+//!   their scalar fields (registers, descriptors, credentials, lengths)
+//!   through it. It folds a byte as `hash = (hash ^ byte) * PRIME (mod
+//!   2^64)`: one multiply per byte.
+//! - **The word fold** ([`WordFold`], [`word_fold`]) for byte payloads
+//!   compared within a run and for checksums: the state digests' process
+//!   memory, connection buffers, preloaded requests, console buffers and
+//!   file contents, and the cell cache's record checksums.
 //!
-//! FNV-1a folds a byte as `hash = (hash ^ byte) * PRIME (mod 2^64)`. A zero
-//! byte leaves the XOR step unchanged, so a run of `n` zero bytes multiplies
-//! the state by `PRIME^n`: [`Fnv1a::write_zeros`] takes that power by
-//! repeated squaring in O(log n) steps, and returns exactly what `n`
-//! one-byte zero writes would. The model checker folds the never-written
-//! part of a process stack this way.
+//! # The word fold
 //!
-//! [`Fnv1a::write`] uses the same identity inside its input: it walks the
-//! bytes in 8-byte words, counts each run of consecutive all-zero words and
-//! folds the run with [`Fnv1a::write_zeros`], in O(log n) multiplications
-//! for a run of n words; any other word, and the 0–7 bytes after the last
-//! whole word, fold one byte at a time. Every value is still byte-wise
-//! FNV-1a's, however the input is split between calls. A process's stored
-//! stack is mostly long runs of zero words, so its digest costs little
-//! more than its non-zero words; text, which has no zero word, still folds
-//! a byte at a time.
+//! The input is read as little-endian 8-byte words, the last one
+//! zero-padded. Word `k`, if it is not zero, adds
+//! `mix(word ^ WORD_KEY, POSITION_BASE + k * POSITION_STEP)` to a sum
+//! modulo 2^64, where `mix(a, b)` is the 128-bit product of `a` and `b`
+//! with its two halves XORed together. A zero word adds nothing. The
+//! digest is `mix(sum ^ FINISH_KEY, length ^ LENGTH_KEY)`, the length in
+//! bytes. So:
+//!
+//! 1. it takes 8 bytes per step through one full-width multiply;
+//! 2. zero words cost nothing: [`WordFold::write_zeros`] folds a run of
+//!    zeros in O(1), and [`WordFold::write`] skips an all-zero 64-byte
+//!    block after one test. A process stack's unstored zeros and its
+//!    stored ones fold alike;
+//! 3. it streams: each word's term depends only on the word and its index,
+//!    so however the input is split between calls, the value is the same;
+//! 4. a difference in any bit of a word changes the product across its
+//!    full width, and so reaches the whole result.
+//!
+//! **Why not FNV-1a.** Byte-wise FNV-1a pays a multiply per byte: for the
+//! ~6 KB of globals and stored stack a process digest meets, that was most
+//! of a model-check sweep. FNV-1a over whole words,
+//! `hash = (hash ^ word) * PRIME`, is cheap but weak: a multiply only
+//! carries upward, so a difference in a word's top byte stays in the
+//! hash's top byte, and two such differences cancel about once in 256.
+//! The cell cache's checksums were that fold, and let two changed hex
+//! digits of a payload through as a hit.
+//!
+//! Neither fold resists inputs chosen to collide: they tell states apart
+//! and catch accidental damage.
+//!
+//! # Zero runs in FNV-1a
+//!
+//! A zero byte leaves FNV-1a's XOR step unchanged, so a run of `n` zero
+//! bytes multiplies the state by `PRIME^n`: [`Fnv1a::write_zeros`] takes
+//! that power by repeated squaring in O(log n) steps, and returns exactly
+//! what `n` one-byte zero writes would.
 
 /// The FNV-1a 64-bit offset basis.
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -56,8 +78,8 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// A streaming FNV-1a 64 hasher, for digests assembled from many small
-/// fields (kernel and process state digests) without building an
-/// intermediate buffer.
+/// fields (identities, and the scalar fields of state digests) without
+/// building an intermediate buffer.
 ///
 /// Multi-byte integers are folded in little-endian order; the caller is
 /// responsible for domain separation (writing distinguishing tags between
@@ -74,28 +96,8 @@ impl Fnv1a {
         Fnv1a { hash: OFFSET_BASIS }
     }
 
-    /// Folds a byte slice into the digest. A run of all-zero 8-byte words
-    /// in the slice folds in O(log n) multiplications (see the module docs).
+    /// Folds a byte slice into the digest, one byte at a time.
     pub fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        let mut zero_words = 0;
-        for word in &mut words {
-            if u64::from_ne_bytes(word.try_into().expect("chunks of 8 bytes")) == 0 {
-                zero_words += 1;
-            } else {
-                if zero_words > 0 {
-                    self.write_zeros(8 * zero_words);
-                    zero_words = 0;
-                }
-                self.write_bytes(word);
-            }
-        }
-        self.write_zeros(8 * zero_words);
-        self.write_bytes(words.remainder());
-    }
-
-    /// Folds `bytes` one at a time.
-    fn write_bytes(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.hash ^= u64::from(byte);
             self.hash = self.hash.wrapping_mul(PRIME);
@@ -117,12 +119,12 @@ impl Fnv1a {
 
     /// Folds a single byte into the digest.
     pub fn write_u8(&mut self, value: u8) {
-        self.write_bytes(&[value]);
+        self.write(&[value]);
     }
 
     /// Folds a `u32` into the digest (little-endian).
     pub fn write_u32(&mut self, value: u32) {
-        self.write_bytes(&value.to_le_bytes());
+        self.write(&value.to_le_bytes());
     }
 
     /// Folds a `u64` into the digest (little-endian); zero, eight zero
@@ -131,7 +133,7 @@ impl Fnv1a {
         if value == 0 {
             self.hash = self.hash.wrapping_mul(PRIME_POW_8);
         } else {
-            self.write_bytes(&value.to_le_bytes());
+            self.write(&value.to_le_bytes());
         }
     }
 
@@ -161,80 +163,145 @@ impl Default for Fnv1a {
     }
 }
 
-/// Hashes `bytes` with the word-wise fold in one call (see the module
-/// docs).
+/// The key every word is XORed with before it is multiplied.
+const WORD_KEY: u64 = 0xa076_1d64_78bd_642f;
+
+/// The multiplier of word 0; word `k`'s is `POSITION_BASE + k * POSITION_STEP`.
+const POSITION_BASE: u64 = 0xe703_7ed1_a0b4_28db;
+
+/// How far one word's multiplier is from the next one's (odd).
+const POSITION_STEP: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The key [`WordFold::finish`] XORs the sum with.
+const FINISH_KEY: u64 = 0x8ebc_6af0_9c88_c6e3;
+
+/// The key [`WordFold::finish`] XORs the length with.
+const LENGTH_KEY: u64 = 0x5899_65cc_7537_4cc3;
+
+/// The full 128-bit product of `a` and `b`, its halves XORed together.
+#[inline]
+fn mix(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// The little-endian word in the first 8 bytes of `bytes`.
+#[inline]
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+/// The term word `word` at word index `at` adds to the sum: a full-width
+/// product of the keyed word and the position's multiplier, or nothing for
+/// a zero word.
+#[inline]
+fn term(word: u64, at: u64) -> u64 {
+    let position = POSITION_BASE.wrapping_add(at.wrapping_mul(POSITION_STEP));
+    let term = mix(word ^ WORD_KEY, position);
+    if word == 0 {
+        0
+    } else {
+        term
+    }
+}
+
+/// Folds `bytes` with the word fold in one call (see the module docs).
 #[must_use]
-pub fn fnv1a_64_words(bytes: &[u8]) -> u64 {
-    let mut hasher = FnvWords::new();
-    hasher.write(bytes);
-    hasher.finish()
+pub fn word_fold(bytes: &[u8]) -> u64 {
+    let mut fold = WordFold::new();
+    fold.write(bytes);
+    fold.finish()
 }
 
-/// A streaming word-wise FNV-1a 64 fold (see the module docs). The digest
-/// depends only on the bytes written, not on how they were split between
-/// [`write`](Self::write) calls: up to 7 bytes of an unfinished word wait
-/// for the next call.
-#[derive(Clone, Debug)]
-pub struct FnvWords {
-    hash: u64,
-    pending: [u8; 8],
-    held: usize,
+/// A streaming word fold (see the module docs): the digest depends only on
+/// the bytes written, not on how they were split between
+/// [`write`](Self::write) and [`write_zeros`](Self::write_zeros) calls.
+#[derive(Clone, Debug, Default)]
+pub struct WordFold {
+    /// The sum of every finished non-zero word's term.
+    sum: u64,
+    /// Bytes written so far.
+    len: u64,
+    /// The bytes of the unfinished word, `len % 8` of them, in place.
+    tail: u64,
 }
 
-impl FnvWords {
-    /// Starts a fresh fold at the FNV-1a offset basis.
+impl WordFold {
+    /// Starts an empty fold.
     #[must_use]
     pub fn new() -> Self {
-        FnvWords {
-            hash: OFFSET_BASIS,
-            pending: [0; 8],
-            held: 0,
-        }
+        WordFold::default()
     }
 
-    /// Folds a byte slice into the digest.
+    /// Folds a byte slice. An all-zero 64-byte block costs one test.
     pub fn write(&mut self, mut bytes: &[u8]) {
-        if self.held > 0 {
-            let take = (8 - self.held).min(bytes.len());
-            self.pending[self.held..self.held + take].copy_from_slice(&bytes[..take]);
-            self.held += take;
+        let held = (self.len % 8) as usize;
+        if held > 0 {
+            let take = bytes.len().min(8 - held);
+            self.hold(&bytes[..take], held);
+            self.len += take as u64;
             bytes = &bytes[take..];
-            if self.held < 8 {
+            if held + take < 8 {
                 return;
             }
-            self.hash = (self.hash ^ u64::from_le_bytes(self.pending)).wrapping_mul(PRIME);
-            self.held = 0;
+            self.add(self.tail, self.len / 8 - 1);
+            self.tail = 0;
         }
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            let word = u64::from_le_bytes(word.try_into().expect("chunks of 8 bytes"));
-            self.hash = (self.hash ^ word).wrapping_mul(PRIME);
+        let mut index = self.len / 8;
+        self.len += bytes.len() as u64;
+        let mut blocks = bytes.chunks_exact(64);
+        for block in &mut blocks {
+            let words: [u64; 8] = std::array::from_fn(|at| word(&block[8 * at..]));
+            if words.iter().any(|&word| word != 0) {
+                for (at, word) in (index..).zip(words) {
+                    self.add(word, at);
+                }
+            }
+            index += 8;
         }
-        let rest = words.remainder();
-        self.pending[..rest.len()].copy_from_slice(rest);
-        self.held = rest.len();
+        let mut words = blocks.remainder().chunks_exact(8);
+        for (at, bytes) in (index..).zip(&mut words) {
+            self.add(word(bytes), at);
+        }
+        self.hold(words.remainder(), 0);
     }
 
-    /// The digest of the bytes written so far.
+    /// Places `bytes` in the unfinished word, from its byte `from` on.
+    fn hold(&mut self, bytes: &[u8], from: usize) {
+        for (at, &byte) in (from..).zip(bytes) {
+            self.tail |= u64::from(byte) << (8 * at);
+        }
+    }
+
+    /// Folds `n` zero bytes: the same state as `write(&[0; n])`, in O(1).
+    pub fn write_zeros(&mut self, n: usize) {
+        let held = self.len % 8;
+        if held > 0 && held + n as u64 >= 8 {
+            self.add(self.tail, self.len / 8);
+            self.tail = 0;
+        }
+        self.len += n as u64;
+    }
+
+    /// Adds the term of `word` at word index `at`.
+    #[inline]
+    fn add(&mut self, word: u64, at: u64) {
+        self.sum = self.sum.wrapping_add(term(word, at));
+    }
+
+    /// The digest of the bytes written so far: an unfinished word folds as
+    /// if zero-padded, and the length tells the padding apart.
     #[must_use]
     pub fn finish(&self) -> u64 {
-        self.pending[..self.held]
-            .iter()
-            .fold(self.hash, |hash, &byte| {
-                (hash ^ u64::from(byte)).wrapping_mul(PRIME)
-            })
-    }
-}
-
-impl Default for FnvWords {
-    fn default() -> Self {
-        FnvWords::new()
+        let sum = self.sum.wrapping_add(term(self.tail, self.len / 8));
+        mix(sum ^ FINISH_KEY, self.len ^ LENGTH_KEY)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn matches_known_fnv1a_vectors() {
@@ -416,32 +483,149 @@ mod tests {
         assert_folds_like_the_reference(&bytes);
     }
 
+    /// The word fold by its definition: every word, the last one
+    /// zero-padded, one at a time, with no block skipping or streaming.
+    fn word_reference(bytes: &[u8]) -> u64 {
+        let mut sum = 0u64;
+        for (at, chunk) in (0u64..).zip(bytes.chunks(8)) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let word = u64::from_le_bytes(word);
+            if word != 0 {
+                let position = POSITION_BASE.wrapping_add(at.wrapping_mul(POSITION_STEP));
+                sum = sum.wrapping_add(mix(word ^ WORD_KEY, position));
+            }
+        }
+        mix(sum ^ FINISH_KEY, bytes.len() as u64 ^ LENGTH_KEY)
+    }
+
     #[test]
     fn the_word_fold_folds_whole_words_then_the_tail_bytes() {
-        // Under 8 bytes there is no whole word, so the fold is byte-wise.
-        assert_eq!(fnv1a_64_words(b""), fnv1a_64(b""));
-        assert_eq!(fnv1a_64_words(b"foobar"), fnv1a_64(b"foobar"));
-        let word = u64::from_le_bytes(*b"01234567");
-        let expected = (OFFSET_BASIS ^ word).wrapping_mul(PRIME);
-        assert_eq!(fnv1a_64_words(b"01234567"), expected);
-        let mut tail = Fnv1a { hash: expected };
-        tail.write(b"89");
-        assert_eq!(fnv1a_64_words(b"0123456789"), tail.finish());
-        assert_ne!(fnv1a_64_words(b"0123456789"), fnv1a_64(b"0123456789"));
+        // Cell-cache packs on disk carry these values as checksums.
+        assert_eq!(word_fold(b""), 0x02c4_5fcc_a5b2_4b2a);
+        assert_eq!(word_fold(b"foobar"), 0x1fae_5925_c34b_4dd6);
+        assert_eq!(word_fold(b"0123456789"), 0x21f3_1616_1f27_0c07);
+        assert_eq!(mix(u64::MAX, u64::MAX), 0xffff_ffff_ffff_fffe ^ 1);
+        for len in 0..=80 {
+            let bytes = noise(len, 0x9e37_79b9_7f4a_7c15);
+            assert_eq!(word_fold(&bytes), word_reference(&bytes), "{bytes:?}");
+            assert_eq!(word_fold(&vec![0; len]), word_reference(&vec![0; len]));
+        }
+        // Zero padding folds like zero bytes; only the length tells them
+        // apart.
+        assert_ne!(word_fold(b"foobar"), word_fold(b"foobar\0\0"));
+        let mut bytes = vec![0u8; 8192];
+        bytes[7_000..].copy_from_slice(&noise(1_192, 7));
+        for (index, word) in noise(64, 11).iter().enumerate() {
+            bytes[index * 97 + usize::from(*word % 8)] = word | 1;
+        }
+        assert_eq!(word_fold(&bytes), word_reference(&bytes));
+    }
+
+    /// Folds `bytes` in the parts between `cuts`, each all-zero part as a
+    /// count when `counts` holds.
+    fn fold_in_parts(bytes: &[u8], cuts: &[usize], counts: bool) -> u64 {
+        let mut fold = WordFold::new();
+        let mut from = 0;
+        for &to in cuts.iter().chain([&bytes.len()]) {
+            let part = &bytes[from..to];
+            if counts && part.iter().all(|&byte| byte == 0) {
+                fold.write_zeros(part.len());
+            } else {
+                fold.write(part);
+            }
+            from = to;
+        }
+        fold.finish()
     }
 
     #[test]
     fn the_word_fold_ignores_how_the_input_was_split() {
-        let bytes: Vec<u8> = (0u32..300).map(|i| (i * 7 + 3) as u8).collect();
-        let whole = fnv1a_64_words(&bytes);
-        for split in [1, 3, 7, 8, 9, 64, 299] {
-            let mut hasher = FnvWords::new();
-            for chunk in bytes.chunks(split) {
-                hasher.write(chunk);
-                hasher.write(&[]);
+        // Zero runs short of a word, of a word and of a block, starting at
+        // every offset within a word, between non-zero bytes; split at
+        // every two points, each part written out and, where it is all
+        // zeros, as a count.
+        for offset in 0..8 {
+            for run in [0, 5, 8, 13, 64, 71] {
+                let mut bytes: Vec<u8> = noise(offset, run as u64 + 1)
+                    .into_iter()
+                    .map(|byte| byte | 1)
+                    .collect();
+                bytes.resize(offset + run, 0);
+                bytes.extend_from_slice(b"between");
+                bytes.resize(bytes.len() + 64 + offset, 0);
+                bytes.extend_from_slice(b"end");
+                let whole = word_reference(&bytes);
+                assert_eq!(word_fold(&bytes), whole);
+                for first in 0..=bytes.len() {
+                    for second in first..=bytes.len() {
+                        for counts in [false, true] {
+                            assert_eq!(
+                                fold_in_parts(&bytes, &[first, second], counts),
+                                whole,
+                                "offset {offset} run {run} cuts {first} {second}"
+                            );
+                        }
+                    }
+                }
             }
-            assert_eq!(hasher.finish(), whole, "split {split}");
         }
+    }
+
+    #[test]
+    fn a_zero_run_written_as_a_count_folds_like_the_zeros_written_out() {
+        for n in [0, 1, 7, 8, 9, 63, 64, 65, 4096, 131_072] {
+            for prefix in [&b""[..], b"abc", b"01234567", b"after other input"] {
+                let mut counted = WordFold::new();
+                counted.write(prefix);
+                counted.write_zeros(n);
+                counted.write(b"!");
+                let mut written = WordFold::new();
+                written.write(prefix);
+                written.write(&vec![0; n]);
+                written.write(b"!");
+                assert_eq!(
+                    counted.finish(),
+                    written.finish(),
+                    "n={n} prefix={prefix:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_bit_flips_and_top_byte_pairs_fold_apart() {
+        // A mostly-zero 4 KiB buffer, as a stack is: a live top of 64
+        // words and 7 scattered non-zero words below it, 441 zero words
+        // of 512. Every single-bit flip, and a flipped top byte in every
+        // two of its words, must give its own digest. Word-wise FNV-1a
+        // keeps a top-byte difference in the hash's top byte, so it fails
+        // both.
+        let mut base = vec![0u8; 4096];
+        base[3584..].copy_from_slice(&noise(512, 9));
+        for (index, byte) in noise(7, 3).iter().enumerate() {
+            base[index * 509 % 3584 / 8 * 8] = byte | 1;
+        }
+        let mut digests = HashSet::from([word_fold(&base)]);
+        let mut inputs = 1;
+        let mut flipped = base.clone();
+        for bit in 0..8 * base.len() {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            digests.insert(word_fold(&flipped));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            inputs += 1;
+        }
+        for first in 0..512 {
+            flipped[8 * first + 7] ^= 0xff;
+            for second in first + 1..512 {
+                flipped[8 * second + 7] ^= 0xff;
+                digests.insert(word_fold(&flipped));
+                flipped[8 * second + 7] ^= 0xff;
+                inputs += 1;
+            }
+            flipped[8 * first + 7] ^= 0xff;
+        }
+        assert_eq!(digests.len(), inputs);
     }
 
     #[test]

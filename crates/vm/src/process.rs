@@ -33,7 +33,8 @@
 //! shrinks. So every read, write and fault is what a fully stored segment
 //! would give, while a clone copies only the used part and instantiating a
 //! process allocates no stack at all. [`Process::digest_into`] folds the
-//! unstored zeros with [`Fnv1a::write_zeros`](nvariant_types::Fnv1a::write_zeros)
+//! unstored zeros as a count with
+//! [`WordFold::write_zeros`](nvariant_types::fnv::WordFold::write_zeros)
 //! and so returns the value a fully stored segment would: two processes
 //! with equal bytes digest equally however deep each one reached.
 
@@ -41,6 +42,7 @@ use crate::ast::Type;
 use crate::bytecode::{Slot, INSTR_SIZE};
 use crate::compile::CompiledProgram;
 use crate::fault::Fault;
+use nvariant_types::fnv::{word_fold, WordFold};
 use nvariant_types::{VirtAddr, Word};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -329,9 +331,12 @@ impl Process {
     /// bookkeeping whose inclusion would make every state look new and
     /// defeat the model checker's visited-state pruning).
     ///
-    /// The stack folds as the whole segment: its length, then every byte.
-    /// The unstored zeros cost O(log n), so the digest costs what the
-    /// process used, and is the same however deep the stored part reaches.
+    /// The globals and the whole stack segment each fold through the word
+    /// fold ([`nvariant_types::fnv`]) into one `u64`. The stack folds as
+    /// the whole segment: the unstored zeros as a count, in O(1), then the
+    /// stored bytes, in which an all-zero 64-byte block costs one test. So
+    /// the digest costs what the process used, and is the same however
+    /// deep the stored part reaches.
     pub fn digest_into(&self, digest: &mut nvariant_types::Fnv1a) {
         digest.write_u32(self.pc);
         digest.write_u32(self.sp);
@@ -347,12 +352,11 @@ impl Process {
         for word in &self.ostack {
             digest.write_u32(word.as_u32());
         }
-        digest.write_usize(self.globals.len());
-        digest.write(&self.globals);
-        let size = self.layout.stack_size as usize;
-        digest.write_usize(size);
-        digest.write_zeros(size - self.stack.len());
-        digest.write(&self.stack);
+        digest.write_u64(word_fold(&self.globals));
+        let mut stack = WordFold::new();
+        stack.write_zeros(self.layout.stack_size as usize - self.stack.len());
+        stack.write(&self.stack);
+        digest.write_u64(stack.finish());
     }
 
     // ----- memory access ------------------------------------------------------
@@ -772,8 +776,8 @@ mod tests {
         assert_eq!(p0.code[1..6], p1.code[1..6]);
     }
 
-    /// `digest_into`'s fields folded with plain FNV-1a writes, the stack
-    /// as the whole segment read back through `read_bytes`.
+    /// `digest_into`'s fields folded with plain writes, the stack as the
+    /// word fold of the whole segment read back through `read_bytes`.
     fn reference_digest(p: &Process) -> u64 {
         let mut d = nvariant_types::Fnv1a::new();
         d.write_u32(p.pc);
@@ -785,11 +789,8 @@ mod tests {
         for word in &p.ostack {
             d.write_u32(word.as_u32());
         }
-        d.write_usize(p.globals.len());
-        d.write(&p.globals);
-        let whole = whole_stack(p);
-        d.write_usize(whole.len());
-        d.write(&whole);
+        d.write_u64(word_fold(&p.globals));
+        d.write_u64(word_fold(&whole_stack(p)));
         d.finish()
     }
 

@@ -50,7 +50,12 @@
 //! The same probe stepped one `step()` at a time must reach the same trap
 //! with the same values. Regenerate the fixture (only when a change
 //! *deliberately* alters interpreter semantics) with
-//! `NVARIANT_REGEN_GOLDEN=1 cargo test --test interpreter_traps`.
+//! `NVARIANT_REGEN_GOLDEN=1 cargo test --test interpreter_traps`. A change
+//! to what `digest_into` computes, and not to what it covers, may
+//! regenerate only the `d=` column: every line must be identical once
+//! ` d=…` is removed, and grouping the lines by their `d=` value must give
+//! the same groups as before. Regenerate right after the digest change,
+//! before any other edit.
 
 use nvariant_simos::Sysno;
 use nvariant_types::{Fnv1a, Word};
