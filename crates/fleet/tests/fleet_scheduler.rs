@@ -50,8 +50,11 @@ fn plan() -> CampaignPlan {
         .replicates(4)
 }
 
+/// An empty directory for this process: one a recycled process id left
+/// behind would hand a test another run's cell packs.
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nvfleet-sched-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }
@@ -67,6 +70,9 @@ enum HostBehavior {
     CrashTimes(usize),
     /// Never exit (the scheduler's timeout must kill it).
     Hang,
+    /// Exit successfully but deliver these bytes in place of the shard's
+    /// text on the first attempt, then behave.
+    DamagedOnce(Vec<u8>),
 }
 
 struct MockTransport {
@@ -93,7 +99,7 @@ struct MockHandle {
     exits_ok: bool,
     hangs: bool,
     killed: bool,
-    text: String,
+    text: Vec<u8>,
 }
 
 impl WorkerHandle for MockHandle {
@@ -122,9 +128,7 @@ impl WorkerHandle for MockHandle {
     }
 
     fn retrieve(&mut self) -> Result<Box<dyn BufRead + Send>, TransportError> {
-        Ok(Box::new(std::io::Cursor::new(
-            self.text.clone().into_bytes(),
-        )))
+        Ok(Box::new(std::io::Cursor::new(self.text.clone())))
     }
 }
 
@@ -144,6 +148,7 @@ impl WorkerTransport for MockTransport {
             .find(|(name, _)| name == host)
             .map(|(_, behavior)| behavior)
             .expect("spawn on an unconfigured host");
+        let mut text = self.texts[assignment.index].clone().into_bytes();
         let (exits_ok, hangs) = match behavior {
             HostBehavior::Ok => (true, false),
             HostBehavior::CrashAlways => (false, false),
@@ -156,12 +161,17 @@ impl WorkerTransport for MockTransport {
                 }
             }
             HostBehavior::Hang => (true, true),
+            HostBehavior::DamagedOnce(damaged) => {
+                text = std::mem::take(damaged);
+                *behavior = HostBehavior::Ok;
+                (true, false)
+            }
         };
         Ok(Box::new(MockHandle {
             exits_ok,
             hangs,
             killed: false,
-            text: self.texts[assignment.index].clone(),
+            text,
         }))
     }
 }
@@ -591,5 +601,86 @@ fn a_cell_with_an_altered_seed_is_refused_with_and_without_a_cache() {
                 panic!("cached: {cached}: expected Exhausted, got {other:?}")
             }
         }
+    }
+}
+
+/// A change to one line's bytes, its `\n` left out.
+type Damage = dyn Fn(&mut Vec<u8>);
+
+/// `text` with its first `exchange` line passed through `damage`.
+fn with_first_exchange_damaged(text: &str, damage: &Damage) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut damaged = false;
+    for line in text.lines() {
+        let mut bytes = line.as_bytes().to_vec();
+        if !damaged && line.starts_with("exchange ") {
+            damage(&mut bytes);
+            damaged = true;
+        }
+        out.extend_from_slice(&bytes);
+        out.push(b'\n');
+    }
+    assert!(damaged, "the shard holds an exchange line");
+    out
+}
+
+#[test]
+fn damaged_exchange_lines_fail_one_attempt_and_the_retry_merges_byte_identically() {
+    let plan = plan();
+    let whole = plan.run(1);
+    let texts = shard_texts(&plan, 1);
+    // Line 15 is the first exchange line, `exchange <request> <response>`:
+    // its request token starts after the 9 bytes of `exchange `.
+    let damages: [(&Damage, &str); 5] = [
+        (
+            &|line| line[9] = b'g',
+            "parse error at line 15: bad hex digit 'g'",
+        ),
+        (
+            &|line| {
+                line.pop();
+            },
+            "parse error at line 15: odd-length hex payload (41 bytes)",
+        ),
+        (
+            &|line| line[10] = 0xff,
+            "parse error at line 15: cannot read line: stream did not contain valid UTF-8",
+        ),
+        (
+            &|line| line[11] = b' ',
+            "parse error at line 15: exchange needs request and response payloads, got 3",
+        ),
+        (
+            &|line| line.resize(nvariant_types::lines::MAX_LINE_BYTES, b'0'),
+            "parse error at line 15: line exceeds 1048576 bytes",
+        ),
+    ];
+    for (damage, reason) in damages {
+        let transport = MockTransport::new(
+            texts.clone(),
+            vec![(
+                "alpha",
+                HostBehavior::DamagedOnce(with_first_exchange_damaged(&texts[0], damage)),
+            )],
+        );
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let run = fleet_over(
+            &plan,
+            transport,
+            &["alpha"],
+            quick_config(1),
+            Arc::clone(&log),
+        )
+        .run()
+        .unwrap_or_else(|error| panic!("{reason}: the retry must collect: {error}"));
+        let lines = log.lock().unwrap();
+        let retried = lines
+            .iter()
+            .find_map(|line| line.strip_prefix("shard 0: retrying (attempt 2): attempt 1: "))
+            .unwrap_or_else(|| panic!("{reason}: no retry logged in {lines:?}"));
+        assert!(retried.ends_with(reason), "{retried}");
+        assert_eq!(run.retries, 1, "{reason}");
+        assert_eq!(run.hosts[0].failures, 1, "{reason}");
+        assert_eq!(merged_canonical(&run), whole.canonical_text(), "{reason}");
     }
 }

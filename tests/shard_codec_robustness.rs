@@ -7,18 +7,26 @@
 use nvariant::DeploymentConfig;
 use nvariant_apps::campaigns::full_matrix_campaign;
 use nvariant_campaign::{cell_seed, CampaignReport, CheckSummary, ShardCursor};
+use nvariant_types::fnv1a_64;
+use nvariant_types::lines::MAX_LINE_BYTES;
 use proptest::prelude::*;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// A rich, real shard text: attack cells with alarms, judged verdicts and
 /// binary exchange payloads, benign cells with per-seed request sequences.
 /// None of the quick matrix's cells terminate in a single-process fault,
 /// so one faulted cell is grafted in to cover that optional line too, and
-/// a model-checking summary covers the v3 `checked` line.
+/// a model-checking summary covers the v3 `checked` line. Wall times are
+/// zeroed, so the text is the same on every run.
 fn sample_text() -> &'static str {
     static TEXT: OnceLock<String> = OnceLock::new();
     TEXT.get_or_init(|| {
         let mut report = full_matrix_campaign(&[DeploymentConfig::TwoVariantUid], &[], 3, 1).run(2);
+        report.total_wall = Duration::ZERO;
+        for cell in &mut report.cells {
+            cell.wall = Duration::ZERO;
+        }
         report.cells[0].checked = Some(CheckSummary {
             property: "P1".to_string(),
             status: "pass".to_string(),
@@ -185,5 +193,188 @@ proptest! {
             let reparsed = CampaignReport::from_shard_text(&report.to_shard_text());
             prop_assert!(reparsed.is_ok(), "accepted text failed to round-trip");
         }
+    }
+}
+
+/// The bytes a damaged position is replaced with: digits, uppercase and
+/// near-miss letters, the sentinel, the separators and line ends, and bytes
+/// that are not ASCII or start no valid UTF-8 character here.
+const REPLACEMENTS: &[u8] = b"09afAFgG- \r\n\0\x7f\x80\xc3\xe9";
+
+/// How many digits at each end of a token are damaged.
+const TOKEN_EDGE: usize = 24;
+
+/// One outcome line: `ok <fnv of canonical text> <fnv of re-rendered shard
+/// text>`, or `err <line> <message>`. A long message (one quoting a whole
+/// damaged line) keeps its first 100 bytes and its length and FNV-1a, which
+/// still pin every byte.
+fn outcome(bytes: &[u8]) -> String {
+    let parsed = ShardCursor::new(bytes).and_then(|mut cursor| {
+        let mut cells = Vec::new();
+        while let Some(cell) = cursor.next_cell()? {
+            cells.push(cell);
+        }
+        let header = cursor.into_header();
+        Ok(CampaignReport::new(
+            header.name,
+            header.base_seed,
+            header.plan_hash,
+            header.shape,
+            header.workers,
+            cells,
+            header.total_wall,
+        ))
+    });
+    match parsed {
+        Ok(report) => format!(
+            "ok {:#018x} {:#018x}",
+            fnv1a_64(report.canonical_text().as_bytes()),
+            fnv1a_64(report.to_shard_text().as_bytes())
+        ),
+        Err(err) if err.message.len() > 120 => {
+            let mut cut = 100;
+            while !err.message.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            format!(
+                "err {} {}… [{} bytes, fnv {:#018x}]",
+                err.line,
+                &err.message[..cut],
+                err.message.len(),
+                fnv1a_64(err.message.as_bytes())
+            )
+        }
+        Err(err) => format!("err {} {}", err.line, err.message),
+    }
+}
+
+/// A valid `exchange` line of `len` bytes before its `\n`: an empty or
+/// one-byte request, whichever makes the response a whole number of bytes.
+fn exchange_line_of(len: usize) -> Vec<u8> {
+    let request: &[u8] = if len.is_multiple_of(2) { b"00" } else { b"-" };
+    let mut line = b"exchange ".to_vec();
+    line.extend_from_slice(request);
+    line.push(b' ');
+    let digits = len - line.len();
+    line.extend((0..digits).map(|at| b"0123456789abcdef"[at % 16]));
+    line.push(b'\n');
+    line
+}
+
+/// The error golden: what parsing the sample shard returns after each
+/// one-byte damage to two `exchange` lines, the first of the first cell
+/// that holds exchanges (after the cell's head) and the last of the last
+/// such cell (before its `endcell`). Damaged are every byte of the
+/// `exchange` key, its space and the line ends on either side, the
+/// separator, and the first and last [`TOKEN_EDGE`] digits of each token:
+/// each is replaced by every byte of [`REPLACEMENTS`], deleted, or preceded
+/// by an inserted `0`. Last, the first of the two lines is replaced by
+/// valid exchange lines of `MAX_LINE_BYTES - 1`, `MAX_LINE_BYTES` and
+/// `MAX_LINE_BYTES + 1` bytes before the `\n`.
+fn exchange_damage_text() -> String {
+    let text = sample_text().as_bytes();
+    let mut starts = vec![0];
+    starts.extend(
+        text.iter()
+            .enumerate()
+            .filter(|&(_, &byte)| byte == b'\n')
+            .map(|(at, _)| at + 1),
+    );
+    starts.pop();
+    // The exchange lines of each cell, by index into `starts`.
+    let mut cells: Vec<Vec<usize>> = Vec::new();
+    for (index, &start) in starts.iter().enumerate() {
+        if text[start..].starts_with(b"cell ") {
+            cells.push(Vec::new());
+        } else if text[start..].starts_with(b"exchange ") {
+            cells
+                .last_mut()
+                .expect("exchanges sit in cells")
+                .push(index);
+        }
+    }
+    let cells: Vec<&Vec<usize>> = cells.iter().filter(|lines| !lines.is_empty()).collect();
+    let lines = [cells[0][0], *cells[cells.len() - 1].last().unwrap()];
+
+    let mut out = String::new();
+    for &index in &lines {
+        let start = starts[index];
+        let end = start + text[start..].iter().position(|&b| b == b'\n').unwrap();
+        let separator = start
+            + 9
+            + text[start + 9..end]
+                .iter()
+                .position(|&b| b == b' ')
+                .unwrap();
+        let mut positions: std::collections::BTreeSet<usize> = (start - 1..=start + 9).collect();
+        positions.insert(end);
+        for (first, last) in [(start + 9, separator), (separator + 1, end)] {
+            positions.extend(first..last.min(first + TOKEN_EDGE));
+            positions.extend(last.saturating_sub(TOKEN_EDGE).max(first)..last);
+        }
+        for at in positions {
+            let line = starts.partition_point(|&s| s <= at);
+            let column = at - starts[line - 1] + 1;
+            let mut damaged = |label: String, bytes: Vec<u8>| {
+                out.push_str(&format!("{line}:{column} {label} {}\n", outcome(&bytes)));
+            };
+            for &byte in REPLACEMENTS.iter().filter(|&&byte| byte != text[at]) {
+                let mut bytes = text.to_vec();
+                bytes[at] = byte;
+                damaged(format!("set {byte:02x}"), bytes);
+            }
+            let mut bytes = text.to_vec();
+            bytes.remove(at);
+            damaged("del".to_string(), bytes);
+            let mut bytes = text.to_vec();
+            bytes.insert(at, b'0');
+            damaged("ins 30".to_string(), bytes);
+        }
+    }
+    let index = lines[0];
+    let (start, end) = (starts[index], starts[index + 1]);
+    for len in [MAX_LINE_BYTES - 1, MAX_LINE_BYTES, MAX_LINE_BYTES + 1] {
+        let mut bytes = text[..start].to_vec();
+        bytes.extend(exchange_line_of(len));
+        bytes.extend_from_slice(&text[end..]);
+        out.push_str(&format!(
+            "{}:1 line of {len} bytes and a newline {}\n",
+            index + 1,
+            outcome(&bytes)
+        ));
+    }
+    out
+}
+
+#[test]
+fn damaged_exchange_lines_fail_where_and_how_the_golden_says() {
+    let text = exchange_damage_text();
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("shard_exchange_errors_golden.txt");
+    if std::env::var_os("NVARIANT_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &text).unwrap();
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); generate it on a known-good \
+             tree with NVARIANT_REGEN_GOLDEN=1 cargo test --test shard_codec_robustness",
+            path.display()
+        )
+    });
+    if text != golden {
+        let first = text
+            .lines()
+            .zip(golden.lines())
+            .find(|(got, want)| got != want);
+        panic!(
+            "damaged exchange lines no longer fail as the golden says ({} lines, golden {}); \
+             first difference: {first:?}",
+            text.lines().count(),
+            golden.lines().count()
+        );
     }
 }
