@@ -69,7 +69,7 @@ use crate::report::PlanShape;
 use crate::shardio::{parse_cell, parse_header, render_cell, render_header, ShardHeader};
 use nvariant::store::{CacheCounters, CacheStats};
 use nvariant_types::fnv::{word_fold, WordFold};
-use nvariant_types::lines::{Line, LineReader, ParseError};
+use nvariant_types::lines::{Line, LineReader, ParseError, READ_BUFFER_BYTES};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
@@ -86,9 +86,6 @@ const PACK_MAGIC: &str = "nvariant-cell-pack v1";
 /// copying the block. A frame line is at most 131 bytes: `record`, five
 /// 20-digit numbers and an 18-character checksum, six separators and `\n`.
 const FRAME_ROOM: usize = 160;
-
-/// The read buffer of one record lookup.
-const RECORD_BUFFER: usize = 1 << 16;
 
 /// A cell's `(config, world, scenario, replicate)` coordinates.
 type Coordinates = (usize, usize, usize, usize);
@@ -382,7 +379,7 @@ impl Record {
     fn read(&self) -> Option<CellResult> {
         let mut file = File::open(&self.pack).ok()?;
         file.seek(SeekFrom::Start(self.offset)).ok()?;
-        let body = BufReader::with_capacity(RECORD_BUFFER, file).take(self.bytes);
+        let body = BufReader::with_capacity(READ_BUFFER_BYTES, file).take(self.bytes);
         let mut lines = LineReader::new(Summed {
             inner: body,
             digest: WordFold::new(),

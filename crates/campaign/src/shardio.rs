@@ -18,8 +18,9 @@ use crate::exchange::ServedRequest;
 use crate::report::{CampaignReport, PlanShape};
 use nvariant::ExecutionMetrics;
 use nvariant_transform::TransformStats;
-use nvariant_types::hex::{hex_decode, hex_encode_into};
-use nvariant_types::lines::{quote, Line, LineReader, ParseError};
+use nvariant_types::hex::{hex_decode, hex_decode_bytes, hex_encode_into};
+use nvariant_types::lines::{quote, Line, LineReader, ParseError, RawLine, READ_BUFFER_BYTES};
+use std::convert::Infallible;
 use std::io::BufRead;
 use std::time::Duration;
 
@@ -307,6 +308,15 @@ impl ShardHeader {
 /// The grammar, error messages and 1-based error line numbers are exactly
 /// those of [`CampaignReport::from_shard_text`], which is implemented over
 /// this cursor.
+///
+/// An `exchange` line, nearly all of a shard's bytes, is parsed once, from
+/// its bytes: the key, one space between two tokens, and each token checked
+/// and decoded by the hex block kernel straight into the
+/// [`ServedRequest`]'s buffer, with no UTF-8 pass, `String` or token split.
+/// Only a line that fails is read as text, to name its first problem as a
+/// text parse of the line names it: bytes that are not UTF-8, the key, the
+/// token count, then each token's odd length or first bad digit. Every
+/// other line is read as text.
 pub struct ShardCursor<R> {
     lines: LineReader<R>,
     header: ShardHeader,
@@ -314,8 +324,9 @@ pub struct ShardCursor<R> {
 }
 
 impl ShardCursor<std::io::BufReader<std::fs::File>> {
-    /// Opens a shard file for streaming. The header is parsed before this
-    /// returns; an unopenable file is reported as a parse error at line 0.
+    /// Opens a shard file for streaming, through a buffer of
+    /// [`READ_BUFFER_BYTES`]. The header is parsed before this returns; an
+    /// unopenable file is reported as a parse error at line 0.
     ///
     /// # Errors
     ///
@@ -326,7 +337,7 @@ impl ShardCursor<std::io::BufReader<std::fs::File>> {
             line: 0,
             message: format!("cannot open shard file {}: {e}", path.display()),
         })?;
-        ShardCursor::new(std::io::BufReader::new(file))
+        ShardCursor::new(std::io::BufReader::with_capacity(READ_BUFFER_BYTES, file))
     }
 }
 
@@ -508,40 +519,33 @@ fn parse_cell_body<R: BufRead>(
         log_sinks_sanitized: f.number()?,
     };
 
+    // From here lines are read as bytes, so the exchange lines need not be
+    // read as text.
     let mut verdict = None;
-    let mut line = lines.next_line()?;
+    let mut line = lines.next_raw()?;
     if let Some(value) = line.strip("observed") {
-        let observed = value.quoted()?;
+        let observed = value.text()?.quoted()?;
         let expected = lines.field("expected")?.quoted()?;
         verdict = Some(CellVerdict { observed, expected });
-        line = lines.next_line()?;
+        line = lines.next_raw()?;
     }
     let mut checked = None;
     if let Some(value) = line.strip("checked") {
-        let [property, status, states, depth] =
-            value.tokens("checked needs 4 fields (property, status, states, depth)")?;
+        let [property, status, states, depth] = value
+            .text()?
+            .tokens("checked needs 4 fields (property, status, states, depth)")?;
         checked = Some(CheckSummary {
             property: property.text().to_string(),
             status: status.text().to_string(),
             states: states.number()?,
             depth: depth.number()?,
         });
-        line = lines.next_line()?;
+        line = lines.next_raw()?;
     }
     let mut exchanges = Vec::new();
-    while line.text() != "endcell" {
-        let Some(value) = line.strip("exchange") else {
-            return line.fail(format!(
-                "expected \"exchange\" or \"endcell\", got {:?}",
-                line.text()
-            ));
-        };
-        let [request, response] = value.tokens("exchange needs request and response payloads")?;
-        exchanges.push(ServedRequest {
-            request: request.lift(hex_decode(request.text()))?,
-            response: response.lift(hex_decode(response.text()))?,
-        });
-        line = lines.next_line()?;
+    while line.bytes() != b"endcell" {
+        exchanges.push(parse_exchange(line)?);
+        line = lines.next_raw()?;
     }
 
     Ok(CellResult {
@@ -558,6 +562,45 @@ fn parse_cell_body<R: BufRead>(
         checked,
         wall,
     })
+}
+
+/// The payloads of an `exchange` line, decoded from its bytes: the key, one
+/// space, the request token, one space and the response token. A line that
+/// is anything else goes to [`exchange_error`].
+fn parse_exchange(line: RawLine<'_>) -> Result<ServedRequest, ParseError> {
+    let decoded = line.strip("exchange").and_then(|value| {
+        let value = value.bytes();
+        let space = value.iter().position(|&byte| byte == b' ')?;
+        Some(ServedRequest {
+            request: hex_decode_bytes(&value[..space])?,
+            response: hex_decode_bytes(&value[space + 1..])?,
+        })
+    });
+    decoded.ok_or_else(|| exchange_error(line))
+}
+
+/// Names the first problem of a line [`parse_exchange`] refused, reading it
+/// as text in the order a text parse checks it: bytes that are not UTF-8,
+/// a key that is neither `exchange` nor `endcell`, a token count other than
+/// two, then the request's and the response's odd length or first bad
+/// digit.
+#[cold]
+fn exchange_error(line: RawLine<'_>) -> ParseError {
+    let named: Result<Infallible, ParseError> = line.text().and_then(|line| {
+        let Some(value) = line.strip("exchange") else {
+            return line.fail(format!(
+                "expected \"exchange\" or \"endcell\", got {:?}",
+                line.text()
+            ));
+        };
+        let [request, response] = value.tokens("exchange needs request and response payloads")?;
+        request.lift(hex_decode(request.text()))?;
+        response.lift(hex_decode(response.text()))?;
+        // Read as text, a line passes exactly when its bytes decode.
+        line.fail("exchange line does not decode")
+    });
+    let Err(error) = named;
+    error
 }
 
 #[cfg(test)]
@@ -744,6 +787,56 @@ mod tests {
             let err = CampaignReport::from_shard_text(&lines.join("\n")).unwrap_err();
             assert_eq!(err.line, exchange_line + 1, "{corruption}: {err}");
             assert!(err.message.contains("hex"), "{corruption}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_damaged_exchange_line_names_its_first_problem_in_the_text_order() {
+        let text = sample_report().to_shard_text();
+        let number = text
+            .lines()
+            .position(|line| line.starts_with("exchange "))
+            .unwrap()
+            + 1;
+        for (damaged, message) in [
+            (
+                &b"exchange zz 0\xff"[..],
+                "cannot read line: stream did not contain valid UTF-8",
+            ),
+            (
+                b"exchanged 00 00",
+                "expected \"exchange\" or \"endcell\", got \"exchanged 00 00\"",
+            ),
+            (
+                b"exchange zz 00 0",
+                "exchange needs request and response payloads, got 3",
+            ),
+            (
+                b"exchange 0000",
+                "exchange needs request and response payloads, got 1",
+            ),
+            (b"exchange z00 0z", "odd-length hex payload (3 bytes)"),
+            (b"exchange 0z 000", "bad hex digit 'z'"),
+            (b"exchange 00 000", "odd-length hex payload (3 bytes)"),
+            (b"exchange - 00\r\r\r", "bad hex digit '\\r'"),
+        ] {
+            let mut bytes = Vec::new();
+            for (index, line) in text.lines().enumerate() {
+                let line = if index + 1 == number {
+                    damaged
+                } else {
+                    line.as_bytes()
+                };
+                bytes.extend_from_slice(line);
+                bytes.push(b'\n');
+            }
+            let Err(err) = ShardCursor::new(bytes.as_slice()).and_then(|mut cursor| {
+                while cursor.next_cell()?.is_some() {}
+                Ok(())
+            }) else {
+                panic!("{damaged:?} parsed");
+            };
+            assert_eq!((err.line, err.message.as_str()), (number, message));
         }
     }
 

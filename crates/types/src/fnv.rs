@@ -49,12 +49,12 @@
 //! Neither fold resists inputs chosen to collide: they tell states apart
 //! and catch accidental damage.
 //!
-//! # Zero runs in FNV-1a
+//! # Zero words in FNV-1a
 //!
-//! A zero byte leaves FNV-1a's XOR step unchanged, so a run of `n` zero
-//! bytes multiplies the state by `PRIME^n`: [`Fnv1a::write_zeros`] takes
-//! that power by repeated squaring in O(log n) steps, and returns exactly
-//! what `n` one-byte zero writes would.
+//! A zero byte leaves FNV-1a's XOR step unchanged, so eight zero bytes
+//! multiply the state by `PRIME^8`: [`Fnv1a::write_u64`] folds a zero word
+//! in that one multiplication, and returns exactly what eight one-byte zero
+//! writes would.
 
 /// The FNV-1a 64-bit offset basis.
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -101,19 +101,6 @@ impl Fnv1a {
         for &byte in bytes {
             self.hash ^= u64::from(byte);
             self.hash = self.hash.wrapping_mul(PRIME);
-        }
-    }
-
-    /// Folds `n` zero bytes into the digest: the same state as
-    /// `write(&[0; n])`, in O(log n) multiplications (see the module docs).
-    pub fn write_zeros(&mut self, mut n: usize) {
-        let mut power = PRIME;
-        while n > 0 {
-            if n & 1 == 1 {
-                self.hash = self.hash.wrapping_mul(power);
-            }
-            power = power.wrapping_mul(power);
-            n >>= 1;
         }
     }
 
@@ -332,23 +319,6 @@ mod tests {
         let mut raw = Fnv1a::new();
         raw.write(&[1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(wide.finish(), raw.finish());
-    }
-
-    #[test]
-    fn zero_runs_equal_one_byte_zero_writes() {
-        for n in [0, 1, 7, 4096, 131_072] {
-            for prefix in [&b""[..], b"after other input"] {
-                let mut fast = Fnv1a::new();
-                fast.write(prefix);
-                fast.write_zeros(n);
-                let mut slow = Fnv1a::new();
-                slow.write(prefix);
-                for _ in 0..n {
-                    slow.write_u8(0);
-                }
-                assert_eq!(fast.finish(), slow.finish(), "n={n} prefix={prefix:?}");
-            }
-        }
     }
 
     /// Byte-wise FNV-1a, one byte at a time: what [`Fnv1a::write`] must

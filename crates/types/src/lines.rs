@@ -8,11 +8,22 @@
 //! quotes it ([`quote`]).
 //!
 //! [`LineReader`] reads such a file from any [`BufRead`] one line at a time,
-//! into one buffer it reuses. It refuses a line of [`MAX_LINE_BYTES`] or
-//! more before reading further, so no input — corrupt, truncated or
-//! endless — makes a reader hold more than one line of it. Each [`Line`]
-//! it hands out carries its number, and its parsers report a
-//! [`ParseError`] at that line.
+//! as bytes, into one buffer it reuses. It refuses a line of
+//! [`MAX_LINE_BYTES`] or more before reading further, so no input —
+//! corrupt, truncated or endless — makes a reader hold more than one line
+//! of it. Each line it hands out carries its number, and its parsers report
+//! a [`ParseError`] at that line.
+//!
+//! A line is handed out as text ([`Line`], checked to be UTF-8) or as its
+//! bytes ([`RawLine`]), which a reader of long payload lines decodes
+//! without a UTF-8 pass or a copy into a `String`. A line read as bytes
+//! fails as a text read would only once [`RawLine::text`] reads it as
+//! text, so a parser of bytes that meets a line it refuses reads it as
+//! text to name the problem, and names it as a text parser would.
+//!
+//! Shard files and cell-cache records are read through a buffer of
+//! [`READ_BUFFER_BYTES`], in which the longest lines the workspace writes
+//! fit whole.
 //!
 //! # Example
 //!
@@ -40,6 +51,17 @@ use std::str::FromStr;
 /// the security matrix; the cap stops a line that never ends from growing
 /// one allocation until the reader runs out of memory.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The buffer a shard file is read through, by a merge or a fleet's
+/// validation, and a cell-cache record, by a lookup. At 64 KiB it holds
+/// three of the longest `exchange` lines, and reading the 19.2 MB of a cold
+/// security-matrix pass's shard files takes about 300 `read` calls, where
+/// an 8 KiB buffer took about 2,400.
+pub const READ_BUFFER_BYTES: usize = 1 << 16;
+
+/// The message of a line that is not UTF-8 read as text: what `std`'s
+/// `BufRead::read_line` reports.
+const NOT_UTF8: &str = "cannot read line: stream did not contain valid UTF-8";
 
 /// Why a file failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -111,7 +133,7 @@ fn split_quoted(input: &str) -> Result<(String, &str), String> {
 #[derive(Debug)]
 pub struct LineReader<R> {
     reader: R,
-    buffer: String,
+    buffer: Vec<u8>,
     line: usize,
     checksum: Option<LineChecksum>,
 }
@@ -126,12 +148,12 @@ struct LineChecksum {
 }
 
 impl LineChecksum {
-    fn fold(&mut self, line: &str) {
+    fn fold(&mut self, line: &[u8]) {
         if !line.is_empty() {
             for _ in 0..self.held {
                 self.digest.write_u8(b'\n');
             }
-            self.digest.write(line.as_bytes());
+            self.digest.write(line);
             self.held = 0;
         }
         self.held += 1;
@@ -143,7 +165,7 @@ impl<R: BufRead> LineReader<R> {
     pub fn new(reader: R) -> Self {
         LineReader {
             reader,
-            buffer: String::new(),
+            buffer: Vec::new(),
             line: 0,
             checksum: None,
         }
@@ -162,15 +184,16 @@ impl<R: BufRead> LineReader<R> {
         &mut self.reader
     }
 
-    /// Reads one line without its terminator, or `None` at the end of
-    /// input. A line of [`MAX_LINE_BYTES`] or more is an error, raised
-    /// before more than that much of it is read; so are a read failure and
-    /// bytes that are not UTF-8.
-    pub fn read_line(&mut self) -> Result<Option<Line<'_>>, ParseError> {
+    /// Reads one line's bytes without its terminator, or `None` at the end
+    /// of input. A line of [`MAX_LINE_BYTES`] or more is an error, raised
+    /// before more than that much of it is read; so is a read failure.
+    /// Bytes that are not UTF-8 fail only when the line is read as text,
+    /// except in a line over the cap: a text read checks them first.
+    pub fn read_raw(&mut self) -> Result<Option<RawLine<'_>>, ParseError> {
         self.buffer.clear();
         match (&mut self.reader)
             .take(MAX_LINE_BYTES as u64)
-            .read_line(&mut self.buffer)
+            .read_until(b'\n', &mut self.buffer)
         {
             Ok(0) => return Ok(None),
             Ok(_) => self.line += 1,
@@ -181,33 +204,50 @@ impl<R: BufRead> LineReader<R> {
                 })
             }
         }
-        if self.buffer.ends_with('\n') {
+        if self.buffer.ends_with(b"\n") {
             self.buffer.pop();
-            if self.buffer.ends_with('\r') {
+            if self.buffer.ends_with(b"\r") {
                 self.buffer.pop();
             }
         } else if self.buffer.len() == MAX_LINE_BYTES {
+            let message = match std::str::from_utf8(&self.buffer) {
+                Ok(_) => format!("line exceeds {MAX_LINE_BYTES} bytes"),
+                Err(_) => NOT_UTF8.to_string(),
+            };
             return Err(ParseError {
                 line: self.line,
-                message: format!("line exceeds {MAX_LINE_BYTES} bytes"),
+                message,
             });
         }
         if let Some(checksum) = &mut self.checksum {
             checksum.fold(&self.buffer);
         }
-        Ok(Some(Line {
-            text: &self.buffer,
+        Ok(Some(RawLine {
+            bytes: &self.buffer,
             number: self.line,
         }))
     }
 
-    /// Reads one line that must be there: the end of input is an error at
-    /// line 0.
-    pub fn next_line(&mut self) -> Result<Line<'_>, ParseError> {
-        self.read_line()?.ok_or_else(|| ParseError {
+    /// Reads one line's bytes that must be there: the end of input is an
+    /// error at line 0.
+    pub fn next_raw(&mut self) -> Result<RawLine<'_>, ParseError> {
+        self.read_raw()?.ok_or_else(|| ParseError {
             line: 0,
             message: "unexpected end of input".to_string(),
         })
+    }
+
+    /// Reads one line as text without its terminator, or `None` at the end
+    /// of input: [`read_raw`](Self::read_raw), and bytes that are not
+    /// UTF-8 are an error.
+    pub fn read_line(&mut self) -> Result<Option<Line<'_>>, ParseError> {
+        self.read_raw()?.map(|line| line.text()).transpose()
+    }
+
+    /// Reads one line as text that must be there: the end of input is an
+    /// error at line 0.
+    pub fn next_line(&mut self) -> Result<Line<'_>, ParseError> {
+        self.next_raw()?.text()
     }
 
     /// Reads the next line as a `key value` field and returns its value.
@@ -237,9 +277,52 @@ impl<R: BufRead> LineReader<R> {
     }
 }
 
-/// One line a [`LineReader`] read, or a part of it: its text borrows the
-/// reader's buffer until the next read, and every parser reports its errors
-/// at the line's number.
+/// The bytes of one line a [`LineReader`] read, or of a part of it, not
+/// yet checked to be UTF-8: they borrow the reader's buffer until the next
+/// read.
+#[derive(Clone, Copy, Debug)]
+pub struct RawLine<'a> {
+    bytes: &'a [u8],
+    number: usize,
+}
+
+impl<'a> RawLine<'a> {
+    /// The bytes of the line, or of the part of it this value covers.
+    #[must_use]
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The bytes after `key` and one space, or `None` if this is not a
+    /// `key` line: [`Line::strip`] over bytes.
+    #[must_use]
+    pub fn strip(&self, key: &str) -> Option<RawLine<'a>> {
+        let bytes = self
+            .bytes
+            .strip_prefix(key.as_bytes())?
+            .strip_prefix(b" ")?;
+        Some(RawLine { bytes, ..*self })
+    }
+
+    /// The line as text: an error at its number, as a text read of the
+    /// line reports it, if its bytes are not UTF-8.
+    pub fn text(&self) -> Result<Line<'a>, ParseError> {
+        match std::str::from_utf8(self.bytes) {
+            Ok(text) => Ok(Line {
+                text,
+                number: self.number,
+            }),
+            Err(_) => Err(ParseError {
+                line: self.number,
+                message: NOT_UTF8.to_string(),
+            }),
+        }
+    }
+}
+
+/// One line a [`LineReader`] read as text, or a part of it: its text
+/// borrows the reader's buffer until the next read, and every parser
+/// reports its errors at the line's number.
 #[derive(Clone, Copy, Debug)]
 pub struct Line<'a> {
     text: &'a str,
@@ -477,6 +560,39 @@ mod tests {
     }
 
     #[test]
+    fn bytes_that_are_not_utf8_fail_only_when_read_as_text() {
+        let text = b"key \xff\xfe\r\nnext 1\n";
+        let mut lines = LineReader::new(&text[..]);
+        let raw = lines.next_raw().unwrap();
+        assert_eq!(raw.bytes(), b"key \xff\xfe");
+        assert_eq!(raw.strip("key").unwrap().bytes(), b"\xff\xfe");
+        assert!(raw.strip("ke").is_none());
+        let err = raw.text().unwrap_err();
+        // The message is the one a text read of the line gives, std's own.
+        let std_err = (&text[..]).read_line(&mut String::new()).unwrap_err();
+        assert_eq!(err.message, format!("cannot read line: {std_err}"));
+        assert_eq!(err.line, 1);
+        assert_eq!(LineReader::new(&text[..]).next_line().unwrap_err(), err);
+        assert_eq!(lines.next_line().unwrap().text(), "next 1");
+    }
+
+    #[test]
+    fn an_over_long_line_that_is_not_utf8_fails_as_not_utf8() {
+        // A text read checked a line's bytes before its length, so a raw
+        // read does too.
+        let mut long = vec![b'x'; MAX_LINE_BYTES + 8];
+        let err = LineReader::new(&long[..]).next_raw().unwrap_err();
+        assert_eq!(err.message, format!("line exceeds {MAX_LINE_BYTES} bytes"));
+        long[MAX_LINE_BYTES - 1] = 0xc3;
+        for err in [
+            LineReader::new(&long[..]).next_raw().unwrap_err(),
+            LineReader::new(&long[..]).next_line().unwrap_err(),
+        ] {
+            assert_eq!((err.line, err.message.as_str()), (1, NOT_UTF8));
+        }
+    }
+
+    #[test]
     fn the_checksum_is_the_trimmed_text_hash_whatever_the_line_ends() {
         let body = "\nfingerprint 0x1\n\nstats 1 2\nend";
         for text in [
@@ -494,6 +610,12 @@ mod tests {
                 Some(fnv1a_64(body.as_bytes())),
                 "{text:?}"
             );
+            // Lines read as bytes fold the same.
+            let mut lines = reader(&text);
+            lines.next_raw().unwrap();
+            lines.start_checksum();
+            while lines.read_raw().unwrap().is_some() {}
+            assert_eq!(lines.checksum(), Some(fnv1a_64(body.as_bytes())));
         }
     }
 }
