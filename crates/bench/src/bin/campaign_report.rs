@@ -72,7 +72,8 @@ use nvariant_bench::{
     EXIT_ANALYSIS_FINDINGS,
 };
 use nvariant_campaign::{
-    CampaignPlan, CampaignReport, ShardHeader, ShardWriter, StreamingAggregator, SyntheticSweep,
+    CampaignPlan, CampaignReport, CellSpec, ShardHeader, ShardWriter, StreamingAggregator,
+    SyntheticSweep,
 };
 use nvariant_fleet::{Coordinates, Divergence};
 use std::io::BufWriter;
@@ -437,23 +438,24 @@ fn run_shard_mode(plan: &CampaignPlan, index: usize, count: usize, workers: usiz
     println!("Wrote shard report to {out}");
 }
 
-/// Merges shard files through [`stream_merge_shards`], comparing the
-/// merged cells with `reference` in the same pass, and prints the merged
-/// summary (and surface); a merge failure prints its cause and exits 1.
+/// Merges shard files through [`stream_merge_shards`], checking the
+/// merged cells against `planned` and comparing them with `reference` in
+/// the same pass, and prints the merged summary (and surface); a merge
+/// failure prints its cause and exits 1.
 fn merge_and_summarize(
     files: &[String],
     plan: &ShardHeader,
+    planned: Option<&[CellSpec]>,
     reference: Option<&mut dyn Iterator<Item = (Coordinates, String)>>,
     surface: bool,
     surface_out: Option<&Path>,
 ) -> (StreamingAggregator, Option<Divergence>) {
     let (aggregator, divergence) =
-        stream_merge_shards(files, plan, reference, MergeOutputs::default()).unwrap_or_else(
-            |error| {
+        stream_merge_shards(files, plan, planned, reference, MergeOutputs::default())
+            .unwrap_or_else(|error| {
                 eprintln!("{error}");
                 std::process::exit(1);
-            },
-        );
+            });
     println!(
         "\nMerged report (plan hash {:#018x}):",
         aggregator.plan_hash()
@@ -544,9 +546,12 @@ fn run_synthetic_merge(
         let cell = sweep.cell(linear);
         (cell.spec.coordinates(), cell.canonical_line())
     });
+    // Each regenerated canonical line carries its cell's seed and labels,
+    // so the comparison below also refuses a cell that is not the plan's.
     let (_, divergence) = merge_and_summarize(
         files,
         &sweep_header(sweep, Duration::ZERO),
+        None,
         Some(&mut regenerated),
         surface,
         surface_out,
@@ -586,6 +591,7 @@ fn run_merge_mode(
     let (aggregator, divergence) = merge_and_summarize(
         files,
         &plan.identity(),
+        Some(&plan.cells()),
         verify_rerun.then_some(&mut reference),
         surface,
         surface_out,

@@ -494,16 +494,21 @@ fn main() {
         canonical: canonical_out.as_mut().map(|out| out as _),
     };
     let reference = whole.is_some().then_some(&mut reference as _);
-    let (mut aggregator, divergence) =
-        stream_merge_shards(&run.spools, &plan.identity(), reference, outputs).unwrap_or_else(
-            |error| {
-                eprintln!("{error}");
-                for path in args.out.iter().chain(&args.canonical_out) {
-                    let _ = std::fs::remove_file(path);
-                }
-                std::process::exit(merge_exit_code(&error));
-            },
-        );
+    let planned = plan.cells();
+    let (mut aggregator, divergence) = stream_merge_shards(
+        &run.spools,
+        &plan.identity(),
+        Some(&planned),
+        reference,
+        outputs,
+    )
+    .unwrap_or_else(|error| {
+        eprintln!("{error}");
+        for path in args.out.iter().chain(&args.canonical_out) {
+            let _ = std::fs::remove_file(path);
+        }
+        std::process::exit(merge_exit_code(&error));
+    });
     aggregator.set_cache(run.cache);
 
     println!(

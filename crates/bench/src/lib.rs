@@ -7,7 +7,9 @@
 
 use nvariant::DeploymentConfig;
 use nvariant_apps::workload::{BenchmarkResult, LoadLevel, WebBench};
-use nvariant_campaign::{ShardCursor, ShardHeader, ShardMerger, ShardWriter, StreamingAggregator};
+use nvariant_campaign::{
+    CellSpec, ShardCursor, ShardHeader, ShardMerger, ShardWriter, StreamingAggregator,
+};
 use nvariant_fleet::{first_divergence, Coordinates, Divergence};
 use std::fmt;
 use std::io::Write;
@@ -100,9 +102,11 @@ impl std::error::Error for ShardMergeError {}
 /// --merge` and `campaignd`: gates every file's header against `plan`'s
 /// identity (name, base seed, plan hash and shape), k-way merges the files
 /// through one [`ShardMerger`] — which rejects missing, duplicated,
-/// out-of-order and out-of-matrix cells — and, in the same pass, folds each
-/// merged cell into one [`StreamingAggregator`], writes it to `outputs`,
-/// and compares its canonical line in lockstep with the next cell of
+/// out-of-order and out-of-matrix cells — and, in the same pass, refuses a
+/// merged cell that is not the cell of `planned` at its coordinates (an
+/// altered seed or label, [`CellSpec::mismatch`]), folds each merged
+/// cell into one [`StreamingAggregator`], writes it to `outputs`, and
+/// compares its canonical line in lockstep with the next cell of
 /// `reference` (a verification re-run or a regenerated sweep). Returns the
 /// fold and the first divergence from `reference`, if any. Peak memory is
 /// one decoded cell per shard, however large the shards are.
@@ -110,11 +114,12 @@ impl std::error::Error for ShardMergeError {}
 /// # Errors
 ///
 /// Returns a [`ShardMergeError`] when a file cannot be opened or is not a
-/// shard of `plan`, the shard set does not merge, or an output cannot be
-/// written.
+/// shard of `plan`, the shard set does not merge, a merged cell is not the
+/// plan's, or an output cannot be written.
 pub fn stream_merge_shards(
     files: &[impl AsRef<Path>],
     plan: &ShardHeader,
+    planned: Option<&[CellSpec]>,
     reference: Option<&mut dyn Iterator<Item = (Coordinates, String)>>,
     outputs: MergeOutputs<'_>,
 ) -> Result<(StreamingAggregator, Option<Divergence>), ShardMergeError> {
@@ -130,8 +135,9 @@ pub fn stream_merge_shards(
         }
         cursors.push(cursor);
     }
-    let merge_failed = |error| ShardMergeError::Rejected(format!("merge failed: {error}"));
-    let mut merger = ShardMerger::new(cursors).map_err(merge_failed)?;
+    let merge_failed =
+        |error: &dyn fmt::Display| ShardMergeError::Rejected(format!("merge failed: {error}"));
+    let mut merger = ShardMerger::new(cursors).map_err(|error| merge_failed(&error))?;
     let header = merger.header().clone();
     let mut aggregator = StreamingAggregator::from_header(&header);
     let mut shard_out = (outputs.shard.map(|out| ShardWriter::new(out, &header)))
@@ -144,14 +150,27 @@ pub fn stream_merge_shards(
             .map_err(ShardMergeError::Write)?;
     }
     let mut failure = None;
+    let mut planned = planned.map(|cells| cells.iter().enumerate());
     let mut lines = std::iter::from_fn(|| {
         let cell = match merger.next_cell() {
             Ok(cell) => cell?,
             Err(error) => {
-                failure = Some(merge_failed(error));
+                failure = Some(merge_failed(&error));
                 return None;
             }
         };
+        // Merged cells come in the plan's order, a missing one skipped
+        // until the merger reports it, so the plan's cell is found by
+        // coordinates.
+        let mismatch = planned.as_mut().and_then(|planned| {
+            let coordinates = cell.spec.coordinates();
+            let (index, spec) = planned.find(|(_, spec)| spec.coordinates() == coordinates)?;
+            cell.spec.mismatch(index, spec)
+        });
+        if let Some(reason) = mismatch {
+            failure = Some(merge_failed(&reason));
+            return None;
+        }
         aggregator.absorb(&cell);
         let line = cell.canonical_line();
         let written = (|| {

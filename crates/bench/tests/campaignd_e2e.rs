@@ -6,7 +6,7 @@
 //! without executing any cells.
 
 use nvariant_apps::campaigns::report_matrix_plan;
-use nvariant_campaign::CampaignReport;
+use nvariant_campaign::{CampaignReport, CellSpec};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -18,9 +18,11 @@ fn campaignd() -> Command {
     command
 }
 
-/// A per-test scratch directory under the target-adjacent temp dir.
+/// An empty per-test scratch directory under the temp dir: one a recycled
+/// process id left behind would hand a test another run's files.
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("campaignd-e2e-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }
@@ -253,4 +255,72 @@ fn merge_verify_rerun_names_the_first_differing_cell() {
         (Some(expected), Some(observed)) => assert_ne!(expected, observed, "{stderr}"),
         _ => panic!("no expected/observed lines under {named:?}:\n{stderr}"),
     }
+}
+
+/// Merges the quick plan's two shard files with `campaign_report --merge`
+/// after `alter` has changed the first cell of shard 1, the plan's cell #1,
+/// and checks that the merge refuses that cell, naming it as the fleet
+/// names a cell the plan does not fix. `alter` gets the shard's text and
+/// the plan's spec of the cell, and returns the damaged text and the spec
+/// the damaged cell now parses as.
+fn assert_merge_refuses_altered_cell(
+    name: &str,
+    alter: impl Fn(&str, &CellSpec) -> (String, CellSpec),
+) {
+    let dir = scratch(name);
+    let (plan, _, _) = report_matrix_plan(true);
+    let shard0 = dir.join("shard0.txt");
+    let shard1 = dir.join("shard1.txt");
+    std::fs::write(&shard0, plan.run_shard(0, 2, 2).to_shard_text()).unwrap();
+    let planned = plan.cells()[1].clone();
+    assert_eq!(planned, plan.shard(1, 2)[0]);
+    let (text, altered) = alter(&plan.run_shard(1, 2, 2).to_shard_text(), &planned);
+    assert_ne!(altered, planned);
+    std::fs::write(&shard1, text).unwrap();
+
+    for verify_rerun in [false, true] {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_campaign_report"));
+        command.args(["--quick", "--workers", "2", "--merge"]);
+        command.arg(&shard0).arg(&shard1);
+        if verify_rerun {
+            command.arg("--verify-rerun");
+        }
+        let output = command.output().expect("campaign_report runs");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{stdout}\n{stderr}");
+        let reason = format!("merge failed: cell #1 is {altered:?}, the plan's is {planned:?}");
+        assert!(stderr.contains(&reason), "{reason}\n{stderr}");
+        assert!(!stdout.contains("Validated"), "{stdout}");
+    }
+}
+
+#[test]
+fn merge_mode_refuses_a_cell_whose_seed_is_not_the_plans() {
+    assert_merge_refuses_altered_cell("merge-seed", |text, planned| {
+        // `cell <config> <world> <scenario> <replicate> <seed> <wall>`.
+        let start = text.find("\ncell ").expect("cell line") + 1;
+        let end = start + text[start..].find('\n').expect("line end");
+        let mut fields: Vec<&str> = text[start..end].split(' ').collect();
+        fields[5] = "0x0000000000000001";
+        let altered_text = format!("{}{}{}", &text[..start], fields.join(" "), &text[end..]);
+        let altered = CellSpec {
+            seed: 1,
+            ..planned.clone()
+        };
+        (altered_text, altered)
+    });
+}
+
+#[test]
+fn merge_mode_refuses_a_cell_whose_config_label_is_not_the_plans() {
+    assert_merge_refuses_altered_cell("merge-label", |text, planned| {
+        let label = format!("\nconfig_label {:?}\n", planned.config_label);
+        let altered_text = text.replacen(&label, "\nconfig_label \"Renamed\"\n", 1);
+        let altered = CellSpec {
+            config_label: "Renamed".to_string(),
+            ..planned.clone()
+        };
+        (altered_text, altered)
+    });
 }

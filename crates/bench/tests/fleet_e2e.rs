@@ -25,9 +25,11 @@ fn fake_remote() -> PathBuf {
         .expect("scripts/fake_remote.sh exists")
 }
 
-/// A per-test scratch directory under the system temp dir.
+/// An empty per-test scratch directory under the system temp dir: one a
+/// recycled process id left behind would hand a test another run's files.
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fleet-e2e-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }

@@ -49,6 +49,16 @@ impl CellSpec {
             self.replicate,
         )
     }
+
+    /// Why `self`, the cell a shard holds at position `index`, is not
+    /// `planned`, the plan's cell there: `None` when the two are equal. A
+    /// cell whose seed or labels were altered keeps the plan's coordinates
+    /// and fails only here. The fleet's shard validation and the streamed
+    /// merge of shard files both refuse such a shard with this reason.
+    #[must_use]
+    pub fn mismatch(&self, index: usize, planned: &CellSpec) -> Option<String> {
+        (self != planned).then(|| format!("cell #{index} is {self:?}, the plan's is {planned:?}"))
+    }
 }
 
 /// A scenario's classification of a cell, alongside the prediction it was

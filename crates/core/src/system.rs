@@ -5,7 +5,7 @@ use crate::outcome::SystemOutcome;
 use nvariant_analyze::{analyze_pair, combined_verdict, AnalysisReport, VariantArtifact};
 use nvariant_diversity::{AddressTransform, UidTransform, VariantSet, VariantSpec};
 use nvariant_monitor::{MonitorConfig, NVariantMonitor};
-use nvariant_simos::{OsKernel, WorldBuilder};
+use nvariant_simos::{reexpress_group, reexpress_passwd, OsKernel, WorldBuilder};
 use nvariant_transform::{
     TransformError, TransformOptions, TransformStats, UidContext, UidTransformer,
 };
@@ -528,10 +528,11 @@ impl CompiledSystem {
     }
 
     /// Provisions an alternative world for this artifact: clones `base` and
-    /// re-derives every per-variant unshared file from *that world's* state
-    /// (the `/etc/passwd-N` / `/etc/group-N` copies are rendered from the
-    /// base world's account database through each variant's reexpression
-    /// function).
+    /// re-derives every per-variant unshared file from *that world's* files
+    /// (the `/etc/passwd-N` / `/etc/group-N` copies are `base`'s
+    /// `/etc/passwd` and `/etc/group` reexpressed line by line through each
+    /// variant's reexpression function; a missing file reexpresses as an
+    /// empty one).
     ///
     /// The returned kernel is what [`instantiate_in`](Self::instantiate_in)
     /// expects: provision once per (artifact, world) pair, then instantiate
@@ -546,23 +547,17 @@ impl CompiledSystem {
             return kernel;
         }
         if self.config.uses_unshared_account_files() {
-            let db = kernel.passwd().clone();
+            let text = |path| base.fs().get(path).map_or(&[][..], |file| &file.data[..]);
             for (variant, spec) in specs.iter() {
                 let index = variant.index();
-                let uid_transform = spec.uid;
+                let map = |id| spec.uid.apply(Uid::new(id)).as_u32();
                 kernel.fs_mut().create(
                     &format!("/etc/passwd-{index}"),
-                    db.render_passwd_with(|uid| uid_transform.apply(uid))
-                        .into_bytes(),
+                    reexpress_passwd(text("/etc/passwd"), map),
                 );
                 kernel.fs_mut().create(
                     &format!("/etc/group-{index}"),
-                    db.render_group_with(|gid| {
-                        nvariant_types::Gid::new(
-                            uid_transform.apply(Uid::new(gid.as_u32())).as_u32(),
-                        )
-                    })
-                    .into_bytes(),
+                    reexpress_group(text("/etc/group"), map),
                 );
             }
         }
@@ -704,10 +699,11 @@ impl fmt::Debug for RunnableSystem {
 mod tests {
     use super::*;
     use nvariant_diversity::Variation;
+    use nvariant_simos::PasswdEntry;
     use nvariant_types::Port;
 
     /// A minimal privilege-dropping server fragment exercising UID syscalls,
-    /// file I/O and the account database.
+    /// file I/O and the account files.
     const DROP_PRIVILEGES: &str = r"
         var server_uid: uid_t;
         fn main() -> int {
@@ -943,6 +939,28 @@ mod tests {
     }
 
     #[test]
+    fn a_world_without_account_files_provisions_empty_copies() {
+        let compiled = NVariantSystemBuilder::from_source(DROP_PRIVILEGES)
+            .unwrap()
+            .config(DeploymentConfig::TwoVariantUid)
+            .compile()
+            .unwrap();
+        let provisioned = compiled.provision_world(&OsKernel::new());
+        for path in [
+            "/etc/passwd-0",
+            "/etc/passwd-1",
+            "/etc/group-0",
+            "/etc/group-1",
+        ] {
+            let copy = provisioned
+                .fs()
+                .get(path)
+                .expect("unshared copy provisioned");
+            assert!(copy.is_empty(), "{path}");
+        }
+    }
+
+    #[test]
     fn instantiate_in_deploys_into_the_given_world() {
         use nvariant_simos::WorldTemplate;
         let compiled = NVariantSystemBuilder::from_source(DROP_PRIVILEGES)
@@ -952,16 +970,13 @@ mod tests {
             .unwrap();
         let provisioned = compiled.provision_world(WorldTemplate::alternate_accounts().kernel());
         let mut system = compiled.instantiate_in(&provisioned);
-        assert_eq!(
-            system
-                .kernel()
-                .passwd()
-                .lookup_user("httpd")
-                .unwrap()
-                .uid
-                .as_u32(),
-            61
-        );
+        let passwd = system.kernel().fs().get("/etc/passwd").unwrap();
+        let httpd = String::from_utf8_lossy(&passwd.data)
+            .lines()
+            .filter_map(PasswdEntry::parse)
+            .find(|entry| entry.name == "httpd")
+            .unwrap();
+        assert_eq!(httpd.uid.as_u32(), 61);
         let outcome = system.run();
         assert_eq!(outcome.exit_status, Some(0), "{outcome}");
         assert!(!outcome.detected_attack());

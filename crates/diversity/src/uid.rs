@@ -85,13 +85,6 @@ impl UidTransform {
         Word::from_uid(self.invert(word.as_uid()))
     }
 
-    /// Returns the value that *represents root* inside a variant using this
-    /// reexpression (e.g. `0x7FFFFFFF` for the paper's `R₁`).
-    #[must_use]
-    pub fn variant_root(&self) -> Uid {
-        self.apply(Uid::ROOT)
-    }
-
     /// Returns `true` if this transform is the identity.
     #[must_use]
     pub fn is_identity(&self) -> bool {
@@ -145,7 +138,7 @@ mod tests {
     #[test]
     fn paper_mask_maps_root_to_all_low_bits() {
         let r1 = UidTransform::paper_mask();
-        assert_eq!(r1.variant_root().as_u32(), 0x7FFF_FFFF);
+        assert_eq!(r1.apply(Uid::ROOT).as_u32(), 0x7FFF_FFFF);
         assert_eq!(r1.apply(Uid::new(48)).as_u32(), 0x7FFF_FFCF);
         // High bit is preserved (the §3.2 caveat).
         assert_eq!(

@@ -766,30 +766,24 @@ impl<'plan> Fleet<'plan> {
         while let Some(cell) = cursor.next_cell().map_err(|e| parse_failed(&e))? {
             let index = got;
             got += 1;
-            match expected.next() {
-                Some(spec) if *spec == cell.spec => {
-                    // The cache is asked under the plan's spec, so a cell
-                    // whose seed or labels were altered is never skipped.
-                    let cached = || cache.as_ref().and_then(|cache| cache.lookup(spec));
-                    if divergence.is_none() {
-                        divergence = cached().and_then(|cached| {
-                            Divergence::at_cell(
-                                index,
-                                spec.coordinates(),
-                                cached.canonical_line(),
-                                cell.canonical_line(),
-                            )
-                        });
-                    }
-                }
-                Some(spec) => {
-                    mismatch.get_or_insert_with(|| {
-                        format!("; cell #{index} is {:?}, the plan's is {spec:?}", cell.spec)
-                    });
-                }
-                None => {
-                    mismatch.get_or_insert_with(String::new);
-                }
+            let Some(spec) = expected.next() else {
+                mismatch.get_or_insert_with(String::new);
+                continue;
+            };
+            if let Some(reason) = cell.spec.mismatch(index, spec) {
+                mismatch.get_or_insert_with(|| format!("; {reason}"));
+            } else if divergence.is_none() {
+                // The cache is asked under the plan's spec, so a cell whose
+                // seed or labels were altered is never skipped.
+                let cached = cache.as_ref().and_then(|cache| cache.lookup(spec));
+                divergence = cached.and_then(|cached| {
+                    Divergence::at_cell(
+                        index,
+                        spec.coordinates(),
+                        cached.canonical_line(),
+                        cell.canonical_line(),
+                    )
+                });
             }
         }
         if mismatch.is_some() || got != specs.len() {

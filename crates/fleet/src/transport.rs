@@ -388,9 +388,12 @@ mod tests {
     use super::*;
     use std::path::Path;
 
+    /// An empty directory for this process: one a recycled process id
+    /// left behind would hand a test another run's files.
     fn scratch(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("nvfleet-transport-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create scratch dir");
         dir
     }

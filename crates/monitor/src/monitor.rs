@@ -938,7 +938,7 @@ fn written_bytes<'a>(
 mod tests {
     use super::*;
     use nvariant_diversity::{UidTransform, VariantSet, VariantSpec, Variation};
-    use nvariant_simos::WorldBuilder;
+    use nvariant_simos::{reexpress_passwd, WorldBuilder};
     use nvariant_types::VirtAddr;
     use nvariant_vm::{compile_program, parse_with_stdlib, MemoryLayout, Process};
 
@@ -1498,13 +1498,12 @@ mod tests {
             .collect();
         let mut kernel = WorldBuilder::standard().build();
         // Provision per-variant passwd copies with re-expressed UID columns.
-        let db = kernel.passwd().clone();
+        let passwd = kernel.fs().get("/etc/passwd").unwrap().data.to_vec();
         for (index, spec) in specs.iter() {
             let transform: UidTransform = spec.uid;
             kernel.fs_mut().create(
                 &format!("/etc/passwd-{}", index.index()),
-                db.render_passwd_with(|uid| transform.apply(uid))
-                    .into_bytes(),
+                reexpress_passwd(&passwd, |id| transform.apply(Uid::new(id)).as_u32()),
             );
         }
         let config = MonitorConfig::default().with_unshared_file("/etc/passwd");

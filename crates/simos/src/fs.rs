@@ -9,9 +9,8 @@
 //! ([`FileData`]): a state digest folds each file as its length and that
 //! digest, so the model checker rehashes a file's bytes only after a write.
 //!
-//! The file table itself is shared copy-on-write the same way, like the
-//! account database ([`PasswdDb`](crate::PasswdDb)): a clone bumps a
-//! reference count, and the first write to a shared table (creating,
+//! The file table itself is shared copy-on-write the same way: a clone
+//! bumps a reference count, and the first write to a shared table (creating,
 //! removing or opening a file for writing, or changing a read fault)
 //! copies its directory map once. The fold of the whole table is computed
 //! once per write generation and shared by every clone that has not
@@ -574,11 +573,6 @@ impl FileSystem {
         self.0.read_faults.contains(&*normal(path))
     }
 
-    /// The paths currently marked read-faulty, in path order.
-    pub fn read_faulty_paths(&self) -> impl Iterator<Item = &str> {
-        self.0.read_faults.iter().map(String::as_str)
-    }
-
     /// Folds the complete filesystem state — every inode's path, contents,
     /// ownership and mode, plus the injected read faults — into `digest`
     /// as one `u64`, computed once per write generation and shared by every
@@ -815,10 +809,6 @@ mod tests {
         fs.inject_read_fault("/var/www/html/news.html");
         // Normalized lookups hit the same fault entry.
         assert!(fs.is_read_faulty("/var/www//html/./news.html"));
-        assert_eq!(
-            fs.read_faulty_paths().collect::<Vec<_>>(),
-            vec!["/var/www/html/news.html"]
-        );
         // Faults survive cloning (the world-template path).
         assert!(fs.clone().is_read_faulty("/var/www/html/news.html"));
         assert!(fs.clear_read_fault("/var/www/html/news.html"));

@@ -11,7 +11,6 @@
 use crate::cred::Credentials;
 use crate::fs::{AccessMode, FileMode, FileSystem, OpenFlags};
 use crate::net::SimNetwork;
-use crate::passwd::PasswdDb;
 use nvariant_types::fnv::word_fold;
 use nvariant_types::{ConnId, Errno, Fd, Fnv1a, Gid, Pid, Port, Uid};
 use std::collections::BTreeMap;
@@ -92,8 +91,8 @@ impl Proc {
     }
 }
 
-/// The simulated operating system kernel: filesystem, network, account
-/// database, and a process table with credentials and descriptor tables.
+/// The simulated operating system kernel: filesystem, network, and a
+/// process table with credentials and descriptor tables.
 ///
 /// # Example
 ///
@@ -112,10 +111,8 @@ impl Proc {
 pub struct OsKernel {
     fs: FileSystem,
     net: SimNetwork,
-    passwd: PasswdDb,
     procs: BTreeMap<u32, Proc>,
     next_pid: u32,
-    sim_seconds: u64,
 }
 
 impl OsKernel {
@@ -150,17 +147,6 @@ impl OsKernel {
     /// Mutable view of the network (used by workload generators).
     pub fn net_mut(&mut self) -> &mut SimNetwork {
         &mut self.net
-    }
-
-    /// The account database.
-    #[must_use]
-    pub fn passwd(&self) -> &PasswdDb {
-        &self.passwd
-    }
-
-    /// Mutable account database (used by world setup).
-    pub fn passwd_mut(&mut self) -> &mut PasswdDb {
-        &mut self.passwd
     }
 
     // ----- process management ----------------------------------------------
@@ -542,15 +528,13 @@ impl OsKernel {
 
     // ----- state digest -------------------------------------------------------
 
-    /// Folds the complete kernel state — clock, account database,
-    /// filesystem, network, and every process' credentials, descriptor
-    /// table, console buffer and exit status — into `digest`, in canonical
-    /// order. Two equal kernels always fold identically, which is what the
-    /// model checker's visited-state pruning relies on. A console buffer
-    /// folds as its word fold ([`nvariant_types::fnv`]).
+    /// Folds the complete kernel state — filesystem, network, and every
+    /// process' credentials, descriptor table, console buffer and exit
+    /// status — into `digest`, in canonical order. Two equal kernels always
+    /// fold identically, which is what the model checker's visited-state
+    /// pruning relies on. A console buffer folds as its word fold
+    /// ([`nvariant_types::fnv`]).
     pub fn digest_into(&self, digest: &mut Fnv1a) {
-        digest.write_u64(self.sim_seconds);
-        self.passwd.digest_into(digest);
         self.fs.digest_into(digest);
         self.net.digest_into(digest);
         digest.write_u32(self.next_pid);
@@ -617,15 +601,11 @@ impl OsKernel {
 
     // ----- clock --------------------------------------------------------------
 
-    /// `time(2)`: seconds since simulation start.
+    /// `time(2)`: seconds since simulation start. Nothing advances the
+    /// simulated clock, so every run reads 0.
     #[must_use]
     pub fn time(&self) -> u64 {
-        self.sim_seconds
-    }
-
-    /// Advances the simulated wall clock (driven by the workload harness).
-    pub fn advance_time(&mut self, seconds: u64) {
-        self.sim_seconds += seconds;
+        0
     }
 }
 
@@ -830,28 +810,18 @@ mod tests {
         assert_eq!(k.exit_status(pid), Some(3));
     }
 
-    #[test]
-    fn time_advances_only_when_driven() {
-        let mut k = OsKernel::new();
-        assert_eq!(k.time(), 0);
-        k.advance_time(5);
-        assert_eq!(k.time(), 5);
-    }
-
     fn digest(k: &OsKernel) -> u64 {
         let mut digest = Fnv1a::new();
         k.digest_into(&mut digest);
         digest.finish()
     }
 
-    /// A kernel with files, accounts, a second process, a socket (fd 3)
-    /// and a request waiting for a listener.
+    /// A kernel with files, a second process, a socket (fd 3) and a
+    /// request waiting for a listener.
     fn staleness_base() -> (OsKernel, Pid) {
         let mut k = kernel_with_file("/etc/shadow", b"root:x\n", FileMode::PRIVATE, Uid::ROOT);
         k.fs_mut()
             .create("/var/www/html/index.html", b"<html>".to_vec());
-        k.passwd_mut()
-            .add_user(crate::PasswdEntry::new("root", Uid::ROOT, Gid::ROOT));
         let pid = k.spawn_process(Uid::ROOT);
         k.spawn_process(Uid::new(48));
         k.socket(pid).unwrap();
@@ -861,8 +831,8 @@ mod tests {
     }
 
     /// Applies the operation `op` encodes — a file, fault, network,
-    /// descriptor, credential, clock, account or process operation — to
-    /// `k` as `pid`, ignoring its result.
+    /// descriptor, credential or process operation — to `k` as `pid`,
+    /// ignoring its result.
     fn apply(k: &mut OsKernel, pid: Pid, op: u64) {
         const PATHS: [&str; 5] = [
             "/etc/shadow",
@@ -887,7 +857,7 @@ mod tests {
         let bytes = &(op >> 16).to_le_bytes()[..(op >> 60) as usize % 8];
         let uid = [Uid::ROOT, Uid::new(48), Uid::new(1000)][arg % 3];
         let port = [Port::HTTP, Port::new(8080)][(op >> 20) as usize % 2];
-        match op % 16 {
+        match op % 14 {
             0 => drop(k.open(pid, path, flags[(op >> 16) as usize % flags.len()])),
             1 => drop(k.read(pid, fd, (op >> 16) as usize % 16)),
             2 => drop(k.write(pid, fd, bytes)),
@@ -912,12 +882,6 @@ mod tests {
                 1 => k.seteuid(pid, uid),
                 _ => k.setreuid(pid, Some(uid), None),
             }),
-            13 => k.advance_time(1),
-            14 => k.passwd_mut().add_user(crate::PasswdEntry::new(
-                "user",
-                uid,
-                Gid::new(uid.as_u32()),
-            )),
             _ if op & 1 << 20 == 0 => drop(k.spawn_process(uid)),
             _ => drop(k.exit(Pid::new(2), (op >> 24) as i32 % 4)),
         }

@@ -8,7 +8,7 @@
 //!   against the calling process' effective UID ([`fs`]),
 //! * **process credentials** with POSIX `setuid`/`seteuid` semantics
 //!   ([`cred`]),
-//! * the **`/etc/passwd` and `/etc/group` databases** that map user names to
+//! * the **`/etc/passwd` and `/etc/group` formats** that map user names to
 //!   UIDs — the trusted external data the UID variation must diversify
 //!   ([`passwd`]),
 //! * a **network** that delivers untrusted client input to the service
@@ -59,6 +59,6 @@ pub use cred::Credentials;
 pub use fs::{AccessMode, FileMode, FileSystem, Inode, OpenFlags};
 pub use kernel::{FdEntry, OsKernel};
 pub use net::{Connection, Listener, SimNetwork};
-pub use passwd::{GroupEntry, PasswdDb, PasswdEntry};
+pub use passwd::{reexpress_group, reexpress_passwd, GroupEntry, PasswdEntry};
 pub use syscall::{SyscallRequest, Sysno};
 pub use world::{UserSpec, WorldBuilder, WorldTemplate};

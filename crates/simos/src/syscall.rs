@@ -268,14 +268,6 @@ impl Sysno {
         )
     }
 
-    /// Returns `true` if the call emits data out of the process (the monitor
-    /// must check all variants attempt equivalent output and perform it
-    /// exactly once).
-    #[must_use]
-    pub fn is_output(self) -> bool {
-        matches!(self, Sysno::Write | Sysno::Send)
-    }
-
     /// Argument positions that are pointers into process memory (and thus
     /// must be canonicalized under address-space partitioning and must have
     /// their *pointed-to contents* compared rather than the raw pointer).
@@ -404,10 +396,7 @@ mod tests {
     fn io_classification() {
         assert!(Sysno::Read.is_input());
         assert!(Sysno::Recv.is_input());
-        assert!(Sysno::Write.is_output());
-        assert!(Sysno::Send.is_output());
         assert!(!Sysno::SetUid.is_input());
-        assert!(!Sysno::SetUid.is_output());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::fs::FileMode;
 use crate::kernel::OsKernel;
-use crate::passwd::{GroupEntry, PasswdDb, PasswdEntry};
+use crate::passwd::{GroupEntry, PasswdEntry};
 use nvariant_types::{Gid, Uid};
 
 /// Description of one user account to create in the world.
@@ -51,12 +51,18 @@ struct FileSpec {
 /// # Example
 ///
 /// ```
-/// use nvariant_simos::WorldBuilder;
+/// use nvariant_simos::{PasswdEntry, WorldBuilder};
 ///
 /// let kernel = WorldBuilder::standard().build();
-/// assert!(kernel.fs().exists("/etc/passwd"));
 /// assert!(kernel.fs().exists("/var/www/html/index.html"));
-/// assert_eq!(kernel.passwd().lookup_user("httpd").unwrap().uid.as_u32(), 48);
+/// // The accounts live in the file the server parses.
+/// let passwd = kernel.fs().get("/etc/passwd").unwrap();
+/// let httpd = String::from_utf8_lossy(&passwd.data)
+///     .lines()
+///     .filter_map(PasswdEntry::parse)
+///     .find(|entry| entry.name == "httpd")
+///     .unwrap();
+/// assert_eq!(httpd.uid.as_u32(), 48);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct WorldBuilder {
@@ -152,7 +158,7 @@ impl WorldBuilder {
         body
     }
 
-    /// Adds a user account (and a matching single-member group).
+    /// Adds a user account (and a group of the same name).
     #[must_use]
     pub fn user(mut self, user: UserSpec) -> Self {
         self.users.push(user);
@@ -237,41 +243,32 @@ impl WorldBuilder {
         &self.document_root
     }
 
-    /// The account database implied by the configured users.
-    #[must_use]
-    pub fn passwd_db(&self) -> PasswdDb {
-        let mut db = PasswdDb::new();
-        for user in &self.users {
-            db.add_user(PasswdEntry::new(&user.name, user.uid, user.gid));
-            db.add_group(GroupEntry::new(&user.name, user.gid));
-        }
-        db
-    }
-
-    /// Builds the kernel: creates all accounts and files, including the
-    /// rendered `/etc/passwd`, `/etc/group`, and — when a server user is
+    /// Builds the kernel: creates all files, including `/etc/passwd` and
+    /// `/etc/group` rendered from the configured users (one entry and one
+    /// group of the same name per user), and — when a server user is
     /// configured — `/etc/httpd.conf` plus the (initially empty, root-only)
     /// log file, both reflecting the builder's current settings.
     #[must_use]
     pub fn build(&self) -> OsKernel {
         let mut kernel = OsKernel::new();
-        let db = self.passwd_db();
-        *kernel.passwd_mut() = db.clone();
-
-        kernel.fs_mut().create_with(
-            "/etc/passwd",
-            db.render_passwd().into_bytes(),
-            Uid::ROOT,
-            Gid::ROOT,
-            FileMode::PUBLIC,
-        );
-        kernel.fs_mut().create_with(
-            "/etc/group",
-            db.render_group().into_bytes(),
-            Uid::ROOT,
-            Gid::ROOT,
-            FileMode::PUBLIC,
-        );
+        let mut passwd = String::new();
+        let mut group = String::new();
+        for user in &self.users {
+            passwd.push_str(&format!(
+                "{}\n",
+                PasswdEntry::new(&user.name, user.uid, user.gid)
+            ));
+            group.push_str(&format!("{}\n", GroupEntry::new(&user.name, user.gid)));
+        }
+        for (path, text) in [("/etc/passwd", passwd), ("/etc/group", group)] {
+            kernel.fs_mut().create_with(
+                path,
+                text.into_bytes(),
+                Uid::ROOT,
+                Gid::ROOT,
+                FileMode::PUBLIC,
+            );
+        }
 
         if !self.server_user.is_empty() {
             kernel.fs_mut().create_with(
@@ -311,7 +308,7 @@ impl WorldBuilder {
 /// a function of the environment as well as the variant set. A
 /// `WorldTemplate` makes the environment an explicit, labelled coordinate:
 /// the same compiled artifact can be provisioned into the standard world, a
-/// world with a different account database, a different document root, or a
+/// world with different accounts, a different document root, or a
 /// world with injected filesystem faults — and a campaign cell records which
 /// one it ran in.
 ///
@@ -321,13 +318,19 @@ impl WorldBuilder {
 /// # Example
 ///
 /// ```
-/// use nvariant_simos::WorldTemplate;
+/// use nvariant_simos::{PasswdEntry, WorldTemplate};
 ///
 /// let world = WorldTemplate::alternate_accounts();
 /// assert_eq!(world.name(), "alt-accounts");
 /// // The service account exists, but under a different UID than the
 /// // standard world's 48.
-/// assert_eq!(world.kernel().passwd().lookup_user("httpd").unwrap().uid.as_u32(), 61);
+/// let passwd = world.kernel().fs().get("/etc/passwd").unwrap();
+/// let httpd = String::from_utf8_lossy(&passwd.data)
+///     .lines()
+///     .filter_map(PasswdEntry::parse)
+///     .find(|entry| entry.name == "httpd")
+///     .unwrap();
+/// assert_eq!(httpd.uid.as_u32(), 61);
 /// ```
 #[derive(Clone, Debug)]
 pub struct WorldTemplate {
@@ -357,7 +360,7 @@ impl WorldTemplate {
         WorldTemplate::from_builder("standard", &WorldBuilder::standard())
     }
 
-    /// The standard world layout with a different account database: the
+    /// The standard world layout with different accounts: the
     /// service account keeps its name (`/etc/httpd.conf` still says
     /// `User httpd`) but maps to UID 61 instead of 48, the ordinary user
     /// moves to UID 1500, and an extra `backup` system account exists.
@@ -435,14 +438,28 @@ mod tests {
     use crate::cred::Credentials;
     use crate::fs::{AccessMode, OpenFlags};
 
+    /// The lines of the world file at `path`.
+    fn lines(kernel: &OsKernel, path: &str) -> Vec<String> {
+        let file = kernel.fs().get(path).unwrap();
+        let text = String::from_utf8(file.data.to_vec()).unwrap();
+        text.lines().map(str::to_string).collect()
+    }
+
+    /// The `/etc/passwd` entry of the user `name`.
+    fn user(kernel: &OsKernel, name: &str) -> Option<PasswdEntry> {
+        let passwd = lines(kernel, "/etc/passwd");
+        let mut entries = passwd.iter().filter_map(|line| PasswdEntry::parse(line));
+        entries.find(|entry| entry.name == name)
+    }
+
     #[test]
     fn standard_world_has_expected_accounts() {
-        let b = WorldBuilder::standard();
-        let db = b.passwd_db();
-        assert_eq!(db.lookup_user("root").unwrap().uid, Uid::ROOT);
-        assert_eq!(db.lookup_user("httpd").unwrap().uid, Uid::new(HTTPD_UID));
-        assert_eq!(db.lookup_user("alice").unwrap().uid, Uid::new(1000));
-        assert!(db.lookup_group("httpd").is_some());
+        let kernel = WorldBuilder::standard().build();
+        assert_eq!(user(&kernel, "root").unwrap().uid, Uid::ROOT);
+        assert_eq!(user(&kernel, "httpd").unwrap().uid, Uid::new(HTTPD_UID));
+        assert_eq!(user(&kernel, "alice").unwrap().uid, Uid::new(1000));
+        let httpd = GroupEntry::new("httpd", Gid::new(HTTPD_UID));
+        assert!(lines(&kernel, "/etc/group").contains(&httpd.render()));
     }
 
     #[test]
@@ -515,10 +532,7 @@ mod tests {
             .page("custom.html", "<html>x</html>")
             .build();
         assert!(kernel.fs().exists("/var/www/html/custom.html"));
-        assert_eq!(
-            kernel.passwd().lookup_user("svc").unwrap().uid,
-            Uid::new(200)
-        );
+        assert_eq!(user(&kernel, "svc").unwrap().uid, Uid::new(200));
     }
 
     #[test]

@@ -129,14 +129,6 @@ impl BinOp {
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
         )
     }
-
-    /// Returns `true` for the *inequality* comparisons whose truth value is
-    /// not preserved by bit-flipping reexpression and must therefore be
-    /// handled specially by the transformation (§3.3 of the paper).
-    #[must_use]
-    pub fn is_ordering_comparison(self) -> bool {
-        matches!(self, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
-    }
 }
 
 impl fmt::Display for BinOp {
@@ -395,8 +387,6 @@ mod tests {
         assert!(BinOp::Eq.is_comparison());
         assert!(BinOp::Ge.is_comparison());
         assert!(!BinOp::Add.is_comparison());
-        assert!(BinOp::Lt.is_ordering_comparison());
-        assert!(!BinOp::Eq.is_ordering_comparison());
         assert_eq!(format!("{}", BinOp::Le), "<=");
         assert_eq!(format!("{}", UnOp::Not), "!");
     }

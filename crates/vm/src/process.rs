@@ -177,9 +177,9 @@ pub struct Process {
     pub(crate) expected_tag: u8,
     pub(crate) instructions_executed: u64,
     pub(crate) syscalls_made: u64,
-    /// The program's symbol tables, shared with it and with every clone.
+    /// The program's global symbol table, shared with it and with every
+    /// clone.
     symbols: Arc<BTreeMap<String, (u32, Type)>>,
-    functions: Arc<BTreeMap<String, u32>>,
 }
 
 /// The step the stored part of a stack grows by, at the least.
@@ -236,7 +236,6 @@ impl Process {
             instructions_executed: 0,
             syscalls_made: 0,
             symbols: Arc::clone(&compiled.globals_map),
-            functions: Arc::clone(&compiled.functions),
         }
     }
 
@@ -305,14 +304,6 @@ impl Process {
         self.symbols
             .get(name)
             .map(|(offset, _)| VirtAddr::new(self.layout.globals_base + offset))
-    }
-
-    /// The virtual address of a named function's first instruction.
-    #[must_use]
-    pub fn function_addr(&self, name: &str) -> Option<VirtAddr> {
-        self.functions
-            .get(name)
-            .map(|offset| VirtAddr::new(self.layout.code_base + offset))
     }
 
     /// Pushes a value onto the operand stack (used to deliver system-call
@@ -893,14 +884,5 @@ mod tests {
             partly_stored >= 64,
             "only {partly_stored} rounds left bytes unstored"
         );
-    }
-
-    #[test]
-    fn function_addresses_are_exposed() {
-        let c = compiled();
-        let p = Process::new(&c, MemoryLayout::default());
-        let main_addr = p.function_addr("main").unwrap();
-        assert!(main_addr.as_u32() >= p.layout().code_base);
-        assert!(p.function_addr("nope").is_none());
     }
 }
