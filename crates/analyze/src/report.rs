@@ -139,9 +139,9 @@ impl AnalysisReport {
     }
 }
 
-/// Collapses the reports of every pair of a deployment into the single
-/// verdict line the artifact store persists. Clean verdicts start with
-/// `"clean"`; anything else names the first finding.
+/// Collapses the reports of every pair of a deployment into one verdict
+/// line, which the `--analyze` gates and `nvariant_analyze` print. Clean
+/// verdicts start with `"clean"`; anything else names the first finding.
 #[must_use]
 pub fn combined_verdict(reports: &[AnalysisReport]) -> String {
     let pairs = reports.len();
@@ -162,7 +162,7 @@ pub fn combined_verdict(reports: &[AnalysisReport]) -> String {
     }
 }
 
-/// `true` if a stored verdict line reports a clean analysis.
+/// `true` if a verdict line reports a clean analysis.
 #[must_use]
 pub fn verdict_is_clean(line: &str) -> bool {
     line.starts_with("clean")

@@ -2,7 +2,7 @@
 //! discusses, plus the machinery to run them against each configuration and
 //! classify the outcome.
 
-use crate::scenarios::{compiled_httpd_system, ScenarioOutcome, ServedRequest};
+use crate::scenarios::{compiled_httpd_system, ServedRequest};
 use nvariant::{DeploymentConfig, RunnableSystem};
 use nvariant_campaign::{CampaignPlan, CellOutcome, CellRun, CellVerdict, Scenario};
 use std::fmt;
@@ -145,15 +145,8 @@ impl Attack {
         }
     }
 
-    /// Classifies what the attack achieved given the served responses and
-    /// the system outcome.
-    #[must_use]
-    pub fn evaluate(&self, scenario: &ScenarioOutcome) -> AttackResult {
-        self.evaluate_parts(scenario.system.detected_attack(), &scenario.requests)
-    }
-
-    /// Like [`evaluate`](Self::evaluate), from the raw parts a campaign
-    /// cell observes: whether the monitor alarmed, and the exchanges. The
+    /// Classifies what the attack achieved from the parts a campaign cell
+    /// observes: whether the monitor alarmed, and the exchanges. The
     /// leak needles are world-agnostic (the shadow hashes and the
     /// `DocumentRoot` directive exist in every world template, wherever the
     /// document tree actually lives), so the same judge serves every world

@@ -78,7 +78,7 @@ use nvariant_campaign::{
 use nvariant_fleet::{Coordinates, Divergence};
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // A CLI flag set: each bool mirrors one independent on/off flag.
 #[allow(clippy::struct_excessive_bools)]
@@ -485,18 +485,6 @@ fn report_determinism(check: &str, identical: &str, divergence: Option<Divergenc
     }
 }
 
-/// The synthetic sweep's plan identity as a shard header carrying `wall`.
-fn sweep_header(sweep: &SyntheticSweep, total_wall: Duration) -> ShardHeader {
-    ShardHeader {
-        name: sweep.name.clone(),
-        base_seed: sweep.base_seed,
-        plan_hash: sweep.plan_hash(),
-        shape: sweep.shape,
-        workers: 1,
-        total_wall,
-    }
-}
-
 /// `--synthetic --shard I/N --out FILE`: write one round-robin shard of
 /// the synthetic sweep as an interchange file, through the streaming
 /// [`ShardWriter`] — the producer's peak memory is one cell, so even a
@@ -512,8 +500,11 @@ fn run_synthetic_shard(sweep: &SyntheticSweep, index: usize, count: usize, out: 
     // The header carries the shard's total wall, which precedes the cells
     // in the file — sum it in a first pass and regenerate the cells in the
     // second rather than holding them.
-    let wall: Duration = indices().map(|linear| sweep.cell(linear).wall).sum();
-    let header = sweep_header(sweep, wall);
+    let header = ShardHeader {
+        workers: 1,
+        total_wall: indices().map(|linear| sweep.cell(linear).wall).sum(),
+        ..sweep.identity()
+    };
     let fail = |error: &dyn std::fmt::Display| -> ! {
         eprintln!("cannot write shard file {out}: {error}");
         std::process::exit(1);
@@ -550,7 +541,7 @@ fn run_synthetic_merge(
     // so the comparison below also refuses a cell that is not the plan's.
     let (_, divergence) = merge_and_summarize(
         files,
-        &sweep_header(sweep, Duration::ZERO),
+        &sweep.identity(),
         None,
         Some(&mut regenerated),
         surface,

@@ -457,7 +457,6 @@ fn main() {
             quarantine_after: args.quarantine_after,
             kill_shards: args.kill_shards.clone(),
             corrupt_shards: args.corrupt_shards.clone(),
-            poll_interval: Duration::from_millis(20),
         })
         .on_progress(|line| println!("{line}"));
 

@@ -15,7 +15,7 @@
 //!   This must *fail*: the minimal counterexample trace is printed (and
 //!   written to `FILE` when given), and the run exits non-zero if the
 //!   checker does **not** find one — it is the checker's own regression
-//!   mode, asserted in CI via `--expect-counterexample`.
+//!   mode, which CI runs.
 //!
 //! `--quick` lowers the default depth bound for CI; an explicit `--depth`
 //! always wins. All exploration is deterministic: the same invocation
@@ -33,14 +33,13 @@ struct Args {
     depth: Option<usize>,
     properties: Vec<Property>,
     weakened: bool,
-    expect_counterexample: bool,
     trace_out: Option<PathBuf>,
 }
 
 fn usage_exit() -> ! {
     eprintln!(
         "usage: nvariant_check [--quick] [--depth N] [--property P1|P2|P3|all] \
-         [--weakened [--expect-counterexample] [--trace-out FILE]]"
+         [--weakened [--trace-out FILE]]"
     );
     std::process::exit(2);
 }
@@ -75,7 +74,6 @@ fn parse_args() -> Args {
                 }
             }
             "--weakened" => parsed.weakened = true,
-            "--expect-counterexample" => parsed.expect_counterexample = true,
             "--trace-out" => {
                 let Some(file) = args.next() else {
                     eprintln!("--trace-out expects a file path");
@@ -88,10 +86,6 @@ fn parse_args() -> Args {
                 usage_exit();
             }
         }
-    }
-    if parsed.expect_counterexample && !parsed.weakened {
-        eprintln!("--expect-counterexample only applies to --weakened");
-        usage_exit();
     }
     if parsed.trace_out.is_some() && !parsed.weakened {
         eprintln!("--trace-out only applies to --weakened");

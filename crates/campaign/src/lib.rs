@@ -107,7 +107,7 @@ pub use plan::{CampaignPlan, CellRun, Scenario};
 pub use report::{CampaignReport, MergeError, PlanShape};
 pub use shardio::{ShardCursor, ShardHeader, ShardWriter};
 pub use streaming::{
-    CoordinateWalk, GroupTally, LatencyHistogram, ShardMerger, StreamingAggregator, SyntheticSweep,
+    GroupTally, LatencyHistogram, ShardMerger, StreamingAggregator, SyntheticSweep,
     WallPercentiles, QUANTILE_RELATIVE_ERROR,
 };
 

@@ -404,8 +404,9 @@ impl CampaignPlan {
         fnv1a_64(self.descriptor().as_bytes())
     }
 
-    /// The full cell list, in canonical order (config-major, then world,
-    /// scenario, replicate).
+    /// The full cell list, in canonical order
+    /// ([`PlanShape::coordinates`]: config-major, then world, scenario,
+    /// replicate).
     ///
     /// This is a pure function of the plan: no scheduling, no randomness,
     /// no I/O — which is what makes the list shardable across processes
@@ -414,34 +415,22 @@ impl CampaignPlan {
     pub fn cells(&self) -> Vec<CellSpec> {
         let config_labels = self.config_labels();
         let world_labels = self.world_labels();
-        let mut cells = Vec::with_capacity(
-            self.configs.len() * world_labels.len() * self.scenarios.len() * self.replicates,
-        );
-        for (config_index, config_label) in config_labels.iter().enumerate() {
-            for (world_index, world_label) in world_labels.iter().enumerate() {
-                for (scenario_index, scenario) in self.scenarios.iter().enumerate() {
-                    for replicate in 0..self.replicates {
-                        cells.push(CellSpec {
-                            config_index,
-                            world_index,
-                            scenario_index,
-                            replicate,
-                            config_label: config_label.clone(),
-                            world_label: world_label.clone(),
-                            scenario_label: scenario.label.clone(),
-                            seed: cell_seed(
-                                self.base_seed,
-                                config_index,
-                                world_index,
-                                scenario_index,
-                                replicate,
-                            ),
-                        });
-                    }
+        let shape = self.shape();
+        (0..shape.cell_count())
+            .map(|linear| {
+                let (config, world, scenario, replicate) = shape.coordinates(linear);
+                CellSpec {
+                    config_index: config,
+                    world_index: world,
+                    scenario_index: scenario,
+                    replicate,
+                    config_label: config_labels[config].clone(),
+                    world_label: world_labels[world].clone(),
+                    scenario_label: self.scenarios[scenario].label.clone(),
+                    seed: cell_seed(self.base_seed, config, world, scenario, replicate),
                 }
-            }
-        }
-        cells
+            })
+            .collect()
     }
 
     /// The plan identity every shard of this plan carries — name, base
@@ -891,14 +880,40 @@ mod tests {
         assert_eq!(shape.scenarios, 2);
         assert_eq!(shape.replicates, 2);
         assert_eq!(shape.cell_count(), plan.cells().len());
-        // The shape's coordinate enumeration is exactly the cell list's.
-        let coords: Vec<_> = plan.cells().iter().map(CellSpec::coordinates).collect();
-        assert_eq!(
-            crate::CoordinateWalk::new(shape).collect::<Vec<_>>(),
-            coords
-        );
         // A world-less plan still has the implicit template world.
         assert_eq!(two_config_plan().shape().worlds, 1);
+    }
+
+    /// Every plan with 0 to 3 configurations, worlds and scenarios and 1 to
+    /// 3 replicates lists its cells in its shape's canonical order, under
+    /// the labels and seeds of their coordinates.
+    #[test]
+    fn cells_follow_the_plan_shape_order_for_every_small_plan() {
+        let artifact = compiled(DeploymentConfig::Unmodified);
+        for code in 0..4_usize.pow(4) {
+            let (configs, worlds, scenarios) = (code % 4, code / 4 % 4, code / 16 % 4);
+            let plan = CampaignPlan::new("order")
+                .configs(std::iter::repeat_n(Arc::clone(&artifact), configs))
+                .worlds((0..worlds).map(|_| WorldTemplate::standard()))
+                .replicates(code / 64)
+                .seed(code as u64);
+            let plan = (0..scenarios).fold(plan, |plan, index| {
+                plan.scenario(Scenario::fixed_requests(format!("s{index}"), vec![]))
+            });
+            let shape = plan.shape();
+            let (config_labels, world_labels) = (plan.config_labels(), plan.world_labels());
+            let cells = plan.cells();
+            assert_eq!(cells.len(), shape.cell_count(), "{shape}");
+            for (linear, cell) in cells.iter().enumerate() {
+                let (c, w, s, r) = shape.coordinates(linear);
+                assert_eq!(cell.coordinates(), (c, w, s, r), "{shape} #{linear}");
+                assert_eq!(shape.index(cell.coordinates()), linear, "{shape} #{linear}");
+                assert_eq!(cell.config_label, config_labels[c]);
+                assert_eq!(cell.world_label, world_labels[w]);
+                assert_eq!(cell.scenario_label, format!("s{s}"));
+                assert_eq!(cell.seed, cell_seed(code as u64, c, w, s, r));
+            }
+        }
     }
 
     #[test]

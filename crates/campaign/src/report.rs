@@ -55,6 +55,32 @@ impl PlanShape {
             .checked_mul(self.replicates)
     }
 
+    /// The coordinates `(config, world, scenario, replicate)` of the
+    /// `linear`-th cell in canonical (config-major) order: the inverse of
+    /// [`index`](Self::index), and the one definition of the order that
+    /// [`CampaignPlan::cells`](crate::CampaignPlan::cells) emits, every
+    /// shard keeps and [`ShardMerger`] merges back into. `linear` must be
+    /// below [`cell_count`](Self::cell_count).
+    #[must_use]
+    pub fn coordinates(&self, linear: usize) -> (usize, usize, usize, usize) {
+        let replicate = linear % self.replicates;
+        let rest = linear / self.replicates;
+        let scenario = rest % self.scenarios;
+        let rest = rest / self.scenarios;
+        (rest / self.worlds, rest % self.worlds, scenario, replicate)
+    }
+
+    /// The canonical position of coordinates inside the matrix: the
+    /// inverse of [`coordinates`](Self::coordinates). Sorting cells by
+    /// index sorts them by coordinates, so the two orders agree.
+    #[must_use]
+    pub fn index(
+        &self,
+        (config, world, scenario, replicate): (usize, usize, usize, usize),
+    ) -> usize {
+        ((config * self.worlds + world) * self.scenarios + scenario) * self.replicates + replicate
+    }
+
     /// Whether the coordinates fall inside the matrix.
     #[must_use]
     pub fn contains(
@@ -789,8 +815,35 @@ mod tests {
         assert!(rendered.contains("and 4 more"), "{rendered}");
     }
 
+    /// Every shape with 0 to 3 positions on each axis: `coordinates` walks
+    /// the config-major nested loops, the sort order of the coordinates,
+    /// and `index` is its inverse.
     #[test]
     fn plan_shape_enumerates_its_matrix() {
+        for code in 0..4_usize.pow(4) {
+            let shape = PlanShape {
+                configs: code % 4,
+                worlds: code / 4 % 4,
+                scenarios: code / 16 % 4,
+                replicates: code / 64,
+            };
+            let mut nested = Vec::new();
+            for c in 0..shape.configs {
+                for w in 0..shape.worlds {
+                    for s in 0..shape.scenarios {
+                        for r in 0..shape.replicates {
+                            nested.push((c, w, s, r));
+                        }
+                    }
+                }
+            }
+            assert_eq!(nested.len(), shape.cell_count(), "{shape}");
+            for (linear, &coordinates) in nested.iter().enumerate() {
+                assert_eq!(shape.coordinates(linear), coordinates, "{shape} #{linear}");
+                assert_eq!(shape.index(coordinates), linear, "{shape} {coordinates:?}");
+                assert!(shape.contains(coordinates), "{shape} {coordinates:?}");
+            }
+        }
         let shape = PlanShape {
             configs: 2,
             worlds: 3,
@@ -798,16 +851,7 @@ mod tests {
             replicates: 2,
         };
         assert_eq!(shape.cell_count(), 24);
-        let coords: Vec<_> = crate::CoordinateWalk::new(shape).collect();
-        assert_eq!(coords.len(), 24);
-        assert_eq!(coords[0], (0, 0, 0, 0));
-        assert_eq!(coords[23], (1, 2, 1, 1));
-        // Canonical (config-major) order, matching `CellSpec::coordinates`
-        // sort order.
-        let mut sorted = coords.clone();
-        sorted.sort_unstable();
-        assert_eq!(coords, sorted);
-        assert!(shape.contains((1, 2, 1, 1)));
+        assert_eq!(shape.coordinates(23), (1, 2, 1, 1));
         assert!(!shape.contains((2, 0, 0, 0)));
         assert_eq!(shape.to_string(), "2x3x2x2");
     }

@@ -29,7 +29,7 @@
 //!   the constant-memory property under an address-space cap.
 
 use crate::cell::{CellOutcome, CellResult, CellSpec, CellVerdict, RequestTally};
-use crate::engine::{cell_seed, splitmix64};
+use crate::engine::{cell_seed, run_parallel, splitmix64};
 use crate::report::{CampaignReport, MergeError, PlanShape};
 use crate::shardio::{ShardCursor, ShardHeader};
 use nvariant::{CacheStats, ExecutionMetrics};
@@ -576,55 +576,6 @@ impl StreamingAggregator {
     }
 }
 
-/// A lazy enumerator of every coordinate of a [`PlanShape`]'s matrix, in
-/// canonical (config-major) order — the exact cell set a complete merge
-/// must cover — so validating coverage of an absurdly declared shape costs
-/// iteration, not memory.
-#[derive(Clone, Debug)]
-pub struct CoordinateWalk {
-    shape: PlanShape,
-    next: Option<(usize, usize, usize, usize)>,
-}
-
-impl CoordinateWalk {
-    /// Starts a walk over `shape`'s matrix.
-    #[must_use]
-    pub fn new(shape: PlanShape) -> Self {
-        let next = (shape.cell_count() > 0).then_some((0, 0, 0, 0));
-        CoordinateWalk { shape, next }
-    }
-
-    /// The next coordinate without consuming it.
-    #[must_use]
-    pub fn peek(&self) -> Option<(usize, usize, usize, usize)> {
-        self.next
-    }
-}
-
-impl Iterator for CoordinateWalk {
-    type Item = (usize, usize, usize, usize);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let current = self.next?;
-        let (mut c, mut w, mut s, mut r) = current;
-        r += 1;
-        if r == self.shape.replicates {
-            r = 0;
-            s += 1;
-            if s == self.shape.scenarios {
-                s = 0;
-                w += 1;
-                if w == self.shape.worlds {
-                    w = 0;
-                    c += 1;
-                }
-            }
-        }
-        self.next = (c < self.shape.configs).then_some((c, w, s, r));
-        Some(current)
-    }
-}
-
 /// Cap on the missing-coordinate listing.
 const MISSING_CAP: usize = 64;
 
@@ -640,7 +591,9 @@ const MISSING_CAP: usize = 64;
 pub struct ShardMerger<R> {
     cursors: Vec<ShardCursor<R>>,
     heads: Vec<Option<CellResult>>,
-    expected: CoordinateWalk,
+    /// The canonical position ([`PlanShape::index`]) of the next cell the
+    /// merge expects; every position behind it was emitted or is missing.
+    expected: usize,
     header: ShardHeader,
     covered: usize,
     expected_count: usize,
@@ -686,7 +639,7 @@ impl<R: BufRead> ShardMerger<R> {
             .ok_or(MergeError::ImplausibleShape(header.shape))?;
         let mut merger = ShardMerger {
             heads: Vec::with_capacity(cursors.len()),
-            expected: CoordinateWalk::new(header.shape),
+            expected: 0,
             header,
             covered: 0,
             expected_count,
@@ -788,12 +741,7 @@ impl<R: BufRead> ShardMerger<R> {
             if self.covered == self.expected_count {
                 return Ok(None);
             }
-            while self.missing.len() < MISSING_CAP {
-                let Some(gap) = self.expected.next() else {
-                    break;
-                };
-                self.missing.push(gap);
-            }
+            self.note_missing(self.expected_count);
             return Err(MergeError::MissingCells {
                 missing: std::mem::take(&mut self.missing),
                 covered: self.covered,
@@ -809,35 +757,36 @@ impl<R: BufRead> ShardMerger<R> {
             let (c, w, s, r) = coordinates;
             return Err(MergeError::UnexpectedCell(c, w, s, r));
         }
-        // Walk the expected enumerator up to this coordinate, recording
-        // gaps (reported at exhaustion). A head *behind* the enumerator is
-        // at or before a cell the merge already emitted: this shard repeats
-        // a cell or lists its cells out of canonical order.
-        loop {
-            match self.expected.peek() {
-                Some(expected) if expected < coordinates => {
-                    self.expected.next();
-                    if self.missing.len() < MISSING_CAP {
-                        self.missing.push(expected);
-                    }
-                }
-                Some(expected) if expected == coordinates => {
-                    self.expected.next();
-                    break;
-                }
-                _ => {
-                    return Err(MergeError::OutOfOrderCell {
-                        shard: index,
-                        coordinates,
-                    });
-                }
-            }
+        // A head *behind* the expected position is at or before a cell the
+        // merge already emitted: this shard repeats a cell or lists its
+        // cells out of canonical order. Positions skipped on the way to it
+        // are gaps, reported at exhaustion.
+        let linear = self.header.shape.index(coordinates);
+        if linear < self.expected {
+            return Err(MergeError::OutOfOrderCell {
+                shard: index,
+                coordinates,
+            });
         }
+        self.note_missing(linear);
+        self.expected = linear + 1;
         let next_head = self.advance_shard(index)?;
         let cell =
             std::mem::replace(&mut self.heads[index], next_head).expect("selected head is present");
         self.covered += 1;
         Ok(Some(cell))
+    }
+
+    /// Records the positions from the expected one up to `end` as missing,
+    /// as far as the listing's cap allows.
+    fn note_missing(&mut self, end: usize) {
+        let room = MISSING_CAP - self.missing.len();
+        let shape = self.header.shape;
+        self.missing.extend(
+            (self.expected..end)
+                .take(room)
+                .map(|gap| shape.coordinates(gap)),
+        );
     }
 }
 
@@ -931,17 +880,20 @@ impl SyntheticSweep {
         self.shape.cell_count()
     }
 
-    /// The coordinates of the `linear`-th cell in canonical (config-major)
-    /// order.
+    /// The plan identity every shard of this sweep carries — name, base
+    /// seed, plan hash and shape — as a shard header with no run metadata
+    /// (zero workers and wall), like
+    /// [`CampaignPlan::identity`](crate::CampaignPlan::identity).
     #[must_use]
-    pub fn coordinates(&self, linear: usize) -> (usize, usize, usize, usize) {
-        let replicate = linear % self.shape.replicates;
-        let rest = linear / self.shape.replicates;
-        let scenario = rest % self.shape.scenarios;
-        let rest = rest / self.shape.scenarios;
-        let world = rest % self.shape.worlds;
-        let config = rest / self.shape.worlds;
-        (config, world, scenario, replicate)
+    pub fn identity(&self) -> ShardHeader {
+        ShardHeader {
+            name: self.name.clone(),
+            base_seed: self.base_seed,
+            plan_hash: self.plan_hash(),
+            shape: self.shape,
+            workers: 0,
+            total_wall: Duration::ZERO,
+        }
     }
 
     /// Generates the `linear`-th cell: a judged attack outcome drawn
@@ -949,7 +901,7 @@ impl SyntheticSweep {
     /// wall time (so summaries are bit-reproducible at any worker count).
     #[must_use]
     pub fn cell(&self, linear: usize) -> CellResult {
-        let (config, world, scenario, replicate) = self.coordinates(linear);
+        let (config, world, scenario, replicate) = self.shape.coordinates(linear);
         let seed = cell_seed(self.base_seed, config, world, scenario, replicate);
         let draw = splitmix64(seed);
         let detected = draw % 1000 < synthetic_detect_per_mille(config, scenario);
@@ -1004,17 +956,17 @@ impl SyntheticSweep {
         }
     }
 
-    /// Runs the sweep through the streaming fold: workers claim linear
-    /// indices in batches, fold cells into thread-local aggregators, and
-    /// the locals merge — peak memory is O(workers × aggregator), however
-    /// many cells the sweep has. `total_wall` is the sum of the synthetic
-    /// per-cell walls, so the summary is deterministic.
+    /// Runs the sweep through the streaming fold: the worker pool
+    /// ([`run_parallel`]) folds each of at most `workers` contiguous index
+    /// ranges into an aggregator of its own, and the aggregators merge —
+    /// peak memory is O(workers × aggregator), however many cells the
+    /// sweep has. `total_wall` is the sum of the synthetic per-cell walls,
+    /// so the summary is deterministic.
     #[must_use]
     pub fn run_streamed(&self, workers: usize) -> StreamingAggregator {
-        const BATCH: usize = 1024;
         let total = self.cell_count();
         let workers = workers.clamp(1, total.max(1));
-        let make_aggregator = || {
+        let aggregator = || {
             StreamingAggregator::new(
                 self.name.clone(),
                 self.base_seed,
@@ -1022,38 +974,24 @@ impl SyntheticSweep {
                 self.shape,
             )
         };
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let mut locals: Vec<StreamingAggregator> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut local = make_aggregator();
-                        loop {
-                            let start =
-                                cursor.fetch_add(BATCH, std::sync::atomic::Ordering::Relaxed);
-                            if start >= total {
-                                break;
-                            }
-                            for linear in start..(start + BATCH).min(total) {
-                                let cell = self.cell(linear);
-                                local.add_wall(cell.wall);
-                                local.absorb(&cell);
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                locals.push(handle.join().expect("synthetic worker panicked"));
+        let chunk = total.div_ceil(workers).max(1);
+        let ranges: Vec<_> = (0..total)
+            .step_by(chunk)
+            .map(|start| start..(start + chunk).min(total))
+            .collect();
+        let locals = run_parallel(ranges, workers, |_, range| {
+            let mut local = aggregator();
+            for linear in range {
+                let cell = self.cell(linear);
+                local.add_wall(cell.wall);
+                local.absorb(&cell);
             }
+            local
         });
-        let mut merged = locals.pop().expect("at least one worker");
-        for local in &locals {
-            merged.merge(local);
-        }
+        let mut merged = locals.into_iter().fold(aggregator(), |mut merged, local| {
+            merged.merge(&local);
+            merged
+        });
         merged.set_workers(workers);
         merged
     }
@@ -1164,7 +1102,12 @@ mod tests {
             scenarios: 2,
             replicates: 2,
         };
-        let walked: Vec<_> = CoordinateWalk::new(shape).collect();
+        let walk = |shape: PlanShape| -> Vec<_> {
+            (0..shape.cell_count())
+                .map(|linear| shape.coordinates(linear))
+                .collect()
+        };
+        let walked = walk(shape);
         let mut materialized = Vec::new();
         for c in 0..shape.configs {
             for w in 0..shape.worlds {
@@ -1182,20 +1125,13 @@ mod tests {
             scenarios: 1,
             replicates: 1,
         };
-        assert_eq!(CoordinateWalk::new(empty).next(), None);
+        assert_eq!(walk(empty), []);
     }
 
     /// Writes each list of linear synthetic-sweep indices as one shard file
     /// and merges the files to completion, returning the cells covered.
     fn merge_linear(sweep: &SyntheticSweep, shards: &[&[usize]]) -> Result<usize, MergeError> {
-        let header = ShardHeader {
-            name: sweep.name.clone(),
-            base_seed: sweep.base_seed,
-            plan_hash: sweep.plan_hash(),
-            shape: sweep.shape,
-            workers: 1,
-            total_wall: Duration::ZERO,
-        };
+        let header = sweep.identity();
         let texts: Vec<String> = shards
             .iter()
             .map(|linear| {
@@ -1220,7 +1156,7 @@ mod tests {
         let sweep = SyntheticSweep::new(1);
         let all: Vec<usize> = (0..sweep.cell_count()).collect();
         assert_eq!(merge_linear(&sweep, &[&all]), Ok(sweep.cell_count()));
-        let (c, w, s, r) = sweep.coordinates(1);
+        let (c, w, s, r) = sweep.shape.coordinates(1);
 
         // The same cell in two shards.
         let across = merge_linear(&sweep, &[&[0, 1], &[1, 2]]).unwrap_err();
@@ -1265,9 +1201,9 @@ mod tests {
     fn synthetic_cells_are_deterministic_and_linear_indexing_is_canonical() {
         let sweep = SyntheticSweep::new(2);
         assert_eq!(sweep.cell_count(), 5 * 4 * 3 * 2);
-        let walk: Vec<_> = CoordinateWalk::new(sweep.shape).collect();
-        for (linear, expected) in walk.iter().enumerate() {
-            assert_eq!(sweep.coordinates(linear), *expected, "index {linear}");
+        for linear in 0..sweep.cell_count() {
+            let cell = sweep.cell(linear);
+            assert_eq!(sweep.shape.index(cell.spec.coordinates()), linear);
         }
         let a = sweep.cell(17);
         let b = sweep.cell(17);

@@ -10,8 +10,8 @@
 //! and explicit element counts so truncation is always detected.
 //!
 //! What is stored is exactly what compiling computes: each variant's
-//! compiled program, the transformation counters and the static verifier's
-//! verdict. The builder alone fixes everything else — the configuration,
+//! compiled program and the transformation counters. The builder alone
+//! fixes everything else — the configuration,
 //! each variant's specification, memory layout and instruction tag, the
 //! monitor configuration and the provisioned kernel template — so a load
 //! hands the stored parts, with the caller's builder, to the same assembly
@@ -41,10 +41,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Format version of the on-disk artifact files. v3 stores only what
-/// compiling computes; v2 and older entries fail the header check and are
-/// recompiled over, which is the codec's designed upgrade path.
-const HEADER: &str = "nvariant-artifact v3";
+/// Format version of the on-disk artifact files. v4 stores only what
+/// compiling computes, and no verifier verdict: the static verifier runs
+/// only through
+/// [`analyze_diversity`](crate::NVariantSystemBuilder::analyze_diversity).
+/// v3 and older entries fail the header check and are recompiled over,
+/// which is the codec's designed upgrade path.
+const HEADER: &str = "nvariant-artifact v4";
 
 /// FNV-1a 64: the workspace's stable cross-process identity hash,
 /// re-exported from [`nvariant_types::fnv`] — the same construction the
@@ -344,9 +347,8 @@ fn render_program(out: &mut String, program: &CompiledProgram) {
     out.push_str("endprogram\n");
 }
 
-/// Serializes what compiling computed — each variant's compiled program,
-/// the transformation counters and the verifier's verdict — to the
-/// artifact text format. [`from_artifact_text`] assembles everything else
+/// Serializes what compiling computed — each variant's compiled program
+/// and the transformation counters — to the artifact text format. [`from_artifact_text`] assembles everything else
 /// from the caller's builder.
 ///
 /// The second line is a FNV-1a checksum of everything after it. The
@@ -369,10 +371,6 @@ pub fn to_artifact_text(system: &CompiledSystem) -> String {
         s.conditional_checks,
         s.log_sinks_sanitized
     ));
-    match &system.analysis {
-        Some(verdict) => out.push_str(&format!("analysis {}\n", quote(verdict))),
-        None => out.push_str("analysis -\n"),
-    }
     let variants = &system.plan.variants;
     out.push_str(&format!("programs {}\n", variants.len()));
     for variant in variants {
@@ -526,11 +524,6 @@ fn read_artifact<R: BufRead>(
         conditional_checks: e.number()?,
         log_sinks_sanitized: f.number()?,
     };
-    let analysis = lines.field("analysis")?;
-    let analysis = match analysis.text() {
-        "-" => None,
-        _ => Some(analysis.quoted()?),
-    };
     let programs = (0..count_field(&mut lines, "programs")?)
         .map(|_| read_program(&mut lines))
         .collect::<Result<Vec<_>, _>>()?;
@@ -552,7 +545,7 @@ fn read_artifact<R: BufRead>(
         });
     }
     builder
-        .assemble(programs, transform_stats, analysis)
+        .assemble(programs, transform_stats)
         .map_err(|error| ParseError {
             line: 0,
             message: format!("artifact does not fit the builder: {error}"),
@@ -613,39 +606,37 @@ mod tests {
 
     #[test]
     fn artifact_text_round_trips_every_configuration() {
-        for verify in [false, true] {
-            for config in all_configs() {
-                let label = format!("{} (verify {verify})", config.label());
-                let source = builder(config).verify_diversity(verify);
-                let compiled = source.clone().compile().unwrap();
-                let text = to_artifact_text(&compiled);
-                let loaded =
-                    from_artifact_text(&text, &source).unwrap_or_else(|e| panic!("{label}: {e}"));
-                assert_eq!(loaded.fingerprint(), compiled.fingerprint(), "{label}");
-                assert_eq!(loaded.config(), compiled.config(), "{label}");
-                assert_eq!(
-                    loaded.transform_stats(),
-                    compiled.transform_stats(),
-                    "{label}"
-                );
-                assert_eq!(loaded.analysis(), compiled.analysis(), "{label}");
-                assert_eq!(loaded.analysis().is_some(), verify, "{label}");
-                assert_eq!(loaded.variant_count(), compiled.variant_count(), "{label}");
-                // The assembled template is the compiled one, byte for byte...
-                assert_eq!(
-                    template_digest(&loaded),
-                    template_digest(&compiled),
-                    "{label}"
-                );
-                // ...so both artifacts run identically.
-                assert_eq!(
-                    loaded.instantiate().run(),
-                    compiled.instantiate().run(),
-                    "{label}"
-                );
-                // And the serialization is a fixed point.
-                assert_eq!(to_artifact_text(&loaded), text, "{label}");
-            }
+        for config in all_configs() {
+            let label = config.label();
+            let source = builder(config);
+            let compiled = source.clone().compile().unwrap();
+            let text = to_artifact_text(&compiled);
+            assert!(text.starts_with("nvariant-artifact v4\n"), "{label}");
+            assert!(!text.contains("\nanalysis "), "{label}");
+            let loaded =
+                from_artifact_text(&text, &source).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(loaded.fingerprint(), compiled.fingerprint(), "{label}");
+            assert_eq!(loaded.config(), compiled.config(), "{label}");
+            assert_eq!(
+                loaded.transform_stats(),
+                compiled.transform_stats(),
+                "{label}"
+            );
+            assert_eq!(loaded.variant_count(), compiled.variant_count(), "{label}");
+            // The assembled template is the compiled one, byte for byte...
+            assert_eq!(
+                template_digest(&loaded),
+                template_digest(&compiled),
+                "{label}"
+            );
+            // ...so both artifacts run identically.
+            assert_eq!(
+                loaded.instantiate().run(),
+                compiled.instantiate().run(),
+                "{label}"
+            );
+            // And the serialization is a fixed point.
+            assert_eq!(to_artifact_text(&loaded), text, "{label}");
         }
     }
 
@@ -752,74 +743,6 @@ mod tests {
         store.get_or_compile(builder(config)).unwrap()
     }
 
-    #[test]
-    fn analysis_verdicts_persist_and_option_changes_reanalyze() {
-        let dir =
-            std::env::temp_dir().join(format!("nvariant-store-analysis-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let verified = |options: nvariant_transform::TransformOptions| {
-            NVariantSystemBuilder::from_source(
-                r"
-                var server_uid: uid_t = 48;
-                fn main() -> int {
-                    if (server_uid == 0) { return 2; }
-                    return setuid(server_uid);
-                }
-                ",
-            )
-            .unwrap()
-            .config(DeploymentConfig::TwoVariantUid)
-            .transform_options(options)
-            .verify_diversity(true)
-        };
-
-        let store = ArtifactStore::at(&dir);
-        let clean = store
-            .get_or_compile(verified(nvariant_transform::TransformOptions::default()))
-            .unwrap();
-        let verdict = clean.analysis().expect("verified build has a verdict");
-        assert!(nvariant_analyze::verdict_is_clean(verdict), "{verdict}");
-        // The verdict line is part of the disk entry...
-        let entry = store.entry_path(clean.fingerprint()).unwrap();
-        let text = std::fs::read_to_string(&entry).unwrap();
-        assert!(text.contains("analysis \"clean"), "{text}");
-        // ...so a fresh store ("new process") serves it warm — a disk hit,
-        // no recompilation and no re-analysis.
-        let fresh = ArtifactStore::at(&dir);
-        let warm = fresh
-            .get_or_compile(verified(nvariant_transform::TransformOptions::default()))
-            .unwrap();
-        assert_eq!(fresh.stats().hits, 1);
-        assert_eq!(fresh.stats().misses, 0);
-        assert_eq!(warm.analysis(), clean.analysis());
-
-        // Changing a transform option re-keys the artifact, so the weakened
-        // transform is compiled fresh and re-analyzed — the stale clean
-        // verdict cannot be served for it.
-        let weakened = fresh
-            .get_or_compile(verified(nvariant_transform::TransformOptions {
-                skip_reexpression_globals: vec!["server_uid".to_string()],
-                ..nvariant_transform::TransformOptions::default()
-            }))
-            .unwrap();
-        assert_eq!(fresh.stats().misses, 1);
-        assert_ne!(weakened.fingerprint(), clean.fingerprint());
-        let verdict = weakened.analysis().expect("verified build has a verdict");
-        assert!(!nvariant_analyze::verdict_is_clean(verdict), "{verdict}");
-        assert!(verdict.contains("P-Residual"), "{verdict}");
-
-        // Turning verification off is a separate cache entry with no
-        // verdict — analyzed and unanalyzed builds never share a slot.
-        let unverified = fresh
-            .get_or_compile(
-                verified(nvariant_transform::TransformOptions::default()).verify_diversity(false),
-            )
-            .unwrap();
-        assert!(unverified.analysis().is_none());
-        assert_ne!(unverified.fingerprint(), clean.fingerprint());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// `body` (everything after the checksum line) under a valid header and
     /// checksum, so a structurally bad body reaches the structural parser.
     fn with_valid_checksum(body: &str) -> String {
@@ -859,7 +782,11 @@ mod tests {
                     .next()
                     .unwrap()
             )),
-            // An entry from the previous format version.
+            // An entry as the previous format version wrote it: v3 kept a
+            // verifier verdict line, `-` for an unverified build.
+            with_valid_checksum(&body.replacen("\nprograms ", "\nanalysis -\nprograms ", 1))
+                .replacen(HEADER, "nvariant-artifact v3", 1),
+            // An entry from an older format version.
             good.replacen(HEADER, "nvariant-artifact v2", 1),
             // One flipped hex digit inside a code image: structurally a
             // perfectly valid file — only the body checksum catches it.

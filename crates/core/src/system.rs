@@ -2,7 +2,7 @@
 
 use crate::config::DeploymentConfig;
 use crate::outcome::SystemOutcome;
-use nvariant_analyze::{analyze_pair, combined_verdict, AnalysisReport, VariantArtifact};
+use nvariant_analyze::{analyze_pair, AnalysisReport, VariantArtifact};
 use nvariant_diversity::{AddressTransform, UidTransform, VariantSet, VariantSpec};
 use nvariant_monitor::{MonitorConfig, NVariantMonitor};
 use nvariant_simos::{reexpress_group, reexpress_passwd, OsKernel, WorldBuilder};
@@ -72,7 +72,6 @@ pub struct NVariantSystemBuilder {
     config: DeploymentConfig,
     monitor_config: MonitorConfig,
     transform_options: TransformOptions,
-    verify_diversity: bool,
     /// Lazily computed [`fingerprint`](Self::fingerprint), invalidated by
     /// every setter that shapes the compiled artifact. Deriving the
     /// fingerprint walks the canonical pretty-printed source, so store
@@ -101,7 +100,6 @@ impl NVariantSystemBuilder {
             config: DeploymentConfig::TwoVariantUid,
             monitor_config: MonitorConfig::default(),
             transform_options: TransformOptions::default(),
-            verify_diversity: false,
             fingerprint_cache: OnceLock::new(),
         }
     }
@@ -143,25 +141,12 @@ impl NVariantSystemBuilder {
         self
     }
 
-    /// Enables the static diversity verifier: [`compile`](Self::compile)
-    /// runs [`nvariant_analyze::analyze_pair`] over every variant pair of a
-    /// multi-variant plan and records the combined verdict in the artifact
-    /// ([`CompiledSystem::analysis`]). Off by default — verification adds
-    /// compile-time cost, and its verdict participates in the artifact
-    /// fingerprint, so verified and unverified builds cache separately.
-    #[must_use]
-    pub fn verify_diversity(mut self, verify: bool) -> Self {
-        self.verify_diversity = verify;
-        self.fingerprint_cache = OnceLock::new();
-        self
-    }
-
     /// The canonical content fingerprint of the artifact this builder would
     /// [`compile`](Self::compile): FNV-1a 64 over the program source (in its
     /// canonical pretty-printed form) plus every builder knob that shapes
     /// the compiled images — deployment configuration, transformation
-    /// options, initial UID, monitor configuration (execution limits
-    /// included) and whether the static verifier runs.
+    /// options, initial UID and monitor configuration (execution limits
+    /// included).
     ///
     /// No world enters it: an artifact deploys into any world through
     /// [`CompiledSystem::provision_world`]. Two builders with equal
@@ -186,11 +171,11 @@ impl NVariantSystemBuilder {
         descriptor.push_str(&format!("config {:?}\n", self.config));
         descriptor.push_str(&format!("transform_options {:?}\n", self.transform_options));
         descriptor.push_str(&format!("initial_uid {}\n", self.initial_uid.as_u32()));
-        // `policy: KillAndReport`, the base layout and the empty extra
-        // unshared list are constants, and the run limits repeat the
-        // monitor configuration's. Their lines keep the bytes they always
-        // rendered, because changing them would move every artifact
-        // fingerprint and every plan hash.
+        // `policy: KillAndReport`, the base layout, the empty extra
+        // unshared list and `verify_diversity false` are constants, and the
+        // run limits repeat the monitor configuration's. Their lines keep
+        // the bytes they always rendered, because changing them would move
+        // every artifact fingerprint and every plan hash.
         let monitor = &self.monitor_config;
         descriptor.push_str(&format!(
             "monitor_config MonitorConfig {{ unshared_files: {:?}, max_steps_per_slice: {}, \
@@ -206,7 +191,7 @@ impl NVariantSystemBuilder {
             monitor.max_steps_per_slice, monitor.max_syscalls
         ));
         descriptor.push_str("extra_unshared []\n");
-        descriptor.push_str(&format!("verify_diversity {}\n", self.verify_diversity));
+        descriptor.push_str("verify_diversity false\n");
         descriptor.push_str("source\n");
         descriptor.push_str(&nvariant_vm::pretty_print(&self.program));
         crate::store::fnv1a_64(descriptor.as_bytes())
@@ -222,15 +207,8 @@ impl NVariantSystemBuilder {
     /// Returns a [`BuildError`] if the program fails to transform or
     /// compile, or the variation cannot be instantiated.
     pub fn compile(self) -> Result<CompiledSystem, BuildError> {
-        let (sources, programs, stats) = self.compile_programs()?;
-        let analysis = if self.verify_diversity {
-            Some(combined_verdict(
-                &self.analysis_reports(&sources, &programs)?,
-            ))
-        } else {
-            None
-        };
-        self.assemble(programs, stats, analysis)
+        let (_, programs, stats) = self.compile_programs()?;
+        self.assemble(programs, stats)
     }
 
     /// Each variant's specification: the configuration's variation split
@@ -274,10 +252,10 @@ impl NVariantSystemBuilder {
     }
 
     /// Assembles an artifact from what compiling computes — one compiled
-    /// program per variant, the transformation counters and the verifier's
-    /// verdict — and derives everything else from this builder: the
-    /// variant specifications, layouts and tags, the monitor configuration
-    /// and the provisioned kernel template. [`compile`](Self::compile) and
+    /// program per variant and the transformation counters — and derives
+    /// everything else from this builder: the variant specifications,
+    /// layouts and tags, the monitor configuration and the provisioned
+    /// kernel template. [`compile`](Self::compile) and
     /// the [`ArtifactStore`](crate::ArtifactStore)'s disk load both build
     /// their [`CompiledSystem`] here, so the two can differ only in the
     /// products passed in.
@@ -290,7 +268,6 @@ impl NVariantSystemBuilder {
         &self,
         programs: Vec<CompiledProgram>,
         transform_stats: TransformStats,
-        analysis: Option<String>,
     ) -> Result<CompiledSystem, BuildError> {
         let specs = self.variant_specs()?;
         if programs.len() != specs.len() {
@@ -334,7 +311,6 @@ impl NVariantSystemBuilder {
             transform_stats,
             kernel_template: WorldBuilder::standard().build(),
             initial_uid: self.initial_uid,
-            analysis,
             plan,
         };
         system.kernel_template = system.provision_world(&system.kernel_template);
@@ -342,11 +318,12 @@ impl NVariantSystemBuilder {
     }
 
     /// Runs the static diversity verifier over this builder's configuration
-    /// and returns the **full** per-pair reports (variant 0 paired with
-    /// each of the others) — what the `nvariant_analyze` CLI renders.
-    /// Single-process configurations have no pairs and return an empty
-    /// vector; [`nvariant_analyze::combined_verdict`] collapses either
-    /// result into the verdict line [`compile`](Self::compile) stores.
+    /// and returns the per-pair reports (variant 0 paired with each of the
+    /// others). This is the verifier's one entry point: the `--analyze`
+    /// gates, the `nvariant_analyze` CLI and the benchmark's set-up all
+    /// call it. Single-process configurations have no pairs and return an
+    /// empty vector; [`nvariant_analyze::combined_verdict`] collapses
+    /// either result into one verdict line.
     ///
     /// # Errors
     ///
@@ -357,22 +334,8 @@ impl NVariantSystemBuilder {
             return Ok(Vec::new());
         }
         let (sources, programs, _) = self.compile_programs()?;
-        self.analysis_reports(&sources, &programs)
-    }
-
-    /// Verifies variant 0 against each sibling. The UID context is derived
-    /// from variant 0's transformed AST — available only here at compile
-    /// time, which is why the artifact store persists the verdict rather
-    /// than recomputing it on warm hits. A single process has no pair, and
-    /// the verdict of an empty pair set is vacuously clean.
-    fn analysis_reports(
-        &self,
-        sources: &[Program],
-        programs: &[CompiledProgram],
-    ) -> Result<Vec<AnalysisReport>, BuildError> {
-        if programs.len() < 2 {
-            return Ok(Vec::new());
-        }
+        // Variant 0 is verified against each sibling, under the UID context
+        // of its transformed AST, which only compiling produces.
         let ctx = UidContext::analyze(&sources[0])
             .map_err(|e| BuildError::Transform(TransformError::Type(e)))?;
         let artifacts: Vec<VariantArtifact<'_>> = programs
@@ -470,11 +433,6 @@ pub struct CompiledSystem {
     pub(crate) transform_stats: TransformStats,
     pub(crate) kernel_template: OsKernel,
     pub(crate) initial_uid: Uid,
-    /// The static diversity verifier's combined verdict line, present when
-    /// the artifact was compiled with
-    /// [`NVariantSystemBuilder::verify_diversity`] (or loaded from a store
-    /// entry that recorded one).
-    pub(crate) analysis: Option<String>,
     pub(crate) plan: CompiledPlan,
 }
 
@@ -500,19 +458,6 @@ impl CompiledSystem {
     #[must_use]
     pub fn transform_stats(&self) -> &TransformStats {
         &self.transform_stats
-    }
-
-    /// The static diversity verifier's combined verdict line, when the
-    /// artifact was compiled with
-    /// [`NVariantSystemBuilder::verify_diversity`] — `None` for unverified
-    /// builds. Clean verdicts satisfy
-    /// [`nvariant_analyze::verdict_is_clean`]; anything else names the
-    /// first finding (property, pc, function). The verdict is persisted in
-    /// the artifact store, so warm cache hits carry it without re-running
-    /// the analysis.
-    #[must_use]
-    pub fn analysis(&self) -> Option<&str> {
-        self.analysis.as_deref()
     }
 
     /// Number of variant processes an instantiation will run.
@@ -739,31 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_configurations_verify_diversity_clean() {
-        for config in DeploymentConfig::paper_configurations() {
-            let label = config.to_string();
-            let compiled = NVariantSystemBuilder::from_source(DROP_PRIVILEGES)
-                .unwrap()
-                .config(config)
-                .verify_diversity(true)
-                .compile()
-                .unwrap();
-            let verdict = compiled.analysis().expect("verified build has a verdict");
-            assert!(
-                nvariant_analyze::verdict_is_clean(verdict),
-                "{label}: {verdict}"
-            );
-        }
-        // Unverified builds carry no verdict.
-        let unverified = NVariantSystemBuilder::from_source(DROP_PRIVILEGES)
-            .unwrap()
-            .config(DeploymentConfig::TwoVariantUid)
-            .compile()
-            .unwrap();
-        assert!(unverified.analysis().is_none());
-    }
-
-    #[test]
     fn analyze_diversity_returns_full_reports() {
         let builder = NVariantSystemBuilder::from_source(DROP_PRIVILEGES)
             .unwrap()
@@ -777,6 +697,20 @@ mod tests {
             .unwrap()
             .config(DeploymentConfig::TransformedSingle);
         assert!(single.analyze_diversity().unwrap().is_empty());
+        // Every paper configuration verifies clean.
+        for config in DeploymentConfig::paper_configurations() {
+            let label = config.to_string();
+            let reports = NVariantSystemBuilder::from_source(DROP_PRIVILEGES)
+                .unwrap()
+                .config(config)
+                .analyze_diversity()
+                .unwrap();
+            let verdict = nvariant_analyze::combined_verdict(&reports);
+            assert!(
+                nvariant_analyze::verdict_is_clean(&verdict),
+                "{label}: {verdict}"
+            );
+        }
     }
 
     #[test]

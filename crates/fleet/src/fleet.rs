@@ -23,6 +23,9 @@ use nvariant_campaign::{CacheStats, CampaignPlan, ShardCursor};
 use crate::divergence::Divergence;
 use crate::transport::{ShardAssignment, WorkerHandle, WorkerStatus, WorkerTransport};
 
+/// The supervision loop's sleep between polls of the running workers.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
 /// Tuning and fault-injection knobs for one fleet run.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -48,8 +51,6 @@ pub struct FleetConfig {
     /// and the cell set intact, so only the divergence cross-check can
     /// catch it).
     pub corrupt_shards: BTreeSet<usize>,
-    /// Supervision loop sleep between polls.
-    pub poll_interval: Duration,
 }
 
 impl Default for FleetConfig {
@@ -61,7 +62,6 @@ impl Default for FleetConfig {
             quarantine_after: 2,
             kill_shards: BTreeSet::new(),
             corrupt_shards: BTreeSet::new(),
-            poll_interval: Duration::from_millis(20),
         }
     }
 }
@@ -493,7 +493,7 @@ impl<'plan> Fleet<'plan> {
             if jobs.iter().all(|job| job.collected.is_some()) {
                 break;
             }
-            std::thread::sleep(self.config.poll_interval);
+            std::thread::sleep(POLL_INTERVAL);
         }
 
         let retries = jobs.iter().map(|job| job.attempts_used - 1).sum();

@@ -22,7 +22,6 @@ use std::fmt;
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
 
 /// Why a transport operation failed (spawn refused, retrieval failed, ...).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,19 +95,6 @@ pub enum WorkerStatus {
 pub trait WorkerHandle {
     /// Non-blocking status check.
     fn poll(&mut self) -> WorkerStatus;
-
-    /// Polls until the worker exits or `deadline` passes; returns
-    /// [`WorkerStatus::Running`] only when the deadline expired first.
-    fn wait_deadline(&mut self, deadline: Instant) -> WorkerStatus {
-        loop {
-            match self.poll() {
-                WorkerStatus::Running if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                status => return status,
-            }
-        }
-    }
 
     /// Terminates the worker (idempotent; errors are swallowed — a worker
     /// that already exited cannot be killed again).
@@ -387,6 +373,7 @@ impl WorkerTransport for CommandTransport {
 mod tests {
     use super::*;
     use std::path::Path;
+    use std::time::{Duration, Instant};
 
     /// An empty directory for this process: one a recycled process id
     /// left behind would hand a test another run's files.
@@ -409,6 +396,20 @@ mod tests {
         let path = dir.join(name);
         std::fs::write(&path, body).expect("write script");
         path
+    }
+
+    /// Polls until the worker exits or 10 s pass; returns
+    /// [`WorkerStatus::Running`] only when the time ran out first.
+    fn wait(handle: &mut dyn WorkerHandle) -> WorkerStatus {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match handle.poll() {
+                WorkerStatus::Running if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                status => return status,
+            }
+        }
     }
 
     /// Retrieves a worker's shard file and reads the stream to its end.
@@ -460,7 +461,7 @@ printf 'marker %s\n' "$NVFLEET_TEST_TAG" > "$out"
         let mut handle = transport
             .spawn("anyhost", &assignment(&dir, &worker))
             .expect("spawn");
-        let status = handle.wait_deadline(Instant::now() + Duration::from_secs(10));
+        let status = wait(handle.as_mut());
         assert_eq!(
             status,
             WorkerStatus::Exited {
@@ -510,7 +511,7 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
         let mut handle = transport
             .spawn("alpha", &assignment(&dir, &worker))
             .expect("spawn");
-        let status = handle.wait_deadline(Instant::now() + Duration::from_secs(10));
+        let status = wait(handle.as_mut());
         assert_eq!(
             status,
             WorkerStatus::Exited {
@@ -540,7 +541,7 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
             .expect("spawn");
         assert_eq!(handle.poll(), WorkerStatus::Running);
         handle.kill();
-        let status = handle.wait_deadline(Instant::now() + Duration::from_secs(10));
+        let status = wait(handle.as_mut());
         match status {
             WorkerStatus::Exited { success, detail } => {
                 assert!(!success);
@@ -563,7 +564,7 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
         let mut assignment = assignment(&dir, &worker);
         assignment.index = 3;
         let mut handle = transport.spawn("beta", &assignment).expect("spawn");
-        let status = handle.wait_deadline(Instant::now() + Duration::from_secs(10));
+        let status = wait(handle.as_mut());
         assert!(matches!(status, WorkerStatus::Exited { success: true, .. }));
         // `cat shard-3-of-4.txt` runs in this process's cwd where no such
         // file exists. The stream opens (the command starts), and the

@@ -4,7 +4,7 @@
 //! fault injection and divergence diagnosis — no real worker processes.
 
 use nvariant::{DeploymentConfig, NVariantSystemBuilder};
-use nvariant_campaign::{CampaignPlan, CampaignReport, CellSpec, Scenario};
+use nvariant_campaign::{cell_seed, CampaignPlan, CampaignReport, CellSpec, Scenario};
 use nvariant_fleet::{
     Divergence, Fleet, FleetConfig, FleetError, FleetRun, ShardAssignment, TransportError,
     WorkerHandle, WorkerStatus, WorkerTransport,
@@ -197,7 +197,6 @@ fn merged_canonical(run: &FleetRun) -> String {
 fn quick_config(shards: usize) -> FleetConfig {
     FleetConfig {
         shards,
-        poll_interval: Duration::from_millis(1),
         ..FleetConfig::default()
     }
 }
@@ -683,4 +682,107 @@ fn damaged_exchange_lines_fail_one_attempt_and_the_retry_merges_byte_identically
         assert_eq!(run.hosts[0].failures, 1, "{reason}");
         assert_eq!(merged_canonical(&run), whole.canonical_text(), "{reason}");
     }
+}
+
+/// `len` bytes drawn from `seed` through the campaign's seed derivation.
+/// Half of them come from the shard codec's own alphabet — line ends,
+/// spaces, quotes, escapes, hex digits, `=` — so a draw sometimes gets past
+/// a line's first token; the rest are any byte at all.
+fn arbitrary_bytes(seed: u64, len: usize) -> Vec<u8> {
+    const ALPHABET: &[u8] = b"\n\r \"\\-0123456789abcdefx=";
+    (0..len)
+        .map(|index| match cell_seed(seed, index, 0, 0, 0) {
+            draw if draw & 1 == 0 => ALPHABET[(draw >> 8) as usize % ALPHABET.len()],
+            draw => (draw >> 8) as u8,
+        })
+        .collect()
+}
+
+/// A valid shard with a seeded byte range replaced by arbitrary bytes, or,
+/// one case in four, cut off where the range starts. Every other case is
+/// made valid UTF-8 the way `String::from_utf8_lossy` does, so the
+/// replacement reaches the grammar past the reader's UTF-8 check.
+fn damaged_delivery(text: &[u8], case: usize) -> Vec<u8> {
+    let draw = |axis| cell_seed(0x0DA3_A6ED, case, axis, 0, 0) as usize;
+    let start = draw(0) % text.len();
+    let mut damaged = text[..start].to_vec();
+    if draw(1) % 4 != 0 {
+        let end = (start + 1 + draw(2) % 64).min(text.len());
+        damaged.extend(arbitrary_bytes(draw(3) as u64, draw(4) % 64));
+        damaged.extend_from_slice(&text[end..]);
+    }
+    if case % 2 == 1 {
+        damaged = String::from_utf8_lossy(&damaged).into_owned().into_bytes();
+    }
+    damaged
+}
+
+/// Arbitrary bytes through retrieval and validation: in each of a few
+/// hundred seeded cases the host delivers a damaged shard on attempt 1.
+/// The attempt must end as a collected shard, or as a retryable failure: a
+/// parse error naming a line the delivery has (the one after its last, or
+/// line 0 for its end), or a refusal of the plan identity or the cell set. Nothing panics or
+/// hangs, and every retry merges byte-identically to the single-host run.
+#[test]
+fn arbitrary_damage_to_a_delivered_shard_is_collected_or_retried_never_a_panic() {
+    let plan = plan();
+    let whole = plan.run(1).canonical_text();
+    let texts = shard_texts(&plan, 1);
+    let (mut collected, mut retried) = (0, 0);
+    for case in 0..256 {
+        let damaged = damaged_delivery(texts[0].as_bytes(), case);
+        let line_count = damaged.split(|&byte| byte == b'\n').count();
+        let transport = MockTransport::new(
+            texts.clone(),
+            vec![("alpha", HostBehavior::DamagedOnce(damaged))],
+        );
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let run = fleet_over(
+            &plan,
+            transport,
+            &["alpha"],
+            quick_config(1),
+            Arc::clone(&log),
+        )
+        .run()
+        .unwrap_or_else(|error| panic!("case {case}: the retry must collect: {error}"));
+        let merged = merged_canonical(&run);
+        let _ = std::fs::remove_dir_all(run.spools[0].parent().expect("spool directory"));
+        if run.retries == 0 {
+            collected += 1;
+            continue;
+        }
+        retried += 1;
+        assert_eq!(run.retries, 1, "case {case}");
+        let lines = log.lock().unwrap();
+        let reason = lines
+            .iter()
+            .find_map(|line| line.strip_prefix("shard 0: retrying (attempt 2): attempt 1: "))
+            .unwrap_or_else(|| panic!("case {case}: no retry logged in {lines:?}"));
+        match reason.strip_prefix("shard file: parse error at line ") {
+            Some(rest) => {
+                let line: usize = rest
+                    .split(':')
+                    .next()
+                    .and_then(|number| number.parse().ok())
+                    .unwrap_or_else(|| panic!("case {case}: {reason}"));
+                // Line 0 is the reader's name for the end of the input.
+                assert!(
+                    line <= line_count + 1 && (line > 0 || reason.ends_with("end of input")),
+                    "case {case}: {line_count} lines: {reason}"
+                );
+            }
+            None => assert!(
+                reason.starts_with("shard cell set mismatch: ")
+                    || reason.contains("does not match this plan")
+                    || reason.contains("but this plan is"),
+                "case {case}: {reason}"
+            ),
+        }
+        assert_eq!(merged, whole, "case {case}: {reason}");
+    }
+    assert!(
+        retried > collected,
+        "{retried} retried, {collected} collected"
+    );
 }

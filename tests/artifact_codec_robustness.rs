@@ -11,8 +11,8 @@ use nvariant_campaign::cell_seed;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// A verified two-variant UID build (so its entry carries a quoted verdict
-/// and two program blocks) and its artifact text.
+/// A two-variant UID build (so its entry carries two program blocks) and
+/// its artifact text.
 fn sample() -> &'static (NVariantSystemBuilder, String) {
     static SAMPLE: OnceLock<(NVariantSystemBuilder, String)> = OnceLock::new();
     SAMPLE.get_or_init(|| {
@@ -28,8 +28,7 @@ fn sample() -> &'static (NVariantSystemBuilder, String) {
             ",
         )
         .expect("sample source parses")
-        .config(DeploymentConfig::TwoVariantUid)
-        .verify_diversity(true);
+        .config(DeploymentConfig::TwoVariantUid);
         let text = to_artifact_text(&builder.clone().compile().expect("sample compiles"));
         (builder, text)
     })

@@ -296,8 +296,7 @@ fn concurrent_stores_on_one_directory_never_produce_torn_artifacts() {
 
 /// One line per security-sweep configuration and builder shape the
 /// workspace compiles the httpd with: the scenario builder, the weakened
-/// monitor (detection checks off), the weakened transform, and the
-/// scenario builder with the static verifier on.
+/// monitor (detection checks off) and the weakened transform.
 fn fingerprint_golden_text() -> String {
     let mut text = String::new();
     for config in nvariant_apps::campaigns::security_sweep_configs() {
@@ -314,10 +313,8 @@ fn fingerprint_golden_text() -> String {
             ),
             (
                 "weakened-transform",
-                base.clone()
-                    .transform_options(nvariant_apps::checks::weakened_transform_options()),
+                base.transform_options(nvariant_apps::checks::weakened_transform_options()),
             ),
-            ("verified", base.verify_diversity(true)),
         ];
         for (shape, builder) in builders {
             text.push_str(&format!(

@@ -2,10 +2,9 @@
 //!
 //! 1. A **proptest over the security sweep**: for every sampled
 //!    (configuration, world) point of the evaluation matrix, the verifier
-//!    is clean over the bundled httpd's variant pairs, the verdict stored
-//!    by a `verify_diversity` build agrees with the full reports, and the
-//!    artifact still deploys into the sampled world — analysis is a static
-//!    property of the artifact, so the world axis must never change it.
+//!    is clean over the bundled httpd's variant pairs, and the artifact
+//!    still deploys into the sampled world — analysis is a static property
+//!    of the artifact, so the world axis must never change it.
 //! 2. A **committed golden fixture** pinning the rendered diagnostics of
 //!    the seeded weakened-transform regression (UID reexpression skipping
 //!    `server_uid`): the P-Residual finding must keep naming the exact pc.
@@ -45,9 +44,8 @@ fn weakened_report_text() -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every point of the security evaluation matrix analyzes clean, the
-    /// cached verdict line agrees with the full reports, and the world
-    /// axis is irrelevant to the (static) analysis.
+    /// Every point of the security evaluation matrix analyzes clean, and
+    /// the world axis is irrelevant to the (static) analysis.
     #[test]
     fn security_sweep_is_clean_at_every_matrix_point(
         config_index in 0usize..5,
@@ -71,16 +69,12 @@ proptest! {
         let verdict = combined_verdict(&reports);
         prop_assert!(verdict_is_clean(&verdict), "{verdict}");
 
-        // The verify_diversity build path must store the same verdict the
-        // full reports produce, and the artifact must still deploy into
-        // the sampled world.
+        // The artifact must still deploy into the sampled world.
         let compiled = NVariantSystemBuilder::from_source(httpd_source())
             .unwrap()
             .config(config.clone())
-            .verify_diversity(true)
             .compile()
             .unwrap();
-        prop_assert_eq!(compiled.analysis(), Some(verdict.as_str()));
         drop(compiled.instantiate_in(world.kernel()));
     }
 }
