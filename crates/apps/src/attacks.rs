@@ -1,10 +1,11 @@
 //! The attack library: one concrete payload per attack class the paper
-//! discusses, plus the machinery to run them against each configuration and
-//! classify the outcome.
+//! discusses, and a judged campaign [`Scenario`] per attack whose verdict
+//! records the observed result next to the one the paper predicts for the
+//! cell's configuration.
 
-use crate::scenarios::{compiled_httpd_system, ServedRequest};
+use crate::scenarios::{run_cell, ServedRequest};
 use nvariant::{DeploymentConfig, RunnableSystem};
-use nvariant_campaign::{CampaignPlan, CellOutcome, CellRun, CellVerdict, Scenario};
+use nvariant_campaign::{CampaignPlan, CellResult, CellRun, CellVerdict, Scenario};
 use std::fmt;
 
 /// The class of a concrete attack, in the paper's terms.
@@ -178,8 +179,8 @@ impl Attack {
     }
 
     /// The result the paper's arguments predict for this attack under the
-    /// given configuration (used by the integration tests and by the attack
-    /// matrix report to flag discrepancies).
+    /// given configuration (the judge of [`attack_scenario`] records it next
+    /// to the observed result).
     #[must_use]
     pub fn expected_result(&self, config: &DeploymentConfig) -> AttackResult {
         let protects_uid = matches!(config, DeploymentConfig::TwoVariantUid)
@@ -219,31 +220,6 @@ impl Attack {
     }
 }
 
-/// The outcome of launching one attack against one configuration.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AttackOutcome {
-    /// The attack name.
-    pub attack: String,
-    /// The attack class.
-    pub class: AttackClass,
-    /// The configuration label.
-    pub config_label: String,
-    /// What happened.
-    pub result: AttackResult,
-    /// What the paper's arguments predict.
-    pub expected: AttackResult,
-    /// The alarm message, when one was raised.
-    pub alarm: Option<String>,
-}
-
-impl AttackOutcome {
-    /// Returns `true` if the observed result matches the prediction.
-    #[must_use]
-    pub fn matches_expectation(&self) -> bool {
-        self.result == self.expected
-    }
-}
-
 /// Wraps an attack as a judged campaign [`Scenario`]: the request generator
 /// crafts the payload against the freshly instantiated system (absolute
 /// attacks read symbol addresses from it) and the judge records the
@@ -275,91 +251,13 @@ pub fn attack_campaign(configs: &[DeploymentConfig]) -> CampaignPlan {
     plan
 }
 
-fn outcome_from_parts(
-    attack: &Attack,
-    config: &DeploymentConfig,
-    outcome: &CellOutcome,
-    exchanges: &[ServedRequest],
-) -> AttackOutcome {
-    AttackOutcome {
-        attack: attack.name.clone(),
-        class: attack.class,
-        config_label: config.label(),
-        result: attack.evaluate_parts(outcome.detected_attack(), exchanges),
-        expected: attack.expected_result(config),
-        alarm: outcome.alarm.clone(),
-    }
-}
-
-/// Launches `attack` against the mini Apache deployed under `config`
-/// (a one-cell plan over the cached compiled artifact).
+/// Launches `attack` against the mini Apache deployed under `config` (a
+/// one-cell plan over the cached compiled artifact). The cell's `verdict`
+/// holds the observed result and the paper's prediction, as rendered by
+/// [`AttackResult`]'s `Display`.
 #[must_use]
-pub fn run_attack(config: &DeploymentConfig, attack: &Attack) -> AttackOutcome {
-    let report = CampaignPlan::new("attack")
-        .config(compiled_httpd_system(config))
-        .scenario(attack_scenario(attack))
-        .run(1);
-    let cell = &report.cells[0];
-    outcome_from_parts(attack, config, &cell.outcome, &cell.exchanges)
-}
-
-/// Runs every attack against every supplied configuration, in parallel
-/// across the machine's cores, returning rows in attack-major order (the
-/// order the paper's matrix is read in).
-#[must_use]
-pub fn attack_matrix(configs: &[DeploymentConfig]) -> Vec<AttackOutcome> {
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    attack_matrix_with_workers(configs, workers)
-}
-
-/// [`attack_matrix`] with an explicit worker count (the result is identical
-/// at any worker count).
-#[must_use]
-pub fn attack_matrix_with_workers(
-    configs: &[DeploymentConfig],
-    workers: usize,
-) -> Vec<AttackOutcome> {
-    attack_outcomes_from_report(&attack_campaign(configs).run(workers), configs)
-}
-
-/// Reads an [`attack_campaign`] report back into attack-major
-/// [`AttackOutcome`] rows (the one place that knows how to transpose the
-/// campaign's canonical config-major cell order).
-///
-/// # Panics
-///
-/// Panics if `report` did not come from [`attack_campaign`] over exactly
-/// `configs` (cell count or coordinates disagree).
-#[must_use]
-pub fn attack_outcomes_from_report(
-    report: &nvariant_campaign::CampaignReport,
-    configs: &[DeploymentConfig],
-) -> Vec<AttackOutcome> {
-    let attacks = Attack::all();
-    assert_eq!(
-        report.cells.len(),
-        configs.len() * attacks.len(),
-        "report does not match an attack campaign over these configs"
-    );
-    let mut rows = Vec::with_capacity(report.cells.len());
-    // Plan cells are canonical config-major order with one implicit world
-    // and one replicate; the matrix reads attack-major, so transpose by
-    // direct indexing.
-    for (scenario_index, attack) in attacks.iter().enumerate() {
-        for (config_index, config) in configs.iter().enumerate() {
-            let cell = &report.cells[config_index * attacks.len() + scenario_index];
-            assert_eq!(cell.spec.config_index, config_index);
-            assert_eq!(cell.spec.world_index, 0);
-            assert_eq!(cell.spec.scenario_index, scenario_index);
-            rows.push(outcome_from_parts(
-                attack,
-                config,
-                &cell.outcome,
-                &cell.exchanges,
-            ));
-        }
-    }
-    rows
+pub fn run_attack(config: &DeploymentConfig, attack: &Attack) -> CellResult {
+    run_cell("attack", config, attack_scenario(attack))
 }
 
 #[cfg(test)]
@@ -398,29 +296,37 @@ mod tests {
         );
     }
 
+    /// The verdict every attack cell carries.
+    fn verdict(cell: &CellResult) -> &CellVerdict {
+        cell.verdict.as_ref().expect("attack cells are judged")
+    }
+
     #[test]
     fn uid_overflow_succeeds_against_the_unprotected_server() {
         let attack = &Attack::all()[0];
-        let outcome = run_attack(&DeploymentConfig::Unmodified, attack);
-        assert_eq!(outcome.result, AttackResult::Succeeded, "{outcome:?}");
-        assert!(outcome.matches_expectation());
-        assert!(outcome.alarm.is_none());
+        let cell = run_attack(&DeploymentConfig::Unmodified, attack);
+        let verdict = verdict(&cell);
+        assert_eq!(verdict.observed, "SUCCEEDED", "{}", cell.outcome);
+        assert!(verdict.matches(), "{verdict:?}");
+        assert!(cell.outcome.alarm.is_none());
     }
 
     #[test]
     fn uid_overflow_is_detected_by_the_uid_variation() {
         let attack = &Attack::all()[0];
-        let outcome = run_attack(&DeploymentConfig::TwoVariantUid, attack);
-        assert_eq!(outcome.result, AttackResult::Detected, "{outcome:?}");
-        assert!(outcome.matches_expectation());
-        assert!(outcome.alarm.is_some());
+        let cell = run_attack(&DeploymentConfig::TwoVariantUid, attack);
+        let verdict = verdict(&cell);
+        assert_eq!(verdict.observed, "detected", "{}", cell.outcome);
+        assert!(verdict.matches(), "{verdict:?}");
+        assert!(cell.outcome.alarm.is_some());
     }
 
     #[test]
     fn a_detected_overflow_reports_the_same_outcome_when_run_again() {
         // The alarm leaves both variants at a syscall the monitor never
         // answered; a second run must not resume them from it.
-        let mut system = crate::build_httpd_system(&DeploymentConfig::TwoVariantUid);
+        let mut system =
+            crate::compiled_httpd_system(&DeploymentConfig::TwoVariantUid).instantiate();
         for request in Attack::all()[0].requests(&system) {
             system
                 .kernel_mut()
@@ -437,9 +343,10 @@ mod tests {
         // Class-specificity: the relative overwrite is identical in both
         // address spaces, so Configuration 3 does not stop it.
         let attack = &Attack::all()[0];
-        let outcome = run_attack(&DeploymentConfig::TwoVariantAddress, attack);
-        assert_eq!(outcome.result, AttackResult::Succeeded, "{outcome:?}");
-        assert!(outcome.matches_expectation());
+        let cell = run_attack(&DeploymentConfig::TwoVariantAddress, attack);
+        let verdict = verdict(&cell);
+        assert_eq!(verdict.observed, "SUCCEEDED", "{}", cell.outcome);
+        assert!(verdict.matches(), "{verdict:?}");
     }
 
     #[test]
@@ -449,15 +356,17 @@ mod tests {
             DeploymentConfig::TwoVariantAddress,
             DeploymentConfig::TwoVariantUid,
         ] {
-            let outcome = run_attack(&config, attack);
-            assert_eq!(outcome.result, AttackResult::Detected, "{outcome:?}");
-            assert!(outcome.matches_expectation());
+            let cell = run_attack(&config, attack);
+            let verdict = verdict(&cell);
+            assert_eq!(verdict.observed, "detected", "{config}: {}", cell.outcome);
+            assert!(verdict.matches(), "{verdict:?}");
         }
         let unprotected = run_attack(&DeploymentConfig::Unmodified, attack);
         assert_eq!(
-            unprotected.result,
-            AttackResult::Succeeded,
-            "{unprotected:?}"
+            verdict(&unprotected).observed,
+            "SUCCEEDED",
+            "{}",
+            unprotected.outcome
         );
     }
 
@@ -467,16 +376,11 @@ mod tests {
             DeploymentConfig::Unmodified,
             DeploymentConfig::TwoVariantUid,
         ];
-        let serial = attack_matrix_with_workers(&configs, 1);
-        let parallel = attack_matrix_with_workers(&configs, 4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), 6);
-        // Attack-major ordering, as the paper's matrix reads.
-        assert_eq!(serial[0].attack, "uid-overflow");
-        assert_eq!(serial[0].config_label, "Unmodified");
-        assert_eq!(serial[1].config_label, "2-Variant UID");
-        assert_eq!(serial[2].attack, "uid-poke");
-        assert!(serial.iter().all(AttackOutcome::matches_expectation));
+        let serial = attack_campaign(&configs).run(1);
+        let parallel = attack_campaign(&configs).run(4);
+        assert_eq!(serial.canonical_text(), parallel.canonical_text());
+        assert_eq!(serial.cells.len(), 6);
+        assert!(serial.cells.iter().all(|cell| verdict(cell).matches()));
     }
 
     #[test]
@@ -484,17 +388,19 @@ mod tests {
         let attack = &Attack::all()[2];
         let against_uid = run_attack(&DeploymentConfig::TwoVariantUid, attack);
         assert_eq!(
-            against_uid.result,
-            AttackResult::Succeeded,
-            "{against_uid:?}"
+            verdict(&against_uid).observed,
+            "SUCCEEDED",
+            "{}",
+            against_uid.outcome
         );
         let against_addr = run_attack(&DeploymentConfig::TwoVariantAddress, attack);
         assert_eq!(
-            against_addr.result,
-            AttackResult::Detected,
-            "{against_addr:?}"
+            verdict(&against_addr).observed,
+            "detected",
+            "{}",
+            against_addr.outcome
         );
-        assert!(against_uid.matches_expectation());
-        assert!(against_addr.matches_expectation());
+        assert!(verdict(&against_uid).matches());
+        assert!(verdict(&against_addr).matches());
     }
 }

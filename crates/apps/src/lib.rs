@@ -10,11 +10,12 @@
 //!   discrete-event performance model that reproduces the shape of the
 //!   paper's Table 3.
 //! * [`attacks`] — concrete attack payloads against the mini server, one per
-//!   attack class discussed in the paper, with expected outcomes per
-//!   deployment configuration.
-//! * [`scenarios`] — canned builders tying the server, the world and the
-//!   deployment configurations together, backed by a process-wide
-//!   build-once cache of compiled artifacts.
+//!   attack class discussed in the paper, each a judged campaign scenario
+//!   whose verdict sets the observed result beside the one the paper
+//!   predicts for the configuration.
+//! * [`scenarios`] — the process-wide build-once cache of compiled
+//!   artifacts, and one-cell runs of the server under a configuration that
+//!   return the campaign's `CellResult`.
 //! * [`campaigns`] — ready-made [`nvariant_campaign`] experiment plans
 //!   (benign sweeps, the attack corpus, the full security × world ×
 //!   workload matrix) over that cache.
@@ -31,13 +32,13 @@
 //! use nvariant_apps::workload::benign_request;
 //!
 //! // Serve two benign requests under the paper's Configuration 4.
-//! let outcome = run_requests(
+//! let cell = run_requests(
 //!     &DeploymentConfig::TwoVariantUid,
 //!     &[benign_request("/index.html"), benign_request("/about.html")],
 //! );
-//! assert!(outcome.system.exited_normally());
-//! assert_eq!(outcome.requests.len(), 2);
-//! assert!(outcome.requests.iter().all(ServedRequest::is_success));
+//! assert!(cell.outcome.exited_normally());
+//! assert_eq!(cell.exchanges.len(), 2);
+//! assert!(cell.exchanges.iter().all(ServedRequest::is_success));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,9 +51,7 @@ pub mod httpd;
 pub mod scenarios;
 pub mod workload;
 
-pub use attacks::{
-    attack_campaign, attack_scenario, Attack, AttackClass, AttackOutcome, AttackResult,
-};
+pub use attacks::{attack_campaign, attack_scenario, Attack, AttackClass, AttackResult};
 pub use campaigns::{
     benign_scenario, full_matrix_campaign, httpd_campaign, security_sweep_configs,
 };
@@ -62,7 +61,5 @@ pub use checks::{
     weakened_httpd_system, weakened_transform_analysis_reports, weakened_transform_options,
 };
 pub use httpd::httpd_source;
-pub use scenarios::{
-    build_httpd_system, compiled_httpd_system, run_requests, ScenarioOutcome, ServedRequest,
-};
+pub use scenarios::{compiled_httpd_system, run_requests, ServedRequest};
 pub use workload::{benign_request, BenchmarkResult, LoadLevel, WebBench, WorkloadMix};

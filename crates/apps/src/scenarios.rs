@@ -1,5 +1,5 @@
 //! Canned scenarios: deploy the mini Apache in a configuration, feed it
-//! requests, and collect what happened.
+//! requests, and collect what happened as a campaign [`CellResult`].
 //!
 //! Since the build-once/run-many split, every entry point here runs on top
 //! of the campaign engine: the httpd is compiled **once per configuration**
@@ -9,56 +9,12 @@
 //! [`CompiledSystem::instantiate`].
 
 use crate::httpd::httpd_source;
-use nvariant::{
-    ArtifactStore, CompiledSystem, DeploymentConfig, NVariantSystemBuilder, RunnableSystem,
-};
-use nvariant_campaign::{CampaignPlan, CellOutcome, CellResult, Scenario};
-use nvariant_transform::TransformStats;
+use nvariant::{ArtifactStore, CompiledSystem, DeploymentConfig, NVariantSystemBuilder};
+use nvariant_campaign::{CampaignPlan, CellResult, Scenario};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 pub use nvariant_campaign::ServedRequest;
-
-/// The result of serving a batch of requests under one configuration.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScenarioOutcome {
-    /// The configuration label the scenario ran under.
-    pub config_label: String,
-    /// How the deployed system terminated (the flattened, report-side form;
-    /// the rendered alarm string is in [`CellOutcome::alarm`]).
-    pub system: CellOutcome,
-    /// The request/response pairs, in arrival order.
-    pub requests: Vec<ServedRequest>,
-    /// The UID-transformation change counts applied at build time.
-    pub transform_stats: TransformStats,
-}
-
-impl ScenarioOutcome {
-    /// Total number of response bytes produced.
-    #[must_use]
-    pub fn total_response_bytes(&self) -> u64 {
-        self.requests.iter().map(|r| r.response.len() as u64).sum()
-    }
-
-    /// Number of requests answered with a 200.
-    #[must_use]
-    pub fn successful_requests(&self) -> usize {
-        self.requests.iter().filter(|r| r.is_success()).count()
-    }
-
-    /// Rebuilds a scenario outcome from a campaign cell (the campaign
-    /// engine's per-cell result carries the same observations; the cell is
-    /// consumed so the exchange buffers move instead of copying).
-    #[must_use]
-    pub fn from_cell(cell: CellResult) -> Self {
-        ScenarioOutcome {
-            config_label: cell.spec.config_label,
-            system: cell.outcome,
-            requests: cell.exchanges,
-            transform_stats: cell.transform_stats,
-        }
-    }
-}
 
 static ARTIFACT_STORE: OnceLock<ArtifactStore> = OnceLock::new();
 
@@ -109,29 +65,27 @@ pub fn compiled_httpd_system(config: &DeploymentConfig) -> Arc<CompiledSystem> {
         .expect("bundled httpd source compiles under every configuration")
 }
 
-/// Builds the mini Apache deployed under `config`, in the standard world
-/// (an instantiation of the cached compiled artifact).
-///
-/// # Panics
-///
-/// Panics if the bundled server source fails to build — that would be a bug
-/// in this crate, not in the caller.
-#[must_use]
-pub fn build_httpd_system(config: &DeploymentConfig) -> RunnableSystem {
-    compiled_httpd_system(config).instantiate()
+/// Runs `scenario` against the mini Apache deployed under `config`, as a
+/// one-cell plan named `plan` over the cached compiled artifact.
+pub(crate) fn run_cell(plan: &str, config: &DeploymentConfig, scenario: Scenario) -> CellResult {
+    let mut report = CampaignPlan::new(plan)
+        .config(compiled_httpd_system(config))
+        .scenario(scenario)
+        .run(1);
+    report.cells.remove(0)
 }
 
 /// Deploys the mini Apache under `config`, stages `requests` on the HTTP
-/// port, runs the system to completion and pairs each request with its
-/// response. Implemented as a one-cell plan over the cached compiled
-/// artifact.
+/// port, runs the system to completion and returns the cell: how the system
+/// terminated, each request paired with its response, and the artifact's
+/// transformation counts.
 #[must_use]
-pub fn run_requests(config: &DeploymentConfig, requests: &[Vec<u8>]) -> ScenarioOutcome {
-    let mut report = CampaignPlan::new("run_requests")
-        .config(compiled_httpd_system(config))
-        .scenario(Scenario::fixed_requests("requests", requests.to_vec()))
-        .run(1);
-    ScenarioOutcome::from_cell(report.cells.remove(0))
+pub fn run_requests(config: &DeploymentConfig, requests: &[Vec<u8>]) -> CellResult {
+    run_cell(
+        "run_requests",
+        config,
+        Scenario::fixed_requests("requests", requests.to_vec()),
+    )
 }
 
 #[cfg(test)]
@@ -148,39 +102,40 @@ mod tests {
             benign_request("/missing.html"),
         ];
         for config in DeploymentConfig::paper_configurations() {
-            let outcome = run_requests(&config, &requests);
+            let cell = run_requests(&config, &requests);
             assert!(
-                outcome.system.exited_normally(),
+                cell.outcome.exited_normally(),
                 "{}: {}",
                 config,
-                outcome.system
+                cell.outcome
             );
-            assert_eq!(outcome.requests.len(), 4, "{config}");
-            assert_eq!(outcome.successful_requests(), 3, "{config}");
-            assert!(outcome.requests[3].is_not_found(), "{config}");
-            assert!(outcome.total_response_bytes() > 1000, "{config}");
+            assert_eq!(cell.exchanges.len(), 4, "{config}");
+            assert_eq!(cell.tally().ok, 3, "{config}");
+            assert!(cell.exchanges[3].is_not_found(), "{config}");
+            let response_bytes: usize = cell.exchanges.iter().map(|r| r.response.len()).sum();
+            assert!(response_bytes > 1000, "{config}");
             // The served index page has the expected content.
-            assert!(String::from_utf8_lossy(outcome.requests[0].body()).contains("Welcome"));
+            assert!(String::from_utf8_lossy(cell.exchanges[0].body()).contains("Welcome"));
         }
     }
 
     #[test]
     fn traversal_without_corruption_is_denied_by_file_permissions() {
         let requests = vec![benign_request("/../../../../etc/shadow")];
-        let outcome = run_requests(&DeploymentConfig::Unmodified, &requests);
-        assert!(outcome.system.exited_normally());
-        assert!(outcome.requests[0].is_forbidden());
-        assert!(!String::from_utf8_lossy(outcome.requests[0].body())
+        let cell = run_requests(&DeploymentConfig::Unmodified, &requests);
+        assert!(cell.outcome.exited_normally());
+        assert!(cell.exchanges[0].is_forbidden());
+        assert!(!String::from_utf8_lossy(cell.exchanges[0].body())
             .contains("EncryptedRootPasswordHash"));
     }
 
     #[test]
     fn transformed_configurations_expose_change_counts() {
-        let outcome = run_requests(
+        let cell = run_requests(
             &DeploymentConfig::TwoVariantUid,
             &[benign_request("/index.html")],
         );
-        assert!(outcome.transform_stats.paper_change_total() >= 12);
+        assert!(cell.transform_stats.paper_change_total() >= 12);
         let untransformed = run_requests(
             &DeploymentConfig::Unmodified,
             &[benign_request("/index.html")],
@@ -190,12 +145,12 @@ mod tests {
 
     #[test]
     fn request_log_is_written_through_privilege_escalation() {
-        let outcome = run_requests(
+        let cell = run_requests(
             &DeploymentConfig::TwoVariantUid,
             &[benign_request("/index.html"), benign_request("/about.html")],
         );
-        assert!(outcome.system.exited_normally(), "{}", outcome.system);
-        let mut system = build_httpd_system(&DeploymentConfig::TwoVariantUid);
+        assert!(cell.outcome.exited_normally(), "{}", cell.outcome);
+        let mut system = compiled_httpd_system(&DeploymentConfig::TwoVariantUid).instantiate();
         // Fresh system: log starts empty.
         assert!(system
             .kernel_mut()

@@ -15,9 +15,8 @@
 //!   produces the paper's unsaturated-vs-saturated shape.
 
 use crate::campaigns::httpd_campaign;
-use crate::scenarios::{run_requests, ScenarioOutcome};
 use nvariant::DeploymentConfig;
-use nvariant_campaign::Scenario;
+use nvariant_campaign::{CellResult, Scenario, ServedRequest};
 use nvariant_simos::{CostModel, SimDuration, SimInstant, Sysno};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,12 +191,12 @@ impl Default for WebBench {
 }
 
 impl WebBench {
-    /// Measures one configuration under one load level.
+    /// Measures one configuration under one load level: the one-cell case
+    /// of [`measure_matrix`](Self::measure_matrix).
     #[must_use]
     pub fn measure(&self, config: &DeploymentConfig, load: &LoadLevel) -> BenchmarkResult {
-        let requests = self.mix.request_sequence(load.total_requests(), self.seed);
-        let scenario = run_requests(config, &requests);
-        self.result_from_scenario(config, load, &scenario)
+        self.measure_matrix(std::slice::from_ref(config), std::slice::from_ref(load), 1)
+            .remove(0)
     }
 
     /// Measures every configuration × load-level cell as one campaign over
@@ -220,30 +219,27 @@ impl WebBench {
                 self.mix.request_sequence(load.total_requests(), self.seed),
             ));
         }
-        let report = campaign.run(workers);
-        report
+        campaign
+            .run(workers)
             .cells
-            .into_iter()
+            .iter()
             .map(|cell| {
                 let config = &configs[cell.spec.config_index];
-                let load = &loads[cell.spec.scenario_index];
-                let scenario = ScenarioOutcome::from_cell(cell);
-                self.result_from_scenario(config, load, &scenario)
+                self.result_from_cell(config, &loads[cell.spec.scenario_index], cell)
             })
             .collect()
     }
 
-    /// Converts a served scenario into throughput/latency figures using the
+    /// Converts a served cell into throughput/latency figures using the
     /// closed-loop model.
-    #[must_use]
-    pub fn result_from_scenario(
+    fn result_from_cell(
         &self,
         config: &DeploymentConfig,
         load: &LoadLevel,
-        scenario: &ScenarioOutcome,
+        cell: &CellResult,
     ) -> BenchmarkResult {
-        let n_requests = scenario.requests.len().max(1);
-        let metrics = &scenario.system.metrics;
+        let n_requests = cell.exchanges.len().max(1);
+        let metrics = &cell.outcome.metrics;
 
         // Measured CPU cost per request: all variants' instructions plus the
         // per-syscall kernel crossings and the monitor's equivalence checks.
@@ -256,12 +252,8 @@ impl WebBench {
         // Kernel-side I/O per request (performed once regardless of variant
         // count): approximate the disk portion from the bytes the kernel
         // moved minus what went over the network.
-        let response_bytes: u64 = scenario.total_response_bytes();
-        let request_bytes: u64 = scenario
-            .requests
-            .iter()
-            .map(|r| r.request.len() as u64)
-            .sum();
+        let response_bytes: u64 = cell.exchanges.iter().map(|r| r.response.len() as u64).sum();
+        let request_bytes: u64 = cell.exchanges.iter().map(|r| r.request.len() as u64).sum();
         let disk_bytes = metrics
             .io_bytes
             .saturating_sub(response_bytes + request_bytes);
@@ -298,7 +290,7 @@ impl WebBench {
             cpu_service_ms: cpu_per_request.as_millis_f64(),
             total_instructions: metrics.total_instructions,
             monitor_checks: metrics.monitor_checks,
-            all_requests_succeeded: scenario.successful_requests() == scenario.requests.len(),
+            all_requests_succeeded: cell.exchanges.iter().all(ServedRequest::is_success),
         }
     }
 }

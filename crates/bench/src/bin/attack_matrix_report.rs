@@ -1,9 +1,10 @@
 //! The security evaluation: every attack class against every deployment
 //! configuration, declared as one judged campaign over build-once compiled
 //! artifacts and executed in parallel, with the result the paper's
-//! arguments predict next to the observed result.
+//! arguments predict next to the observed result. Exits 1 when any pair
+//! misses its prediction.
 
-use nvariant_apps::attacks::{attack_campaign, attack_outcomes_from_report, Attack};
+use nvariant_apps::attacks::{attack_campaign, Attack};
 use nvariant_apps::campaigns::security_sweep_configs;
 use nvariant_bench::render_table;
 
@@ -20,22 +21,21 @@ fn main() {
     let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let report = attack_campaign(&configs).run(workers);
 
-    // Rows in attack-major order, the order the paper's matrix is read in.
-    let rows: Vec<Vec<String>> = attack_outcomes_from_report(&report, &configs)
+    // Rows in attack-major order, the order the paper's matrix is read in
+    // (the campaign's cells are config-major).
+    let mut cells: Vec<_> = report.cells.iter().collect();
+    cells.sort_by_key(|cell| (cell.spec.scenario_index, cell.spec.config_index));
+    let rows: Vec<Vec<String>> = cells
         .into_iter()
-        .map(|outcome| {
-            let matches = if outcome.matches_expectation() {
-                "yes".to_string()
-            } else {
-                "MISMATCH".to_string()
-            };
+        .map(|cell| {
+            let verdict = cell.verdict.as_ref().expect("attack cells are judged");
             vec![
-                outcome.attack,
-                outcome.config_label,
-                outcome.result.to_string(),
-                outcome.expected.to_string(),
-                matches,
-                outcome.alarm.unwrap_or_else(|| "-".to_string()),
+                cell.spec.scenario_label.clone(),
+                cell.spec.config_label.clone(),
+                verdict.observed.clone(),
+                verdict.expected.clone(),
+                if verdict.matches() { "yes" } else { "MISMATCH" }.to_string(),
+                cell.outcome.alarm.as_deref().unwrap_or("-").to_string(),
             ]
         })
         .collect();
@@ -61,4 +61,7 @@ fn main() {
         aggregate.judged_cells()
     );
     println!("\n{}", aggregate.render_summary());
+    if aggregate.verdict_mismatches() > 0 {
+        std::process::exit(1);
+    }
 }

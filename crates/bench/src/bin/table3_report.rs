@@ -12,13 +12,12 @@ use nvariant_bench::{measure_table3, paper_table3, percent_change, render_table}
 /// `--ladder`: instead of the paper's two load points, sweep a doubling
 /// client-count ladder (1, 2, 4, ..., 64) over the same campaign path so
 /// the saturation knee of each configuration is visible.
-fn ladder_report(bench: &WebBench) {
+fn ladder_report(bench: &WebBench, workers: usize) {
     println!("WebBench client-count ladder (1..64 clients, x2 steps)");
     println!("======================================================\n");
 
     let configs = DeploymentConfig::paper_configurations();
     let loads = LoadLevel::ladder(64);
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let results = bench.measure_matrix(&configs, &loads, workers);
 
     // measure_matrix returns config-major rows: every load for configs[0],
@@ -62,15 +61,16 @@ fn ladder_report(bench: &WebBench) {
 
 fn main() {
     let bench = WebBench::default();
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if std::env::args().any(|a| a == "--ladder") {
-        ladder_report(&bench);
+        ladder_report(&bench, workers);
         return;
     }
 
     println!("Table 3: Performance Results (reproduction)");
     println!("===========================================\n");
 
-    let rows = measure_table3(&bench);
+    let rows = measure_table3(&bench, workers);
 
     let mut table: Vec<Vec<String>> = Vec::new();
     for row in &rows {

@@ -252,22 +252,16 @@ pub struct Table3Row {
 }
 
 /// Runs the full Table 3 measurement — every paper configuration under
-/// both load levels — as one parallel campaign over the cached compiled
-/// artifacts (the per-cell numbers are identical at any worker count).
-#[must_use]
-pub fn measure_table3(bench: &WebBench) -> Vec<Table3Row> {
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    measure_table3_with_workers(bench, workers)
-}
-
-/// [`measure_table3`] with an explicit worker count.
+/// both load levels — as one campaign over the cached compiled artifacts on
+/// `workers` threads (the per-cell numbers are identical at any worker
+/// count).
 ///
 /// # Panics
 ///
 /// Panics if the campaign drops a matrix cell — that would be an engine
 /// bug, not a caller error.
 #[must_use]
-pub fn measure_table3_with_workers(bench: &WebBench, workers: usize) -> Vec<Table3Row> {
+pub fn measure_table3(bench: &WebBench, workers: usize) -> Vec<Table3Row> {
     let configs = DeploymentConfig::paper_configurations();
     let loads = [LoadLevel::unsaturated(), LoadLevel::saturated()];
     let mut results = bench.measure_matrix(&configs, &loads, workers).into_iter();

@@ -720,9 +720,10 @@ fn damaged_delivery(text: &[u8], case: usize) -> Vec<u8> {
 /// Arbitrary bytes through retrieval and validation: in each of a few
 /// hundred seeded cases the host delivers a damaged shard on attempt 1.
 /// The attempt must end as a collected shard, or as a retryable failure: a
-/// parse error naming a line the delivery has (the one after its last, or
-/// line 0 for its end), or a refusal of the plan identity or the cell set. Nothing panics or
-/// hangs, and every retry merges byte-identically to the single-host run.
+/// parse error naming a line the delivery has, or the one after its last
+/// for its end, or a refusal of the plan identity or the cell set. Nothing
+/// panics or hangs, and every retry merges byte-identically to the
+/// single-host run.
 #[test]
 fn arbitrary_damage_to_a_delivered_shard_is_collected_or_retried_never_a_panic() {
     let plan = plan();
@@ -766,9 +767,8 @@ fn arbitrary_damage_to_a_delivered_shard_is_collected_or_retried_never_a_panic()
                     .next()
                     .and_then(|number| number.parse().ok())
                     .unwrap_or_else(|| panic!("case {case}: {reason}"));
-                // Line 0 is the reader's name for the end of the input.
                 assert!(
-                    line <= line_count + 1 && (line > 0 || reason.ends_with("end of input")),
+                    (1..=line_count + 1).contains(&line),
                     "case {case}: {line_count} lines: {reason}"
                 );
             }

@@ -200,21 +200,6 @@ impl Credentials {
             Err(Errno::Eperm)
         }
     }
-
-    /// POSIX `setegid(2)`, mirroring [`Credentials::seteuid`] for groups.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Errno::Eperm`] if the process is unprivileged and `gid` is
-    /// neither its real nor its saved GID.
-    pub fn setegid(&mut self, gid: Gid) -> Result<(), Errno> {
-        if self.euid.is_root() || gid == self.rgid || gid == self.sgid {
-            self.egid = gid;
-            Ok(())
-        } else {
-            Err(Errno::Eperm)
-        }
-    }
 }
 
 impl Default for Credentials {
@@ -301,9 +286,6 @@ mod tests {
         cred.setgid(Gid::new(48)).unwrap();
         assert_eq!(cred.egid(), Gid::new(48));
         assert_eq!(cred.sgid(), Gid::new(48));
-        // Still euid root, so may change again.
-        cred.setegid(Gid::new(100)).unwrap();
-        assert_eq!(cred.egid(), Gid::new(100));
     }
 
     #[test]

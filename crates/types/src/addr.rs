@@ -49,12 +49,6 @@ impl VirtAddr {
         self.0 as usize
     }
 
-    /// Returns `true` if this is the null address.
-    #[must_use]
-    pub const fn is_null(self) -> bool {
-        self.0 == 0
-    }
-
     /// Returns `true` if the partition (high) bit is set.
     #[must_use]
     pub const fn high_bit_set(self) -> bool {
@@ -176,12 +170,6 @@ mod tests {
         let p = VirtAddr::new(0x1010);
         assert_eq!(p.offset_from(base), Some(0x10));
         assert_eq!(base.offset_from(p), None);
-    }
-
-    #[test]
-    fn null_address() {
-        assert!(VirtAddr::NULL.is_null());
-        assert!(!VirtAddr::new(1).is_null());
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! let [rows, columns] = reader.field("shape")?.tokens("shape needs 2 sizes")?;
 //! assert_eq!((rows.number::<u32>()?, columns.number::<u32>()?), (3, 4));
 //! let end = reader.next_line().unwrap_err();
-//! assert_eq!(end.line, 0);
-//! assert_eq!(end.to_string(), "parse error at line 0: unexpected end of input");
+//! assert_eq!(end.line, 3);
+//! assert_eq!(end.to_string(), "parse error at line 3: unexpected end of input");
 //! # Ok::<(), nvariant_types::lines::ParseError>(())
 //! ```
 
@@ -66,8 +66,9 @@ const NOT_UTF8: &str = "cannot read line: stream did not contain valid UTF-8";
 /// Why a file failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
-    /// 1-based line the error was detected on (0 for an unexpected end of
-    /// input).
+    /// 1-based line the error was detected on; for an unexpected end of
+    /// input, the line that should have followed (0 for an error that has no
+    /// line, such as a file that cannot be opened).
     pub line: usize,
     /// What went wrong.
     pub message: String,
@@ -229,10 +230,11 @@ impl<R: BufRead> LineReader<R> {
     }
 
     /// Reads one line's bytes that must be there: the end of input is an
-    /// error at line 0.
+    /// error at the line that should have followed.
     pub fn next_raw(&mut self) -> Result<RawLine<'_>, ParseError> {
+        let missing = self.line + 1;
         self.read_raw()?.ok_or_else(|| ParseError {
-            line: 0,
+            line: missing,
             message: "unexpected end of input".to_string(),
         })
     }
@@ -245,7 +247,7 @@ impl<R: BufRead> LineReader<R> {
     }
 
     /// Reads one line as text that must be there: the end of input is an
-    /// error at line 0.
+    /// error at the line that should have followed.
     pub fn next_line(&mut self) -> Result<Line<'_>, ParseError> {
         self.next_raw()?.text()
     }
@@ -492,11 +494,11 @@ mod tests {
             assert_eq!(lines.line(), read.len());
         }
         assert_eq!(read, ["a", "b", "", "c\rd", "e"]);
-        // The end of input stays the end, and is an error at line 0 where
-        // a line must follow.
+        // The end of input stays the end, and is an error at the line that
+        // should have followed where a line must follow.
         assert!(lines.read_line().unwrap().is_none());
         let err = lines.next_line().unwrap_err();
-        assert_eq!(err.line, 0);
+        assert_eq!(err.line, 6);
         assert!(err.message.contains("unexpected end"), "{err}");
     }
 

@@ -77,12 +77,6 @@ impl Word {
         self.0 as i32
     }
 
-    /// Interprets the word as a boolean: any non-zero value is true.
-    #[must_use]
-    pub const fn as_bool(self) -> bool {
-        self.0 != 0
-    }
-
     /// Interprets the word as a UID.
     #[must_use]
     pub const fn as_uid(self) -> Uid {
@@ -196,8 +190,6 @@ mod tests {
         assert_eq!(Word::from_uid(Uid::ROOT).as_uid(), Uid::ROOT);
         let a = VirtAddr::new(0x8000_1000);
         assert_eq!(Word::from_addr(a).as_addr(), a);
-        assert!(Word::from_bool(true).as_bool());
-        assert!(!Word::ZERO.as_bool());
     }
 
     #[test]

@@ -22,19 +22,20 @@ fn main() {
     for attack in &attacks {
         println!("[{}] {}\n", attack.name, attack.description);
         for config in &configs {
-            let outcome = run_attack(config, attack);
+            let cell = run_attack(config, attack);
+            let verdict = cell.verdict.as_ref().expect("attack cells are judged");
             println!(
                 "    {:<45} -> {:<9} (predicted: {}){}",
                 config.to_string(),
-                outcome.result.to_string(),
-                outcome.expected,
-                if outcome.matches_expectation() {
+                verdict.observed,
+                verdict.expected,
+                if verdict.matches() {
                     ""
                 } else {
                     "  <-- UNEXPECTED"
                 }
             );
-            if let Some(alarm) = &outcome.alarm {
+            if let Some(alarm) = &cell.outcome.alarm {
                 println!("        {alarm}");
             }
         }

@@ -41,12 +41,12 @@ fn absolute_address_injection_succeeds_alone_and_is_detected_partitioned() {
 fn partitioned_variants_serve_identical_content_from_disjoint_address_spaces() {
     use nvariant_apps::scenarios::run_requests;
     use nvariant_apps::workload::benign_request;
-    let outcome = run_requests(
+    let cell = run_requests(
         &DeploymentConfig::TwoVariantAddress,
         &[benign_request("/index.html"), benign_request("/news.html")],
     );
-    assert!(outcome.system.exited_normally(), "{}", outcome.system);
-    assert_eq!(outcome.successful_requests(), 2);
+    assert!(cell.outcome.exited_normally(), "{}", cell.outcome);
+    assert_eq!(cell.tally().ok, 2);
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! important to the paper's story as the detections.
 
 use nvariant::DeploymentConfig;
-use nvariant_apps::attacks::{attack_matrix, run_attack, Attack, AttackClass, AttackResult};
+use nvariant_apps::attacks::{attack_campaign, run_attack, Attack, AttackClass};
+use nvariant_campaign::{CellResult, CellVerdict};
 
 fn matrix_configs() -> Vec<DeploymentConfig> {
     vec![
@@ -18,19 +19,25 @@ fn matrix_configs() -> Vec<DeploymentConfig> {
     ]
 }
 
+/// The verdict every attack cell carries.
+fn verdict(cell: &CellResult) -> &CellVerdict {
+    cell.verdict.as_ref().expect("attack cells are judged")
+}
+
 #[test]
 fn every_attack_outcome_matches_the_papers_prediction() {
-    let outcomes = attack_matrix(&matrix_configs());
-    assert_eq!(outcomes.len(), 3 * 5);
-    for outcome in &outcomes {
+    let report = attack_campaign(&matrix_configs()).run(2);
+    assert_eq!(report.cells.len(), 3 * 5);
+    for cell in &report.cells {
+        let verdict = verdict(cell);
         assert!(
-            outcome.matches_expectation(),
-            "{} vs {}: observed {:?}, predicted {:?} (alarm: {:?})",
-            outcome.attack,
-            outcome.config_label,
-            outcome.result,
-            outcome.expected,
-            outcome.alarm
+            verdict.matches(),
+            "{} vs {}: observed {}, predicted {} (alarm: {:?})",
+            cell.spec.scenario_label,
+            cell.spec.config_label,
+            verdict.observed,
+            verdict.expected,
+            cell.outcome.alarm
         );
     }
 }
@@ -42,9 +49,9 @@ fn uid_corruption_is_guaranteed_detected_by_the_uid_variation() {
             attack.class,
             AttackClass::UidCorruptionRelative | AttackClass::UidCorruptionAbsolute
         ) {
-            let outcome = run_attack(&DeploymentConfig::TwoVariantUid, &attack);
-            assert_eq!(outcome.result, AttackResult::Detected, "{outcome:?}");
-            assert!(outcome.alarm.is_some());
+            let cell = run_attack(&DeploymentConfig::TwoVariantUid, &attack);
+            assert_eq!(verdict(&cell).observed, "detected", "{}", cell.outcome);
+            assert!(cell.outcome.alarm.is_some());
         }
     }
 }
@@ -53,12 +60,13 @@ fn uid_corruption_is_guaranteed_detected_by_the_uid_variation() {
 fn the_composed_variation_covers_both_attack_classes() {
     let composed = DeploymentConfig::composed_uid_and_address();
     for attack in Attack::all() {
-        let outcome = run_attack(&composed, &attack);
+        let cell = run_attack(&composed, &attack);
         assert_eq!(
-            outcome.result,
-            AttackResult::Detected,
-            "composition should detect {}: {outcome:?}",
-            attack.name
+            verdict(&cell).observed,
+            "detected",
+            "composition should detect {}: {}",
+            attack.name,
+            cell.outcome
         );
     }
 }
@@ -66,8 +74,8 @@ fn the_composed_variation_covers_both_attack_classes() {
 #[test]
 fn detection_alarms_identify_the_uid_data_class() {
     let attack = &Attack::all()[0];
-    let outcome = run_attack(&DeploymentConfig::TwoVariantUid, attack);
-    let alarm = outcome.alarm.expect("attack must be detected");
+    let cell = run_attack(&DeploymentConfig::TwoVariantUid, attack);
+    let alarm = cell.outcome.alarm.expect("attack must be detected");
     // The divergence is observed at a UID use: either a detection call or a
     // UID-carrying system call argument.
     assert!(
@@ -83,12 +91,13 @@ fn single_process_configurations_never_raise_alarms() {
             DeploymentConfig::Unmodified,
             DeploymentConfig::TransformedSingle,
         ] {
-            let outcome = run_attack(&config, &attack);
+            let cell = run_attack(&config, &attack);
             assert!(
-                outcome.alarm.is_none(),
-                "single-process deployments cannot detect: {outcome:?}"
+                cell.outcome.alarm.is_none(),
+                "single-process deployments cannot detect: {}",
+                cell.outcome
             );
-            assert_ne!(outcome.result, AttackResult::Detected);
+            assert_ne!(verdict(&cell).observed, "detected");
         }
     }
 }

@@ -4,7 +4,7 @@
 //! diverge where (and only where) the paper says it must.
 
 use nvariant::{DeploymentConfig, NVariantSystemBuilder};
-use nvariant_apps::attacks::{run_attack, Attack, AttackClass, AttackResult};
+use nvariant_apps::attacks::{run_attack, Attack, AttackClass};
 use nvariant_apps::scenarios::run_requests;
 use nvariant_apps::workload::WorkloadMix;
 use nvariant_types::Uid;
@@ -48,19 +48,15 @@ fn benign_workload_is_served_identically_under_all_four_configurations() {
     let requests = WorkloadMix::standard().request_sequence(8, 0xD1CE);
     let mut reference_bytes = None;
     for config in DeploymentConfig::paper_configurations() {
-        let outcome = run_requests(&config, &requests);
-        assert!(
-            outcome.system.exited_normally(),
-            "{config}: {}",
-            outcome.system
-        );
+        let cell = run_requests(&config, &requests);
+        assert!(cell.outcome.exited_normally(), "{config}: {}", cell.outcome);
         assert_eq!(
-            outcome.successful_requests(),
+            cell.tally().ok,
             requests.len(),
             "{config}: all benign requests must get a 200"
         );
         // Normal equivalence across configurations: byte-identical service.
-        let bytes = outcome.total_response_bytes();
+        let bytes: usize = cell.exchanges.iter().map(|r| r.response.len()).sum();
         match reference_bytes {
             None => reference_bytes = Some(bytes),
             Some(expected) => assert_eq!(bytes, expected, "{config}"),
@@ -79,13 +75,14 @@ fn seeded_uid_corruption_diverges_exactly_where_the_paper_predicts() {
         .expect("attack catalogue has a relative UID-corruption attack");
 
     for config in DeploymentConfig::paper_configurations() {
-        let outcome = run_attack(&config, &uid_attack);
+        let cell = run_attack(&config, &uid_attack);
+        let verdict = cell.verdict.as_ref().expect("attack cells are judged");
         if config == DeploymentConfig::TwoVariantUid {
             // The UID variation re-expresses the corrupted data, so the
             // variants' canonical UID values disagree and the monitor kills
             // the group with a divergence alarm.
-            assert_eq!(outcome.result, AttackResult::Detected, "{outcome:?}");
-            let alarm = outcome.alarm.as_deref().expect("divergence alarm");
+            assert_eq!(verdict.observed, "detected", "{config}: {}", cell.outcome);
+            let alarm = cell.outcome.alarm.as_deref().expect("divergence alarm");
             assert!(
                 alarm.contains("divergent"),
                 "alarm should report divergent variants: {alarm}"
@@ -94,9 +91,9 @@ fn seeded_uid_corruption_diverges_exactly_where_the_paper_predicts() {
             // Every other paper configuration leaves UID data uniform across
             // the deployment, so the same attack must keep succeeding —
             // the class-specificity half of the paper's claim.
-            assert_eq!(outcome.result, AttackResult::Succeeded, "{outcome:?}");
-            assert!(outcome.alarm.is_none(), "{outcome:?}");
+            assert_eq!(verdict.observed, "SUCCEEDED", "{config}: {}", cell.outcome);
+            assert!(cell.outcome.alarm.is_none(), "{config}: {}", cell.outcome);
         }
-        assert!(outcome.matches_expectation(), "{outcome:?}");
+        assert!(verdict.matches(), "{config}: {verdict:?}");
     }
 }
