@@ -44,6 +44,20 @@
 //! give-up leaves to the bytecode are seen where the images plant them,
 //! in a body or at a call.
 //!
+//! Sixteen more images, from a fourth generator stream, plant the longer
+//! runs the way the run images plant theirs: the byte-loop test
+//! `a[i] != c` (`LoadL; LoadL; Add; LoadB; Push; Ne; Jz`), an increment
+//! and its jump (`LoadL; Push; Add; StoreL; Jmp`), whole loops made of
+//! the two, and the join `&&` compiles to (`Push; Jmp` to a `Jz`). A
+//! join's `Jmp` also targets a slot that is not a `Jz`, a misaligned
+//! offset or one outside the image. The entry runs are bare, fed, planted
+//! with edge operands, or entered in their middle with an operand stack
+//! that is empty or one word short, and budgets 0 to 17 end a slice at
+//! every offset inside them. The test asserts these runs too are seen
+//! faulting at each instruction that can, ending a slice and taking a
+//! branch at every offset, taking and falling through their `Jz`, and a
+//! join's `Jmp` reaching each kind of target.
+//!
 //! Each probe is one line of the committed golden fixture
 //! `tests/fixtures/interpreter_traps_golden.txt`: the trap, pc, sp, fp,
 //! `instructions_executed`, `syscalls_made` and the `digest_into` value.
@@ -89,6 +103,17 @@ const NATIVE_IMAGES: u64 = 16;
 /// The longest first call whose every offset the budgets probe.
 const NATIVE_SWEEP: u64 = 160;
 
+/// The images after the native-call images plant the byte-loop test, the
+/// increment with its jump and the `&&` join.
+const LOOP_SEED: u64 = 37;
+const LOOP_IMAGES: u64 = 18;
+/// Every budget up to 17 ends a slice at each offset inside the runs
+/// planted at a loop image's entry, behind their feeding slots: a whole
+/// loop's are 16 slots.
+const LOOP_BUDGETS: [u64; 19] = [
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, FULL,
+];
+
 /// The string routines the interpreter runs natively, and how many
 /// arguments each pops.
 const ROUTINES: [(&str, u32); 5] = [
@@ -118,19 +143,43 @@ const ROUTINE_FAULTS: [(&str, &str); 5] = [
 /// below the `sp` it leaves would lie in the globals.
 const FORGED: u32 = 24;
 
-/// The instruction runs the images plant, by name: the three the
+/// The instruction runs the images plant, by name: the ones the
 /// interpreter executes in one dispatch, and `Ne; Jz`, which it executes
-/// one instruction at a time.
-const RUNS: [(&str, &[Op]); 4] = [
+/// one instruction at a time. The `&&` join's `Jz` is the slot its `Jmp`
+/// targets; every other run's instructions are adjacent.
+const RUNS: [(&str, &[Op]); 7] = [
     ("index_byte", &[Op::LoadL, Op::LoadL, Op::Add, Op::LoadB]),
     ("branch_if_imm", &[Op::Push, Op::Ne, Op::Jz]),
     ("add_imm_local", &[Op::LoadL, Op::Push, Op::Add, Op::StoreL]),
     ("branch_if_equal", &[Op::Ne, Op::Jz]),
+    (
+        "byte_loop_test",
+        &[
+            Op::LoadL,
+            Op::LoadL,
+            Op::Add,
+            Op::LoadB,
+            Op::Push,
+            Op::Ne,
+            Op::Jz,
+        ],
+    ),
+    (
+        "inc_jump",
+        &[Op::LoadL, Op::Push, Op::Add, Op::StoreL, Op::Jmp],
+    ),
+    ("and_join", &[Op::Push, Op::Jmp, Op::Jz]),
 ];
+/// Indices into [`RUNS`] of the runs the loop images plant.
+const BYTE_LOOP_TEST: usize = 4;
+const INC_JUMP: usize = 5;
+const AND_JOIN: usize = 6;
 
-/// Each instruction of a run that can fault there, with its fault. A run's
-/// `Push`, `Add` and `Jz` cannot: their operands are the run's own.
-const RUN_FAULTS: [(&str, u32, &str); 8] = [
+/// Each instruction of a run that can fault there, with its fault. Entered
+/// at its head, a run's `Push`, `Add`, `Ne`, `Jmp` and `Jz` cannot: their
+/// operands are the run's own. Entered in its middle one word short, as a
+/// loop image's entry is, an `Add`, `Ne` or `Jz` underflows.
+const RUN_FAULTS: [(&str, u32, &str); 17] = [
     ("index_byte", 0, "Segfault"),
     ("index_byte", 1, "Segfault"),
     ("index_byte", 3, "Segfault"),
@@ -139,6 +188,29 @@ const RUN_FAULTS: [(&str, u32, &str); 8] = [
     ("add_imm_local", 3, "Segfault"),
     ("add_imm_local", 3, "WriteProtection"),
     ("branch_if_equal", 0, "OperandStackUnderflow"),
+    ("byte_loop_test", 0, "Segfault"),
+    ("byte_loop_test", 1, "Segfault"),
+    ("byte_loop_test", 3, "Segfault"),
+    ("byte_loop_test", 5, "OperandStackUnderflow"),
+    ("inc_jump", 0, "Segfault"),
+    ("inc_jump", 2, "OperandStackUnderflow"),
+    ("inc_jump", 3, "Segfault"),
+    ("inc_jump", 3, "WriteProtection"),
+    ("and_join", 2, "OperandStackUnderflow"),
+];
+
+/// The ways the loop images' jumps must be seen going: the byte-loop
+/// test's and the join's `Jz` taken and falling through, and the join's
+/// `Jmp` reaching each kind of target.
+const RUN_JUMPS: [(&str, u32, &str); 8] = [
+    ("byte_loop_test", 6, "taken"),
+    ("byte_loop_test", 6, "fell through"),
+    ("and_join", 2, "taken"),
+    ("and_join", 2, "fell through"),
+    ("and_join", 1, "to a Jz"),
+    ("and_join", 1, "to another op"),
+    ("and_join", 1, "misaligned"),
+    ("and_join", 1, "outside the image"),
 ];
 
 fn golden_path() -> PathBuf {
@@ -186,9 +258,27 @@ struct Image {
     mixed_slots: Vec<usize>,
     /// The planted fused runs: head slot and index into [`RUNS`].
     runs: Vec<(u32, usize)>,
+    /// The slot of each planted `&&` join's `Jz`, by the join's head, for
+    /// the joins whose `Jmp` reaches one.
+    joins: BTreeMap<u32, u32>,
     /// The planted string routines, and each call to one as `call`: first
     /// slot, slot count and name.
     routines: Vec<(u32, u32, &'static str)>,
+}
+
+impl Image {
+    /// The offset of `slot` in the planted run `RUNS[kind]` at `head`.
+    fn offset_in(&self, slot: u32, head: u32, kind: usize) -> Option<u32> {
+        if kind == AND_JOIN && self.joins.get(&head) == Some(&slot) {
+            return Some(2);
+        }
+        let adjacent = if kind == AND_JOIN {
+            2
+        } else {
+            RUNS[kind].1.len() as u32
+        };
+        (head..head + adjacent).contains(&slot).then(|| slot - head)
+    }
 }
 
 /// Operands aimed at the edges of every segment under every layout.
@@ -516,16 +606,22 @@ impl Edges {
                 out.push(Instr::new(Op::Push, rng.below(4)));
             }
             (0, _) => out.push(self.byte_address(rng)),
-            (1, 1) | (2, 2) => {
+            (1, 1) | (2 | INC_JUMP, 2) | (BYTE_LOOP_TEST, 5) => {
                 out.push(self.value(rng));
                 out.push(self.value(rng));
             }
+            (BYTE_LOOP_TEST, 2) => {
+                out.push(self.byte_address(rng));
+                out.push(Instr::new(Op::Push, rng.below(4)));
+            }
+            (BYTE_LOOP_TEST, 1 | 3) => out.push(self.byte_address(rng)),
             _ => out.push(self.value(rng)),
         }
         out.push(Instr::new(Op::Jmp, 0));
         let jump = out.len() - 1;
         self.run(kind, 2, tame, rng, out, runs);
-        out[jump].operand = (runs[runs.len() - 1].0 + offset) * INSTR_SIZE;
+        let head = runs[runs.len() - 1].0;
+        out[jump].operand = run_slot(out, head, kind, offset) * INSTR_SIZE;
     }
 
     /// A run's branch target: the slot after the run, at `next`, when
@@ -540,10 +636,11 @@ impl Edges {
     }
 
     /// Plants the fused run `RUNS[kind]`, recording its head in `runs`.
-    /// With `feed`, the slots before it store the locals it reads, or
-    /// push `feed` words (at most one for `branch_if_imm`) for its `Ne`.
-    /// A `tame` run reads and writes only locals of the current frame and
-    /// branches to the slot after it.
+    /// With `feed`, the slots before it store the locals it reads, push
+    /// `feed` words (at most one for `branch_if_imm`) for its `Ne`, or,
+    /// for the `&&` join, test the two operands of the `&&`. A `tame` run
+    /// reads and writes only locals of the current frame and branches to
+    /// the slot after it.
     fn run(
         &self,
         kind: usize,
@@ -610,6 +707,89 @@ impl Edges {
                 ]
                 .to_vec()
             }
+            BYTE_LOOP_TEST => {
+                // Tame tests share one address and one index, so a test
+                // entered in its middle reads what an earlier feed stored.
+                let (base, index) = if tame {
+                    (4, 8)
+                } else {
+                    let base = self.run_local(false, rng);
+                    match self.run_local(false, rng) {
+                        index if index == base => (base, base.wrapping_add(4)),
+                        index => (base, index),
+                    }
+                };
+                if feed > 0 {
+                    out.push(self.byte_address(rng));
+                    out.push(Instr::new(Op::StoreL, base));
+                    out.push(Instr::new(Op::Push, rng.below(4)));
+                    out.push(Instr::new(Op::StoreL, index));
+                }
+                // The loop images' globals hold bytes below 4.
+                let imm = if rng.below(4) == 0 {
+                    self.value(rng).operand
+                } else {
+                    rng.below(4)
+                };
+                [
+                    Instr::new(Op::LoadL, base),
+                    Instr::new(Op::LoadL, index),
+                    Instr::simple(Op::Add),
+                    Instr::simple(Op::LoadB),
+                    Instr::new(Op::Push, imm),
+                    Instr::simple(Op::Ne),
+                    Instr::new(Op::Jz, self.run_target(tame, rng, out.len() + 7)),
+                ]
+                .to_vec()
+            }
+            INC_JUMP => {
+                // Tame increments count in a local of their own.
+                let (src, dst) = if tame {
+                    (12, 12)
+                } else {
+                    (self.run_local(false, rng), self.run_local(false, rng))
+                };
+                if feed > 0 {
+                    out.push(self.value(rng));
+                    out.push(Instr::new(Op::StoreL, src));
+                }
+                let imm = if rng.below(4) == 0 {
+                    rng.next() as u32
+                } else {
+                    rng.below(4)
+                };
+                [
+                    Instr::new(Op::LoadL, src),
+                    Instr::new(Op::Push, imm),
+                    Instr::simple(Op::Add),
+                    Instr::new(Op::StoreL, dst),
+                    Instr::new(Op::Jmp, self.run_target(tame, rng, out.len() + 5)),
+                ]
+                .to_vec()
+            }
+            AND_JOIN => {
+                // `lhs && rhs` as the compiler emits it: each operand's
+                // `Jz` goes to the `Push 0` arm, and `Push 1; Jmp` to the
+                // join's `Jz`, which falls in after the arm and, tame,
+                // skips the `Nop` after it. The join's word is 0 or any
+                // word at times.
+                let head = (out.len() + if feed > 0 { 4 } else { 0 }) as u32;
+                if feed > 0 {
+                    for _ in 0..2 {
+                        out.push(Instr::new(Op::Push, rng.pick(&[1, 1, 0])));
+                        out.push(Instr::new(Op::Jz, (head + 2) * INSTR_SIZE));
+                    }
+                }
+                let word = self.value(rng).operand;
+                [
+                    Instr::new(Op::Push, rng.pick(&[1, 1, 0, word])),
+                    Instr::new(Op::Jmp, (head + 3) * INSTR_SIZE),
+                    Instr::new(Op::Push, 0),
+                    Instr::new(Op::Jz, self.run_target(tame, rng, head as usize + 5)),
+                    Instr::simple(Op::Nop),
+                ]
+                .to_vec()
+            }
             _ => {
                 for _ in 0..feed {
                     out.push(self.value(rng));
@@ -623,6 +803,71 @@ impl Edges {
         };
         runs.push((out.len() as u32, kind));
         out.extend(run);
+    }
+
+    /// Plants a loop that scans bytes for a value, as
+    /// `while (a[i] != c) { i = i + 1; }` compiles: a fed byte-loop test
+    /// that leaves the loop, and an increment of its index whose `Jmp`
+    /// goes back to the test. A `tame` loop steps by one.
+    fn byte_loop(
+        &self,
+        tame: bool,
+        rng: &mut Rng,
+        out: &mut Vec<Instr>,
+        runs: &mut Vec<(u32, usize)>,
+    ) {
+        self.run(BYTE_LOOP_TEST, 1, tame, rng, out, runs);
+        let head = runs[runs.len() - 1].0;
+        let index = out[head as usize + 1].operand;
+        self.run(INC_JUMP, 0, true, rng, out, runs);
+        let inc = head as usize + 7;
+        out[head as usize + 6].operand = (head + 12) * INSTR_SIZE;
+        out[inc].operand = index;
+        if tame {
+            out[inc + 1].operand = 1;
+        }
+        out[inc + 3].operand = index;
+        out[inc + 4].operand = head * INSTR_SIZE;
+    }
+
+    /// Plants `Push 1; Jmp` where the `Jmp` reaches no `Jz`: it targets
+    /// the `Pop` after it, a misaligned offset, or somewhere outside the
+    /// image (one or two slots past its end, the code planted in the
+    /// globals, or anywhere).
+    fn join_elsewhere(&self, rng: &mut Rng, out: &mut Vec<Instr>, runs: &mut Vec<(u32, usize)>) {
+        let head = out.len() as u32;
+        let end = self.slots * INSTR_SIZE;
+        let base = MemoryLayout::default();
+        let to_globals = base.globals_base.wrapping_sub(base.code_base);
+        let target = match rng.below(3) {
+            0 => (head + 2) * INSTR_SIZE,
+            1 => rng.below(self.slots) * INSTR_SIZE + 1 + rng.below(INSTR_SIZE - 1),
+            _ => {
+                let wild = rng.next() as u32;
+                rng.pick(&[
+                    end,
+                    end + INSTR_SIZE,
+                    to_globals.wrapping_add(self.plant),
+                    wild,
+                ])
+            }
+        };
+        runs.push((head, AND_JOIN));
+        out.extend([
+            Instr::new(Op::Push, 1),
+            Instr::new(Op::Jmp, target),
+            Instr::simple(Op::Pop),
+        ]);
+    }
+}
+
+/// The slot of instruction `offset` of the planted run `RUNS[kind]` whose
+/// head is slot `head` of `instrs`: the `&&` join's `Jz` is its `Jmp`'s
+/// target.
+fn run_slot(instrs: &[Instr], head: u32, kind: usize, offset: u32) -> u32 {
+    match (kind, offset) {
+        (AND_JOIN, 2) => instrs[head as usize + 1].operand / INSTR_SIZE,
+        _ => head + offset,
     }
 }
 
@@ -862,6 +1107,180 @@ fn run_image(index: u64) -> Image {
 
     let (globals, mixed_slots) = globals_and_mixed(&edges, &mut rng);
     image(encode_all(&instrs), globals, 0, mixed_slots, runs)
+}
+
+/// The ways into the middle of a loop image's run: (index into [`RUNS`],
+/// offset). Offset 2 of the `&&` join is its `Jz`.
+const LOOP_MIDDLES: [(usize, u32); 12] = [
+    (BYTE_LOOP_TEST, 1),
+    (BYTE_LOOP_TEST, 2),
+    (BYTE_LOOP_TEST, 3),
+    (BYTE_LOOP_TEST, 4),
+    (BYTE_LOOP_TEST, 5),
+    (BYTE_LOOP_TEST, 6),
+    (INC_JUMP, 1),
+    (INC_JUMP, 2),
+    (INC_JUMP, 3),
+    (INC_JUMP, 4),
+    (AND_JOIN, 1),
+    (AND_JOIN, 2),
+];
+
+/// Loop image `index`: a run or a loop at the entry, then a body. The
+/// entry is bare in images 0 to 2: a byte-loop test whose `LoadB` reads
+/// address 0, an increment and a join. Images 3 to 7 feed it and plant an
+/// edge operand that makes a `LoadL` or `StoreL` fault inside it: the
+/// test's first or second load, the increment's store into code or its
+/// load below the stack base, and in image 7 an increment whose store
+/// writes three bytes before it faults, over the word its load read, so a
+/// run that wrote before giving up would load something else when the
+/// loop executes it again. Image 8 starts with a whole loop. Images 9 to
+/// 11 jump into the middle of a run with an operand stack one word short
+/// or empty: to the test's `Ne`, the increment's `Add` and the join's
+/// `Jz`. Images 12 to 15 feed a test, an increment, a join behind the
+/// tests of its `&&`, and such a join whose `Jmp` targets the `Push 0`
+/// arm instead; the bare joins of images 16 and 17 jump to a misaligned
+/// offset and past the image's end. Entries that do not fault run on
+/// into the body, which
+/// starts with a `Jmp` into each of [`LOOP_MIDDLES`], fed so the run's
+/// remainder completes, and goes on with loops, runs, joins whose `Jmp`
+/// reaches no `Jz`, runs entered in their middle, system calls and random
+/// snippets; a third of the test and increment jumps after the entry and
+/// the middles move into the middle of a later run. The globals hold
+/// bytes below 4, so a test often finds its byte.
+fn loop_image(index: u64) -> Image {
+    let mut rng = Rng(LOOP_SEED ^ index.wrapping_mul(0xA24B_AED4_963E_E407));
+    let slots = 256 + rng.below(64);
+    let globals_len = 16 + 4 * rng.below(12) + rng.below(4);
+    let edges = Edges {
+        slots,
+        globals_len,
+        plant: rng.below(globals_len - 2 * INSTR_SIZE),
+    };
+
+    let [above_top, below_base, across_globals_end, on_code] = edges.run_edges();
+    let mut instrs = Vec::new();
+    let mut runs = Vec::new();
+    match index {
+        8 => edges.byte_loop(true, &mut rng, &mut instrs, &mut runs),
+        9..=11 => {
+            let (kind, offset, words) =
+                [(BYTE_LOOP_TEST, 5, 1), (INC_JUMP, 2, 1), (AND_JOIN, 2, 0)][index as usize - 9];
+            for _ in 0..words {
+                instrs.push(edges.value(&mut rng));
+            }
+            instrs.push(Instr::new(Op::Jmp, 0));
+            edges.run(kind, 2, true, &mut rng, &mut instrs, &mut runs);
+            instrs[words] = Instr::new(
+                Op::Jmp,
+                run_slot(&instrs, runs[0].0, kind, offset) * INSTR_SIZE,
+            );
+        }
+        _ => {
+            let (kind, feed, planted): (usize, u32, &[(usize, u32)]) = match index {
+                0 => (BYTE_LOOP_TEST, 0, &[]),
+                1 => (INC_JUMP, 0, &[]),
+                2 => (AND_JOIN, 0, &[]),
+                3 => (BYTE_LOOP_TEST, 1, &[(0, above_top)]),
+                4 => (BYTE_LOOP_TEST, 1, &[(1, below_base)]),
+                5 => (INC_JUMP, 1, &[(3, on_code)]),
+                6 => (INC_JUMP, 1, &[(0, below_base)]),
+                7 => (
+                    INC_JUMP,
+                    1,
+                    &[(0, across_globals_end + 2), (3, across_globals_end + 1)],
+                ),
+                12 => (BYTE_LOOP_TEST, 1, &[]),
+                13 => (INC_JUMP, 1, &[]),
+                14 | 15 => (AND_JOIN, 1, &[]),
+                _ => (AND_JOIN, 0, &[]),
+            };
+            edges.run(kind, feed, true, &mut rng, &mut instrs, &mut runs);
+            let head = runs[0].0 as usize;
+            for &(slot, operand) in planted {
+                instrs[head + slot].operand = operand;
+            }
+            let arm = (head as u32 + 2) * INSTR_SIZE;
+            match index {
+                15 => instrs[head + 1].operand = arm,
+                16 => instrs[head + 1].operand = arm + 1 + rng.below(INSTR_SIZE - 1),
+                17 => instrs[head + 1].operand = (slots + rng.below(2)) * INSTR_SIZE,
+                _ => {}
+            }
+        }
+    }
+    // Words for the remainders of runs entered in the middle to pop.
+    for _ in 0..4 {
+        instrs.push(edges.value(&mut rng));
+    }
+    for (kind, offset) in LOOP_MIDDLES {
+        edges.run_from_middle(kind, offset, true, &mut rng, &mut instrs, &mut runs);
+    }
+    let fixed = runs.len();
+    while instrs.len() < slots as usize {
+        match rng.below(10) {
+            0 => edges.snippet(&mut rng, &mut instrs),
+            1 => instrs.push(Instr::new(Op::Syscall, Sysno::Time.as_u32() << 8)),
+            2 | 3 => {
+                let kind = BYTE_LOOP_TEST + rng.below(3) as usize;
+                let offset = 1 + rng.below(RUNS[kind].1.len() as u32 - 1);
+                edges.run_from_middle(kind, offset, false, &mut rng, &mut instrs, &mut runs);
+            }
+            4 | 5 => edges.byte_loop(false, &mut rng, &mut instrs, &mut runs),
+            6 => edges.join_elsewhere(&mut rng, &mut instrs, &mut runs),
+            _ => {
+                let kind = BYTE_LOOP_TEST + rng.below(3) as usize;
+                edges.run(kind, 2, false, &mut rng, &mut instrs, &mut runs);
+            }
+        }
+    }
+    instrs.truncate(slots as usize);
+    runs.retain(|&(head, kind)| {
+        let adjacent = if kind == AND_JOIN {
+            2
+        } else {
+            RUNS[kind].1.len()
+        };
+        head as usize + adjacent <= instrs.len()
+    });
+    for i in fixed.min(runs.len())..runs.len() {
+        let (head, kind) = runs[i];
+        let later = runs.len() - i - 1;
+        if kind != AND_JOIN && later > 0 && rng.below(3) == 0 {
+            let (to, to_kind) = runs[i + 1 + rng.below(later as u32) as usize];
+            let offset = if to_kind == AND_JOIN {
+                1
+            } else {
+                1 + rng.below(RUNS[to_kind].1.len() as u32 - 1)
+            };
+            let last = head as usize + RUNS[kind].1.len() - 1;
+            instrs[last].operand = (to + offset) * INSTR_SIZE;
+        }
+    }
+
+    let (mut globals, mixed_slots) = globals_and_mixed(&edges, &mut rng);
+    let planted = edges.plant as usize..edges.plant as usize + 2 * SLOT;
+    for (at, byte) in globals.iter_mut().enumerate() {
+        if !planted.contains(&at) {
+            *byte &= 3;
+        }
+    }
+    let joins = runs
+        .iter()
+        .filter(|&&(_, kind)| kind == AND_JOIN)
+        .filter_map(|&(head, _)| {
+            let target = instrs[head as usize + 1].operand;
+            let jz = target / INSTR_SIZE;
+            let lands = target.is_multiple_of(INSTR_SIZE)
+                && instrs
+                    .get(jz as usize)
+                    .is_some_and(|instr| instr.op == Op::Jz);
+            lands.then_some((head, jz))
+        })
+        .collect();
+    let mut image = image(encode_all(&instrs), globals, 0, mixed_slots, runs);
+    image.joins = joins;
+    image
 }
 
 /// The five string routines as the compiler emits them, in [`ROUTINES`]
@@ -1176,6 +1595,7 @@ fn image(
         ),
         mixed_slots,
         runs,
+        joins: BTreeMap::new(),
         routines: Vec::new(),
     }
 }
@@ -1239,8 +1659,9 @@ fn next_op(process: &Process) -> Option<Op> {
 /// What the single-step reference saw: every opcode it executed, each
 /// way it met a planted fused run, as (run name, offset in the run, event):
 /// the fault an instruction there raised, a `budget` that ran out before
-/// it, or a `branch` that landed on it; and each way it met a planted
-/// string routine, as (routine name, event).
+/// it, a `branch` that landed on it, or where a jump there went (see
+/// [`RUN_JUMPS`]); and each way it met a planted string routine, as
+/// (routine name, event).
 #[derive(Default)]
 struct Seen {
     ops: BTreeSet<u8>,
@@ -1256,15 +1677,57 @@ impl Seen {
         }
         let slot = off / INSTR_SIZE;
         for &(head, kind) in &image.runs {
-            let (name, ops) = RUNS[kind];
-            if (head..head + ops.len() as u32).contains(&slot) {
-                self.runs.insert((name, slot - head, event.to_string()));
+            if let Some(offset) = image.offset_in(slot, head, kind) {
+                self.runs.insert((RUNS[kind].0, offset, event.to_string()));
             }
         }
         for &(first, len, name) in &image.routines {
             if (first..first + len).contains(&slot) {
                 self.routines.insert((name, event.to_string()));
             }
+        }
+    }
+
+    /// Notes where a completed jump at `pc` of a planted run went, `to`: a
+    /// `Jz` ending a run taken or falling through (when the two differ),
+    /// and a join's `Jmp` by what it reached.
+    fn note_jump(&mut self, image: &Image, process: &Process, pc: u32, to: u32) {
+        let base = process.layout().code_base;
+        let code = image.compiled.code();
+        let off = pc.wrapping_sub(base);
+        let decode_at = |off: u32| code.get(off as usize..).and_then(Instr::decode);
+        let Some(instr) = decode_at(off).filter(|_| off.is_multiple_of(INSTR_SIZE)) else {
+            return;
+        };
+        for &(head, kind) in &image.runs {
+            let Some(offset) = image.offset_in(off / INSTR_SIZE, head, kind) else {
+                continue;
+            };
+            let (name, ops) = RUNS[kind];
+            let event = match instr.op {
+                Op::Jz if offset as usize == ops.len() - 1 => {
+                    let target = base.wrapping_add(instr.operand);
+                    if target == pc.wrapping_add(INSTR_SIZE) {
+                        continue;
+                    }
+                    if to == target {
+                        "taken"
+                    } else {
+                        "fell through"
+                    }
+                }
+                Op::Jmp if kind == AND_JOIN => {
+                    let at = to.wrapping_sub(base);
+                    match decode_at(at) {
+                        _ if !at.is_multiple_of(INSTR_SIZE) => "misaligned",
+                        Some(instr) if instr.op == Op::Jz => "to a Jz",
+                        Some(_) => "to another op",
+                        None => "outside the image",
+                    }
+                }
+                _ => continue,
+            };
+            self.runs.insert((name, offset, event.to_string()));
         }
     }
 
@@ -1288,7 +1751,8 @@ impl Seen {
     fn missed_runs(&self) -> Vec<(&'static str, u32, String)> {
         let mut want: Vec<_> = RUN_FAULTS
             .iter()
-            .map(|&(name, offset, fault)| (name, offset, fault.to_string()))
+            .chain(&RUN_JUMPS)
+            .map(|&(name, offset, event)| (name, offset, event.to_string()))
             .collect();
         for (name, ops) in RUNS {
             for offset in 1..ops.len() as u32 {
@@ -1319,6 +1783,7 @@ fn step_slice(process: &mut Process, budget: u64, image: &Image, seen: &mut Seen
             if op == Some(Op::Ret) {
                 seen.note(image, process, pc, "return");
             }
+            seen.note_jump(image, process, pc, to);
             continue;
         };
         if let (true, TrapReason::Faulted(fault)) = (running, &trap) {
@@ -1365,8 +1830,12 @@ fn golden_text(seen: &mut Seen) -> String {
         let (image, first_call) = native_image(k, &bodies);
         (IMAGES + RUN_IMAGES + k, image, first_call, &BUDGETS[..])
     });
+    let loops = (0..LOOP_IMAGES).map(|k| {
+        let index = IMAGES + RUN_IMAGES + NATIVE_IMAGES + k;
+        (index, loop_image(k), LOOP_BUDGETS.to_vec(), &BUDGETS[..])
+    });
     let mut text = String::new();
-    for (index, image, first, later) in random.chain(runs).chain(natives) {
+    for (index, image, first, later) in random.chain(runs).chain(natives).chain(loops) {
         for (l, layout) in layouts().into_iter().enumerate() {
             for (label, tag, code) in tag_cases(&image) {
                 let mut process =
