@@ -1140,7 +1140,7 @@ const LOOP_MIDDLES: [(usize, u32); 12] = [
 /// `Jz`. Images 12 to 15 feed a test, an increment, a join behind the
 /// tests of its `&&`, and such a join whose `Jmp` targets the `Push 0`
 /// arm instead; the bare joins of images 16 and 17 jump to a misaligned
-/// offset and past the image's end. Entries that do not fault run on
+/// offset inside their own `Jz` slot and past the image's end. Entries that do not fault run on
 /// into the body, which
 /// starts with a `Jmp` into each of [`LOOP_MIDDLES`], fed so the run's
 /// remainder completes, and goes on with loops, runs, joins whose `Jmp`
@@ -1203,7 +1203,7 @@ fn loop_image(index: u64) -> Image {
             let arm = (head as u32 + 2) * INSTR_SIZE;
             match index {
                 15 => instrs[head + 1].operand = arm,
-                16 => instrs[head + 1].operand = arm + 1 + rng.below(INSTR_SIZE - 1),
+                16 => instrs[head + 1].operand = arm + INSTR_SIZE + 1 + rng.below(INSTR_SIZE - 1),
                 17 => instrs[head + 1].operand = (slots + rng.below(2)) * INSTR_SIZE,
                 _ => {}
             }
