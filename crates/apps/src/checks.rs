@@ -195,8 +195,9 @@ pub fn check_summary(report: &CheckReport) -> CheckSummary {
 pub fn check_paper_matrix(property: Property, depth: usize) -> Vec<CheckReport> {
     let mut reports = Vec::new();
     for config in DeploymentConfig::paper_configurations() {
+        let system = crate::scenarios::compiled_httpd_system(&config);
         for world in check_worlds() {
-            let target = httpd_check_target(&config, world);
+            let target = httpd_target_for(Arc::clone(&system), &config, world);
             reports.push(BoundedChecker.check(&target, &CheckRequest::new(property, depth)));
         }
     }

@@ -341,18 +341,32 @@ pub fn decode_all(code: &[u8]) -> Option<Vec<Instr>> {
 
 /// What the interpreter executes in one dispatch, all or nothing, at a
 /// slot of the predecoded stream (see the `interp` module docs): a run of
-/// adjacent instructions that starts there, or the whole call a `Call`
-/// there makes to a standard-library string routine.
+/// instructions that starts there, or the whole call a `Call` there makes
+/// to a standard-library string routine. A run's instructions are the
+/// ones single steps execute in turn: adjacent slots, except that the
+/// instruction after a `Jmp` is the one at its target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Fused {
     /// The slot starts no run.
     Single,
+    /// `LoadL a; LoadL i; Add; LoadB; Push c; Ne; Jz t`: jump to `t` if
+    /// the byte at local `a` plus local `i` is `c`, as the loop test
+    /// `while (a[i] != c)` compiles.
+    ByteLoopTest,
+    /// `LoadL s; Push c; Add; StoreL d; Jmp t`: local `d` becomes local
+    /// `s` plus `c`, and control goes to `t`, as `i = i + 1;` compiles at
+    /// the end of a loop's body.
+    IncJump,
     /// `LoadL a; LoadL i; Add; LoadB`: push the byte at local `a` plus
     /// local `i`, as `a[i]` compiles.
     IndexByte,
     /// `LoadL s; Push c; Add; StoreL d`: local `d` becomes local `s` plus
     /// `c`, as `i = i + 1` compiles.
     AddImmLocal,
+    /// `Push c; Jmp t` where slot `t` holds `Jz u`: go to `u` if `c` is
+    /// zero and to the slot after `t` otherwise, as the join of `a && b`
+    /// compiles where a condition tests it.
+    AndJoin,
     /// `Push c; Ne; Jz t`: pop a word and jump to `t` if it equals `c`, as
     /// the loop test `while (x != c)` compiles.
     BranchIfImm,
@@ -362,9 +376,26 @@ pub(crate) enum Fused {
 }
 
 impl Fused {
-    /// Every run and its opcodes. No two runs start with the same two
-    /// opcodes, so at most one starts at a slot.
-    const RUNS: [(Fused, &'static [Op]); 3] = [
+    /// Every run and its opcodes, longest first: a slot is marked with the
+    /// longest run that starts there, and each of its slots keeps the
+    /// marks of the shorter runs that start at them.
+    const RUNS: [(Fused, &'static [Op]); 6] = [
+        (
+            Fused::ByteLoopTest,
+            &[
+                Op::LoadL,
+                Op::LoadL,
+                Op::Add,
+                Op::LoadB,
+                Op::Push,
+                Op::Ne,
+                Op::Jz,
+            ],
+        ),
+        (
+            Fused::IncJump,
+            &[Op::LoadL, Op::Push, Op::Add, Op::StoreL, Op::Jmp],
+        ),
         (
             Fused::IndexByte,
             &[Op::LoadL, Op::LoadL, Op::Add, Op::LoadB],
@@ -373,29 +404,48 @@ impl Fused {
             Fused::AddImmLocal,
             &[Op::LoadL, Op::Push, Op::Add, Op::StoreL],
         ),
+        (Fused::AndJoin, &[Op::Push, Op::Jmp, Op::Jz]),
         (Fused::BranchIfImm, &[Op::Push, Op::Ne, Op::Jz]),
     ];
 
-    /// The run whose instructions `instrs` starts with.
-    fn starting(instrs: &[Instr]) -> Fused {
+    /// The longest run that starts at slot `at` of `instrs`. A `Jmp` leads
+    /// on only to an aligned target inside the image, which is where the
+    /// interpreter fetches from the stream.
+    fn starting(instrs: &[Instr], at: usize) -> Fused {
         Self::RUNS
             .iter()
             .find(|(_, ops)| {
-                ops.len() <= instrs.len() && ops.iter().zip(instrs).all(|(&op, i)| i.op == op)
+                let mut slot = Some(at);
+                ops.iter().all(|&op| {
+                    let Some(instr) = slot.and_then(|slot| instrs.get(slot)) else {
+                        return false;
+                    };
+                    slot = match op {
+                        Op::Jmp => instr
+                            .operand
+                            .is_multiple_of(INSTR_SIZE)
+                            .then_some((instr.operand / INSTR_SIZE) as usize),
+                        _ => slot.map(|slot| slot + 1),
+                    };
+                    instr.op == op
+                })
             })
             .map_or(Fused::Single, |&(run, _)| run)
     }
 
-    /// The number of source instructions a run executes. A call's number
-    /// depends on its strings, and the interpreter checks it against the
-    /// budget once it has scanned them; the 2 here only keeps a budget of
-    /// one from trying a call.
-    pub(crate) fn instructions(self) -> u64 {
+    /// The budget the interpreter needs left to try this at a slot: the
+    /// number of instructions a run executes, and 0 for a slot that starts
+    /// nothing. A call's number depends on its strings, and the
+    /// interpreter checks it against the budget once it has scanned them;
+    /// the 2 here only keeps a budget of one from trying a call.
+    fn budget(self) -> u8 {
         match self {
-            Fused::Single => 1,
+            Fused::Single => 0,
             Fused::Call(_) => 2,
-            Fused::BranchIfImm => 3,
+            Fused::BranchIfImm | Fused::AndJoin => 3,
             Fused::IndexByte | Fused::AddImmLocal => 4,
+            Fused::IncJump => 5,
+            Fused::ByteLoopTest => 7,
         }
     }
 }
@@ -572,25 +622,33 @@ impl Routine {
 pub(crate) struct Slot {
     pub(crate) op: Op,
     pub(crate) fused: Fused,
+    /// `fused`'s [`Fused::budget`], in the byte the other fields leave
+    /// spare: whether to try a run is one comparison of it with the
+    /// budget left, not a jump on `fused`.
+    pub(crate) run: u8,
     pub(crate) operand: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 8);
 
 impl From<Instr> for Slot {
     fn from(instr: Instr) -> Self {
         Slot {
             op: instr.op,
             fused: Fused::Single,
+            run: 0,
             operand: instr.operand,
         }
     }
 }
 
 /// Predecodes a code image into the interpreter's stream, marking every
-/// slot that starts a whole fused run, and every `Call` whose target is a
-/// string routine's body (each distinct target compared once). Every slot
-/// keeps its own op and operand, so a jump into the middle of a run
-/// executes the rest of it one instruction at a time. `None` when the
-/// image does not decode (see [`decode_all`]).
+/// slot that starts a whole fused run with the longest such run, and
+/// every `Call` whose target is a string routine's body (each distinct
+/// target compared once). Every slot keeps its own op and operand, so a
+/// jump into the middle of a run executes the rest of it one instruction
+/// at a time, or as the shorter runs marked there. `None` when the image
+/// does not decode (see [`decode_all`]).
 pub(crate) fn predecode(code: &[u8]) -> Option<Vec<Slot>> {
     let instrs = decode_all(code)?;
     let mut targets = BTreeMap::new();
@@ -604,10 +662,11 @@ pub(crate) fn predecode(code: &[u8]) -> Option<Vec<Slot>> {
                         .or_insert_with(|| Routine::at(&instrs, instr.operand))
                         .map_or(Fused::Single, Fused::Call)
                 } else {
-                    Fused::starting(&instrs[i..])
+                    Fused::starting(&instrs, i)
                 };
                 Slot {
                     fused,
+                    run: fused.budget(),
                     ..Slot::from(instr)
                 }
             })
@@ -738,15 +797,40 @@ mod tests {
 
     #[test]
     fn predecode_marks_whole_runs_and_keeps_every_slot() {
-        use Op::{Add, Jz, LoadB, LoadL, Ne, Push, StoreL};
+        use Fused::{AddImmLocal, AndJoin, BranchIfImm, ByteLoopTest, IncJump, IndexByte, Single};
+        use Op::{Add, Jmp, Jz, LoadB, LoadL, Ne, Push, StoreL};
+        let at = |slot: u32| slot * INSTR_SIZE;
         let instrs = [
+            // while (a[i] != 0) { i = i + 1; }
             Instr::new(LoadL, 4),
             Instr::new(LoadL, 8),
             Instr::simple(Add),
             Instr::simple(LoadB),
             Instr::new(Push, 0),
             Instr::simple(Ne),
-            Instr::new(Jz, 60),
+            Instr::new(Jz, at(12)),
+            Instr::new(LoadL, 8),
+            Instr::new(Push, 1),
+            Instr::simple(Add),
+            Instr::new(StoreL, 8),
+            Instr::new(Jmp, 0),
+            // The join `&&` compiles to, tested by the `Jz` at slot 14.
+            Instr::new(Push, 1),
+            Instr::new(Jmp, at(14)),
+            Instr::new(Jz, 0),
+            // `Push; Jmp` to a slot that is not a `Jz`, to a misaligned
+            // offset and past the image: no join.
+            Instr::new(Push, 1),
+            Instr::new(Jmp, 0),
+            Instr::new(Push, 1),
+            Instr::new(Jmp, at(14) + 1),
+            Instr::new(Push, 1),
+            Instr::new(Jmp, at(31)),
+            // The shorter runs, where the longer ones do not continue.
+            Instr::new(LoadL, 8),
+            Instr::new(LoadL, 4),
+            Instr::simple(Add),
+            Instr::simple(LoadB),
             Instr::new(LoadL, 8),
             Instr::new(Push, 1),
             Instr::simple(Add),
@@ -757,33 +841,26 @@ mod tests {
         ];
         let stream = predecode(&encode_all(&instrs)).unwrap();
         let marks: Vec<Fused> = stream.iter().map(|slot| slot.fused).collect();
-        let single = Fused::Single;
+        #[rustfmt::skip]
         assert_eq!(
             marks,
             [
-                Fused::IndexByte,
-                single,
-                single,
-                single,
-                Fused::BranchIfImm,
-                single,
-                single,
-                Fused::AddImmLocal,
-                single,
-                single,
-                single,
-                single,
-                single,
+                ByteLoopTest, Single, Single, Single, BranchIfImm, Single, Single,
+                IncJump, Single, Single, Single, Single,
+                AndJoin, Single, Single,
+                Single, Single, Single, Single, Single, Single,
+                IndexByte, Single, Single, Single,
+                AddImmLocal, Single, Single, Single,
+                Single, Single,
             ]
         );
         for (slot, instr) in stream.iter().zip(&instrs) {
             assert_eq!((slot.op, slot.operand), (instr.op, instr.operand));
+            assert_eq!(slot.run, slot.fused.budget());
         }
         for (run, ops) in Fused::RUNS {
-            assert_eq!(run.instructions(), ops.len() as u64, "{run:?}");
+            assert_eq!(usize::from(run.budget()), ops.len(), "{run:?}");
         }
-        assert_eq!(std::mem::size_of::<Slot>(), std::mem::size_of::<Instr>());
-        assert_eq!(std::mem::size_of::<Slot>(), 8);
         let mut bad = encode_all(&instrs);
         bad[1] = 0xEE;
         assert_eq!(predecode(&bad), None);

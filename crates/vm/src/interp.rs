@@ -34,25 +34,47 @@
 //!
 //! # Fused runs
 //!
-//! The predecoded stream marks each slot that starts one of three runs of
-//! adjacent instructions: the byte load `a[i]`
-//! (`LoadL; LoadL; Add; LoadB`), the increment `i = i + 1`
-//! (`LoadL; Push; Add; StoreL`) and the loop test `x != c`
-//! (`Push; Ne; Jz`). The string routines run natively (below), so the runs
-//! serve the httpd's own loops: one pass of the 200-cell security matrix
-//! meets 662,332 byte loads, 444,792 increments and 718,076 loop tests in
-//! 7,962,365 dispatches. The two-word test `Ne; Jz` is not a run, because
-//! that pass meets it nowhere outside the native routines. The loop
-//! executes a marked run in one dispatch, all or nothing. It tries the run
-//! only when the budget left covers every instruction in it and the image
-//! needs no per-slot tag check. The run then does every read first, through
-//! the accessors the single instructions use, checks that the operand stack
-//! holds what it pops, and writes only through one writable span. If a read
-//! would fault, the stack is too shallow or the store would take the
-//! byte-at-a-time path, it gives up having touched nothing, and the loop
-//! executes the run's first slot as an ordinary instruction. A completed
-//! run adds its length to `instructions_executed` and moves pc to its end
-//! or its jump target.
+//! The predecoded stream marks each slot with the longest of six runs
+//! that starts there (see `Fused`). A run's instructions are the ones
+//! single steps execute in turn, so they are adjacent but for the one
+//! after a `Jmp`, which is at its target:
+//!
+//! - the byte-loop test `a[i] != c`: `LoadL; LoadL; Add; LoadB; Push;
+//!   Ne; Jz`;
+//! - an increment and the jump that ends a loop's body: `LoadL; Push;
+//!   Add; StoreL; Jmp`;
+//! - what those two start with where they do not go on: the byte load
+//!   `a[i]` (`LoadL; LoadL; Add; LoadB`) and the increment `i = i + 1`
+//!   (`LoadL; Push; Add; StoreL`);
+//! - the join `a && b` compiles to where a condition tests it: `Push c;
+//!   Jmp t` where slot `t` holds `Jz u`;
+//! - the loop test `x != c`: `Push; Ne; Jz`.
+//!
+//! The string routines run natively (below), so the runs serve the
+//! httpd's own loops: one pass of the 200-cell security matrix completes
+//! 570,860 byte-loop tests, 432,072 increments with their jumps, 320,616
+//! joins, 147,216 loop tests, 91,472 byte loads and 12,720 increments, in
+//! 6,318,201 dispatches for its 28,014,891 instructions. The two-word
+//! test `Ne; Jz` is not a run, because that pass meets it nowhere outside
+//! the native routines.
+//!
+//! Whether to try a run is one comparison: a slot carries the number of
+//! instructions its run executes in a byte of its own, 0 where none
+//! starts, and the loop tries the run only when the budget left covers
+//! that many and the image needs no per-slot tag check. Only then does it
+//! look at which run the slot starts. Every other slot goes straight to
+//! the opcode `match`, so a dispatch takes one indirect jump. The loop
+//! executes a marked run in one dispatch, all or nothing. The run does
+//! every read first, through the accessors the single instructions use,
+//! checks that the operand stack holds what it pops, and writes only
+//! through one writable span. It reads a word only through `read_slice`,
+//! the fast path of `read_word`, so no run calls the out-of-line
+//! `read_word`. If a read or the store would fault or take the
+//! byte-at-a-time path, or the stack is too shallow, it gives up having
+//! touched nothing, and the loop executes the run's first slot as an
+//! ordinary instruction. A completed run adds its length to
+//! `instructions_executed` and moves pc past its last instruction or to
+//! where its jump goes.
 //!
 //! So every trap, fault pc, budget boundary, operand stack and instruction
 //! count is the one single steps produce, and the opcode `match` stays the
@@ -60,7 +82,7 @@
 //! its budget of one is shorter than any run: it is the reference the trap
 //! tests compare fused execution against. Every slot keeps its own op and
 //! operand, so a jump into the middle of a run executes the rest of it one
-//! instruction at a time.
+//! instruction at a time, or as the shorter runs marked there.
 //!
 //! # Native calls
 //!
@@ -198,8 +220,8 @@ impl Process {
                         if found != self.expected_tag {
                             return Some(self.fault(self.tag_mismatch(found)));
                         }
-                    } else if slot.fused != Fused::Single && left >= slot.fused.instructions() {
-                        let done = self.run_fused(slot.fused, &stream[index..], left);
+                    } else if (1..=left).contains(&u64::from(slot.run)) {
+                        let done = self.run_fused(stream, index, left);
                         if done > 0 {
                             left -= done;
                             continue;
@@ -385,60 +407,117 @@ impl Process {
         None
     }
 
-    /// Executes what `kind` marks at `run[0]` as one step and returns the
+    /// Executes what `stream[index]` marks as one step and returns the
     /// instructions it executed, at most `left`, or returns 0 having
     /// touched nothing. A run reads everything first, through the
     /// accessors the single instructions use, and gives up if a read would
-    /// fault, the operand stack is too shallow for the run, or its store
-    /// would take the byte-at-a-time path; a call gives up as
-    /// [`Process::call_native`] says. The caller then executes `run[0]`
-    /// alone, so every trap comes from the single-instruction code.
+    /// fault or take the byte-at-a-time path, the operand stack is too
+    /// shallow for the run, or its store would take the byte-at-a-time
+    /// path; a call gives up as
+    /// [`Process::call_native`] says. The caller then executes
+    /// `stream[index]` alone, so every trap comes from the
+    /// single-instruction code.
     #[inline]
-    fn run_fused(&mut self, kind: Fused, run: &[Slot], left: u64) -> u64 {
-        let fp = self.fp;
-        let local = |slot: Slot| VirtAddr::new(fp.wrapping_sub(slot.operand));
-        let jump = match kind {
+    fn run_fused(&mut self, stream: &[Slot], index: usize, left: u64) -> u64 {
+        let run = &stream[index..];
+        let (pc, code_base) = (self.pc, self.layout.code_base);
+        let past = |count: u32| pc.wrapping_add(count * INSTR_SIZE);
+        let jump = |target: u32| code_base.wrapping_add(target);
+        let to = match run[0].fused {
             Fused::Single => return 0,
             Fused::Call(routine) => return self.call_native(routine, run[0].operand, left),
+            Fused::ByteLoopTest => {
+                let Some(byte) = self.index_byte(run) else {
+                    return 0;
+                };
+                if u32::from(byte) == run[4].operand {
+                    jump(run[6].operand)
+                } else {
+                    past(7)
+                }
+            }
+            Fused::IncJump => {
+                if !self.add_imm_local(run) {
+                    return 0;
+                }
+                jump(run[4].operand)
+            }
             Fused::IndexByte => {
-                let Ok(base) = self.read_word(local(run[0])) else {
-                    return 0;
-                };
-                let Ok(index) = self.read_word(local(run[1])) else {
-                    return 0;
-                };
-                let addr = base.as_u32().wrapping_add(index.as_u32());
-                let Ok(byte) = self.read_byte(VirtAddr::new(addr)) else {
+                let Some(byte) = self.index_byte(run) else {
                     return 0;
                 };
                 self.ostack.push(Word::from_u32(u32::from(byte)));
-                None
+                past(4)
             }
             Fused::AddImmLocal => {
-                let Ok(value) = self.read_word(local(run[0])) else {
+                if !self.add_imm_local(run) {
                     return 0;
-                };
-                let sum = Word::from_u32(value.as_u32().wrapping_add(run[1].operand));
-                let Some(span) = self.write_span(local(run[3]), 4) else {
-                    return 0;
-                };
-                span.copy_from_slice(&sum.to_le_bytes());
-                None
+                }
+                past(4)
+            }
+            Fused::AndJoin => {
+                let test = run[1].operand;
+                if run[0].operand == 0 {
+                    jump(stream[(test / INSTR_SIZE) as usize].operand)
+                } else {
+                    jump(test.wrapping_add(INSTR_SIZE))
+                }
             }
             Fused::BranchIfImm => {
                 let Some(value) = self.ostack.pop() else {
                     return 0;
                 };
-                (value == Word::from_u32(run[0].operand)).then_some(run[2].operand)
+                if value == Word::from_u32(run[0].operand) {
+                    jump(run[2].operand)
+                } else {
+                    past(3)
+                }
             }
         };
-        let count = kind.instructions();
+        #[cfg(test)]
+        tally::note_run(run[0].fused);
+        let count = u64::from(run[0].run);
         self.instructions_executed += count;
-        self.pc = match jump {
-            Some(target) => self.layout.code_base.wrapping_add(target),
-            None => self.pc.wrapping_add(count as u32 * INSTR_SIZE),
-        };
+        self.pc = to;
         count
+    }
+
+    /// The byte `LoadL a; LoadL i; Add; LoadB` at `run` pushes, or `None`
+    /// where one of its reads would fault or take the byte-at-a-time path.
+    fn index_byte(&self, run: &[Slot]) -> Option<u8> {
+        let base = self.local_word(run[0])?;
+        let index = self.local_word(run[1])?;
+        let addr = base.as_u32().wrapping_add(index.as_u32());
+        self.read_byte(VirtAddr::new(addr)).ok()
+    }
+
+    /// Stores what `LoadL s; Push c; Add; StoreL d` at `run` stores, or
+    /// returns `false` having touched nothing where the load or the store
+    /// would fault or take the byte-at-a-time path.
+    fn add_imm_local(&mut self, run: &[Slot]) -> bool {
+        let Some(value) = self.local_word(run[0]) else {
+            return false;
+        };
+        let sum = Word::from_u32(value.as_u32().wrapping_add(run[1].operand));
+        let Some(span) = self.write_span(self.local(run[3]), 4) else {
+            return false;
+        };
+        span.copy_from_slice(&sum.to_le_bytes());
+        true
+    }
+
+    /// The address of the local `LoadL` or `StoreL` at `slot` names.
+    fn local(&self, slot: Slot) -> VirtAddr {
+        VirtAddr::new(self.fp.wrapping_sub(slot.operand))
+    }
+
+    /// The word `LoadL` at `slot` loads, where `read_word` would take its
+    /// fast path: all four bytes in one segment's stored bytes.
+    fn local_word(&self, slot: Slot) -> Option<Word> {
+        let bytes = self.read_slice(self.local(slot), 4).ok()?;
+        Some(Word::from_le_bytes([
+            bytes[0], bytes[1], bytes[2], bytes[3],
+        ]))
     }
 
     /// Runs the call at pc to `routine`, whose body starts at code offset
@@ -720,15 +799,42 @@ fn overlaps((a, a_len): (u32, u32), (b, b_len): (u32, u32)) -> bool {
     a < b + u64::from(b_len) && b < a + u64::from(a_len)
 }
 
-/// Native runs and give-ups of each string routine on this thread, so a
-/// test can tell which path a call took.
+/// Native runs and give-ups of each string routine on this thread, and
+/// the fused runs that completed, so a test can tell which path a call or
+/// a run took.
 #[cfg(test)]
 pub(crate) mod tally {
-    use crate::bytecode::Routine;
+    use crate::bytecode::{Fused, Routine};
     use std::cell::Cell;
 
     thread_local! {
         static COUNTS: Cell<[[u64; 2]; 5]> = const { Cell::new([[0; 2]; 5]) };
+        static RUNS: Cell<[u64; 6]> = const { Cell::new([0; 6]) };
+    }
+
+    /// The kinds of fused run, in the order [`take_runs`] counts them.
+    pub(crate) const RUN_KINDS: [Fused; 6] = [
+        Fused::ByteLoopTest,
+        Fused::IncJump,
+        Fused::IndexByte,
+        Fused::AddImmLocal,
+        Fused::AndJoin,
+        Fused::BranchIfImm,
+    ];
+
+    pub(crate) fn note_run(kind: Fused) {
+        let index = RUN_KINDS.iter().position(|&run| run == kind);
+        RUNS.with(|runs| {
+            let mut all = runs.get();
+            all[index.expect("only a run completes as one")] += 1;
+            runs.set(all);
+        });
+    }
+
+    /// Takes this thread's completed runs of every kind, in [`RUN_KINDS`]
+    /// order, and starts again from zero.
+    pub(crate) fn take_runs() -> [u64; 6] {
+        RUNS.with(|runs| runs.replace([0; 6]))
     }
 
     pub(crate) fn note(routine: Routine, native: bool) {
@@ -1150,6 +1256,37 @@ mod tests {
         }
     }
 
+    /// One of each fused run, outside the natively run routines, in slices
+    /// checked against single steps: a change that makes a run give up
+    /// where it should complete keeps every trap, count and byte, and
+    /// fails only here.
+    #[test]
+    fn every_run_kind_completes_in_one_dispatch() {
+        let (_, process) = stdlib_process(
+            r#"fn main() -> int {
+                var s: ptr;
+                var i: int = 0;
+                var j: int = 1;
+                var n: int = 0;
+                s = "abc";
+                while (s[i] != 0 && i < 10) { i = i + 1; }
+                n = s[j];
+                n = n + 1;
+                while (n != 100) { n = n + 1; }
+                return n + i;
+            }"#,
+        );
+        for budget in 1..=16 {
+            slices_match_steps(process.clone(), budget);
+        }
+        tally::take_runs();
+        let trap = slices_match_steps(process, 1_000_000);
+        assert!(matches!(trap, TrapReason::Syscall(req) if req.arg(0).as_i32() == 103));
+        for (completed, run) in tally::take_runs().into_iter().zip(tally::RUN_KINDS) {
+            assert!(completed > 0, "{run:?} never completed");
+        }
+    }
+
     /// Runs `src` to its first trap in slices of every budget up to 64,
     /// each checked against single steps, then once with the whole budget:
     /// returns that run's trap and process, and the (give-ups, native
@@ -1359,6 +1496,26 @@ mod tests {
         assert_eq!(marked, [7, 6, 1, 1, 2]);
     }
 
+    /// How many slots of the httpd's stream, the standard library's
+    /// included, each run marks: a codegen change that stops a run from
+    /// matching fails here.
+    #[test]
+    fn httpd_stream_marks_every_run() {
+        use Fused::{AddImmLocal, AndJoin, BranchIfImm, ByteLoopTest, IncJump, IndexByte};
+        let (compiled, _) = stdlib_process(httpd_source());
+        let stream = compiled.stream().unwrap();
+        let runs = [
+            ByteLoopTest,
+            IncJump,
+            IndexByte,
+            AddImmLocal,
+            AndJoin,
+            BranchIfImm,
+        ];
+        let marked = runs.map(|run| stream.iter().filter(|slot| slot.fused == run).count());
+        assert_eq!(marked, [20, 29, 33, 2, 15, 30]);
+    }
+
     /// The standard library's `strlen` with one operand changed (its
     /// `Add`'s, which nothing reads), and an application's own `strlen`
     /// with another body: neither is marked, nor is `strcat`, whose inner
@@ -1401,7 +1558,7 @@ mod tests {
 
     #[test]
     fn stdlib_string_loops_are_marked_fused() {
-        use Fused::{AddImmLocal, BranchIfImm, IndexByte};
+        use Fused::{AndJoin, BranchIfImm, ByteLoopTest, IncJump, IndexByte};
         let (compiled, _) = stdlib_process(STRING_ROUTINES);
         let stream = compiled.stream().unwrap();
         let marks = |function: &str| -> Vec<Fused> {
@@ -1419,13 +1576,19 @@ mod tests {
                 .filter(|&fused| fused != Fused::Single)
                 .collect()
         };
-        // `while (s[n] != 0) { n = n + 1; }`: the byte load, the test and
-        // the increment.
-        assert_eq!(marks("strlen"), [IndexByte, BranchIfImm, AddImmLocal]);
-        let strcmp = marks("strcmp");
-        for run in [IndexByte, BranchIfImm, AddImmLocal] {
-            assert!(strcmp.contains(&run), "strcmp lost {run:?}: {strcmp:?}");
-        }
+        // `while (s[n] != 0) { n = n + 1; }`: the test, the shorter test
+        // inside it, and the increment with the jump back.
+        assert_eq!(marks("strlen"), [ByteLoopTest, BranchIfImm, IncJump]);
+        // `while (a[i] != 0 && b[i] != 0)`: two tests and the `&&` join,
+        // then the byte loads of the comparisons and the increment.
+        #[rustfmt::skip]
+        assert_eq!(
+            marks("strcmp"),
+            [
+                ByteLoopTest, BranchIfImm, ByteLoopTest, BranchIfImm, AndJoin,
+                IndexByte, IndexByte, IndexByte, IndexByte, IncJump, IndexByte, IndexByte,
+            ]
+        );
     }
 
     #[test]
